@@ -18,7 +18,8 @@ from .experiment import (PointResult, RunConfig, emit_csv, evaluate_point,
                          scenario_config, settlement_row)
 from .merit_order import (DispatchResult, Fleet, GeneratorSpec, KktReport,
                           Regime, backdown_feasibility, builtin_fleet, commit,
-                          fleet_from_csv, kkt_residuals, validate_assumptions)
+                          commit_batch, fleet_from_csv, kkt_residuals,
+                          validate_assumptions)
 from .risk import (EmpiricalSample, committed_requirement, cvar_direct,
                    cvar_rockafellar, rockafellar_objective, subadditivity_gap,
                    var)
@@ -40,7 +41,7 @@ __all__ = [
     "PointResult", "RunConfig", "emit_csv", "evaluate_point", "load_fleet",
     "run_alpha_sweep", "run_penetration_sweep", "scenario_config", "settlement_row",
     "DispatchResult", "Fleet", "GeneratorSpec", "KktReport", "Regime",
-    "backdown_feasibility", "builtin_fleet", "commit", "fleet_from_csv",
+    "backdown_feasibility", "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
     "kkt_residuals", "validate_assumptions",
     "EmpiricalSample", "committed_requirement", "cvar_direct", "cvar_rockafellar",
     "rockafellar_objective", "subadditivity_gap", "var",

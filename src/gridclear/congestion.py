@@ -32,6 +32,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_buses < 1:
             raise ValueError("a grid needs at least one bus")
+        if not np.isfinite(self.line_limit):
+            raise ValueError(f"line_limit must be finite, got {self.line_limit}")
         if self.line_limit <= 0.0:
             raise ValueError("line limit must be positive")
         b = self.admittances
@@ -40,6 +42,8 @@ class RadialGrid:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n_buses - 1,):
             raise ValueError(f"need {self.n_buses - 1} line admittances, got {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("line admittances must be finite")
         if np.any(b <= 0.0):
             raise ValueError("line admittances must be positive")
         object.__setattr__(self, "admittances", b)

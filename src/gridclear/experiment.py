@@ -24,7 +24,7 @@ import numpy as np
 
 from .congestion import RadialGrid, dispatch_radial
 from .errors import ConfigurationError, InfeasibleDispatchError
-from .merit_order import Fleet, builtin_fleet, commit, fleet_from_csv
+from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
 from .risk import cvar_direct
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
                         generate_scenarios, net_load, suffix_net_load)
@@ -85,6 +85,9 @@ class RunConfig:
         for p in self.penetrations:
             if p < 0.0:
                 raise ConfigurationError(f"penetration {p} must be non-negative")
+        if self.line_limit is not None and not 0.0 < self.line_limit < np.inf:
+            raise ConfigurationError(f"line_limit must be positive and finite, "
+                                     f"got {self.line_limit}")
         if self.capacity_mode not in ("tracking", "buildout"):
             raise ConfigurationError(f"unknown capacity mode {self.capacity_mode!r}")
         if self.cost_recovery not in (0, 1):
@@ -154,17 +157,12 @@ class PointResult:
 
 
 def _commit_uncongested(fleet: Fleet, sset: ScenarioSet, alpha: float):
-    t_len = sset.horizon
-    n_units = len(fleet)
-    committed = np.zeros((t_len, n_units))
-    prices = np.zeros(t_len)
-    for t in range(t_len):
-        demand = max(0.0, cvar_direct(aggregate_net_load(sset, t), alpha))
-        res = commit(fleet, demand)
-        committed[t] = res.power
-        prices[t] = res.clearing_price
-    lmps = np.repeat(prices[:, None], n_units, axis=1)
-    return committed, lmps, prices
+    demands = [max(0.0, cvar_direct(aggregate_net_load(sset, t), alpha))
+               for t in range(sset.horizon)]
+    batch = commit_batch(fleet, demands)
+    prices = batch.clearing_price
+    lmps = np.repeat(prices[:, None], len(fleet), axis=1)
+    return batch.power, lmps, prices
 
 
 def _commit_congested(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: float):
@@ -194,15 +192,10 @@ def _realized_dispatch(fleet: Fleet, grid: RadialGrid | None, sset: ScenarioSet)
     k_len, t_len = sset.n_scenarios, sset.horizon
     net = sset.load - sset.renewable  # (buses, T, K)
     if grid is None:
-        n_units = len(fleet)
-        realized = np.zeros((k_len, t_len, n_units))
-        cap = fleet.total_capacity
-        agg = net.sum(axis=0)  # (T, K)
-        for k in range(k_len):
-            for t in range(t_len):
-                demand = min(max(float(agg[t, k]), 0.0), cap)
-                realized[k, t] = commit(fleet, demand).power
-        return realized
+        agg = net.sum(axis=0).T  # (K, T), rows in scenario-major order
+        demands = np.minimum(np.maximum(agg, 0.0), fleet.total_capacity)
+        power = commit_batch(fleet, demands.ravel()).power
+        return power.reshape(k_len, t_len, len(fleet))
     realized = np.zeros((k_len, t_len, grid.n_buses))
     for k in range(k_len):
         for t in range(t_len):
@@ -210,6 +203,14 @@ def _realized_dispatch(fleet: Fleet, grid: RadialGrid | None, sset: ScenarioSet)
             suffix = np.cumsum(per_bus[::-1])[::-1]
             realized[k, t] = dispatch_radial(grid, fleet, per_bus, suffix).power
     return realized
+
+
+def _expectation(probabilities: np.ndarray, values: np.ndarray) -> float:
+    """Probability-weighted sum, accumulated scenario by scenario from 0.0."""
+    total = 0.0
+    for term in (probabilities * values).tolist():
+        total += term
+    return total
 
 
 def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float,
@@ -241,13 +242,10 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
     # renewables are paid scenario by scenario at the committed bus prices
     bus_lmps = lmps if grid is not None else np.repeat(
         prices[:, None], sset.n_buses, axis=1)
-    revenue = 0.0
-    curtailed = 0.0
-    for k in range(sset.n_scenarios):
-        rev_k, cur_k = curtail_and_pay_renewables(
-            sset.load[:, :, k].T, sset.renewable[:, :, k].T, bus_lmps)
-        revenue += sset.probabilities[k] * rev_k
-        curtailed += sset.probabilities[k] * cur_k
+    rev_k, cur_k = curtail_and_pay_renewables(
+        sset.load.transpose(2, 1, 0), sset.renewable.transpose(2, 1, 0), bus_lmps)
+    revenue = _expectation(sset.probabilities, rev_k)
+    curtailed = _expectation(sset.probabilities, cur_k)
 
     report = SettlementReport(
         h_total=h_total,

@@ -11,13 +11,18 @@ Multipliers are assigned so the stationarity and complementarity system of
 the underlying linear program is satisfied exactly on the committed set; a
 unit that is off while its minimum is positive is a commitment decision and
 its bound is taken at zero.
+
+``commit_batch`` is the one clearing kernel: it dispatches a whole array of
+demands at once, choosing the regime of each row with masks.  ``commit`` is
+a one-row call of it that adds the multipliers.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,16 @@ import numpy as np
 from .errors import FleetParseError, InfeasibleDispatchError
 
 _BALANCE_TOL = 1e-9
+
+
+_SPEC_NUMBERS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_hot",
+                 "start_cost_cold", "no_load_cost", "production_cost_rate")
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.production_cost_rate is None:
             object.__setattr__(self, "production_cost_rate", float(self.ask_price))
+        for name in _SPEC_NUMBERS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name}: {name} must be finite, got {value}")
         if not 0.0 <= self.p_min <= self.p_max:
             raise ValueError(f"{self.name}: need 0 <= p_min <= p_max, "
                              f"got [{self.p_min}, {self.p_max}]")
@@ -62,15 +81,25 @@ class Fleet:
     Ask prices must be strictly increasing and the renewable ask must sit
     strictly below the cheapest unit (ties are rejected rather than broken,
     the closed-form solution needs a unique marginal unit).
+
+    The per-unit columns are built once, at construction, as read-only
+    arrays; ``p_max_prefix`` is ``[0, p_max[0], p_max[0] + p_max[1], ...]``.
     """
 
     generators: tuple[GeneratorSpec, ...]
     renewable_ask: float = 0.0
+    ask_prices: np.ndarray = field(init=False, repr=False, compare=False)
+    p_mins: np.ndarray = field(init=False, repr=False, compare=False)
+    p_maxs: np.ndarray = field(init=False, repr=False, compare=False)
+    production_cost_rates: np.ndarray = field(init=False, repr=False, compare=False)
+    p_max_prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise ValueError("a fleet needs at least one generator")
+        if not math.isfinite(self.renewable_ask):
+            raise ValueError(f"renewable_ask must be finite, got {self.renewable_ask}")
         if self.renewable_ask < 0.0:
             raise ValueError("renewable ask price must be non-negative")
         asks = [g.ask_price for g in self.generators]
@@ -80,25 +109,16 @@ class Fleet:
         for lo, hi in zip(asks, asks[1:]):
             if hi <= lo:
                 raise ValueError(f"ask prices must be strictly increasing, got {lo} then {hi}")
+        for name, attr in (("ask_prices", "ask_price"), ("p_mins", "p_min"),
+                           ("p_maxs", "p_max"),
+                           ("production_cost_rates", "production_cost_rate")):
+            object.__setattr__(self, name,
+                               _read_only([getattr(g, attr) for g in self.generators]))
+        object.__setattr__(self, "p_max_prefix",
+                           _read_only(np.concatenate(([0.0], np.cumsum(self.p_maxs)))))
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    @property
-    def ask_prices(self) -> np.ndarray:
-        return np.array([g.ask_price for g in self.generators])
-
-    @property
-    def p_mins(self) -> np.ndarray:
-        return np.array([g.p_min for g in self.generators])
-
-    @property
-    def p_maxs(self) -> np.ndarray:
-        return np.array([g.p_max for g in self.generators])
-
-    @property
-    def production_cost_rates(self) -> np.ndarray:
-        return np.array([g.production_cost_rate for g in self.generators])
 
     @property
     def total_capacity(self) -> float:
@@ -158,88 +178,111 @@ def validate_assumptions(fleet: Fleet, demand: float) -> list[str]:
     return violations
 
 
-def _off_tail_mu_bar(asks: np.ndarray, price: float) -> np.ndarray:
-    return np.maximum(asks - price, 0.0)
+_REGIMES = tuple(Regime)  # regime code -> Regime, in definition order
+
+
+@dataclass(frozen=True)
+class DispatchBatch:
+    """Dispatch of m demands against one fleet; row r answers demand r."""
+
+    power: np.ndarray           # (m, n) MW per generator, merit order
+    clearing_price: np.ndarray  # (m,) $/MWh
+    regime: np.ndarray          # (m,) regime codes, index into tuple(Regime)
+    marginal_index: np.ndarray  # (m,) 0-based index of the price-setting unit
+
+
+def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
+    """The error for one demand that no unit pattern can balance."""
+    p_min, p_max, prefix = fleet.p_mins, fleet.p_maxs, fleet.p_max_prefix
+    bounds = (float(p_min.min()), fleet.total_capacity)
+    if not math.isfinite(demand):
+        message = f"demand {demand} MW must be finite"
+    elif demand < 0.0 or demand > bounds[1] + _BALANCE_TOL:
+        message = f"demand {demand:.6g} MW outside the servable range [0, {bounds[1]:.6g}]"
+    elif demand < p_min[0]:
+        message = f"no single unit can carry the sub-minimum demand {demand:.6g} MW"
+    else:
+        k = min(int(np.searchsorted(prefix[1:], demand, side="left")), len(fleet) - 1)
+        backdown = demand - prefix[k - 1] - p_min[k]
+        message = (f"back-down target {backdown:.6g} MW outside unit {k - 1}'s box "
+                   f"[{p_min[k - 1]:.6g}, {p_max[k - 1]:.6g}]; "
+                   f"adjustable-range assumption violated")
+    return InfeasibleDispatchError(message, demand=demand, fleet_bounds=bounds)
+
+
+def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
+    """Dispatch the fleet against every demand of a 1-D array in one pass.
+
+    Cheapest units saturate first.  Each row takes one of three regimes,
+    chosen by masks: INTERIOR (the marginal unit k sits inside its box and
+    sets the price; a zero demand is INTERIOR at unit 0 with no output),
+    BELOW_PMIN (the residual after saturation is below unit k's minimum, so
+    k runs at its minimum and unit k-1 backs down and sets the price) and
+    SMALL_DEMAND (the demand is below the cheapest unit's minimum and the
+    first unit able to run at it carries it alone).  Raises
+    InfeasibleDispatchError for the first row, in row order, that is not
+    finite, lies outside [0, total capacity], or that no unit pattern can
+    balance.
+    """
+    d = np.asarray(demands, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"demands must be a 1-D array, got shape {d.shape}")
+    asks, p_min, p_max, prefix = (fleet.ask_prices, fleet.p_mins, fleet.p_maxs,
+                                  fleet.p_max_prefix)
+    n = len(fleet)
+
+    bad = ~np.isfinite(d) | (d < 0.0) | (d > fleet.total_capacity + _BALANCE_TOL)
+    zero = d == 0.0
+    small = (d < p_min[0]) & ~zero
+    k = np.minimum(np.searchsorted(prefix[1:], d, side="left"), n - 1)
+    residual = d - prefix[k]
+    below = ~zero & ~small & (residual < p_min[k])
+    # in the back-down regime k >= 1, because d >= p_min[0] and k = 0 give
+    # residual = d; other rows read a harmless index
+    prev = np.maximum(k - 1, 0)
+    backdown = d - prefix[prev] - p_min[k]
+    bad |= below & ~((p_min[prev] < backdown) & (backdown < p_max[prev]))
+
+    marginal = np.where(below, prev, k)  # k = 0 on zero rows
+    output = np.where(below, backdown, residual)
+    output[zero] = 0.0  # a -0.0 demand dispatches +0.0
+    if small.any():
+        ds = d[small, None]
+        fits = (p_min <= ds) & (ds < p_max)
+        bad[small] |= ~fits.any(axis=1)
+        marginal[small] = fits.argmax(axis=1)
+        output[small] = d[small]
+    if bad.any():
+        raise _infeasible(fleet, float(d[np.argmax(bad)]))
+
+    saturated = np.where(small, 0, marginal)
+    power = np.where(np.arange(n) < saturated[:, None], p_max, 0.0)
+    rows = np.arange(d.size)
+    power[rows, marginal] = output
+    power[rows[below], k[below]] = p_min[k[below]]
+    regime = np.where(small, 2, np.where(below, 1, 0)).astype(np.int8)
+    return DispatchBatch(power, asks[marginal], regime, marginal)
 
 
 def commit(fleet: Fleet, demand_cvar: float) -> DispatchResult:
     """Dispatch the fleet against a demand (the CVaR of the aggregate net load).
 
-    Cheapest units saturate first; the clearing price is the ask of the
-    price-setting unit in the active regime.  Raises InfeasibleDispatchError
-    when no unit pattern can balance the demand.
+    A one-row call of ``commit_batch``.  The multipliers follow from the
+    price and the regime: units cheaper than the price-setting one sit at
+    their maximum with mu = price - ask (none in the single-unit regime),
+    and every unit dearer than the price has mu_bar = ask - price.  Raises
+    InfeasibleDispatchError when no unit pattern can balance the demand.
     """
-    demand = float(demand_cvar)
+    batch = commit_batch(fleet, [float(demand_cvar)])
+    price = float(batch.clearing_price[0])
+    regime = _REGIMES[batch.regime[0]]
+    marginal = int(batch.marginal_index[0])
     asks = fleet.ask_prices
-    p_min = fleet.p_mins
-    p_max = fleet.p_maxs
-    n = len(fleet)
-    bounds = (float(p_min.min()), float(p_max.sum()))
-
-    if demand < 0.0 or demand > bounds[1] + _BALANCE_TOL:
-        raise InfeasibleDispatchError(
-            f"demand {demand:.6g} MW outside the servable range [0, {bounds[1]:.6g}]",
-            demand=demand, fleet_bounds=bounds)
-
-    power = np.zeros(n)
-    if demand == 0.0:
-        # degenerate balance; the cheapest unit is marginal at zero output
-        price = float(asks[0])
-        mu_bar = _off_tail_mu_bar(asks, price)
-        return DispatchResult(power, price, np.zeros(n), mu_bar, Regime.INTERIOR, 0)
-
-    if demand < p_min[0]:
-        # too small for the cheapest unit: smallest unit able to run at the
-        # demand carries it alone
-        for i in range(n):
-            if p_min[i] <= demand < p_max[i]:
-                power[i] = demand
-                price = float(asks[i])
-                mu_bar = _off_tail_mu_bar(asks, price)
-                mu_bar[:i] = 0.0  # cheaper units are off by commitment, not at a bound
-                mu_bar[i] = 0.0
-                return DispatchResult(power, price, np.zeros(n), mu_bar,
-                                      Regime.SMALL_DEMAND, i)
-        raise InfeasibleDispatchError(
-            f"no single unit can carry the sub-minimum demand {demand:.6g} MW",
-            demand=demand, fleet_bounds=bounds)
-
-    prefix = np.concatenate(([0.0], np.cumsum(p_max)))
-    k = int(np.searchsorted(prefix[1:], demand, side="left"))
-    k = min(k, n - 1)
-    residual = demand - prefix[k]
-
-    if residual >= p_min[k]:
-        power[:k] = p_max[:k]
-        power[k] = residual
-        price = float(asks[k])
-        mu = np.zeros(n)
-        mu[:k] = price - asks[:k]
-        mu_bar = np.zeros(n)
-        mu_bar[k + 1:] = _off_tail_mu_bar(asks[k + 1:], price)
-        return DispatchResult(power, price, mu, mu_bar, Regime.INTERIOR, k)
-
-    # 0 < residual < p_min[k]: unit k runs at its minimum and unit k-1 backs down
-    if k == 0:
-        raise InfeasibleDispatchError(
-            f"demand {demand:.6g} MW below the first unit's minimum after saturation",
-            demand=demand, fleet_bounds=bounds)
-    backdown = demand - prefix[k - 1] - p_min[k]
-    if not p_min[k - 1] < backdown < p_max[k - 1]:
-        raise InfeasibleDispatchError(
-            f"back-down target {backdown:.6g} MW outside unit {k - 1}'s box "
-            f"[{p_min[k - 1]:.6g}, {p_max[k - 1]:.6g}]; adjustable-range assumption violated",
-            demand=demand, fleet_bounds=bounds)
-    power[:k - 1] = p_max[:k - 1]
-    power[k - 1] = backdown
-    power[k] = p_min[k]
-    price = float(asks[k - 1])
-    mu = np.zeros(n)
-    mu[:k - 1] = price - asks[:k - 1]
-    mu_bar = np.zeros(n)
-    mu_bar[k] = asks[k] - price
-    mu_bar[k + 1:] = _off_tail_mu_bar(asks[k + 1:], price)
-    return DispatchResult(power, price, mu, mu_bar, Regime.BELOW_PMIN, k - 1)
+    # a lone unit's cheaper units are off by commitment, not at a bound
+    n_at_max = 0 if regime is Regime.SMALL_DEMAND else marginal
+    mu = np.where(np.arange(len(fleet)) < n_at_max, price - asks, 0.0)
+    mu_bar = np.maximum(asks - price, 0.0)
+    return DispatchResult(batch.power[0], price, mu, mu_bar, regime, marginal)
 
 
 def backdown_feasibility(fleet: Fleet, demand: float, k: int) -> bool:

@@ -7,6 +7,11 @@ Loads are truncated-at-zero Gaussians per bus; renewable output is Beta on
 weather uniform per (time, scenario) drives every bus's renewable draw, so
 renewables are comonotone across buses while loads stay independent.
 
+The mean share of capacity is system-wide, so the Beta shape depends only
+on the hour: each hour takes one Beta quantile per scenario, shared by all
+buses and scaled by each bus's capacity.  Load quantiles are drawn one hour
+at a time over (bus, scenario).
+
 Everything is a pure, deterministic function of the config (seed included);
 scenario sets are immutable and safe to share across workers.
 """
@@ -58,6 +63,12 @@ class ScenarioConfig:
         object.__setattr__(self, "load_mean", mean)
         object.__setattr__(self, "load_std", std)
         object.__setattr__(self, "renewable_capacity", cap)
+        for name, value in (("load_mean", mean), ("load_std", std),
+                            ("renewable_capacity", cap),
+                            ("penetration", self.penetration),
+                            ("uncertainty_growth", self.uncertainty_growth)):
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite")
         if np.any(mean < 0.0) or np.any(std < 0.0):
             raise ConfigurationError("load means and stds must be non-negative")
         if np.any(cap < 0.0):
@@ -112,7 +123,7 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
 
     Raises ConfigurationError when the requested penetration asks for more
     mean renewable output than the installed capacity can carry, naming the
-    first bus whose share is infeasible.
+    first hour whose system-wide share is infeasible.
     """
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
     rng = np.random.default_rng(config.seed)
@@ -121,19 +132,20 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
     u_weather = rng.random((k, t_len))
 
     load = np.empty((n, t_len, k))
-    for i in range(n):
-        for t in range(t_len):
-            m = config.load_mean[i, t]
-            s = config.load_std[i, t]
-            if s <= _DEGENERATE_STD * max(m, 1.0):
-                load[i, t, :] = m
-            else:
-                a = (0.0 - m) / s
-                load[i, t, :] = stats.truncnorm.ppf(u_load[:, i, t], a, np.inf,
-                                                    loc=m, scale=s)
+    for t in range(t_len):
+        m = config.load_mean[:, t]
+        s = config.load_std[:, t]
+        fixed = s <= _DEGENERATE_STD * np.maximum(m, 1.0)
+        load[fixed, t, :] = m[fixed, None]
+        drawn = ~fixed
+        if drawn.any():
+            loc, scale = m[drawn, None], s[drawn, None]
+            load[drawn, t, :] = stats.truncnorm.ppf(u_load[:, drawn, t].T, (0.0 - loc) / scale,
+                                                    np.inf, loc=loc, scale=scale)
 
     cap = config.renewable_capacity
     cap_total = cap.sum()
+    sited = cap > 0.0
     renewable = np.zeros((n, t_len, k))
     for t in range(t_len):
         target = config.penetration * config.load_mean[:, t].sum()
@@ -141,29 +153,24 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
             continue
         if cap_total <= 0.0:
             raise ConfigurationError(
-                f"bus 0: penetration {config.penetration} needs mean renewable "
+                f"hour {t}: penetration {config.penetration} needs mean renewable "
                 f"output {target:.3f} MW but no capacity is installed")
         share = target / cap_total
         if share > 1.0 + 1e-9:
             raise ConfigurationError(
-                f"bus 0: required mean share {share:.4f} of capacity exceeds 1; "
-                f"infeasible Beta mean on [0, w]")
-        share = min(share, 1.0)
-        for i in range(n):
-            w = cap[i]
-            if w <= 0.0:
-                continue
-            mu = share
-            if mu >= 1.0 - 1e-12:
-                renewable[i, t, :] = w
-                continue
-            sigma_hat = min(config.uncertainty_growth,
-                            _FEASIBILITY_MARGIN * np.sqrt(mu * (1.0 - mu)))
-            if sigma_hat <= _DEGENERATE_STD:
-                renewable[i, t, :] = mu * w
-                continue
-            a, b = _beta_shape(mu, sigma_hat)
-            renewable[i, t, :] = w * stats.beta.ppf(u_weather[:, t], a, b)
+                f"hour {t}: required system-wide mean share {share:.4f} of capacity "
+                f"exceeds 1; infeasible Beta mean on [0, w]")
+        mu = min(share, 1.0)
+        if mu >= 1.0 - 1e-12:
+            renewable[sited, t, :] = cap[sited, None]
+            continue
+        sigma_hat = min(config.uncertainty_growth,
+                        _FEASIBILITY_MARGIN * np.sqrt(mu * (1.0 - mu)))
+        if sigma_hat <= _DEGENERATE_STD:
+            renewable[sited, t, :] = (mu * cap[sited])[:, None]
+            continue
+        a, b = _beta_shape(mu, sigma_hat)
+        renewable[sited, t, :] = cap[sited, None] * stats.beta.ppf(u_weather[:, t], a, b)
 
     np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
     probs = np.full(k, 1.0 / k)

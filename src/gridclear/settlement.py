@@ -223,25 +223,38 @@ def deviation_cost(expected: float, realized: float) -> float:
 
 
 def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
-                               lmps: np.ndarray) -> tuple[float, float]:
-    """Renewable payment and curtailed energy for one scenario trajectory.
+                               lmps: np.ndarray):
+    """Renewable payment and curtailed energy per scenario trajectory.
 
-    Per hour: when total renewable output exceeds the total load, only the
-    load is paid for, shared across units in proportion to their output, and
-    the excess is curtailed; otherwise all output earns its bus price.
+    loads and renewables are (T, n_buses) for one trajectory or
+    (K, T, n_buses) for K of them; lmps is (T, n_buses).  Per hour: when
+    total renewable output exceeds the total load, only the load is paid
+    for, shared across units in proportion to their output, and the excess
+    is curtailed; otherwise all output earns its bus price.  Hours are
+    accumulated in order from 0.0.  Returns two floats for one trajectory
+    and two (K,) arrays for a stack.
     """
     loads = np.asarray(loads, dtype=float)
     renewables = np.asarray(renewables, dtype=float)
     lmps = np.asarray(lmps, dtype=float)
-    revenue = 0.0
-    curtailed = 0.0
-    for t in range(loads.shape[0]):
-        total_out = renewables[t].sum()
-        total_load = loads[t].sum()
-        if total_out > total_load:
-            scale = total_load / total_out if total_out > 0.0 else 0.0
-            revenue += float(lmps[t] @ (renewables[t] * scale))
-            curtailed += float(total_out - total_load)
-        else:
-            revenue += float(lmps[t] @ renewables[t])
+    # round each hour as a per-hour loop (row.sum(), lmps[t] @ row) does: bus
+    # sums over unit-stride rows, because numpy sums a strided stack in memory
+    # order rather than pairwise; the full payment over the caller's rows and
+    # the curtailed one over fresh unit-stride rows, because dot rounds by stride
+    rows = np.ascontiguousarray(renewables)
+    total_out = rows.sum(axis=-1)
+    total_load = np.ascontiguousarray(loads).sum(axis=-1)
+    over = total_out > total_load
+    scale = np.divide(total_load, total_out, out=np.zeros_like(total_out),
+                      where=total_out > 0.0)
+    hourly = np.where(over, np.vecdot(lmps, rows * scale[..., None]),
+                      np.vecdot(lmps, renewables))
+    excess = np.where(over, total_out - total_load, 0.0)
+    revenue = np.zeros(hourly.shape[:-1])
+    curtailed = np.zeros(hourly.shape[:-1])
+    for t in range(hourly.shape[-1]):
+        revenue += hourly[..., t]
+        curtailed += excess[..., t]
+    if renewables.ndim == 2:
+        return float(revenue), float(curtailed)
     return revenue, curtailed

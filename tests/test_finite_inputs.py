@@ -1,0 +1,95 @@
+"""Every constructor the batched paths trust rejects NaN and infinities by name."""
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
+                       RadialGrid, RunConfig, ScenarioConfig, fleet_from_csv)
+from gridclear.cli import main
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+SPEC_FIELDS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_hot",
+               "start_cost_cold", "no_load_cost", "production_cost_rate")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPEC_FIELDS), NON_FINITE,
+       st.floats(0.0, 50.0), st.floats(0.0, 100.0))
+def test_generator_spec_rejects_non_finite(name, bad, p_min, width):
+    spec = dict(name="g", ask_price=10.0, p_min=p_min, p_max=p_min + width,
+                rp_max=width, ramp_max=width, production_cost_rate=10.0)
+    spec[name] = bad
+    with pytest.raises(ValueError, match=f"^g: {name} must be finite, got {bad}$"):
+        GeneratorSpec(**spec)
+
+
+@settings(max_examples=20, deadline=None)
+@given(NON_FINITE)
+def test_fleet_rejects_non_finite_renewable_ask(bad):
+    with pytest.raises(ValueError, match="renewable_ask must be finite"):
+        Fleet((GeneratorSpec("g", 10.0, 0.0, 100.0),), renewable_ask=bad)
+
+
+def test_fleet_csv_names_the_non_finite_field(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
+        "a,nan,0,100,100,100,0,0,0\n")
+    with pytest.raises(FleetParseError, match="a: ask_price must be finite") as err:
+        fleet_from_csv(path)
+    assert err.value.line_number == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), NON_FINITE)
+def test_radial_grid_rejects_non_finite_line_limit(n_buses, bad):
+    with pytest.raises(ValueError, match=f"line_limit must be finite, got {bad}"):
+        RadialGrid(n_buses, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_radial_grid_rejects_non_finite_admittance(n_buses, data):
+    b = np.ones(n_buses - 1)
+    b[data.draw(st.integers(0, n_buses - 2))] = data.draw(NON_FINITE)
+    with pytest.raises(ValueError, match="admittances must be finite"):
+        RadialGrid(n_buses, 50.0, admittances=b)
+
+
+def _scenario_fields(n_buses, horizon):
+    return dict(load_mean=np.full((n_buses, horizon), 100.0),
+                load_std=np.full((n_buses, horizon), 8.0),
+                renewable_capacity=np.full(n_buses, 90.0),
+                penetration=0.4, uncertainty_growth=0.2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["load_mean", "load_std", "renewable_capacity", "penetration",
+                        "uncertainty_growth"]),
+       NON_FINITE, st.data())
+def test_scenario_config_rejects_non_finite(n_buses, horizon, name, bad, data):
+    fields = _scenario_fields(n_buses, horizon)
+    value = fields[name]
+    if isinstance(value, np.ndarray):
+        index = tuple(data.draw(st.integers(0, d - 1)) for d in value.shape)
+        value[index] = bad
+    else:
+        fields[name] = bad
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
+        ScenarioConfig(n_buses=n_buses, horizon=horizon, n_scenarios=4, seed=0, **fields)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])
+def test_run_config_rejects_bad_line_limit(bad):
+    with pytest.raises(ConfigurationError, match="line_limit must be positive and finite"):
+        RunConfig(line_limit=bad)
+
+
+def test_cli_nan_line_limit_is_config_error(tmp_path):
+    result = CliRunner().invoke(main, ["dispatch", "--line-limit", "nan",
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "line_limit must be positive and finite" in result.output

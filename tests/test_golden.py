@@ -1,0 +1,46 @@
+"""Golden bytes: three small CLI runs whose CSV digests are pinned.
+
+Criterion 9 compares two runs of the same code, so it cannot see a change
+that shifts output.  These digests were recorded before the clearing,
+payment and scenario loops were batched, and every later change must keep
+them (or say why the numbers moved).  Each run exercises different code:
+
+- settle on one bus: the merit-order re-dispatch, with curtailment active
+- settle on an 80 MW feeder: feeder dispatch and per-bus prices, with
+  curtailment paid at differing bus prices
+- a penetration sweep over six buses: per-hour scenario draws on many
+  buses, the sweep loop and a multi-row CSV
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from gridclear.cli import main
+
+GOLDEN = {
+    "settle-bus": (
+        ["settle", "--horizon", "24", "--scenarios", "100", "--penetration", "0.9"],
+        "settlement.csv",
+        "53b536a1cbb065e4abdfdd1c634b1ebf9bc5ce881a6c31f202d094129b86017b"),
+    "settle-feeder": (
+        ["settle", "--horizon", "24", "--scenarios", "100", "--penetration", "0.9",
+         "--line-limit", "80", "--load-mean", "150,75,45"],
+        "settlement.csv",
+        "db1f94028c90ab51fdd557f0b8c53024161874706729a53f5e89922c0a890789"),
+    "sweep-penetration": (
+        ["sweep-penetration", "--horizon", "4", "--scenarios", "40",
+         "--load-mean", "120,100,90,80,70,60"],
+        "penetration_sweep.csv",
+        "91b293975321e698a8aa2395f8d2ad14371ed957df1ec729121ad69b68b52428"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_csv_bytes(name, tmp_path):
+    argv, csv, digest = GOLDEN[name]
+    result = CliRunner().invoke(main, argv + ["--seed", "7", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    data = (tmp_path / csv).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, data.decode()

@@ -69,15 +69,18 @@ def test_loads_nonnegative():
     assert np.all(ss.load >= 0.0)
 
 
-def test_infeasible_penetration_names_bus():
-    cfg = make_config(penetration=2.0)  # mean target 600 > capacity 270
-    with pytest.raises(ConfigurationError, match="bus"):
+def test_infeasible_penetration_names_hour():
+    # the share is system-wide, so the error names the first infeasible hour
+    mean = np.array([[10.0, 100.0]] * 3)  # hour 0 target 60 fits, hour 1's 600 does not
+    cfg = make_config(load_mean=mean, penetration=2.0)
+    with pytest.raises(ConfigurationError, match=r"^hour 1: required system-wide mean share"):
         generate_scenarios(cfg)
 
 
 def test_positive_penetration_without_capacity_errors():
     cfg = make_config(renewable_capacity=np.zeros(3), penetration=0.3)
-    with pytest.raises(ConfigurationError, match="bus"):
+    with pytest.raises(ConfigurationError, match=r"^hour 0: penetration 0.3 needs mean "
+                                                 r"renewable output 90.000 MW"):
         generate_scenarios(cfg)
 
 
