@@ -8,7 +8,7 @@ and settled across Monte Carlo renewable scenarios.
 
 from .congestion import (CongestedDispatch, FeederCase, RadialGrid,
                          committed_upper_bound, dispatch_radial,
-                         validate_feeder_assumptions)
+                         dispatch_radial_batch, validate_feeder_assumptions)
 from .dcopf import (NetworkKktReport, OpfSolution, kkt_verify_network,
                     solve_deterministic)
 from .errors import (ConfigurationError, FleetParseError, GridClearError,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CongestedDispatch", "FeederCase", "RadialGrid", "committed_upper_bound",
-    "dispatch_radial", "validate_feeder_assumptions",
+    "dispatch_radial", "dispatch_radial_batch", "validate_feeder_assumptions",
     "NetworkKktReport", "OpfSolution", "kkt_verify_network", "solve_deterministic",
     "ConfigurationError", "FleetParseError", "GridClearError", "InfeasibleDispatchError",
     "PointResult", "RunConfig", "emit_csv", "evaluate_point", "load_fleet",

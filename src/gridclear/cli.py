@@ -156,10 +156,8 @@ def dispatch_cmd(alpha, penetration, **kw):
     run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
                         capacity_mode="tracking", **kw)
     point = _run_guarded(lambda: _single_point(run))
-    fleet = load_fleet(run.fleet_source)
-    units = fleet.head(run.n_buses) if run.line_limit is not None else fleet
     rows = []
-    for i, gen in enumerate(units.generators):
+    for i, gen in enumerate(point.fleet.generators):
         rows.append({
             "generator": gen.name,
             "committed_mw": float(point.committed[:, i].sum()),

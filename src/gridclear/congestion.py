@@ -6,6 +6,11 @@ and every bus clears at its ask.  When the total requirement cannot reach
 bus 0's line, the feeder splits: upstream buses self-serve plus export at
 the limit, and the first bus whose tail requirement fits under the limit
 balances everything downstream and sets the price from there on.
+
+``dispatch_radial_batch`` is the one feeder kernel: it clears m requirement
+rows at once, running the recursion as a loop over the buses with each step
+applied to every row, and finds each row's balancing bus and infeasibility
+with masks.  ``dispatch_radial`` is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -91,16 +96,101 @@ def validate_feeder_assumptions(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
     return violations
 
 
-def _find_balancing_bus(suffix: np.ndarray, p_bar: float) -> int:
-    # first bus whose downstream tail fits under the limit while its own does
-    # not; ties at the limit resolve to the uncongested side
-    n = suffix.size
-    for j in range(1, n):
-        tail_next = suffix[j + 1] if j + 1 < n else 0.0
-        if suffix[j] > p_bar and tail_next <= p_bar:
-            return j
-    raise InfeasibleDispatchError(
-        "congested feeder without a balancing bus; tail requirements inconsistent")
+@dataclass(frozen=True)
+class RadialDispatchBatch:
+    """Feeder dispatch of m requirement rows; row r answers row r of the input."""
+
+    power: np.ndarray               # (m, n) MW per bus
+    lmps: np.ndarray                # (m, n) $/MWh per bus
+    local_requirement: np.ndarray   # (m, n) required power ledger, clamped at 0
+    suffix_requirement: np.ndarray  # (m, n) tail requirement ledger, clamped at 0
+    congested: np.ndarray           # (m,) whether bus 0's line binds
+    balancing_bus: np.ndarray       # (m,) first bus whose tail fits, -1 for none
+
+
+def _max(a, b):
+    # max(a, b) as Python evaluates it: a unless b is larger, so ties keep the
+    # sign of a's zero and a NaN in b is ignored (np.maximum does neither)
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    # min(a, b) as Python evaluates it
+    return np.where(b < a, b, a)
+
+
+def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
+                          suffix) -> RadialDispatchBatch:
+    """Dispatch the feeder against m rows of per-bus and tail requirements.
+
+    ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
+    ``dispatch_radial`` describes; the recursion runs once over the buses
+    with every step applied to all rows.  A row is infeasible when it fails
+    the feeder assumptions, is congested without a balancing bus, or needs
+    more than a unit's capacity; the first infeasible row in row order
+    raises InfeasibleDispatchError with that row's message.
+    """
+    per_bus = np.asarray(per_bus, dtype=float)
+    suffix = np.asarray(suffix, dtype=float)
+    n = grid.n_buses
+    if (len(fleet) != n or per_bus.ndim != 2 or per_bus.shape[1:] != (n,)
+            or suffix.shape != per_bus.shape):
+        raise InfeasibleDispatchError(
+            f"need one generator and one requirement pair per bus ({n})")
+    m = per_bus.shape[0]
+    p_bar = grid.line_limit
+    asks = fleet.ask_prices
+    p_maxs = fleet.p_maxs
+
+    invalid = (suffix > p_maxs + _TOL).any(axis=1) | bool((fleet.p_mins != 0.0).any())
+
+    # the balancing bus is the first j >= 1 whose tail exceeds the limit while
+    # the next one (0 beyond the last bus) fits; ties resolve uncongested
+    congested = suffix[:, 0] > per_bus[:, 0] + p_bar
+    splits = np.zeros((m, n), dtype=bool)
+    splits[:, 1:] = suffix[:, 1:] > p_bar
+    splits[:, 1:-1] &= suffix[:, 2:] <= p_bar
+    found = splits.any(axis=1)
+    balancing = np.where(congested & found, splits.argmax(axis=1), -1)
+    missing = congested & ~found
+    # bus i clears at its own ask upstream of the balancing bus and at the
+    # balancing bus's ask from there on (bus 0's ask everywhere uncongested)
+    price_bus = np.maximum(balancing, 0)
+    lmps = np.where(np.arange(n) < price_bus[:, None], asks, asks[price_bus, None])
+
+    power = np.empty((m, n))
+    local_ledger = np.empty((m, n))
+    tail_ledger = np.empty((m, n))
+    over_bus = np.full(m, -1)  # first bus whose required output exceeds capacity
+    p_hat = per_bus[:, 0]
+    p_hat_tail = suffix[:, 0]
+    for i in range(n):
+        local_ledger[:, i] = _max(p_hat, 0.0)
+        tail_ledger[:, i] = _max(p_hat_tail, 0.0)
+        pg = _max(_min(p_hat + p_bar, p_hat_tail), 0.0)
+        over_bus[(pg > p_maxs[i] + _TOL) & (over_bus < 0)] = i
+        power[:, i] = pg
+        if i + 1 < n:
+            cleared = pg >= p_hat_tail - 1e-12
+            p_hat = np.where(cleared, 0.0, per_bus[:, i + 1] - p_bar)
+            p_hat_tail = np.where(cleared, 0.0, p_hat_tail - pg)
+
+    failed = invalid | missing | (over_bus >= 0)
+    if failed.any():
+        r = int(failed.argmax())
+        if invalid[r]:
+            message = "; ".join(validate_feeder_assumptions(grid, fleet, per_bus[r],
+                                                            suffix[r]))
+        elif missing[r]:
+            message = ("congested feeder without a balancing bus; "
+                       "tail requirements inconsistent")
+        else:
+            i = over_bus[r]
+            message = (f"bus {i}: required output {power[r, i]:.6g} MW exceeds "
+                       f"capacity {p_maxs[i]:.6g}")
+        raise InfeasibleDispatchError(message)
+    return RadialDispatchBatch(power, lmps, local_ledger, tail_ledger, congested,
+                               balancing)
 
 
 def dispatch_radial(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
@@ -113,50 +203,15 @@ def dispatch_radial(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
     next bus inherits its own CVaR less the import headroom.  Negative ledger
     entries are kept internally (they encode spare import capacity, which is
     what keeps the next line inside its limit) and clamped only in the
-    reported ledgers.
+    reported ledgers.  A one-row call of ``dispatch_radial_batch``.
     """
-    violations = validate_feeder_assumptions(grid, fleet, per_bus_cvars, suffix_cvars)
-    if violations:
-        raise InfeasibleDispatchError("; ".join(violations))
-
-    per_bus = np.asarray(per_bus_cvars, dtype=float)
-    suffix = np.asarray(suffix_cvars, dtype=float)
-    n = grid.n_buses
-    p_bar = grid.line_limit
-    asks = fleet.ask_prices
-    p_maxs = fleet.p_maxs
-
-    congested = suffix[0] > per_bus[0] + p_bar
-    lmps = np.full(n, asks[0])
-    balancing = None
-    if congested:
-        balancing = _find_balancing_bus(suffix, p_bar)
-        lmps[:balancing] = asks[:balancing]
-        lmps[balancing:] = asks[balancing]
-
-    power = np.zeros(n)
-    local_ledger = np.zeros(n)
-    tail_ledger = np.zeros(n)
-    p_hat = per_bus[0]
-    p_hat_tail = suffix[0]
-    for i in range(n):
-        local_ledger[i] = max(p_hat, 0.0)
-        tail_ledger[i] = max(p_hat_tail, 0.0)
-        pg = min(p_hat + p_bar, p_hat_tail)
-        pg = max(pg, 0.0)
-        if pg > p_maxs[i] + _TOL:
-            raise InfeasibleDispatchError(
-                f"bus {i}: required output {pg:.6g} MW exceeds capacity {p_maxs[i]:.6g}")
-        power[i] = pg
-        if i + 1 < n:
-            if pg >= p_hat_tail - 1e-12:
-                p_hat, p_hat_tail = 0.0, 0.0
-            else:
-                p_hat = per_bus[i + 1] - p_bar
-                p_hat_tail = p_hat_tail - pg
-
-    case = FeederCase.CONGESTED if congested else FeederCase.UNCONGESTED
-    return CongestedDispatch(power, lmps, local_ledger, tail_ledger, case, balancing)
+    batch = dispatch_radial_batch(grid, fleet, np.asarray(per_bus_cvars, dtype=float)[None],
+                                  np.asarray(suffix_cvars, dtype=float)[None])
+    balancing = int(batch.balancing_bus[0])
+    case = FeederCase.CONGESTED if batch.congested[0] else FeederCase.UNCONGESTED
+    return CongestedDispatch(batch.power[0], batch.lmps[0], batch.local_requirement[0],
+                             batch.suffix_requirement[0], case,
+                             None if balancing < 0 else balancing)
 
 
 def committed_upper_bound(per_bus_cvars, joint_cvar: float) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .congestion import RadialGrid, dispatch_radial
+from .congestion import RadialGrid, dispatch_radial_batch
 from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
 from .risk import cvar_direct
@@ -146,6 +146,7 @@ class PointResult:
     clearing_prices: np.ndarray  # (T,) system price (max LMP when congested)
     settlement: SettlementReport
     scenarios: ScenarioSet = field(repr=False)
+    fleet: Fleet = field(repr=False)  # the units cleared, one per bus on a feeder
 
     @property
     def committed_total(self) -> float:
@@ -166,19 +167,12 @@ def _commit_uncongested(fleet: Fleet, sset: ScenarioSet, alpha: float):
 
 
 def _commit_congested(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: float):
-    t_len = sset.horizon
-    n = grid.n_buses
-    committed = np.zeros((t_len, n))
-    lmps = np.zeros((t_len, n))
-    prices = np.zeros(t_len)
-    for t in range(t_len):
-        per_bus = [cvar_direct(net_load(sset, i, t), alpha) for i in range(n)]
-        suffix = [cvar_direct(suffix_net_load(sset, i, t), alpha) for i in range(n)]
-        disp = dispatch_radial(grid, fleet, per_bus, suffix)
-        committed[t] = disp.power
-        lmps[t] = disp.lmps
-        prices[t] = disp.lmps.max()
-    return committed, lmps, prices
+    hours = range(sset.horizon)
+    buses = range(grid.n_buses)
+    per_bus = [[cvar_direct(net_load(sset, i, t), alpha) for i in buses] for t in hours]
+    suffix = [[cvar_direct(suffix_net_load(sset, i, t), alpha) for i in buses] for t in hours]
+    batch = dispatch_radial_batch(grid, fleet, per_bus, suffix)
+    return batch.power, batch.lmps, batch.lmps.max(axis=1)
 
 
 def _realized_dispatch(fleet: Fleet, grid: RadialGrid | None, sset: ScenarioSet):
@@ -186,8 +180,9 @@ def _realized_dispatch(fleet: Fleet, grid: RadialGrid | None, sset: ScenarioSet)
 
     Without a grid the realized demand is clipped into the servable range
     (surplus renewables push it to zero, shortfalls beyond total capacity are
-    shed); with a grid each scenario is dispatched on the feeder and an
-    infeasible scenario aborts the point.
+    shed); with a grid each scenario-hour is dispatched on the feeder and an
+    infeasible one aborts the point, the first in (scenario, hour) order
+    naming the error.
     """
     k_len, t_len = sset.n_scenarios, sset.horizon
     net = sset.load - sset.renewable  # (buses, T, K)
@@ -196,13 +191,13 @@ def _realized_dispatch(fleet: Fleet, grid: RadialGrid | None, sset: ScenarioSet)
         demands = np.minimum(np.maximum(agg, 0.0), fleet.total_capacity)
         power = commit_batch(fleet, demands.ravel()).power
         return power.reshape(k_len, t_len, len(fleet))
-    realized = np.zeros((k_len, t_len, grid.n_buses))
-    for k in range(k_len):
-        for t in range(t_len):
-            per_bus = net[:, t, k]
-            suffix = np.cumsum(per_bus[::-1])[::-1]
-            realized[k, t] = dispatch_radial(grid, fleet, per_bus, suffix).power
-    return realized
+    # one row per scenario-hour in (k, t) order; the reshape copies net, so
+    # net is freed before the kernel allocates its outputs
+    rows = net.transpose(2, 1, 0).reshape(k_len * t_len, grid.n_buses)
+    del net
+    suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    power = dispatch_radial_batch(grid, fleet, rows, suffix).power
+    return power.reshape(k_len, t_len, grid.n_buses)
 
 
 def _expectation(probabilities: np.ndarray, values: np.ndarray) -> float:
@@ -261,7 +256,7 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
         violations=violations,
     )
     return PointResult(alpha, penetration, committed, realized, lmps, prices,
-                       report, sset)
+                       report, sset, point_fleet)
 
 
 def run_alpha_sweep(run: RunConfig, diagnostics: list[str] | None = None) -> list[dict]:

@@ -88,14 +88,11 @@ def deviation_envelopes(committed: np.ndarray,
     delta = committed[None, :, :] - realized
     rp = np.maximum(delta, 0.0).max(axis=0)
 
-    t_len = committed.shape[0]
+    # worst swing over scenario pairs (k, k') is between the envelope edges
+    # of hour t and hour t + 1
+    lo, hi = realized.min(axis=0), realized.max(axis=0)
     dp = np.zeros_like(committed)
-    for t in range(t_len - 1):
-        lo_now, hi_now = realized[:, t, :].min(axis=0), realized[:, t, :].max(axis=0)
-        lo_nxt, hi_nxt = realized[:, t + 1, :].min(axis=0), realized[:, t + 1, :].max(axis=0)
-        # worst swing over scenario pairs (k, k') is between the envelope edges
-        dp[t] = np.maximum(hi_now - lo_nxt, hi_nxt - lo_now)
-        dp[t] = np.maximum(dp[t], 0.0)
+    dp[:-1] = np.maximum(np.maximum(hi[:-1] - lo[1:], hi[1:] - lo[:-1]), 0.0)
     return rp, dp
 
 

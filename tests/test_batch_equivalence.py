@@ -2,8 +2,10 @@
 
 Each reference below is the scalar loop the batched code replaced, written
 out here so the comparison does not depend on the package: the closed-form
-commitment one demand at a time, scenario draws one (bus, hour) at a time,
-and the renewable payment one scenario and one hour at a time.
+commitment one demand at a time, the feeder recursion one requirement row
+at a time and its re-dispatch one scenario-hour at a time, scenario draws
+one (bus, hour) at a time, the renewable payment one scenario and one hour
+at a time, and the ramp envelope one hour pair at a time.
 """
 
 import numpy as np
@@ -11,10 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, Regime,
-                       RunConfig, ScenarioConfig, builtin_fleet, commit, commit_batch,
-                       curtail_and_pay_renewables, evaluate_point, generate_scenarios,
-                       scenario_config)
+from gridclear import (CostFunctions, FeederCase, Fleet, GeneratorSpec,
+                       InfeasibleDispatchError, RadialGrid, Regime, RunConfig,
+                       ScenarioConfig, builtin_fleet, commit, commit_batch,
+                       curtail_and_pay_renewables, cvar_direct, deviation_envelopes,
+                       dispatch_radial, dispatch_radial_batch, evaluate_point,
+                       generate_scenarios, net_load, recovery_rate, scenario_config,
+                       suffix_net_load)
 
 # ---------------------------------------------------------------------------
 # references
@@ -127,6 +132,107 @@ def reference_payment(loads, renewables, lmps):
         else:
             revenue += float(lmps[t] @ renewables[t])
     return revenue, curtailed
+
+
+def reference_dispatch_radial(grid, fleet, per_bus_cvars, suffix_cvars):
+    """Scalar feeder recursion: (power, lmps, local, tail, case, balancing bus)."""
+    per_bus = np.asarray(per_bus_cvars, dtype=float)
+    suffix = np.asarray(suffix_cvars, dtype=float)
+    n = grid.n_buses
+    p_bar = grid.line_limit
+    if len(fleet) != n or per_bus.shape != (n,) or suffix.shape != (n,):
+        raise InfeasibleDispatchError(
+            f"need one generator and one requirement pair per bus ({n})")
+    violations = []
+    for i, g in enumerate(fleet.generators):
+        if g.p_min != 0.0:
+            violations.append(f"bus {i}: generator minimum must be 0, got {g.p_min}")
+        if suffix[i] > g.p_max + 1e-9:
+            violations.append(f"bus {i}: tail requirement {suffix[i]:.6g} MW exceeds "
+                              f"generator capacity {g.p_max:.6g}")
+    if violations:
+        raise InfeasibleDispatchError("; ".join(violations))
+
+    asks = fleet.ask_prices
+    p_maxs = fleet.p_maxs
+    congested = suffix[0] > per_bus[0] + p_bar
+    lmps = np.full(n, asks[0])
+    balancing = None
+    if congested:
+        for j in range(1, n):
+            tail_next = suffix[j + 1] if j + 1 < n else 0.0
+            if suffix[j] > p_bar and tail_next <= p_bar:
+                balancing = j
+                break
+        else:
+            raise InfeasibleDispatchError("congested feeder without a balancing bus; "
+                                          "tail requirements inconsistent")
+        lmps[:balancing] = asks[:balancing]
+        lmps[balancing:] = asks[balancing]
+
+    power = np.zeros(n)
+    local_ledger = np.zeros(n)
+    tail_ledger = np.zeros(n)
+    p_hat = per_bus[0]
+    p_hat_tail = suffix[0]
+    for i in range(n):
+        local_ledger[i] = max(p_hat, 0.0)
+        tail_ledger[i] = max(p_hat_tail, 0.0)
+        pg = min(p_hat + p_bar, p_hat_tail)
+        pg = max(pg, 0.0)
+        if pg > p_maxs[i] + 1e-9:
+            raise InfeasibleDispatchError(
+                f"bus {i}: required output {pg:.6g} MW exceeds capacity {p_maxs[i]:.6g}")
+        power[i] = pg
+        if i + 1 < n:
+            if pg >= p_hat_tail - 1e-12:
+                p_hat, p_hat_tail = 0.0, 0.0
+            else:
+                p_hat = per_bus[i + 1] - p_bar
+                p_hat_tail = p_hat_tail - pg
+    case = FeederCase.CONGESTED if congested else FeederCase.UNCONGESTED
+    return power, lmps, local_ledger, tail_ledger, case, balancing
+
+
+def reference_feeder_point(fleet, grid, sset, alpha):
+    """The feeder commitment hour by hour and its re-dispatch scenario-hour by scenario-hour."""
+    n, t_len, k_len = grid.n_buses, sset.horizon, sset.n_scenarios
+    committed = np.zeros((t_len, n))
+    lmps = np.zeros((t_len, n))
+    prices = np.zeros(t_len)
+    for t in range(t_len):
+        per_bus = [cvar_direct(net_load(sset, i, t), alpha) for i in range(n)]
+        suffix = [cvar_direct(suffix_net_load(sset, i, t), alpha) for i in range(n)]
+        power, bus_lmps, *_ = reference_dispatch_radial(grid, fleet, per_bus, suffix)
+        committed[t] = power
+        lmps[t] = bus_lmps
+        prices[t] = bus_lmps.max()
+    net = sset.load - sset.renewable
+    realized = np.zeros((k_len, t_len, n))
+    for k in range(k_len):
+        for t in range(t_len):
+            per_bus = net[:, t, k]
+            suffix = np.cumsum(per_bus[::-1])[::-1]
+            realized[k, t] = reference_dispatch_radial(grid, fleet, per_bus, suffix)[0]
+    return committed, lmps, prices, realized
+
+
+def reference_envelopes(committed, realized):
+    """Reserve and ramp envelopes, the ramp one hour pair at a time."""
+    rp = np.maximum(committed[None, :, :] - realized, 0.0).max(axis=0)
+    dp = np.zeros_like(committed)
+    for t in range(committed.shape[0] - 1):
+        lo_now, hi_now = realized[:, t, :].min(axis=0), realized[:, t, :].max(axis=0)
+        lo_nxt, hi_nxt = realized[:, t + 1, :].min(axis=0), realized[:, t + 1, :].max(axis=0)
+        dp[t] = np.maximum(hi_now - lo_nxt, hi_nxt - lo_now)
+        dp[t] = np.maximum(dp[t], 0.0)
+    return rp, dp
+
+
+def same_bits(a, b):
+    """Equal shape and bytes: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +378,211 @@ def test_fleet_columns_are_read_only():
 
 
 # ---------------------------------------------------------------------------
+# feeder kernel
+
+
+def assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix):
+    """Every row bitwise equal; an infeasible batch raises like its first bad row."""
+    expected, first_error = [], None
+    for row_bus, row_tail in zip(per_bus, suffix):
+        try:
+            expected.append(reference_dispatch_radial(grid, fleet, row_bus, row_tail))
+        except InfeasibleDispatchError as exc:
+            first_error = first_error or exc
+            expected.append(exc)
+    if first_error is not None:
+        with pytest.raises(InfeasibleDispatchError) as err:
+            dispatch_radial_batch(grid, fleet, per_bus, suffix)
+        assert str(err.value) == str(first_error)
+    else:
+        batch = dispatch_radial_batch(grid, fleet, per_bus, suffix)
+        assert batch.power.shape == (len(per_bus), grid.n_buses)
+        for r, (power, lmps, local, tail, case, balancing) in enumerate(expected):
+            assert same_bits(batch.power[r], power)
+            assert same_bits(batch.lmps[r], lmps)
+            assert same_bits(batch.local_requirement[r], local)
+            assert same_bits(batch.suffix_requirement[r], tail)
+            assert batch.congested[r] == (case is FeederCase.CONGESTED)
+            assert batch.balancing_bus[r] == (-1 if balancing is None else balancing)
+    for row_bus, row_tail, ref in zip(per_bus, suffix, expected):
+        if isinstance(ref, InfeasibleDispatchError):
+            with pytest.raises(InfeasibleDispatchError) as err:
+                dispatch_radial(grid, fleet, row_bus, row_tail)
+            assert str(err.value) == str(ref)
+            continue
+        d = dispatch_radial(grid, fleet, row_bus, row_tail)
+        power, lmps, local, tail, case, balancing = ref
+        assert same_bits(d.power, power) and same_bits(d.lmps, lmps)
+        assert same_bits(d.local_requirement, local)
+        assert same_bits(d.suffix_requirement, tail)
+        assert d.case is case and d.balancing_bus == balancing
+    return expected
+
+
+@st.composite
+def feeder_batches(draw):
+    """A feeder with n = 1..6 buses and m rows built to reach every branch.
+
+    Entries come from a pool of boundary values (+-0.0 and multiples of the
+    line limit) and random floats; one line limit, 0.1 + 0.2, is inexact in
+    binary.  Each suffix row is one of:
+
+    - the row's own tail sums, which clear the tail at some bus and reset
+      the rest of the feeder
+    - those sums with extra tail at bus 0 that the downstream tails do not
+      carry, and own requirements above them, which can leave a bus short
+      of capacity
+    - free draws like tail CVaRs, which can leave a congested feeder
+      without a balancing bus
+    - tail sums with bus 0's line and one bus's tail exactly at the limit
+
+    One fleet in ten has a unit with a positive minimum, which fails the
+    feeder assumptions on every row.
+    """
+    n = draw(st.integers(1, 6))
+    p_bar = draw(st.sampled_from([10.0, 25.0, 40.0, 0.1 + 0.2]))
+    steps = draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n))
+    p_max = draw(st.lists(st.floats(20.0, 400.0), min_size=n, max_size=n))
+    p_min = [0.0] * n
+    if draw(st.integers(0, 9)) == 0:
+        p_min[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, 2]))
+    fleet = Fleet(tuple(GeneratorSpec(f"b{i}", float(np.sum(steps[:i + 1])) + 1.0,
+                                      p_min[i], p_min[i] + p_max[i]) for i in range(n)))
+    values = st.one_of(st.sampled_from([0.0, -0.0, p_bar, -p_bar, 2.0 * p_bar, 0.5 * p_bar]),
+                       st.floats(-30.0, 90.0))
+    m = draw(st.integers(1, 10))
+    per_bus = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                     min_size=m, max_size=m)), dtype=float)
+    suffix = np.cumsum(per_bus[:, ::-1], axis=1)[:, ::-1]
+    for r in range(m):
+        kind = draw(st.sampled_from(["tails", "carry", "free", "tie"]))
+        if kind == "carry" and suffix[r, 0] < fleet.p_maxs[0]:
+            suffix[r, 0] = draw(st.floats(suffix[r, 0], fleet.p_maxs[0]))
+            per_bus[r, 1:] += draw(st.floats(0.0, 300.0))
+        elif kind == "free":
+            suffix[r] = draw(st.lists(values, min_size=n, max_size=n))
+        elif kind == "tie":
+            suffix[r, 0] = per_bus[r, 0] + p_bar  # bus 0's line exactly at its limit
+            suffix[r, draw(st.integers(0, n - 1))] = p_bar
+    return RadialGrid(n, p_bar), fleet, per_bus, suffix
+
+
+@settings(max_examples=300, deadline=None)
+@given(feeder_batches())
+def test_dispatch_radial_batch_rows_equal_scalar_reference(case):
+    grid, fleet, per_bus, suffix = case
+    expected = assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix)
+    feasible = [not isinstance(ref, InfeasibleDispatchError) for ref in expected]
+    assert_feeder_rows_match_reference(grid, fleet, per_bus[feasible], suffix[feasible])
+
+
+def test_feeder_rows_cover_reset_congestion_and_ties():
+    grid = RadialGrid(3, 50.0)
+    fleet = Fleet(tuple(GeneratorSpec(f"b{i}", a, 0.0, c)
+                        for i, (a, c) in enumerate([(10, 400), (20, 300), (30, 200)])))
+    per_bus = np.array([[60, 40, 30],    # congested, balanced at bus 1
+                        [60, 20, 20],    # bus 0 clears the tail, the rest resets
+                        [50, 0, 0],      # bus 0's line at its limit: uncongested
+                        [10, 40, 50],    # bus 2's tail at the limit fits: balanced at bus 1
+                        [10, 10, 60],    # balanced at the last bus
+                        [-0.0, 0.0, 0.0]], dtype=float)
+    suffix = np.cumsum(per_bus[:, ::-1], axis=1)[:, ::-1]
+    suffix[2, 0] = 100.0
+    expected = assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix)
+    cases = [(ref[4], ref[5]) for ref in expected]
+    assert cases == [(FeederCase.CONGESTED, 1), (FeederCase.UNCONGESTED, None),
+                     (FeederCase.UNCONGESTED, None), (FeederCase.CONGESTED, 1),
+                     (FeederCase.CONGESTED, 2), (FeederCase.UNCONGESTED, None)]
+    assert list(expected[1][0]) == [100.0, 0.0, 0.0]
+
+
+def test_feeder_clear_test_is_not_strict():
+    # at 20 GW, tail - 1e-12 rounds back to the tail, so bus 0's output
+    # equals it exactly and only a non-strict test resets bus 1's ledger
+    grid = RadialGrid(2, 50.0)
+    fleet = Fleet((GeneratorSpec("a", 10, 0.0, 20000), GeneratorSpec("b", 20, 0.0, 100)))
+    per_bus, suffix = np.array([[20000.0, 60.0]]), np.array([[20000.0, 60.0]])
+    expected = assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix)
+    assert list(expected[0][2]) == [20000.0, 0.0]
+
+
+def test_feeder_keeps_the_sign_of_a_zero_requirement():
+    # max(-0.0, 0.0) is -0.0 in Python while np.maximum gives 0.0; the
+    # reported ledgers and outputs keep the scalar recursion's zeros
+    grid = RadialGrid(2, 30.0)
+    fleet = Fleet((GeneratorSpec("a", 10, 0.0, 100), GeneratorSpec("b", 20, 0.0, 100)))
+    # min(0.0, -0.0) is 0.0 in Python while np.minimum gives -0.0: row 1's
+    # bus 0 has import headroom 0.0 and a tail of -0.0
+    per_bus = np.array([[-0.0, 0.0], [-30.0, 0.0]])
+    suffix = np.array([[-0.0, 0.0], [-0.0, 0.0]])
+    expected = assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix)
+    power, _, local, tail, *_ = expected[0]
+    assert np.signbit(local[0]) and np.signbit(tail[0]) and np.signbit(power[0])
+    assert not np.signbit(expected[1][0][0]) and np.signbit(expected[1][3][0])
+    batch = dispatch_radial_batch(grid, fleet, per_bus, suffix)
+    assert np.signbit(batch.local_requirement[0, 0]) and np.signbit(batch.power[0, 0])
+    assert not np.signbit(batch.power[1, 0])
+
+
+def test_feeder_batch_first_infeasible_row_wins():
+    grid = RadialGrid(3, 30.0)
+    fleet = Fleet(tuple(GeneratorSpec(f"b{i}", a, 0.0, c)
+                        for i, (a, c) in enumerate([(10, 100), (20, 45), (30, 20)])))
+    per_bus = np.array([[20, 10, 5], [20, 60, 10], [20, 40, 0], [20, 10, 30], [20, 10, 5]],
+                       dtype=float)
+    suffix = np.array([[35, 15, 5],      # feasible
+                       [100, 40, 10],    # bus 1 must carry 50 MW on a 45 MW unit
+                       [100, 15, 0],     # congested without a balancing bus
+                       [60, 40, 30],     # tail above bus 2's unit
+                       [100, 15, 25]],   # both of the last two: the assumptions win
+                      dtype=float)
+    assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix)
+    messages = ["bus 1: required output 50 MW exceeds capacity 45",
+                "congested feeder without a balancing bus; tail requirements inconsistent",
+                "bus 2: tail requirement 30 MW exceeds generator capacity 20",
+                "bus 2: tail requirement 25 MW exceeds generator capacity 20"]
+    for first, message in enumerate(messages, start=1):
+        with pytest.raises(InfeasibleDispatchError) as err:
+            dispatch_radial_batch(grid, fleet, per_bus[first:], suffix[first:])
+        assert str(err.value) == message
+    # buses 1 and 2 both need more than their units; the first one is named
+    with pytest.raises(InfeasibleDispatchError) as err:
+        dispatch_radial_batch(grid, fleet, [[0, 48, 30]], [[100, 40, 10]])
+    assert str(err.value) == "bus 1: required output 48 MW exceeds capacity 45"
+
+
+def test_feeder_batch_shapes():
+    grid = RadialGrid(3, 30.0)
+    fleet = builtin_fleet().head(3)
+    empty = dispatch_radial_batch(grid, fleet, np.zeros((0, 3)), np.zeros((0, 3)))
+    assert empty.power.shape == empty.lmps.shape == (0, 3)
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 3, 1))):
+        with pytest.raises(InfeasibleDispatchError,
+                           match=r"^need one generator and one requirement pair per bus \(3\)$"):
+            dispatch_radial_batch(grid, fleet, bad, bad)
+
+
+# ---------------------------------------------------------------------------
+# reserve and ramp envelopes
+
+
+@pytest.mark.parametrize("k_len,t_len,n", [(1, 1, 1), (7, 2, 3), (50, 24, 3), (9, 5, 8)])
+def test_envelopes_equal_hour_pair_loop(k_len, t_len, n):
+    rng = np.random.default_rng(k_len * t_len + n)
+    realized = rng.uniform(0.0, 100.0, (k_len, t_len, n))
+    realized[rng.random(realized.shape) < 0.2] = 0.0   # ties at zero ...
+    realized[rng.random(realized.shape) < 0.1] = 40.0  # ... and elsewhere
+    committed = rng.uniform(0.0, 100.0, (t_len, n))
+    rp, dp = deviation_envelopes(committed, realized)
+    ref_rp, ref_dp = reference_envelopes(committed, realized)
+    assert same_bits(rp, ref_rp) and same_bits(dp, ref_dp)
+    # a strided view of a (T, n, K) array reads the same values
+    stored = np.ascontiguousarray(realized.transpose(1, 2, 0))
+    assert all(same_bits(a, b) for a, b in zip(
+        deviation_envelopes(committed, stored.transpose(2, 0, 1)), (ref_rp, ref_dp)))
+
+
+# ---------------------------------------------------------------------------
 # scenario draws
 
 
@@ -374,3 +685,31 @@ def test_point_equals_per_scenario_loops(fleet, line_limit, load_mean):
     assert curtailed > 0.0
     assert point.settlement.renewable_revenue == revenue
     assert point.settlement.curtailed_mwh == curtailed
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+@pytest.mark.parametrize("penetration,alpha,load_mean,line_limit", [
+    (0.9, 0.9, (150.0, 75.0, 45.0), 80.0),      # curtailment active
+    (0.009, 0.5, (150.0, 80.0, 50.0), 80.0),
+    (0.3, 0.8, (100.0, 50.0, 15.0, 40.0, 8.0, 3.0), 30.0),
+])
+def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, load_mean,
+                                                    line_limit):
+    fleet = builtin_fleet()
+    run = RunConfig(horizon=6, n_scenarios=80, seed=seed, penetrations=(penetration,),
+                    alphas=(alpha,), capacity_mode="tracking", line_limit=line_limit,
+                    load_mean_per_bus=load_mean, n_buses=len(load_mean))
+    sset = generate_scenarios(scenario_config(run, penetration))
+    point = evaluate_point(fleet, run, sset, alpha, penetration)
+    units = fleet.head(len(load_mean))
+    grid = RadialGrid(len(load_mean), line_limit)
+    committed, lmps, prices, realized = reference_feeder_point(units, grid, sset, alpha)
+    assert same_bits(point.committed, committed) and same_bits(point.lmps, lmps)
+    assert same_bits(point.clearing_prices, prices)
+    assert same_bits(point.realized, realized)
+    assert point.fleet == units
+    rp, dp = reference_envelopes(committed, realized)
+    h_total, lambda_w = recovery_rate(committed, rp, dp, units,
+                                      CostFunctions(run.reserve_rate, run.ramp_rate),
+                                      run.cost_recovery)
+    assert point.settlement.h_total == h_total and point.settlement.lambda_w == lambda_w

@@ -237,5 +237,53 @@ def test_dispatch_invariant_to_ask_rescaling():
 def test_infeasible_when_capacity_cannot_cover_tail():
     grid = RadialGrid(2, 30.0)
     fleet = feeder_fleet([10, 20], [50, 10])
-    with pytest.raises(InfeasibleDispatchError):
+    with pytest.raises(InfeasibleDispatchError) as err:
         dispatch_radial(grid, fleet, [20, 40], [60, 40])
+    assert str(err.value) == ("bus 0: tail requirement 60 MW exceeds generator capacity 50; "
+                              "bus 1: tail requirement 40 MW exceeds generator capacity 10")
+
+
+# ---------------------------------------------------------------------------
+# infeasibility messages, matched in full
+
+
+def test_required_output_above_capacity_message():
+    # the tails pass the per-bus check, but bus 0 exports only the line limit
+    # and leaves bus 1 a carried tail of 50 MW against its 45 MW unit
+    grid = RadialGrid(3, 30.0)
+    fleet = feeder_fleet([10, 20, 30], [100, 45, 20])
+    assert validate_feeder_assumptions(grid, fleet, [20, 60, 10], [100, 40, 10]) == []
+    with pytest.raises(InfeasibleDispatchError) as err:
+        dispatch_radial(grid, fleet, [20, 60, 10], [100, 40, 10])
+    assert str(err.value) == "bus 1: required output 50 MW exceeds capacity 45"
+
+
+def test_congested_feeder_without_balancing_bus_message():
+    # bus 0's line binds, yet no downstream tail exceeds the limit
+    grid = RadialGrid(2, 30.0)
+    fleet = feeder_fleet([10, 20], [100, 50])
+    with pytest.raises(InfeasibleDispatchError) as err:
+        dispatch_radial(grid, fleet, [20, 40], [60, 15])
+    assert str(err.value) == ("congested feeder without a balancing bus; "
+                              "tail requirements inconsistent")
+
+
+def test_assumption_violations_joined_in_message():
+    grid = RadialGrid(3, 30.0)
+    fleet = Fleet((GeneratorSpec("a", 10, 5, 100), GeneratorSpec("b", 20, 0, 10),
+                   GeneratorSpec("c", 30, 2.5, 20)))
+    with pytest.raises(InfeasibleDispatchError) as err:
+        dispatch_radial(grid, fleet, [20, 40, 30], [90, 70, 30])
+    # the minimum is printed as the generator holds it (an int here)
+    assert str(err.value) == ("bus 0: generator minimum must be 0, got 5; "
+                              "bus 1: tail requirement 70 MW exceeds generator capacity 10; "
+                              "bus 2: generator minimum must be 0, got 2.5; "
+                              "bus 2: tail requirement 30 MW exceeds generator capacity 20")
+
+
+def test_requirement_shape_mismatch_message():
+    grid = RadialGrid(3, 30.0)
+    fleet = feeder_fleet([10, 20, 30], [100, 100, 100])
+    with pytest.raises(InfeasibleDispatchError) as err:
+        dispatch_radial(grid, fleet, [20, 40], [60, 40])
+    assert str(err.value) == "need one generator and one requirement pair per bus (3)"

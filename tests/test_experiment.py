@@ -283,6 +283,19 @@ def test_cli_dispatch_radial_default_load_infeasible(tmp_path):
     assert result.exit_code == 3
 
 
+def test_cli_settle_radial_infeasible_scenario_exits_3(tmp_path):
+    # the commitment fits, but eight realized scenario-hours need more than
+    # bus 1's 155 MW unit; the first in (scenario, hour) order is reported
+    runner = CliRunner()
+    result = runner.invoke(main, [
+        "settle", "--alpha", "0.5", "--line-limit", "80", "--load-mean", "150,80,65",
+        "--horizon", "4", "--scenarios", "50", "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert result.output == ("infeasible dispatch: bus 1: tail requirement 156.194 MW "
+                             "exceeds generator capacity 155\n")
+    assert not (tmp_path / "settlement.csv").exists()
+
+
 def test_cli_settle_writes_settlement(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["settle", "--alpha", "0.9", "--cost-recovery", "1",
