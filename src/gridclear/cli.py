@@ -32,12 +32,9 @@ def _parse_line_limit(text: str) -> float | None:
     if text.strip().lower() == "unlimited":
         return None
     try:
-        limit = float(text)
+        return float(text)
     except ValueError:
         raise click.UsageError(f"line limit must be a number or 'unlimited', got {text!r}")
-    if limit <= 0.0:
-        raise click.UsageError("line limit must be positive")
-    return limit
 
 
 _SHARED = [

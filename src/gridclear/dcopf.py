@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import RadialGrid, dispatch_radial
-from .merit_order import Fleet
+from .merit_order import Fleet, generator_residuals
 
 _CERT_TOL = 1e-8
 
@@ -94,7 +94,8 @@ def kkt_verify_network(solution: OpfSolution, grid: RadialGrid, fleet: Fleet,
                        loads, renewables=None) -> NetworkKktReport:
     """Check a populated solution against the full network optimality system.
 
-    Blocks: generator stationarity (ask - lmp + mu - mu_bar), per-bus angle
+    Blocks: generator stationarity (ask - lmp + mu - mu_bar; the generator
+    block is ``merit_order.generator_residuals``), per-bus angle
     stationarity summing b * (mu_line difference + lmp difference) over
     neighbours, nodal balance against the DC flows, line and box feasibility,
     complementary slackness on lines and generator bounds, and multiplier
@@ -107,14 +108,8 @@ def kkt_verify_network(solution: OpfSolution, grid: RadialGrid, fleet: Fleet,
     b = grid.admittances
     p = solution.power
     lmps = solution.lmps
-    p_min = fleet.p_mins
-    p_max = fleet.p_maxs
-    asks = fleet.ask_prices
-
-    committed = (p > 0.0) | (p_min == 0.0)
-    lower = np.where(p > 0.0, p_min, 0.0)
-    gen_stat = np.abs(asks - lmps + solution.mu - solution.mu_bar)
-    gen_stat = float(gen_stat[committed].max(initial=0.0))
+    lower, gen_stat, cs_upper, cs_lower = generator_residuals(
+        fleet, p, lmps, solution.mu, solution.mu_bar)
 
     # angle stationarity: each bus sums b_ij * (mu_ij - mu_ji + lmp_i - lmp_j)
     # over its neighbours; the reverse-direction line multiplier is slack (0)
@@ -138,15 +133,11 @@ def kkt_verify_network(solution: OpfSolution, grid: RadialGrid, fleet: Fleet,
     line_feas = float(np.maximum(np.abs(theta_flows) - grid.line_limit, 0.0).max(initial=0.0))
     box_feas = float(np.maximum.reduce([
         np.maximum(lower - p, 0.0).max(initial=0.0),
-        np.maximum(p - p_max, 0.0).max(initial=0.0),
+        np.maximum(p - fleet.p_maxs, 0.0).max(initial=0.0),
     ]))
 
     cs_line = float(np.abs(solution.line_mu * (theta_flows - grid.line_limit)).max(initial=0.0))
-    cs_upper = np.abs(solution.mu * (p - p_max))
-    cs_lower = np.abs(solution.mu_bar * (lower - p))
-    cs = max(cs_line,
-             float(cs_upper[committed].max(initial=0.0)),
-             float(cs_lower[committed].max(initial=0.0)))
+    cs = max(cs_line, cs_upper, cs_lower)
 
     neg = max(0.0, float(-min(solution.mu.min(initial=0.0),
                               solution.mu_bar.min(initial=0.0),

@@ -28,9 +28,10 @@ from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
 from .risk import cvar_direct
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
                         generate_scenarios, net_load, suffix_net_load)
-from .settlement import (CostFunctions, SettlementReport, curtail_and_pay_renewables,
-                         deviation_cost, deviation_envelopes, expected_profit,
-                         realized_profit, recovery_rate, reserve_and_ramp_check)
+from .settlement import (CostFunctions, SettlementReport, commitment_indicators,
+                         curtail_and_pay_renewables, deviation_cost, deviation_envelopes,
+                         expected_profit, realized_profit, recovery_rate,
+                         reserve_and_ramp_check)
 
 DEFAULT_LOAD_MEAN = (232.0, 174.0, 174.0)   # MW per bus
 DEFAULT_LOAD_STD_FRAC = 0.06
@@ -72,7 +73,6 @@ class RunConfig:
     capacity_mode: str = "buildout"
     reserve_rate: float = DEFAULT_RESERVE_RATE
     ramp_rate: float = DEFAULT_RAMP_RATE
-    recovery_payout: bool = False
 
     def __post_init__(self):
         if not self.alphas:
@@ -83,8 +83,10 @@ class RunConfig:
             if not 0.0 < a < 1.0:
                 raise ConfigurationError(f"confidence level {a} outside (0, 1)")
         for p in self.penetrations:
-            if p < 0.0:
-                raise ConfigurationError(f"penetration {p} must be non-negative")
+            if not 0.0 <= p < np.inf:
+                raise ConfigurationError(f"penetration {p} must be non-negative and finite")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} must be non-negative")
         if self.line_limit is not None and not 0.0 < self.line_limit < np.inf:
             raise ConfigurationError(f"line_limit must be positive and finite, "
                                      f"got {self.line_limit}")
@@ -128,10 +130,6 @@ def scenario_config(run: RunConfig, penetration: float) -> ScenarioConfig:
         penetration=penetration,
         uncertainty_growth=run.uncertainty_growth,
     )
-
-
-def _cost_functions(run: RunConfig) -> CostFunctions:
-    return CostFunctions(reserve_rate=run.reserve_rate, ramp_rate=run.ramp_rate)
 
 
 @dataclass(frozen=True)
@@ -221,18 +219,16 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
         committed, lmps, prices = _commit_uncongested(point_fleet, sset, alpha)
 
     realized = _realized_dispatch(point_fleet, grid, sset)
-    violations = reserve_and_ramp_check(committed, realized, point_fleet)
     rp, dp = deviation_envelopes(committed, realized)
-    cost_fns = _cost_functions(run)
-    h_total, lambda_w = recovery_rate(committed, rp, dp, point_fleet, cost_fns,
+    violations = reserve_and_ramp_check(committed, realized, rp, dp, point_fleet)
+    h_total, lambda_w = recovery_rate(committed, rp, dp, point_fleet,
+                                      CostFunctions(run.reserve_rate, run.ramp_rate),
                                       run.cost_recovery)
     r_expected, per_expected = expected_profit(committed, lmps, lambda_w,
-                                               run.cost_recovery, point_fleet,
-                                               cost_fns, run.recovery_payout)
+                                               run.cost_recovery, point_fleet)
     r_realized, per_realized = realized_profit(realized, sset.probabilities, lmps,
                                                lambda_w, run.cost_recovery,
-                                               point_fleet, cost_fns,
-                                               run.recovery_payout)
+                                               point_fleet)
 
     # renewables are paid scenario by scenario at the committed bus prices
     bus_lmps = lmps if grid is not None else np.repeat(
@@ -250,7 +246,7 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
         deviation_cost=deviation_cost(r_expected, r_realized),
         renewable_revenue=revenue,
         curtailed_mwh=curtailed,
-        indicators=(committed > 0.0).astype(int),
+        indicators=commitment_indicators(committed),
         per_gen_expected=per_expected,
         per_gen_realized=per_realized,
         violations=violations,

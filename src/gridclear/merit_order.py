@@ -191,6 +191,12 @@ class DispatchBatch:
     marginal_index: np.ndarray  # (m,) 0-based index of the price-setting unit
 
 
+def _backdown_target(fleet: Fleet, demand, k):
+    """Output left to unit k-1 when unit k runs at its minimum and the units
+    before k-1 at their maximum: demand - sum(p_max[:k-1]) - p_min[k]."""
+    return demand - fleet.p_max_prefix[k - 1] - fleet.p_mins[k]
+
+
 def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
     """The error for one demand that no unit pattern can balance."""
     p_min, p_max, prefix = fleet.p_mins, fleet.p_maxs, fleet.p_max_prefix
@@ -203,7 +209,7 @@ def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
         message = f"no single unit can carry the sub-minimum demand {demand:.6g} MW"
     else:
         k = min(int(np.searchsorted(prefix[1:], demand, side="left")), len(fleet) - 1)
-        backdown = demand - prefix[k - 1] - p_min[k]
+        backdown = _backdown_target(fleet, demand, k)
         message = (f"back-down target {backdown:.6g} MW outside unit {k - 1}'s box "
                    f"[{p_min[k - 1]:.6g}, {p_max[k - 1]:.6g}]; "
                    f"adjustable-range assumption violated")
@@ -240,7 +246,7 @@ def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
     # in the back-down regime k >= 1, because d >= p_min[0] and k = 0 give
     # residual = d; other rows read a harmless index
     prev = np.maximum(k - 1, 0)
-    backdown = d - prefix[prev] - p_min[k]
+    backdown = _backdown_target(fleet, d, k)
     bad |= below & ~((p_min[prev] < backdown) & (backdown < p_max[prev]))
 
     marginal = np.where(below, prev, k)  # k = 0 on zero rows
@@ -292,15 +298,13 @@ def backdown_feasibility(fleet: Fleet, demand: float, k: int) -> bool:
     back-down precondition 0 < demand - sum(p_max[:k]) < p_min[k] and k >= 1.
     """
     p_min = fleet.p_mins
-    p_max = fleet.p_maxs
     if k < 1 or k >= len(fleet):
         raise ValueError(f"k must index a unit with a predecessor, got {k}")
-    gap = demand - p_max[:k].sum()
-    if not 0.0 < gap < p_min[k]:
+    if not 0.0 < demand - fleet.p_max_prefix[k] < p_min[k]:
         raise ValueError(
             f"demand {demand!r} does not put unit {k} in the back-down regime")
-    target = demand - p_max[:k - 1].sum() - p_min[k]
-    return bool(p_min[k - 1] < target < p_max[k - 1])
+    target = _backdown_target(fleet, demand, k)
+    return bool(p_min[k - 1] < target < fleet.p_maxs[k - 1])
 
 
 @dataclass(frozen=True)
@@ -319,31 +323,41 @@ class KktReport:
                    self.complementary_lower, self.negativity)
 
 
-def kkt_residuals(fleet: Fleet, result: DispatchResult, demand: float) -> KktReport:
-    """Residuals of stationarity, balance, complementarity and non-negativity.
+def generator_residuals(fleet: Fleet, power: np.ndarray, prices, mu: np.ndarray,
+                        mu_bar: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """Generator block of the optimality system, on the committed units.
 
     Units that are off while their minimum is positive were decommitted; for
     them the relevant lower bound is zero, so they enter the system with
-    bound 0 (their stationarity holds with the off-tail multiplier).  A valid
-    dispatch yields a max residual at float precision.
+    bound 0 (their stationarity holds with the off-tail multiplier).
+    ``prices`` is the price each unit sees (one price, or one per unit).
+    Returns the lower bound each unit is held to and the max residuals of
+    stationarity (ask - price + mu - mu_bar) and of the upper- and
+    lower-bound complementarity.
     """
-    asks = fleet.ask_prices
-    p_min = fleet.p_mins
-    p_max = fleet.p_maxs
-    p = result.power
-    lam = result.clearing_price
-    committed = (p > 0.0) | (p_min == 0.0)
-    lower = np.where(p > 0.0, p_min, 0.0)
+    committed = (power > 0.0) | (fleet.p_mins == 0.0)
+    lower = np.where(power > 0.0, fleet.p_mins, 0.0)
+    stationarity = np.abs(fleet.ask_prices - prices + mu - mu_bar)
+    cs_upper = np.abs(mu * (power - fleet.p_maxs))
+    cs_lower = np.abs(mu_bar * (lower - power))
+    return (lower, *(float(r[committed].max(initial=0.0))
+                     for r in (stationarity, cs_upper, cs_lower)))
 
-    stationarity = np.abs(asks - lam + result.mu - result.mu_bar)
-    cs_upper = np.abs(result.mu * (p - p_max))
-    cs_lower = np.abs(result.mu_bar * (lower - p))
+
+def kkt_residuals(fleet: Fleet, result: DispatchResult, demand: float) -> KktReport:
+    """Residuals of stationarity, balance, complementarity and non-negativity.
+
+    The generator block is ``generator_residuals``.  A valid dispatch yields
+    a max residual at float precision.
+    """
+    _, stationarity, cs_upper, cs_lower = generator_residuals(
+        fleet, result.power, result.clearing_price, result.mu, result.mu_bar)
     negativity = max(0.0, float(-min(result.mu.min(), result.mu_bar.min())))
     return KktReport(
-        stationarity=float(stationarity[committed].max(initial=0.0)),
+        stationarity=stationarity,
         balance=abs(result.total_power - demand),
-        complementary_upper=float(cs_upper[committed].max(initial=0.0)),
-        complementary_lower=float(cs_lower[committed].max(initial=0.0)),
+        complementary_upper=cs_upper,
+        complementary_lower=cs_lower,
         negativity=negativity,
     )
 
@@ -381,7 +395,11 @@ def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
     """Load a fleet file and validate it; rows are sorted by ask price."""
     path = Path(path)
     gens = []
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise FleetParseError(f"{path}: cannot read fleet file: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

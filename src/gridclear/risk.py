@@ -96,19 +96,16 @@ def var(sample: EmpiricalSample, alpha: float) -> float:
     on a CDF jump the value at the jump is returned (the min of the
     superlevel set).
     """
-    alpha = _check_alpha(alpha)
-    cdf = sample.cdf()
-    idx = int(np.searchsorted(cdf, alpha, side="left"))
-    # float accumulation can leave cdf[-1] a hair under 1.0
-    idx = min(idx, sample.values.size - 1)
+    idx, _ = _tail_index(sample, _check_alpha(alpha))
     return float(sample.values[idx])
 
 
 def _tail_index(sample: EmpiricalSample, alpha: float) -> tuple[int, np.ndarray]:
+    """Index of the ``alpha`` quantile atom, and the CDF it was found on."""
     cdf = sample.cdf()
     idx = int(np.searchsorted(cdf, alpha, side="left"))
-    idx = min(idx, sample.values.size - 1)
-    return idx, cdf
+    # float accumulation can leave cdf[-1] a hair under 1.0
+    return min(idx, sample.values.size - 1), cdf
 
 
 def cvar_direct(sample: EmpiricalSample, alpha: float) -> float:

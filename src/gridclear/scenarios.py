@@ -194,9 +194,7 @@ def net_load(scenarios: ScenarioSet, bus: int, time: int) -> EmpiricalSample:
 
 def aggregate_net_load(scenarios: ScenarioSet, time: int) -> EmpiricalSample:
     """Sample of the bus-summed net load; scenario-consistent with net_load."""
-    time = _check_index(time, scenarios.horizon, "time")
-    values = np.sum(scenarios.load[:, time, :] - scenarios.renewable[:, time, :], axis=0)
-    return EmpiricalSample.from_arrays(values, scenarios.probabilities)
+    return suffix_net_load(scenarios, 0, time)
 
 
 def suffix_net_load(scenarios: ScenarioSet, start_bus: int, time: int) -> EmpiricalSample:

@@ -20,38 +20,28 @@ import numpy as np
 
 from .merit_order import Fleet
 
+# a start after at most this many offline hours is hot, after more it is cold
+_HOT_START_THRESHOLD_H = 1
 # units entering the horizon are treated as having been offline for exactly
-# one hour, so a start in hour 0 is hot under the default threshold
+# one hour, so a start in hour 0 is hot
 _PRE_HORIZON_OFFLINE_H = 1
 
 
 @dataclass(frozen=True)
 class CostFunctions:
-    """Linear cost curves with zero intercept.
+    """Linear reserve and ramp cost curves with zero intercept.
 
-    energy_rates: optional per-generator $/MWh production cost slopes; when
-    omitted each unit's own production_cost_rate is used.
+    Energy is costed at each unit's own production_cost_rate.
     reserve_rate: $/MW per hour of reserve held.
     ramp_rate: $ per MW/h of ramp envelope.
     """
 
     reserve_rate: float = 0.0
     ramp_rate: float = 0.0
-    energy_rates: np.ndarray | None = None
 
     def __post_init__(self):
         if self.reserve_rate < 0.0 or self.ramp_rate < 0.0:
             raise ValueError("cost slopes must be non-negative")
-        if self.energy_rates is not None:
-            rates = np.asarray(self.energy_rates, dtype=float)
-            if np.any(rates < 0.0):
-                raise ValueError("energy rates must be non-negative")
-            object.__setattr__(self, "energy_rates", rates)
-
-    def production_slopes(self, fleet: Fleet) -> np.ndarray:
-        if self.energy_rates is not None:
-            return self.energy_rates
-        return fleet.production_cost_rates
 
 
 @dataclass(frozen=True)
@@ -97,12 +87,13 @@ def deviation_envelopes(committed: np.ndarray,
 
 
 def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
-                           fleet: Fleet) -> list[str]:
+                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list[str]:
     """Diagnostics for the reserve and ramp feasibility of a commitment.
 
     Deviations must be non-negative (no scenario sells above commitment), the
-    tight reserve envelope must fit under each unit's reserve cap, and the
-    worst cross-scenario hourly swing under its ramp cap.
+    tight reserve envelope ``rp`` must fit under each unit's reserve cap, and
+    the worst cross-scenario hourly swing ``dp`` under its ramp cap (both as
+    ``deviation_envelopes`` returns them).
     """
     committed = np.asarray(committed, dtype=float)
     realized = np.asarray(realized, dtype=float)
@@ -113,7 +104,6 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
         violations.append(
             f"scenario {k}, hour {t}: unit {fleet.generators[i].name} sells "
             f"{realized[k, t, i]:.6g} MW above its commitment {committed[t, i]:.6g}")
-    rp, dp = deviation_envelopes(committed, realized)
     for i, g in enumerate(fleet.generators):
         worst_rp = rp[:, i].max(initial=0.0)
         if worst_rp > g.rp_max + 1e-9:
@@ -128,13 +118,13 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
 
 
 def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
-                  fleet: Fleet, cost_fns: CostFunctions, cost_recovery: int,
-                  hot_start_threshold_h: int = 1) -> tuple[float, float]:
+                  fleet: Fleet, cost_fns: CostFunctions,
+                  cost_recovery: int) -> tuple[float, float]:
     """Recoverable cost H and the per-MWh uplift.
 
     H sums, over hours and committed units, the no-load cost, the start-up
     cost on transitions from offline to online (hot when the unit was offline
-    at most ``hot_start_threshold_h`` hours, cold otherwise), and the linear
+    at most ``_HOT_START_THRESHOLD_H`` hours, cold otherwise), and the linear
     reserve and ramp costs on the supplied envelopes.
 
     With cost_recovery=1 the uplift is H over total committed energy; with 0
@@ -155,7 +145,7 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
                 h_total += g.no_load_cost
                 was_off = offline_run[i] > 0
                 if was_off:
-                    hot = offline_run[i] <= hot_start_threshold_h
+                    hot = offline_run[i] <= _HOT_START_THRESHOLD_H
                     h_total += g.start_cost_hot if hot else g.start_cost_cold
                 offline_run[i] = 0
             else:
@@ -183,7 +173,7 @@ def _effective_prices(lmps: np.ndarray, lambda_w: float, cost_recovery: int,
 
 
 def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w: float,
-                    cost_recovery: int, fleet: Fleet, cost_fns: CostFunctions,
+                    cost_recovery: int, fleet: Fleet,
                     recovery_payout: bool = False) -> tuple[float, np.ndarray]:
     """Profit the fleet would make if the committed power were sold as planned.
 
@@ -192,14 +182,13 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w: float,
     committed = np.asarray(committed, dtype=float)
     lmps = np.asarray(lmps, dtype=float)
     prices = _effective_prices(lmps, lambda_w, cost_recovery, recovery_payout)
-    slopes = cost_fns.production_slopes(fleet)
-    per_gen = (committed * prices - committed * slopes[None, :]).sum(axis=0)
+    per_gen = (committed * prices
+               - committed * fleet.production_cost_rates[None, :]).sum(axis=0)
     return float(per_gen.sum()), per_gen
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
                     lambda_w: float, cost_recovery: int, fleet: Fleet,
-                    cost_fns: CostFunctions,
                     recovery_payout: bool = False) -> tuple[float, np.ndarray]:
     """Scenario-expected profit on the power actually sold at committed prices."""
     realized = np.asarray(realized, dtype=float)
@@ -208,8 +197,7 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
         raise ValueError("scenario probabilities must be non-negative and sum to 1")
     prices = _effective_prices(np.asarray(lmps, dtype=float), lambda_w,
                                cost_recovery, recovery_payout)
-    slopes = cost_fns.production_slopes(fleet)
-    margin = prices[None, :, :] - slopes[None, None, :]
+    margin = prices[None, :, :] - fleet.production_cost_rates[None, None, :]
     per_gen = np.einsum("k,kti->i", psi, realized * margin)
     return float(per_gen.sum()), per_gen
 

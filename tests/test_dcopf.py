@@ -109,6 +109,18 @@ def test_certificate_detects_balance_violation():
     assert kkt_verify_network(bad, grid, fleet, [0.0, 30.0]).nodal_balance == pytest.approx(2.0)
 
 
+def test_certificate_holds_decommitted_unit_at_zero():
+    # an idle unit with a positive minimum was decommitted: its box is [0, 0]
+    grid = RadialGrid(2, 50.0, admittances=[10.0])
+    sol = solve_deterministic(grid, feeder_fleet([10, 20], [400, 100]), [0.0, 30.0])
+    assert sol.power[1] == 0.0
+    fleet = Fleet((GeneratorSpec("b0", 10.0, 0.0, 400.0),
+                   GeneratorSpec("b1", 20.0, 10.0, 100.0)))
+    report = kkt_verify_network(sol, grid, fleet, [0.0, 30.0])
+    assert report.box_feasibility == 0.0
+    assert report.max_residual <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # randomized certificates and optimality
 

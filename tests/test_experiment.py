@@ -131,6 +131,29 @@ def test_multi_hour_horizon_runs():
     assert s.h_total >= 0.0 and s.lambda_w >= 0.0
 
 
+@pytest.mark.parametrize("line_limit,load_mean", [(None, (232.0, 174.0, 174.0)),
+                                                   (80.0, (150.0, 75.0, 45.0))])
+def test_evaluate_point_builds_envelopes_once(monkeypatch, line_limit, load_mean):
+    # the reserve check and the recovery rate share one pair of envelopes
+    import gridclear.experiment as experiment
+    import gridclear.settlement as settlement
+    calls = []
+    real = settlement.deviation_envelopes
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(settlement, "deviation_envelopes", counting)
+    monkeypatch.setattr(experiment, "deviation_envelopes", counting)
+    run = RunConfig(capacity_mode="tracking", penetrations=(0.009,), horizon=3,
+                    alphas=(0.9,), n_scenarios=20, line_limit=line_limit,
+                    load_mean_per_bus=load_mean)
+    sset = generate_scenarios(scenario_config(run, 0.009))
+    experiment.evaluate_point(load_fleet("builtin"), run, sset, 0.9, 0.009)
+    assert len(calls) == 1
+
+
 def test_penetration_sweep_zero_point_matches_load_tail():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
     rows = run_penetration_sweep(run)
@@ -241,6 +264,20 @@ def test_cli_bad_fleet_is_config_error(tmp_path):
     result = runner.invoke(main, ["sweep-alpha", "--fleet", str(fleet),
                                   "--out", str(tmp_path)])
     assert result.exit_code == 2
+
+
+def test_cli_missing_fleet_is_config_error(tmp_path):
+    missing = tmp_path / "missing.csv"
+    result = CliRunner().invoke(main, ["settle", "--fleet", str(missing),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"configuration error: {missing}: cannot read")
+
+
+def test_cli_negative_seed_is_config_error(tmp_path):
+    result = CliRunner().invoke(main, ["settle", "--seed", "-1", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == "configuration error: seed -1 must be non-negative\n"
 
 
 def test_cli_infeasible_single_run_exits_3(tmp_path):

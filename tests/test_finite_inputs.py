@@ -88,8 +88,28 @@ def test_run_config_rejects_bad_line_limit(bad):
         RunConfig(line_limit=bad)
 
 
-def test_cli_nan_line_limit_is_config_error(tmp_path):
-    result = CliRunner().invoke(main, ["dispatch", "--line-limit", "nan",
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_config_rejects_non_finite_penetration(bad):
+    with pytest.raises(ConfigurationError,
+                       match=f"^penetration {bad} must be non-negative and finite$"):
+        RunConfig(penetrations=(0.1, bad))
+
+
+@pytest.mark.parametrize("limit", ["nan", "-5"])
+def test_cli_nan_line_limit_is_config_error(tmp_path, limit):
+    result = CliRunner().invoke(main, ["dispatch", "--line-limit", limit,
                                        "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "line_limit must be positive and finite" in result.output
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["sweep-penetration", "--penetration", "nan,0.1"], "nan"),
+    (["settle", "--penetration", "inf"], "inf"),
+    (["settle", "--penetration", "-inf"], "-inf"),
+])
+def test_cli_non_finite_penetration_is_config_error(tmp_path, argv, bad):
+    result = CliRunner().invoke(main, argv + ["--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: penetration {bad} must be "
+                             f"non-negative and finite\n")

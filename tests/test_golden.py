@@ -10,6 +10,10 @@ them (or say why the numbers moved).  Each run exercises different code:
   curtailment paid at differing bus prices
 - a penetration sweep over six buses: per-hour scenario draws on many
   buses, the sweep loop and a multi-row CSV
+- dispatch on one bus and on the 80 MW feeder: the per-unit committed
+  output and price of each clearing path
+- an alpha sweep over four hours: the cost-recovery total H (start-up,
+  reserve and ramp costs) and both profits, R and R_tilde
 """
 
 import hashlib
@@ -34,6 +38,18 @@ GOLDEN = {
          "--load-mean", "120,100,90,80,70,60"],
         "penetration_sweep.csv",
         "91b293975321e698a8aa2395f8d2ad14371ed957df1ec729121ad69b68b52428"),
+    "dispatch-bus": (
+        ["dispatch"],
+        "dispatch.csv",
+        "8419a32c21c4933ac5426ba2e9c4968975f54ff1da7d92f60b0346374afebd76"),
+    "dispatch-feeder": (
+        ["dispatch", "--line-limit", "80", "--load-mean", "150,75,45"],
+        "dispatch.csv",
+        "f64b5866ca2f3f518a95c58ba6dfd279cd165b6026395d5fa6d978645ead02bc"),
+    "sweep-alpha": (
+        ["sweep-alpha", "--horizon", "4"],
+        "alpha_sweep.csv",
+        "6a3a588b9739d976e54d5c20383408a96c674ac44c571e419ce2f5b75922e2b8"),
 }
 
 

@@ -259,6 +259,19 @@ def test_kkt_stationarity_detects_zeroed_multiplier():
     assert report.stationarity == pytest.approx(res.clearing_price - 7.37, abs=1e-12)
 
 
+def test_kkt_stationarity_covers_idle_units_without_minimum():
+    # an idle unit whose minimum is zero stays in the system at bound 0
+    fleet = builtin_fleet()
+    res = commit(fleet, 450.0)
+    assert res.power[6] == 0.0
+    mu_bar = res.mu_bar.copy()
+    mu_bar[6] = 0.0
+    bad = type(res)(res.power, res.clearing_price, res.mu, mu_bar, res.regime,
+                    res.marginal_index)
+    report = kkt_residuals(fleet, bad, 450.0)
+    assert report.stationarity == pytest.approx(315.81 - res.clearing_price, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # randomized agreement with the oracle and structural properties
 

@@ -27,14 +27,15 @@ def test_no_violations_when_realized_equals_committed():
     rp, dp = deviation_envelopes(committed, realized)
     assert np.all(rp == 0.0)
     assert dp[0, 0] == pytest.approx(50.0)  # |p_t - p_{t+1}| across hours
-    assert reserve_and_ramp_check(committed, realized, fleet) == []
+    assert reserve_and_ramp_check(committed, realized, rp, dp, fleet) == []
 
 
 def test_reserve_cap_violation():
     fleet = one_unit_fleet(rp_max=5.0)
     committed = np.array([[100.0]])
     realized = np.array([[[90.0]], [[100.0]]])
-    violations = reserve_and_ramp_check(committed, realized, fleet)
+    violations = reserve_and_ramp_check(committed, realized,
+                                        *deviation_envelopes(committed, realized), fleet)
     assert any("needed reserve 10" in v for v in violations)
 
 
@@ -43,9 +44,9 @@ def test_cross_scenario_ramp_violation():
     committed = np.array([[100.0], [100.0]])
     realized = np.array([[[100.0], [70.0]],    # scenario swings down next hour
                          [[100.0], [100.0]]])
-    violations = reserve_and_ramp_check(committed, realized, fleet)
-    assert any("swing 30" in v for v in violations)
     rp, dp = deviation_envelopes(committed, realized)
+    violations = reserve_and_ramp_check(committed, realized, rp, dp, fleet)
+    assert any("swing 30" in v for v in violations)
     assert dp[0, 0] == pytest.approx(30.0)  # worst pair over (k, k')
 
 
@@ -53,7 +54,8 @@ def test_selling_above_commitment_flagged():
     fleet = one_unit_fleet()
     committed = np.array([[100.0]])
     realized = np.array([[[110.0]]])
-    violations = reserve_and_ramp_check(committed, realized, fleet)
+    violations = reserve_and_ramp_check(committed, realized,
+                                        *deviation_envelopes(committed, realized), fleet)
     assert any("above its commitment" in v for v in violations)
 
 
@@ -97,7 +99,7 @@ def test_cold_start_after_long_outage():
                            start_cost_cold=400.0)
     committed = np.array([[50.0], [0.0], [0.0], [50.0]])
     h, _ = recovery_rate(committed, np.zeros((4, 1)), np.zeros((4, 1)), fleet,
-                         CostFunctions(), cost_recovery=1, hot_start_threshold_h=1)
+                         CostFunctions(), cost_recovery=1)
     # hour 0 start is hot (one hour offline before the horizon); the restart
     # at hour 3 follows two offline hours, so it is cold
     assert h == pytest.approx(100.0 + 400.0)
@@ -134,16 +136,14 @@ def test_expected_profit_worked_example():
     fleet = one_unit_fleet(ask_price=7.37)  # production cost follows the ask
     committed = np.array([[100.0]])
     lmps = np.array([[20.0]])
-    r, per = expected_profit(committed, lmps, lambda_w=3.0, cost_recovery=1,
-                             fleet=fleet, cost_fns=CostFunctions())
+    r, per = expected_profit(committed, lmps, lambda_w=3.0, cost_recovery=1, fleet=fleet)
     assert r == pytest.approx(100 * 20 - 737.0)
     assert per[0] == pytest.approx(1263.0)
 
 
 def test_expected_profit_zero_commitment():
     fleet = one_unit_fleet()
-    r, _ = expected_profit(np.zeros((1, 1)), np.array([[20.0]]), 0.0, 1, fleet,
-                           CostFunctions())
+    r, _ = expected_profit(np.zeros((1, 1)), np.array([[20.0]]), 0.0, 1, fleet)
     assert r == 0.0
 
 
@@ -152,7 +152,7 @@ def test_expected_profit_without_recovery_same_formula():
     fleet = one_unit_fleet(ask_price=7.37)
     committed = np.array([[100.0]])
     lmps = np.array([[20.0]])
-    r0, _ = expected_profit(committed, lmps, 0.0, 0, fleet, CostFunctions())
+    r0, _ = expected_profit(committed, lmps, 0.0, 0, fleet)
     assert r0 == pytest.approx(1263.0)
 
 
@@ -160,23 +160,20 @@ def test_realized_profit_two_scenarios():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[80.0]]])
     lmps = np.array([[20.0]])
-    r, _ = realized_profit(realized, [0.5, 0.5], lmps, 0.0, 1, fleet,
-                           CostFunctions())
+    r, _ = realized_profit(realized, [0.5, 0.5], lmps, 0.0, 1, fleet)
     assert r == pytest.approx(0.5 * (2000 - 1000) + 0.5 * (1600 - 800))
 
 
 def test_realized_profit_requires_normalized_probabilities():
     fleet = one_unit_fleet()
     with pytest.raises(ValueError):
-        realized_profit(np.zeros((2, 1, 1)), [0.5, 0.4], np.array([[20.0]]),
-                        0.0, 1, fleet, CostFunctions())
+        realized_profit(np.zeros((2, 1, 1)), [0.5, 0.4], np.array([[20.0]]), 0.0, 1, fleet)
 
 
 def test_realized_profit_degenerate_distribution():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[9999.0]]])
-    r, _ = realized_profit(realized, [1.0, 0.0], np.array([[20.0]]), 0.0, 1,
-                           fleet, CostFunctions())
+    r, _ = realized_profit(realized, [1.0, 0.0], np.array([[20.0]]), 0.0, 1, fleet)
     assert r == pytest.approx(1000.0)
 
 
@@ -185,9 +182,8 @@ def test_realized_equals_committed_gives_equal_profit():
     committed = np.array([[100.0]])
     realized = np.repeat(committed[None, :, :], 4, axis=0)
     lmps = np.array([[25.0]])
-    r, _ = expected_profit(committed, lmps, 0.0, 1, fleet, CostFunctions())
-    rt, _ = realized_profit(realized, np.full(4, 0.25), lmps, 0.0, 1, fleet,
-                            CostFunctions())
+    r, _ = expected_profit(committed, lmps, 0.0, 1, fleet)
+    rt, _ = realized_profit(realized, np.full(4, 0.25), lmps, 0.0, 1, fleet)
     assert deviation_cost(r, rt) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -201,9 +197,8 @@ def test_recovery_payout_mode_credits_uplift():
     fleet = one_unit_fleet(ask_price=10.0)
     committed = np.array([[100.0]])
     lmps = np.array([[20.0]])
-    literal, _ = expected_profit(committed, lmps, 2.0, 1, fleet, CostFunctions())
-    paid, _ = expected_profit(committed, lmps, 2.0, 1, fleet, CostFunctions(),
-                              recovery_payout=True)
+    literal, _ = expected_profit(committed, lmps, 2.0, 1, fleet)
+    paid, _ = expected_profit(committed, lmps, 2.0, 1, fleet, recovery_payout=True)
     assert paid == pytest.approx(literal + 100.0 * 2.0)
 
 
