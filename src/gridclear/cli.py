@@ -22,10 +22,15 @@ EXIT_INFEASIBLE = 3
 
 
 def _parse_grid(text: str, what: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in text.split(",") if v.strip())
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise click.UsageError(f"{what} grid entry {entry.strip()!r} is not a number")
     if not values:
         raise click.UsageError(f"empty {what} grid")
-    return values
+    return tuple(values)
 
 
 def _parse_line_limit(text: str) -> float | None:

@@ -85,6 +85,9 @@ class RunConfig:
         for p in self.penetrations:
             if not 0.0 <= p < np.inf:
                 raise ConfigurationError(f"penetration {p} must be non-negative and finite")
+        for name in ("horizon", "n_scenarios"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} {getattr(self, name)} must be at least 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed {self.seed} must be non-negative")
         if self.line_limit is not None and not 0.0 < self.line_limit < np.inf:

@@ -396,34 +396,33 @@ def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
     path = Path(path)
     gens = []
     try:
-        fh = path.open(newline="")
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise FleetParseError(f"{path}: cannot read fleet file: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise FleetParseError(f"{path}: fleet file is not UTF-8 text ({exc.reason})") from exc
+    if not rows:
+        raise FleetParseError(f"{path}: empty fleet file", line_number=1)
+    if [h.strip() for h in rows[0]] != _FLEET_HEADER:
+        raise FleetParseError(
+            f"{path}: expected header {','.join(_FLEET_HEADER)}", line_number=1)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(_FLEET_HEADER):
+            raise FleetParseError(f"{path}:{lineno}: expected "
+                                  f"{len(_FLEET_HEADER)} fields, got {len(row)}",
+                                  line_number=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FleetParseError(f"{path}: empty fleet file", line_number=1)
-        if [h.strip() for h in header] != _FLEET_HEADER:
-            raise FleetParseError(
-                f"{path}: expected header {','.join(_FLEET_HEADER)}", line_number=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(_FLEET_HEADER):
-                raise FleetParseError(f"{path}:{lineno}: expected "
-                                      f"{len(_FLEET_HEADER)} fields, got {len(row)}",
-                                      line_number=lineno)
-            try:
-                gens.append(GeneratorSpec(
-                    name=row[0].strip(),
-                    ask_price=float(row[1]), p_min=float(row[2]), p_max=float(row[3]),
-                    rp_max=float(row[4]), ramp_max=float(row[5]),
-                    start_cost_hot=float(row[6]), start_cost_cold=float(row[7]),
-                    no_load_cost=float(row[8])))
-            except ValueError as exc:
-                raise FleetParseError(f"{path}:{lineno}: {exc}", line_number=lineno) from exc
+            gens.append(GeneratorSpec(
+                name=row[0].strip(),
+                ask_price=float(row[1]), p_min=float(row[2]), p_max=float(row[3]),
+                rp_max=float(row[4]), ramp_max=float(row[5]),
+                start_cost_hot=float(row[6]), start_cost_cold=float(row[7]),
+                no_load_cost=float(row[8])))
+        except ValueError as exc:
+            raise FleetParseError(f"{path}:{lineno}: {exc}", line_number=lineno) from exc
     if not gens:
         raise FleetParseError(f"{path}: no generator rows", line_number=2)
     gens.sort(key=lambda g: g.ask_price)

@@ -12,6 +12,21 @@ on the hour: each hour takes one Beta quantile per scenario, shared by all
 buses and scaled by each bus's capacity.  Load quantiles are drawn one hour
 at a time over (bus, scenario).
 
+Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
+``stats`` subpackage, whose import cost more than the rest of a CLI
+start-up, is never loaded.  The Beta quantile is ``betaincinv(a, b, u)``,
+the Boost inverse that scipy's ``beta.ppf`` also calls (both give 0.0 at
+u = 0).  The truncated-normal quantile, ``_truncnorm_ppf``, is the
+log-space form of scipy's ``truncnorm.ppf`` (scipy 1.17) with the upper
+bound fixed at +inf, wrapped as ``rv_continuous.ppf`` wraps it: u = 0 gives
+the lower bound, the kernel runs on the compressed positive draws, and the
+result is ``x * scale + loc``.  The same ufuncs run on the same arrays, one
+call per hour, so the draws equal those of ``truncnorm.ppf`` and
+``beta.ppf`` bit for bit on the uniforms ``Generator.random`` makes
+(multiples of 2**-53 in [0, 1)); ``tests/test_batch_equivalence.py`` checks
+this.  The call shape matters: numpy's SIMD ``log`` may round the head and
+tail lanes of an array differently, so the calls are not regrouped.
+
 Everything is a pure, deterministic function of the config (seed included);
 scenario sets are immutable and safe to share across workers.
 """
@@ -21,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError
 from .risk import EmpiricalSample
@@ -118,6 +133,30 @@ def _beta_shape(mu: float, sigma_hat: float) -> tuple[float, float]:
     return mu * ratio, (1.0 - mu) * ratio
 
 
+def _truncnorm_ppf(q, loc, scale):
+    """Quantiles ``q`` in [0, 1) of N(loc, scale**2) truncated to [0, inf).
+
+    ``loc >= 0``, so the standardised lower bound ``a`` is negative (left
+    tail) or, for a zero mean, 0 (solved from the upper tail, as scipy does).
+    """
+    a = (0.0 - loc) / scale
+    q, a, loc, scale = np.broadcast_arrays(q, a, loc, scale)
+    out = a * scale + loc  # q == 0: the lower bound
+    drawn = q > 0.0
+    q, a, loc, scale = q[drawn], a[drawn], loc[drawn], scale[drawn]
+    log_mass = special.log1p(-special.ndtr(a) - special.ndtr(-np.inf))  # log P(Z > a)
+    x = np.empty_like(q)
+    left = a < 0.0
+    right = ~left
+    x[left] = special.ndtri_exp(special.logsumexp(
+        [special.log_ndtr(a[left]), np.log(q[left]) + log_mass[left]], axis=0))
+    x[right] = -special.ndtri_exp(special.logsumexp(
+        [np.full(np.count_nonzero(right), -np.inf),  # log_ndtr(-inf)
+         np.log1p(-q[right]) + log_mass[right]], axis=0))
+    out[drawn] = x * scale + loc
+    return out
+
+
 def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
     """Draw the scenario set for ``config``; bit-identical for equal configs.
 
@@ -140,8 +179,7 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
         drawn = ~fixed
         if drawn.any():
             loc, scale = m[drawn, None], s[drawn, None]
-            load[drawn, t, :] = stats.truncnorm.ppf(u_load[:, drawn, t].T, (0.0 - loc) / scale,
-                                                    np.inf, loc=loc, scale=scale)
+            load[drawn, t, :] = _truncnorm_ppf(u_load[:, drawn, t].T, loc, scale)
 
     cap = config.renewable_capacity
     cap_total = cap.sum()
@@ -170,7 +208,7 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
             renewable[sited, t, :] = (mu * cap[sited])[:, None]
             continue
         a, b = _beta_shape(mu, sigma_hat)
-        renewable[sited, t, :] = cap[sited, None] * stats.beta.ppf(u_weather[:, t], a, b)
+        renewable[sited, t, :] = cap[sited, None] * special.betaincinv(a, b, u_weather[:, t])
 
     np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
     probs = np.full(k, 1.0 / k)

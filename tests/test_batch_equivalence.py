@@ -5,14 +5,17 @@ out here so the comparison does not depend on the package: the closed-form
 commitment one demand at a time, the feeder recursion one requirement row
 at a time and its re-dispatch one scenario-hour at a time, scenario draws
 one (bus, hour) at a time, the renewable payment one scenario and one hour
-at a time, and the ramp envelope one hour pair at a time.
+at a time, and the ramp envelope one hour pair at a time.  The scenario
+quantiles, computed with scipy.special, are compared with the scipy.stats
+functions they replaced.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
+from gridclear import scenarios
 from gridclear import (CostFunctions, FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, Regime, RunConfig,
                        ScenarioConfig, builtin_fleet, commit, commit_batch,
@@ -610,6 +613,106 @@ def test_generate_scenarios_equals_per_bus_hour_loop(n_buses, horizon, penetrati
     got = generate_scenarios(cfg)
     assert np.array_equal(got.load, load)
     assert np.array_equal(got.renewable, renewable)
+
+
+# ---------------------------------------------------------------------------
+# scenario quantiles: scipy.special against scipy.stats
+
+
+def assert_quantiles_match(q, loc, scale):
+    """Per-bus rows of q, shaped (buses, K) like generate_scenarios' hourly call."""
+    assert same_bits(scenarios._truncnorm_ppf(q, loc, scale),
+                     stats.truncnorm.ppf(q, (0.0 - loc) / scale, np.inf, loc=loc, scale=scale))
+
+
+# Generator.random draws multiples of 2**-53 in [0, 1), so no draw is subnormal
+# (there betaincinv and beta.ppf part: at 5e-324 one gives NaN, the other not)
+UNIFORMS = st.one_of(st.just(0), st.integers(1, 2**53 - 1),
+                     st.integers(1, 2**20), st.integers(2**53 - 2**20, 2**53 - 1))
+
+
+def hourly_uniforms(draw, n, k):
+    # stored (K, buses) and read through a transposed view, as the draws are
+    values = draw(st.lists(UNIFORMS, min_size=n * k, max_size=n * k))
+    return (np.array(values, dtype=float) * 2.0**-53).reshape(k, n).T
+
+
+@st.composite
+def truncnorm_cases(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    loc = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+                        min_size=n, max_size=n))
+    scale = draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n))
+    return hourly_uniforms(draw, n, k), np.array(loc)[:, None], np.array(scale)[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncnorm_cases())
+def test_truncnorm_quantiles_equal_scipy_stats(case):
+    assert_quantiles_match(*case)
+
+
+@pytest.mark.parametrize("loc,scale", [
+    (100.0, 6.0),
+    (0.0, 6.0),                         # a zero mean: the upper-tail branch
+    (0.0, 1e-6),
+    (100.0, 100.0 * scenarios._DEGENERATE_STD * 1.000001),  # barely drawn at all
+    (0.5, scenarios._DEGENERATE_STD * 1.000001),
+    (1e-3, 1e3),                        # a tail far below the mean
+])
+def test_truncnorm_fixed_cases(loc, scale):
+    u = np.random.default_rng(3).random((257, 2))
+    u[[0, 5, 100], 0] = 0.0             # q == 0 returns the lower bound
+    u[7, 1], u[8, 1] = 2.0**-53, 1.0 - 2.0**-53   # the extreme draws
+    assert_quantiles_match(u.T, np.array([[loc], [loc]]), np.array([[scale], [scale]]))
+
+
+def test_truncnorm_mixed_tails_in_one_call():
+    u = np.random.default_rng(4).random((33, 3))
+    u[0] = 0.0
+    assert_quantiles_match(u.T, np.array([[0.0], [80.0], [0.0]]),
+                           np.array([[4.0], [6.0], [1e-3]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 64), st.data())
+def test_beta_quantiles_equal_scipy_stats(a, b, k, data):
+    q = hourly_uniforms(data.draw, 1, k)[0]
+    assert same_bits(special.betaincinv(a, b, q), stats.beta.ppf(q, a, b))
+
+
+@pytest.mark.parametrize("a,b", [
+    (1e-3, 1e3), (1e3, 1e-3), (1e-4, 1e-4), (5e3, 5e3), (0.5, 0.5), (1.0, 1.0),
+    scenarios._beta_shape(1e-6, 1e-7),      # a share near 0
+    scenarios._beta_shape(1.0 - 1e-11, 1e-9),  # a share just short of 1
+    scenarios._beta_shape(0.3, 0.95 * np.sqrt(0.21)),  # the widest feasible std
+])
+def test_beta_fixed_cases(a, b):
+    u = np.random.default_rng(5).random((300, 4))[:, 2]   # a strided column
+    u[[0, 9]] = 0.0
+    u[10], u[11] = 2.0**-53, 1.0 - 2.0**-53
+    assert same_bits(special.betaincinv(a, b, u), stats.beta.ppf(u, a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, 123])
+@pytest.mark.parametrize("load_mean,load_std,horizon,k,penetration", [
+    ((232.0, 174.0, 174.0), None, 24, 1000, 0.3),
+    ((150.0, 75.0, 45.0), None, 24, 300, 0.9),
+    (tuple(np.linspace(20.0, 200.0, 24)), None, 12, 50, 0.6),
+    ((120.0, 0.0, 90.0, 0.0), (7.0, 5.0, 0.0, 0.0), 3, 37, 0.4),   # zero means
+], ids=["bus", "feeder", "wide", "zero-mean"])
+def test_generate_scenarios_equals_scipy_stats_draws(seed, load_mean, load_std, horizon, k,
+                                                     penetration):
+    mean = np.repeat(np.array(load_mean)[:, None], horizon, axis=1)
+    std = 0.06 * mean if load_std is None else np.repeat(np.array(load_std)[:, None],
+                                                         horizon, axis=1)
+    cfg = ScenarioConfig(n_buses=len(load_mean), horizon=horizon, n_scenarios=k, seed=seed,
+                         load_mean=mean, load_std=std,
+                         renewable_capacity=penetration * mean[:, 0] / 0.5 + 10.0,
+                         penetration=penetration, uncertainty_growth=0.27)
+    load, renewable = reference_scenarios(cfg)
+    got = generate_scenarios(cfg)
+    assert same_bits(got.load, load) and same_bits(got.renewable, renewable)
 
 
 # ---------------------------------------------------------------------------

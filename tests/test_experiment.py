@@ -65,6 +65,19 @@ def test_fleet_malformed_row_names_line(tmp_path):
     assert err.value.line_number == 3
 
 
+def test_fleet_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(
+        b"name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
+        b"\xff\xfe,5,0,100,100,100,0,0,0\n")
+    with pytest.raises(FleetParseError, match="fleet file is not UTF-8 text"):
+        load_fleet(str(path))
+    result = CliRunner().invoke(main, ["settle", "--fleet", str(path),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"configuration error: {path}: fleet file is not UTF-8")
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -278,6 +291,31 @@ def test_cli_negative_seed_is_config_error(tmp_path):
     result = CliRunner().invoke(main, ["settle", "--seed", "-1", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert result.output == "configuration error: seed -1 must be non-negative\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep-alpha", "--alpha", "0.5,abc"], "alpha grid entry 'abc' is not a number"),
+    (["settle", "--load-mean", "100,abc"], "load mean grid entry 'abc' is not a number"),
+])
+def test_cli_non_numeric_grid_entry_is_usage_error(argv, message, tmp_path):
+    result = CliRunner().invoke(main, argv + ["--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"Error: {message}" in result.output
+
+
+@pytest.mark.parametrize("field", ["horizon", "n_scenarios"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_run_config_rejects_empty_dimensions(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} {value} must be at least 1$"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("flag,field", [("--horizon", "horizon"),
+                                        ("--scenarios", "n_scenarios")])
+def test_cli_negative_dimension_is_config_error(flag, field, tmp_path):
+    result = CliRunner().invoke(main, ["settle", flag, "-1", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {field} -1 must be at least 1\n"
 
 
 def test_cli_infeasible_single_run_exits_3(tmp_path):

@@ -1,8 +1,14 @@
 """Scenario generation: determinism, bounds, and sample construction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridclear
 from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
                        ScenarioSet, aggregate_net_load, generate_scenarios,
                        net_load, subadditivity_gap, suffix_net_load,
@@ -199,3 +205,14 @@ def test_scenario_csv_dump(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == "0"
     assert float(first[5]) == pytest.approx(1 / 3, abs=1e-6)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats was most of a fresh CLI start; the draws need only scipy.special
+    src = str(Path(gridclear.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gridclear.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
