@@ -21,13 +21,11 @@ from .merit_order import (DispatchResult, Fleet, GeneratorSpec, KktReport,
                           commit_batch, fleet_from_csv, kkt_residuals,
                           validate_assumptions)
 from .risk import (EmpiricalSample, committed_requirement, cvar_direct,
-                   cvar_rockafellar, rockafellar_objective, subadditivity_gap,
-                   var)
+                   cvar_rockafellar, rockafellar_objective, var)
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
                         generate_scenarios, net_load, suffix_net_load,
                         write_scenario_csv)
-from .settlement import (CostFunctions, SettlementReport,
-                         curtail_and_pay_renewables, deviation_cost,
+from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
                          deviation_envelopes, expected_profit, realized_profit,
                          recovery_rate, reserve_and_ramp_check)
 
@@ -44,10 +42,10 @@ __all__ = [
     "backdown_feasibility", "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
     "kkt_residuals", "validate_assumptions",
     "EmpiricalSample", "committed_requirement", "cvar_direct", "cvar_rockafellar",
-    "rockafellar_objective", "subadditivity_gap", "var",
+    "rockafellar_objective", "var",
     "ScenarioConfig", "ScenarioSet", "aggregate_net_load", "generate_scenarios",
     "net_load", "suffix_net_load", "write_scenario_csv",
-    "CostFunctions", "SettlementReport", "curtail_and_pay_renewables",
+    "SettlementReport", "curtail_and_pay_renewables",
     "deviation_cost", "deviation_envelopes", "expected_profit", "realized_profit",
     "recovery_rate", "reserve_and_ramp_check",
 ]

@@ -67,27 +67,26 @@ def _shared_options(fn):
 
 
 def _build_config(alphas, penetrations, capacity_mode, **kw) -> RunConfig:
-    out_dir = Path(kw.pop("out_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     load_mean = kw.pop("load_mean")
     extra = {}
     if load_mean is not None:
         means = _parse_grid(load_mean, "load mean")
         extra = {"load_mean_per_bus": means, "n_buses": len(means)}
     try:
-        return RunConfig(
+        run = RunConfig(
             alphas=alphas,
             penetrations=penetrations,
             line_limit=_parse_line_limit(kw.pop("line_limit")),
             cost_recovery=int(kw.pop("cost_recovery")),
             capacity_mode=capacity_mode,
-            out_dir=str(out_dir),
             **extra,
             **kw,
         )
-    except ConfigurationError as exc:
+        Path(run.out_dir).mkdir(parents=True, exist_ok=True)
+    except (ConfigurationError, OSError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    return run
 
 
 def _run_guarded(fn):

@@ -28,18 +28,15 @@ from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
 from .risk import cvar_direct
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
                         generate_scenarios, net_load, suffix_net_load)
-from .settlement import (CostFunctions, SettlementReport, commitment_indicators,
-                         curtail_and_pay_renewables, deviation_cost, deviation_envelopes,
-                         expected_profit, realized_profit, recovery_rate,
-                         reserve_and_ramp_check)
+from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
+                         deviation_envelopes, expected_profit, realized_profit,
+                         recovery_rate, reserve_and_ramp_check)
 
 DEFAULT_LOAD_MEAN = (232.0, 174.0, 174.0)   # MW per bus
 DEFAULT_LOAD_STD_FRAC = 0.06
 DEFAULT_UNCERTAINTY_GROWTH = 0.27           # renewable std per MW of capacity
 TRACKING_SITE_MEAN_SHARE = 0.85             # mean output fraction of tracked capacity
 BUILDOUT_CAPACITY_SLACK = 1.1               # installed capacity over mean load
-DEFAULT_RESERVE_RATE = 15.0                 # $/MW reserve held
-DEFAULT_RAMP_RATE = 5.0                     # $ per MW/h of ramp envelope
 
 ALPHA_GRID_DEFAULT = (0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 PENETRATION_GRID_DEFAULT = tuple(round(0.1 * i, 1) for i in range(11))
@@ -71,8 +68,6 @@ class RunConfig:
     load_std_frac: float = DEFAULT_LOAD_STD_FRAC
     uncertainty_growth: float = DEFAULT_UNCERTAINTY_GROWTH
     capacity_mode: str = "buildout"
-    reserve_rate: float = DEFAULT_RESERVE_RATE
-    ramp_rate: float = DEFAULT_RAMP_RATE
 
     def __post_init__(self):
         if not self.alphas:
@@ -146,7 +141,6 @@ class PointResult:
     lmps: np.ndarray             # (T, n_units) $/MWh at each unit's bus
     clearing_prices: np.ndarray  # (T,) system price (max LMP when congested)
     settlement: SettlementReport
-    scenarios: ScenarioSet = field(repr=False)
     fleet: Fleet = field(repr=False)  # the units cleared, one per bus on a feeder
 
     @property
@@ -224,14 +218,11 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
     realized = _realized_dispatch(point_fleet, grid, sset)
     rp, dp = deviation_envelopes(committed, realized)
     violations = reserve_and_ramp_check(committed, realized, rp, dp, point_fleet)
-    h_total, lambda_w = recovery_rate(committed, rp, dp, point_fleet,
-                                      CostFunctions(run.reserve_rate, run.ramp_rate),
-                                      run.cost_recovery)
-    r_expected, per_expected = expected_profit(committed, lmps, lambda_w,
-                                               run.cost_recovery, point_fleet)
-    r_realized, per_realized = realized_profit(realized, sset.probabilities, lmps,
-                                               lambda_w, run.cost_recovery,
-                                               point_fleet)
+    h_total, lambda_w = recovery_rate(committed, rp, dp, point_fleet, run.cost_recovery)
+    r_expected, _ = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
+                                    point_fleet)
+    r_realized, _ = realized_profit(realized, sset.probabilities, lmps, lambda_w,
+                                    run.cost_recovery, point_fleet)
 
     # renewables are paid scenario by scenario at the committed bus prices
     bus_lmps = lmps if grid is not None else np.repeat(
@@ -249,13 +240,10 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
         deviation_cost=deviation_cost(r_expected, r_realized),
         renewable_revenue=revenue,
         curtailed_mwh=curtailed,
-        indicators=commitment_indicators(committed),
-        per_gen_expected=per_expected,
-        per_gen_realized=per_realized,
         violations=violations,
     )
     return PointResult(alpha, penetration, committed, realized, lmps, prices,
-                       report, sset, point_fleet)
+                       report, point_fleet)
 
 
 def run_alpha_sweep(run: RunConfig, diagnostics: list[str] | None = None) -> list[dict]:

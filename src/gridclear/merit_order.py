@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +59,11 @@ class GeneratorSpec:
     production_cost_rate: float | None = None  # $/MWh, defaults to ask_price
 
     def __post_init__(self):
+        # the name is written unquoted into CSV rows
+        if not self.name or any(c in ',"' or unicodedata.category(c) == "Cc"
+                                for c in self.name):
+            raise ValueError(f"unit name {self.name!r} must be non-empty and free of "
+                             "commas, double quotes and control characters")
         if self.production_cost_rate is None:
             object.__setattr__(self, "production_cost_rate", float(self.ask_price))
         for name in _SPEC_NUMBERS:

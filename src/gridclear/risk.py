@@ -11,7 +11,7 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -153,15 +153,3 @@ def committed_requirement(aggregate_net_load: EmpiricalSample, alpha: float,
         raise ValueError("total committed power must be non-negative")
     return max(0.0, cvar_direct(aggregate_net_load, alpha) - total_committed)
 
-
-def subadditivity_gap(per_bus_samples: Sequence[EmpiricalSample],
-                      joint_sample: EmpiricalSample, alpha: float) -> float:
-    """Sum of per-bus CVaRs minus the CVaR of their scenario-wise sum.
-
-    Non-negative whenever ``joint_sample`` really is the distribution of the
-    coordinate-wise sum (coherence of the tail expectation); callers own that
-    consistency.
-    """
-    alpha = _check_alpha(alpha)
-    total = sum(cvar_direct(s, alpha) for s in per_bus_samples)
-    return float(total - cvar_direct(joint_sample, alpha))

@@ -7,9 +7,12 @@ scenario-expected profit they get is the deviation cost.
 
 Cost recovery: the no-load, start-up, reserve and ramp outlays of committed
 units sum to H; with recovery enabled the per-MWh uplift is H over the total
-committed energy, without it the uplift is zero.  The profit formulas are
-evaluated literally; an optional payout mode additionally credits the
-recovered cost back to generators pro-rata to energy (off by default).
+committed energy, without it the uplift is zero.  A start is hot when the
+unit was online two hours before (so after exactly one offline hour), cold
+otherwise; every unit enters the horizon as if it was online two hours
+before and offline one hour before, so a start in hour 0 is hot.  Reserve
+costs RESERVE_RATE $/MW per hour of reserve envelope and ramp RAMP_RATE $
+per MW/h of ramp envelope.  The profit formulas are evaluated literally.
 """
 
 from __future__ import annotations
@@ -20,28 +23,8 @@ import numpy as np
 
 from .merit_order import Fleet
 
-# a start after at most this many offline hours is hot, after more it is cold
-_HOT_START_THRESHOLD_H = 1
-# units entering the horizon are treated as having been offline for exactly
-# one hour, so a start in hour 0 is hot
-_PRE_HORIZON_OFFLINE_H = 1
-
-
-@dataclass(frozen=True)
-class CostFunctions:
-    """Linear reserve and ramp cost curves with zero intercept.
-
-    Energy is costed at each unit's own production_cost_rate.
-    reserve_rate: $/MW per hour of reserve held.
-    ramp_rate: $ per MW/h of ramp envelope.
-    """
-
-    reserve_rate: float = 0.0
-    ramp_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.reserve_rate < 0.0 or self.ramp_rate < 0.0:
-            raise ValueError("cost slopes must be non-negative")
+RESERVE_RATE = 15.0   # $/MW per hour of reserve held
+RAMP_RATE = 5.0       # $ per MW/h of ramp envelope
 
 
 @dataclass(frozen=True)
@@ -53,15 +36,7 @@ class SettlementReport:
     deviation_cost: float          # $, expected_profit - realized_profit (signed)
     renewable_revenue: float       # $, scenario-expected renewable payment
     curtailed_mwh: float           # MWh, scenario-expected curtailed energy
-    indicators: np.ndarray         # commitment indicators, shape (T, n_units)
-    per_gen_expected: np.ndarray
-    per_gen_realized: np.ndarray
     violations: list[str] = field(default_factory=list)
-
-
-def commitment_indicators(committed: np.ndarray) -> np.ndarray:
-    """Online indicator per (hour, unit): committed output strictly positive."""
-    return (np.asarray(committed, dtype=float) > 0.0).astype(int)
 
 
 def deviation_envelopes(committed: np.ndarray,
@@ -118,14 +93,14 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
 
 
 def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
-                  fleet: Fleet, cost_fns: CostFunctions,
-                  cost_recovery: int) -> tuple[float, float]:
+                  fleet: Fleet, cost_recovery: int) -> tuple[float, float]:
     """Recoverable cost H and the per-MWh uplift.
 
-    H sums, over hours and committed units, the no-load cost, the start-up
-    cost on transitions from offline to online (hot when the unit was offline
-    at most ``_HOT_START_THRESHOLD_H`` hours, cold otherwise), and the linear
-    reserve and ramp costs on the supplied envelopes.
+    H sums, over hours and units with positive committed output, the
+    no-load cost, the hot or cold start-up cost on each start (online now,
+    offline the hour before), and the reserve and ramp costs at the fixed
+    rates on the supplied envelopes.  The terms are added left to right,
+    hour by hour: no-load then start-up per unit, then reserve, then ramp.
 
     With cost_recovery=1 the uplift is H over total committed energy; with 0
     it is zero.  Raises ValueError when recovery is requested but there is a
@@ -135,23 +110,21 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
         raise ValueError("cost_recovery must be 0 or 1")
     committed = np.asarray(committed, dtype=float)
     t_len, n = committed.shape
-    online = commitment_indicators(committed)
-
-    h_total = 0.0
-    offline_run = np.full(n, _PRE_HORIZON_OFFLINE_H)
-    for t in range(t_len):
-        for i, g in enumerate(fleet.generators):
-            if online[t, i]:
-                h_total += g.no_load_cost
-                was_off = offline_run[i] > 0
-                if was_off:
-                    hot = offline_run[i] <= _HOT_START_THRESHOLD_H
-                    h_total += g.start_cost_hot if hot else g.start_cost_cold
-                offline_run[i] = 0
-            else:
-                offline_run[i] += 1
-        h_total += cost_fns.reserve_rate * rp[t].sum()
-        h_total += cost_fns.ramp_rate * dp[t].sum()
+    online = committed > 0.0
+    # two hours before the horizon, online then offline, so an hour-0 start is
+    # hot; a start is hot iff the unit was online two hours before
+    padded = np.concatenate((np.ones((1, n), bool), np.zeros((1, n), bool), online))
+    start = online & ~padded[1:-1]
+    units = fleet.generators
+    start_cost = np.where(padded[:-2], [g.start_cost_hot for g in units],
+                          [g.start_cost_cold for g in units])
+    unit_terms = np.stack((np.where(online, [g.no_load_cost for g in units], 0.0),
+                           np.where(start, start_cost, 0.0)), axis=-1)
+    # unit-stride rows, so each row sum rounds like that row's own .sum()
+    reserve = RESERVE_RATE * np.ascontiguousarray(rp, dtype=float).sum(axis=1)
+    ramp = RAMP_RATE * np.ascontiguousarray(dp, dtype=float).sum(axis=1)
+    terms = np.column_stack((unit_terms.reshape(t_len, 2 * n), reserve, ramp))
+    h_total = float(np.cumsum(np.append(0.0, terms))[-1])
 
     if cost_recovery == 0:
         return h_total, 0.0
@@ -164,39 +137,28 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     return h_total, h_total / energy
 
 
-def _effective_prices(lmps: np.ndarray, lambda_w: float, cost_recovery: int,
-                      recovery_payout: bool) -> np.ndarray:
-    prices = lmps - lambda_w * (1 - cost_recovery)
-    if recovery_payout and cost_recovery == 1:
-        prices = prices + lambda_w
-    return prices
-
-
 def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w: float,
-                    cost_recovery: int, fleet: Fleet,
-                    recovery_payout: bool = False) -> tuple[float, np.ndarray]:
+                    cost_recovery: int, fleet: Fleet) -> tuple[float, np.ndarray]:
     """Profit the fleet would make if the committed power were sold as planned.
 
     Returns the total and the per-generator breakdown.
     """
     committed = np.asarray(committed, dtype=float)
-    lmps = np.asarray(lmps, dtype=float)
-    prices = _effective_prices(lmps, lambda_w, cost_recovery, recovery_payout)
+    prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
     per_gen = (committed * prices
                - committed * fleet.production_cost_rates[None, :]).sum(axis=0)
     return float(per_gen.sum()), per_gen
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
-                    lambda_w: float, cost_recovery: int, fleet: Fleet,
-                    recovery_payout: bool = False) -> tuple[float, np.ndarray]:
+                    lambda_w: float, cost_recovery: int,
+                    fleet: Fleet) -> tuple[float, np.ndarray]:
     """Scenario-expected profit on the power actually sold at committed prices."""
     realized = np.asarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
     if abs(psi.sum() - 1.0) > 1e-9 or np.any(psi < 0.0):
         raise ValueError("scenario probabilities must be non-negative and sum to 1")
-    prices = _effective_prices(np.asarray(lmps, dtype=float), lambda_w,
-                               cost_recovery, recovery_payout)
+    prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
     margin = prices[None, :, :] - fleet.production_cost_rates[None, None, :]
     per_gen = np.einsum("k,kti->i", psi, realized * margin)
     return float(per_gen.sum()), per_gen

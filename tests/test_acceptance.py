@@ -17,13 +17,11 @@ from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
                        evaluate_point, generate_scenarios, kkt_residuals,
                        kkt_verify_network, backdown_feasibility, load_fleet, net_load,
                        recovery_rate, run_alpha_sweep, run_penetration_sweep,
-                       scenario_config, solve_deterministic, subadditivity_gap,
-                       var)
-from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
-                                  CostFunctions)
+                       scenario_config, solve_deterministic, var)
+from gridclear.experiment import ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS
 
 from test_merit_order import enumeration_oracle, random_fleet
-from test_risk import rockafellar_grid_oracle, tail_expectation_oracle
+from test_risk import bound_gap, rockafellar_grid_oracle, tail_expectation_oracle
 
 
 @contextmanager
@@ -94,7 +92,7 @@ def test_criterion_2_risk_axioms():
                 assert cvar_direct(sample, a1) <= base + 1e-9
                 assert base >= var(sample, a2) - 1e-9
                 checked += 1
-            assert subadditivity_gap(per_bus, joint, a2) >= -1e-9
+            assert bound_gap(per_bus, joint, a2) >= -1e-9
 
 
 def test_criterion_3_commitment_matches_enumeration():
@@ -255,7 +253,7 @@ def test_criterion_8_settlement_identities():
                                       no_load_cost=10.0),))
         committed = np.array([[120.0], [80.0]])
         h, lam = recovery_rate(committed, np.zeros((2, 1)), np.zeros((2, 1)),
-                               worked, CostFunctions(), cost_recovery=1)
+                               worked, cost_recovery=1)
         assert h == pytest.approx(120.0) and lam == pytest.approx(0.6)
 
         det = RunConfig(capacity_mode="tracking", penetrations=(0.0,),

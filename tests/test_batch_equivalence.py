@@ -5,9 +5,9 @@ out here so the comparison does not depend on the package: the closed-form
 commitment one demand at a time, the feeder recursion one requirement row
 at a time and its re-dispatch one scenario-hour at a time, scenario draws
 one (bus, hour) at a time, the renewable payment one scenario and one hour
-at a time, and the ramp envelope one hour pair at a time.  The scenario
-quantiles, computed with scipy.special, are compared with the scipy.stats
-functions they replaced.
+at a time, the ramp envelope one hour pair at a time, and the recoverable
+cost one (hour, unit) at a time.  The scenario quantiles, computed with
+scipy.special, are compared with the scipy.stats functions they replaced.
 """
 
 import numpy as np
@@ -16,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from gridclear import scenarios
-from gridclear import (CostFunctions, FeederCase, Fleet, GeneratorSpec,
+from gridclear import (FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, Regime, RunConfig,
                        ScenarioConfig, builtin_fleet, commit, commit_batch,
                        curtail_and_pay_renewables, cvar_direct, deviation_envelopes,
                        dispatch_radial, dispatch_radial_batch, evaluate_point,
                        generate_scenarios, net_load, recovery_rate, scenario_config,
                        suffix_net_load)
+from gridclear.settlement import RAMP_RATE, RESERVE_RATE
 
 # ---------------------------------------------------------------------------
 # references
@@ -230,6 +231,37 @@ def reference_envelopes(committed, realized):
         dp[t] = np.maximum(hi_now - lo_nxt, hi_nxt - lo_now)
         dp[t] = np.maximum(dp[t], 0.0)
     return rp, dp
+
+
+def reference_recovery(committed, rp, dp, fleet, cost_recovery):
+    """Recoverable cost H and uplift, one (hour, unit) at a time.
+
+    A unit's offline run counts the hours since it was last online; every
+    unit enters the horizon one hour offline, and a start after at most one
+    offline hour is hot.
+    """
+    t_len, n = committed.shape
+    h_total = 0.0
+    offline_run = np.full(n, 1)
+    for t in range(t_len):
+        for i, g in enumerate(fleet.generators):
+            if committed[t, i] > 0.0:
+                h_total += g.no_load_cost
+                if offline_run[i] > 0:
+                    h_total += g.start_cost_hot if offline_run[i] <= 1 else g.start_cost_cold
+                offline_run[i] = 0
+            else:
+                offline_run[i] += 1
+        h_total += RESERVE_RATE * rp[t].sum()
+        h_total += RAMP_RATE * dp[t].sum()
+    if cost_recovery == 0:
+        return h_total, 0.0
+    energy = committed.sum()
+    if energy <= 0.0:
+        if h_total > 0.0:
+            raise ValueError("no committed energy")
+        return h_total, 0.0
+    return h_total, h_total / energy
 
 
 def same_bits(a, b):
@@ -586,6 +618,74 @@ def test_envelopes_equal_hour_pair_loop(k_len, t_len, n):
 
 
 # ---------------------------------------------------------------------------
+# cost recovery
+
+
+def recovery_fleet(rng, n):
+    """n units with distinct hot and cold start costs; some no-load costs are zero."""
+    no_load = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 80.0, n))
+    hot = rng.uniform(1.0, 300.0, n)
+    cold = hot + rng.uniform(1.0, 300.0, n)
+    return Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + i, 0.0, 300.0, 300.0, 300.0,
+                                     start_cost_hot=hot[i], start_cost_cold=cold[i],
+                                     no_load_cost=no_load[i]) for i in range(n)))
+
+
+def assert_recovery_matches_reference(committed, rp, dp, fleet, cost_recovery):
+    try:
+        expected = reference_recovery(committed, rp, dp, fleet, cost_recovery)
+    except ValueError:
+        with pytest.raises(ValueError):
+            recovery_rate(committed, rp, dp, fleet, cost_recovery)
+        return
+    h_total, lambda_w = recovery_rate(committed, rp, dp, fleet, cost_recovery)
+    assert same_bits(h_total, expected[0]) and same_bits(lambda_w, expected[1])
+
+
+@st.composite
+def recovery_cases(draw):
+    """A fleet, an on/off pattern (some units never online) and envelopes."""
+    n = draw(st.integers(1, 11))
+    t_len = draw(st.integers(1, 29))
+    online_share = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    online = rng.random((t_len, n)) < online_share
+    online[:, rng.random(n) < 0.2] = False
+    committed = np.where(online, rng.uniform(1e-3, 300.0, (t_len, n)), 0.0)
+    rp = np.where(rng.random((t_len, n)) < 0.2, 0.0, rng.uniform(0.0, 50.0, (t_len, n)))
+    dp = np.where(rng.random((t_len, n)) < 0.2, 0.0, rng.uniform(0.0, 50.0, (t_len, n)))
+    return committed, rp, dp, recovery_fleet(rng, n), draw(st.sampled_from((0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(recovery_cases())
+def test_recovery_equals_hour_unit_loop(case):
+    assert_recovery_matches_reference(*case)
+
+
+@pytest.mark.parametrize("pattern", [
+    [[1], [1]],                   # start in hour 0: hot
+    [[1], [0], [1]],              # restart after one offline hour: hot
+    [[0], [1]],                   # one offline hour in the horizon and one before: cold
+    [[1], [0], [0], [1], [1]],    # restart after two offline hours: cold
+    [[0, 1], [0, 1], [0, 0]],     # a unit that is never online
+    [[1] * 9],                    # T = 1, n >= 8: pairwise row sums
+    [[1, 0, 1, 1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 1, 0, 1, 1, 0], [1, 1, 0, 0, 0, 1, 1, 0, 1]],
+])
+def test_recovery_patterns_equal_hour_unit_loop(pattern):
+    online = np.array(pattern, dtype=bool)
+    rng = np.random.default_rng(online.size)
+    committed = np.where(online, rng.uniform(1.0, 300.0, online.shape), 0.0)
+    rp, dp = rng.uniform(0.0, 50.0, (2, *online.shape))
+    fleet = recovery_fleet(rng, online.shape[1])
+    for cost_recovery in (0, 1):
+        assert_recovery_matches_reference(committed, rp, dp, fleet, cost_recovery)
+    # envelopes stored column by column give the same bits
+    assert_recovery_matches_reference(committed, np.asfortranarray(rp),
+                                      np.asfortranarray(dp), fleet, 1)
+
+
+# ---------------------------------------------------------------------------
 # scenario draws
 
 
@@ -812,7 +912,5 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
     assert same_bits(point.realized, realized)
     assert point.fleet == units
     rp, dp = reference_envelopes(committed, realized)
-    h_total, lambda_w = recovery_rate(committed, rp, dp, units,
-                                      CostFunctions(run.reserve_rate, run.ramp_rate),
-                                      run.cost_recovery)
+    h_total, lambda_w = recovery_rate(committed, rp, dp, units, run.cost_recovery)
     assert point.settlement.h_total == h_total and point.settlement.lambda_w == lambda_w

@@ -5,8 +5,7 @@ import pytest
 
 from gridclear import (EmpiricalSample, FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, committed_upper_bound,
-                       cvar_direct, dispatch_radial, subadditivity_gap,
-                       validate_feeder_assumptions)
+                       cvar_direct, dispatch_radial, validate_feeder_assumptions)
 
 
 def feeder_fleet(asks, p_maxs):
@@ -153,7 +152,6 @@ def test_bound_from_two_scenario_set():
     assert cvar_direct(joint, alpha) == 125.0
     bound, gap = committed_upper_bound(cvars, cvar_direct(joint, alpha))
     assert bound == 130.0 and gap == pytest.approx(5.0, abs=1e-12)
-    assert gap == pytest.approx(subadditivity_gap(buses, joint, alpha), abs=1e-12)
 
 
 def test_bound_single_bus_gap_zero():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridclear import (ConfigurationError, FleetParseError, RunConfig,
+from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec, RunConfig,
                        aggregate_net_load, committed_requirement, emit_csv,
                        generate_scenarios, load_fleet, run_alpha_sweep,
                        run_penetration_sweep, scenario_config)
@@ -76,6 +76,35 @@ def test_fleet_not_utf8_is_parse_error(tmp_path):
                                        "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert result.output.startswith(f"configuration error: {path}: fleet file is not UTF-8")
+
+
+@pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\tb", "a\x7f", "a\x85"])
+def test_generator_spec_rejects_name_that_breaks_csv(name):
+    with pytest.raises(ValueError, match="must be non-empty and free of commas"):
+        GeneratorSpec(name, 5.0)
+
+
+@pytest.mark.parametrize("field,shown", [
+    ("a\x00", r"'a\x00'"),
+    ('"big, coal"', "'big, coal'"),
+    ('"peak\nx"', r"'peak\nx'"),
+], ids=["nul", "comma", "newline"])
+def test_cli_dispatch_rejects_unit_name_that_breaks_csv(field, shown, tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
+        f"{field},5,0,100,100,100,0,0,0\n"
+        "b,9,0,900,900,900,0,0,0\n", encoding="utf-8")
+    with pytest.raises(FleetParseError) as err:
+        load_fleet(str(path))
+    assert err.value.line_number == 2
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["dispatch", "--fleet", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: {path}:2: unit name {shown} must be "
+                             "non-empty and free of commas, double quotes and control "
+                             "characters\n")
+    assert not (out / "dispatch.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +320,22 @@ def test_cli_negative_seed_is_config_error(tmp_path):
     result = CliRunner().invoke(main, ["settle", "--seed", "-1", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert result.output == "configuration error: seed -1 must be non-negative\n"
+
+
+def test_cli_invalid_config_creates_no_out_dir(tmp_path):
+    out = tmp_path / "D"
+    result = CliRunner().invoke(main, ["settle", "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
+def test_cli_out_naming_a_file_is_config_error(tmp_path):
+    out = tmp_path / "F"
+    out.write_text("")
+    result = CliRunner().invoke(main, ["settle", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.startswith("configuration error: ")
+    assert str(out) in result.output and "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridclear import (EmpiricalSample, committed_requirement, cvar_direct,
-                       cvar_rockafellar, subadditivity_gap, var)
+from gridclear import (EmpiricalSample, committed_requirement, committed_upper_bound,
+                       cvar_direct, cvar_rockafellar, var)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -187,11 +187,18 @@ def test_committed_requirement_rejects_negative_commitment():
 # subadditivity gap
 
 
+def bound_gap(per_bus, joint, alpha):
+    """Sum of per-bus CVaRs minus the joint CVaR, as the planned-power bound reads it."""
+    _, gap = committed_upper_bound([cvar_direct(s, alpha) for s in per_bus],
+                                   cvar_direct(joint, alpha))
+    return gap
+
+
 def test_gap_deterministic_point_masses():
     a = _sample([(10.0, 1.0)])
     b = _sample([(10.0, 1.0)])
     joint = _sample([(20.0, 1.0)])
-    assert subadditivity_gap([a, b], joint, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert bound_gap([a, b], joint, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_anti_comonotone_pair():
@@ -200,7 +207,7 @@ def test_gap_anti_comonotone_pair():
     joint = _sample([(10.0, 1.0)])
     # each marginal tail sits on its own upper atom
     assert cvar_direct(a, 0.5) == pytest.approx(tail_expectation_oracle(a.points, 0.5))
-    assert subadditivity_gap([a, b], joint, 0.5) == pytest.approx(10.0, abs=1e-12)
+    assert bound_gap([a, b], joint, 0.5) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_gap_comonotone_is_zero():
@@ -216,7 +223,7 @@ def test_gap_comonotone_is_zero():
                     + tail_expectation_oracle(b.points, alpha)
                     - tail_expectation_oracle(joint.points, alpha))
         assert expected == pytest.approx(0.0, abs=1e-9)
-        assert subadditivity_gap([a, b], joint, alpha) == pytest.approx(0.0, abs=1e-9)
+        assert bound_gap([a, b], joint, alpha) == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 
 import gridclear
 from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
-                       ScenarioSet, aggregate_net_load, generate_scenarios,
-                       net_load, subadditivity_gap, suffix_net_load,
+                       ScenarioSet, aggregate_net_load, committed_upper_bound,
+                       cvar_direct, generate_scenarios, net_load, suffix_net_load,
                        write_scenario_csv)
 
 
@@ -190,7 +190,9 @@ def test_subadditivity_gap_nonnegative_on_generated_sets():
         alpha = float(rng.uniform(0.05, 0.95))
         per_bus = [net_load(ss, i, 0) for i in range(cfg.n_buses)]
         joint = aggregate_net_load(ss, 0)
-        assert subadditivity_gap(per_bus, joint, alpha) >= -1e-9
+        _, gap = committed_upper_bound([cvar_direct(s, alpha) for s in per_bus],
+                                       cvar_direct(joint, alpha))
+        assert gap >= -1e-9
 
 
 def test_scenario_csv_dump(tmp_path):

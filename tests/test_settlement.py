@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridclear import (CostFunctions, Fleet, GeneratorSpec,
+from gridclear import (Fleet, GeneratorSpec,
                        curtail_and_pay_renewables, deviation_cost,
                        deviation_envelopes, expected_profit, realized_profit,
                        recovery_rate, reserve_and_ramp_check)
@@ -70,8 +70,7 @@ def test_recovery_worked_example():
     committed = np.array([[120.0], [80.0]])
     rp = np.zeros((2, 1))
     dp = np.zeros((2, 1))
-    cost_fns = CostFunctions()
-    h, lam = recovery_rate(committed, rp, dp, fleet, cost_fns, cost_recovery=1)
+    h, lam = recovery_rate(committed, rp, dp, fleet, cost_recovery=1)
     assert h == pytest.approx(120.0)
     assert lam == pytest.approx(0.6)
 
@@ -80,7 +79,7 @@ def test_recovery_disabled_gives_zero_rate():
     fleet = one_unit_fleet(no_load_cost=10.0, start_cost_hot=100.0)
     committed = np.array([[120.0], [80.0]])
     h, lam = recovery_rate(committed, np.zeros((2, 1)), np.zeros((2, 1)), fleet,
-                           CostFunctions(), cost_recovery=0)
+                           cost_recovery=0)
     assert h == pytest.approx(120.0) and lam == 0.0
 
 
@@ -89,7 +88,7 @@ def test_never_started_unit_contributes_nothing():
                    GeneratorSpec("b", 20, 0, 100, no_load_cost=9.0, start_cost_hot=80.0)))
     committed = np.array([[40.0, 0.0], [40.0, 0.0]])
     h, lam = recovery_rate(committed, np.zeros((2, 2)), np.zeros((2, 2)), fleet,
-                           CostFunctions(), cost_recovery=1)
+                           cost_recovery=1)
     assert h == pytest.approx(2 * 7.0 + 50.0)
     assert lam == pytest.approx(64.0 / 80.0)
 
@@ -99,7 +98,7 @@ def test_cold_start_after_long_outage():
                            start_cost_cold=400.0)
     committed = np.array([[50.0], [0.0], [0.0], [50.0]])
     h, _ = recovery_rate(committed, np.zeros((4, 1)), np.zeros((4, 1)), fleet,
-                         CostFunctions(), cost_recovery=1)
+                         cost_recovery=1)
     # hour 0 start is hot (one hour offline before the horizon); the restart
     # at hour 3 follows two offline hours, so it is cold
     assert h == pytest.approx(100.0 + 400.0)
@@ -110,8 +109,7 @@ def test_recovery_without_energy_errors():
     committed = np.zeros((1, 1))
     rp = np.array([[5.0]])
     with pytest.raises(ValueError):
-        recovery_rate(committed, rp, np.zeros((1, 1)), fleet,
-                      CostFunctions(reserve_rate=2.0), cost_recovery=1)
+        recovery_rate(committed, rp, np.zeros((1, 1)), fleet, cost_recovery=1)
 
 
 def test_recovery_monotone_in_cost_drivers():
@@ -119,12 +117,11 @@ def test_recovery_monotone_in_cost_drivers():
     committed = np.array([[100.0]])
     rp = np.array([[10.0]])
     dp = np.array([[4.0]])
-    fns = CostFunctions(reserve_rate=3.0, ramp_rate=2.0)
-    h0, _ = recovery_rate(committed, rp, dp, base_fleet, fns, 1)
+    h0, _ = recovery_rate(committed, rp, dp, base_fleet, 1)
     bigger = one_unit_fleet(no_load_cost=6.0, start_cost_hot=70.0)
-    h1, _ = recovery_rate(committed, rp, dp, bigger, fns, 1)
-    h2, _ = recovery_rate(committed, rp * 2, dp, base_fleet, fns, 1)
-    h3, _ = recovery_rate(committed, rp, dp * 3, base_fleet, fns, 1)
+    h1, _ = recovery_rate(committed, rp, dp, bigger, 1)
+    h2, _ = recovery_rate(committed, rp * 2, dp, base_fleet, 1)
+    h3, _ = recovery_rate(committed, rp, dp * 3, base_fleet, 1)
     assert h1 > h0 and h2 > h0 and h3 > h0
 
 
@@ -191,15 +188,6 @@ def test_deviation_cost_is_plain_difference():
     assert deviation_cost(1263.0, 1263.0) == 0.0
     assert deviation_cost(1000.0, 900.0) == 100.0
     assert deviation_cost(900.0, 1000.0) == -100.0  # sign preserved
-
-
-def test_recovery_payout_mode_credits_uplift():
-    fleet = one_unit_fleet(ask_price=10.0)
-    committed = np.array([[100.0]])
-    lmps = np.array([[20.0]])
-    literal, _ = expected_profit(committed, lmps, 2.0, 1, fleet)
-    paid, _ = expected_profit(committed, lmps, 2.0, 1, fleet, recovery_payout=True)
-    assert paid == pytest.approx(literal + 100.0 * 2.0)
 
 
 # ---------------------------------------------------------------------------
