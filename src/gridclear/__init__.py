@@ -14,8 +14,7 @@ from .dcopf import (NetworkKktReport, OpfSolution, kkt_verify_network,
 from .errors import (ConfigurationError, FleetParseError, GridClearError,
                      InfeasibleDispatchError)
 from .experiment import (PointResult, RunConfig, emit_csv, evaluate_point,
-                         load_fleet, run_alpha_sweep, run_penetration_sweep,
-                         scenario_config, settlement_row)
+                         load_fleet, point_row, run_grid, scenario_config)
 from .merit_order import (DispatchResult, Fleet, GeneratorSpec, KktReport,
                           Regime, backdown_feasibility, builtin_fleet, commit,
                           commit_batch, fleet_from_csv, kkt_residuals,
@@ -37,7 +36,7 @@ __all__ = [
     "NetworkKktReport", "OpfSolution", "kkt_verify_network", "solve_deterministic",
     "ConfigurationError", "FleetParseError", "GridClearError", "InfeasibleDispatchError",
     "PointResult", "RunConfig", "emit_csv", "evaluate_point", "load_fleet",
-    "run_alpha_sweep", "run_penetration_sweep", "scenario_config", "settlement_row",
+    "point_row", "run_grid", "scenario_config",
     "DispatchResult", "Fleet", "GeneratorSpec", "KktReport", "Regime",
     "backdown_feasibility", "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
     "kkt_residuals", "validate_assumptions",

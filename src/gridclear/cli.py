@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 infeasible dispatch.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -13,9 +14,7 @@ import click
 from .errors import ConfigurationError, InfeasibleDispatchError
 from .experiment import (ALPHA_SWEEP_COLUMNS, ALPHA_SWEEP_PENETRATION,
                          PENETRATION_SWEEP_ALPHA, PENETRATION_SWEEP_COLUMNS,
-                         SETTLEMENT_COLUMNS, RunConfig, emit_csv, evaluate_point,
-                         generate_scenarios, load_fleet, run_alpha_sweep,
-                         run_penetration_sweep, scenario_config, settlement_row)
+                         SETTLEMENT_COLUMNS, RunConfig, emit_csv, point_row, run_grid)
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -89,15 +88,33 @@ def _build_config(alphas, penetrations, capacity_mode, **kw) -> RunConfig:
     return run
 
 
-def _run_guarded(fn):
+def _run_grid(run: RunConfig, diagnostics: list[str] | None = None):
+    """``run_grid`` with a fatal error turned into its exit code."""
     try:
-        return fn()
+        return run_grid(run, diagnostics)
     except InfeasibleDispatchError as exc:
         click.echo(f"infeasible dispatch: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
     except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+
+
+def _sweep(run: RunConfig, csv_name: str, columns) -> None:
+    """Run the grid, report each skipped point and write one row per point."""
+    diagnostics: list[str] = []
+    points = _run_grid(run, diagnostics)
+    for msg in diagnostics:
+        click.echo(f"skipped: {msg}", err=True)
+    rows = [point_row(run, point) for point in points]
+    path = emit_csv(rows, Path(run.out_dir) / csv_name, columns)
+    click.echo(f"wrote {path} ({len(rows)} rows)")
+
+
+def _single_point(run: RunConfig):
+    """The grid's first (alpha, penetration) point; its failure is fatal."""
+    one = replace(run, alphas=run.alphas[:1], penetrations=run.penetrations[:1])
+    return _run_grid(one)[0]
 
 
 @click.group()
@@ -115,12 +132,8 @@ def sweep_alpha(alpha, penetration, **kw):
     """Sweep the reliability level at a fixed renewable penetration."""
     run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
                         capacity_mode="tracking", **kw)
-    diagnostics: list[str] = []
-    rows = _run_guarded(lambda: run_alpha_sweep(run, diagnostics))
-    for msg in diagnostics:
-        click.echo(f"skipped: {msg}", err=True)
-    path = emit_csv(rows, Path(run.out_dir) / "alpha_sweep.csv", ALPHA_SWEEP_COLUMNS)
-    click.echo(f"wrote {path} ({len(rows)} rows)")
+    _sweep(replace(run, penetrations=run.penetrations[:1]), "alpha_sweep.csv",
+           ALPHA_SWEEP_COLUMNS)
 
 
 @main.command("sweep-penetration")
@@ -133,19 +146,8 @@ def sweep_penetration(alpha, penetration, **kw):
     """Sweep the renewable penetration at a fixed reliability level."""
     run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
                         capacity_mode="buildout", **kw)
-    diagnostics: list[str] = []
-    rows = _run_guarded(lambda: run_penetration_sweep(run, diagnostics))
-    for msg in diagnostics:
-        click.echo(f"skipped: {msg}", err=True)
-    path = emit_csv(rows, Path(run.out_dir) / "penetration_sweep.csv",
-                    PENETRATION_SWEEP_COLUMNS)
-    click.echo(f"wrote {path} ({len(rows)} rows)")
-
-
-def _single_point(run: RunConfig):
-    fleet = load_fleet(run.fleet_source)
-    sset = generate_scenarios(scenario_config(run, run.penetrations[0]))
-    return evaluate_point(fleet, run, sset, run.alphas[0], run.penetrations[0])
+    _sweep(replace(run, alphas=run.alphas[:1]), "penetration_sweep.csv",
+           PENETRATION_SWEEP_COLUMNS)
 
 
 @main.command("dispatch")
@@ -156,7 +158,7 @@ def dispatch_cmd(alpha, penetration, **kw):
     """Commit the fleet once and write the per-unit dispatch."""
     run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
                         capacity_mode="tracking", **kw)
-    point = _run_guarded(lambda: _single_point(run))
+    point = _single_point(run)
     rows = []
     for i, gen in enumerate(point.fleet.generators):
         rows.append({
@@ -179,9 +181,9 @@ def settle_cmd(alpha, penetration, **kw):
     """Run one full market settlement and write the settlement summary."""
     run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
                         capacity_mode="tracking", **kw)
-    point = _run_guarded(lambda: _single_point(run))
-    rows = [settlement_row(run, point)]
-    path = emit_csv(rows, Path(run.out_dir) / "settlement.csv", SETTLEMENT_COLUMNS)
+    point = _single_point(run)
+    path = emit_csv([point_row(run, point)], Path(run.out_dir) / "settlement.csv",
+                    SETTLEMENT_COLUMNS)
     for msg in point.settlement.violations:
         click.echo(f"note: {msg}", err=True)
     click.echo(f"wrote {path}")

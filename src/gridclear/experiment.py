@@ -1,10 +1,14 @@
-"""End-to-end runs and sweep harness: scenarios -> commitment -> settlement.
+"""End-to-end runs on the (penetration, alpha) grid: scenarios -> commitment -> settlement.
 
-A point evaluation generates (or reuses) a scenario set, commits the fleet
-against the CVaR of the aggregate net load, re-dispatches every scenario at
-its realized net load with the committed prices held fixed, and settles.
-Sweeps evaluate a grid of confidence levels or penetration levels and emit
-deterministic CSV files (identical config and seed give identical bytes).
+A point evaluation takes a level's scenario set, commits the fleet against
+the CVaR of the aggregate net load, re-dispatches every scenario at its
+realized net load with the committed prices held fixed, and settles.
+``run_grid`` is the one loop over grid points: both sweeps and the
+single-point commands are runs of it on differently shaped grids.  A
+skipped level or point names its coordinates (``penetration=0.3: ...`` or
+``alpha=0.9, penetration=0.3: ...``).  ``point_row`` turns a point into one
+CSV row holding every grid column, and ``emit_csv`` writes the columns a
+file needs (identical config and seed give identical bytes).
 
 Default experiment shape: three load buses, a reference fleet, and renewable
 capacity sized by one of two policies.  ``tracking`` builds just enough
@@ -77,10 +81,15 @@ class RunConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigurationError(f"confidence level {a} outside (0, 1)")
-        for p in self.penetrations:
-            if not 0.0 <= p < np.inf:
-                raise ConfigurationError(f"penetration {p} must be non-negative and finite")
-        for name in ("horizon", "n_scenarios"):
+        # what ScenarioConfig would reject at every penetration level
+        for name, values in (("penetration", self.penetrations),
+                             ("load mean", self.load_mean_per_bus),
+                             ("load_std_frac", (self.load_std_frac,)),
+                             ("uncertainty_growth", (self.uncertainty_growth,))):
+            for v in values:
+                if not 0.0 <= v < np.inf:
+                    raise ConfigurationError(f"{name} {v} must be non-negative and finite")
+        for name in ("horizon", "n_scenarios", "n_buses"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} {getattr(self, name)} must be at least 1")
         if self.seed < 0:
@@ -246,85 +255,61 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
                        report, point_fleet)
 
 
-def run_alpha_sweep(run: RunConfig, diagnostics: list[str] | None = None) -> list[dict]:
-    """One row per confidence level at a fixed penetration (the grid's first entry).
+def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[PointResult]:
+    """Evaluate every (penetration, alpha) point of the run's grid, penetration-major.
 
-    Scenarios are generated once and shared across the grid.  A grid point
-    whose dispatch is infeasible contributes a diagnostic instead of a row.
+    The fleet is loaded once, and each penetration level draws its scenarios
+    once and shares them across the confidence levels (every level reuses
+    the seed, so the grid shares common random numbers).  With a diagnostics
+    list, a level whose scenarios cannot be drawn or a point whose dispatch
+    is infeasible is skipped and a message naming its coordinates appended;
+    without one the first failure is raised.
     """
     fleet = load_fleet(run.fleet_source)
-    penetration = run.penetrations[0]
-    sset = generate_scenarios(scenario_config(run, penetration))
-    rows = []
-    for alpha in run.alphas:
-        try:
-            point = evaluate_point(fleet, run, sset, alpha, penetration)
-        except InfeasibleDispatchError as exc:
-            if diagnostics is not None:
-                diagnostics.append(f"alpha={alpha}: {exc}")
-            continue
-        s = point.settlement
-        rows.append({
-            "alpha": alpha,
-            "committed_mw": point.committed_total,
-            "price": point.price,
-            "R": s.expected_profit,
-            "R_tilde": s.realized_profit,
-            "H": s.h_total,
-            "lambda_w": s.lambda_w,
-        })
-    return rows
-
-
-def run_penetration_sweep(run: RunConfig, diagnostics: list[str] | None = None) -> list[dict]:
-    """One row per penetration level at a fixed confidence (the alpha grid's first entry).
-
-    Each level regenerates scenarios from the same seed, so the sweep shares
-    common random numbers across the grid.
-    """
-    fleet = load_fleet(run.fleet_source)
-    alpha = run.alphas[0]
-    rows = []
+    if run.line_limit is not None and run.n_buses > len(fleet):
+        raise ConfigurationError(f"a feeder of {run.n_buses} buses needs {run.n_buses} "
+                                 f"units, but the fleet has {len(fleet)}")
+    points = []
     for penetration in run.penetrations:
         try:
             sset = generate_scenarios(scenario_config(run, penetration))
-            point = evaluate_point(fleet, run, sset, alpha, penetration)
-        except (ConfigurationError, InfeasibleDispatchError) as exc:
-            if diagnostics is not None:
-                diagnostics.append(f"penetration={penetration}: {exc}")
+        except ConfigurationError as exc:
+            if diagnostics is None:
+                raise
+            diagnostics.append(f"penetration={penetration}: {exc}")
             continue
-        s = point.settlement
-        rows.append({
-            "penetration": penetration,
-            "committed_mw": point.committed_total,
-            "price": point.price,
-            "deviation_cost": s.deviation_cost,
-            "renewable_profit": s.renewable_revenue,
-            "lambda_w": s.lambda_w,
-        })
-    return rows
+        for alpha in run.alphas:
+            try:
+                points.append(evaluate_point(fleet, run, sset, alpha, penetration))
+            except InfeasibleDispatchError as exc:
+                if diagnostics is None:
+                    raise
+                diagnostics.append(f"alpha={alpha}, penetration={penetration}: {exc}")
+    return points
 
 
-def settlement_row(run: RunConfig, point: PointResult) -> dict:
+def point_row(run: RunConfig, point: PointResult) -> dict:
+    """Every column any grid CSV writes; ``emit_csv`` keeps its own."""
     s = point.settlement
     return {
         "run_id": run.seed,
         "alpha": point.alpha,
         "penetration": point.penetration,
         "CR": run.cost_recovery,
+        "committed_mw": point.committed_total,
+        "price": point.price,
         "H": s.h_total,
         "lambda_w": s.lambda_w,
         "R": s.expected_profit,
         "R_tilde": s.realized_profit,
         "deviation_cost": s.deviation_cost,
         "renewable_revenue": s.renewable_revenue,
+        "renewable_profit": s.renewable_revenue,
         "curtailed_mwh": s.curtailed_mwh,
     }
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -333,11 +318,10 @@ def _format_cell(value) -> str:
 
 
 def emit_csv(rows: list[dict], path, columns) -> Path:
-    """Write rows with a fixed column order; byte-deterministic for fixed input."""
+    """Write the given columns of each row in a fixed order; byte-deterministic."""
     path = Path(path)
     for row in rows:
-        missing = set(columns) - set(row)
-        if missing or set(row) - set(columns):
+        if set(columns) - set(row):
             raise ConfigurationError(f"row schema mismatch: {sorted(row)} vs {list(columns)}")
     with path.open("w", newline="") as fh:
         fh.write(",".join(columns) + "\n")

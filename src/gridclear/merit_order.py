@@ -397,23 +397,32 @@ _FLEET_HEADER = ["name", "ask_price", "p_min", "p_max", "rp_max", "ramp_max",
                  "hot_start", "cold_start", "no_load_cost"]
 
 
+def _numbered_rows(fh):
+    """Yield (first physical line, fields) per CSV record; a quoted newline spans lines."""
+    reader = csv.reader(fh)
+    start = 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
+
+
 def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
     """Load a fleet file and validate it; rows are sorted by ask price."""
     path = Path(path)
     gens = []
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = list(_numbered_rows(fh))
     except OSError as exc:
         raise FleetParseError(f"{path}: cannot read fleet file: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise FleetParseError(f"{path}: fleet file is not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise FleetParseError(f"{path}: empty fleet file", line_number=1)
-    if [h.strip() for h in rows[0]] != _FLEET_HEADER:
+    if [h.strip() for h in rows[0][1]] != _FLEET_HEADER:
         raise FleetParseError(
             f"{path}: expected header {','.join(_FLEET_HEADER)}", line_number=1)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(_FLEET_HEADER):

@@ -16,12 +16,16 @@ from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
                        cvar_direct, cvar_rockafellar, dispatch_radial, emit_csv,
                        evaluate_point, generate_scenarios, kkt_residuals,
                        kkt_verify_network, backdown_feasibility, load_fleet, net_load,
-                       recovery_rate, run_alpha_sweep, run_penetration_sweep,
-                       scenario_config, solve_deterministic, var)
+                       point_row, recovery_rate, run_grid, scenario_config,
+                       solve_deterministic, var)
 from gridclear.experiment import ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS
 
 from test_merit_order import enumeration_oracle, random_fleet
 from test_risk import bound_gap, rockafellar_grid_oracle, tail_expectation_oracle
+
+
+def grid_rows(run):
+    return [point_row(run, point) for point in run_grid(run)]
 
 
 @contextmanager
@@ -208,7 +212,7 @@ def test_criterion_7_trend_reproduction():
         start = time.monotonic()
         alpha_run = RunConfig(capacity_mode="tracking", penetrations=(0.009,),
                               alphas=(0.5, 0.6, 0.7, 0.8, 0.9, 0.99))
-        alpha_rows = run_alpha_sweep(alpha_run)
+        alpha_rows = grid_rows(alpha_run)
         assert len(alpha_rows) == 6
         committed = [r["committed_mw"] for r in alpha_rows]
         price = [r["price"] for r in alpha_rows]
@@ -220,7 +224,7 @@ def test_criterion_7_trend_reproduction():
         assert all(b >= a - 1e-9 for a, b in zip(uplift, uplift[1:]))
 
         pen_run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
-        pen_rows = run_penetration_sweep(pen_run)
+        pen_rows = grid_rows(pen_run)
         assert len(pen_rows) == 11
         pen_committed = [r["committed_mw"] for r in pen_rows]
         pen_price = [r["price"] for r in pen_rows]
@@ -266,17 +270,16 @@ def test_criterion_8_settlement_identities():
 def test_criterion_9_deterministic_csv(tmp_path):
     with criterion(9, "identical config and seed give bit-identical CSV files"):
         run = RunConfig(capacity_mode="buildout", alphas=(0.95,), seed=13)
-        rows_a = run_penetration_sweep(run)
-        rows_b = run_penetration_sweep(RunConfig(capacity_mode="buildout",
-                                                 alphas=(0.95,), seed=13))
+        rows_a = grid_rows(run)
+        rows_b = grid_rows(RunConfig(capacity_mode="buildout", alphas=(0.95,), seed=13))
         pa = emit_csv(rows_a, tmp_path / "a.csv", PENETRATION_SWEEP_COLUMNS)
         pb = emit_csv(rows_b, tmp_path / "b.csv", PENETRATION_SWEEP_COLUMNS)
         assert pa.read_bytes() == pb.read_bytes()
 
-        alpha_a = run_alpha_sweep(RunConfig(capacity_mode="tracking",
-                                            penetrations=(0.009,), seed=13))
-        alpha_b = run_alpha_sweep(RunConfig(capacity_mode="tracking",
-                                            penetrations=(0.009,), seed=13))
+        alpha_a = grid_rows(RunConfig(capacity_mode="tracking",
+                                      penetrations=(0.009,), seed=13))
+        alpha_b = grid_rows(RunConfig(capacity_mode="tracking",
+                                      penetrations=(0.009,), seed=13))
         qa = emit_csv(alpha_a, tmp_path / "qa.csv", ALPHA_SWEEP_COLUMNS)
         qb = emit_csv(alpha_b, tmp_path / "qb.csv", ALPHA_SWEEP_COLUMNS)
         assert qa.read_bytes() == qb.read_bytes()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec, RunConfig,
-                       aggregate_net_load, committed_requirement, emit_csv,
-                       generate_scenarios, load_fleet, run_alpha_sweep,
-                       run_penetration_sweep, scenario_config)
+from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec,
+                       InfeasibleDispatchError, RunConfig, aggregate_net_load,
+                       committed_requirement, emit_csv, generate_scenarios, load_fleet,
+                       point_row, run_grid, scenario_config)
 from gridclear.cli import main
 from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
                                   derive_capacity)
@@ -63,6 +63,17 @@ def test_fleet_malformed_row_names_line(tmp_path):
     with pytest.raises(FleetParseError) as err:
         load_fleet(str(path))
     assert err.value.line_number == 3
+
+
+def test_fleet_error_names_physical_line_after_quoted_newline(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
+        'a,"5\n",0,100,100,100,0,0,0\n'
+        "b,oops,0,100,100,100,0,0,0\n")
+    with pytest.raises(FleetParseError, match=f"^{path}:4: could not convert") as err:
+        load_fleet(str(path))
+    assert err.value.line_number == 4
 
 
 def test_fleet_not_utf8_is_parse_error(tmp_path):
@@ -127,9 +138,13 @@ def test_capacity_modes():
 # sweeps
 
 
+def grid_rows(run, diagnostics=None):
+    return [point_row(run, point) for point in run_grid(run, diagnostics)]
+
+
 def test_alpha_sweep_monotone_committed():
     run = RunConfig(capacity_mode="tracking", penetrations=(0.009,))
-    rows = run_alpha_sweep(run)
+    rows = grid_rows(run)
     assert len(rows) == len(run.alphas)
     committed = [r["committed_mw"] for r in rows]
     assert all(b >= a for a, b in zip(committed, committed[1:]))
@@ -138,7 +153,7 @@ def test_alpha_sweep_monotone_committed():
 def test_alpha_sweep_deterministic_load_rows_identical():
     run = RunConfig(capacity_mode="tracking", penetrations=(0.0,),
                     load_std_frac=0.0, alphas=(0.5, 0.9))
-    rows = run_alpha_sweep(run)
+    rows = grid_rows(run)
     a, b = rows
     assert all(a[k] == b[k] for k in a if k != "alpha")
 
@@ -146,14 +161,14 @@ def test_alpha_sweep_deterministic_load_rows_identical():
 def test_alpha_sweep_committed_meets_requirement():
     run = RunConfig(capacity_mode="tracking", penetrations=(0.009,))
     sset = generate_scenarios(scenario_config(run, 0.009))
-    for row in run_alpha_sweep(run):
+    for row in grid_rows(run):
         sample = aggregate_net_load(sset, 0)
         assert committed_requirement(sample, row["alpha"], row["committed_mw"]) == 0.0
 
 
 def test_penetration_sweep_committed_meets_requirement():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
-    for row in run_penetration_sweep(run):
+    for row in grid_rows(run):
         sset = generate_scenarios(scenario_config(run, row["penetration"]))
         sample = aggregate_net_load(sset, 0)
         assert committed_requirement(sample, 0.95, row["committed_mw"]) == 0.0
@@ -198,7 +213,7 @@ def test_evaluate_point_builds_envelopes_once(monkeypatch, line_limit, load_mean
 
 def test_penetration_sweep_zero_point_matches_load_tail():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
-    rows = run_penetration_sweep(run)
+    rows = grid_rows(run)
     sset = generate_scenarios(scenario_config(run, 0.0))
     from gridclear import cvar_direct
     want = cvar_direct(aggregate_net_load(sset, 0), 0.95)
@@ -207,15 +222,15 @@ def test_penetration_sweep_zero_point_matches_load_tail():
 
 def test_penetration_sweep_no_uncertainty_monotone():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,), uncertainty_growth=0.0)
-    rows = run_penetration_sweep(run)
+    rows = grid_rows(run)
     committed = [r["committed_mw"] for r in rows]
     assert all(b <= a + 1e-9 for a, b in zip(committed, committed[1:]))
 
 
 def test_sweep_rows_are_deterministic():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
-    a = run_penetration_sweep(run)
-    b = run_penetration_sweep(run)
+    a = grid_rows(run)
+    b = grid_rows(run)
     assert a == b
 
 
@@ -228,8 +243,26 @@ def test_infeasible_point_becomes_diagnostic(tmp_path):
     run = RunConfig(fleet_source=str(path), capacity_mode="tracking",
                     penetrations=(0.0,), alphas=(0.5, 0.9))
     notes: list[str] = []
-    rows = run_alpha_sweep(run, diagnostics=notes)
+    rows = grid_rows(run, diagnostics=notes)
     assert rows == [] and len(notes) == 2
+    assert notes[0].startswith("alpha=0.5, penetration=0.0: ")
+    assert notes[1].startswith("alpha=0.9, penetration=0.0: ")
+    # without a diagnostics list the first infeasible point is raised
+    with pytest.raises(InfeasibleDispatchError) as err:
+        run_grid(run)
+    assert notes[0] == f"alpha=0.5, penetration=0.0: {err.value}"
+
+
+def test_grid_skips_undrawable_level_and_keeps_the_rest():
+    # buildout capacity is 1.1x the mean load, so a penetration of 2 cannot be drawn
+    run = RunConfig(capacity_mode="buildout", alphas=(0.95, 0.5),
+                    penetrations=(0.5, 2.0), n_scenarios=20)
+    notes: list[str] = []
+    points = run_grid(run, diagnostics=notes)
+    assert [(p.penetration, p.alpha) for p in points] == [(0.5, 0.95), (0.5, 0.5)]
+    with pytest.raises(ConfigurationError) as err:
+        run_grid(run)
+    assert notes == [f"penetration=2.0: {err.value}"]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +394,16 @@ def test_cli_negative_dimension_is_config_error(flag, field, tmp_path):
     result = CliRunner().invoke(main, ["settle", flag, "-1", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert result.output == f"configuration error: {field} -1 must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["dispatch", "settle", "sweep-penetration"])
+def test_cli_feeder_larger_than_fleet_is_config_error(tmp_path, command):
+    result = CliRunner().invoke(main, [command, "--line-limit", "80",
+                                       "--load-mean", ",".join(["10"] * 8),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == ("configuration error: a feeder of 8 buses needs 8 units, "
+                             "but the fleet has 7\n")
 
 
 def test_cli_infeasible_single_run_exits_3(tmp_path):

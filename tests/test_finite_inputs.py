@@ -113,3 +113,31 @@ def test_cli_non_finite_penetration_is_config_error(tmp_path, argv, bad):
     assert result.exit_code == 2
     assert result.output == (f"configuration error: penetration {bad} must be "
                              f"non-negative and finite\n")
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("load_mean_per_bus", (100.0, -5.0, 10.0)), ("load_mean_per_bus", (100.0, np.nan, 10.0)),
+    ("load_std_frac", -0.1), ("load_std_frac", np.inf),
+    ("uncertainty_growth", -0.1), ("uncertainty_growth", np.nan),
+])
+def test_run_config_rejects_what_every_level_would_reject(field, bad):
+    with pytest.raises(ConfigurationError, match="must be non-negative and finite$"):
+        RunConfig(**{field: bad})
+
+
+def test_run_config_rejects_no_buses():
+    with pytest.raises(ConfigurationError, match="^n_buses 0 must be at least 1$"):
+        RunConfig(n_buses=0, load_mean_per_bus=())
+
+
+@pytest.mark.parametrize("command", ["sweep-alpha", "sweep-penetration", "dispatch", "settle"])
+@pytest.mark.parametrize("bad", ["-5", "nan"])
+def test_cli_bad_load_mean_is_config_error(tmp_path, command, bad):
+    # one bad bus load is fatal to the run, not a skip per penetration level
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--load-mean", f"{bad},10,10",
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: load mean {float(bad)} must be "
+                             "non-negative and finite\n")
+    assert not out.exists()

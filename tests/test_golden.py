@@ -14,6 +14,9 @@ them (or say why the numbers moved).  Each run exercises different code:
   output and price of each clearing path
 - an alpha sweep over four hours: the cost-recovery total H (start-up,
   reserve and ramp costs) and both profits, R and R_tilde
+- the flags whose first value alone is used (a sweep's fixed axis, and both
+  axes of settle): a second value must not change a byte, so these digests
+  equal those of the one-value runs above or of settle at its defaults
 """
 
 import hashlib
@@ -50,6 +53,19 @@ GOLDEN = {
         ["sweep-alpha", "--horizon", "4"],
         "alpha_sweep.csv",
         "6a3a588b9739d976e54d5c20383408a96c674ac44c571e419ce2f5b75922e2b8"),
+    "sweep-alpha-two-penetrations": (
+        ["sweep-alpha", "--horizon", "4", "--penetration", "0.009,0.5"],
+        "alpha_sweep.csv",
+        "6a3a588b9739d976e54d5c20383408a96c674ac44c571e419ce2f5b75922e2b8"),
+    "sweep-penetration-two-alphas": (
+        ["sweep-penetration", "--horizon", "4", "--scenarios", "40",
+         "--load-mean", "120,100,90,80,70,60", "--alpha", "0.95,0.5"],
+        "penetration_sweep.csv",
+        "91b293975321e698a8aa2395f8d2ad14371ed957df1ec729121ad69b68b52428"),
+    "settle-two-alphas": (
+        ["settle", "--alpha", "0.9,0.5"],
+        "settlement.csv",
+        "99d82699ab5b9520f01641395afaccb1fc8aa644b850a30ce76d8300a7085d46"),
 }
 
 
