@@ -31,7 +31,7 @@ from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
 from .risk import cvar_direct
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
-                        generate_scenarios, net_load, suffix_net_load)
+                        build_scenarios, draw_loads, net_load, suffix_net_load)
 from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
                          deviation_envelopes, expected_profit, realized_profit,
                          recovery_rate, reserve_and_ramp_check)
@@ -258,21 +258,25 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
 def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[PointResult]:
     """Evaluate every (penetration, alpha) point of the run's grid, penetration-major.
 
-    The fleet is loaded once, and each penetration level draws its scenarios
-    once and shares them across the confidence levels (every level reuses
-    the seed, so the grid shares common random numbers).  With a diagnostics
-    list, a level whose scenarios cannot be drawn or a point whose dispatch
-    is infeasible is skipped and a message naming its coordinates appended;
-    without one the first failure is raised.
+    The fleet is loaded and the loads and weather uniforms are drawn once
+    per grid; only the renewable half of the scenarios is built per
+    penetration level, and each level's set is shared across the confidence
+    levels.  So every point sees the same load array and the same weather
+    draw (common random numbers).  With a diagnostics list, a level whose
+    renewables cannot be built or a point whose dispatch is infeasible is
+    skipped and a message naming its coordinates appended; without one the
+    first failure is raised.
     """
     fleet = load_fleet(run.fleet_source)
     if run.line_limit is not None and run.n_buses > len(fleet):
         raise ConfigurationError(f"a feeder of {run.n_buses} buses needs {run.n_buses} "
                                  f"units, but the fleet has {len(fleet)}")
+    # the load half reads no penetration, so any level's config draws it
+    draws = draw_loads(scenario_config(run, 0.0))
     points = []
     for penetration in run.penetrations:
         try:
-            sset = generate_scenarios(scenario_config(run, penetration))
+            sset = build_scenarios(scenario_config(run, penetration), draws)
         except ConfigurationError as exc:
             if diagnostics is None:
                 raise

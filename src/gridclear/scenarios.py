@@ -12,6 +12,15 @@ on the hour: each hour takes one Beta quantile per scenario, shared by all
 buses and scaled by each bus's capacity.  Load quantiles are drawn one hour
 at a time over (bus, scenario).
 
+Generation has two halves.  ``draw_loads`` draws the uniforms (``u_load``
+then ``u_weather``, in that order from one generator seeded by the config)
+and turns ``u_load`` into loads; none of it depends on the penetration.
+``build_scenarios`` turns ``u_weather`` into one level's renewable output and
+pairs it with those loads.  ``generate_scenarios`` is the two in sequence.
+A penetration sweep draws the loads once and builds every level from them,
+so all levels share one read-only load array and one weather draw: the
+common random numbers are structural, not a side effect of reseeding.
+
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
 start-up, is never loaded.  The Beta quantile is ``betaincinv(a, b, u)``,
@@ -28,7 +37,8 @@ this.  The call shape matters: numpy's SIMD ``log`` may round the head and
 tail lanes of an array differently, so the calls are not regrouped.
 
 Everything is a pure, deterministic function of the config (seed included);
-scenario sets are immutable and safe to share across workers.
+the arrays of a scenario set are read-only, so sets that share them are safe
+to hand to any number of grid points.
 """
 
 from __future__ import annotations
@@ -94,11 +104,22 @@ class ScenarioConfig:
             raise ConfigurationError("uncertainty_growth must be non-negative")
 
 
+def _frozen(name: str, value) -> np.ndarray:
+    """A read-only float view of ``value``; rejects NaN and infinities by name."""
+    array = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ConfigurationError(f"{name} must be finite")
+    array = array.view()
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """K equiprobable joint trajectories of load and renewable output.
 
-    load and renewable have shape (n_buses, horizon, n_scenarios).
+    load and renewable have shape (n_buses, horizon, n_scenarios); every
+    array is stored read-only, since the levels of a sweep share ``load``.
     """
 
     probabilities: np.ndarray
@@ -106,7 +127,9 @@ class ScenarioSet:
     renewable: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
+        for name in ("probabilities", "load", "renewable"):
+            object.__setattr__(self, name, _frozen(name, getattr(self, name)))
+        probs = self.probabilities
         if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ConfigurationError("scenario probabilities must be positive and sum to 1")
         if self.load.shape != self.renewable.shape or self.load.ndim != 3:
@@ -157,16 +180,26 @@ def _truncnorm_ppf(q, loc, scale):
     return out
 
 
-def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
-    """Draw the scenario set for ``config``; bit-identical for equal configs.
+@dataclass(frozen=True)
+class LoadDraws:
+    """The penetration-free half of a scenario set: loads and weather uniforms.
 
-    Raises ConfigurationError when the requested penetration asks for more
-    mean renewable output than the installed capacity can carry, naming the
-    first hour whose system-wide share is infeasible.
+    load: (n_buses, horizon, n_scenarios) MW; u_weather: (n_scenarios,
+    horizon) uniforms, one per (scenario, hour), shared by every bus's
+    renewable draw.  Both are read-only.  ``config`` is the config they were
+    drawn for; any level whose seed and load process match it may use them.
     """
+
+    config: ScenarioConfig
+    load: np.ndarray
+    u_weather: np.ndarray
+
+
+def draw_loads(config: ScenarioConfig) -> LoadDraws:
+    """Draw the uniforms and the loads of ``config``; the penetration is not read."""
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
     rng = np.random.default_rng(config.seed)
-    # draw order is fixed so penetration sweeps share common random numbers
+    # u_load before u_weather: the draw order fixes every scenario's bits
     u_load = rng.random((k, n, t_len))
     u_weather = rng.random((k, t_len))
 
@@ -180,7 +213,26 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
         if drawn.any():
             loc, scale = m[drawn, None], s[drawn, None]
             load[drawn, t, :] = _truncnorm_ppf(u_load[:, drawn, t].T, loc, scale)
+    load.flags.writeable = False
+    u_weather.flags.writeable = False
+    return LoadDraws(config, load, u_weather)
 
+
+def build_scenarios(config: ScenarioConfig, draws: LoadDraws) -> ScenarioSet:
+    """One penetration level's scenario set, built on loads drawn by ``draw_loads``.
+
+    Raises ConfigurationError when ``draws`` were made for another seed,
+    scenario count or load process, or when the requested penetration asks
+    for more mean renewable output than the installed capacity can carry,
+    naming the first hour whose system-wide share is infeasible.
+    """
+    drawn_for = draws.config
+    if (drawn_for.seed != config.seed or drawn_for.n_scenarios != config.n_scenarios
+            or not np.array_equal(drawn_for.load_mean, config.load_mean)
+            or not np.array_equal(drawn_for.load_std, config.load_std)):
+        raise ConfigurationError("the load draws were made for another seed, "
+                                 "scenario count or load process")
+    n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
     cap = config.renewable_capacity
     cap_total = cap.sum()
     sited = cap > 0.0
@@ -208,11 +260,21 @@ def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
             renewable[sited, t, :] = (mu * cap[sited])[:, None]
             continue
         a, b = _beta_shape(mu, sigma_hat)
-        renewable[sited, t, :] = cap[sited, None] * special.betaincinv(a, b, u_weather[:, t])
+        renewable[sited, t, :] = cap[sited, None] * special.betaincinv(
+            a, b, draws.u_weather[:, t])
 
     np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
     probs = np.full(k, 1.0 / k)
-    return ScenarioSet(probs, load, renewable)
+    return ScenarioSet(probs, draws.load, renewable)
+
+
+def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
+    """Draw the scenario set for ``config``; bit-identical for equal configs.
+
+    The load half and the renewable half in sequence; raises what
+    ``build_scenarios`` raises.
+    """
+    return build_scenarios(config, draw_loads(config))
 
 
 def _check_index(value: int, bound: int, what: str) -> int:

@@ -156,8 +156,9 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
     """Scenario-expected profit on the power actually sold at committed prices."""
     realized = np.asarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
-    if abs(psi.sum() - 1.0) > 1e-9 or np.any(psi < 0.0):
-        raise ValueError("scenario probabilities must be non-negative and sum to 1")
+    if (not np.all(np.isfinite(psi)) or abs(psi.sum() - 1.0) > 1e-9
+            or np.any(psi < 0.0)):
+        raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
     prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
     margin = prices[None, :, :] - fleet.production_cost_rates[None, None, :]
     per_gen = np.einsum("k,kti->i", psi, realized * margin)

@@ -1,5 +1,7 @@
 """Harness behaviour: fleet IO, sweeps, CSV determinism, CLI exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -254,15 +256,61 @@ def test_infeasible_point_becomes_diagnostic(tmp_path):
 
 
 def test_grid_skips_undrawable_level_and_keeps_the_rest():
-    # buildout capacity is 1.1x the mean load, so a penetration of 2 cannot be drawn
+    # buildout capacity is 1.1x the mean load, so a penetration of 2 cannot be
+    # drawn; the levels on either side keep the rows they have when run alone
     run = RunConfig(capacity_mode="buildout", alphas=(0.95, 0.5),
-                    penetrations=(0.5, 2.0), n_scenarios=20)
+                    penetrations=(0.0, 2.0, 0.5), n_scenarios=20)
     notes: list[str] = []
-    points = run_grid(run, diagnostics=notes)
-    assert [(p.penetration, p.alpha) for p in points] == [(0.5, 0.95), (0.5, 0.5)]
+    rows = grid_rows(run, diagnostics=notes)
+    assert [(r["penetration"], r["alpha"]) for r in rows] == [
+        (0.0, 0.95), (0.0, 0.5), (0.5, 0.95), (0.5, 0.5)]
+    alone = [row for penetration in (0.0, 0.5)
+             for row in grid_rows(dataclasses.replace(run, penetrations=(penetration,)))]
+    assert rows == alone
+    assert len(notes) == 1 and notes[0].startswith("penetration=2.0: hour 0: ")
     with pytest.raises(ConfigurationError) as err:
         run_grid(run)
     assert notes == [f"penetration=2.0: {err.value}"]
+
+
+def test_run_grid_draws_the_loads_once(monkeypatch):
+    import gridclear.experiment as experiment
+    calls = []
+    real = experiment.draw_loads
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(experiment, "draw_loads", counting)
+    run = RunConfig(capacity_mode="buildout", alphas=(0.95, 0.5),
+                    penetrations=(0.0, 0.3, 2.0, 0.6, 1.0), n_scenarios=20)
+    notes: list[str] = []
+    assert len(run_grid(run, diagnostics=notes)) == 8 and len(notes) == 1
+    assert len(calls) == 1
+
+
+def test_grid_levels_share_one_read_only_load_array(monkeypatch):
+    import gridclear.experiment as experiment
+    seen = []
+    real = experiment.evaluate_point
+
+    def recording(fleet, run, sset, alpha, penetration):
+        seen.append(sset)
+        return real(fleet, run, sset, alpha, penetration)
+
+    monkeypatch.setattr(experiment, "evaluate_point", recording)
+    run = RunConfig(capacity_mode="buildout", alphas=(0.95,),
+                    penetrations=(0.0, 0.5, 1.0), n_scenarios=20)
+    run_grid(run)
+    assert len(seen) == 3
+    first, *rest = seen
+    for sset in rest:
+        assert np.array_equal(sset.load, first.load)
+        assert np.shares_memory(sset.load, first.load)
+        assert not np.array_equal(sset.renewable, first.renewable)
+    with pytest.raises(ValueError, match="read-only"):
+        first.load[0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

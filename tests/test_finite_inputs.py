@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
-                       RadialGrid, RunConfig, ScenarioConfig, fleet_from_csv)
+                       RadialGrid, RunConfig, ScenarioConfig, ScenarioSet, fleet_from_csv)
 from gridclear.cli import main
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -80,6 +80,25 @@ def test_scenario_config_rejects_non_finite(n_buses, horizon, name, bad, data):
         fields[name] = bad
     with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
         ScenarioConfig(n_buses=n_buses, horizon=horizon, n_scenarios=4, seed=0, **fields)
+
+
+def test_scenario_set_rejects_nan_probabilities():
+    # NaN fails every comparison, so the positivity and sum checks alone pass it
+    load = np.full((1, 1, 2), 50.0)
+    with pytest.raises(ConfigurationError, match="^probabilities must be finite$"):
+        ScenarioSet(np.array([np.nan, np.nan]), load, np.zeros_like(load))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from(["load", "renewable"]), NON_FINITE, st.data())
+def test_scenario_set_rejects_non_finite_trajectories(n_buses, horizon, k, name, bad, data):
+    arrays = dict(load=np.full((n_buses, horizon, k), 50.0),
+                  renewable=np.full((n_buses, horizon, k), 5.0))
+    index = tuple(data.draw(st.integers(0, d - 1)) for d in arrays[name].shape)
+    arrays[name][index] = bad
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
+        ScenarioSet(np.full(k, 1.0 / k), **arrays)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])

@@ -13,6 +13,7 @@ from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
                        ScenarioSet, aggregate_net_load, committed_upper_bound,
                        cvar_direct, generate_scenarios, net_load, suffix_net_load,
                        write_scenario_csv)
+from gridclear.scenarios import build_scenarios, draw_loads
 
 
 def make_config(**overrides):
@@ -97,6 +98,53 @@ def test_mean_share_matches_penetration():
         target = 0.5 * cfg.load_mean[:, t].sum()
         got = ss.renewable[:, t, :].sum(axis=0).mean()
         assert got == pytest.approx(target, rel=0.03)
+
+
+# -- the load half and the renewable half ---------------------------------
+
+
+def test_levels_built_on_one_load_draw_equal_separate_draws():
+    # one draw_loads serves every penetration level, bit for bit
+    draws = draw_loads(make_config(penetration=0.0))
+    for penetration in (0.0, 0.4, 0.8):
+        cfg = make_config(penetration=penetration)
+        built = build_scenarios(cfg, draws)
+        alone = generate_scenarios(cfg)
+        assert np.array_equal(built.load, alone.load)
+        assert np.array_equal(built.renewable, alone.renewable)
+        assert np.shares_memory(built.load, draws.load)
+
+
+@pytest.mark.parametrize("override", [dict(seed=6), dict(n_scenarios=17),
+                                      dict(load_mean=np.full((3, 2), 101.0)),
+                                      dict(load_std=np.full((3, 2), 9.0)),
+                                      dict(n_buses=2, load_mean=np.full((2, 2), 100.0),
+                                           load_std=np.full((2, 2), 8.0),
+                                           renewable_capacity=np.full(2, 90.0)),
+                                      dict(horizon=3, load_mean=np.full((3, 3), 100.0),
+                                           load_std=np.full((3, 3), 8.0))])
+def test_build_rejects_draws_made_for_another_config(override):
+    draws = draw_loads(make_config())
+    with pytest.raises(ConfigurationError, match="^the load draws were made for another"):
+        build_scenarios(make_config(**override), draws)
+
+
+@pytest.mark.parametrize("name", ["probabilities", "load", "renewable"])
+def test_scenario_set_arrays_are_read_only(name):
+    caller = dict(load=np.full((2, 1, 2), 50.0), renewable=np.full((2, 1, 2), 5.0),
+                  probs=np.array([0.5, 0.5]))
+    for sset in (generate_scenarios(make_config()), manual_set(**caller)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sset, name)[0] = 1.0
+    # the caller's own arrays stay writable
+    assert all(a.flags.writeable for a in caller.values())
+
+
+def test_load_draws_are_read_only():
+    draws = draw_loads(make_config())
+    for array in (draws.load, draws.u_weather):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 # -- net load sample construction -------------------------------------------

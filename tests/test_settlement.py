@@ -167,6 +167,14 @@ def test_realized_profit_requires_normalized_probabilities():
         realized_profit(np.zeros((2, 1, 1)), [0.5, 0.4], np.array([[20.0]]), 0.0, 1, fleet)
 
 
+@pytest.mark.parametrize("psi", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+def test_realized_profit_rejects_non_finite_probabilities(psi):
+    # NaN fails every comparison, so only an explicit finiteness check catches it
+    fleet = one_unit_fleet()
+    with pytest.raises(ValueError, match="^scenario probabilities must be finite"):
+        realized_profit(np.zeros((2, 1, 1)), psi, np.array([[20.0]]), 0.0, 1, fleet)
+
+
 def test_realized_profit_degenerate_distribution():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[9999.0]]])
