@@ -65,12 +65,14 @@ def _shared_options(fn):
     return fn
 
 
-def _build_config(alphas, penetrations, capacity_mode, **kw) -> RunConfig:
+def _build_config(alpha, penetration, capacity_mode, **kw) -> tuple[RunConfig, Path]:
+    """The validated run and its output directory, created only once the run is valid."""
+    alphas = _parse_grid(alpha, "alpha")
+    penetrations = _parse_grid(penetration, "penetration")
     load_mean = kw.pop("load_mean")
-    extra = {}
     if load_mean is not None:
-        means = _parse_grid(load_mean, "load mean")
-        extra = {"load_mean_per_bus": means, "n_buses": len(means)}
+        kw["load_mean_per_bus"] = _parse_grid(load_mean, "load mean")
+    out = Path(kw.pop("out_dir"))
     try:
         run = RunConfig(
             alphas=alphas,
@@ -78,14 +80,13 @@ def _build_config(alphas, penetrations, capacity_mode, **kw) -> RunConfig:
             line_limit=_parse_line_limit(kw.pop("line_limit")),
             cost_recovery=int(kw.pop("cost_recovery")),
             capacity_mode=capacity_mode,
-            **extra,
             **kw,
         )
-        Path(run.out_dir).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except (ConfigurationError, OSError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    return run
+    return run, out
 
 
 def _run_grid(run: RunConfig, diagnostics: list[str] | None = None):
@@ -100,14 +101,14 @@ def _run_grid(run: RunConfig, diagnostics: list[str] | None = None):
         sys.exit(EXIT_CONFIG)
 
 
-def _sweep(run: RunConfig, csv_name: str, columns) -> None:
+def _sweep(run: RunConfig, out: Path, csv_name: str, columns) -> None:
     """Run the grid, report each skipped point and write one row per point."""
     diagnostics: list[str] = []
     points = _run_grid(run, diagnostics)
     for msg in diagnostics:
         click.echo(f"skipped: {msg}", err=True)
     rows = [point_row(run, point) for point in points]
-    path = emit_csv(rows, Path(run.out_dir) / csv_name, columns)
+    path = emit_csv(rows, out / csv_name, columns)
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -130,9 +131,8 @@ def main():
 @_shared_options
 def sweep_alpha(alpha, penetration, **kw):
     """Sweep the reliability level at a fixed renewable penetration."""
-    run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
-                        capacity_mode="tracking", **kw)
-    _sweep(replace(run, penetrations=run.penetrations[:1]), "alpha_sweep.csv",
+    run, out = _build_config(alpha, penetration, capacity_mode="tracking", **kw)
+    _sweep(replace(run, penetrations=run.penetrations[:1]), out, "alpha_sweep.csv",
            ALPHA_SWEEP_COLUMNS)
 
 
@@ -144,9 +144,8 @@ def sweep_alpha(alpha, penetration, **kw):
 @_shared_options
 def sweep_penetration(alpha, penetration, **kw):
     """Sweep the renewable penetration at a fixed reliability level."""
-    run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
-                        capacity_mode="buildout", **kw)
-    _sweep(replace(run, alphas=run.alphas[:1]), "penetration_sweep.csv",
+    run, out = _build_config(alpha, penetration, capacity_mode="buildout", **kw)
+    _sweep(replace(run, alphas=run.alphas[:1]), out, "penetration_sweep.csv",
            PENETRATION_SWEEP_COLUMNS)
 
 
@@ -156,18 +155,12 @@ def sweep_penetration(alpha, penetration, **kw):
 @_shared_options
 def dispatch_cmd(alpha, penetration, **kw):
     """Commit the fleet once and write the per-unit dispatch."""
-    run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
-                        capacity_mode="tracking", **kw)
+    run, out = _build_config(alpha, penetration, capacity_mode="tracking", **kw)
     point = _single_point(run)
-    rows = []
-    for i, gen in enumerate(point.fleet.generators):
-        rows.append({
-            "generator": gen.name,
-            "committed_mw": float(point.committed[:, i].sum()),
-            "ask_price": gen.ask_price,
-            "lmp": float(point.lmps[0, i]),
-        })
-    path = emit_csv(rows, Path(run.out_dir) / "dispatch.csv",
+    rows = [{"generator": gen.name, "committed_mw": float(point.committed[:, i].sum()),
+             "ask_price": gen.ask_price, "lmp": float(point.lmps[0, i])}
+            for i, gen in enumerate(point.fleet.generators)]
+    path = emit_csv(rows, out / "dispatch.csv",
                     ("generator", "committed_mw", "ask_price", "lmp"))
     click.echo(f"wrote {path} (clearing price {point.price:.2f} $/MWh, "
                f"total {point.committed_total:.2f} MW)")
@@ -179,11 +172,9 @@ def dispatch_cmd(alpha, penetration, **kw):
 @_shared_options
 def settle_cmd(alpha, penetration, **kw):
     """Run one full market settlement and write the settlement summary."""
-    run = _build_config(_parse_grid(alpha, "alpha"), _parse_grid(penetration, "penetration"),
-                        capacity_mode="tracking", **kw)
+    run, out = _build_config(alpha, penetration, capacity_mode="tracking", **kw)
     point = _single_point(run)
-    path = emit_csv([point_row(run, point)], Path(run.out_dir) / "settlement.csv",
-                    SETTLEMENT_COLUMNS)
+    path = emit_csv([point_row(run, point)], out / "settlement.csv", SETTLEMENT_COLUMNS)
     for msg in point.settlement.violations:
         click.echo(f"note: {msg}", err=True)
     click.echo(f"wrote {path}")

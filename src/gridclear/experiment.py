@@ -1,8 +1,11 @@
 """End-to-end runs on the (penetration, alpha) grid: scenarios -> commitment -> settlement.
 
-A point evaluation takes a level's scenario set, commits the fleet against
-the CVaR of the aggregate net load, re-dispatches every scenario at its
-realized net load with the committed prices held fixed, and settles.
+A point evaluation takes a level's scenario set and branches once, on the
+line limit.  Without one the whole fleet clears on one bus against the CVaR
+of the aggregate net load; with one the first ``n_buses`` units clear on a
+radial feeder against per-bus and tail CVaRs.  Either clearing re-dispatches
+every scenario at its realized net load with the committed prices held
+fixed, and both settle the same way.
 ``run_grid`` is the one loop over grid points: both sweeps and the
 single-point commands are runs of it on differently shaped grids.  A
 skipped level or point names its coordinates (``penetration=0.3: ...`` or
@@ -34,7 +37,7 @@ from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
                         build_scenarios, draw_loads, net_load, suffix_net_load)
 from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
                          deviation_envelopes, expected_profit, realized_profit,
-                         recovery_rate, reserve_and_ramp_check)
+                         recovery_rate, reserve_and_ramp_check, sum_in_order)
 
 DEFAULT_LOAD_MEAN = (232.0, 174.0, 174.0)   # MW per bus
 DEFAULT_LOAD_STD_FRAC = 0.06
@@ -66,8 +69,6 @@ class RunConfig:
     line_limit: float | None = None
     cost_recovery: int = 1
     horizon: int = 1
-    out_dir: str = "out"
-    n_buses: int = 3
     load_mean_per_bus: tuple[float, ...] = DEFAULT_LOAD_MEAN
     load_std_frac: float = DEFAULT_LOAD_STD_FRAC
     uncertainty_growth: float = DEFAULT_UNCERTAINTY_GROWTH
@@ -101,8 +102,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown capacity mode {self.capacity_mode!r}")
         if self.cost_recovery not in (0, 1):
             raise ConfigurationError("cost_recovery must be 0 or 1")
-        if len(self.load_mean_per_bus) != self.n_buses:
-            raise ConfigurationError(f"need one mean load per bus ({self.n_buses})")
+
+    @property
+    def n_buses(self) -> int:
+        return len(self.load_mean_per_bus)
 
 
 def load_fleet(source: str) -> Fleet:
@@ -161,70 +164,65 @@ class PointResult:
         return float(self.clearing_prices.mean())
 
 
-def _commit_uncongested(fleet: Fleet, sset: ScenarioSet, alpha: float):
+def _clear_bus(fleet: Fleet, sset: ScenarioSet, alpha: float):
+    """Commit each hour's aggregate CVaR on one bus, then re-dispatch every
+    scenario-hour at its realized aggregate clipped into the servable range
+    (surplus renewables push it to zero, shortfalls beyond capacity are shed).
+
+    Returns the committed power, unit LMPs, clearing prices, the bus prices
+    renewables are paid at, and the realized (K, T, n) dispatch.
+    """
     demands = [max(0.0, cvar_direct(aggregate_net_load(sset, t), alpha))
                for t in range(sset.horizon)]
     batch = commit_batch(fleet, demands)
     prices = batch.clearing_price
     lmps = np.repeat(prices[:, None], len(fleet), axis=1)
-    return batch.power, lmps, prices
+    bus_lmps = np.repeat(prices[:, None], sset.n_buses, axis=1)
+    net = sset.load - sset.renewable  # held to the end: freeing it early raised peak RSS
+    agg = net.sum(axis=0).T  # (K, T), scenario-major rows
+    demands = np.minimum(np.maximum(agg, 0.0), fleet.total_capacity)
+    realized = commit_batch(fleet, demands.ravel()).power
+    return batch.power, lmps, prices, bus_lmps, realized.reshape(*agg.shape, len(fleet))
 
 
-def _commit_congested(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: float):
-    hours = range(sset.horizon)
-    buses = range(grid.n_buses)
+def _clear_feeder(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: float):
+    """Commit each hour's per-bus and tail CVaRs on the feeder, then dispatch
+    every scenario-hour at its realized net loads; the first infeasible one in
+    (scenario, hour) order aborts the point.  Returns what ``_clear_bus``
+    does, with the unit LMPs as bus prices and their maximum as the price.
+    """
+    k_len, t_len, n = sset.n_scenarios, sset.horizon, grid.n_buses
+    hours, buses = range(t_len), range(n)
     per_bus = [[cvar_direct(net_load(sset, i, t), alpha) for i in buses] for t in hours]
     suffix = [[cvar_direct(suffix_net_load(sset, i, t), alpha) for i in buses] for t in hours]
     batch = dispatch_radial_batch(grid, fleet, per_bus, suffix)
-    return batch.power, batch.lmps, batch.lmps.max(axis=1)
-
-
-def _realized_dispatch(fleet: Fleet, grid: RadialGrid | None, sset: ScenarioSet):
-    """Per-scenario re-dispatch at the realized net load (prices stay committed).
-
-    Without a grid the realized demand is clipped into the servable range
-    (surplus renewables push it to zero, shortfalls beyond total capacity are
-    shed); with a grid each scenario-hour is dispatched on the feeder and an
-    infeasible one aborts the point, the first in (scenario, hour) order
-    naming the error.
-    """
-    k_len, t_len = sset.n_scenarios, sset.horizon
     net = sset.load - sset.renewable  # (buses, T, K)
-    if grid is None:
-        agg = net.sum(axis=0).T  # (K, T), rows in scenario-major order
-        demands = np.minimum(np.maximum(agg, 0.0), fleet.total_capacity)
-        power = commit_batch(fleet, demands.ravel()).power
-        return power.reshape(k_len, t_len, len(fleet))
     # one row per scenario-hour in (k, t) order; the reshape copies net, so
     # net is freed before the kernel allocates its outputs
-    rows = net.transpose(2, 1, 0).reshape(k_len * t_len, grid.n_buses)
+    rows = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
     del net
     suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
-    power = dispatch_radial_batch(grid, fleet, rows, suffix).power
-    return power.reshape(k_len, t_len, grid.n_buses)
-
-
-def _expectation(probabilities: np.ndarray, values: np.ndarray) -> float:
-    """Probability-weighted sum, accumulated scenario by scenario from 0.0."""
-    total = 0.0
-    for term in (probabilities * values).tolist():
-        total += term
-    return total
+    realized = dispatch_radial_batch(grid, fleet, rows, suffix).power
+    return (batch.power, batch.lmps, batch.lmps.max(axis=1), batch.lmps,
+            realized.reshape(k_len, t_len, n))
 
 
 def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float,
                    penetration: float) -> PointResult:
-    """Commit, re-dispatch and settle one (alpha, penetration) grid point."""
-    grid = None
-    point_fleet = fleet
-    if run.line_limit is not None:
+    """Commit, re-dispatch and settle one (alpha, penetration) grid point.
+
+    The one branch on the line limit picks the units and the clearing: the
+    whole fleet on one bus, or the first ``n_buses`` units on the feeder.
+    """
+    if run.line_limit is None:
+        point_fleet = fleet
+        cleared = _clear_bus(fleet, sset, alpha)
+    else:
         point_fleet = fleet.head(run.n_buses)
         grid = RadialGrid(run.n_buses, run.line_limit)
-        committed, lmps, prices = _commit_congested(point_fleet, grid, sset, alpha)
-    else:
-        committed, lmps, prices = _commit_uncongested(point_fleet, sset, alpha)
+        cleared = _clear_feeder(point_fleet, grid, sset, alpha)
+    committed, lmps, prices, bus_lmps, realized = cleared
 
-    realized = _realized_dispatch(point_fleet, grid, sset)
     rp, dp = deviation_envelopes(committed, realized)
     violations = reserve_and_ramp_check(committed, realized, rp, dp, point_fleet)
     h_total, lambda_w = recovery_rate(committed, rp, dp, point_fleet, run.cost_recovery)
@@ -234,12 +232,8 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
                                     run.cost_recovery, point_fleet)
 
     # renewables are paid scenario by scenario at the committed bus prices
-    bus_lmps = lmps if grid is not None else np.repeat(
-        prices[:, None], sset.n_buses, axis=1)
     rev_k, cur_k = curtail_and_pay_renewables(
         sset.load.transpose(2, 1, 0), sset.renewable.transpose(2, 1, 0), bus_lmps)
-    revenue = _expectation(sset.probabilities, rev_k)
-    curtailed = _expectation(sset.probabilities, cur_k)
 
     report = SettlementReport(
         h_total=h_total,
@@ -247,8 +241,8 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
         expected_profit=r_expected,
         realized_profit=r_realized,
         deviation_cost=deviation_cost(r_expected, r_realized),
-        renewable_revenue=revenue,
-        curtailed_mwh=curtailed,
+        renewable_revenue=float(sum_in_order(sset.probabilities * rev_k)),
+        curtailed_mwh=float(sum_in_order(sset.probabilities * cur_k)),
         violations=violations,
     )
     return PointResult(alpha, penetration, committed, realized, lmps, prices,

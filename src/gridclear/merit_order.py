@@ -422,6 +422,7 @@ def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
     if [h.strip() for h in rows[0][1]] != _FLEET_HEADER:
         raise FleetParseError(
             f"{path}: expected header {','.join(_FLEET_HEADER)}", line_number=1)
+    first_line = {}  # unit name -> the line that named it
     for lineno, row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
@@ -438,7 +439,15 @@ def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
                 no_load_cost=float(row[8])))
         except ValueError as exc:
             raise FleetParseError(f"{path}:{lineno}: {exc}", line_number=lineno) from exc
+        name = gens[-1].name
+        if name in first_line:
+            raise FleetParseError(f"{path}:{lineno}: unit name {name!r} already used on "
+                                  f"line {first_line[name]}", line_number=lineno)
+        first_line[name] = lineno
     if not gens:
         raise FleetParseError(f"{path}: no generator rows", line_number=2)
     gens.sort(key=lambda g: g.ask_price)
-    return Fleet(tuple(gens), renewable_ask=renewable_ask)
+    try:
+        return Fleet(tuple(gens), renewable_ask=renewable_ask)
+    except ValueError as exc:
+        raise FleetParseError(f"{path}: {exc}") from exc

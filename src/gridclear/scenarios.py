@@ -173,9 +173,8 @@ def _truncnorm_ppf(q, loc, scale):
     right = ~left
     x[left] = special.ndtri_exp(special.logsumexp(
         [special.log_ndtr(a[left]), np.log(q[left]) + log_mass[left]], axis=0))
-    x[right] = -special.ndtri_exp(special.logsumexp(
-        [np.full(np.count_nonzero(right), -np.inf),  # log_ndtr(-inf)
-         np.log1p(-q[right]) + log_mass[right]], axis=0))
+    # scipy's logsumexp with log_ndtr(-inf) = -inf returns this term exactly
+    x[right] = -special.ndtri_exp(np.log1p(-q[right]) + log_mass[right])
     out[drawn] = x * scale + loc
     return out
 

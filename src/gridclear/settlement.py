@@ -39,6 +39,15 @@ class SettlementReport:
     violations: list[str] = field(default_factory=list)
 
 
+def sum_in_order(values, axis: int = -1):
+    """Sum along ``axis`` left to right from 0.0, rounding as a ``+=`` loop does
+    (``np.sum`` adds pairwise); a scalar for a vector, else an array.
+    """
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    zero = np.zeros((1,) + values.shape[1:])
+    return np.cumsum(np.concatenate((zero, values)), axis=0)[-1]
+
+
 def deviation_envelopes(committed: np.ndarray,
                         realized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tight reserve and ramp envelopes over scenarios.
@@ -124,7 +133,7 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     reserve = RESERVE_RATE * np.ascontiguousarray(rp, dtype=float).sum(axis=1)
     ramp = RAMP_RATE * np.ascontiguousarray(dp, dtype=float).sum(axis=1)
     terms = np.column_stack((unit_terms.reshape(t_len, 2 * n), reserve, ramp))
-    h_total = float(np.cumsum(np.append(0.0, terms))[-1])
+    h_total = float(sum_in_order(terms.ravel()))
 
     if cost_recovery == 0:
         return h_total, 0.0
@@ -197,12 +206,8 @@ def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
                       where=total_out > 0.0)
     hourly = np.where(over, np.vecdot(lmps, rows * scale[..., None]),
                       np.vecdot(lmps, renewables))
-    excess = np.where(over, total_out - total_load, 0.0)
-    revenue = np.zeros(hourly.shape[:-1])
-    curtailed = np.zeros(hourly.shape[:-1])
-    for t in range(hourly.shape[-1]):
-        revenue += hourly[..., t]
-        curtailed += excess[..., t]
+    revenue = sum_in_order(hourly)
+    curtailed = sum_in_order(np.where(over, total_out - total_load, 0.0))
     if renewables.ndim == 2:
         return float(revenue), float(curtailed)
     return revenue, curtailed

@@ -5,9 +5,10 @@ out here so the comparison does not depend on the package: the closed-form
 commitment one demand at a time, the feeder recursion one requirement row
 at a time and its re-dispatch one scenario-hour at a time, scenario draws
 one (bus, hour) at a time, the renewable payment one scenario and one hour
-at a time, the ramp envelope one hour pair at a time, and the recoverable
-cost one (hour, unit) at a time.  The scenario quantiles, computed with
-scipy.special, are compared with the scipy.stats functions they replaced.
+at a time, the ramp envelope one hour pair at a time, the recoverable cost
+one (hour, unit) at a time, and the in-order sum one term at a time.  The
+scenario quantiles, computed with scipy.special, are compared with the
+scipy.stats functions they replaced.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from gridclear import (FeederCase, Fleet, GeneratorSpec,
                        dispatch_radial, dispatch_radial_batch, evaluate_point,
                        generate_scenarios, net_load, recovery_rate, scenario_config,
                        suffix_net_load)
-from gridclear.settlement import RAMP_RATE, RESERVE_RATE
+from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
 # ---------------------------------------------------------------------------
 # references
@@ -816,6 +817,49 @@ def test_generate_scenarios_equals_scipy_stats_draws(seed, load_mean, load_std, 
 
 
 # ---------------------------------------------------------------------------
+# in-order sum
+
+
+def mixed_magnitudes(rng, shape):
+    """Signed values spread over 40 decades, so rounding depends on the order."""
+    return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-20, 21, shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2000), st.integers(0, 2**32 - 1), st.booleans())
+def test_sum_in_order_equals_loop_over_vector(k, seed, leading_negative_zero):
+    values = mixed_magnitudes(np.random.default_rng(seed), k)
+    if leading_negative_zero and k:
+        values[0] = -0.0
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    assert same_bits(sum_in_order(values), total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 24), st.sampled_from([0, 1, -1]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_sum_in_order_equals_loop_along_axis(k, t, axis, seed, leading_negative_zero):
+    values = mixed_magnitudes(np.random.default_rng(seed), (k, t))
+    if leading_negative_zero:
+        np.moveaxis(values, axis, 0)[0] = -0.0
+    total = np.zeros(np.moveaxis(values, axis, 0).shape[1:])
+    for row in np.moveaxis(values, axis, 0):
+        total += row
+    assert same_bits(sum_in_order(values, axis=axis), total)
+
+
+def test_sum_in_order_is_not_np_sum():
+    # numpy's pairwise sum adds the small terms together before the large
+    # one; a loop from 0.0 loses each of them against 1.0
+    values = np.array([1.0] + [1e-16] * 15)
+    assert sum_in_order(values) == 1.0
+    assert np.sum(values) == 1.0000000000000016
+    assert same_bits(sum_in_order([-0.0]), 0.0) and same_bits(np.cumsum([-0.0])[-1], -0.0)
+
+
+# ---------------------------------------------------------------------------
 # renewable payment
 
 
@@ -901,7 +945,7 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
     fleet = builtin_fleet()
     run = RunConfig(horizon=6, n_scenarios=80, seed=seed, penetrations=(penetration,),
                     alphas=(alpha,), capacity_mode="tracking", line_limit=line_limit,
-                    load_mean_per_bus=load_mean, n_buses=len(load_mean))
+                    load_mean_per_bus=load_mean)
     sset = generate_scenarios(scenario_config(run, penetration))
     point = evaluate_point(fleet, run, sset, alpha, penetration)
     units = fleet.head(len(load_mean))

@@ -42,8 +42,35 @@ def test_fleet_duplicate_prices_rejected(tmp_path):
         "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
         "a,5,0,100,100,100,0,0,0\n"
         "b,5,0,100,100,100,0,0,0\n")
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(FleetParseError, match="strictly increasing"):
         load_fleet(str(path))
+
+
+FLEET_HEADER = "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
+
+
+def test_cli_fleet_with_tied_asks_is_config_error(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_HEADER + "a,5,0,100,100,100,0,0,0\nb,5,0,100,100,100,0,0,0\n")
+    result = CliRunner().invoke(main, ["dispatch", "--fleet", str(path),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: {path}: ask prices must be strictly "
+                             "increasing, got 5.0 then 5.0\n")
+
+
+def test_fleet_duplicate_names_rejected(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_HEADER + "a,5,0,100,100,100,0,0,0\n\n"
+                    "b,6,0,100,100,100,0,0,0\na,7,0,100,100,100,0,0,0\n")
+    message = f"{path}:5: unit name 'a' already used on line 2"
+    with pytest.raises(FleetParseError, match=f"^{message}$") as err:
+        load_fleet(str(path))
+    assert err.value.line_number == 5
+    result = CliRunner().invoke(main, ["dispatch", "--fleet", str(path),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {message}\n"
 
 
 def test_fleet_negative_capacity_rejected(tmp_path):
@@ -427,6 +454,13 @@ def test_cli_non_numeric_grid_entry_is_usage_error(argv, message, tmp_path):
     result = CliRunner().invoke(main, argv + ["--out", str(tmp_path)])
     assert result.exit_code == 2
     assert f"Error: {message}" in result.output
+
+
+def test_run_config_bus_count_follows_the_loads():
+    loads = (100.0, 80.0)
+    assert RunConfig(load_mean_per_bus=loads).n_buses == 2
+    assert dataclasses.replace(RunConfig(), load_mean_per_bus=loads).n_buses == 2
+    assert RunConfig().n_buses == 3
 
 
 @pytest.mark.parametrize("field", ["horizon", "n_scenarios"])

@@ -146,7 +146,7 @@ def test_run_config_rejects_what_every_level_would_reject(field, bad):
 
 def test_run_config_rejects_no_buses():
     with pytest.raises(ConfigurationError, match="^n_buses 0 must be at least 1$"):
-        RunConfig(n_buses=0, load_mean_per_bus=())
+        RunConfig(load_mean_per_bus=())
 
 
 @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-penetration", "dispatch", "settle"])
