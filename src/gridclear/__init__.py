@@ -20,7 +20,7 @@ from .merit_order import (DispatchResult, Fleet, GeneratorSpec, KktReport,
                           commit_batch, fleet_from_csv, kkt_residuals,
                           validate_assumptions)
 from .risk import (EmpiricalSample, committed_requirement, cvar_direct,
-                   cvar_rockafellar, rockafellar_objective, var)
+                   cvar_rockafellar, cvar_rows, rockafellar_objective, var)
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
                         generate_scenarios, net_load, suffix_net_load,
                         write_scenario_csv)
@@ -41,7 +41,7 @@ __all__ = [
     "backdown_feasibility", "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
     "kkt_residuals", "validate_assumptions",
     "EmpiricalSample", "committed_requirement", "cvar_direct", "cvar_rockafellar",
-    "rockafellar_objective", "var",
+    "cvar_rows", "rockafellar_objective", "var",
     "ScenarioConfig", "ScenarioSet", "aggregate_net_load", "generate_scenarios",
     "net_load", "suffix_net_load", "write_scenario_csv",
     "SettlementReport", "curtail_and_pay_renewables",

@@ -32,9 +32,8 @@ import numpy as np
 from .congestion import RadialGrid, dispatch_radial_batch
 from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
-from .risk import cvar_direct
-from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
-                        build_scenarios, draw_loads, net_load, suffix_net_load)
+from .risk import cvar_rows
+from .scenarios import ScenarioConfig, ScenarioSet, build_scenarios, draw_loads
 from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
                          deviation_envelopes, expected_profit, realized_profit,
                          recovery_rate, reserve_and_ramp_check, sum_in_order)
@@ -172,17 +171,17 @@ def _clear_bus(fleet: Fleet, sset: ScenarioSet, alpha: float):
     Returns the committed power, unit LMPs, clearing prices, the bus prices
     renewables are paid at, and the realized (K, T, n) dispatch.
     """
-    demands = [max(0.0, cvar_direct(aggregate_net_load(sset, t), alpha))
-               for t in range(sset.horizon)]
-    batch = commit_batch(fleet, demands)
+    net = sset.load - sset.renewable  # held to the end: freeing it early raised peak RSS
+    agg = net.sum(axis=0)  # (T, K): one aggregate sample per hour
+    _, cvars = cvar_rows(agg, sset.probabilities, alpha)
+    batch = commit_batch(fleet, np.maximum(cvars, 0.0))
     prices = batch.clearing_price
     lmps = np.repeat(prices[:, None], len(fleet), axis=1)
     bus_lmps = np.repeat(prices[:, None], sset.n_buses, axis=1)
-    net = sset.load - sset.renewable  # held to the end: freeing it early raised peak RSS
-    agg = net.sum(axis=0).T  # (K, T), scenario-major rows
-    demands = np.minimum(np.maximum(agg, 0.0), fleet.total_capacity)
+    # (K, T), scenario-major rows
+    demands = np.minimum(np.maximum(agg.T, 0.0), fleet.total_capacity)
     realized = commit_batch(fleet, demands.ravel()).power
-    return batch.power, lmps, prices, bus_lmps, realized.reshape(*agg.shape, len(fleet))
+    return batch.power, lmps, prices, bus_lmps, realized.reshape(*demands.shape, len(fleet))
 
 
 def _clear_feeder(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: float):
@@ -192,11 +191,15 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: floa
     does, with the unit LMPs as bus prices and their maximum as the price.
     """
     k_len, t_len, n = sset.n_scenarios, sset.horizon, grid.n_buses
-    hours, buses = range(t_len), range(n)
-    per_bus = [[cvar_direct(net_load(sset, i, t), alpha) for i in buses] for t in hours]
-    suffix = [[cvar_direct(suffix_net_load(sset, i, t), alpha) for i in buses] for t in hours]
-    batch = dispatch_radial_batch(grid, fleet, per_bus, suffix)
     net = sset.load - sset.renewable  # (buses, T, K)
+    cvars = np.empty((t_len, 2 * n))
+    for t in range(t_len):
+        # one hour at a time: a single all-hours call raised peak RSS.  The
+        # tails are summed forward from each bus; the reversed cumsum used
+        # for the realized rows below rounds differently.
+        tails = [net[i:, t].sum(axis=0) for i in range(n)]
+        cvars[t] = cvar_rows(np.vstack([net[:, t], *tails]), sset.probabilities, alpha)[1]
+    batch = dispatch_radial_batch(grid, fleet, cvars[:, :n], cvars[:, n:])
     # one row per scenario-hour in (k, t) order; the reshape copies net, so
     # net is freed before the kernel allocates its outputs
     rows = net.transpose(2, 1, 0).reshape(k_len * t_len, n)

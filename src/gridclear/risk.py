@@ -6,6 +6,13 @@ analogue of rescaling the tail of a continuous CDF.  Two CVaR routes are
 provided, the direct tail expectation and the minimization form; they agree
 to float precision and are used as mutual cross-checks throughout the test
 suite.
+
+``cvar_rows`` is the one kernel of the direct route: it takes m samples as
+the rows of an (m, K) array sharing one probability vector, merges each
+row's tied draws and returns every row's VaR and CVaR in one pass.  ``var``
+and ``cvar_direct`` are one-row calls of it, and the commitment takes all of
+an hour's CVaRs (or, off the feeder, all hours') from one call.  The kernel
+and ``EmpiricalSample`` reject the same inputs with the same messages.
 """
 
 from __future__ import annotations
@@ -23,6 +30,26 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"confidence level must lie strictly inside (0, 1), got {alpha}")
     return alpha
+
+
+def _check_draws(values: np.ndarray, probs: np.ndarray, ndim: int) -> None:
+    """Reject draws ``values`` (``ndim``-D, K per row) and weights ``probs`` (K,)
+    that no sample can hold."""
+    if values.ndim != ndim:
+        raise ValueError(f"values must be a {ndim}-D array of draws, got shape {values.shape}")
+    if probs.ndim != 1 or values.shape[-1:] != probs.shape:
+        raise ValueError("one probability per value")
+    if probs.size == 0:
+        raise ValueError("a sample needs at least one atom")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sample atoms must be finite")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
+    if np.any(probs <= 0.0):
+        raise ValueError("probabilities must be strictly positive")
+    if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
+        raise ValueError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, "
+                         f"got {probs.sum()!r}")
 
 
 @dataclass(frozen=True)
@@ -45,17 +72,7 @@ class EmpiricalSample:
         probs = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probs)
-        if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
-            raise ValueError("values and probabilities must be 1-D arrays of equal length")
-        if values.size == 0:
-            raise ValueError("a sample needs at least one atom")
-        if not np.all(np.isfinite(values)) or not np.all(np.isfinite(probs)):
-            raise ValueError("sample atoms must be finite")
-        if np.any(probs <= 0.0):
-            raise ValueError("probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, "
-                             f"got {probs.sum()!r}")
+        _check_draws(values, probs, 1)
         if np.any(np.diff(values) <= 0.0):
             raise ValueError("values must be strictly increasing; merge ties first")
 
@@ -64,8 +81,7 @@ class EmpiricalSample:
         """Build a sample from raw draws: sorts by value and merges ties."""
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probabilities, dtype=float)
-        if np.any(probs <= 0.0):
-            raise ValueError("probabilities must be strictly positive")
+        _check_draws(values, probs, 1)
         uniq, inverse = np.unique(values, return_inverse=True)
         merged = np.bincount(inverse, weights=probs, minlength=uniq.size)
         return cls(uniq, merged)
@@ -82,11 +98,51 @@ class EmpiricalSample:
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.values.tolist(), self.probabilities.tolist()))
 
-    def cdf(self) -> np.ndarray:
-        out = np.cumsum(self.probabilities)
-        # total mass is 1 by invariant; pin the top so tail weights are exact
-        out[-1] = 1.0
-        return out
+
+def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """VaR and CVaR at ``alpha`` of each row of ``values`` (m, K), in one pass.
+
+    Every row is a sample of K draws weighted by the same ``probabilities``
+    (K,).  Row by row the results have the bits of :func:`var` and
+    :func:`cvar_direct` on ``EmpiricalSample.from_arrays(row, probabilities)``:
+    tied draws merge into one atom whose probability is added in draw order,
+    and each CVaR is one dot product over that row's atoms, so rows with the
+    same atom count share one ``vecdot``.  Returns ``(var, cvar)``, each (m,).
+    """
+    alpha = _check_alpha(alpha)
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probabilities, dtype=float)
+    _check_draws(values, probs, 2)
+    m, k = values.shape
+    # flat index of each row's draws in sorted order
+    order = (np.argsort(values, axis=1) + k * np.arange(m)[:, None]).ravel()
+    draws = values.ravel()[order].reshape(m, k)
+    first = np.ones((m, k), dtype=bool)  # a sorted draw that opens a new atom
+    first[:, 1:] = draws[:, 1:] != draws[:, :-1]
+    atom = np.empty(m * k, dtype=np.intp)  # atom id of each draw, numbered across rows
+    atom[order] = np.cumsum(first.ravel()) - 1
+    # bincount walks the draws row by row in draw order, as np.unique + bincount does
+    merged = np.bincount(atom, weights=np.tile(probs, m))
+    atoms = draws[first]
+    counts = first.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    var_out, cvar_out = np.empty(m), np.empty(m)
+    scale = 1.0 - alpha
+    for c in set(counts.tolist()):
+        rows = np.flatnonzero(counts == c)
+        at = starts[rows, None] + np.arange(c)
+        p, x = merged[at], atoms[at]
+        cdf = np.cumsum(p, axis=1)
+        # total mass is 1 by the check above; pin the top so tail weights are exact
+        cdf[:, -1] = 1.0
+        # alpha < 1 = cdf[:, -1], so the quantile atom is always inside the row
+        idx = (cdf < alpha).sum(axis=1)
+        weights = np.where(np.arange(c) > idx[:, None], p / scale, 0.0)
+        g = np.arange(rows.size)
+        weights[g, idx] = (cdf[g, idx] - alpha) / scale
+        var_out[rows] = x[g, idx]
+        cvar_out[rows] = np.vecdot(weights, x)
+    return var_out, cvar_out
 
 
 def var(sample: EmpiricalSample, alpha: float) -> float:
@@ -94,18 +150,9 @@ def var(sample: EmpiricalSample, alpha: float) -> float:
 
     Exact on the discrete CDF, no interpolation: when ``alpha`` lands exactly
     on a CDF jump the value at the jump is returned (the min of the
-    superlevel set).
+    superlevel set).  A one-row call of :func:`cvar_rows`.
     """
-    idx, _ = _tail_index(sample, _check_alpha(alpha))
-    return float(sample.values[idx])
-
-
-def _tail_index(sample: EmpiricalSample, alpha: float) -> tuple[int, np.ndarray]:
-    """Index of the ``alpha`` quantile atom, and the CDF it was found on."""
-    cdf = sample.cdf()
-    idx = int(np.searchsorted(cdf, alpha, side="left"))
-    # float accumulation can leave cdf[-1] a hair under 1.0
-    return min(idx, sample.values.size - 1), cdf
+    return float(cvar_rows(sample.values[None, :], sample.probabilities, alpha)[0][0])
 
 
 def cvar_direct(sample: EmpiricalSample, alpha: float) -> float:
@@ -113,15 +160,9 @@ def cvar_direct(sample: EmpiricalSample, alpha: float) -> float:
 
     The atom at the quantile carries weight (F(q) - alpha) / (1 - alpha) and
     every atom above it carries p / (1 - alpha); the rescaled weights sum to
-    one by construction.
+    one by construction.  A one-row call of :func:`cvar_rows`.
     """
-    alpha = _check_alpha(alpha)
-    idx, cdf = _tail_index(sample, alpha)
-    scale = 1.0 - alpha
-    weights = np.zeros(sample.values.size)
-    weights[idx] = (cdf[idx] - alpha) / scale
-    weights[idx + 1:] = sample.probabilities[idx + 1:] / scale
-    return float(weights @ sample.values)
+    return float(cvar_rows(sample.values[None, :], sample.probabilities, alpha)[1][0])
 
 
 def rockafellar_objective(sample: EmpiricalSample, alpha: float, eta: float) -> float:

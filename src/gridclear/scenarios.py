@@ -30,7 +30,9 @@ log-space form of scipy's ``truncnorm.ppf`` (scipy 1.17) with the upper
 bound fixed at +inf, wrapped as ``rv_continuous.ppf`` wraps it: u = 0 gives
 the lower bound, the kernel runs on the compressed positive draws, and the
 result is ``x * scale + loc``.  The same ufuncs run on the same arrays, one
-call per hour, so the draws equal those of ``truncnorm.ppf`` and
+call per hour, and scipy's two-term ``logsumexp`` is written out as
+``log1p(exp(min - max)) + max``, which rounds as it does (a tie gives
+``log1p(1.0) == log(2.0)``).  So the draws equal those of ``truncnorm.ppf`` and
 ``beta.ppf`` bit for bit on the uniforms ``Generator.random`` makes
 (multiples of 2**-53 in [0, 1)); ``tests/test_batch_equivalence.py`` checks
 this.  The call shape matters: numpy's SIMD ``log`` may round the head and
@@ -171,8 +173,10 @@ def _truncnorm_ppf(q, loc, scale):
     x = np.empty_like(q)
     left = a < 0.0
     right = ~left
-    x[left] = special.ndtri_exp(special.logsumexp(
-        [special.log_ndtr(a[left]), np.log(q[left]) + log_mass[left]], axis=0))
+    lo, hi = special.log_ndtr(a[left]), np.log(q[left]) + log_mass[left]
+    # two-term log-sum-exp; the same bits as scipy's logsumexp([lo, hi], axis=0)
+    top = np.maximum(lo, hi)
+    x[left] = special.ndtri_exp(np.log1p(np.exp(np.minimum(lo, hi) - top)) + top)
     # scipy's logsumexp with log_ndtr(-inf) = -inf returns this term exactly
     x[right] = -special.ndtri_exp(np.log1p(-q[right]) + log_mass[right])
     out[drawn] = x * scale + loc

@@ -6,24 +6,25 @@ commitment one demand at a time, the feeder recursion one requirement row
 at a time and its re-dispatch one scenario-hour at a time, scenario draws
 one (bus, hour) at a time, the renewable payment one scenario and one hour
 at a time, the ramp envelope one hour pair at a time, the recoverable cost
-one (hour, unit) at a time, and the in-order sum one term at a time.  The
-scenario quantiles, computed with scipy.special, are compared with the
-scipy.stats functions they replaced.
+one (hour, unit) at a time, the in-order sum one term at a time, and VaR
+and CVaR one merged sample at a time.  The scenario quantiles, computed
+with scipy.special, are compared with the scipy.stats functions they
+replaced.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
 from gridclear import scenarios
 from gridclear import (FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, Regime, RunConfig,
-                       ScenarioConfig, builtin_fleet, commit, commit_batch,
-                       curtail_and_pay_renewables, cvar_direct, deviation_envelopes,
-                       dispatch_radial, dispatch_radial_batch, evaluate_point,
-                       generate_scenarios, net_load, recovery_rate, scenario_config,
-                       suffix_net_load)
+                       ScenarioConfig, EmpiricalSample, aggregate_net_load,
+                       builtin_fleet, commit, commit_batch, curtail_and_pay_renewables,
+                       cvar_direct, cvar_rows, deviation_envelopes, dispatch_radial,
+                       dispatch_radial_batch, evaluate_point, generate_scenarios, net_load,
+                       recovery_rate, scenario_config, suffix_net_load, var)
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,18 @@ def reference_commit(fleet, demand):
     mu_bar[k] = asks[k] - price
     mu_bar[k + 1:] = np.maximum(asks[k + 1:] - price, 0.0)
     return power, price, mu, mu_bar, Regime.BELOW_PMIN, k - 1
+
+
+def reference_var_cvar(sample, alpha):
+    """VaR and CVaR of one merged sample: a CDF search and one dot product over its atoms."""
+    cdf = np.cumsum(sample.probabilities)
+    cdf[-1] = 1.0
+    idx = min(int(np.searchsorted(cdf, alpha, side="left")), sample.values.size - 1)
+    scale = 1.0 - alpha
+    weights = np.zeros(sample.values.size)
+    weights[idx] = (cdf[idx] - alpha) / scale
+    weights[idx + 1:] = sample.probabilities[idx + 1:] / scale
+    return float(sample.values[idx]), float(weights @ sample.values)
 
 
 def reference_scenarios(config):
@@ -206,8 +219,8 @@ def reference_feeder_point(fleet, grid, sset, alpha):
     lmps = np.zeros((t_len, n))
     prices = np.zeros(t_len)
     for t in range(t_len):
-        per_bus = [cvar_direct(net_load(sset, i, t), alpha) for i in range(n)]
-        suffix = [cvar_direct(suffix_net_load(sset, i, t), alpha) for i in range(n)]
+        per_bus = [reference_var_cvar(net_load(sset, i, t), alpha)[1] for i in range(n)]
+        suffix = [reference_var_cvar(suffix_net_load(sset, i, t), alpha)[1] for i in range(n)]
         power, bus_lmps, *_ = reference_dispatch_radial(grid, fleet, per_bus, suffix)
         committed[t] = power
         lmps[t] = bus_lmps
@@ -817,6 +830,52 @@ def test_generate_scenarios_equals_scipy_stats_draws(seed, load_mean, load_std, 
 
 
 # ---------------------------------------------------------------------------
+# CVaR kernel
+
+
+@st.composite
+def cvar_row_cases(draw):
+    """Rows of draws with one probability vector, and a confidence level.
+
+    Draws rounded to multiples of 25 tie (signed zeros among them), a row may
+    repeat one value throughout, K may be 1, the weights may be non-uniform,
+    and alpha may sit exactly on a CDF jump of one of the rows.
+    """
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 100.0, (m, k))
+    if draw(st.booleans()):
+        values = np.round(values / 25.0) * 25.0
+    if draw(st.booleans()):
+        values[draw(st.integers(0, m - 1))] = values[0, 0]
+    if draw(st.booleans()):
+        probs = np.full(k, 1.0 / k)
+    else:
+        weights = rng.random(k) + 1e-3
+        probs = weights / weights.sum()
+    alpha = draw(st.floats(0.01, 0.99))
+    jump = np.cumsum(EmpiricalSample.from_arrays(values[-1], probs).probabilities)[:-1]
+    if jump.size and draw(st.booleans()):
+        alpha = float(jump[draw(st.integers(0, jump.size - 1))])
+    return values, probs, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(cvar_row_cases())
+def test_cvar_rows_equal_scalar_reference(case):
+    values, probs, alpha = case
+    assume(0.0 < alpha < 1.0)
+    got_var, got_cvar = cvar_rows(values, probs, alpha)
+    assert got_var.shape == got_cvar.shape == (values.shape[0],)
+    for r, row in enumerate(values):
+        sample = EmpiricalSample.from_arrays(row, probs)
+        want_var, want_cvar = reference_var_cvar(sample, alpha)
+        assert same_bits(got_var[r], want_var) and same_bits(got_cvar[r], want_cvar)
+        assert same_bits(var(sample, alpha), want_var)
+        assert same_bits(cvar_direct(sample, alpha), want_cvar)
+
+
+# ---------------------------------------------------------------------------
 # in-order sum
 
 
@@ -932,6 +991,24 @@ def test_point_equals_per_scenario_loops(fleet, line_limit, load_mean):
     assert curtailed > 0.0
     assert point.settlement.renewable_revenue == revenue
     assert point.settlement.curtailed_mwh == curtailed
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("fleet,penetration,alpha", [
+    (builtin_fleet(), 0.9, 0.9),
+    (POSITIVE_MIN_FLEET, 0.3, 0.5),
+])
+def test_bus_point_commits_per_hour_reference_cvars(seed, fleet, penetration, alpha):
+    run = RunConfig(horizon=6, n_scenarios=80, seed=seed, penetrations=(penetration,),
+                    alphas=(alpha,), capacity_mode="tracking")
+    sset = generate_scenarios(scenario_config(run, penetration))
+    point = evaluate_point(fleet, run, sset, alpha, penetration)
+    for t in range(sset.horizon):
+        _, cvar = reference_var_cvar(aggregate_net_load(sset, t), alpha)
+        power, price, *_ = reference_commit(fleet, max(0.0, cvar))
+        assert same_bits(point.committed[t], power)
+        assert same_bits(point.clearing_prices[t], price)
+        assert same_bits(point.lmps[t], np.full(len(fleet), price))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])

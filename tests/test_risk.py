@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridclear import (EmpiricalSample, committed_requirement, committed_upper_bound,
-                       cvar_direct, cvar_rockafellar, var)
+                       cvar_direct, cvar_rockafellar, cvar_rows, var)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -77,6 +77,25 @@ def test_sample_requires_normalized_probabilities():
         EmpiricalSample.from_points([(1.0, 0.5), (2.0, 0.4)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_names_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="^probabilities must be finite$"):
+        EmpiricalSample.from_arrays([1.0, 2.0], [bad, 0.5])
+
+
+@pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25]])
+def test_sample_needs_one_probability_per_value(probs):
+    with pytest.raises(ValueError, match="^one probability per value$"):
+        EmpiricalSample.from_arrays([1.0, 2.0], probs)
+
+
+def test_sample_needs_a_vector_of_draws():
+    with pytest.raises(ValueError, match="^values must be a 1-D array of draws"):
+        EmpiricalSample.from_arrays([[1.0, 2.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="^values must be a 1-D array of draws"):
+        EmpiricalSample(np.array([[1.0, 2.0]]), np.array([0.5, 0.5]))
+
+
 def test_sample_merges_ties_and_sorts():
     s = _sample([(3.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
     assert s.points == [(1.0, 0.5), (3.0, 0.5)]
@@ -91,6 +110,32 @@ def test_alpha_domain_errors():
             cvar_direct(s, bad)
         with pytest.raises(ValueError):
             cvar_rockafellar(s, bad)
+
+
+@pytest.mark.parametrize("values,probs,message", [
+    ([[1.0, np.nan]], [0.5, 0.5], "^sample atoms must be finite$"),
+    ([[1.0, 2.0], [np.inf, 0.0]], [0.5, 0.5], "^sample atoms must be finite$"),
+    ([[1.0, 2.0]], [0.5, np.nan], "^probabilities must be finite$"),
+    ([[1.0, 2.0]], [-np.inf, 0.5], "^probabilities must be finite$"),
+    ([[1.0, 2.0]], [1.0, 0.0], "^probabilities must be strictly positive$"),
+    ([[1.0, 2.0]], [1.5, -0.5], "^probabilities must be strictly positive$"),
+    ([[1.0, 2.0]], [0.5, 0.4], "^probabilities must sum to 1 within"),
+    ([1.0, 2.0], [0.5, 0.5], "^values must be a 2-D array of draws"),
+    ([[[1.0, 2.0]]], [0.5, 0.5], "^values must be a 2-D array of draws"),
+    ([[1.0, 2.0]], [[0.5, 0.5]], "^one probability per value$"),
+    ([[1.0, 2.0]], [0.25, 0.25, 0.5], "^one probability per value$"),
+    ([[1.0, 2.0]], [1.0], "^one probability per value$"),
+    (np.empty((1, 0)), [], "^a sample needs at least one atom$"),
+])
+def test_cvar_rows_rejects_what_no_sample_holds(values, probs, message):
+    with pytest.raises(ValueError, match=message):
+        cvar_rows(values, probs, 0.5)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, np.nan])
+def test_cvar_rows_alpha_domain(bad):
+    with pytest.raises(ValueError, match="strictly inside"):
+        cvar_rows([[1.0, 2.0]], [0.5, 0.5], bad)
 
 
 # ---------------------------------------------------------------------------
