@@ -125,10 +125,11 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
 
     ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
     ``dispatch_radial`` describes; the recursion runs once over the buses
-    with every step applied to all rows.  A row is infeasible when it fails
-    the feeder assumptions, is congested without a balancing bus, or needs
-    more than a unit's capacity; the first infeasible row in row order
-    raises InfeasibleDispatchError with that row's message.
+    with every step applied to all rows.  A row is infeasible when it holds
+    a non-finite requirement, fails the feeder assumptions, is congested
+    without a balancing bus, or needs more than a unit's capacity; the first
+    infeasible row in row order raises InfeasibleDispatchError with that
+    row's message.
     """
     per_bus = np.asarray(per_bus, dtype=float)
     suffix = np.asarray(suffix, dtype=float)
@@ -138,6 +139,13 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
         raise InfeasibleDispatchError(
             f"need one generator and one requirement pair per bus ({n})")
     m = per_bus.shape[0]
+    given = (per_bus, suffix)
+    finite = np.isfinite(per_bus).all(axis=1) & np.isfinite(suffix).all(axis=1)
+    if not finite.all():
+        # a non-finite row is cleared as zeros, so it raises no float warning
+        # and cannot fail before its own message below
+        per_bus = np.where(finite[:, None], per_bus, 0.0)
+        suffix = np.where(finite[:, None], suffix, 0.0)
     p_bar = grid.line_limit
     asks = fleet.ask_prices
     p_maxs = fleet.p_maxs
@@ -175,10 +183,15 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
             p_hat = np.where(cleared, 0.0, per_bus[:, i + 1] - p_bar)
             p_hat_tail = np.where(cleared, 0.0, p_hat_tail - pg)
 
-    failed = invalid | missing | (over_bus >= 0)
+    failed = ~finite | invalid | missing | (over_bus >= 0)
     if failed.any():
         r = int(failed.argmax())
-        if invalid[r]:
+        if not finite[r]:
+            kind, row = (("local", given[0][r]) if not np.isfinite(given[0][r]).all()
+                         else ("tail", given[1][r]))
+            i = int(np.isfinite(row).argmin())
+            message = f"bus {i}: {kind} requirement {row[i]} MW must be finite"
+        elif invalid[r]:
             message = "; ".join(validate_feeder_assumptions(grid, fleet, per_bus[r],
                                                             suffix[r]))
         elif missing[r]:

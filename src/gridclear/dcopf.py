@@ -1,4 +1,4 @@
-"""Deterministic DC dispatch on the radial feeder with an optimality certificate.
+"""Deterministic DC dispatch on the radial feeder and the one optimality certificate.
 
 A deterministic instance is a point-mass requirement (the tail expectation of
 a constant is the constant), so the dispatch reuses the feeder recursion.
@@ -6,6 +6,11 @@ Angles follow by forward substitution from the reference bus, and multipliers
 are constructed, not searched: line multipliers fall out of the per-bus
 angle-stationarity equations one unknown at a time along the chain, which
 collapses to ``mu_line[i] = lmp[i+1] - lmp[i]``.
+
+``kkt_verify_network`` checks a dispatch against the optimality system of
+the cost-minimising dispatch problem, for both markets: the single-bus
+market is that problem on a one-bus grid without lines, and
+``kkt_residuals`` is a one-bus call of it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import RadialGrid, dispatch_radial
-from .merit_order import Fleet, generator_residuals
-
-_CERT_TOL = 1e-8
+from .merit_order import DispatchResult, Fleet
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,8 @@ def solve_deterministic(grid: RadialGrid, fleet: Fleet, loads,
 
 
 @dataclass(frozen=True)
-class NetworkKktReport:
-    """Maximum absolute residuals per block of the network optimality system."""
+class KktReport:
+    """Maximum absolute residuals per block of the optimality system."""
 
     generator_stationarity: float
     angle_stationarity: float
@@ -84,62 +87,85 @@ class NetworkKktReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.generator_stationarity, self.angle_stationarity,
-                   self.nodal_balance, self.line_feasibility,
-                   self.box_feasibility, self.complementary_slackness,
-                   self.negativity)
+        """The largest block residual; NaN when any block is NaN."""
+        return float(np.max([self.generator_stationarity, self.angle_stationarity,
+                             self.nodal_balance, self.line_feasibility,
+                             self.box_feasibility, self.complementary_slackness,
+                             self.negativity]))
 
 
 def kkt_verify_network(solution: OpfSolution, grid: RadialGrid, fleet: Fleet,
-                       loads, renewables=None) -> NetworkKktReport:
-    """Check a populated solution against the full network optimality system.
+                       loads, renewables=None) -> KktReport:
+    """Check a populated solution against the full optimality system.
 
-    Blocks: generator stationarity (ask - lmp + mu - mu_bar; the generator
-    block is ``merit_order.generator_residuals``), per-bus angle
-    stationarity summing b * (mu_line difference + lmp difference) over
-    neighbours, nodal balance against the DC flows, line and box feasibility,
-    complementary slackness on lines and generator bounds, and multiplier
-    non-negativity.  A certified optimum stays within 1e-8.
+    On a one-bus grid every unit sits at bus 0; on a feeder unit i sits at
+    bus i.  Blocks: generator stationarity (ask - lmp + mu - mu_bar) on the
+    committed units, per-bus angle stationarity summing
+    b * (mu_line difference + lmp difference) over neighbours, nodal balance
+    against the DC flows, line and box feasibility, complementary slackness
+    on lines and generator bounds, and multiplier non-negativity.  A unit
+    that is off while its minimum is positive was decommitted: its box is
+    [0, 0] and it is left out of stationarity and complementarity.  A
+    certified optimum stays within 1e-8.  Raises ValueError for a layout
+    with other than one unit per feeder bus, for other than one load and one
+    renewable value per bus, and for a non-finite input, naming it.
     """
     loads = np.asarray(loads, dtype=float)
     renewables = (np.zeros_like(loads) if renewables is None
                   else np.asarray(renewables, dtype=float))
     n = grid.n_buses
+    if n > 1 and len(fleet) != n:
+        raise ValueError(f"a {n}-bus feeder needs one unit per bus, got {len(fleet)} units")
+    if loads.shape != (n,) or renewables.shape != (n,):
+        raise ValueError(f"need one load and one renewable value per bus ({n})")
+    p, lmps, mu, mu_bar, line_mu = (solution.power, solution.lmps, solution.mu,
+                                    solution.mu_bar, solution.line_mu)
+    for name, values in (("power", p), ("lmps", lmps), ("mu", mu), ("mu_bar", mu_bar),
+                         ("line_mu", line_mu), ("angles", solution.angles),
+                         ("loads", loads), ("renewables", renewables)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values}")
+    bus = np.zeros(len(fleet), dtype=int) if n == 1 else np.arange(n)
     b = grid.admittances
-    p = solution.power
-    lmps = solution.lmps
-    lower, gen_stat, cs_upper, cs_lower = generator_residuals(
-        fleet, p, lmps, solution.mu, solution.mu_bar)
 
-    # angle stationarity: each bus sums b_ij * (mu_ij - mu_ji + lmp_i - lmp_j)
-    # over its neighbours; the reverse-direction line multiplier is slack (0)
-    angle_res = 0.0
-    for i in range(n):
-        acc = 0.0
-        if i > 0:
-            acc += b[i - 1] * (0.0 - solution.line_mu[i - 1] + lmps[i] - lmps[i - 1])
-        if i < n - 1:
-            acc += b[i] * (solution.line_mu[i] - 0.0 + lmps[i] - lmps[i + 1])
-        angle_res = max(angle_res, abs(acc))
+    committed = (p > 0.0) | (fleet.p_mins == 0.0)
+    lower = np.where(p > 0.0, fleet.p_mins, 0.0)
+    gen_stat = np.abs(fleet.ask_prices - lmps[bus] + mu - mu_bar)[committed].max(initial=0.0)
 
-    theta_flows = b * -np.diff(solution.angles) if n > 1 else np.zeros(0)
-    injections = p + renewables - loads
-    balance = 0.0
-    for i in range(n):
-        out = theta_flows[i] if i < n - 1 else 0.0
-        inflow = theta_flows[i - 1] if i > 0 else 0.0
-        balance = max(balance, abs(injections[i] - (out - inflow)))
+    # line j between buses j and j+1 adds b_j * (mu_j + lmp_j - lmp_{j+1}) at
+    # bus j and its negative at bus j+1; the reverse-direction multiplier is
+    # slack (0)
+    per_line = b * (line_mu - np.diff(lmps))
+    angle_res = np.abs(np.diff(per_line, prepend=0.0, append=0.0)).max()
 
-    line_feas = float(np.maximum(np.abs(theta_flows) - grid.line_limit, 0.0).max(initial=0.0))
-    box_feas = float(np.maximum.reduce([
-        np.maximum(lower - p, 0.0).max(initial=0.0),
-        np.maximum(p - fleet.p_maxs, 0.0).max(initial=0.0),
-    ]))
+    theta_flows = b * -np.diff(solution.angles)
+    injections = np.bincount(bus, weights=p, minlength=n) + renewables - loads
+    outflows = np.diff(theta_flows, prepend=0.0, append=0.0)
+    balance = np.abs(injections - outflows).max()
 
-    cs_line = float(np.abs(solution.line_mu * (theta_flows - grid.line_limit)).max(initial=0.0))
-    cs = max(cs_line, cs_upper, cs_lower)
+    line_feas = np.maximum(np.abs(theta_flows) - grid.line_limit, 0.0).max(initial=0.0)
+    box_feas = np.maximum(np.maximum(lower - p, p - fleet.p_maxs), 0.0).max()
 
-    neg = max(0.0, float(-min(solution.mu.min(initial=0.0),
-                              solution.mu_bar.min(initial=0.0),
-                              solution.line_mu.min(initial=0.0))))
-    return NetworkKktReport(gen_stat, angle_res, balance, line_feas, box_feas, cs, neg)
+    cs = np.max([np.abs(line_mu * (theta_flows - grid.line_limit)).max(initial=0.0),
+                 np.abs(mu * (p - fleet.p_maxs))[committed].max(initial=0.0),
+                 np.abs(mu_bar * (lower - p))[committed].max(initial=0.0)])
+    neg = np.maximum(-np.concatenate((mu, mu_bar, line_mu)), 0.0).max(initial=0.0)
+    return KktReport(*map(float, (gen_stat, angle_res, balance, line_feas, box_feas,
+                                  cs, neg)))
+
+
+_ONE_BUS = RadialGrid(1, 1.0)  # no lines, so the limit is never read
+
+
+def kkt_residuals(fleet: Fleet, result: DispatchResult, demand: float) -> KktReport:
+    """Certificate of a single-bus dispatch against its demand.
+
+    A one-bus call of ``kkt_verify_network``: every unit sits at bus 0,
+    which carries the demand as its load and clears at the dispatch's price;
+    with no lines the angle and line blocks are 0.  A valid dispatch yields
+    a max residual at float precision.
+    """
+    solution = OpfSolution(result.power, np.zeros(1), np.array([result.clearing_price]),
+                           result.mu, result.mu_bar, np.zeros(0), np.zeros(0),
+                           float(fleet.ask_prices @ result.power))
+    return kkt_verify_network(solution, _ONE_BUS, fleet, [demand])

@@ -10,7 +10,8 @@ cheapest unit's minimum and a single unit carries it alone.
 Multipliers are assigned so the stationarity and complementarity system of
 the underlying linear program is satisfied exactly on the committed set; a
 unit that is off while its minimum is positive is a commitment decision and
-its bound is taken at zero.
+its bound is taken at zero.  The certificate that checks this is the network
+one on a one-bus grid (``dcopf.kkt_residuals``).
 
 ``commit_batch`` is the one clearing kernel: it dispatches a whole array of
 demands at once, choosing the regime of each row with masks.  ``commit`` is
@@ -34,7 +35,7 @@ _BALANCE_TOL = 1e-9
 
 
 _SPEC_NUMBERS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_hot",
-                 "start_cost_cold", "no_load_cost", "production_cost_rate")
+                 "start_cost_cold", "no_load_cost")
 
 
 def _read_only(values) -> np.ndarray:
@@ -56,7 +57,6 @@ class GeneratorSpec:
     start_cost_hot: float = 0.0
     start_cost_cold: float = 0.0
     no_load_cost: float = 0.0  # $/h
-    production_cost_rate: float | None = None  # $/MWh, defaults to ask_price
 
     def __post_init__(self):
         # the name is written unquoted into CSV rows
@@ -64,8 +64,6 @@ class GeneratorSpec:
                                 for c in self.name):
             raise ValueError(f"unit name {self.name!r} must be non-empty and free of "
                              "commas, double quotes and control characters")
-        if self.production_cost_rate is None:
-            object.__setattr__(self, "production_cost_rate", float(self.ask_price))
         for name in _SPEC_NUMBERS:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -76,7 +74,7 @@ class GeneratorSpec:
         if self.rp_max < 0.0 or self.ramp_max < 0.0:
             raise ValueError(f"{self.name}: reserve and ramp caps must be non-negative")
         if min(self.ask_price, self.start_cost_hot, self.start_cost_cold,
-               self.no_load_cost, self.production_cost_rate) < 0.0:
+               self.no_load_cost) < 0.0:
             raise ValueError(f"{self.name}: costs and prices must be non-negative")
 
 
@@ -97,7 +95,6 @@ class Fleet:
     ask_prices: np.ndarray = field(init=False, repr=False, compare=False)
     p_mins: np.ndarray = field(init=False, repr=False, compare=False)
     p_maxs: np.ndarray = field(init=False, repr=False, compare=False)
-    production_cost_rates: np.ndarray = field(init=False, repr=False, compare=False)
     p_max_prefix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,8 +113,7 @@ class Fleet:
             if hi <= lo:
                 raise ValueError(f"ask prices must be strictly increasing, got {lo} then {hi}")
         for name, attr in (("ask_prices", "ask_price"), ("p_mins", "p_min"),
-                           ("p_maxs", "p_max"),
-                           ("production_cost_rates", "production_cost_rate")):
+                           ("p_maxs", "p_max")):
             object.__setattr__(self, name,
                                _read_only([getattr(g, attr) for g in self.generators]))
         object.__setattr__(self, "p_max_prefix",
@@ -311,61 +307,6 @@ def backdown_feasibility(fleet: Fleet, demand: float, k: int) -> bool:
             f"demand {demand!r} does not put unit {k} in the back-down regime")
     target = _backdown_target(fleet, demand, k)
     return bool(p_min[k - 1] < target < fleet.p_maxs[k - 1])
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Maximum absolute residuals of the optimality system for one dispatch."""
-
-    stationarity: float
-    balance: float
-    complementary_upper: float
-    complementary_lower: float
-    negativity: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.stationarity, self.balance, self.complementary_upper,
-                   self.complementary_lower, self.negativity)
-
-
-def generator_residuals(fleet: Fleet, power: np.ndarray, prices, mu: np.ndarray,
-                        mu_bar: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Generator block of the optimality system, on the committed units.
-
-    Units that are off while their minimum is positive were decommitted; for
-    them the relevant lower bound is zero, so they enter the system with
-    bound 0 (their stationarity holds with the off-tail multiplier).
-    ``prices`` is the price each unit sees (one price, or one per unit).
-    Returns the lower bound each unit is held to and the max residuals of
-    stationarity (ask - price + mu - mu_bar) and of the upper- and
-    lower-bound complementarity.
-    """
-    committed = (power > 0.0) | (fleet.p_mins == 0.0)
-    lower = np.where(power > 0.0, fleet.p_mins, 0.0)
-    stationarity = np.abs(fleet.ask_prices - prices + mu - mu_bar)
-    cs_upper = np.abs(mu * (power - fleet.p_maxs))
-    cs_lower = np.abs(mu_bar * (lower - power))
-    return (lower, *(float(r[committed].max(initial=0.0))
-                     for r in (stationarity, cs_upper, cs_lower)))
-
-
-def kkt_residuals(fleet: Fleet, result: DispatchResult, demand: float) -> KktReport:
-    """Residuals of stationarity, balance, complementarity and non-negativity.
-
-    The generator block is ``generator_residuals``.  A valid dispatch yields
-    a max residual at float precision.
-    """
-    _, stationarity, cs_upper, cs_lower = generator_residuals(
-        fleet, result.power, result.clearing_price, result.mu, result.mu_bar)
-    negativity = max(0.0, float(-min(result.mu.min(), result.mu_bar.min())))
-    return KktReport(
-        stationarity=stationarity,
-        balance=abs(result.total_power - demand),
-        complementary_upper=cs_upper,
-        complementary_lower=cs_lower,
-        negativity=negativity,
-    )
 
 
 # Production cost, maximum output, hot/cold start cost and ramp rate of the

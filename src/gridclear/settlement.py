@@ -155,7 +155,7 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w: float,
     committed = np.asarray(committed, dtype=float)
     prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
     per_gen = (committed * prices
-               - committed * fleet.production_cost_rates[None, :]).sum(axis=0)
+               - committed * fleet.ask_prices[None, :]).sum(axis=0)
     return float(per_gen.sum()), per_gen
 
 
@@ -169,7 +169,7 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
             or np.any(psi < 0.0)):
         raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
     prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
-    margin = prices[None, :, :] - fleet.production_cost_rates[None, None, :]
+    margin = prices[None, :, :] - fleet.ask_prices[None, None, :]
     per_gen = np.einsum("k,kti->i", psi, realized * margin)
     return float(per_gen.sum()), per_gen
 

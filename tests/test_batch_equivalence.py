@@ -419,8 +419,7 @@ def test_commit_batch_empty():
 
 def test_fleet_columns_are_read_only():
     fleet = builtin_fleet()
-    for column in (fleet.ask_prices, fleet.p_mins, fleet.p_maxs,
-                   fleet.production_cost_rates, fleet.p_max_prefix):
+    for column in (fleet.ask_prices, fleet.p_mins, fleet.p_maxs, fleet.p_max_prefix):
         with pytest.raises(ValueError):
             column[0] = 1.0
     assert list(fleet.p_max_prefix) == [0, 400, 555, 631, 828, 928, 940, 960]

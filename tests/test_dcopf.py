@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gridclear import (Fleet, GeneratorSpec, RadialGrid, kkt_verify_network,
-                       solve_deterministic)
+from gridclear import (Fleet, GeneratorSpec, KktReport, RadialGrid, builtin_fleet,
+                       kkt_verify_network, solve_deterministic)
 from gridclear.dcopf import OpfSolution
 
 
@@ -121,6 +121,39 @@ def test_certificate_holds_decommitted_unit_at_zero():
     assert report.max_residual <= 1e-12
 
 
+def test_certificate_rejects_nan_load():
+    grid = RadialGrid(3, 50.0, admittances=[10.0, 10.0])
+    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
+    sol = solve_deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    with pytest.raises(ValueError, match="^loads must be finite"):
+        kkt_verify_network(sol, grid, fleet, [60.0, np.nan, 30.0])
+
+
+def test_certificate_rejects_nan_line_multiplier():
+    grid = RadialGrid(3, 50.0, admittances=[10.0, 10.0])
+    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
+    sol = solve_deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    bad = OpfSolution(sol.power, sol.angles, sol.lmps, sol.mu, sol.mu_bar,
+                      np.array([np.nan, 0.0]), sol.flows, sol.objective)
+    with pytest.raises(ValueError, match="^line_mu must be finite"):
+        kkt_verify_network(bad, grid, fleet, [60.0, 40.0, 30.0])
+
+
+def test_max_residual_is_nan_when_a_block_is():
+    report = KktReport(0.0, 0.0, 0.0, np.nan, 0.0, 0.0, 0.0)
+    assert np.isnan(report.max_residual)
+
+
+def test_certificate_needs_one_unit_and_one_load_per_feeder_bus():
+    grid = RadialGrid(3, 50.0)
+    sol = solve_deterministic(grid, builtin_fleet().head(3), [60.0, 40.0, 30.0])
+    with pytest.raises(ValueError, match="one unit per bus, got 7 units"):
+        kkt_verify_network(sol, grid, builtin_fleet(), [60.0, 40.0, 30.0])
+    # one load is not broadcast to every bus
+    with pytest.raises(ValueError, match="one load and one renewable value per bus"):
+        kkt_verify_network(sol, grid, builtin_fleet().head(3), [43.0])
+
+
 # ---------------------------------------------------------------------------
 # randomized certificates and optimality
 
@@ -136,6 +169,41 @@ def test_every_solution_carries_a_certificate():
         if sol.line_mu.max(initial=0.0) > 0.0:
             congested += 1
     assert congested > 20  # the instance mix must actually exercise congestion
+
+
+def reference_network_residuals(solution, grid, loads):
+    """Angle stationarity and nodal balance as per-bus loops over neighbours."""
+    n, b, lmps, line_mu = grid.n_buses, grid.admittances, solution.lmps, solution.line_mu
+    flows = b * -np.diff(solution.angles)
+    injections = solution.power - loads
+    angle_res = balance = 0.0
+    for i in range(n):
+        acc = 0.0
+        if i > 0:
+            acc += b[i - 1] * (0.0 - line_mu[i - 1] + lmps[i] - lmps[i - 1])
+        if i < n - 1:
+            acc += b[i] * (line_mu[i] - 0.0 + lmps[i] - lmps[i + 1])
+        angle_res = max(angle_res, abs(acc))
+        out = flows[i] if i < n - 1 else 0.0
+        inflow = flows[i - 1] if i > 0 else 0.0
+        balance = max(balance, abs(injections[i] - (out - inflow)))
+    return angle_res, balance
+
+
+def test_network_blocks_match_per_bus_loops():
+    rng = np.random.default_rng(54)
+    for _ in range(200):
+        grid, fleet, loads = random_network_instance(rng)
+        sol = solve_deterministic(grid, fleet, loads)
+        n = grid.n_buses
+        bad = OpfSolution(sol.power + rng.normal(0.0, 1.0, n),
+                          sol.angles + rng.normal(0.0, 0.1, n),
+                          sol.lmps + rng.normal(0.0, 1.0, n), sol.mu, sol.mu_bar,
+                          sol.line_mu + rng.normal(0.0, 1.0, n - 1), sol.flows, sol.objective)
+        report = kkt_verify_network(bad, grid, fleet, loads)
+        angle_res, balance = reference_network_residuals(bad, grid, loads)
+        assert report.angle_stationarity == pytest.approx(angle_res, rel=1e-12, abs=1e-12)
+        assert report.nodal_balance == balance
 
 
 def test_uncongested_instances_share_one_price():

@@ -6,12 +6,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
-                       RadialGrid, RunConfig, ScenarioConfig, ScenarioSet, fleet_from_csv)
+                       InfeasibleDispatchError, RadialGrid, RunConfig, ScenarioConfig,
+                       ScenarioSet, dispatch_radial_batch, fleet_from_csv,
+                       solve_deterministic)
 from gridclear.cli import main
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 SPEC_FIELDS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_hot",
-               "start_cost_cold", "no_load_cost", "production_cost_rate")
+               "start_cost_cold", "no_load_cost")
 
 
 @settings(max_examples=60, deadline=None)
@@ -19,7 +21,7 @@ SPEC_FIELDS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_
        st.floats(0.0, 50.0), st.floats(0.0, 100.0))
 def test_generator_spec_rejects_non_finite(name, bad, p_min, width):
     spec = dict(name="g", ask_price=10.0, p_min=p_min, p_max=p_min + width,
-                rp_max=width, ramp_max=width, production_cost_rate=10.0)
+                rp_max=width, ramp_max=width)
     spec[name] = bad
     with pytest.raises(ValueError, match=f"^g: {name} must be finite, got {bad}$"):
         GeneratorSpec(**spec)
@@ -99,6 +101,39 @@ def test_scenario_set_rejects_non_finite_trajectories(n_buses, horizon, k, name,
     arrays[name][index] = bad
     with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
         ScenarioSet(np.full(k, 1.0 / k), **arrays)
+
+
+def _feeder():
+    fleet = Fleet(tuple(GeneratorSpec(f"b{i}", ask, 0.0, cap)
+                        for i, (ask, cap) in enumerate([(10.0, 400.0), (20.0, 300.0),
+                                                        (30.0, 200.0)])))
+    return RadialGrid(3, 50.0), fleet
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind,which", [("local", 0), ("tail", 1)])
+def test_feeder_kernel_rejects_non_finite_requirement(bad, kind, which):
+    grid, fleet = _feeder()
+    rows = [np.array([[60.0, 40.0, 30.0]] * 3), np.array([[130.0, 70.0, 30.0]] * 3)]
+    rows[which][1, 1] = bad
+    with pytest.raises(InfeasibleDispatchError,
+                       match=f"^bus 1: {kind} requirement {bad} MW must be finite$"):
+        dispatch_radial_batch(grid, fleet, *rows)
+    # the non-finite row is the first to fail only when no earlier row does
+    rows[1][0, 0] = 500.0
+    with pytest.raises(InfeasibleDispatchError,
+                       match="^bus 0: tail requirement 500 MW exceeds generator capacity"):
+        dispatch_radial_batch(grid, fleet, *rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["loads", "renewables"])
+def test_deterministic_dispatch_rejects_non_finite_input(bad, field):
+    grid, fleet = _feeder()
+    inputs = dict(loads=np.array([60.0, 40.0, 30.0]), renewables=np.zeros(3))
+    inputs[field][2] = bad
+    with pytest.raises(InfeasibleDispatchError, match="requirement .* MW must be finite$"):
+        solve_deterministic(grid, fleet, **inputs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])

@@ -245,7 +245,7 @@ def test_kkt_balance_detects_perturbation():
     bad = type(res)(power, res.clearing_price, res.mu, res.mu_bar, res.regime,
                     res.marginal_index)
     report = kkt_residuals(fleet, bad, 450.0)
-    assert report.balance == pytest.approx(1.0, abs=1e-12)
+    assert report.nodal_balance == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kkt_stationarity_detects_zeroed_multiplier():
@@ -256,7 +256,7 @@ def test_kkt_stationarity_detects_zeroed_multiplier():
     bad = type(res)(res.power, res.clearing_price, mu, res.mu_bar, res.regime,
                     res.marginal_index)
     report = kkt_residuals(fleet, bad, 450.0)
-    assert report.stationarity == pytest.approx(res.clearing_price - 7.37, abs=1e-12)
+    assert report.generator_stationarity == pytest.approx(res.clearing_price - 7.37, abs=1e-12)
 
 
 def test_kkt_stationarity_covers_idle_units_without_minimum():
@@ -269,7 +269,26 @@ def test_kkt_stationarity_covers_idle_units_without_minimum():
     bad = type(res)(res.power, res.clearing_price, res.mu, mu_bar, res.regime,
                     res.marginal_index)
     report = kkt_residuals(fleet, bad, 450.0)
-    assert report.stationarity == pytest.approx(315.81 - res.clearing_price, abs=1e-12)
+    assert report.generator_stationarity == pytest.approx(315.81 - res.clearing_price, abs=1e-12)
+
+
+def test_kkt_box_detects_unit_above_maximum():
+    # unit 1 of the built-in fleet tops out at 155 MW; balance alone passes 156
+    fleet = builtin_fleet()
+    res = commit(fleet, 450.0)
+    power = res.power.copy()
+    power[1] = 156.0
+    bad = type(res)(power, res.clearing_price, res.mu, res.mu_bar, res.regime,
+                    res.marginal_index)
+    report = kkt_residuals(fleet, bad, float(power.sum()))
+    assert report.box_feasibility == pytest.approx(1.0)
+    assert report.nodal_balance == 0.0
+
+
+def test_kkt_rejects_nan_demand():
+    fleet = builtin_fleet()
+    with pytest.raises(ValueError, match="^loads must be finite"):
+        kkt_residuals(fleet, commit(fleet, 450.0), float("nan"))
 
 
 # ---------------------------------------------------------------------------
