@@ -9,7 +9,7 @@ scenarios.
 
 from .congestion import (CongestedDispatch, FeederCase, RadialGrid,
                          committed_upper_bound, dispatch_radial,
-                         dispatch_radial_batch, validate_feeder_assumptions)
+                         dispatch_radial_batch)
 from .dcopf import (KktReport, OpfSolution, kkt_residuals, kkt_verify_network,
                     solve_deterministic)
 from .errors import (ConfigurationError, FleetParseError, GridClearError,
@@ -17,14 +17,12 @@ from .errors import (ConfigurationError, FleetParseError, GridClearError,
 from .experiment import (PointResult, RunConfig, emit_csv, evaluate_point,
                          load_fleet, point_row, run_grid, scenario_config)
 from .merit_order import (DispatchResult, Fleet, GeneratorSpec, Regime,
-                          backdown_feasibility, builtin_fleet, commit, commit_batch,
-                          fleet_from_csv, validate_assumptions)
-from .risk import (EmpiricalSample, committed_requirement, cvar_direct,
-                   cvar_rockafellar, cvar_rows, rockafellar_objective, var)
+                          builtin_fleet, commit, commit_batch, fleet_from_csv)
+from .risk import (EmpiricalSample, cvar_direct, cvar_rockafellar, cvar_rows,
+                   rockafellar_objective, var)
 from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
-                        generate_scenarios, net_load, suffix_net_load,
-                        write_scenario_csv)
-from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
+                        generate_scenarios, net_load, suffix_net_load)
+from .settlement import (SettlementReport, curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
                          recovery_rate, reserve_and_ramp_check)
 
@@ -32,19 +30,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CongestedDispatch", "FeederCase", "RadialGrid", "committed_upper_bound",
-    "dispatch_radial", "dispatch_radial_batch", "validate_feeder_assumptions",
+    "dispatch_radial", "dispatch_radial_batch",
     "KktReport", "OpfSolution", "kkt_residuals", "kkt_verify_network",
     "solve_deterministic",
     "ConfigurationError", "FleetParseError", "GridClearError", "InfeasibleDispatchError",
     "PointResult", "RunConfig", "emit_csv", "evaluate_point", "load_fleet",
     "point_row", "run_grid", "scenario_config",
-    "DispatchResult", "Fleet", "GeneratorSpec", "Regime", "backdown_feasibility",
-    "builtin_fleet", "commit", "commit_batch", "fleet_from_csv", "validate_assumptions",
-    "EmpiricalSample", "committed_requirement", "cvar_direct", "cvar_rockafellar",
+    "DispatchResult", "Fleet", "GeneratorSpec", "Regime",
+    "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
+    "EmpiricalSample", "cvar_direct", "cvar_rockafellar",
     "cvar_rows", "rockafellar_objective", "var",
     "ScenarioConfig", "ScenarioSet", "aggregate_net_load", "generate_scenarios",
-    "net_load", "suffix_net_load", "write_scenario_csv",
+    "net_load", "suffix_net_load",
     "SettlementReport", "curtail_and_pay_renewables",
-    "deviation_cost", "deviation_envelopes", "expected_profit", "realized_profit",
+    "deviation_envelopes", "expected_profit", "realized_profit",
     "recovery_rate", "reserve_and_ramp_check",
 ]

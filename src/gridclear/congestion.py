@@ -10,7 +10,10 @@ balances everything downstream and sets the price from there on.
 ``dispatch_radial_batch`` is the one feeder kernel: it clears m requirement
 rows at once, running the recursion as a loop over the buses with each step
 applied to every row, and finds each row's balancing bus and infeasibility
-with masks.  ``dispatch_radial`` is a one-row call of it.
+with masks.  ``dispatch_radial`` is a one-row call of it.  Feasibility has
+one answer, the kernel's: an infeasible row raises InfeasibleDispatchError,
+whose message names the failed check (for the feeder assumptions, each bus's
+minimum and tail clauses in bus order).
 """
 
 from __future__ import annotations
@@ -73,29 +76,6 @@ class CongestedDispatch:
         return float(self.power.sum())
 
 
-def validate_feeder_assumptions(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
-                                suffix_cvars) -> list[str]:
-    """Diagnostics for the feeder-serving assumptions.
-
-    Empty iff every unit has zero minimum and every bus's generator covers the
-    tail requirement from that bus onward (its suffix CVaR).
-    """
-    per_bus = np.asarray(per_bus_cvars, dtype=float)
-    suffix = np.asarray(suffix_cvars, dtype=float)
-    n = grid.n_buses
-    violations = []
-    if len(fleet) != n or per_bus.shape != (n,) or suffix.shape != (n,):
-        violations.append(f"need one generator and one requirement pair per bus ({n})")
-        return violations
-    for i, g in enumerate(fleet.generators):
-        if g.p_min != 0.0:
-            violations.append(f"bus {i}: generator minimum must be 0, got {g.p_min}")
-        if suffix[i] > g.p_max + _TOL:
-            violations.append(f"bus {i}: tail requirement {suffix[i]:.6g} MW exceeds "
-                              f"generator capacity {g.p_max:.6g}")
-    return violations
-
-
 @dataclass(frozen=True)
 class RadialDispatchBatch:
     """Feeder dispatch of m requirement rows; row r answers row r of the input."""
@@ -126,8 +106,10 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
     ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
     ``dispatch_radial`` describes; the recursion runs once over the buses
     with every step applied to all rows.  A row is infeasible when it holds
-    a non-finite requirement, fails the feeder assumptions, is congested
-    without a balancing bus, or needs more than a unit's capacity; the first
+    a non-finite requirement, fails the feeder assumptions (every unit's
+    minimum is 0, and each bus's unit covers the tail requirement from that
+    bus on), is congested without a balancing bus, or needs more than a
+    unit's capacity; the first
     infeasible row in row order raises InfeasibleDispatchError with that
     row's message.
     """
@@ -192,8 +174,14 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
             i = int(np.isfinite(row).argmin())
             message = f"bus {i}: {kind} requirement {row[i]} MW must be finite"
         elif invalid[r]:
-            message = "; ".join(validate_feeder_assumptions(grid, fleet, per_bus[r],
-                                                            suffix[r]))
+            clauses = []
+            for i, g in enumerate(fleet.generators):
+                if g.p_min != 0.0:
+                    clauses.append(f"bus {i}: generator minimum must be 0, got {g.p_min}")
+                if suffix[r, i] > g.p_max + _TOL:
+                    clauses.append(f"bus {i}: tail requirement {suffix[r, i]:.6g} MW "
+                                   f"exceeds generator capacity {g.p_max:.6g}")
+            message = "; ".join(clauses)
         elif missing[r]:
             message = ("congested feeder without a balancing bus; "
                        "tail requirements inconsistent")

@@ -34,7 +34,7 @@ from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
 from .risk import cvar_rows
 from .scenarios import ScenarioConfig, ScenarioSet, build_scenarios, draw_loads
-from .settlement import (SettlementReport, curtail_and_pay_renewables, deviation_cost,
+from .settlement import (SettlementReport, curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
                          recovery_rate, reserve_and_ramp_check, sum_in_order)
 
@@ -243,7 +243,7 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
         lambda_w=lambda_w,
         expected_profit=r_expected,
         realized_profit=r_realized,
-        deviation_cost=deviation_cost(r_expected, r_realized),
+        deviation_cost=r_expected - r_realized,
         renewable_revenue=float(sum_in_order(sset.probabilities * rev_k)),
         curtailed_mwh=float(sum_in_order(sset.probabilities * cur_k)),
         violations=violations,
@@ -260,9 +260,10 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
     penetration level, and each level's set is shared across the confidence
     levels.  So every point sees the same load array and the same weather
     draw (common random numbers).  With a diagnostics list, a level whose
-    renewables cannot be built or a point whose dispatch is infeasible is
-    skipped and a message naming its coordinates appended; without one the
-    first failure is raised.
+    renewables cannot be built or a point whose dispatch is infeasible (or
+    whose cost H cannot be recovered on zero committed energy) is skipped and
+    a message naming its coordinates appended; without one the first failure
+    is raised.
     """
     fleet = load_fleet(run.fleet_source)
     if run.line_limit is not None and run.n_buses > len(fleet):

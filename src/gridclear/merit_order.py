@@ -15,7 +15,10 @@ one on a one-bus grid (``dcopf.kkt_residuals``).
 
 ``commit_batch`` is the one clearing kernel: it dispatches a whole array of
 demands at once, choosing the regime of each row with masks.  ``commit`` is
-a one-row call of it that adds the multipliers.
+a one-row call of it that adds the multipliers.  Feasibility has one answer,
+the kernel's: a demand it cannot clear raises InfeasibleDispatchError, whose
+message names the failed check (a non-finite demand, the servable range, the
+single-unit regime or the adjustable-range assumption of the back-down).
 """
 
 from __future__ import annotations
@@ -155,31 +158,6 @@ class DispatchResult:
         return float(self.power.sum())
 
 
-def validate_assumptions(fleet: Fleet, demand: float) -> list[str]:
-    """Feasibility diagnostics for the closed-form commitment.
-
-    Empty iff (a) min p_min <= demand <= total capacity and (b) every unit's
-    minimum is exceeded by every unit's adjustable range (max - min).
-    """
-    violations = []
-    p_min = fleet.p_mins
-    p_max = fleet.p_maxs
-    lo, hi = float(p_min.min()), float(p_max.sum())
-    if demand < lo:
-        violations.append(f"demand {demand:.6g} MW below the smallest generator minimum {lo:.6g}")
-    if demand > hi:
-        violations.append(f"demand {demand:.6g} MW exceeds total capacity {hi:.6g}")
-    widest_min = float(p_min.max())
-    i_min = int(p_min.argmax())
-    narrowest_range = float((p_max - p_min).min())
-    i_rng = int((p_max - p_min).argmin())
-    if widest_min >= narrowest_range:
-        violations.append(
-            f"unit {fleet.generators[i_min].name}: p_min {widest_min:.6g} is not below the "
-            f"narrowest adjustable range {narrowest_range:.6g} (unit {fleet.generators[i_rng].name})")
-    return violations
-
-
 _REGIMES = tuple(Regime)  # regime code -> Regime, in definition order
 
 
@@ -291,22 +269,6 @@ def commit(fleet: Fleet, demand_cvar: float) -> DispatchResult:
     mu = np.where(np.arange(len(fleet)) < n_at_max, price - asks, 0.0)
     mu_bar = np.maximum(asks - price, 0.0)
     return DispatchResult(batch.power[0], price, mu, mu_bar, regime, marginal)
-
-
-def backdown_feasibility(fleet: Fleet, demand: float, k: int) -> bool:
-    """Whether unit k-1 can absorb the back-down when unit k must run at its minimum.
-
-    ``k`` is the 0-based index of the unit forced to its minimum; requires the
-    back-down precondition 0 < demand - sum(p_max[:k]) < p_min[k] and k >= 1.
-    """
-    p_min = fleet.p_mins
-    if k < 1 or k >= len(fleet):
-        raise ValueError(f"k must index a unit with a predecessor, got {k}")
-    if not 0.0 < demand - fleet.p_max_prefix[k] < p_min[k]:
-        raise ValueError(
-            f"demand {demand!r} does not put unit {k} in the back-down regime")
-    target = _backdown_target(fleet, demand, k)
-    return bool(p_min[k - 1] < target < fleet.p_maxs[k - 1])
 
 
 # Production cost, maximum output, hot/cold start cost and ramp rate of the

@@ -180,17 +180,3 @@ def cvar_rockafellar(sample: EmpiricalSample, alpha: float) -> float:
     precision.
     """
     return rockafellar_objective(sample, alpha, var(sample, alpha))
-
-
-def committed_requirement(aggregate_net_load: EmpiricalSample, alpha: float,
-                          total_committed: float) -> float:
-    """Residual shortfall risk left after committing ``total_committed`` MW.
-
-    Zero exactly when the committed power meets or exceeds the CVaR of the
-    aggregate net load; otherwise the positive gap.
-    """
-    total_committed = float(total_committed)
-    if total_committed < 0.0:
-        raise ValueError("total committed power must be non-negative")
-    return max(0.0, cvar_direct(aggregate_net_load, alpha) - total_committed)
-

@@ -307,16 +307,3 @@ def suffix_net_load(scenarios: ScenarioSet, start_bus: int, time: int) -> Empiri
     values = np.sum(scenarios.load[start_bus:, time, :]
                     - scenarios.renewable[start_bus:, time, :], axis=0)
     return EmpiricalSample.from_arrays(values, scenarios.probabilities)
-
-
-def write_scenario_csv(scenarios: ScenarioSet, path) -> None:
-    """Dump the scenario set as CSV: scenario,bus,time,load_mw,renewable_mw,probability."""
-    with open(path, "w", newline="") as fh:
-        fh.write("scenario,bus,time,load_mw,renewable_mw,probability\n")
-        for sc in range(scenarios.n_scenarios):
-            for bus in range(scenarios.n_buses):
-                for t in range(scenarios.horizon):
-                    fh.write(f"{sc},{bus},{t},"
-                             f"{scenarios.load[bus, t, sc]:.6f},"
-                             f"{scenarios.renewable[bus, t, sc]:.6f},"
-                             f"{scenarios.probabilities[sc]:.6f}\n")

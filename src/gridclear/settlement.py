@@ -5,14 +5,20 @@ different net load, so generators actually sell the re-dispatched quantity
 at the committed price.  The gap between the profit they planned on and the
 scenario-expected profit they get is the deviation cost.
 
-Cost recovery: the no-load, start-up, reserve and ramp outlays of committed
-units sum to H; with recovery enabled the per-MWh uplift is H over the total
-committed energy, without it the uplift is zero.  A start is hot when the
-unit was online two hours before (so after exactly one offline hour), cold
-otherwise; every unit enters the horizon as if it was online two hours
-before and offline one hour before, so a start in hour 0 is hot.  Reserve
-costs RESERVE_RATE $/MW per hour of reserve envelope and ramp RAMP_RATE $
-per MW/h of ramp envelope.  The profit formulas are evaluated literally.
+Cost recovery: H sums the no-load and start-up costs of the unit-hours with
+positive committed output and the reserve and ramp costs of every unit-hour,
+so a unit the re-dispatch runs while it is not committed adds its ramp
+envelope to H.  With recovery enabled the per-MWh uplift is H over the total
+committed energy, without it the uplift is zero; a point with H > 0 and no
+committed energy cannot be recovered and raises InfeasibleDispatchError.
+A start is hot when the unit was online two hours before (so after exactly
+one offline hour), cold otherwise; every unit enters the horizon as if it
+was online two hours before and offline one hour before, so a start in
+hour 0 is hot.  Reserve costs RESERVE_RATE $/MW per hour of reserve envelope
+and ramp RAMP_RATE $ per MW/h of ramp envelope.  The profit formulas are
+evaluated literally: both price energy at the LMP less
+``lambda_w * (1 - cost_recovery)``, which is zero in either mode (the uplift
+is zero without recovery), so the recovery mode changes no profit.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InfeasibleDispatchError
 from .merit_order import Fleet
 
 RESERVE_RATE = 15.0   # $/MW per hour of reserve held
@@ -29,7 +36,7 @@ RAMP_RATE = 5.0       # $ per MW/h of ramp envelope
 
 @dataclass(frozen=True)
 class SettlementReport:
-    h_total: float                 # $, recoverable costs of committed units
+    h_total: float                 # $, recoverable costs (see the module docstring)
     lambda_w: float                # $/MWh uplift
     expected_profit: float         # $, profit at commitment
     realized_profit: float         # $, scenario-expected profit actually made
@@ -106,14 +113,16 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     """Recoverable cost H and the per-MWh uplift.
 
     H sums, over hours and units with positive committed output, the
-    no-load cost, the hot or cold start-up cost on each start (online now,
-    offline the hour before), and the reserve and ramp costs at the fixed
-    rates on the supplied envelopes.  The terms are added left to right,
-    hour by hour: no-load then start-up per unit, then reserve, then ramp.
+    no-load cost and the hot or cold start-up cost on each start (online
+    now, offline the hour before), and, over every hour and unit whatever
+    its commitment, the reserve and ramp costs at the fixed rates on the
+    supplied envelopes.  The terms are added left to right, hour by hour:
+    no-load then start-up per unit, then reserve, then ramp.
 
     With cost_recovery=1 the uplift is H over total committed energy; with 0
-    it is zero.  Raises ValueError when recovery is requested but there is a
-    positive H and no energy to spread it over.
+    it is zero.  Raises InfeasibleDispatchError when recovery is requested
+    but there is a positive H and no energy to spread it over, so a grid run
+    skips the point as it skips an infeasible dispatch.
     """
     if cost_recovery not in (0, 1):
         raise ValueError("cost_recovery must be 0 or 1")
@@ -140,8 +149,8 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     energy = committed.sum()
     if energy <= 0.0:
         if h_total > 0.0:
-            raise ValueError("cost recovery requested but no committed energy to carry "
-                             f"H = {h_total:.6g}")
+            raise InfeasibleDispatchError("cost recovery requested but no committed "
+                                          f"energy to carry H = {h_total:.6g}")
         return h_total, 0.0
     return h_total, h_total / energy
 
@@ -172,11 +181,6 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
     margin = prices[None, :, :] - fleet.ask_prices[None, None, :]
     per_gen = np.einsum("k,kti->i", psi, realized * margin)
     return float(per_gen.sum()), per_gen
-
-
-def deviation_cost(expected: float, realized: float) -> float:
-    """Planned profit minus scenario-expected profit; negative values are kept."""
-    return expected - realized
 
 
 def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,

@@ -15,7 +15,7 @@ from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
                        aggregate_net_load, commit, committed_upper_bound,
                        cvar_direct, cvar_rockafellar, dispatch_radial, emit_csv,
                        evaluate_point, generate_scenarios, kkt_residuals,
-                       kkt_verify_network, backdown_feasibility, load_fleet, net_load,
+                       kkt_verify_network, load_fleet, net_load,
                        point_row, recovery_rate, run_grid, scenario_config,
                        solve_deterministic, var)
 from gridclear.experiment import ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS
@@ -141,10 +141,10 @@ def test_criterion_4_backdown_always_feasible():
             gap = demand - float(fleet.p_maxs[:k].sum())
             if not 0.0 < gap < fleet.p_mins[k]:
                 continue
-            assert backdown_feasibility(fleet, demand, k) is True
             res = commit(fleet, demand)
-            if res.regime is Regime.BELOW_PMIN:
-                assert res.total_power == pytest.approx(demand, abs=1e-9)
+            assert res.regime is Regime.BELOW_PMIN
+            assert res.power[k] == fleet.p_mins[k]
+            assert res.total_power == pytest.approx(demand, abs=1e-9)
             trials += 1
 
 

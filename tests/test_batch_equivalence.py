@@ -648,7 +648,7 @@ def assert_recovery_matches_reference(committed, rp, dp, fleet, cost_recovery):
     try:
         expected = reference_recovery(committed, rp, dp, fleet, cost_recovery)
     except ValueError:
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleDispatchError):
             recovery_rate(committed, rp, dp, fleet, cost_recovery)
         return
     h_total, lambda_w = recovery_rate(committed, rp, dp, fleet, cost_recovery)

@@ -5,7 +5,7 @@ import pytest
 
 from gridclear import (EmpiricalSample, FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, committed_upper_bound,
-                       cvar_direct, dispatch_radial, validate_feeder_assumptions)
+                       cvar_direct, dispatch_radial)
 
 
 def feeder_fleet(asks, p_maxs):
@@ -33,33 +33,35 @@ def random_radial_instance(rng, max_buses=6):
 
 
 # ---------------------------------------------------------------------------
-# assumption diagnostics
+# feeder assumptions, as the kernel decides them
 
 
 def test_assumption_single_bus_ok():
     grid = RadialGrid(1, 50.0)
     fleet = feeder_fleet([10.0], [400.0])
-    assert validate_feeder_assumptions(grid, fleet, [300.0], [300.0]) == []
+    dispatch_radial(grid, fleet, [300.0], [300.0])
 
 
 def test_assumption_elementwise_ok():
     grid = RadialGrid(3, 50.0)
     fleet = feeder_fleet([10, 20, 30], [200, 100, 50])
-    assert validate_feeder_assumptions(grid, fleet, [60, 40, 30], [130, 70, 30]) == []
+    dispatch_radial(grid, fleet, [60, 40, 30], [130, 70, 30])
 
 
 def test_assumption_capacity_violation_names_bus():
     grid = RadialGrid(1, 50.0)
     fleet = feeder_fleet([10.0], [400.0])
-    violations = validate_feeder_assumptions(grid, fleet, [500.0], [500.0])
-    assert len(violations) == 1 and "bus 0" in violations[0]
+    with pytest.raises(InfeasibleDispatchError, match=(
+            "^bus 0: tail requirement 500 MW exceeds generator capacity 400$")):
+        dispatch_radial(grid, fleet, [500.0], [500.0])
 
 
 def test_assumption_positive_minimum_flagged():
     grid = RadialGrid(2, 50.0)
     fleet = Fleet((GeneratorSpec("a", 10, 5, 100), GeneratorSpec("b", 20, 0, 100)))
-    violations = validate_feeder_assumptions(grid, fleet, [10, 10], [20, 10])
-    assert any("minimum" in v for v in violations)
+    with pytest.raises(InfeasibleDispatchError,
+                       match="^bus 0: generator minimum must be 0, got 5$"):
+        dispatch_radial(grid, fleet, [10, 10], [20, 10])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,6 @@ def test_required_output_above_capacity_message():
     # and leaves bus 1 a carried tail of 50 MW against its 45 MW unit
     grid = RadialGrid(3, 30.0)
     fleet = feeder_fleet([10, 20, 30], [100, 45, 20])
-    assert validate_feeder_assumptions(grid, fleet, [20, 60, 10], [100, 40, 10]) == []
     with pytest.raises(InfeasibleDispatchError) as err:
         dispatch_radial(grid, fleet, [20, 60, 10], [100, 40, 10])
     assert str(err.value) == "bus 1: required output 50 MW exceeds capacity 45"

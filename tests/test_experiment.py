@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec,
                        InfeasibleDispatchError, RunConfig, aggregate_net_load,
-                       committed_requirement, emit_csv, generate_scenarios, load_fleet,
+                       cvar_direct, emit_csv, generate_scenarios, load_fleet,
                        point_row, run_grid, scenario_config)
 from gridclear.cli import main
 from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
@@ -192,7 +192,7 @@ def test_alpha_sweep_committed_meets_requirement():
     sset = generate_scenarios(scenario_config(run, 0.009))
     for row in grid_rows(run):
         sample = aggregate_net_load(sset, 0)
-        assert committed_requirement(sample, row["alpha"], row["committed_mw"]) == 0.0
+        assert cvar_direct(sample, row["alpha"]) <= row["committed_mw"]
 
 
 def test_penetration_sweep_committed_meets_requirement():
@@ -200,7 +200,7 @@ def test_penetration_sweep_committed_meets_requirement():
     for row in grid_rows(run):
         sset = generate_scenarios(scenario_config(run, row["penetration"]))
         sample = aggregate_net_load(sset, 0)
-        assert committed_requirement(sample, 0.95, row["committed_mw"]) == 0.0
+        assert cvar_direct(sample, 0.95) <= row["committed_mw"]
 
 
 def test_multi_hour_horizon_runs():
@@ -497,6 +497,59 @@ def test_cli_infeasible_single_run_exits_3(tmp_path):
     result = runner.invoke(main, ["settle", "--fleet", str(fleet),
                                   "--out", str(tmp_path)])
     assert result.exit_code == 3
+
+
+# every hour's CVaR at penetration 3 is <= 0, so nothing is committed, yet the
+# re-dispatch ramps units and H > 0: cost recovery has no energy to carry H
+_NOTHING_COMMITTED = ["--alpha", "0.5", "--penetration", "3", "--horizon", "2"]
+_UNRECOVERABLE = "cost recovery requested but no committed energy to carry H = 3050"
+
+
+def _settlement_row(out):
+    header, row = (out / "settlement.csv").read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("command", ["dispatch", "settle"])
+def test_cli_unrecoverable_cost_single_run_exits_3(tmp_path, command):
+    result = CliRunner().invoke(main, [command, *_NOTHING_COMMITTED, "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == f"infeasible dispatch: {_UNRECOVERABLE}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_unrecoverable_cost_sweep_skips_the_point(tmp_path):
+    result = CliRunner().invoke(main, ["sweep-alpha", "--alpha", "0.5,0.9", "--penetration",
+                                       "3", "--horizon", "2", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"skipped: alpha=0.5, penetration=3.0: {_UNRECOVERABLE}\n")
+    lines = (tmp_path / "alpha_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["alpha", "0.900000"]
+
+
+def test_cli_nothing_committed_settles_without_cost_recovery(tmp_path):
+    result = CliRunner().invoke(main, ["settle", *_NOTHING_COMMITTED, "--cost-recovery", "0",
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    row = _settlement_row(tmp_path)
+    assert row["CR"] == "0" and row["lambda_w"] == "0.000000"
+    assert float(row["H"]) > 0.0
+
+
+def test_cli_cost_recovery_changes_only_its_own_columns(tmp_path):
+    # both profits price energy at the LMP less lambda_w * (1 - CR), which is
+    # zero in either mode, so only the CR and lambda_w columns can differ
+    tables = []
+    for cr in ("0", "1"):
+        out = tmp_path / cr
+        result = CliRunner().invoke(main, ["settle", "--cost-recovery", cr, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        tables.append(_settlement_row(out))
+    without, with_ = tables
+    assert [c for c in without if without[c] != with_[c]] == ["CR", "lambda_w"]
+    assert without["lambda_w"] == "0.000000" and float(with_["lambda_w"]) > 0.0
+    assert (without["R"], without["R_tilde"]) == ("11116.600000", "11098.992368")
 
 
 def test_cli_dispatch_uncongested(tmp_path):

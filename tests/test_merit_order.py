@@ -1,14 +1,14 @@
 """Merit-order commitment: worked examples, enumeration oracle, KKT residuals."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, Regime, builtin_fleet, commit,
-                       cvar_direct, kkt_residuals, backdown_feasibility,
-                       validate_assumptions)
+                       cvar_direct, kkt_residuals)
 
 # ---------------------------------------------------------------------------
 # oracle: enumerate unit states {off, at-min, at-max, free}; at most one free
@@ -95,29 +95,41 @@ def feasible_demand(rng, fleet):
 
 
 # ---------------------------------------------------------------------------
-# assumption diagnostics
+# feasibility, as the kernel decides it
 
 
 def test_table_fleet_demand_ok():
-    assert validate_assumptions(builtin_fleet(), 500.0) == []
+    commit(builtin_fleet(), 500.0)
 
 
 def test_demand_beyond_capacity_flagged():
     fleet = builtin_fleet()
     assert fleet.total_capacity == 960.0
-    violations = validate_assumptions(fleet, 2000.0)
-    assert len(violations) == 1 and "exceeds total capacity" in violations[0]
+    with pytest.raises(InfeasibleDispatchError, match=re.escape(
+            "demand 2000 MW outside the servable range [0, 960]")):
+        commit(fleet, 2000.0)
 
 
 def test_range_clause_two_units():
     fleet = Fleet((GeneratorSpec("a", 10, 0, 100), GeneratorSpec("b", 20, 50, 155)))
-    assert validate_assumptions(fleet, 120.0) == []
+    commit(fleet, 120.0)
 
 
 def test_range_clause_violation_flagged():
+    # a = [95, 100] leaves unit b's minimum 50 no room at 120 MW
     fleet = Fleet((GeneratorSpec("a", 10, 95, 100), GeneratorSpec("b", 20, 50, 155)))
-    violations = validate_assumptions(fleet, 120.0)
-    assert any("adjustable range" in v for v in violations)
+    with pytest.raises(InfeasibleDispatchError, match=re.escape(
+            "back-down target 70 MW outside unit 0's box [95, 100]; "
+            "adjustable-range assumption violated")):
+        commit(fleet, 120.0)
+
+
+def test_range_clause_is_checked_per_demand():
+    # the same fleet clears 150 MW as [100, 50]: the clause binds per demand
+    fleet = Fleet((GeneratorSpec("a", 10, 95, 100), GeneratorSpec("b", 20, 50, 155)))
+    res = commit(fleet, 150.0)
+    assert np.array_equal(res.power, [100.0, 50.0])
+    assert res.regime is Regime.INTERIOR
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +199,24 @@ def test_fleet_rejects_price_ties():
 
 def test_backdown_two_units_zero_min():
     fleet = Fleet((GeneratorSpec("a", 10, 0, 100), GeneratorSpec("b", 20, 50, 155)))
-    assert backdown_feasibility(fleet, 120.0, 1) is True  # 0 < 70 < 100
+    res = commit(fleet, 120.0)  # 0 < 70 < 100
+    assert res.regime is Regime.BELOW_PMIN
+    assert np.array_equal(res.power, [70.0, 50.0])
 
 
 def test_backdown_two_units_positive_min():
     fleet = Fleet((GeneratorSpec("a", 10, 10, 100), GeneratorSpec("b", 20, 50, 120)))
-    assert backdown_feasibility(fleet, 130.0, 1) is True  # 10 < 80 < 100
+    res = commit(fleet, 130.0)  # 10 < 80 < 100
+    assert res.regime is Regime.BELOW_PMIN
+    assert np.array_equal(res.power, [80.0, 50.0])
 
 
 def test_backdown_fabricated_violation():
     # range clause broken on purpose: back-down target 70 below p_min 95
     fleet = Fleet((GeneratorSpec("a", 10, 95, 100), GeneratorSpec("b", 20, 50, 155)))
-    assert backdown_feasibility(fleet, 120.0, 1) is False
-
-
-def test_backdown_precondition_errors():
-    fleet = Fleet((GeneratorSpec("a", 10, 0, 100), GeneratorSpec("b", 20, 50, 155)))
-    with pytest.raises(ValueError):
-        backdown_feasibility(fleet, 90.0, 1)  # demand below the saturation window
-    with pytest.raises(ValueError):
-        backdown_feasibility(fleet, 120.0, 0)  # no predecessor
+    with pytest.raises(InfeasibleDispatchError,
+                       match="adjustable-range assumption violated"):
+        commit(fleet, 120.0)
 
 
 def test_backdown_always_true_under_range_clause():
@@ -223,7 +233,10 @@ def test_backdown_always_true_under_range_clause():
         gap = demand - fleet.p_maxs[:k].sum()
         if not 0.0 < gap < fleet.p_mins[k]:
             continue
-        assert backdown_feasibility(fleet, demand, k) is True
+        res = commit(fleet, demand)
+        assert res.regime is Regime.BELOW_PMIN
+        assert res.power[k] == fleet.p_mins[k]
+        assert res.total_power == pytest.approx(demand, abs=1e-9)
         found += 1
 
 

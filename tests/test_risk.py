@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridclear import (EmpiricalSample, committed_requirement, committed_upper_bound,
-                       cvar_direct, cvar_rockafellar, cvar_rows, var)
+from gridclear import (EmpiricalSample, committed_upper_bound, cvar_direct,
+                       cvar_rockafellar, cvar_rows, rockafellar_objective, var)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -205,27 +205,12 @@ def test_cvar_rockafellar_two_atom():
 
 
 # ---------------------------------------------------------------------------
-# committed requirement (shift identity)
+# committed requirement: a commitment meets it when it reaches the CVaR
 
 
 def test_committed_requirement_balanced():
     s = _sample([(500.0, 1.0)])
-    assert committed_requirement(s, 0.9, 500.0) == 0.0
-
-
-def test_committed_requirement_shortfall():
-    s = _sample([(500.0, 1.0)])
-    assert committed_requirement(s, 0.9, 450.0) == pytest.approx(50.0, abs=1e-12)
-
-
-def test_committed_requirement_overcommitment_clamps():
-    s = _sample([(500.0, 1.0)])
-    assert committed_requirement(s, 0.9, 600.0) == 0.0
-
-
-def test_committed_requirement_rejects_negative_commitment():
-    with pytest.raises(ValueError):
-        committed_requirement(_sample([(1.0, 1.0)]), 0.5, -1.0)
+    assert cvar_direct(s, 0.9) <= 500.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +324,14 @@ def test_positive_homogeneity(s, alpha, lam):
 def test_alpha_monotonicity(s, a1, a2):
     lo, hi = min(a1, a2), max(a1, a2)
     assert cvar_direct(s, lo) <= cvar_direct(s, hi) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_strategy(), st.floats(min_value=0.02, max_value=0.98),
+       st.floats(min_value=-2e4, max_value=2e4))
+def test_rockafellar_objective_is_minimized_at_the_var(s, alpha, eta):
+    # Rockafellar & Uryasev (J. Risk, 2000): the objective's minimum over eta
+    # is the CVaR, attained at the VaR, so cvar_rockafellar evaluates it once
+    cvar = cvar_direct(s, alpha)
+    assert rockafellar_objective(s, alpha, eta) >= cvar - 1e-9
+    assert rockafellar_objective(s, alpha, var(s, alpha)) == pytest.approx(cvar, abs=1e-9)

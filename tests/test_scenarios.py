@@ -11,8 +11,7 @@ import pytest
 import gridclear
 from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
                        ScenarioSet, aggregate_net_load, committed_upper_bound,
-                       cvar_direct, generate_scenarios, net_load, suffix_net_load,
-                       write_scenario_csv)
+                       cvar_direct, generate_scenarios, net_load, suffix_net_load)
 from gridclear.scenarios import build_scenarios, draw_loads
 
 
@@ -241,20 +240,6 @@ def test_subadditivity_gap_nonnegative_on_generated_sets():
         _, gap = committed_upper_bound([cvar_direct(s, alpha) for s in per_bus],
                                        cvar_direct(joint, alpha))
         assert gap >= -1e-9
-
-
-def test_scenario_csv_dump(tmp_path):
-    ss = generate_scenarios(make_config(n_scenarios=3, horizon=1,
-                                        load_mean=np.full((3, 1), 100.0),
-                                        load_std=np.full((3, 1), 8.0)))
-    path = tmp_path / "scenarios.csv"
-    write_scenario_csv(ss, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "scenario,bus,time,load_mw,renewable_mw,probability"
-    assert len(lines) == 1 + 3 * 3  # K * buses * horizon rows
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0" and first[2] == "0"
-    assert float(first[5]) == pytest.approx(1 / 3, abs=1e-6)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gridclear import (Fleet, GeneratorSpec,
-                       curtail_and_pay_renewables, deviation_cost,
+from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError,
+                       curtail_and_pay_renewables,
                        deviation_envelopes, expected_profit, realized_profit,
                        recovery_rate, reserve_and_ramp_check)
 
@@ -108,7 +108,8 @@ def test_recovery_without_energy_errors():
     fleet = one_unit_fleet(no_load_cost=10.0)
     committed = np.zeros((1, 1))
     rp = np.array([[5.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleDispatchError, match="^cost recovery requested but no "
+                       "committed energy to carry H = 75$"):
         recovery_rate(committed, rp, np.zeros((1, 1)), fleet, cost_recovery=1)
 
 
@@ -189,13 +190,7 @@ def test_realized_equals_committed_gives_equal_profit():
     lmps = np.array([[25.0]])
     r, _ = expected_profit(committed, lmps, 0.0, 1, fleet)
     rt, _ = realized_profit(realized, np.full(4, 0.25), lmps, 0.0, 1, fleet)
-    assert deviation_cost(r, rt) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_deviation_cost_is_plain_difference():
-    assert deviation_cost(1263.0, 1263.0) == 0.0
-    assert deviation_cost(1000.0, 900.0) == 100.0
-    assert deviation_cost(900.0, 1000.0) == -100.0  # sign preserved
+    assert r - rt == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
