@@ -1,9 +1,11 @@
-"""Golden bytes: three small CLI runs whose CSV digests are pinned.
+"""Golden bytes: small CLI runs whose CSV digests are pinned.
 
 Criterion 9 compares two runs of the same code, so it cannot see a change
 that shifts output.  These digests were recorded before the clearing,
 payment and scenario loops were batched, and every later change must keep
-them (or say why the numbers moved).  Each run exercises different code:
+them (or say why the numbers moved); the two sweeps added last were
+recorded before the penetration levels of a grid were cleared as one
+batch.  Each run exercises different code:
 
 - settle on one bus: the merit-order re-dispatch, with curtailment active
 - settle on an 80 MW feeder: feeder dispatch and per-bus prices, with
@@ -14,6 +16,11 @@ them (or say why the numbers moved).  Each run exercises different code:
   output and price of each clearing path
 - an alpha sweep over four hours: the cost-recovery total H (start-up,
   reserve and ramp costs) and both profits, R and R_tilde
+- a penetration sweep on the 80 MW feeder: the per-hour tail CVaRs and
+  the feeder re-dispatch at every level, up to a congested full level
+- a penetration sweep over eight buses with distinct non-integer means:
+  each hour's renewable target is a sum of unequal bus means, so a
+  reordered bus sum would round differently
 - the flags whose first value alone is used (a sweep's fixed axis, and both
   axes of settle): a second value must not change a byte, so these digests
   equal those of the one-value runs above or of settle at its defaults
@@ -41,6 +48,16 @@ GOLDEN = {
          "--load-mean", "120,100,90,80,70,60"],
         "penetration_sweep.csv",
         "91b293975321e698a8aa2395f8d2ad14371ed957df1ec729121ad69b68b52428"),
+    "sweep-penetration-feeder": (
+        ["sweep-penetration", "--line-limit", "80", "--load-mean", "150,75,45",
+         "--horizon", "4", "--scenarios", "40"],
+        "penetration_sweep.csv",
+        "f6286d5949cefd725e997718aa7c9d33465b20b42cc48558bafc5c20787beecf"),
+    "sweep-penetration-eight-buses": (
+        ["sweep-penetration", "--load-mean", "31.7,12.25,40.1,18.6,27.35,9.9,22.45,35.8",
+         "--horizon", "4", "--scenarios", "40"],
+        "penetration_sweep.csv",
+        "78311f0713d986d6d144fc81e9f8880885e9a1055a4a43014dc2710722ec8c64"),
     "dispatch-bus": (
         ["dispatch"],
         "dispatch.csv",
