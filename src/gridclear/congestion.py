@@ -99,19 +99,10 @@ def _min(a, b):
     return np.where(b < a, b, a)
 
 
-def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
-                          suffix) -> RadialDispatchBatch:
-    """Dispatch the feeder against m rows of per-bus and tail requirements.
-
-    ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
-    ``dispatch_radial`` describes; the recursion runs once over the buses
-    with every step applied to all rows.  A row is infeasible when it holds
-    a non-finite requirement, fails the feeder assumptions (every unit's
-    minimum is 0, and each bus's unit covers the tail requirement from that
-    bus on), is congested without a balancing bus, or needs more than a
-    unit's capacity; the first
-    infeasible row in row order raises InfeasibleDispatchError with that
-    row's message.
+def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
+    """``dispatch_radial_batch`` without the raise: the batch, the mask of
+    its infeasible rows (whose entries mean nothing) and a function giving
+    the error of row r.  A grid reads each level's first failing row from it.
     """
     per_bus = np.asarray(per_bus, dtype=float)
     suffix = np.asarray(suffix, dtype=float)
@@ -166,8 +157,8 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
             p_hat_tail = np.where(cleared, 0.0, p_hat_tail - pg)
 
     failed = ~finite | invalid | missing | (over_bus >= 0)
-    if failed.any():
-        r = int(failed.argmax())
+
+    def error_at(r):
         if not finite[r]:
             kind, row = (("local", given[0][r]) if not np.isfinite(given[0][r]).all()
                          else ("tail", given[1][r]))
@@ -189,9 +180,31 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
             i = over_bus[r]
             message = (f"bus {i}: required output {power[r, i]:.6g} MW exceeds "
                        f"capacity {p_maxs[i]:.6g}")
-        raise InfeasibleDispatchError(message)
-    return RadialDispatchBatch(power, lmps, local_ledger, tail_ledger, congested,
-                               balancing)
+        return InfeasibleDispatchError(message)
+
+    batch = RadialDispatchBatch(power, lmps, local_ledger, tail_ledger, congested,
+                                balancing)
+    return batch, failed, error_at
+
+
+def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
+                          suffix) -> RadialDispatchBatch:
+    """Dispatch the feeder against m rows of per-bus and tail requirements.
+
+    ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
+    ``dispatch_radial`` describes; the recursion runs once over the buses
+    with every step applied to all rows.  A row is infeasible when it holds
+    a non-finite requirement, fails the feeder assumptions (every unit's
+    minimum is 0, and each bus's unit covers the tail requirement from that
+    bus on), is congested without a balancing bus, or needs more than a
+    unit's capacity; the first
+    infeasible row in row order raises InfeasibleDispatchError with that
+    row's message.
+    """
+    batch, failed, error_at = _radial_rows(grid, fleet, per_bus, suffix)
+    if failed.any():
+        raise error_at(int(failed.argmax()))
+    return batch
 
 
 def dispatch_radial(grid: RadialGrid, fleet: Fleet, per_bus_cvars,

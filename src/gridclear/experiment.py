@@ -1,14 +1,24 @@
 """End-to-end runs on the (penetration, alpha) grid: scenarios -> commitment -> settlement.
 
-A point evaluation takes a level's scenario set and branches once, on the
-line limit.  Without one the whole fleet clears on one bus against the CVaR
-of the aggregate net load; with one the first ``n_buses`` units clear on a
-radial feeder against per-bus and tail CVaRs.  Either clearing re-dispatches
-every scenario at its realized net load with the committed prices held
-fixed, and both settle the same way.
 ``run_grid`` is the one loop over grid points: both sweeps and the
-single-point commands are runs of it on differently shaped grids.  A
-skipped level or point names its coordinates (``penetration=0.3: ...`` or
+single-point commands are runs of it on differently shaped grids.  It draws
+the loads once, builds every level's renewables from one call, and clears
+and settles all surviving levels together; ``evaluate_point`` is a
+one-level, one-alpha call of the same routine.  That routine branches once,
+on the line limit.  Without one the whole fleet clears on one bus against
+the CVaR of the aggregate net load; with one the first ``n_buses`` units
+clear on a radial feeder against per-bus and tail CVaRs.  Either clearing
+re-dispatches every scenario at its realized net load with the committed
+prices held fixed; that re-dispatch reads no alpha, so it runs once per
+level over all of a grid's levels in one kernel call, and each alpha costs
+one CVaR pass and one commitment over all levels.  Both markets settle the
+same way, each alpha's levels together.  Each level's net load is formed on
+its own, so no array over (level, bus, hour, scenario) is held.
+
+A point fails on the first of: its commitment, its level's re-dispatch, an
+H that cannot be recovered; the kernels report the first failing row of
+each level's slice, with the message they raise for it.  A skipped level
+or point names its coordinates (``penetration=0.3: ...`` or
 ``alpha=0.9, penetration=0.3: ...``).  ``point_row`` turns a point into one
 CSV row holding every grid column, and ``emit_csv`` writes the columns a
 file needs (identical config and seed give identical bytes).
@@ -29,14 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .congestion import RadialGrid, dispatch_radial_batch
+from .congestion import RadialGrid, _radial_rows
 from .errors import ConfigurationError, InfeasibleDispatchError
-from .merit_order import Fleet, builtin_fleet, commit_batch, fleet_from_csv
+from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
-from .scenarios import ScenarioConfig, ScenarioSet, build_scenarios, draw_loads
-from .settlement import (SettlementReport, curtail_and_pay_renewables,
+from .scenarios import ScenarioConfig, ScenarioSet, build_levels, draw_loads
+from .settlement import (SettlementReport, _recovery_rows, curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
-                         recovery_rate, reserve_and_ramp_check, sum_in_order)
+                         reserve_and_ramp_check, sum_in_order)
 
 DEFAULT_LOAD_MEAN = (232.0, 174.0, 174.0)   # MW per bus
 DEFAULT_LOAD_STD_FRAC = 0.06
@@ -163,107 +173,203 @@ class PointResult:
         return float(self.clearing_prices.mean())
 
 
-def _clear_bus(fleet: Fleet, sset: ScenarioSet, alpha: float):
-    """Commit each hour's aggregate CVaR on one bus, then re-dispatch every
-    scenario-hour at its realized aggregate clipped into the servable range
-    (surplus renewables push it to zero, shortfalls beyond capacity are shed).
+def _level_errors(failed, error_at, n_levels: int) -> list:
+    """The error of each level's first failing row (None where none fails);
+    ``failed`` holds the rows of the levels one after another."""
+    per_level = failed.reshape(n_levels, -1)
+    width = per_level.shape[1]
+    return [error_at(level * width + int(rows.argmax())) if rows.any() else None
+            for level, rows in enumerate(per_level)]
 
-    Returns the committed power, unit LMPs, clearing prices, the bus prices
-    renewables are paid at, and the realized (K, T, n) dispatch.
+
+def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alphas):
+    """Commit each level's hourly aggregate CVaRs on one bus, then re-dispatch
+    every scenario-hour at its realized aggregate clipped into the servable
+    range (surplus renewables push it to zero, shortfalls beyond capacity
+    are shed).
+
+    The re-dispatch reads no alpha, so all levels' rows go through one
+    ``commit_batch``; each alpha then takes one ``cvar_rows`` and one
+    commitment over the L*T hourly aggregates.  Returns, per alpha, the
+    committed power, unit LMPs, clearing prices, the bus prices renewables
+    are paid at and each level's commitment error; then the realized
+    (L, K, T, n) dispatch and each level's re-dispatch error.
     """
-    net = sset.load - sset.renewable  # held to the end: freeing it early raised peak RSS
-    agg = net.sum(axis=0)  # (T, K): one aggregate sample per hour
-    _, cvars = cvar_rows(agg, sset.probabilities, alpha)
-    batch = commit_batch(fleet, np.maximum(cvars, 0.0))
-    prices = batch.clearing_price
-    lmps = np.repeat(prices[:, None], len(fleet), axis=1)
-    bus_lmps = np.repeat(prices[:, None], sset.n_buses, axis=1)
-    # (K, T), scenario-major rows
-    demands = np.minimum(np.maximum(agg.T, 0.0), fleet.total_capacity)
-    realized = commit_batch(fleet, demands.ravel()).power
-    return batch.power, lmps, prices, bus_lmps, realized.reshape(*demands.shape, len(fleet))
+    n_buses, t_len, k_len = load.shape
+    agg = np.empty((n_levels, t_len, k_len))  # one aggregate sample per (level, hour)
+    for level in range(n_levels):
+        agg[level] = (load - renewable(level)).sum(axis=0)
+    # (L, K, T), scenario-major rows within each level
+    demands = np.minimum(np.maximum(agg.transpose(0, 2, 1), 0.0), fleet.total_capacity)
+    realized, failed, error_at = _commit_rows(fleet, demands.ravel())
+    realized_errors = _level_errors(failed, error_at, n_levels)
+    commitments = []
+    for alpha in alphas:
+        _, cvars = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
+        batch, failed, error_at = _commit_rows(fleet, np.maximum(cvars, 0.0))
+        prices = batch.clearing_price.reshape(n_levels, t_len)
+        commitments.append((batch.power.reshape(n_levels, t_len, len(fleet)),
+                            np.repeat(prices[..., None], len(fleet), axis=-1), prices,
+                            np.repeat(prices[..., None], n_buses, axis=-1),
+                            _level_errors(failed, error_at, n_levels)))
+    return (commitments, realized.power.reshape(*demands.shape, len(fleet)),
+            realized_errors)
 
 
-def _clear_feeder(fleet: Fleet, grid: RadialGrid, sset: ScenarioSet, alpha: float):
-    """Commit each hour's per-bus and tail CVaRs on the feeder, then dispatch
-    every scenario-hour at its realized net loads; the first infeasible one in
-    (scenario, hour) order aborts the point.  Returns what ``_clear_bus``
-    does, with the unit LMPs as bus prices and their maximum as the price.
+def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable,
+                  n_levels: int, alphas):
+    """Commit each level's hourly per-bus and tail CVaRs on the feeder, then
+    dispatch every scenario-hour at its realized net loads; a level's first
+    infeasible row in (scenario, hour) order is its error.
+
+    Each alpha takes one ``cvar_rows`` per hour over all levels' 2n rows and
+    one feeder dispatch over the L*T hours; the re-dispatch reads no alpha,
+    so all levels' rows go through one ``dispatch_radial_batch``.  Returns
+    what ``_clear_bus`` does, with the unit LMPs as bus prices and their
+    maximum as the price.
     """
-    k_len, t_len, n = sset.n_scenarios, sset.horizon, grid.n_buses
-    net = sset.load - sset.renewable  # (buses, T, K)
-    cvars = np.empty((t_len, 2 * n))
-    for t in range(t_len):
-        # one hour at a time: a single all-hours call raised peak RSS.  The
-        # tails are summed forward from each bus; the reversed cumsum used
-        # for the realized rows below rounds differently.
-        tails = [net[i:, t].sum(axis=0) for i in range(n)]
-        cvars[t] = cvar_rows(np.vstack([net[:, t], *tails]), sset.probabilities, alpha)[1]
-    batch = dispatch_radial_batch(grid, fleet, cvars[:, :n], cvars[:, n:])
-    # one row per scenario-hour in (k, t) order; the reshape copies net, so
-    # net is freed before the kernel allocates its outputs
-    rows = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
-    del net
+    n = grid.n_buses
+    _, t_len, k_len = load.shape
+    # per hour, each level's n bus rows and then its n tails
+    requirements = np.empty((t_len, n_levels * 2 * n, k_len))
+    rows = np.empty((n_levels, k_len * t_len, n))  # one per scenario-hour, (k, t) order
+    for level in range(n_levels):
+        net = load - renewable(level)  # (buses, T, K)
+        for t in range(t_len):
+            # the tails are summed forward from each bus; the reversed cumsum
+            # used for the realized rows below rounds differently
+            tails = [net[i:, t].sum(axis=0) for i in range(n)]
+            requirements[t, 2 * n * level:2 * n * (level + 1)] = np.vstack(
+                [net[:, t], *tails])
+        rows[level] = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
+    commitments = []
+    for alpha in alphas:
+        cvars = np.empty((n_levels, t_len, 2 * n))
+        for t in range(t_len):
+            # one hour at a time: a single all-hours call raised peak RSS
+            cvars[:, t] = cvar_rows(requirements[t], probabilities, alpha)[1].reshape(
+                n_levels, 2 * n)
+        cvars = cvars.reshape(n_levels * t_len, 2 * n)
+        batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
+        lmps = batch.lmps.reshape(n_levels, t_len, n)
+        commitments.append((batch.power.reshape(n_levels, t_len, n), lmps,
+                            lmps.max(axis=-1), lmps,
+                            _level_errors(failed, error_at, n_levels)))
+    del requirements  # freed before the re-dispatch allocates its outputs
+    rows = rows.reshape(n_levels * k_len * t_len, n)
     suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
-    realized = dispatch_radial_batch(grid, fleet, rows, suffix).power
-    return (batch.power, batch.lmps, batch.lmps.max(axis=1), batch.lmps,
-            realized.reshape(k_len, t_len, n))
+    realized, failed, error_at = _radial_rows(grid, fleet, rows, suffix)
+    return (commitments, realized.power.reshape(n_levels, k_len, t_len, n),
+            _level_errors(failed, error_at, n_levels))
+
+
+def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewable,
+                     penetrations, alphas) -> list:
+    """Commit, re-dispatch and settle every (penetration, alpha) point at once.
+
+    ``load`` is the (n_buses, T, K) load every level shares, and
+    ``renewable(l)`` builds level l's renewables.  The one branch on the
+    line limit picks the units and the clearing: the whole fleet on one bus,
+    or the first ``n_buses`` units on the feeder.  Each alpha's surviving
+    levels settle together.  Returns, penetration-major, each point's
+    PointResult or its InfeasibleDispatchError: the commitment's, else the
+    re-dispatch's, else the one for an H that cannot be recovered.
+    """
+    n_levels = len(penetrations)
+    if run.line_limit is None:
+        point_fleet = fleet
+        cleared = _clear_bus(fleet, load, probabilities, renewable, n_levels, alphas)
+    else:
+        point_fleet = fleet.head(run.n_buses)
+        grid = RadialGrid(run.n_buses, run.line_limit)
+        cleared = _clear_feeder(point_fleet, grid, load, probabilities, renewable,
+                                n_levels, alphas)
+    commitments, realized, realized_errors = cleared
+
+    # per (level, alpha): its error, or its settlement figures but the payment
+    outcome = [[None] * len(alphas) for _ in range(n_levels)]
+    for a, (committed, lmps, _, _, errors) in enumerate(commitments):
+        kept = []
+        for level in range(n_levels):
+            outcome[level][a] = errors[level] or realized_errors[level]
+            if outcome[level][a] is None:
+                kept.append(level)
+        if not kept:
+            continue
+        # fancy indexing copies, so the realized stack is copied only when a
+        # level drops out
+        kept_committed = committed[kept]
+        kept_realized = realized if len(kept) == n_levels else realized[kept]
+        rp, dp = deviation_envelopes(kept_committed, kept_realized)
+        violations = reserve_and_ramp_check(kept_committed, kept_realized, rp, dp,
+                                            point_fleet)
+        (h_total, lambda_w), failed, error_at = _recovery_rows(kept_committed, rp, dp,
+                                                               point_fleet, run.cost_recovery)
+        r_expected, _ = expected_profit(kept_committed, lmps[kept], lambda_w,
+                                        run.cost_recovery, point_fleet)
+        for j, level in enumerate(kept):
+            if failed[j]:
+                outcome[level][a] = error_at(j)
+                continue
+            r_realized, _ = realized_profit(realized[level], probabilities, lmps[level],
+                                            lambda_w[j], run.cost_recovery, point_fleet)
+            outcome[level][a] = dict(h_total=float(h_total[j]), lambda_w=float(lambda_w[j]),
+                                     expected_profit=float(r_expected[j]),
+                                     realized_profit=r_realized,
+                                     deviation_cost=float(r_expected[j]) - r_realized,
+                                     violations=violations[j])
+
+    # renewables are paid scenario by scenario at the committed bus prices,
+    # level by level, so a level's renewables are built once more at most
+    load_rows = load.transpose(2, 1, 0)
+    points = []
+    for level in range(n_levels):
+        renewable_rows = None
+        for a, alpha in enumerate(alphas):
+            fields = outcome[level][a]
+            if isinstance(fields, InfeasibleDispatchError):
+                points.append(fields)
+                continue
+            if renewable_rows is None:
+                renewable_rows = renewable(level).transpose(2, 1, 0)
+            committed, lmps, prices, bus_lmps, _ = commitments[a]
+            rev_k, cur_k = curtail_and_pay_renewables(load_rows, renewable_rows,
+                                                      bus_lmps[level])
+            report = SettlementReport(
+                **fields,
+                renewable_revenue=float(sum_in_order(probabilities * rev_k)),
+                curtailed_mwh=float(sum_in_order(probabilities * cur_k)))
+            points.append(PointResult(alpha, penetrations[level], committed[level],
+                                      realized[level], lmps[level], prices[level], report,
+                                      point_fleet))
+    return points
 
 
 def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float,
                    penetration: float) -> PointResult:
     """Commit, re-dispatch and settle one (alpha, penetration) grid point.
 
-    The one branch on the line limit picks the units and the clearing: the
-    whole fleet on one bus, or the first ``n_buses`` units on the feeder.
+    A one-level, one-alpha call of the routine ``run_grid`` runs; raises
+    the point's InfeasibleDispatchError.
     """
-    if run.line_limit is None:
-        point_fleet = fleet
-        cleared = _clear_bus(fleet, sset, alpha)
-    else:
-        point_fleet = fleet.head(run.n_buses)
-        grid = RadialGrid(run.n_buses, run.line_limit)
-        cleared = _clear_feeder(point_fleet, grid, sset, alpha)
-    committed, lmps, prices, bus_lmps, realized = cleared
-
-    rp, dp = deviation_envelopes(committed, realized)
-    violations = reserve_and_ramp_check(committed, realized, rp, dp, point_fleet)
-    h_total, lambda_w = recovery_rate(committed, rp, dp, point_fleet, run.cost_recovery)
-    r_expected, _ = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
-                                    point_fleet)
-    r_realized, _ = realized_profit(realized, sset.probabilities, lmps, lambda_w,
-                                    run.cost_recovery, point_fleet)
-
-    # renewables are paid scenario by scenario at the committed bus prices
-    rev_k, cur_k = curtail_and_pay_renewables(
-        sset.load.transpose(2, 1, 0), sset.renewable.transpose(2, 1, 0), bus_lmps)
-
-    report = SettlementReport(
-        h_total=h_total,
-        lambda_w=lambda_w,
-        expected_profit=r_expected,
-        realized_profit=r_realized,
-        deviation_cost=r_expected - r_realized,
-        renewable_revenue=float(sum_in_order(sset.probabilities * rev_k)),
-        curtailed_mwh=float(sum_in_order(sset.probabilities * cur_k)),
-        violations=violations,
-    )
-    return PointResult(alpha, penetration, committed, realized, lmps, prices,
-                       report, point_fleet)
+    point, = _evaluate_levels(fleet, run, sset.load, sset.probabilities,
+                              lambda _: sset.renewable, [penetration], [alpha])
+    if isinstance(point, InfeasibleDispatchError):
+        raise point
+    return point
 
 
 def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[PointResult]:
     """Evaluate every (penetration, alpha) point of the run's grid, penetration-major.
 
     The fleet is loaded and the loads and weather uniforms are drawn once
-    per grid; only the renewable half of the scenarios is built per
-    penetration level, and each level's set is shared across the confidence
-    levels.  So every point sees the same load array and the same weather
-    draw (common random numbers).  With a diagnostics list, a level whose
-    renewables cannot be built or a point whose dispatch is infeasible (or
-    whose cost H cannot be recovered on zero committed energy) is skipped and
-    a message naming its coordinates appended; without one the first failure
-    is raised.
+    per grid, and one call builds every level's renewables on them, so
+    every point sees the same load array and the same weather draw (common
+    random numbers).  All levels are then cleared and settled together.
+    With a diagnostics list, a level whose renewables cannot be built or a
+    point whose dispatch is infeasible (or whose cost H cannot be recovered
+    on zero committed energy) is skipped and a message naming its
+    coordinates appended; without one the first failure is raised.
     """
     fleet = load_fleet(run.fleet_source)
     if run.line_limit is not None and run.n_buses > len(fleet):
@@ -271,22 +377,32 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
                                  f"units, but the fleet has {len(fleet)}")
     # the load half reads no penetration, so any level's config draws it
     draws = draw_loads(scenario_config(run, 0.0))
+    levels = build_levels(draws, run.penetrations,
+                          [derive_capacity(run.load_mean_per_bus, penetration,
+                                           run.capacity_mode)
+                           for penetration in run.penetrations],
+                          run.uncertainty_growth)
+    kept = [level for level, error in enumerate(levels.errors) if error is None]
+    outcomes = iter(_evaluate_levels(
+        fleet, run, draws.load, draws.probabilities, lambda i: levels.renewable(kept[i]),
+        [run.penetrations[level] for level in kept], run.alphas) if kept else [])
+
+    def skip(where: str, exc: Exception) -> None:
+        if diagnostics is None:
+            raise exc
+        diagnostics.append(f"{where}: {exc}")
+
     points = []
-    for penetration in run.penetrations:
-        try:
-            sset = build_scenarios(scenario_config(run, penetration), draws)
-        except ConfigurationError as exc:
-            if diagnostics is None:
-                raise
-            diagnostics.append(f"penetration={penetration}: {exc}")
+    for penetration, error in zip(run.penetrations, levels.errors):
+        if error is not None:
+            skip(f"penetration={penetration}", ConfigurationError(error))
             continue
         for alpha in run.alphas:
-            try:
-                points.append(evaluate_point(fleet, run, sset, alpha, penetration))
-            except InfeasibleDispatchError as exc:
-                if diagnostics is None:
-                    raise
-                diagnostics.append(f"alpha={alpha}, penetration={penetration}: {exc}")
+            point = next(outcomes)
+            if isinstance(point, PointResult):
+                points.append(point)
+            else:
+                skip(f"alpha={alpha}, penetration={penetration}", point)
     return points
 
 

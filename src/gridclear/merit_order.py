@@ -196,19 +196,10 @@ def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
     return InfeasibleDispatchError(message, demand=demand, fleet_bounds=bounds)
 
 
-def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
-    """Dispatch the fleet against every demand of a 1-D array in one pass.
-
-    Cheapest units saturate first.  Each row takes one of three regimes,
-    chosen by masks: INTERIOR (the marginal unit k sits inside its box and
-    sets the price; a zero demand is INTERIOR at unit 0 with no output),
-    BELOW_PMIN (the residual after saturation is below unit k's minimum, so
-    k runs at its minimum and unit k-1 backs down and sets the price) and
-    SMALL_DEMAND (the demand is below the cheapest unit's minimum and the
-    first unit able to run at it carries it alone).  Raises
-    InfeasibleDispatchError for the first row, in row order, that is not
-    finite, lies outside [0, total capacity], or that no unit pattern can
-    balance.
+def _commit_rows(fleet: Fleet, demands):
+    """``commit_batch`` without the raise: the batch, the mask of its
+    infeasible rows (whose entries mean nothing) and a function giving the
+    error of row r.  A grid reads each level's first failing row from it.
     """
     d = np.asarray(demands, dtype=float)
     if d.ndim != 1:
@@ -238,8 +229,6 @@ def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
         bad[small] |= ~fits.any(axis=1)
         marginal[small] = fits.argmax(axis=1)
         output[small] = d[small]
-    if bad.any():
-        raise _infeasible(fleet, float(d[np.argmax(bad)]))
 
     saturated = np.where(small, 0, marginal)
     power = np.where(np.arange(n) < saturated[:, None], p_max, 0.0)
@@ -247,7 +236,28 @@ def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
     power[rows, marginal] = output
     power[rows[below], k[below]] = p_min[k[below]]
     regime = np.where(small, 2, np.where(below, 1, 0)).astype(np.int8)
-    return DispatchBatch(power, asks[marginal], regime, marginal)
+    return (DispatchBatch(power, asks[marginal], regime, marginal), bad,
+            lambda r: _infeasible(fleet, float(d[r])))
+
+
+def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
+    """Dispatch the fleet against every demand of a 1-D array in one pass.
+
+    Cheapest units saturate first.  Each row takes one of three regimes,
+    chosen by masks: INTERIOR (the marginal unit k sits inside its box and
+    sets the price; a zero demand is INTERIOR at unit 0 with no output),
+    BELOW_PMIN (the residual after saturation is below unit k's minimum, so
+    k runs at its minimum and unit k-1 backs down and sets the price) and
+    SMALL_DEMAND (the demand is below the cheapest unit's minimum and the
+    first unit able to run at it carries it alone).  Raises
+    InfeasibleDispatchError for the first row, in row order, that is not
+    finite, lies outside [0, total capacity], or that no unit pattern can
+    balance.
+    """
+    batch, bad, error_at = _commit_rows(fleet, demands)
+    if bad.any():
+        raise error_at(int(np.argmax(bad)))
+    return batch
 
 
 def commit(fleet: Fleet, demand_cvar: float) -> DispatchResult:

@@ -8,35 +8,46 @@ weather uniform per (time, scenario) drives every bus's renewable draw, so
 renewables are comonotone across buses while loads stay independent.
 
 The mean share of capacity is system-wide, so the Beta shape depends only
-on the hour: each hour takes one Beta quantile per scenario, shared by all
-buses and scaled by each bus's capacity.  Load quantiles are drawn one hour
-at a time over (bus, scenario).
+on the level and the hour: each (level, hour) takes one Beta quantile per
+scenario, shared by all buses and scaled by each bus's capacity.  Load
+quantiles are drawn one hour at a time over (bus, scenario).
 
 Generation has two halves.  ``draw_loads`` draws the uniforms (``u_load``
 then ``u_weather``, in that order from one generator seeded by the config)
 and turns ``u_load`` into loads; none of it depends on the penetration.
-``build_scenarios`` turns ``u_weather`` into one level's renewable output and
-pairs it with those loads.  ``generate_scenarios`` is the two in sequence.
-A penetration sweep draws the loads once and builds every level from them,
-so all levels share one read-only load array and one weather draw: the
-common random numbers are structural, not a side effect of reseeding.
+``build_levels`` turns ``u_weather`` into the renewables of any number of
+levels with one ``betaincinv`` call over every drawn (level, hour,
+scenario); the zero-target, at-capacity and degenerate-std hours, and each
+level's first infeasible hour, are masks over (level, hour).  It keeps one
+(level, hour, scenario) array of output per MW and builds a level's
+(bus, hour, scenario) array only when asked.  ``build_scenarios`` is a
+one-level call of it that pairs the renewables with the loads, and
+``generate_scenarios`` is the two halves in sequence.  A penetration sweep
+draws the loads once and builds every level from them, so all levels share
+one read-only load array and one weather draw: the common random numbers
+are structural, not a side effect of reseeding.
 
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
 start-up, is never loaded.  The Beta quantile is ``betaincinv(a, b, u)``,
 the Boost inverse that scipy's ``beta.ppf`` also calls (both give 0.0 at
-u = 0).  The truncated-normal quantile, ``_truncnorm_ppf``, is the
-log-space form of scipy's ``truncnorm.ppf`` (scipy 1.17) with the upper
-bound fixed at +inf, wrapped as ``rv_continuous.ppf`` wraps it: u = 0 gives
-the lower bound, the kernel runs on the compressed positive draws, and the
-result is ``x * scale + loc``.  The same ufuncs run on the same arrays, one
-call per hour, and scipy's two-term ``logsumexp`` is written out as
-``log1p(exp(min - max)) + max``, which rounds as it does (a tie gives
-``log1p(1.0) == log(2.0)``).  So the draws equal those of ``truncnorm.ppf`` and
-``beta.ppf`` bit for bit on the uniforms ``Generator.random`` makes
-(multiples of 2**-53 in [0, 1)); ``tests/test_batch_equivalence.py`` checks
-this.  The call shape matters: numpy's SIMD ``log`` may round the head and
-tail lanes of an array differently, so the calls are not regrouped.
+u = 0); it is a scalar ufunc, so one call over many (level, hour) pairs
+gives each element the bits of one call per hour.  The truncated-normal
+quantile, ``_truncnorm_ppf``, is the log-space form of scipy's
+``truncnorm.ppf`` (scipy 1.17) with the upper bound fixed at +inf, wrapped
+as ``rv_continuous.ppf`` wraps it: u = 0 gives the lower bound, the kernel
+runs on the compressed positive draws, and the result is
+``x * scale + loc``.  Its per-(bus, hour) constants (``ndtr``, the
+log-mass, ``log_ndtr``) are scalar ufuncs computed once per bus and then
+broadcast; ``np.log``, ``np.exp`` and ``np.log1p`` run once per hour on
+that hour's drawn (bus, scenario) values, and scipy's two-term
+``logsumexp`` is written out as ``log1p(exp(min - max)) + max``, which
+rounds as it does (a tie gives ``log1p(1.0) == log(2.0)``).  So the draws
+equal those of ``truncnorm.ppf`` and ``beta.ppf`` bit for bit on the
+uniforms ``Generator.random`` makes (multiples of 2**-53 in [0, 1));
+``tests/test_batch_equivalence.py`` checks this.  The call shape matters:
+numpy's SIMD ``log`` may round the head and tail lanes of an array
+differently, so those calls are not regrouped.
 
 Everything is a pure, deterministic function of the config (seed included);
 the arrays of a scenario set are read-only, so sets that share them are safe
@@ -163,17 +174,22 @@ def _truncnorm_ppf(q, loc, scale):
 
     ``loc >= 0``, so the standardised lower bound ``a`` is negative (left
     tail) or, for a zero mean, 0 (solved from the upper tail, as scipy does).
+    The constants of each (loc, scale) pair are computed once, on ``a``
+    before it is broadcast over the draws.
     """
     a = (0.0 - loc) / scale
-    q, a, loc, scale = np.broadcast_arrays(q, a, loc, scale)
+    log_mass = special.log1p(-special.ndtr(a) - special.ndtr(-np.inf))  # log P(Z > a)
+    log_cdf = special.log_ndtr(a)
+    q, a, loc, scale, log_mass, log_cdf = np.broadcast_arrays(q, a, loc, scale, log_mass,
+                                                              log_cdf)
     out = a * scale + loc  # q == 0: the lower bound
     drawn = q > 0.0
-    q, a, loc, scale = q[drawn], a[drawn], loc[drawn], scale[drawn]
-    log_mass = special.log1p(-special.ndtr(a) - special.ndtr(-np.inf))  # log P(Z > a)
+    q, a, loc, scale, log_mass, log_cdf = (v[drawn] for v in (q, a, loc, scale, log_mass,
+                                                              log_cdf))
     x = np.empty_like(q)
     left = a < 0.0
     right = ~left
-    lo, hi = special.log_ndtr(a[left]), np.log(q[left]) + log_mass[left]
+    lo, hi = log_cdf[left], np.log(q[left]) + log_mass[left]
     # two-term log-sum-exp; the same bits as scipy's logsumexp([lo, hi], axis=0)
     top = np.maximum(lo, hi)
     x[left] = special.ndtri_exp(np.log1p(np.exp(np.minimum(lo, hi) - top)) + top)
@@ -196,6 +212,12 @@ class LoadDraws:
     config: ScenarioConfig
     load: np.ndarray
     u_weather: np.ndarray
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The scenarios are equiprobable."""
+        k = self.config.n_scenarios
+        return np.full(k, 1.0 / k)
 
 
 def draw_loads(config: ScenarioConfig) -> LoadDraws:
@@ -221,13 +243,99 @@ def draw_loads(config: ScenarioConfig) -> LoadDraws:
     return LoadDraws(config, load, u_weather)
 
 
+@dataclass(frozen=True)
+class RenewableLevels:
+    """The renewable half of L penetration levels, all on one weather draw.
+
+    capacity: (L, n_buses) MW.  share: (L, horizon, n_scenarios), each
+    sited bus's output per MW of its capacity: 0 where the hour's target is
+    zero, 1 at capacity, the mean share where the std is degenerate, else
+    the Beta quantile of the weather uniform.  errors: per level, None or
+    the message naming its first infeasible hour (its shares are 0).  A
+    level's (n_buses, horizon, n_scenarios) array is built on demand by
+    ``renewable``, so a grid holds one level's array at a time.
+    """
+
+    capacity: np.ndarray
+    share: np.ndarray
+    errors: tuple[str | None, ...]
+
+    def renewable(self, level: int) -> np.ndarray:
+        """Level ``level``'s renewable output, read-only."""
+        cap = self.capacity[level]
+        sited = cap > 0.0
+        out = np.zeros((cap.size,) + self.share.shape[1:])
+        out[sited] = cap[sited, None, None] * self.share[level]
+        np.clip(out, 0.0, cap[:, None, None], out=out)
+        out.flags.writeable = False
+        return out
+
+
+def build_levels(draws: LoadDraws, penetrations, capacities,
+                 uncertainty_growth: float) -> RenewableLevels:
+    """Every level's renewables on the weather uniforms of ``draws``.
+
+    Level l has penetration ``penetrations[l]`` and per-bus capacity
+    ``capacities[l]``; the load process is that of ``draws.config``.  Each
+    (level, hour) takes its Beta shape from the hour's system-wide mean
+    share, and one ``betaincinv`` call draws every quantile of every level.
+    A level that asks for more mean renewable output than its capacity can
+    carry gets the error of its first such hour instead.
+    """
+    given = list(penetrations)  # named in the messages as the caller wrote them
+    penetrations = np.asarray(given, dtype=float)
+    caps = np.asarray(capacities, dtype=float)
+    for name, value in (("penetration", penetrations), ("renewable capacities", caps),
+                        ("uncertainty_growth", uncertainty_growth)):
+        if not np.all((value >= 0.0) & np.isfinite(value)):
+            raise ConfigurationError(f"{name} must be non-negative and finite")
+    mean = draws.config.load_mean
+    k = draws.config.n_scenarios
+    # each hour's bus sum rounds as mean[:, t].sum() does, not as mean.sum(axis=0)
+    target = penetrations[:, None] * np.ascontiguousarray(mean.T).sum(axis=1)  # (L, T)
+    cap_total = caps.sum(axis=1)
+    installed = cap_total > 0.0
+    share = np.divide(target, cap_total[:, None], out=np.zeros_like(target),
+                      where=installed[:, None])
+    active = target > 0.0
+    over = active & (~installed[:, None] | (share > 1.0 + 1e-9))
+    errors = []
+    for level, hour in enumerate(np.where(over.any(axis=1), over.argmax(axis=1), -1)):
+        if hour < 0:
+            errors.append(None)
+        elif not installed[level]:
+            errors.append(f"hour {hour}: penetration {given[level]} needs "
+                          f"mean renewable output {target[level, hour]:.3f} MW but no "
+                          f"capacity is installed")
+        else:
+            errors.append(f"hour {hour}: required system-wide mean share "
+                          f"{share[level, hour]:.4f} of capacity exceeds 1; "
+                          f"infeasible Beta mean on [0, w]")
+    active &= ~over.any(axis=1)[:, None]
+
+    mu = np.minimum(share, 1.0)
+    at_capacity = active & (mu >= 1.0 - 1e-12)
+    sigma_hat = np.minimum(uncertainty_growth,
+                           _FEASIBILITY_MARGIN * np.sqrt(mu * (1.0 - mu)))
+    fixed = active & ~at_capacity & (sigma_hat <= _DEGENERATE_STD)
+    drawn = active & ~at_capacity & ~fixed
+    out = np.zeros(target.shape + (k,))
+    out[at_capacity] = 1.0
+    out[fixed] = mu[fixed, None]
+    a, b = _beta_shape(mu[drawn], sigma_hat[drawn])
+    hours = np.nonzero(drawn)[1]
+    out[drawn] = special.betaincinv(a[:, None], b[:, None], draws.u_weather.T[hours])
+    return RenewableLevels(caps, out, tuple(errors))
+
+
 def build_scenarios(config: ScenarioConfig, draws: LoadDraws) -> ScenarioSet:
     """One penetration level's scenario set, built on loads drawn by ``draw_loads``.
 
-    Raises ConfigurationError when ``draws`` were made for another seed,
-    scenario count or load process, or when the requested penetration asks
-    for more mean renewable output than the installed capacity can carry,
-    naming the first hour whose system-wide share is infeasible.
+    A one-level call of ``build_levels``.  Raises ConfigurationError when
+    ``draws`` were made for another seed, scenario count or load process,
+    or when the requested penetration asks for more mean renewable output
+    than the installed capacity can carry, naming the first hour whose
+    system-wide share is infeasible.
     """
     drawn_for = draws.config
     if (drawn_for.seed != config.seed or drawn_for.n_scenarios != config.n_scenarios
@@ -235,40 +343,11 @@ def build_scenarios(config: ScenarioConfig, draws: LoadDraws) -> ScenarioSet:
             or not np.array_equal(drawn_for.load_std, config.load_std)):
         raise ConfigurationError("the load draws were made for another seed, "
                                  "scenario count or load process")
-    n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
-    cap = config.renewable_capacity
-    cap_total = cap.sum()
-    sited = cap > 0.0
-    renewable = np.zeros((n, t_len, k))
-    for t in range(t_len):
-        target = config.penetration * config.load_mean[:, t].sum()
-        if target <= 0.0:
-            continue
-        if cap_total <= 0.0:
-            raise ConfigurationError(
-                f"hour {t}: penetration {config.penetration} needs mean renewable "
-                f"output {target:.3f} MW but no capacity is installed")
-        share = target / cap_total
-        if share > 1.0 + 1e-9:
-            raise ConfigurationError(
-                f"hour {t}: required system-wide mean share {share:.4f} of capacity "
-                f"exceeds 1; infeasible Beta mean on [0, w]")
-        mu = min(share, 1.0)
-        if mu >= 1.0 - 1e-12:
-            renewable[sited, t, :] = cap[sited, None]
-            continue
-        sigma_hat = min(config.uncertainty_growth,
-                        _FEASIBILITY_MARGIN * np.sqrt(mu * (1.0 - mu)))
-        if sigma_hat <= _DEGENERATE_STD:
-            renewable[sited, t, :] = (mu * cap[sited])[:, None]
-            continue
-        a, b = _beta_shape(mu, sigma_hat)
-        renewable[sited, t, :] = cap[sited, None] * special.betaincinv(
-            a, b, draws.u_weather[:, t])
-
-    np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
-    probs = np.full(k, 1.0 / k)
-    return ScenarioSet(probs, draws.load, renewable)
+    levels = build_levels(draws, [config.penetration], config.renewable_capacity[None],
+                          config.uncertainty_growth)
+    if levels.errors[0] is not None:
+        raise ConfigurationError(levels.errors[0])
+    return ScenarioSet(draws.probabilities, draws.load, levels.renewable(0))
 
 
 def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:

@@ -59,57 +59,106 @@ def deviation_envelopes(committed: np.ndarray,
                         realized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tight reserve and ramp envelopes over scenarios.
 
-    committed: (T, n_units); realized: (K, T, n_units).
+    committed: (T, n_units); realized: (K, T, n_units).  With a leading
+    level axis, (L, T, n_units) and (L, K, T, n_units), level by level.
     Reserve envelope per (t, i): largest downward deviation from commitment.
     Ramp envelope per (t, i): largest |output step| between consecutive hours
     over all scenario pairs (the last hour has no successor, envelope 0).
     """
     committed = np.asarray(committed, dtype=float)
     realized = np.asarray(realized, dtype=float)
-    delta = committed[None, :, :] - realized
-    rp = np.maximum(delta, 0.0).max(axis=0)
+    delta = committed[..., None, :, :] - realized
+    rp = np.maximum(delta, 0.0, out=delta).max(axis=-3)
 
     # worst swing over scenario pairs (k, k') is between the envelope edges
     # of hour t and hour t + 1
-    lo, hi = realized.min(axis=0), realized.max(axis=0)
+    lo, hi = realized.min(axis=-3), realized.max(axis=-3)
     dp = np.zeros_like(committed)
-    dp[:-1] = np.maximum(np.maximum(hi[:-1] - lo[1:], hi[1:] - lo[:-1]), 0.0)
+    dp[..., :-1, :] = np.maximum(np.maximum(hi[..., :-1, :] - lo[..., 1:, :],
+                                            hi[..., 1:, :] - lo[..., :-1, :]), 0.0)
     return rp, dp
 
 
 def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
-                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list[str]:
+                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list:
     """Diagnostics for the reserve and ramp feasibility of a commitment.
 
     Deviations must be non-negative (no scenario sells above commitment), the
     tight reserve envelope ``rp`` must fit under each unit's reserve cap, and
-    the worst cross-scenario hourly swing ``dp`` under its ramp cap (both as
-    ``deviation_envelopes`` returns them).
+    the worst cross-scenario hourly swing ``dp`` under its ramp cap (all as
+    ``deviation_envelopes`` takes and returns them).  Returns the messages,
+    or with a leading level axis one list of messages per level.
     """
     committed = np.asarray(committed, dtype=float)
+    if committed.ndim == 2:
+        return reserve_and_ramp_check(committed[None], np.asarray(realized)[None],
+                                      np.asarray(rp)[None], np.asarray(dp)[None], fleet)[0]
     realized = np.asarray(realized, dtype=float)
-    violations = []
-    delta = committed[None, :, :] - realized
-    if delta.min() < -1e-9:
-        k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
-        violations.append(
-            f"scenario {k}, hour {t}: unit {fleet.generators[i].name} sells "
-            f"{realized[k, t, i]:.6g} MW above its commitment {committed[t, i]:.6g}")
-    for i, g in enumerate(fleet.generators):
-        worst_rp = rp[:, i].max(initial=0.0)
-        if worst_rp > g.rp_max + 1e-9:
-            violations.append(f"unit {g.name}: needed reserve {worst_rp:.6g} MW "
-                              f"exceeds cap {g.rp_max:.6g}")
-        worst_dp = dp[:, i].max(initial=0.0)
-        if worst_dp > g.ramp_max + 1e-9:
-            t = int(dp[:, i].argmax())
-            violations.append(f"unit {g.name}: hour {t} worst scenario-pair swing "
-                              f"{worst_dp:.6g} MW/h exceeds ramp cap {g.ramp_max:.6g}")
+    rp, dp = np.asarray(rp, dtype=float), np.asarray(dp, dtype=float)
+    units = fleet.generators
+    violations = [[] for _ in committed]
+    delta = committed[:, None, :, :] - realized
+    for level in np.flatnonzero(delta.reshape(len(delta), -1).min(axis=1) < -1e-9):
+        k, t, i = np.unravel_index(int(delta[level].argmin()), delta.shape[1:])
+        violations[level].append(
+            f"scenario {k}, hour {t}: unit {units[i].name} sells "
+            f"{realized[level, k, t, i]:.6g} MW above its commitment "
+            f"{committed[level, t, i]:.6g}")
+    worst_rp = rp.max(axis=1, initial=0.0)
+    worst_dp = dp.max(axis=1, initial=0.0)
+    over_rp = worst_rp > np.array([g.rp_max for g in units]) + 1e-9
+    over_dp = worst_dp > np.array([g.ramp_max for g in units]) + 1e-9
+    for level, i in zip(*np.nonzero(over_rp | over_dp)):
+        g = units[i]
+        if over_rp[level, i]:
+            violations[level].append(f"unit {g.name}: needed reserve "
+                                     f"{worst_rp[level, i]:.6g} MW exceeds cap {g.rp_max:.6g}")
+        if over_dp[level, i]:
+            t = int(dp[level, :, i].argmax())
+            violations[level].append(
+                f"unit {g.name}: hour {t} worst scenario-pair swing "
+                f"{worst_dp[level, i]:.6g} MW/h exceeds ramp cap {g.ramp_max:.6g}")
     return violations
 
 
+def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
+    """``recovery_rate`` over a leading level axis without the raise: the
+    per-level H and uplift (0 where H cannot be recovered), the mask of the
+    levels whose H cannot be recovered and a function giving level r's error.
+    """
+    if cost_recovery not in (0, 1):
+        raise ValueError("cost_recovery must be 0 or 1")
+    committed = np.asarray(committed, dtype=float)
+    n_levels, t_len, n = committed.shape
+    online = committed > 0.0
+    # two hours before the horizon, online then offline, so an hour-0 start is
+    # hot; a start is hot iff the unit was online two hours before
+    padded = np.concatenate((np.ones((n_levels, 1, n), bool),
+                             np.zeros((n_levels, 1, n), bool), online), axis=1)
+    start = online & ~padded[:, 1:-1]
+    units = fleet.generators
+    start_cost = np.where(padded[:, :-2], [g.start_cost_hot for g in units],
+                          [g.start_cost_cold for g in units])
+    unit_terms = np.stack((np.where(online, [g.no_load_cost for g in units], 0.0),
+                           np.where(start, start_cost, 0.0)), axis=-1)
+    # unit-stride rows, so each row sum rounds like that row's own .sum()
+    reserve = RESERVE_RATE * np.ascontiguousarray(rp, dtype=float).sum(axis=-1)
+    ramp = RAMP_RATE * np.ascontiguousarray(dp, dtype=float).sum(axis=-1)
+    terms = np.concatenate((unit_terms.reshape(n_levels, t_len, 2 * n),
+                            reserve[..., None], ramp[..., None]), axis=-1)
+    h_total = sum_in_order(terms.reshape(n_levels, -1))
+
+    # each level's energy summed as its own (T, n) array's .sum() is
+    energy = np.ascontiguousarray(committed).reshape(n_levels, -1).sum(axis=1)
+    carried = (energy > 0.0) & (cost_recovery == 1)
+    lambda_w = np.divide(h_total, energy, out=np.zeros(n_levels), where=carried)
+    failed = (cost_recovery == 1) & (energy <= 0.0) & (h_total > 0.0)
+    return (h_total, lambda_w), failed, lambda r: InfeasibleDispatchError(
+        f"cost recovery requested but no committed energy to carry H = {h_total[r]:.6g}")
+
+
 def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
-                  fleet: Fleet, cost_recovery: int) -> tuple[float, float]:
+                  fleet: Fleet, cost_recovery: int):
     """Recoverable cost H and the per-MWh uplift.
 
     H sums, over hours and units with positive committed output, the
@@ -122,50 +171,36 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     With cost_recovery=1 the uplift is H over total committed energy; with 0
     it is zero.  Raises InfeasibleDispatchError when recovery is requested
     but there is a positive H and no energy to spread it over, so a grid run
-    skips the point as it skips an infeasible dispatch.
+    skips the point as it skips an infeasible dispatch.  Returns two floats,
+    or with a leading level axis two (L,) arrays, raising for the first
+    level whose H cannot be recovered.
     """
-    if cost_recovery not in (0, 1):
-        raise ValueError("cost_recovery must be 0 or 1")
     committed = np.asarray(committed, dtype=float)
-    t_len, n = committed.shape
-    online = committed > 0.0
-    # two hours before the horizon, online then offline, so an hour-0 start is
-    # hot; a start is hot iff the unit was online two hours before
-    padded = np.concatenate((np.ones((1, n), bool), np.zeros((1, n), bool), online))
-    start = online & ~padded[1:-1]
-    units = fleet.generators
-    start_cost = np.where(padded[:-2], [g.start_cost_hot for g in units],
-                          [g.start_cost_cold for g in units])
-    unit_terms = np.stack((np.where(online, [g.no_load_cost for g in units], 0.0),
-                           np.where(start, start_cost, 0.0)), axis=-1)
-    # unit-stride rows, so each row sum rounds like that row's own .sum()
-    reserve = RESERVE_RATE * np.ascontiguousarray(rp, dtype=float).sum(axis=1)
-    ramp = RAMP_RATE * np.ascontiguousarray(dp, dtype=float).sum(axis=1)
-    terms = np.column_stack((unit_terms.reshape(t_len, 2 * n), reserve, ramp))
-    h_total = float(sum_in_order(terms.ravel()))
-
-    if cost_recovery == 0:
-        return h_total, 0.0
-    energy = committed.sum()
-    if energy <= 0.0:
-        if h_total > 0.0:
-            raise InfeasibleDispatchError("cost recovery requested but no committed "
-                                          f"energy to carry H = {h_total:.6g}")
-        return h_total, 0.0
-    return h_total, h_total / energy
+    one = committed.ndim == 2
+    if one:
+        committed, rp, dp = committed[None], np.asarray(rp)[None], np.asarray(dp)[None]
+    (h_total, lambda_w), failed, error_at = _recovery_rows(committed, rp, dp, fleet,
+                                                           cost_recovery)
+    if failed.any():
+        raise error_at(int(failed.argmax()))
+    return (float(h_total[0]), float(lambda_w[0])) if one else (h_total, lambda_w)
 
 
-def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w: float,
-                    cost_recovery: int, fleet: Fleet) -> tuple[float, np.ndarray]:
+def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w,
+                    cost_recovery: int, fleet: Fleet):
     """Profit the fleet would make if the committed power were sold as planned.
 
-    Returns the total and the per-generator breakdown.
+    Returns the total and the per-generator breakdown.  With a leading level
+    axis on ``committed`` and ``lmps`` (and ``lambda_w`` one value per level)
+    the totals are an (L,) array and the breakdown (L, n_units).
     """
     committed = np.asarray(committed, dtype=float)
-    prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
+    uplift = np.asarray(lambda_w, dtype=float)[..., None, None] * (1 - cost_recovery)
+    prices = np.asarray(lmps, dtype=float) - uplift
     per_gen = (committed * prices
-               - committed * fleet.ask_prices[None, :]).sum(axis=0)
-    return float(per_gen.sum()), per_gen
+               - committed * fleet.ask_prices).sum(axis=-2)
+    total = per_gen.sum(axis=-1)
+    return (float(total), per_gen) if committed.ndim == 2 else (total, per_gen)
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,

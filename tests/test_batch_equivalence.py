@@ -6,11 +6,15 @@ commitment one demand at a time, the feeder recursion one requirement row
 at a time and its re-dispatch one scenario-hour at a time, scenario draws
 one (bus, hour) at a time, the renewable payment one scenario and one hour
 at a time, the ramp envelope one hour pair at a time, the recoverable cost
-one (hour, unit) at a time, the in-order sum one term at a time, and VaR
-and CVaR one merged sample at a time.  The scenario quantiles, computed
+one (hour, unit) at a time, the in-order sum one term at a time, VaR and
+CVaR one merged sample at a time, and a grid one penetration level at a
+time (each level's renewables hour by hour, each point cleared and settled
+on its own).  The scenario quantiles, computed
 with scipy.special, are compared with the scipy.stats functions they
 replaced.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,13 +22,16 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
 from gridclear import scenarios
-from gridclear import (FeederCase, Fleet, GeneratorSpec,
-                       InfeasibleDispatchError, RadialGrid, Regime, RunConfig,
-                       ScenarioConfig, EmpiricalSample, aggregate_net_load,
-                       builtin_fleet, commit, commit_batch, curtail_and_pay_renewables,
-                       cvar_direct, cvar_rows, deviation_envelopes, dispatch_radial,
-                       dispatch_radial_batch, evaluate_point, generate_scenarios, net_load,
-                       recovery_rate, scenario_config, suffix_net_load, var)
+from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
+                       InfeasibleDispatchError, PointResult, RadialGrid, Regime, RunConfig,
+                       ScenarioConfig, ScenarioSet, SettlementReport, EmpiricalSample,
+                       aggregate_net_load, builtin_fleet, commit, commit_batch,
+                       curtail_and_pay_renewables, cvar_direct, cvar_rows,
+                       deviation_envelopes, dispatch_radial, dispatch_radial_batch,
+                       evaluate_point, expected_profit, generate_scenarios, load_fleet,
+                       net_load, realized_profit, recovery_rate, reserve_and_ramp_check,
+                       run_grid, scenario_config, suffix_net_load, var)
+from gridclear.scenarios import draw_loads
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
 # ---------------------------------------------------------------------------
@@ -1034,3 +1041,206 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
     rp, dp = reference_envelopes(committed, realized)
     h_total, lambda_w = recovery_rate(committed, rp, dp, units, run.cost_recovery)
     assert point.settlement.h_total == h_total and point.settlement.lambda_w == lambda_w
+
+
+# ---------------------------------------------------------------------------
+# a whole grid: every level cleared and settled in one batch, against the
+# per-level loop it replaced (each level built hour by hour, each point
+# cleared and settled on its own)
+
+
+def reference_build(config, draws):
+    """One level's renewables, hour by hour, raising for its first infeasible hour."""
+    n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
+    cap = config.renewable_capacity
+    cap_total = cap.sum()
+    sited = cap > 0.0
+    renewable = np.zeros((n, t_len, k))
+    for t in range(t_len):
+        target = config.penetration * config.load_mean[:, t].sum()
+        if target <= 0.0:
+            continue
+        if cap_total <= 0.0:
+            raise ConfigurationError(
+                f"hour {t}: penetration {config.penetration} needs mean renewable "
+                f"output {target:.3f} MW but no capacity is installed")
+        share = target / cap_total
+        if share > 1.0 + 1e-9:
+            raise ConfigurationError(
+                f"hour {t}: required system-wide mean share {share:.4f} of capacity "
+                f"exceeds 1; infeasible Beta mean on [0, w]")
+        mu = min(share, 1.0)
+        if mu >= 1.0 - 1e-12:
+            renewable[sited, t, :] = cap[sited, None]
+            continue
+        sigma_hat = min(config.uncertainty_growth, 0.95 * np.sqrt(mu * (1.0 - mu)))
+        if sigma_hat <= 1e-9:
+            renewable[sited, t, :] = (mu * cap[sited])[:, None]
+            continue
+        ratio = mu * (1.0 - mu) / (sigma_hat * sigma_hat) - 1.0
+        renewable[sited, t, :] = cap[sited, None] * special.betaincinv(
+            mu * ratio, (1.0 - mu) * ratio, draws.u_weather[:, t])
+    np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
+    return ScenarioSet(np.full(k, 1.0 / k), draws.load, renewable)
+
+
+def reference_clear_bus(fleet, sset, alpha):
+    net = sset.load - sset.renewable
+    agg = net.sum(axis=0)
+    _, cvars = cvar_rows(agg, sset.probabilities, alpha)
+    batch = commit_batch(fleet, np.maximum(cvars, 0.0))
+    prices = batch.clearing_price
+    lmps = np.repeat(prices[:, None], len(fleet), axis=1)
+    bus_lmps = np.repeat(prices[:, None], sset.n_buses, axis=1)
+    demands = np.minimum(np.maximum(agg.T, 0.0), fleet.total_capacity)
+    realized = commit_batch(fleet, demands.ravel()).power
+    return batch.power, lmps, prices, bus_lmps, realized.reshape(*demands.shape, len(fleet))
+
+
+def reference_clear_feeder(fleet, grid, sset, alpha):
+    k_len, t_len, n = sset.n_scenarios, sset.horizon, grid.n_buses
+    net = sset.load - sset.renewable
+    cvars = np.empty((t_len, 2 * n))
+    for t in range(t_len):
+        tails = [net[i:, t].sum(axis=0) for i in range(n)]
+        cvars[t] = cvar_rows(np.vstack([net[:, t], *tails]), sset.probabilities, alpha)[1]
+    batch = dispatch_radial_batch(grid, fleet, cvars[:, :n], cvars[:, n:])
+    rows = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
+    suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    realized = dispatch_radial_batch(grid, fleet, rows, suffix).power
+    return (batch.power, batch.lmps, batch.lmps.max(axis=1), batch.lmps,
+            realized.reshape(k_len, t_len, n))
+
+
+def reference_point(fleet, run, sset, alpha, penetration):
+    """One point cleared and settled on its own, raising its first failure."""
+    if run.line_limit is None:
+        units = fleet
+        cleared = reference_clear_bus(fleet, sset, alpha)
+    else:
+        units = fleet.head(run.n_buses)
+        cleared = reference_clear_feeder(units, RadialGrid(run.n_buses, run.line_limit),
+                                         sset, alpha)
+    committed, lmps, prices, bus_lmps, realized = cleared
+    rp, dp = deviation_envelopes(committed, realized)
+    violations = reserve_and_ramp_check(committed, realized, rp, dp, units)
+    h_total, lambda_w = recovery_rate(committed, rp, dp, units, run.cost_recovery)
+    r_expected, _ = expected_profit(committed, lmps, lambda_w, run.cost_recovery, units)
+    r_realized, _ = realized_profit(realized, sset.probabilities, lmps, lambda_w,
+                                    run.cost_recovery, units)
+    rev_k, cur_k = curtail_and_pay_renewables(
+        sset.load.transpose(2, 1, 0), sset.renewable.transpose(2, 1, 0), bus_lmps)
+    report = SettlementReport(h_total, lambda_w, r_expected, r_realized,
+                              r_expected - r_realized,
+                              float(sum_in_order(sset.probabilities * rev_k)),
+                              float(sum_in_order(sset.probabilities * cur_k)), violations)
+    return PointResult(alpha, penetration, committed, realized, lmps, prices, report, units)
+
+
+def reference_grid(run, failures):
+    """The per-level loop: build each level's set, then evaluate each alpha on
+    it; each skipped level or point appends its (coordinates, error)."""
+    fleet = load_fleet(run.fleet_source)
+    draws = draw_loads(scenario_config(run, 0.0))
+    points = []
+    for penetration in run.penetrations:
+        try:
+            sset = reference_build(scenario_config(run, penetration), draws)
+        except ConfigurationError as exc:
+            failures.append((f"penetration={penetration}", exc))
+            continue
+        for alpha in run.alphas:
+            try:
+                points.append(reference_point(fleet, run, sset, alpha, penetration))
+            except InfeasibleDispatchError as exc:
+                failures.append((f"alpha={alpha}, penetration={penetration}", exc))
+    return points
+
+
+def assert_points_equal(got, want):
+    assert (got.alpha, got.penetration, got.fleet) == (want.alpha, want.penetration,
+                                                       want.fleet)
+    for name in ("committed", "realized", "lmps", "clearing_prices"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for field in dataclasses.fields(SettlementReport):
+        g, w = getattr(got.settlement, field.name), getattr(want.settlement, field.name)
+        if field.name == "violations":
+            assert g == w
+        else:
+            assert type(g) is float and same_bits(g, w), field.name
+
+
+def write_fleet(path, units):
+    path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
+                    "no_load_cost\n"
+                    + "".join(f"{name},{ask},{p_min},{p_max},{p_max},{ramp},400,900,5\n"
+                              for name, ask, p_min, p_max, ramp in units))
+    return str(path)
+
+
+# nine buses with distinct non-integer means: each hour's target is a sum of
+# unequal means, which np.sum over the bus axis would round differently
+UNEQUAL_BUSES = (31.7, 12.25, 40.1, 18.6, 27.35, 9.9, 22.45, 35.8, 3.3)
+# at 1.1 the buildout capacity (1.1x the mean load) is exactly used; at 2.0
+# the level cannot be drawn
+LEVELS = (0.0, 0.4, 1.1, 2.0, 0.9)
+
+
+UNDRAWABLE = "penetration=2.0: hour 0: required system-wide mean share"
+
+
+def test_grid_level_at_buildout_capacity_is_at_capacity():
+    run = RunConfig(load_mean_per_bus=UNEQUAL_BUSES, horizon=3, n_scenarios=40, seed=11)
+    config = scenario_config(run, LEVELS[2])
+    renewable = reference_build(config, draw_loads(config)).renewable
+    assert np.array_equal(renewable, np.broadcast_to(
+        config.renewable_capacity[:, None, None], renewable.shape))
+
+
+@pytest.mark.parametrize("cost_recovery", [0, 1])
+@pytest.mark.parametrize("case,expected", [
+    # bus: the built-in fleet, every drawable level and both alphas settle
+    (dict(load_mean_per_bus=UNEQUAL_BUSES), [UNDRAWABLE]),
+    # bus: a 205 MW fleet cannot commit the tail at penetration 0, and its
+    # 30 MW minimum cannot carry some realized demands at higher penetration
+    (dict(load_mean_per_bus=UNEQUAL_BUSES,
+          fleet=[("a", 10, 40, 120, 60), ("b", 20, 30, 85, 30)]),
+     ["alpha=0.95, penetration=0.0: demand 210.23 MW outside the servable range",
+      "alpha=0.5, penetration=0.4: no single unit can carry", UNDRAWABLE]),
+    # bus: at penetration 3 and alpha 0.5 every CVaR is <= 0, nothing is
+    # committed and H cannot be recovered
+    (dict(capacity_mode="tracking", penetrations=(0.009, 3.0, 0.5)),
+     ["alpha=0.5, penetration=3.0: cost recovery requested"]),
+    # feeder: at penetration 0 the commitment fails for alpha 0.95 and the
+    # re-dispatch, which it would also fail, for alpha 0.5
+    (dict(line_limit=80.0, load_mean_per_bus=(150.0, 80.0, 65.0)),
+     ["alpha=0.95, penetration=0.0: bus 1: tail requirement 155.072 MW",
+      "alpha=0.5, penetration=0.0: bus 1: tail requirement 158.373 MW", UNDRAWABLE]),
+    (dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0), horizon=4), [UNDRAWABLE]),
+    (dict(line_limit=30.0, load_mean_per_bus=(100.0, 50.0, 15.0, 40.0, 8.0, 3.0),
+          capacity_mode="tracking", penetrations=(0.0, 0.3, 0.9)), []),
+], ids=["bus", "bus-small-fleet", "bus-unrecoverable", "feeder-infeasible", "feeder",
+        "feeder-six-buses"])
+def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
+    case = dict(case)
+    if "fleet" in case:
+        case["fleet_source"] = write_fleet(tmp_path / "fleet.csv", case.pop("fleet"))
+    shape = dict(alphas=(0.95, 0.5), penetrations=LEVELS, horizon=3, n_scenarios=40,
+                 seed=11, capacity_mode="buildout", cost_recovery=cost_recovery)
+    run = RunConfig(**{**shape, **case})
+    failures, got_notes = [], []
+    want = reference_grid(run, failures)
+    got = run_grid(run, got_notes)
+    want_notes = [f"{where}: {exc}" for where, exc in failures]
+    assert got_notes == want_notes
+    for start in expected:
+        if cost_recovery or "cost recovery" not in start:
+            assert any(note.startswith(start) for note in want_notes), start
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert_points_equal(g, w)
+    # without a list, the first failure in (level, alpha) order is raised
+    if failures:
+        with pytest.raises(type(failures[0][1])) as err:
+            run_grid(run)
+        assert str(err.value) == str(failures[0][1])

@@ -318,26 +318,28 @@ def test_run_grid_draws_the_loads_once(monkeypatch):
 
 
 def test_grid_levels_share_one_read_only_load_array(monkeypatch):
+    # every level is cleared against the one load array drawn for the grid;
+    # only its renewables are built per level
     import gridclear.experiment as experiment
     seen = []
-    real = experiment.evaluate_point
+    real = experiment._evaluate_levels
 
-    def recording(fleet, run, sset, alpha, penetration):
-        seen.append(sset)
-        return real(fleet, run, sset, alpha, penetration)
+    def recording(fleet, run, load, probabilities, renewable, penetrations, alphas):
+        seen.extend((load, renewable(level)) for level in range(len(penetrations)))
+        return real(fleet, run, load, probabilities, renewable, penetrations, alphas)
 
-    monkeypatch.setattr(experiment, "evaluate_point", recording)
+    monkeypatch.setattr(experiment, "_evaluate_levels", recording)
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,),
                     penetrations=(0.0, 0.5, 1.0), n_scenarios=20)
     run_grid(run)
     assert len(seen) == 3
-    first, *rest = seen
-    for sset in rest:
-        assert np.array_equal(sset.load, first.load)
-        assert np.shares_memory(sset.load, first.load)
-        assert not np.array_equal(sset.renewable, first.renewable)
+    (first_load, first_renewable), *rest = seen
+    for load, renewable in rest:
+        assert np.array_equal(load, first_load)
+        assert np.shares_memory(load, first_load)
+        assert not np.array_equal(renewable, first_renewable)
     with pytest.raises(ValueError, match="read-only"):
-        first.load[0, 0, 0] = 0.0
+        first_load[0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
