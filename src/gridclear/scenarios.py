@@ -291,6 +291,9 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
             raise ConfigurationError(f"{name} must be non-negative and finite")
     mean = draws.config.load_mean
     k = draws.config.n_scenarios
+    if caps.shape != (penetrations.size, mean.shape[0]):
+        raise ConfigurationError(f"need one capacity per bus for each of the "
+                                 f"{penetrations.size} levels, got shape {caps.shape}")
     # each hour's bus sum rounds as mean[:, t].sum() does, not as mean.sum(axis=0)
     target = penetrations[:, None] * np.ascontiguousarray(mean.T).sum(axis=1)  # (L, T)
     cap_total = caps.sum(axis=1)
