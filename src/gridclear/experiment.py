@@ -301,8 +301,6 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         kept_committed = committed[kept]
         kept_realized = realized if len(kept) == n_levels else realized[kept]
         rp, dp = deviation_envelopes(kept_committed, kept_realized)
-        violations = reserve_and_ramp_check(kept_committed, kept_realized, rp, dp,
-                                            point_fleet)
         (h_total, lambda_w), failed, error_at = _recovery_rows(kept_committed, rp, dp,
                                                                point_fleet, run.cost_recovery)
         r_expected, _ = expected_profit(kept_committed, lmps[kept], lambda_w,
@@ -311,13 +309,15 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
             if failed[j]:
                 outcome[level][a] = error_at(j)
                 continue
+            violations = reserve_and_ramp_check(committed[level], realized[level], rp[j],
+                                                dp[j], point_fleet)
             r_realized, _ = realized_profit(realized[level], probabilities, lmps[level],
                                             lambda_w[j], run.cost_recovery, point_fleet)
             outcome[level][a] = dict(h_total=float(h_total[j]), lambda_w=float(lambda_w[j]),
                                      expected_profit=float(r_expected[j]),
                                      realized_profit=r_realized,
                                      deviation_cost=float(r_expected[j]) - r_realized,
-                                     violations=violations[j])
+                                     violations=violations)
 
     # renewables are paid scenario by scenario at the committed bus prices,
     # level by level, so a level's renewables are built once more at most

@@ -80,51 +80,41 @@ def deviation_envelopes(committed: np.ndarray,
 
 
 def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
-                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list:
+                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list[str]:
     """Diagnostics for the reserve and ramp feasibility of a commitment.
 
     Deviations must be non-negative (no scenario sells above commitment), the
     tight reserve envelope ``rp`` must fit under each unit's reserve cap, and
-    the worst cross-scenario hourly swing ``dp`` under its ramp cap (all as
-    ``deviation_envelopes`` takes and returns them).  Returns the messages,
-    or with a leading level axis one list of messages per level.
+    the worst cross-scenario hourly swing ``dp`` under its ramp cap (both as
+    ``deviation_envelopes`` returns them).
     """
     committed = np.asarray(committed, dtype=float)
-    if committed.ndim == 2:
-        return reserve_and_ramp_check(committed[None], np.asarray(realized)[None],
-                                      np.asarray(rp)[None], np.asarray(dp)[None], fleet)[0]
     realized = np.asarray(realized, dtype=float)
-    rp, dp = np.asarray(rp, dtype=float), np.asarray(dp, dtype=float)
-    units = fleet.generators
-    violations = [[] for _ in committed]
-    delta = committed[:, None, :, :] - realized
-    for level in np.flatnonzero(delta.reshape(len(delta), -1).min(axis=1) < -1e-9):
-        k, t, i = np.unravel_index(int(delta[level].argmin()), delta.shape[1:])
-        violations[level].append(
-            f"scenario {k}, hour {t}: unit {units[i].name} sells "
-            f"{realized[level, k, t, i]:.6g} MW above its commitment "
-            f"{committed[level, t, i]:.6g}")
-    worst_rp = rp.max(axis=1, initial=0.0)
-    worst_dp = dp.max(axis=1, initial=0.0)
-    over_rp = worst_rp > np.array([g.rp_max for g in units]) + 1e-9
-    over_dp = worst_dp > np.array([g.ramp_max for g in units]) + 1e-9
-    for level, i in zip(*np.nonzero(over_rp | over_dp)):
-        g = units[i]
-        if over_rp[level, i]:
-            violations[level].append(f"unit {g.name}: needed reserve "
-                                     f"{worst_rp[level, i]:.6g} MW exceeds cap {g.rp_max:.6g}")
-        if over_dp[level, i]:
-            t = int(dp[level, :, i].argmax())
-            violations[level].append(
-                f"unit {g.name}: hour {t} worst scenario-pair swing "
-                f"{worst_dp[level, i]:.6g} MW/h exceeds ramp cap {g.ramp_max:.6g}")
+    violations = []
+    delta = committed[None, :, :] - realized
+    if delta.min() < -1e-9:
+        k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
+        violations.append(
+            f"scenario {k}, hour {t}: unit {fleet.generators[i].name} sells "
+            f"{realized[k, t, i]:.6g} MW above its commitment {committed[t, i]:.6g}")
+    for i, g in enumerate(fleet.generators):
+        worst_rp = rp[:, i].max(initial=0.0)
+        if worst_rp > g.rp_max + 1e-9:
+            violations.append(f"unit {g.name}: needed reserve {worst_rp:.6g} MW "
+                              f"exceeds cap {g.rp_max:.6g}")
+        worst_dp = dp[:, i].max(initial=0.0)
+        if worst_dp > g.ramp_max + 1e-9:
+            t = int(dp[:, i].argmax())
+            violations.append(f"unit {g.name}: hour {t} worst scenario-pair swing "
+                              f"{worst_dp:.6g} MW/h exceeds ramp cap {g.ramp_max:.6g}")
     return violations
 
 
 def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
-    """``recovery_rate`` over a leading level axis without the raise: the
-    per-level H and uplift (0 where H cannot be recovered), the mask of the
-    levels whose H cannot be recovered and a function giving level r's error.
+    """``recovery_rate`` over a leading level axis, (L, T, n_units), without
+    the raise: the per-level H and uplift (0 where H cannot be recovered),
+    the mask of the levels whose H cannot be recovered and a function giving
+    level r's error.
     """
     if cost_recovery not in (0, 1):
         raise ValueError("cost_recovery must be 0 or 1")
@@ -158,7 +148,7 @@ def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
 
 
 def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
-                  fleet: Fleet, cost_recovery: int):
+                  fleet: Fleet, cost_recovery: int) -> tuple[float, float]:
     """Recoverable cost H and the per-MWh uplift.
 
     H sums, over hours and units with positive committed output, the
@@ -171,19 +161,15 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     With cost_recovery=1 the uplift is H over total committed energy; with 0
     it is zero.  Raises InfeasibleDispatchError when recovery is requested
     but there is a positive H and no energy to spread it over, so a grid run
-    skips the point as it skips an infeasible dispatch.  Returns two floats,
-    or with a leading level axis two (L,) arrays, raising for the first
-    level whose H cannot be recovered.
+    skips the point as it skips an infeasible dispatch.  A one-level call of
+    the level-batched form a grid uses.
     """
-    committed = np.asarray(committed, dtype=float)
-    one = committed.ndim == 2
-    if one:
-        committed, rp, dp = committed[None], np.asarray(rp)[None], np.asarray(dp)[None]
-    (h_total, lambda_w), failed, error_at = _recovery_rows(committed, rp, dp, fleet,
-                                                           cost_recovery)
-    if failed.any():
-        raise error_at(int(failed.argmax()))
-    return (float(h_total[0]), float(lambda_w[0])) if one else (h_total, lambda_w)
+    (h_total, lambda_w), failed, error_at = _recovery_rows(
+        np.asarray(committed, dtype=float)[None], np.asarray(rp)[None],
+        np.asarray(dp)[None], fleet, cost_recovery)
+    if failed[0]:
+        raise error_at(0)
+    return float(h_total[0]), float(lambda_w[0])
 
 
 def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w,
