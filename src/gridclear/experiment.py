@@ -13,7 +13,8 @@ prices held fixed; that re-dispatch reads no alpha, so it runs once per
 level over all of a grid's levels in one kernel call, and each alpha costs
 one CVaR pass and one commitment over all levels.  Both markets settle the
 same way, each alpha's levels together.  Each level's net load is formed on
-its own, so no array over (level, bus, hour, scenario) is held.
+its own; one bus keeps only its hourly aggregates, while the feeder keeps
+the per-hour bus and tail rows and the realized rows its kernels read.
 
 A point fails on the first of: its commitment, its level's re-dispatch, an
 H that cannot be recovered; the kernels report the first failing row of
