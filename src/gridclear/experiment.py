@@ -200,10 +200,6 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     agg = np.empty((n_levels, t_len, k_len))  # one aggregate sample per (level, hour)
     for level in range(n_levels):
         agg[level] = (load - renewable(level)).sum(axis=0)
-    # (L, K, T), scenario-major rows within each level
-    demands = np.minimum(np.maximum(agg.transpose(0, 2, 1), 0.0), fleet.total_capacity)
-    realized, failed, error_at = _commit_rows(fleet, demands.ravel())
-    realized_errors = _level_errors(failed, error_at, n_levels)
     commitments = []
     for alpha in alphas:
         _, cvars = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
@@ -213,8 +209,12 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
                             np.repeat(prices[..., None], len(fleet), axis=-1), prices,
                             np.repeat(prices[..., None], n_buses, axis=-1),
                             _level_errors(failed, error_at, n_levels)))
+    # (L, K, T), scenario-major rows within each level; cleared after the
+    # commitments, whose CVaR temporaries would otherwise add to its output
+    demands = np.minimum(np.maximum(agg.transpose(0, 2, 1), 0.0), fleet.total_capacity)
+    realized, failed, error_at = _commit_rows(fleet, demands.ravel())
     return (commitments, realized.power.reshape(*demands.shape, len(fleet)),
-            realized_errors)
+            _level_errors(failed, error_at, n_levels))
 
 
 def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable,

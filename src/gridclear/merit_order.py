@@ -231,6 +231,7 @@ def _commit_rows(fleet: Fleet, demands):
         bad[small] |= ~fits.any(axis=1)
         marginal[small] = fits.argmax(axis=1)
         output[small] = d[small]
+    del residual, prev, backdown  # freed before the (m, n) power is allocated
 
     saturated = np.where(small, 0, marginal)
     power = np.where(np.arange(n) < saturated[:, None], p_max, 0.0)
