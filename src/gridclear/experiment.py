@@ -189,9 +189,9 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     range (surplus renewables push it to zero, shortfalls beyond capacity
     are shed).
 
-    The re-dispatch reads no alpha, so all levels' rows go through one
-    ``commit_batch``; each alpha then takes one ``cvar_rows`` and one
-    commitment over the L*T hourly aggregates.  Returns, per alpha, the
+    Each alpha takes one ``cvar_rows`` and one commitment over the L*T
+    hourly aggregates; the re-dispatch reads no alpha, so all levels' rows
+    then go through one call of the clearing kernel.  Returns, per alpha, the
     committed power, unit LMPs, clearing prices, the bus prices renewables
     are paid at and each level's commitment error; then the realized
     (L, K, T, n) dispatch and each level's re-dispatch error.
