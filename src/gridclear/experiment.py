@@ -3,7 +3,7 @@
 ``run_grid`` is the one loop over grid points: both sweeps and the
 single-point commands are runs of it on differently shaped grids.  It draws
 the loads once, builds every level's renewables from one call, and clears
-and settles all surviving levels together; ``evaluate_point`` is a
+and settles all drawable levels together; ``evaluate_point`` is a
 one-level, one-alpha call of the same routine.  That routine branches once,
 on the line limit.  Without one the whole fleet clears on one bus against
 the CVaR of the aggregate net load; with one the first ``n_buses`` units
@@ -12,7 +12,8 @@ re-dispatches every scenario at its realized net load with the committed
 prices held fixed; that re-dispatch reads no alpha, so it runs once per
 level over all of a grid's levels in one kernel call, and each alpha costs
 one CVaR pass and one commitment over all levels.  Both markets settle the
-same way, each alpha's levels together.  Each level's net load is formed on
+same way, each alpha's levels together: every level is settled, and the
+figures of a failed point are dropped.  Each level's net load is formed on
 its own; one bus keeps only its hourly aggregates, while the feeder keeps
 the per-hour bus and tail rows and the realized rows its kernels read.
 
@@ -44,7 +45,7 @@ from .congestion import RadialGrid, _radial_rows
 from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
-from .scenarios import ScenarioConfig, ScenarioSet, build_levels, draw_loads
+from .scenarios import ScenarioConfig, ScenarioSet, _check_integer, build_levels, draw_loads
 from .settlement import (SettlementReport, _recovery_rows, curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
                          reserve_and_ramp_check, sum_in_order)
@@ -100,6 +101,8 @@ class RunConfig:
             for v in values:
                 if not 0.0 <= v < np.inf:
                     raise ConfigurationError(f"{name} {v} must be non-negative and finite")
+        for name in ("horizon", "n_scenarios", "seed"):
+            _check_integer(name, getattr(self, name))
         for name in ("horizon", "n_scenarios", "n_buses"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} {getattr(self, name)} must be at least 1")
@@ -192,9 +195,9 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     Each alpha takes one ``cvar_rows`` and one commitment over the L*T
     hourly aggregates; the re-dispatch reads no alpha, so all levels' rows
     then go through one call of the clearing kernel.  Returns, per alpha, the
-    committed power, unit LMPs, clearing prices, the bus prices renewables
-    are paid at and each level's commitment error; then the realized
-    (L, K, T, n) dispatch and each level's re-dispatch error.
+    committed power, unit LMPs, the bus prices renewables are paid at and
+    each level's commitment error; then the realized (L, K, T, n) dispatch
+    and each level's re-dispatch error.
     """
     n_buses, t_len, k_len = load.shape
     agg = np.empty((n_levels, t_len, k_len))  # one aggregate sample per (level, hour)
@@ -204,10 +207,10 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     for alpha in alphas:
         _, cvars = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
         batch, failed, error_at = _commit_rows(fleet, np.maximum(cvars, 0.0))
-        prices = batch.clearing_price.reshape(n_levels, t_len)
+        prices = batch.clearing_price.reshape(n_levels, t_len, 1)
         commitments.append((batch.power.reshape(n_levels, t_len, len(fleet)),
-                            np.repeat(prices[..., None], len(fleet), axis=-1), prices,
-                            np.repeat(prices[..., None], n_buses, axis=-1),
+                            np.repeat(prices, len(fleet), axis=-1),
+                            np.repeat(prices, n_buses, axis=-1),
                             _level_errors(failed, error_at, n_levels)))
     # (L, K, T), scenario-major rows within each level; cleared after the
     # commitments, whose CVaR temporaries would otherwise add to its output
@@ -226,8 +229,7 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     Each alpha takes one ``cvar_rows`` per hour over all levels' 2n rows and
     one feeder dispatch over the L*T hours; the re-dispatch reads no alpha,
     so all levels' rows go through one ``dispatch_radial_batch``.  Returns
-    what ``_clear_bus`` does, with the unit LMPs as bus prices and their
-    maximum as the price.
+    what ``_clear_bus`` does, with the unit LMPs as bus prices.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape
@@ -253,8 +255,7 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
         cvars = cvars.reshape(n_levels * t_len, 2 * n)
         batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
         lmps = batch.lmps.reshape(n_levels, t_len, n)
-        commitments.append((batch.power.reshape(n_levels, t_len, n), lmps,
-                            lmps.max(axis=-1), lmps,
+        commitments.append((batch.power.reshape(n_levels, t_len, n), lmps, lmps,
                             _level_errors(failed, error_at, n_levels)))
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
@@ -271,12 +272,13 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     ``load`` is the (n_buses, T, K) load every level shares, and
     ``renewable(l)`` builds level l's renewables.  The one branch on the
     line limit picks the units and the clearing: the whole fleet on one bus,
-    or the first ``n_buses`` units on the feeder.  Each alpha's surviving
-    levels settle together.  Returns, penetration-major, each point's
-    PointResult or its InfeasibleDispatchError: the commitment's, else the
-    re-dispatch's, else the one for an H that cannot be recovered.
+    or the first ``n_buses`` units on the feeder.  Each alpha settles all
+    its levels together, and a point's price is the maximum of its unit
+    LMPs.  Returns, penetration-major, each point's PointResult or its
+    InfeasibleDispatchError: the commitment's, else the re-dispatch's, else
+    the one for an H that cannot be recovered.
     """
-    n_levels = len(penetrations)
+    n_levels, n_alphas = len(penetrations), len(alphas)
     if run.line_limit is None:
         point_fleet = fleet
         cleared = _clear_bus(fleet, load, probabilities, renewable, n_levels, alphas)
@@ -287,62 +289,39 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
                                 n_levels, alphas)
     commitments, realized, realized_errors = cleared
 
-    # per (level, alpha): its error, or its settlement figures but the payment
-    outcome = [[None] * len(alphas) for _ in range(n_levels)]
-    for a, (committed, lmps, _, _, errors) in enumerate(commitments):
-        kept = []
-        for level in range(n_levels):
-            outcome[level][a] = errors[level] or realized_errors[level]
-            if outcome[level][a] is None:
-                kept.append(level)
-        if not kept:
-            continue
-        # fancy indexing copies, so the realized stack is copied only when a
-        # level drops out
-        kept_committed = committed[kept]
-        kept_realized = realized if len(kept) == n_levels else realized[kept]
-        rp, dp = deviation_envelopes(kept_committed, kept_realized)
-        (h_total, lambda_w), failed, error_at = _recovery_rows(kept_committed, rp, dp,
-                                                               point_fleet, run.cost_recovery)
-        r_expected, _ = expected_profit(kept_committed, lmps[kept], lambda_w,
-                                        run.cost_recovery, point_fleet)
-        for j, level in enumerate(kept):
-            if failed[j]:
-                outcome[level][a] = error_at(j)
-                continue
-            violations = reserve_and_ramp_check(committed[level], realized[level], rp[j],
-                                                dp[j], point_fleet)
-            r_realized, _ = realized_profit(realized[level], probabilities, lmps[level],
-                                            lambda_w[j], run.cost_recovery, point_fleet)
-            outcome[level][a] = dict(h_total=float(h_total[j]), lambda_w=float(lambda_w[j]),
-                                     expected_profit=float(r_expected[j]),
-                                     realized_profit=r_realized,
-                                     deviation_cost=float(r_expected[j]) - r_realized,
-                                     violations=violations)
-
-    # renewables are paid scenario by scenario at the committed bus prices,
-    # level by level, so a level's renewables are built once more at most
     load_rows = load.transpose(2, 1, 0)
-    points = []
-    for level in range(n_levels):
-        renewable_rows = None
-        for a, alpha in enumerate(alphas):
-            fields = outcome[level][a]
-            if isinstance(fields, InfeasibleDispatchError):
-                points.append(fields)
+    points = [None] * (n_levels * n_alphas)
+    for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
+        # a failed level's rows are finite, so settling it with the others
+        # raises no warning; its figures are dropped
+        rp, dp = deviation_envelopes(committed, realized)
+        (h_total, lambda_w), unrecoverable, recovery_error = _recovery_rows(
+            committed, rp, dp, point_fleet, run.cost_recovery)
+        r_expected, _ = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
+                                        point_fleet)
+        settled = []
+        for level in range(n_levels):
+            error = errors[level] or realized_errors[level] or (
+                recovery_error(level) if unrecoverable[level] else None)
+            if error is not None:
+                points[level * n_alphas + a] = error
                 continue
-            if renewable_rows is None:
-                renewable_rows = renewable(level).transpose(2, 1, 0)
-            committed, lmps, prices, bus_lmps, _ = commitments[a]
-            rev_k, cur_k = curtail_and_pay_renewables(load_rows, renewable_rows,
-                                                      bus_lmps[level])
+            r_realized, _ = realized_profit(realized[level], probabilities, lmps[level],
+                                            lambda_w[level], run.cost_recovery, point_fleet)
+            settled.append((level, r_realized, reserve_and_ramp_check(
+                committed[level], realized[level], rp[level], dp[level], point_fleet)))
+        # renewables are paid scenario by scenario at the committed bus prices
+        for level, r_realized, violations in settled:
+            rev_k, cur_k = curtail_and_pay_renewables(
+                load_rows, renewable(level).transpose(2, 1, 0), bus_lmps[level])
             report = SettlementReport(
-                **fields,
-                renewable_revenue=float(sum_in_order(probabilities * rev_k)),
-                curtailed_mwh=float(sum_in_order(probabilities * cur_k)))
-            points.append(PointResult(alpha, penetrations[level], committed[level],
-                                      realized[level], lmps[level], prices[level], report,
-                                      point_fleet))
+                float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
+                r_realized, float(r_expected[level]) - r_realized,
+                float(sum_in_order(probabilities * rev_k)),
+                float(sum_in_order(probabilities * cur_k)), violations)
+            points[level * n_alphas + a] = PointResult(
+                alphas[a], penetrations[level], committed[level], realized[level],
+                lmps[level], lmps[level].max(axis=-1), report, point_fleet)
     return points
 
 

@@ -69,6 +69,12 @@ _FEASIBILITY_MARGIN = 0.95
 _DEGENERATE_STD = 1e-9
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a dimension or seed that is not a Python or numpy integer (bools too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} {value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Joint load/renewable process parameters.
@@ -90,8 +96,12 @@ class ScenarioConfig:
     uncertainty_growth: float
 
     def __post_init__(self):
+        for name in ("n_buses", "horizon", "n_scenarios", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_buses < 1 or self.horizon < 1 or self.n_scenarios < 1:
             raise ConfigurationError("n_buses, horizon and n_scenarios must all be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} must be non-negative")
         mean = np.broadcast_to(np.asarray(self.load_mean, dtype=float),
                                (self.n_buses, self.horizon)).copy()
         std = np.broadcast_to(np.asarray(self.load_std, dtype=float),
@@ -247,13 +257,14 @@ def draw_loads(config: ScenarioConfig) -> LoadDraws:
 class RenewableLevels:
     """The renewable half of L penetration levels, all on one weather draw.
 
-    capacity: (L, n_buses) MW.  share: (L, horizon, n_scenarios), each
-    sited bus's output per MW of its capacity: 0 where the hour's target is
-    zero, 1 at capacity, the mean share where the std is degenerate, else
-    the Beta quantile of the weather uniform.  errors: per level, None or
-    the message naming its first infeasible hour (its shares are 0).  A
-    level's (n_buses, horizon, n_scenarios) array is built on demand by
-    ``renewable``, so a grid holds one level's array at a time.
+    capacity: (L, n_buses) MW.  share: (L, horizon, n_scenarios), every
+    bus's output per MW of its capacity: 0 where the hour's target is zero,
+    1 at capacity, the mean share where the std is degenerate, else the
+    Beta quantile of the weather uniform.  errors: per level, None or the
+    message naming its first infeasible hour (its shares are 0).  A level's
+    (n_buses, horizon, n_scenarios) array is one multiply, capacity times
+    share, made by ``renewable`` where it is used, so a grid holds one
+    level's array at a time.
     """
 
     capacity: np.ndarray
@@ -262,11 +273,8 @@ class RenewableLevels:
 
     def renewable(self, level: int) -> np.ndarray:
         """Level ``level``'s renewable output, read-only."""
-        cap = self.capacity[level]
-        sited = cap > 0.0
-        out = np.zeros((cap.size,) + self.share.shape[1:])
-        out[sited] = cap[sited, None, None] * self.share[level]
-        np.clip(out, 0.0, cap[:, None, None], out=out)
+        # share is in [0, 1] and capacity >= 0, so the rounded product stays in [0, cap]
+        out = self.capacity[level][:, None, None] * self.share[level]
         out.flags.writeable = False
         return out
 
@@ -284,7 +292,7 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
     """
     given = list(penetrations)  # named in the messages as the caller wrote them
     penetrations = np.asarray(given, dtype=float)
-    caps = np.asarray(capacities, dtype=float)
+    caps = np.asarray(capacities, dtype=float) + 0.0  # a -0.0 capacity builds +0.0 output
     for name, value in (("penetration", penetrations), ("renewable capacities", caps),
                         ("uncertainty_growth", uncertainty_growth)):
         if not np.all((value >= 0.0) & np.isfinite(value)):

@@ -31,7 +31,7 @@ from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
                        evaluate_point, expected_profit, generate_scenarios, load_fleet,
                        net_load, realized_profit, recovery_rate, reserve_and_ramp_check,
                        run_grid, scenario_config, suffix_net_load, var)
-from gridclear.scenarios import draw_loads
+from gridclear.scenarios import build_levels, draw_loads
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
 # ---------------------------------------------------------------------------
@@ -1197,6 +1197,37 @@ def test_grid_level_at_buildout_capacity_is_at_capacity():
         config.renewable_capacity[:, None, None], renewable.shape))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_level_renewables_equal_masked_and_clipped_build(seed):
+    # a level's renewables are capacity times share alone: the per-level
+    # loop's zero-fill of unsited buses and clip to [0, capacity] change no
+    # bit, sign of zero included; a -0.0 capacity gives +0.0
+    rng = np.random.default_rng(seed)
+    n, t_len, k = int(rng.integers(1, 10)), int(rng.integers(1, 5)), int(rng.integers(1, 60))
+    mean = np.repeat(rng.uniform(0.0, 200.0, (n, 1)), t_len, axis=1)
+    growth = float(rng.choice([0.0, 0.05, 0.27]))
+    sited = rng.random(n) > 0.3
+    sited[0] = True
+    penetrations = (0.0, -0.0, 0.4, 1.1, 0.6)
+    caps = 1.1 * mean[:, 0] * np.array([1.0, -0.0, 1.0, 1.0, 2.0])[:, None]
+    caps[2] *= sited             # unsited buses at +0.0
+    caps[4, ~sited] = -0.0       # and at -0.0
+    config = ScenarioConfig(n_buses=n, horizon=t_len, n_scenarios=k, seed=seed,
+                            load_mean=mean, load_std=0.06 * mean, renewable_capacity=caps[0],
+                            penetration=0.0, uncertainty_growth=growth)
+    draws = draw_loads(config)
+    levels = build_levels(draws, penetrations, caps, growth)
+    assert levels.errors == (None,) * len(penetrations)
+    for level, (penetration, cap) in enumerate(zip(penetrations, caps)):
+        got = levels.renewable(level)
+        assert not got.flags.writeable
+        want = reference_build(dataclasses.replace(
+            config, renewable_capacity=cap, penetration=penetration), draws).renewable
+        negative_zero = np.signbit(cap)
+        assert same_bits(got[~negative_zero], want[~negative_zero])
+        assert same_bits(got[negative_zero], np.zeros_like(got[negative_zero]))
+
+
 @pytest.mark.parametrize("cost_recovery", [0, 1])
 @pytest.mark.parametrize("case,expected", [
     # bus: the built-in fleet, every drawable level and both alphas settle
@@ -1211,6 +1242,13 @@ def test_grid_level_at_buildout_capacity_is_at_capacity():
     # committed and H cannot be recovered
     (dict(capacity_mode="tracking", penetrations=(0.009, 3.0, 0.5)),
      ["alpha=0.5, penetration=3.0: cost recovery requested"]),
+    # bus: at penetration 1.5 and alpha 0.5 the 205 MW fleet commits nothing,
+    # so H cannot be recovered, and its minimums cannot carry some realized
+    # demands: the re-dispatch's error is the one reported
+    (dict(load_mean_per_bus=(60.0, 40.0, 30.0), capacity_mode="tracking",
+          penetrations=(0.2, 1.5, 3.0),
+          fleet=[("a", 10, 40, 120, 60), ("b", 20, 30, 85, 30)]),
+     ["alpha=0.5, penetration=1.5: no single unit can carry"]),
     # feeder: at penetration 0 the commitment fails for alpha 0.95 and the
     # re-dispatch, which it would also fail, for alpha 0.5
     (dict(line_limit=80.0, load_mean_per_bus=(150.0, 80.0, 65.0)),
@@ -1219,8 +1257,8 @@ def test_grid_level_at_buildout_capacity_is_at_capacity():
     (dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0), horizon=4), [UNDRAWABLE]),
     (dict(line_limit=30.0, load_mean_per_bus=(100.0, 50.0, 15.0, 40.0, 8.0, 3.0),
           capacity_mode="tracking", penetrations=(0.0, 0.3, 0.9)), []),
-], ids=["bus", "bus-small-fleet", "bus-unrecoverable", "feeder-infeasible", "feeder",
-        "feeder-six-buses"])
+], ids=["bus", "bus-small-fleet", "bus-unrecoverable", "bus-unrecoverable-and-unservable",
+        "feeder-infeasible", "feeder", "feeder-six-buses"])
 def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
     case = dict(case)
     if "fleet" in case:

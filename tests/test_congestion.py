@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gridclear import (EmpiricalSample, FeederCase, Fleet, GeneratorSpec,
-                       InfeasibleDispatchError, RadialGrid, committed_upper_bound,
-                       cvar_direct, dispatch_radial)
+                       InfeasibleDispatchError, RadialGrid, RunConfig, committed_upper_bound,
+                       cvar_direct, cvar_rows, dispatch_radial, evaluate_point,
+                       generate_scenarios, load_fleet, scenario_config)
 
 
 def feeder_fleet(asks, p_maxs):
@@ -286,3 +287,42 @@ def test_requirement_shape_mismatch_message():
     with pytest.raises(InfeasibleDispatchError) as err:
         dispatch_radial(grid, fleet, [20, 40], [60, 40])
     assert str(err.value) == "need one generator and one requirement pair per bus (3)"
+
+
+# the settle-feeder shape (three buses on an 80 MW feeder) and six buses on a
+# 30 MW feeder; every hour of every point below is congested
+FEEDER_SHAPES = {
+    "three-bus-80mw": dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0),
+                           horizon=24, n_scenarios=1000, alphas=(0.9,),
+                           penetrations=(0.009,)),
+    "six-bus-30mw": dict(line_limit=30.0, load_mean_per_bus=(100.0, 50.0, 15.0, 40.0,
+                                                            8.0, 3.0),
+                         horizon=24, n_scenarios=200, alphas=(0.95,),
+                         penetrations=(0.3, 0.9)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+@pytest.mark.parametrize("shape", sorted(FEEDER_SHAPES))
+def test_congestion_moves_committed_power_but_keeps_its_total(shape, seed):
+    # The feeder commits exactly the joint CVaR of the aggregate net load in
+    # every hour, congested or not: congestion moves power between buses and
+    # splits the prices, but uses none of the room the subadditivity bound
+    # (the sum of per-bus CVaRs) leaves above that total.
+    run = RunConfig(seed=seed, capacity_mode="tracking", **FEEDER_SHAPES[shape])
+    fleet = load_fleet(run.fleet_source)
+    alpha = run.alphas[0]
+    congested_hours = 0
+    for penetration in run.penetrations:
+        sset = generate_scenarios(scenario_config(run, penetration))
+        point = evaluate_point(fleet, run, sset, alpha, penetration)
+        net = sset.load - sset.renewable
+        for t in range(run.horizon):
+            rows = np.vstack([net[:, t], net[:, t].sum(axis=0)])
+            cvars = cvar_rows(rows, sset.probabilities, alpha)[1]
+            per_bus, joint = cvars[:-1], cvars[-1]
+            assert abs(point.committed[t].sum() - max(joint, 0.0)) <= 1e-9
+            if np.ptp(point.lmps[t]) > 0.0:
+                congested_hours += 1
+                assert per_bus.sum() > joint
+    assert congested_hours > 0

@@ -1,6 +1,7 @@
 """Harness behaviour: fleet IO, sweeps, CSV determinism, CLI exit codes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -470,6 +471,30 @@ def test_run_config_bus_count_follows_the_loads():
 def test_run_config_rejects_empty_dimensions(field, value):
     with pytest.raises(ConfigurationError, match=f"^{field} {value} must be at least 1$"):
         RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["horizon", "n_scenarios", "seed"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1.5, 2.0, True,
+                                   "3"])
+def test_run_config_rejects_non_integer_dimensions(field, value):
+    # numpy would otherwise fail later with a bare TypeError or ValueError
+    with pytest.raises(ConfigurationError, match=f"^{field} {re.escape(repr(value))} "
+                                                 f"must be an integer$"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_numpy_integer_below_minimum_keeps_its_message():
+    with pytest.raises(ConfigurationError, match="^horizon 0 must be at least 1$"):
+        RunConfig(horizon=np.int64(0))
+
+
+def test_run_config_accepts_numpy_integers():
+    numpy_ints = RunConfig(horizon=np.int64(2), n_scenarios=np.int32(20), seed=np.uint8(3),
+                           alphas=(0.9,), penetrations=(0.1, 0.5))
+    python_ints = dataclasses.replace(numpy_ints, horizon=2, n_scenarios=20, seed=3)
+    got, want = run_grid(numpy_ints), run_grid(python_ints)
+    assert [point_row(numpy_ints, p) for p in got] == [point_row(python_ints, p)
+                                                       for p in want]
 
 
 @pytest.mark.parametrize("flag,field", [("--horizon", "horizon"),

@@ -1,5 +1,7 @@
 """Every constructor the batched paths trust rejects NaN and infinities by name."""
 
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -82,6 +84,22 @@ def test_scenario_config_rejects_non_finite(n_buses, horizon, name, bad, data):
         fields[name] = bad
     with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
         ScenarioConfig(n_buses=n_buses, horizon=horizon, n_scenarios=4, seed=0, **fields)
+
+
+@pytest.mark.parametrize("name", ["n_buses", "horizon", "n_scenarios", "seed"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, np.float64(2.0), True])
+def test_scenario_config_rejects_non_integer_counts(name, bad):
+    fields = dict(n_buses=2, horizon=2, n_scenarios=4, seed=0, **_scenario_fields(2, 2))
+    fields[name] = bad
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} {re.escape(repr(bad))} must be an integer$"):
+        ScenarioConfig(**fields)
+
+
+def test_scenario_config_rejects_negative_seed():
+    # numpy's own error for it would be a bare ValueError
+    with pytest.raises(ConfigurationError, match="^seed -3 must be non-negative$"):
+        ScenarioConfig(n_buses=2, horizon=2, n_scenarios=4, seed=-3, **_scenario_fields(2, 2))
 
 
 def test_scenario_set_rejects_nan_probabilities():

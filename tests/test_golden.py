@@ -24,6 +24,10 @@ batch.  Each run exercises different code:
 - the flags whose first value alone is used (a sweep's fixed axis, and both
   axes of settle): a second value must not change a byte, so these digests
   equal those of the one-value runs above or of settle at its defaults
+
+A sweep that skips points is pinned on its stderr as well: which error a
+point reports (its commitment's, else its level's re-dispatch's, else an
+unrecoverable H) and how a skipped level or point names its coordinates.
 """
 
 import hashlib
@@ -92,4 +96,25 @@ def test_golden_csv_bytes(name, tmp_path):
     result = CliRunner().invoke(main, argv + ["--seed", "7", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     data = (tmp_path / csv).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+
+
+# recorded before a failed level was settled with the rest of its grid
+SKIPPING_SWEEP = (
+    ["sweep-penetration", "--line-limit", "80", "--load-mean", "150,80,65",
+     "--penetration", "0.0,0.4,1.1,2.0,0.9", "--horizon", "3", "--scenarios", "40",
+     "--seed", "11"],
+    "skipped: alpha=0.95, penetration=0.0: bus 1: tail requirement 155.072 MW "
+    "exceeds generator capacity 155\n"
+    "skipped: penetration=2.0: hour 0: required system-wide mean share 1.8182 of "
+    "capacity exceeds 1; infeasible Beta mean on [0, w]\n",
+    "b3e8ba7e3ce74f6a3797b9e3041d9812b9c5e5ee5bd11eb541e9059a920e10fc")
+
+
+def test_skipping_sweep_stderr_and_csv_bytes(tmp_path):
+    argv, stderr, digest = SKIPPING_SWEEP
+    result = CliRunner().invoke(main, argv + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == stderr
+    data = (tmp_path / "penetration_sweep.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest, data.decode()
