@@ -13,9 +13,10 @@ applied to every row, and finds each row's balancing bus and infeasibility
 with masks.  ``dispatch_radial`` is a one-row call of it.  Feasibility has
 one answer, the kernel's: an infeasible row raises InfeasibleDispatchError,
 whose message names the failed check (for the feeder assumptions, each bus's
-minimum and tail clauses in bus order).  A grid clears many levels in one
-call of the kernel's unraising form, ``_radial_rows``, and reads each
-level's first failing row from its mask.
+minimum and tail clauses in bus order).  A grid clears many levels through
+the kernel's unraising form, ``_radial_rows`` (each commitment in one call,
+the re-dispatch in row blocks), and reads each level's first failing row
+from its masks.
 """
 
 from __future__ import annotations

@@ -3,27 +3,31 @@
 ``run_grid`` is the one loop over grid points: both sweeps and the
 single-point commands are runs of it on differently shaped grids.  It draws
 the loads once, builds every level's renewables from one call, and clears
-and settles all drawable levels together; ``evaluate_point`` is a
-one-level, one-alpha call of the same routine.  That routine branches once,
-on the line limit.  Without one the whole fleet clears on one bus against
-the CVaR of the aggregate net load; with one the first ``n_buses`` units
-clear on a radial feeder against per-bus and tail CVaRs.  Either clearing
-re-dispatches every scenario at its realized net load with the committed
-prices held fixed; that re-dispatch reads no alpha, so it runs once per
-level over all of a grid's levels in one kernel call, and each alpha costs
-one CVaR pass and one commitment over all levels.  Both markets settle the
-same way, each alpha's levels together: every level is settled, and the
-figures of a failed point are dropped.  Each level's net load is formed on
-its own; one bus keeps only its hourly aggregates, while the feeder keeps
-the per-hour bus and tail rows and the realized rows its kernels read.
+and settles all drawable levels together; ``evaluate_point`` is a one-level,
+one-alpha call of the same routine.  That routine branches once, on the line
+limit.  Without one the whole fleet clears on one bus against the CVaR of
+the aggregate net load; with one the first ``n_buses`` units clear on a
+radial feeder against per-bus and tail CVaRs.  Either clearing re-dispatches
+every scenario at its realized net load with the committed prices held
+fixed; that re-dispatch reads no alpha, so it runs once per level over all
+of a grid's levels, through the kernel in row blocks of one fixed size, and
+each alpha costs one CVaR pass and one commitment over all levels.  A
+block's outputs other than its power are dropped before the next block runs,
+so the re-dispatch holds one (L*K*T, n) power array and the temporaries of
+one block.  Both markets settle the same way, each alpha's levels together:
+every level is settled, and the figures of a failed point are dropped.  Each
+level's net load is formed on its own; one bus keeps only its hourly
+aggregates, while the feeder keeps the per-hour bus and tail rows and the
+realized rows its kernels read.
 
-A point fails on the first of: its commitment, its level's re-dispatch, an
-H that cannot be recovered; the kernels report the first failing row of
-each level's slice, with the message they raise for it.  A skipped level
-or point names its coordinates (``penetration=0.3: ...`` or
-``alpha=0.9, penetration=0.3: ...``).  ``point_row`` turns a point into one
-CSV row holding every grid column, and ``emit_csv`` writes the columns a
-file needs (identical config and seed give identical bytes).
+A point fails on the first of: its commitment, its level's re-dispatch, an H
+that cannot be recovered; the kernels report the first failing row of each
+level's slice, in (scenario, hour) order across blocks, with the message
+they raise for it.  A skipped level or point names its coordinates
+(``penetration=0.3: ...`` or ``alpha=0.9, penetration=0.3: ...``).
+``point_row`` turns a point into one CSV row holding every grid column, and
+``emit_csv`` writes the columns a file needs (identical config and seed give
+identical bytes).
 
 Default experiment shape: three load buses, a reference fleet, and renewable
 capacity sized by one of two policies.  ``tracking`` builds just enough
@@ -46,9 +50,9 @@ from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
 from .scenarios import ScenarioConfig, ScenarioSet, _check_integer, build_levels, draw_loads
-from .settlement import (SettlementReport, _recovery_rows, curtail_and_pay_renewables,
-                         deviation_envelopes, expected_profit, realized_profit,
-                         reserve_and_ramp_check, sum_in_order)
+from .settlement import (SettlementReport, _load_totals, _recovery_rows,
+                         curtail_and_pay_renewables, deviation_envelopes, expected_profit,
+                         realized_profit, reserve_and_ramp_check, sum_in_order)
 
 DEFAULT_LOAD_MEAN = (232.0, 174.0, 174.0)   # MW per bus
 DEFAULT_LOAD_STD_FRAC = 0.06
@@ -60,6 +64,9 @@ ALPHA_GRID_DEFAULT = (0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 PENETRATION_GRID_DEFAULT = tuple(round(0.1 * i, 1) for i in range(11))
 ALPHA_SWEEP_PENETRATION = 0.009
 PENETRATION_SWEEP_ALPHA = 0.95
+# rows per call of a clearing kernel in the realized re-dispatch, which holds
+# the outputs and temporaries of one block at a time
+_BLOCK_ROWS = 8192
 
 ALPHA_SWEEP_COLUMNS = ("alpha", "committed_mw", "price", "R", "R_tilde", "H", "lambda_w")
 PENETRATION_SWEEP_COLUMNS = ("penetration", "committed_mw", "price", "deviation_cost",
@@ -186,6 +193,35 @@ def _level_errors(failed, error_at, n_levels: int) -> list:
             for level, rows in enumerate(per_level)]
 
 
+def _redispatch(clear, n_rows: int, n_levels: int):
+    """Run the realized re-dispatch ``clear(rows)``, a kernel's unraising form
+    on a slice of the rows, over blocks of at most ``_BLOCK_ROWS`` rows.
+
+    Returns the (n_rows, n) power and the error of each level's first failing
+    row (None where none fails); ``n_rows`` holds the levels' rows one after
+    another.  A block's other outputs and temporaries are dropped before the
+    next block runs, and a grid that fits in one block keeps its output as is.
+    """
+    width = n_rows // n_levels
+    errors = [None] * n_levels
+    power = None
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        batch, failed, error_at = clear(slice(start, start + _BLOCK_ROWS))
+        if len(batch.power) == n_rows:
+            power = batch.power
+        else:
+            if power is None:
+                power = np.empty((n_rows, batch.power.shape[1]))
+            power[start:start + len(batch.power)] = batch.power
+        rows = np.flatnonzero(failed)
+        levels, first = np.unique((start + rows) // width, return_index=True)
+        for level, row in zip(levels, rows[first]):
+            if errors[level] is None:
+                errors[level] = error_at(int(row))
+        del batch, failed, error_at
+    return power, errors
+
+
 def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alphas):
     """Commit each level's hourly aggregate CVaRs on one bus, then re-dispatch
     every scenario-hour at its realized aggregate clipped into the servable
@@ -194,10 +230,10 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
 
     Each alpha takes one ``cvar_rows`` and one commitment over the L*T
     hourly aggregates; the re-dispatch reads no alpha, so all levels' rows
-    then go through one call of the clearing kernel.  Returns, per alpha, the
-    committed power, unit LMPs, the bus prices renewables are paid at and
-    each level's commitment error; then the realized (L, K, T, n) dispatch
-    and each level's re-dispatch error.
+    then go through the clearing kernel in blocks of ``_BLOCK_ROWS``.
+    Returns, per alpha, the committed power, unit LMPs, the bus prices
+    renewables are paid at and each level's commitment error; then the
+    realized (L, K, T, n) dispatch and each level's re-dispatch error.
     """
     n_buses, t_len, k_len = load.shape
     agg = np.empty((n_levels, t_len, k_len))  # one aggregate sample per (level, hour)
@@ -212,12 +248,15 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
                             np.repeat(prices, len(fleet), axis=-1),
                             np.repeat(prices, n_buses, axis=-1),
                             _level_errors(failed, error_at, n_levels)))
-    # (L, K, T), scenario-major rows within each level; cleared after the
-    # commitments, whose CVaR temporaries would otherwise add to its output
-    demands = np.minimum(np.maximum(agg.transpose(0, 2, 1), 0.0), fleet.total_capacity)
-    realized, failed, error_at = _commit_rows(fleet, demands.ravel())
-    return (commitments, realized.power.reshape(*demands.shape, len(fleet)),
-            _level_errors(failed, error_at, n_levels))
+    # (L, K, T), scenario-major rows within each level, clipped in place;
+    # cleared after the commitments, whose CVaR temporaries would otherwise
+    # add to its output
+    demands = agg.transpose(0, 2, 1).ravel()
+    del agg
+    np.minimum(np.maximum(demands, 0.0, out=demands), fleet.total_capacity, out=demands)
+    realized, errors = _redispatch(lambda rows: _commit_rows(fleet, demands[rows]),
+                                   demands.size, n_levels)
+    return (commitments, realized.reshape(n_levels, k_len, t_len, len(fleet)), errors)
 
 
 def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable,
@@ -228,8 +267,9 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
 
     Each alpha takes one ``cvar_rows`` per hour over all levels' 2n rows and
     one feeder dispatch over the L*T hours; the re-dispatch reads no alpha,
-    so all levels' rows go through one ``dispatch_radial_batch``.  Returns
-    what ``_clear_bus`` does, with the unit LMPs as bus prices.
+    so all levels' rows go through ``_radial_rows`` in blocks of
+    ``_BLOCK_ROWS``, each block's tails summed as it runs.  Returns what
+    ``_clear_bus`` does, with the unit LMPs as bus prices.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape
@@ -238,13 +278,14 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     rows = np.empty((n_levels, k_len * t_len, n))  # one per scenario-hour, (k, t) order
     for level in range(n_levels):
         net = load - renewable(level)  # (buses, T, K)
-        for t in range(t_len):
+        own = requirements[:, 2 * n * level:2 * n * (level + 1)]
+        own[:, :n] = net.transpose(1, 0, 2)
+        for i in range(n):
             # the tails are summed forward from each bus; the reversed cumsum
             # used for the realized rows below rounds differently
-            tails = [net[i:, t].sum(axis=0) for i in range(n)]
-            requirements[t, 2 * n * level:2 * n * (level + 1)] = np.vstack(
-                [net[:, t], *tails])
+            own[:, n + i] = net[i:].sum(axis=0)
         rows[level] = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
+    del net, own
     commitments = []
     for alpha in alphas:
         cvars = np.empty((n_levels, t_len, 2 * n))
@@ -259,10 +300,10 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
                             _level_errors(failed, error_at, n_levels)))
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
-    suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
-    realized, failed, error_at = _radial_rows(grid, fleet, rows, suffix)
-    return (commitments, realized.power.reshape(n_levels, k_len, t_len, n),
-            _level_errors(failed, error_at, n_levels))
+    realized, errors = _redispatch(
+        lambda r: _radial_rows(grid, fleet, rows[r], np.cumsum(rows[r, ::-1], axis=1)[:, ::-1]),
+        len(rows), n_levels)
+    return commitments, realized.reshape(n_levels, k_len, t_len, n), errors
 
 
 def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewable,
@@ -290,6 +331,7 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     commitments, realized, realized_errors = cleared
 
     load_rows = load.transpose(2, 1, 0)
+    load_totals = _load_totals(load_rows)  # summed once for every point's payment
     points = [None] * (n_levels * n_alphas)
     for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
         # a failed level's rows are finite, so settling it with the others
@@ -313,7 +355,8 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         # renewables are paid scenario by scenario at the committed bus prices
         for level, r_realized, violations in settled:
             rev_k, cur_k = curtail_and_pay_renewables(
-                load_rows, renewable(level).transpose(2, 1, 0), bus_lmps[level])
+                load_rows, renewable(level).transpose(2, 1, 0), bus_lmps[level],
+                load_totals=load_totals)
             report = SettlementReport(
                 float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
                 r_realized, float(r_expected[level]) - r_realized,

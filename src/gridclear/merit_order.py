@@ -19,8 +19,9 @@ a one-row call of it that adds the multipliers.  Feasibility has one answer,
 the kernel's: a demand it cannot clear raises InfeasibleDispatchError, whose
 message names the failed check (a non-finite demand, the servable range, the
 single-unit regime or the adjustable-range assumption of the back-down).
-A grid clears many levels in one call of the kernel's unraising form,
-``_commit_rows``, and reads each level's first failing row from its mask.
+A grid clears many levels through the kernel's unraising form,
+``_commit_rows`` (each commitment in one call, the re-dispatch in row
+blocks), and reads each level's first failing row from its masks.
 """
 
 from __future__ import annotations

@@ -98,8 +98,9 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("n_buses", "horizon", "n_scenarios", "seed"):
             _check_integer(name, getattr(self, name))
-        if self.n_buses < 1 or self.horizon < 1 or self.n_scenarios < 1:
-            raise ConfigurationError("n_buses, horizon and n_scenarios must all be >= 1")
+        for name in ("n_buses", "horizon", "n_scenarios"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} {getattr(self, name)} must be at least 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed {self.seed} must be non-negative")
         mean = np.broadcast_to(np.asarray(self.load_mean, dtype=float),

@@ -67,12 +67,13 @@ def deviation_envelopes(committed: np.ndarray,
     """
     committed = np.asarray(committed, dtype=float)
     realized = np.asarray(realized, dtype=float)
-    delta = committed[..., None, :, :] - realized
-    rp = np.maximum(delta, 0.0, out=delta).max(axis=-3)
+    lo, hi = realized.min(axis=-3), realized.max(axis=-3)
+    # rounded subtraction is monotone, so the largest committed - realized is
+    # committed - lo
+    rp = np.maximum(committed - lo, 0.0)
 
     # worst swing over scenario pairs (k, k') is between the envelope edges
     # of hour t and hour t + 1
-    lo, hi = realized.min(axis=-3), realized.max(axis=-3)
     dp = np.zeros_like(committed)
     dp[..., :-1, :] = np.maximum(np.maximum(hi[..., :-1, :] - lo[..., 1:, :],
                                             hi[..., 1:, :] - lo[..., :-1, :]), 0.0)
@@ -205,7 +206,7 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
 
 
 def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
-                               lmps: np.ndarray):
+                               lmps: np.ndarray, *, load_totals=None):
     """Renewable payment and curtailed energy per scenario trajectory.
 
     loads and renewables are (T, n_buses) for one trajectory or
@@ -214,25 +215,34 @@ def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
     for, shared across units in proportion to their output, and the excess
     is curtailed; otherwise all output earns its bus price.  Hours are
     accumulated in order from 0.0.  Returns two floats for one trajectory
-    and two (K,) arrays for a stack.
+    and two (K,) arrays for a stack.  ``load_totals``, when given, is the
+    per-hour bus totals of ``loads`` as ``_load_totals`` sums them, so a
+    caller that pays many renewables against one load sums it once.
     """
-    loads = np.asarray(loads, dtype=float)
+    if load_totals is None:
+        load_totals = _load_totals(loads)
     renewables = np.asarray(renewables, dtype=float)
     lmps = np.asarray(lmps, dtype=float)
     # round each hour as a per-hour loop (row.sum(), lmps[t] @ row) does: bus
     # sums over unit-stride rows, because numpy sums a strided stack in memory
     # order rather than pairwise; the full payment over the caller's rows and
     # the curtailed one over fresh unit-stride rows, because dot rounds by stride
-    rows = np.ascontiguousarray(renewables)
+    rows = np.array(renewables, order="C")  # scaled in place below
     total_out = rows.sum(axis=-1)
-    total_load = np.ascontiguousarray(loads).sum(axis=-1)
-    over = total_out > total_load
-    scale = np.divide(total_load, total_out, out=np.zeros_like(total_out),
-                      where=total_out > 0.0)
-    hourly = np.where(over, np.vecdot(lmps, rows * scale[..., None]),
-                      np.vecdot(lmps, renewables))
+    over = total_out > load_totals  # so total_out > 0 there
+    hourly = np.vecdot(lmps, renewables)
+    if over.any():
+        scale = np.divide(load_totals, total_out, out=np.zeros_like(total_out), where=over)
+        np.multiply(rows, scale[..., None], out=rows, where=over[..., None])
+        np.copyto(hourly, np.vecdot(lmps, rows), where=over)
     revenue = sum_in_order(hourly)
-    curtailed = sum_in_order(np.where(over, total_out - total_load, 0.0))
+    curtailed = sum_in_order(np.where(over, total_out - load_totals, 0.0))
     if renewables.ndim == 2:
         return float(revenue), float(curtailed)
     return revenue, curtailed
+
+
+def _load_totals(loads) -> np.ndarray:
+    """Per-hour bus totals of (T, n_buses) or (K, T, n_buses) loads, as
+    ``curtail_and_pay_renewables`` sums them."""
+    return np.ascontiguousarray(np.asarray(loads, dtype=float)).sum(axis=-1)

@@ -11,17 +11,20 @@ CVaR one merged sample at a time, and a grid one penetration level at a
 time (each level's renewables hour by hour, each point cleared and settled
 on its own).  The scenario quantiles, computed
 with scipy.special, are compared with the scipy.stats functions they
-replaced.
+replaced.  The reserve envelope is compared with the clamped deviation
+array it replaced, and a grid's re-dispatch in small row blocks with the
+same re-dispatch in one block.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
-from gridclear import scenarios
+from gridclear import experiment, scenarios
 from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, PointResult, RadialGrid, Regime, RunConfig,
                        ScenarioConfig, ScenarioSet, SettlementReport, EmpiricalSample,
@@ -31,6 +34,8 @@ from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
                        evaluate_point, expected_profit, generate_scenarios, load_fleet,
                        net_load, realized_profit, recovery_rate, reserve_and_ramp_check,
                        run_grid, scenario_config, suffix_net_load, var)
+from gridclear.cli import main
+from gridclear.experiment import derive_capacity
 from gridclear.scenarios import build_levels, draw_loads
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
@@ -635,6 +640,38 @@ def test_envelopes_equal_hour_pair_loop(k_len, t_len, n):
     stored = np.ascontiguousarray(realized.transpose(1, 2, 0))
     assert all(same_bits(a, b) for a, b in zip(
         deviation_envelopes(committed, stored.transpose(2, 0, 1)), (ref_rp, ref_dp)))
+
+
+# few distinct values, so ties within and across scenarios are common
+ENVELOPE_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 0.3, 1.0, 40.0, 1e16,
+                                   -1.0, -5e-324]) | st.floats(-10.0, 120.0)
+
+
+@st.composite
+def envelope_cases(draw):
+    levels = draw(st.sampled_from([(), (1,), (3,)]))
+    k_len, t_len, n = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def array(shape):
+        values = draw(st.lists(ENVELOPE_VALUES, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+    return array(levels + (t_len, n)), array(levels + (k_len, t_len, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_cases())
+def test_reserve_envelope_equals_largest_deviation(case):
+    """The reserve envelope taken from the scenario minimum equals the largest
+    of the clamped deviations committed - realized, sign of zero included:
+    rounded subtraction is monotone, and np.maximum(x, 0.0) gives +0.0 for
+    either zero, so every zero envelope is +0.0 on both sides."""
+    committed, realized = case
+    delta = committed[..., None, :, :] - realized
+    want = np.maximum(delta, 0.0, out=delta).max(axis=-3)
+    rp, _ = deviation_envelopes(committed, realized)
+    assert same_bits(rp, want)
+    assert not np.signbit(rp[rp == 0.0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -1282,3 +1319,96 @@ def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
         with pytest.raises(type(failures[0][1])) as err:
             run_grid(run)
         assert str(err.value) == str(failures[0][1])
+
+
+# ---------------------------------------------------------------------------
+# the realized re-dispatch in row blocks
+
+
+def clear_levels(run):
+    """``run_grid``'s clearing of every drawable level: the commitments, the
+    realized power and each level's re-dispatch error."""
+    fleet = load_fleet(run.fleet_source)
+    draws = draw_loads(scenario_config(run, 0.0))
+    levels = build_levels(draws, run.penetrations,
+                          [derive_capacity(run.load_mean_per_bus, p, run.capacity_mode)
+                           for p in run.penetrations], run.uncertainty_growth)
+    kept = [level for level, error in enumerate(levels.errors) if error is None]
+    inputs = (draws.load, draws.probabilities, lambda i: levels.renewable(kept[i]),
+              len(kept), run.alphas)
+    if run.line_limit is None:
+        return experiment._clear_bus(fleet, *inputs)
+    return experiment._clear_feeder(fleet.head(run.n_buses),
+                                    RadialGrid(run.n_buses, run.line_limit), *inputs)
+
+
+def error_texts(errors):
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+BLOCK = 7  # divides no level's K*T rows, so blocks straddle levels
+
+
+@pytest.mark.parametrize("case,argv", [
+    # bus: the 205 MW fleet's minimums cannot carry some realized demands, and
+    # at penetration 0 its commitment fails first for alpha 0.95
+    (dict(seed=11, fleet=[("a", 10, 40, 120, 60), ("b", 20, 30, 85, 30)]),
+     ["sweep-alpha", "--alpha", "0.95,0.5", "--penetration", "0.4"]),
+    # feeder: three levels fail their re-dispatch first at row 44; at
+    # penetration 0 the commitment fails before it for alpha 0.95
+    (dict(seed=10, line_limit=80.0, load_mean_per_bus=(150.0, 80.0, 65.0)),
+     ["sweep-penetration", "--line-limit", "80", "--load-mean", "150,80,65",
+      "--penetration", "0.0,0.4,1.1,2.0,0.9"]),
+], ids=["bus", "feeder"])
+def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
+    case = dict(case)
+    if "fleet" in case:
+        case["fleet_source"] = write_fleet(tmp_path / "fleet.csv", case.pop("fleet"))
+        argv = argv + ["--fleet", case["fleet_source"]]
+    run = RunConfig(**{**dict(alphas=(0.95, 0.5), penetrations=LEVELS, horizon=3,
+                              n_scenarios=40), **case})
+    kernel = "_commit_rows" if run.line_limit is None else "_radial_rows"
+    masks = []
+
+    def recording(*args):
+        out = real(*args)
+        masks.append(out[1])
+        return out
+
+    real = getattr(experiment, kernel)
+    monkeypatch.setattr(experiment, kernel, recording)
+    commitments, realized, errors = clear_levels(run)
+    assert experiment._BLOCK_ROWS >= realized[..., 0].size  # one block
+    monkeypatch.setattr(experiment, "_BLOCK_ROWS", BLOCK)
+    masks.clear()
+    blocked_commitments, blocked, blocked_errors = clear_levels(run)
+    assert same_bits(blocked, realized)
+    assert error_texts(blocked_errors) == error_texts(errors)
+    for (_, _, _, e1), (_, _, _, e2) in zip(blocked_commitments, commitments):
+        assert error_texts(e1) == error_texts(e2)
+
+    # the re-dispatch ran in blocks, and some level's first failing row lies
+    # past the level's first block
+    redispatch = masks[len(run.alphas):]
+    assert [len(m) for m in redispatch[:-1]] == [BLOCK] * (len(redispatch) - 1)
+    failed = np.concatenate(redispatch).reshape(realized.shape[0], -1)
+    width = failed.shape[1]
+    first = [level * width + int(rows.argmax()) for level, rows in enumerate(failed)
+             if rows.any()]
+    assert any(row // BLOCK > (row - row % width) // BLOCK for row in first)
+    # a level whose commitment fails for one alpha also fails its re-dispatch
+    assert any(c and r for (_, _, _, errs) in commitments for c, r in zip(errs, errors))
+
+    # the same skipped points and CSV through the command line
+    monkeypatch.setattr(experiment, kernel, real)
+    argv = argv + ["--horizon", "3", "--scenarios", "40", "--seed", str(run.seed)]
+    outputs = []
+    for rows in (BLOCK, 1 << 20):
+        monkeypatch.setattr(experiment, "_BLOCK_ROWS", rows)
+        out = tmp_path / str(rows)
+        result = CliRunner().invoke(main, argv + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        (csv_file,) = out.iterdir()
+        outputs.append((result.stderr, csv_file.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "skipped: " in outputs[0][0]

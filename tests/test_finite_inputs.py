@@ -96,6 +96,15 @@ def test_scenario_config_rejects_non_integer_counts(name, bad):
         ScenarioConfig(**fields)
 
 
+@pytest.mark.parametrize("name", ["n_buses", "horizon", "n_scenarios"])
+@pytest.mark.parametrize("bad", [0, -2, np.int64(0)])
+def test_scenario_config_names_a_dimension_below_one(name, bad):
+    fields = dict(n_buses=2, horizon=2, n_scenarios=4, seed=0, **_scenario_fields(2, 2))
+    fields[name] = bad
+    with pytest.raises(ConfigurationError, match=f"^{name} {bad} must be at least 1$"):
+        ScenarioConfig(**fields)
+
+
 def test_scenario_config_rejects_negative_seed():
     # numpy's own error for it would be a bare ValueError
     with pytest.raises(ConfigurationError, match="^seed -3 must be non-negative$"):
