@@ -11,14 +11,14 @@ radial feeder against per-bus and tail CVaRs.  Either clearing re-dispatches
 every scenario at its realized net load with the committed prices held
 fixed; that re-dispatch reads no alpha, so it runs once per level over all
 of a grid's levels, through the kernel in row blocks of one fixed size, and
-each alpha costs one CVaR pass and one commitment over all levels.  A
-block's outputs other than its power are dropped before the next block runs,
-so the re-dispatch holds one (L*K*T, n) power array and the temporaries of
-one block.  Both markets settle the same way, each alpha's levels together:
-every level is settled, and the figures of a failed point are dropped.  Each
-level's net load is formed on its own; one bus keeps only its hourly
-aggregates, while the feeder keeps the per-hour bus and tail rows and the
-realized rows its kernels read.
+each alpha costs one ``cvar_rows`` call and one commitment over all levels
+and hours on either market.  A block's outputs other than its power are
+dropped before the next block runs, so the re-dispatch holds one (L*K*T, n)
+power array and the temporaries of one block.  Both markets settle the same
+way, each alpha's levels together: every level is settled, and the figures
+of a failed point are dropped.  Each level's net load is formed on its own;
+one bus keeps only its hourly aggregates, while the feeder keeps the
+per-hour bus and tail rows and the realized rows its kernels read.
 
 A point fails on the first of: its commitment, its level's re-dispatch, an H
 that cannot be recovered; the kernels report the first failing row of each
@@ -265,7 +265,7 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     dispatch every scenario-hour at its realized net loads; a level's first
     infeasible row in (scenario, hour) order is its error.
 
-    Each alpha takes one ``cvar_rows`` per hour over all levels' 2n rows and
+    Each alpha takes one ``cvar_rows`` over the T*L*2n requirement rows and
     one feeder dispatch over the L*T hours; the re-dispatch reads no alpha,
     so all levels' rows go through ``_radial_rows`` in blocks of
     ``_BLOCK_ROWS``, each block's tails summed as it runs.  Returns what
@@ -288,12 +288,11 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     del net, own
     commitments = []
     for alpha in alphas:
-        cvars = np.empty((n_levels, t_len, 2 * n))
-        for t in range(t_len):
-            # one hour at a time: a single all-hours call raised peak RSS
-            cvars[:, t] = cvar_rows(requirements[t], probabilities, alpha)[1].reshape(
-                n_levels, 2 * n)
-        cvars = cvars.reshape(n_levels * t_len, 2 * n)
+        # one call over every hour's and level's rows: cvar_rows sorts them in
+        # blocks of a fixed size, so its temporaries do not grow with the grid
+        _, cvars = cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
+        cvars = cvars.reshape(t_len, n_levels, 2 * n).transpose(1, 0, 2).reshape(
+            n_levels * t_len, 2 * n)
         batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
         lmps = batch.lmps.reshape(n_levels, t_len, n)
         commitments.append((batch.power.reshape(n_levels, t_len, n), lmps, lmps,

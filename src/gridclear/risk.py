@@ -8,10 +8,14 @@ to float precision and are used as mutual cross-checks throughout the test
 suite.
 
 ``cvar_rows`` is the one kernel of the direct route: it takes m samples as
-the rows of an (m, K) array sharing one probability vector, merges each
-row's tied draws and returns every row's VaR and CVaR in one pass.  ``var``
-and ``cvar_direct`` are one-row calls of it, and the commitment takes all of
-an hour's CVaRs (or, off the feeder, all hours') from one call.  The kernel
+the rows of an (m, K) array sharing one probability vector and returns every
+row's VaR and CVaR.  With equal probabilities, the case of every scenario
+set, it sorts the rows in blocks of ``_SORT_BLOCK`` elements and weights each
+tie-free row's sorted draws by one tail vector that all of them share; a row
+with a tie, and every row of a sample with unequal weights, merges its tied
+draws into atoms first.  Both routes give the bits of the merged-atom
+estimator.  ``var`` and ``cvar_direct`` are one-row calls of it, and each
+confidence level of a grid takes all of its CVaRs from one call.  The kernel
 and ``EmpiricalSample`` reject the same inputs with the same messages.
 """
 
@@ -23,6 +27,8 @@ from typing import Iterable
 import numpy as np
 
 _PROB_SUM_TOL = 1e-12
+# elements per sort in cvar_rows, which holds one block's sorted copy at a time
+_SORT_BLOCK = 1 << 16
 
 
 def _check_alpha(alpha: float) -> float:
@@ -100,19 +106,56 @@ class EmpiricalSample:
 
 
 def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """VaR and CVaR at ``alpha`` of each row of ``values`` (m, K), in one pass.
+    """VaR and CVaR at ``alpha`` of each row of ``values`` (m, K).
 
     Every row is a sample of K draws weighted by the same ``probabilities``
     (K,).  Row by row the results have the bits of :func:`var` and
     :func:`cvar_direct` on ``EmpiricalSample.from_arrays(row, probabilities)``:
     tied draws merge into one atom whose probability is added in draw order,
-    and each CVaR is one dot product over that row's atoms, so rows with the
-    same atom count share one ``vecdot``.  Returns ``(var, cvar)``, each (m,).
+    and each CVaR is one dot product over that row's atoms.
+
+    When the probabilities are all equal, the rows are sorted in blocks of at
+    most ``_SORT_BLOCK`` elements, and every block row without a tie shares
+    one tail weight vector: its atoms are its sorted draws and their
+    probabilities are the K equal ones, so that vector is the one its merged
+    atoms would give.  A row with a tie (``-0.0`` and ``0.0`` tie) falls back
+    to the merged-atom route, as does every row of a sample with unequal
+    weights.  Returns ``(var, cvar)``, each (m,).
     """
     alpha = _check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
     _check_draws(values, probs, 2)
+    if not np.all(probs == probs[0]):
+        return _cvar_merged(values, probs, alpha)
+    m, k = values.shape
+    scale = 1.0 - alpha
+    cdf = np.cumsum(probs)
+    # total mass is 1 by the check above; pin the top so tail weights are exact
+    cdf[-1] = 1.0
+    # alpha < 1 = cdf[-1], so the quantile atom is always inside the row
+    idx = int((cdf < alpha).sum())
+    weights = np.zeros(k)
+    weights[idx + 1:] = probs[idx + 1:] / scale
+    weights[idx] = (cdf[idx] - alpha) / scale
+    var_out, cvar_out = np.empty(m), np.empty(m)
+    step = max(1, _SORT_BLOCK // k)
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        draws = np.sort(values[block], axis=1)
+        var_out[block] = draws[:, idx]
+        np.vecdot(weights, draws, out=cvar_out[block])
+        tied = np.flatnonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1))
+        if tied.size:
+            rows = start + tied
+            var_out[rows], cvar_out[rows] = _cvar_merged(values[rows], probs, alpha)
+    return var_out, cvar_out
+
+
+def _cvar_merged(values: np.ndarray, probs: np.ndarray,
+                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``cvar_rows`` on checked inputs by merging each row's tied draws into
+    atoms; rows with the same atom count share one ``vecdot``."""
     m, k = values.shape
     # flat index of each row's draws in sorted order
     order = (np.argsort(values, axis=1) + k * np.arange(m)[:, None]).ravel()

@@ -19,6 +19,10 @@ and ramp RAMP_RATE $ per MW/h of ramp envelope.  The profit formulas are
 evaluated literally: both price energy at the LMP less
 ``lambda_w * (1 - cost_recovery)``, which is zero in either mode (the uplift
 is zero without recovery), so the recovery mode changes no profit.
+
+The envelopes, H, both profits and the renewable payment raise ValueError
+naming an array or uplift argument (``loads must be finite``) when one of
+its entries is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -46,6 +50,13 @@ class SettlementReport:
     violations: list[str] = field(default_factory=list)
 
 
+def _reject_non_finite(**arrays) -> None:
+    """Raise ValueError naming the first of ``arrays`` with a NaN or infinite entry."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def sum_in_order(values, axis: int = -1):
     """Sum along ``axis`` left to right from 0.0, rounding as a ``+=`` loop does
     (``np.sum`` adds pairwise); a scalar for a vector, else an array.
@@ -65,9 +76,14 @@ def deviation_envelopes(committed: np.ndarray,
     Ramp envelope per (t, i): largest |output step| between consecutive hours
     over all scenario pairs (the last hour has no successor, envelope 0).
     """
+    _reject_non_finite(committed=committed)
     committed = np.asarray(committed, dtype=float)
     realized = np.asarray(realized, dtype=float)
     lo, hi = realized.min(axis=-3), realized.max(axis=-3)
+    # min and max carry a NaN and an infinity reaches one of them, so the
+    # envelope edges are finite exactly when every realized entry is
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("realized must be finite")
     # rounded subtraction is monotone, so the largest committed - realized is
     # committed - lo
     rp = np.maximum(committed - lo, 0.0)
@@ -119,6 +135,7 @@ def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
     """
     if cost_recovery not in (0, 1):
         raise ValueError("cost_recovery must be 0 or 1")
+    _reject_non_finite(committed=committed, rp=rp, dp=dp)
     committed = np.asarray(committed, dtype=float)
     n_levels, t_len, n = committed.shape
     online = committed > 0.0
@@ -181,6 +198,7 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w,
     axis on ``committed`` and ``lmps`` (and ``lambda_w`` one value per level)
     the totals are an (L,) array and the breakdown (L, n_units).
     """
+    _reject_non_finite(committed=committed, lmps=lmps, lambda_w=lambda_w)
     committed = np.asarray(committed, dtype=float)
     uplift = np.asarray(lambda_w, dtype=float)[..., None, None] * (1 - cost_recovery)
     prices = np.asarray(lmps, dtype=float) - uplift
@@ -194,6 +212,7 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
                     lambda_w: float, cost_recovery: int,
                     fleet: Fleet) -> tuple[float, np.ndarray]:
     """Scenario-expected profit on the power actually sold at committed prices."""
+    _reject_non_finite(realized=realized, lmps=lmps, lambda_w=lambda_w)
     realized = np.asarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
     if (not np.all(np.isfinite(psi)) or abs(psi.sum() - 1.0) > 1e-9
@@ -220,7 +239,11 @@ def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
     caller that pays many renewables against one load sums it once.
     """
     if load_totals is None:
+        _reject_non_finite(loads=loads)
         load_totals = _load_totals(loads)
+    else:
+        _reject_non_finite(load_totals=load_totals)
+    _reject_non_finite(renewables=renewables, lmps=lmps)
     renewables = np.asarray(renewables, dtype=float)
     lmps = np.asarray(lmps, dtype=float)
     # round each hour as a per-hour loop (row.sum(), lmps[t] @ row) does: bus

@@ -24,7 +24,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
-from gridclear import experiment, scenarios
+from gridclear import experiment, risk, scenarios
 from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, PointResult, RadialGrid, Regime, RunConfig,
                        ScenarioConfig, ScenarioSet, SettlementReport, EmpiricalSample,
@@ -916,6 +916,70 @@ def test_cvar_rows_equal_scalar_reference(case):
         assert same_bits(got_var[r], want_var) and same_bits(got_cvar[r], want_cvar)
         assert same_bits(var(sample, alpha), want_var)
         assert same_bits(cvar_direct(sample, alpha), want_cvar)
+
+
+def assert_cvar_rows_match_reference(values, probs, alpha):
+    got_var, got_cvar = cvar_rows(values, probs, alpha)
+    assert got_var.shape == got_cvar.shape == (values.shape[0],)
+    for r, row in enumerate(values):
+        want_var, want_cvar = reference_var_cvar(EmpiricalSample.from_arrays(row, probs), alpha)
+        assert same_bits(got_var[r], want_var) and same_bits(got_cvar[r], want_cvar), r
+
+
+@st.composite
+def sorted_path_cases(draw):
+    """Tie-free and tied rows in one call, K up to 1,200, mostly equal weights.
+
+    A tied row has its draws rounded to multiples of 25 or holds both -0.0
+    and 0.0; alpha may be a step of the equal-weight CDF, as cumsum sums it
+    or as the ratio j / K.
+    """
+    m, k = draw(st.integers(0, 12)), draw(st.integers(1, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 100.0, (m, k))
+    tied = rng.random(m) < draw(st.floats(0.0, 1.0))
+    values[tied] = np.round(values[tied] / 25.0) * 25.0
+    if m and k > 1 and draw(st.booleans()):
+        values[draw(st.integers(0, m - 1)), :2] = (-0.0, 0.0)
+    if draw(st.integers(0, 3)):
+        probs = np.full(k, 1.0 / k)
+    else:
+        weights = rng.random(k) + 1e-3
+        probs = weights / weights.sum()
+    step = draw(st.integers(1, k))
+    alpha = draw(st.one_of(st.floats(1e-9, 0.999), st.just(step / k),
+                           st.just(float(np.cumsum(probs)[step - 1]))))
+    return values, probs, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_path_cases())
+def test_cvar_rows_sorted_path_equals_scalar_reference(case):
+    values, probs, alpha = case
+    assume(0.0 < alpha < 1.0)
+    assert_cvar_rows_match_reference(values, probs, alpha)
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_cvar_rows_of_no_rows_are_empty(equal):
+    probs = np.full(4, 0.25) if equal else np.array([0.1, 0.2, 0.3, 0.4])
+    got = cvar_rows(np.empty((0, 4)), probs, 0.9)
+    assert [a.shape for a in got] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("alpha", [0.95, 0.9, 0.5123, 1e-9, 0.999])
+def test_cvar_rows_across_sort_blocks_equal_scalar_reference(alpha):
+    # alpha * K = 950, 900 and 500 put the quantile on a step of the CDF
+    k = 1000
+    per_block = risk._SORT_BLOCK // k
+    rng = np.random.default_rng(16)
+    values = rng.normal(0.0, 100.0, (2 * per_block + 3, k))
+    # tied rows at both ends of each block, and one whose tie is -0.0 and 0.0
+    for r in (0, per_block - 1, per_block, 2 * per_block + 2):
+        values[r] = np.round(values[r] / 25.0) * 25.0
+    values[per_block + 1, :2] = (-0.0, 0.0)
+    assert values.size > 2 * risk._SORT_BLOCK
+    assert_cvar_rows_match_reference(values, np.full(k, 1.0 / k), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every constructor the batched paths trust rejects NaN and infinities by name."""
+"""Every constructor the batched paths trust, and every settlement function, rejects
+NaN and infinities by name."""
 
 import re
 
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, RunConfig, ScenarioConfig,
-                       ScenarioSet, dispatch_radial_batch, fleet_from_csv,
-                       solve_deterministic)
+                       ScenarioSet, curtail_and_pay_renewables, deviation_envelopes,
+                       dispatch_radial_batch, expected_profit, fleet_from_csv,
+                       realized_profit, recovery_rate, solve_deterministic)
 from gridclear.cli import main
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -222,3 +224,57 @@ def test_cli_bad_load_mean_is_config_error(tmp_path, command, bad):
     assert result.output == (f"configuration error: load mean {float(bad)} must be "
                              "non-negative and finite\n")
     assert not out.exists()
+
+
+def _settlement_inputs(fleet):
+    """Finite arguments for each settlement function: T 2, K 3, and the fleet's units."""
+    n = len(fleet)
+    committed = np.full((2, n), 40.0)
+    realized = np.full((3, 2, n), 35.0)
+    lmps = np.full((2, n), 30.0)
+    return {
+        deviation_envelopes: dict(committed=committed, realized=realized),
+        recovery_rate: dict(committed=committed, rp=np.full((2, n), 5.0),
+                            dp=np.full((2, n), 2.0), fleet=fleet, cost_recovery=1),
+        expected_profit: dict(committed=committed, lmps=lmps, lambda_w=0.5,
+                              cost_recovery=1, fleet=fleet),
+        realized_profit: dict(realized=realized, probabilities=np.full(3, 1.0 / 3.0),
+                              lmps=lmps, lambda_w=0.5, cost_recovery=1, fleet=fleet),
+        curtail_and_pay_renewables: dict(loads=np.full((3, 2, n), 50.0),
+                                         renewables=np.full((3, 2, n), 20.0), lmps=lmps),
+    }
+
+
+SETTLEMENT_ARGUMENTS = [
+    (deviation_envelopes, "committed"), (deviation_envelopes, "realized"),
+    (recovery_rate, "committed"), (recovery_rate, "rp"), (recovery_rate, "dp"),
+    (expected_profit, "committed"), (expected_profit, "lmps"), (expected_profit, "lambda_w"),
+    (realized_profit, "realized"), (realized_profit, "lmps"), (realized_profit, "lambda_w"),
+    (curtail_and_pay_renewables, "loads"), (curtail_and_pay_renewables, "renewables"),
+    (curtail_and_pay_renewables, "lmps"), (curtail_and_pay_renewables, "load_totals"),
+]
+
+
+@pytest.mark.parametrize("function,name", SETTLEMENT_ARGUMENTS,
+                         ids=[f"{f.__name__}-{name}" for f, name in SETTLEMENT_ARGUMENTS])
+@settings(max_examples=15, deadline=None)
+@given(bad=NON_FINITE, data=st.data())
+def test_settlement_names_a_non_finite_argument(function, name, bad, data):
+    _, fleet = _feeder()
+    inputs = _settlement_inputs(fleet)[function]
+    function(**inputs)  # finite inputs settle
+    if name == "load_totals":
+        inputs[name] = inputs["loads"].sum(axis=-1)
+    value = np.array(inputs[name], dtype=float)
+    index = tuple(data.draw(st.integers(0, d - 1)) for d in value.shape)
+    value[index] = bad
+    inputs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        function(**inputs)
+
+
+def test_payment_rejects_nan_loads():
+    # all-NaN loads once paid every unit of renewable output in full
+    with pytest.raises(ValueError, match="^loads must be finite$"):
+        curtail_and_pay_renewables(np.full((2, 3), np.nan), np.ones((2, 3)),
+                                   np.full((2, 3), 30.0))

@@ -1,9 +1,12 @@
 """Risk engine tests: hand oracles first, then the coherence axioms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridclear import risk
 from gridclear import (EmpiricalSample, committed_upper_bound, cvar_direct,
                        cvar_rockafellar, cvar_rows, rockafellar_objective, var)
 
@@ -202,6 +205,23 @@ def test_cvar_rockafellar_two_atom():
     mins, _ = rockafellar_grid_oracle(pts, 0.5)
     assert cvar_rockafellar(_sample(pts), 0.5) == pytest.approx(1.0, abs=1e-12)
     assert mins == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cvar_rows_memory_is_bounded_by_the_sort_block():
+    # the (1584, 1000) rows of a default-size feeder sweep's CVaR call; a
+    # kernel that sorted and weighted every row at once peaked at 136 MB
+    values = np.random.default_rng(16).normal(300.0, 40.0, (1584, 1000))
+    probs = np.full(1000, 1e-3)
+    # one byte per draw for the finiteness check, and one block's sorted copy
+    # with its tie test, four times over for margin
+    bound = values.size + 4 * 8 * risk._SORT_BLOCK
+    tracemalloc.start()
+    try:
+        cvar_rows(values, probs, 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------
