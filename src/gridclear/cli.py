@@ -66,7 +66,7 @@ def _shared_options(fn):
 
 
 def _build_config(alpha, penetration, capacity_mode, **kw) -> tuple[RunConfig, Path]:
-    """The validated run and its output directory, created only once the run is valid."""
+    """The validated run and its output directory, which ``_write`` creates."""
     alphas = _parse_grid(alpha, "alpha")
     penetrations = _parse_grid(penetration, "penetration")
     load_mean = kw.pop("load_mean")
@@ -82,8 +82,7 @@ def _build_config(alpha, penetration, capacity_mode, **kw) -> tuple[RunConfig, P
             capacity_mode=capacity_mode,
             **kw,
         )
-        out.mkdir(parents=True, exist_ok=True)
-    except (ConfigurationError, OSError) as exc:
+    except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     return run, out
@@ -101,6 +100,16 @@ def _run_grid(run: RunConfig, diagnostics: list[str] | None = None):
         sys.exit(EXIT_CONFIG)
 
 
+def _write(rows: list[dict], out: Path, csv_name: str, columns) -> Path:
+    """Create the output directory, so a run that fails leaves none, and write the CSV."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    return emit_csv(rows, out / csv_name, columns)
+
+
 def _sweep(run: RunConfig, out: Path, csv_name: str, columns) -> None:
     """Run the grid, report each skipped point and write one row per point."""
     diagnostics: list[str] = []
@@ -108,7 +117,7 @@ def _sweep(run: RunConfig, out: Path, csv_name: str, columns) -> None:
     for msg in diagnostics:
         click.echo(f"skipped: {msg}", err=True)
     rows = [point_row(run, point) for point in points]
-    path = emit_csv(rows, out / csv_name, columns)
+    path = _write(rows, out, csv_name, columns)
     click.echo(f"wrote {path} ({len(rows)} rows)")
 
 
@@ -160,8 +169,7 @@ def dispatch_cmd(alpha, penetration, **kw):
     rows = [{"generator": gen.name, "committed_mw": float(point.committed[:, i].sum()),
              "ask_price": gen.ask_price, "lmp": float(point.lmps[0, i])}
             for i, gen in enumerate(point.fleet.generators)]
-    path = emit_csv(rows, out / "dispatch.csv",
-                    ("generator", "committed_mw", "ask_price", "lmp"))
+    path = _write(rows, out, "dispatch.csv", ("generator", "committed_mw", "ask_price", "lmp"))
     click.echo(f"wrote {path} (clearing price {point.price:.2f} $/MWh, "
                f"total {point.committed_total:.2f} MW)")
 
@@ -174,7 +182,7 @@ def settle_cmd(alpha, penetration, **kw):
     """Run one full market settlement and write the settlement summary."""
     run, out = _build_config(alpha, penetration, capacity_mode="tracking", **kw)
     point = _single_point(run)
-    path = emit_csv([point_row(run, point)], out / "settlement.csv", SETTLEMENT_COLUMNS)
+    path = _write([point_row(run, point)], out, "settlement.csv", SETTLEMENT_COLUMNS)
     for msg in point.settlement.violations:
         click.echo(f"note: {msg}", err=True)
     click.echo(f"wrote {path}")

@@ -32,7 +32,7 @@ class OpfSolution:
     mu_bar: np.ndarray     # generator lower-bound multipliers
     line_mu: np.ndarray    # downstream line-limit multipliers (reverse side is slack)
     flows: np.ndarray      # MW on line i -> i+1
-    objective: float       # $ purchase cost including the renewable term
+    objective: float       # $ purchase cost of the dispatched units
 
     @property
     def total_power(self) -> float:
@@ -68,7 +68,7 @@ def solve_deterministic(grid: RadialGrid, fleet: Fleet, loads,
     mu = np.maximum(lmps - asks, 0.0)
     mu_bar = np.maximum(asks - lmps, 0.0)
     line_mu = np.maximum(np.diff(lmps), 0.0)
-    objective = float(asks @ dispatch.power + fleet.renewable_ask * renewables.sum())
+    objective = float(asks @ dispatch.power)
     return OpfSolution(dispatch.power, angles, lmps, mu, mu_bar, line_mu,
                        flows, objective)
 

@@ -21,10 +21,11 @@ one bus keeps only its hourly aggregates, while the feeder keeps the
 per-hour bus and tail rows and the realized rows its kernels read.
 
 A point fails on the first of: its commitment, its level's re-dispatch, an H
-that cannot be recovered; the kernels report the first failing row of each
-level's slice, in (scenario, hour) order across blocks, with the message
-they raise for it.  A skipped level or point names its coordinates
-(``penetration=0.3: ...`` or ``alpha=0.9, penetration=0.3: ...``).
+that cannot be recovered.  One block loop, ``_by_level``, runs all three
+and reports the first failing row of each level's slice, in (scenario, hour)
+order across blocks, with the message the kernel raises for it.  A skipped
+level or point names its coordinates (``penetration=0.3: ...`` or
+``alpha=0.9, penetration=0.3: ...``).
 ``point_row`` turns a point into one CSV row holding every grid column, and
 ``emit_csv`` writes the columns a file needs (identical config and seed give
 identical bytes).
@@ -184,42 +185,41 @@ class PointResult:
         return float(self.clearing_prices.mean())
 
 
-def _level_errors(failed, error_at, n_levels: int) -> list:
-    """The error of each level's first failing row (None where none fails);
-    ``failed`` holds the rows of the levels one after another."""
-    per_level = failed.reshape(n_levels, -1)
-    width = per_level.shape[1]
-    return [error_at(level * width + int(rows.argmax())) if rows.any() else None
-            for level, rows in enumerate(per_level)]
+def _by_level(clear, n_rows: int, n_levels: int, block: int | None = None):
+    """Run ``clear(rows)``, a kernel's unraising form on a slice of the rows,
+    over blocks of at most ``block`` rows (one block by default); ``n_rows``
+    holds the levels' rows one after another.
 
-
-def _redispatch(clear, n_rows: int, n_levels: int):
-    """Run the realized re-dispatch ``clear(rows)``, a kernel's unraising form
-    on a slice of the rows, over blocks of at most ``_BLOCK_ROWS`` rows.
-
-    Returns the (n_rows, n) power and the error of each level's first failing
-    row (None where none fails); ``n_rows`` holds the levels' rows one after
-    another.  A block's other outputs and temporaries are dropped before the
-    next block runs, and a grid that fits in one block keeps its output as is.
+    Returns the kernel's output when one block covers every row, else the
+    (n_rows, ...) array of the blocks' outputs, each block's temporaries
+    dropped before the next block runs; and the error of each level's first
+    failing row (None where none fails).
     """
+    block = block or n_rows
     width = n_rows // n_levels
     errors = [None] * n_levels
-    power = None
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        batch, failed, error_at = clear(slice(start, start + _BLOCK_ROWS))
-        if len(batch.power) == n_rows:
-            power = batch.power
+    out = None
+    for start in range(0, n_rows, block):
+        part, failed, error_at = clear(slice(start, start + block))
+        if block >= n_rows:
+            out = part
         else:
-            if power is None:
-                power = np.empty((n_rows, batch.power.shape[1]))
-            power[start:start + len(batch.power)] = batch.power
+            if out is None:
+                out = np.empty((n_rows,) + part.shape[1:])
+            out[start:start + len(part)] = part
         rows = np.flatnonzero(failed)
         levels, first = np.unique((start + rows) // width, return_index=True)
         for level, row in zip(levels, rows[first]):
             if errors[level] is None:
                 errors[level] = error_at(int(row))
-        del batch, failed, error_at
-    return power, errors
+        del part, failed, error_at
+    return out, errors
+
+
+def _power(cleared):
+    """A kernel's unraising result keeping only the power of its batch."""
+    batch, failed, error_at = cleared
+    return batch.power, failed, error_at
 
 
 def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alphas):
@@ -242,20 +242,21 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     commitments = []
     for alpha in alphas:
         _, cvars = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
-        batch, failed, error_at = _commit_rows(fleet, np.maximum(cvars, 0.0))
+        np.maximum(cvars, 0.0, out=cvars)
+        batch, errors = _by_level(lambda rows: _commit_rows(fleet, cvars[rows]),
+                                  cvars.size, n_levels)
         prices = batch.clearing_price.reshape(n_levels, t_len, 1)
         commitments.append((batch.power.reshape(n_levels, t_len, len(fleet)),
                             np.repeat(prices, len(fleet), axis=-1),
-                            np.repeat(prices, n_buses, axis=-1),
-                            _level_errors(failed, error_at, n_levels)))
+                            np.repeat(prices, n_buses, axis=-1), errors))
     # (L, K, T), scenario-major rows within each level, clipped in place;
     # cleared after the commitments, whose CVaR temporaries would otherwise
     # add to its output
     demands = agg.transpose(0, 2, 1).ravel()
     del agg
     np.minimum(np.maximum(demands, 0.0, out=demands), fleet.total_capacity, out=demands)
-    realized, errors = _redispatch(lambda rows: _commit_rows(fleet, demands[rows]),
-                                   demands.size, n_levels)
+    realized, errors = _by_level(lambda rows: _power(_commit_rows(fleet, demands[rows])),
+                                 demands.size, n_levels, _BLOCK_ROWS)
     return (commitments, realized.reshape(n_levels, k_len, t_len, len(fleet)), errors)
 
 
@@ -265,20 +266,21 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     dispatch every scenario-hour at its realized net loads; a level's first
     infeasible row in (scenario, hour) order is its error.
 
-    Each alpha takes one ``cvar_rows`` over the T*L*2n requirement rows and
-    one feeder dispatch over the L*T hours; the re-dispatch reads no alpha,
-    so all levels' rows go through ``_radial_rows`` in blocks of
-    ``_BLOCK_ROWS``, each block's tails summed as it runs.  Returns what
-    ``_clear_bus`` does, with the unit LMPs as bus prices.
+    The requirement rows are level-major, (L, T, 2n, K): each hour's n bus
+    rows and then its n tails.  Each alpha takes one ``cvar_rows`` over all
+    of them, whose (L*T, 2n) output is the feeder dispatch's input as it
+    stands; the re-dispatch reads no alpha, so all levels' rows go through
+    ``_radial_rows`` in blocks of ``_BLOCK_ROWS``, each block's tails summed
+    as it runs.  Returns what ``_clear_bus`` does, with the unit LMPs as bus
+    prices.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape
-    # per hour, each level's n bus rows and then its n tails
-    requirements = np.empty((t_len, n_levels * 2 * n, k_len))
+    requirements = np.empty((n_levels, t_len, 2 * n, k_len))
     rows = np.empty((n_levels, k_len * t_len, n))  # one per scenario-hour, (k, t) order
     for level in range(n_levels):
         net = load - renewable(level)  # (buses, T, K)
-        own = requirements[:, 2 * n * level:2 * n * (level + 1)]
+        own = requirements[level]
         own[:, :n] = net.transpose(1, 0, 2)
         for i in range(n):
             # the tails are summed forward from each bus; the reversed cumsum
@@ -288,20 +290,21 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     del net, own
     commitments = []
     for alpha in alphas:
-        # one call over every hour's and level's rows: cvar_rows sorts them in
-        # blocks of a fixed size, so its temporaries do not grow with the grid
+        # cvar_rows sorts the rows in blocks of a fixed size, so its
+        # temporaries do not grow with the grid
         _, cvars = cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
-        cvars = cvars.reshape(t_len, n_levels, 2 * n).transpose(1, 0, 2).reshape(
-            n_levels * t_len, 2 * n)
-        batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
+        cvars = cvars.reshape(n_levels * t_len, 2 * n)
+        batch, errors = _by_level(
+            lambda r: _radial_rows(grid, fleet, cvars[r, :n], cvars[r, n:]),
+            len(cvars), n_levels)
         lmps = batch.lmps.reshape(n_levels, t_len, n)
-        commitments.append((batch.power.reshape(n_levels, t_len, n), lmps, lmps,
-                            _level_errors(failed, error_at, n_levels)))
+        commitments.append((batch.power.reshape(n_levels, t_len, n), lmps, lmps, errors))
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
-    realized, errors = _redispatch(
-        lambda r: _radial_rows(grid, fleet, rows[r], np.cumsum(rows[r, ::-1], axis=1)[:, ::-1]),
-        len(rows), n_levels)
+    realized, errors = _by_level(
+        lambda r: _power(_radial_rows(grid, fleet, rows[r],
+                                      np.cumsum(rows[r, ::-1], axis=1)[:, ::-1])),
+        len(rows), n_levels, _BLOCK_ROWS)
     return commitments, realized.reshape(n_levels, k_len, t_len, n), errors
 
 
@@ -312,11 +315,12 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     ``load`` is the (n_buses, T, K) load every level shares, and
     ``renewable(l)`` builds level l's renewables.  The one branch on the
     line limit picks the units and the clearing: the whole fleet on one bus,
-    or the first ``n_buses`` units on the feeder.  Each alpha settles all
-    its levels together, and a point's price is the maximum of its unit
-    LMPs.  Returns, penetration-major, each point's PointResult or its
-    InfeasibleDispatchError: the commitment's, else the re-dispatch's, else
-    the one for an H that cannot be recovered.
+    or the first ``n_buses`` units on the feeder.  Each alpha takes the
+    envelopes, H and the expected profits of all its levels at once, then
+    settles each level that did not fail in one pass; a point's price is the
+    maximum of its unit LMPs.  Returns, penetration-major, each point's
+    PointResult or its InfeasibleDispatchError: the commitment's, else the
+    re-dispatch's, else the one for an H that cannot be recovered.
     """
     n_levels, n_alphas = len(penetrations), len(alphas)
     if run.line_limit is None:
@@ -336,23 +340,24 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         # a failed level's rows are finite, so settling it with the others
         # raises no warning; its figures are dropped
         rp, dp = deviation_envelopes(committed, realized)
-        (h_total, lambda_w), unrecoverable, recovery_error = _recovery_rows(
-            committed, rp, dp, point_fleet, run.cost_recovery)
+        (h_total, lambda_w), recovery_errors = _by_level(
+            lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,
+                                     run.cost_recovery),
+            n_levels, n_levels)
         r_expected, _ = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
                                         point_fleet)
-        settled = []
         for level in range(n_levels):
-            error = errors[level] or realized_errors[level] or (
-                recovery_error(level) if unrecoverable[level] else None)
+            error = errors[level] or realized_errors[level] or recovery_errors[level]
             if error is not None:
                 points[level * n_alphas + a] = error
                 continue
             r_realized, _ = realized_profit(realized[level], probabilities, lmps[level],
                                             lambda_w[level], run.cost_recovery, point_fleet)
-            settled.append((level, r_realized, reserve_and_ramp_check(
-                committed[level], realized[level], rp[level], dp[level], point_fleet)))
-        # renewables are paid scenario by scenario at the committed bus prices
-        for level, r_realized, violations in settled:
+            # checked before the payment: in the other order the allocator
+            # leaves a single-bus settle about 1.3 MB higher at its peak
+            violations = reserve_and_ramp_check(committed[level], realized[level], rp[level],
+                                                dp[level], point_fleet)
+            # renewables are paid scenario by scenario at the committed bus prices
             rev_k, cur_k = curtail_and_pay_renewables(
                 load_rows, renewable(level).transpose(2, 1, 0), bus_lmps[level],
                 load_totals=load_totals)

@@ -88,16 +88,15 @@ class GeneratorSpec:
 class Fleet:
     """Ordered generator list; the order is the dispatch merit order.
 
-    Ask prices must be strictly increasing and the renewable ask must sit
-    strictly below the cheapest unit (ties are rejected rather than broken,
-    the closed-form solution needs a unique marginal unit).
+    Ask prices must be strictly increasing (ties are rejected rather than
+    broken, the closed-form solution needs a unique marginal unit), and the
+    cheapest ask must be positive.
 
     The per-unit columns are built once, at construction, as read-only
     arrays; ``p_max_prefix`` is ``[0, p_max[0], p_max[0] + p_max[1], ...]``.
     """
 
     generators: tuple[GeneratorSpec, ...]
-    renewable_ask: float = 0.0
     ask_prices: np.ndarray = field(init=False, repr=False, compare=False)
     p_mins: np.ndarray = field(init=False, repr=False, compare=False)
     p_maxs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -107,14 +106,9 @@ class Fleet:
         object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise ValueError("a fleet needs at least one generator")
-        if not math.isfinite(self.renewable_ask):
-            raise ValueError(f"renewable_ask must be finite, got {self.renewable_ask}")
-        if self.renewable_ask < 0.0:
-            raise ValueError("renewable ask price must be non-negative")
         asks = [g.ask_price for g in self.generators]
-        if self.renewable_ask >= asks[0]:
-            raise ValueError(f"renewable ask {self.renewable_ask} must be strictly "
-                             f"below the cheapest generator ask {asks[0]}")
+        if asks[0] <= 0.0:
+            raise ValueError(f"the cheapest ask {asks[0]} must be positive")
         for lo, hi in zip(asks, asks[1:]):
             if hi <= lo:
                 raise ValueError(f"ask prices must be strictly increasing, got {lo} then {hi}")
@@ -136,7 +130,7 @@ class Fleet:
         """First n units (used to place one generator per feeder bus)."""
         if n > len(self.generators):
             raise ValueError(f"fleet has {len(self.generators)} units, need {n}")
-        return Fleet(self.generators[:n], self.renewable_ask)
+        return Fleet(self.generators[:n])
 
 
 class Regime(enum.Enum):
@@ -299,7 +293,7 @@ _TABLE1 = (
 )
 
 
-def builtin_fleet(renewable_ask: float = 0.0) -> Fleet:
+def builtin_fleet() -> Fleet:
     """The built-in seven-generator reference fleet."""
     gens = tuple(
         GeneratorSpec(name=name, ask_price=price, p_min=0.0, p_max=cap,
@@ -307,7 +301,7 @@ def builtin_fleet(renewable_ask: float = 0.0) -> Fleet:
                       start_cost_cold=cold, no_load_cost=0.0)
         for name, price, cap, hot, cold, ramp in _TABLE1
     )
-    return Fleet(gens, renewable_ask=renewable_ask)
+    return Fleet(gens)
 
 
 _FLEET_HEADER = ["name", "ask_price", "p_min", "p_max", "rp_max", "ramp_max",
@@ -323,7 +317,7 @@ def _numbered_rows(fh):
         start = reader.line_num + 1
 
 
-def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
+def fleet_from_csv(path) -> Fleet:
     """Load a fleet file and validate it; rows are sorted by ask price."""
     path = Path(path)
     gens = []
@@ -365,6 +359,6 @@ def fleet_from_csv(path, renewable_ask: float = 0.0) -> Fleet:
         raise FleetParseError(f"{path}: no generator rows", line_number=2)
     gens.sort(key=lambda g: g.ask_price)
     try:
-        return Fleet(tuple(gens), renewable_ask=renewable_ask)
+        return Fleet(tuple(gens))
     except ValueError as exc:
         raise FleetParseError(f"{path}: {exc}") from exc

@@ -20,12 +20,12 @@ levels with one ``betaincinv`` call over every drawn (level, hour,
 scenario); the zero-target, at-capacity and degenerate-std hours, and each
 level's first infeasible hour, are masks over (level, hour).  It keeps one
 (level, hour, scenario) array of output per MW and builds a level's
-(bus, hour, scenario) array only when asked.  ``build_scenarios`` is a
-one-level call of it that pairs the renewables with the loads, and
-``generate_scenarios`` is the two halves in sequence.  A penetration sweep
-draws the loads once and builds every level from them, so all levels share
-one read-only load array and one weather draw: the common random numbers
-are structural, not a side effect of reseeding.
+(bus, hour, scenario) array only when asked.  ``generate_scenarios`` is the
+two halves in sequence: ``draw_loads`` and a one-level ``build_levels`` on
+the same config.  A penetration sweep draws the loads once and builds every
+level from them, so all levels share one read-only load array and one
+weather draw: the common random numbers are structural, not a side effect
+of reseeding.
 
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
@@ -340,35 +340,20 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
     return RenewableLevels(caps, out, tuple(errors))
 
 
-def build_scenarios(config: ScenarioConfig, draws: LoadDraws) -> ScenarioSet:
-    """One penetration level's scenario set, built on loads drawn by ``draw_loads``.
+def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
+    """Draw the scenario set for ``config``; bit-identical for equal configs.
 
-    A one-level call of ``build_levels``.  Raises ConfigurationError when
-    ``draws`` were made for another seed, scenario count or load process,
-    or when the requested penetration asks for more mean renewable output
-    than the installed capacity can carry, naming the first hour whose
-    system-wide share is infeasible.
+    The load half and a one-level ``build_levels`` in sequence.  Raises
+    ConfigurationError when the requested penetration asks for more mean
+    renewable output than the installed capacity can carry, naming the
+    first hour whose system-wide share is infeasible.
     """
-    drawn_for = draws.config
-    if (drawn_for.seed != config.seed or drawn_for.n_scenarios != config.n_scenarios
-            or not np.array_equal(drawn_for.load_mean, config.load_mean)
-            or not np.array_equal(drawn_for.load_std, config.load_std)):
-        raise ConfigurationError("the load draws were made for another seed, "
-                                 "scenario count or load process")
+    draws = draw_loads(config)
     levels = build_levels(draws, [config.penetration], config.renewable_capacity[None],
                           config.uncertainty_growth)
     if levels.errors[0] is not None:
         raise ConfigurationError(levels.errors[0])
     return ScenarioSet(draws.probabilities, draws.load, levels.renewable(0))
-
-
-def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
-    """Draw the scenario set for ``config``; bit-identical for equal configs.
-
-    The load half and the renewable half in sequence; raises what
-    ``build_scenarios`` raises.
-    """
-    return build_scenarios(config, draw_loads(config))
 
 
 def _check_index(value: int, bound: int, what: str) -> int:

@@ -20,9 +20,9 @@ evaluated literally: both price energy at the LMP less
 ``lambda_w * (1 - cost_recovery)``, which is zero in either mode (the uplift
 is zero without recovery), so the recovery mode changes no profit.
 
-The envelopes, H, both profits and the renewable payment raise ValueError
-naming an array or uplift argument (``loads must be finite``) when one of
-its entries is NaN or infinite.
+The envelopes, the reserve and ramp check, H, both profits and the
+renewable payment raise ValueError naming an array or uplift argument
+(``loads must be finite``) when one of its entries is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -105,6 +105,7 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
     the worst cross-scenario hourly swing ``dp`` under its ramp cap (both as
     ``deviation_envelopes`` returns them).
     """
+    _reject_non_finite(committed=committed, realized=realized, rp=rp, dp=dp)
     committed = np.asarray(committed, dtype=float)
     realized = np.asarray(realized, dtype=float)
     violations = []

@@ -61,6 +61,16 @@ def test_cli_fleet_with_tied_asks_is_config_error(tmp_path):
                              "increasing, got 5.0 then 5.0\n")
 
 
+def test_cli_fleet_with_a_zero_ask_is_config_error(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(FLEET_HEADER + "b,5,0,100,100,100,0,0,0\na,0,0,100,100,100,0,0,0\n")
+    result = CliRunner().invoke(main, ["dispatch", "--fleet", str(path),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: {path}: the cheapest ask 0.0 "
+                             "must be positive\n")
+
+
 def test_fleet_duplicate_names_rejected(tmp_path):
     path = tmp_path / "fleet.csv"
     path.write_text(FLEET_HEADER + "a,5,0,100,100,100,0,0,0\n\n"
@@ -438,6 +448,19 @@ def test_cli_invalid_config_creates_no_out_dir(tmp_path):
     out = tmp_path / "D"
     result = CliRunner().invoke(main, ["settle", "--seed", "-1", "--out", str(out)])
     assert result.exit_code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--line-limit", "80", "--load-mean", ",".join(["10"] * 8)], 2),
+    (["--fleet", "missing.csv"], 2),
+    (["--load-mean", "400,300,300"], 3),
+], ids=["feeder-larger-than-fleet", "missing-fleet", "infeasible"])
+def test_cli_failed_run_creates_no_out_dir(tmp_path, argv, code):
+    out = tmp_path / "D"
+    argv = [str(tmp_path / a) if a == "missing.csv" else a for a in argv]
+    result = CliRunner().invoke(main, ["settle"] + argv + ["--out", str(out)])
+    assert result.exit_code == code
     assert not out.exists()
 
 

@@ -12,7 +12,8 @@ from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec
                        InfeasibleDispatchError, RadialGrid, RunConfig, ScenarioConfig,
                        ScenarioSet, curtail_and_pay_renewables, deviation_envelopes,
                        dispatch_radial_batch, expected_profit, fleet_from_csv,
-                       realized_profit, recovery_rate, solve_deterministic)
+                       realized_profit, recovery_rate, reserve_and_ramp_check,
+                       solve_deterministic)
 from gridclear.cli import main
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -29,13 +30,6 @@ def test_generator_spec_rejects_non_finite(name, bad, p_min, width):
     spec[name] = bad
     with pytest.raises(ValueError, match=f"^g: {name} must be finite, got {bad}$"):
         GeneratorSpec(**spec)
-
-
-@settings(max_examples=20, deadline=None)
-@given(NON_FINITE)
-def test_fleet_rejects_non_finite_renewable_ask(bad):
-    with pytest.raises(ValueError, match="renewable_ask must be finite"):
-        Fleet((GeneratorSpec("g", 10.0, 0.0, 100.0),), renewable_ask=bad)
 
 
 def test_fleet_csv_names_the_non_finite_field(tmp_path):
@@ -236,6 +230,9 @@ def _settlement_inputs(fleet):
         deviation_envelopes: dict(committed=committed, realized=realized),
         recovery_rate: dict(committed=committed, rp=np.full((2, n), 5.0),
                             dp=np.full((2, n), 2.0), fleet=fleet, cost_recovery=1),
+        reserve_and_ramp_check: dict(committed=committed, realized=realized,
+                                     rp=np.full((2, n), 5.0), dp=np.full((2, n), 2.0),
+                                     fleet=fleet),
         expected_profit: dict(committed=committed, lmps=lmps, lambda_w=0.5,
                               cost_recovery=1, fleet=fleet),
         realized_profit: dict(realized=realized, probabilities=np.full(3, 1.0 / 3.0),
@@ -248,6 +245,8 @@ def _settlement_inputs(fleet):
 SETTLEMENT_ARGUMENTS = [
     (deviation_envelopes, "committed"), (deviation_envelopes, "realized"),
     (recovery_rate, "committed"), (recovery_rate, "rp"), (recovery_rate, "dp"),
+    (reserve_and_ramp_check, "committed"), (reserve_and_ramp_check, "realized"),
+    (reserve_and_ramp_check, "rp"), (reserve_and_ramp_check, "dp"),
     (expected_profit, "committed"), (expected_profit, "lmps"), (expected_profit, "lambda_w"),
     (realized_profit, "realized"), (realized_profit, "lmps"), (realized_profit, "lambda_w"),
     (curtail_and_pay_renewables, "loads"), (curtail_and_pay_renewables, "renewables"),

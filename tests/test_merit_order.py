@@ -193,6 +193,11 @@ def test_fleet_rejects_price_ties():
         Fleet((GeneratorSpec("a", 5, 0, 10), GeneratorSpec("b", 5, 0, 10)))
 
 
+def test_fleet_rejects_a_zero_cheapest_ask():
+    with pytest.raises(ValueError, match=r"^the cheapest ask 0\.0 must be positive$"):
+        Fleet((GeneratorSpec("a", 0.0, 0, 10), GeneratorSpec("b", 5, 0, 10)))
+
+
 # ---------------------------------------------------------------------------
 # back-down feasibility inequality
 

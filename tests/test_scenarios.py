@@ -12,7 +12,7 @@ import gridclear
 from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
                        ScenarioSet, aggregate_net_load, committed_upper_bound,
                        cvar_direct, generate_scenarios, net_load, suffix_net_load)
-from gridclear.scenarios import build_scenarios, draw_loads
+from gridclear.scenarios import build_levels, draw_loads
 
 
 def make_config(**overrides):
@@ -105,27 +105,14 @@ def test_mean_share_matches_penetration():
 def test_levels_built_on_one_load_draw_equal_separate_draws():
     # one draw_loads serves every penetration level, bit for bit
     draws = draw_loads(make_config(penetration=0.0))
-    for penetration in (0.0, 0.4, 0.8):
-        cfg = make_config(penetration=penetration)
-        built = build_scenarios(cfg, draws)
-        alone = generate_scenarios(cfg)
-        assert np.array_equal(built.load, alone.load)
-        assert np.array_equal(built.renewable, alone.renewable)
-        assert np.shares_memory(built.load, draws.load)
-
-
-@pytest.mark.parametrize("override", [dict(seed=6), dict(n_scenarios=17),
-                                      dict(load_mean=np.full((3, 2), 101.0)),
-                                      dict(load_std=np.full((3, 2), 9.0)),
-                                      dict(n_buses=2, load_mean=np.full((2, 2), 100.0),
-                                           load_std=np.full((2, 2), 8.0),
-                                           renewable_capacity=np.full(2, 90.0)),
-                                      dict(horizon=3, load_mean=np.full((3, 3), 100.0),
-                                           load_std=np.full((3, 3), 8.0))])
-def test_build_rejects_draws_made_for_another_config(override):
-    draws = draw_loads(make_config())
-    with pytest.raises(ConfigurationError, match="^the load draws were made for another"):
-        build_scenarios(make_config(**override), draws)
+    penetrations = (0.0, 0.4, 0.8)
+    cap = make_config().renewable_capacity
+    levels = build_levels(draws, penetrations, [cap] * len(penetrations), 0.2)
+    for level, penetration in enumerate(penetrations):
+        alone = generate_scenarios(make_config(penetration=penetration))
+        assert levels.errors[level] is None
+        assert np.array_equal(draws.load, alone.load)
+        assert np.array_equal(levels.renewable(level), alone.renewable)
 
 
 @pytest.mark.parametrize("name", ["probabilities", "load", "renewable"])
@@ -243,11 +230,18 @@ def test_subadditivity_gap_nonnegative_on_generated_sets():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats was most of a fresh CLI start; the draws need only scipy.special
+    # importing scipy.stats was most of a fresh CLI start; the draws need only
+    # scipy.special, and no run needs a general solver from scipy.optimize
     src = str(Path(gridclear.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, gridclear.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, gridclear.cli\n"
+            "from gridclear import RunConfig, run_grid\n"
+            "for limit in (None, 80.0):\n"
+            "    run_grid(RunConfig(alphas=(0.9,), penetrations=(0.0, 0.5), n_scenarios=20,\n"
+            "                       horizon=2, line_limit=limit, "
+            "load_mean_per_bus=(150.0, 75.0, 45.0)))\n"
+            "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
