@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 infeasible dispatch.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,19 +42,25 @@ def _parse_line_limit(text: str) -> float | None:
         raise click.UsageError(f"line limit must be a number or 'unlimited', got {text!r}")
 
 
+def _grid_text(values, spec: str = "") -> str:
+    return ",".join(format(v, spec) for v in values)
+
+
+# the defaults are RunConfig's, shown as the flags spell them
 _SHARED = [
-    click.option("--fleet", "fleet_source", default="builtin", show_default=True,
-                 help="Fleet CSV path or 'builtin'."),
-    click.option("--scenarios", "n_scenarios", default=200, show_default=True, type=int),
-    click.option("--seed", default=7, show_default=True, type=int),
+    click.option("--fleet", "fleet_source", default=RunConfig.fleet_source,
+                 show_default=True, help="Fleet CSV path or 'builtin'."),
+    click.option("--scenarios", "n_scenarios", default=RunConfig.n_scenarios,
+                 show_default=True, type=int),
+    click.option("--seed", default=RunConfig.seed, show_default=True, type=int),
     click.option("--line-limit", default="unlimited", show_default=True,
                  help="Uniform feeder line limit in MW, or 'unlimited'."),
-    click.option("--cost-recovery", type=click.Choice(["0", "1"]), default="1",
-                 show_default=True),
-    click.option("--horizon", default=1, show_default=True, type=int),
+    click.option("--cost-recovery", type=click.Choice(["0", "1"]),
+                 default=str(RunConfig.cost_recovery), show_default=True),
+    click.option("--horizon", default=RunConfig.horizon, show_default=True, type=int),
     click.option("--load-mean", "load_mean", default=None,
-                 help="Comma-separated mean load per bus in MW "
-                      "(sets the bus count; default 232,174,174)."),
+                 help="Comma-separated mean load per bus in MW (sets the bus count; "
+                      f"default {_grid_text(RunConfig.load_mean_per_bus, 'g')})."),
     click.option("--out", "out_dir", default="out", show_default=True,
                  help="Output directory for CSV files."),
 ]
@@ -65,8 +72,19 @@ def _shared_options(fn):
     return fn
 
 
+def _check_out(out: Path) -> None:
+    """Exit before a run whose ``--out`` could not be created: its nearest
+    existing ancestor must be a writable directory.  Creates nothing."""
+    ancestor = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        click.echo(f"configuration error: --out {out}: {ancestor} is not a writable "
+                   "directory", err=True)
+        sys.exit(EXIT_CONFIG)
+
+
 def _build_config(alpha, penetration, capacity_mode, **kw) -> tuple[RunConfig, Path]:
-    """The validated run and its output directory, which ``_write`` creates."""
+    """The validated run and its output directory, which ``_write`` creates;
+    a run whose ``--out`` could not be created exits before it starts."""
     alphas = _parse_grid(alpha, "alpha")
     penetrations = _parse_grid(penetration, "penetration")
     load_mean = kw.pop("load_mean")
@@ -85,6 +103,7 @@ def _build_config(alpha, penetration, capacity_mode, **kw) -> tuple[RunConfig, P
     except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    _check_out(out)
     return run, out
 
 
@@ -133,7 +152,7 @@ def main():
 
 
 @main.command("sweep-alpha")
-@click.option("--alpha", default="0.5,0.6,0.7,0.8,0.9,0.99", show_default=True,
+@click.option("--alpha", default=_grid_text(RunConfig.alphas), show_default=True,
               help="Comma-separated confidence levels.")
 @click.option("--penetration", default=str(ALPHA_SWEEP_PENETRATION), show_default=True,
               help="Fixed penetration for the sweep (first value used).")
@@ -148,7 +167,7 @@ def sweep_alpha(alpha, penetration, **kw):
 @main.command("sweep-penetration")
 @click.option("--alpha", default=str(PENETRATION_SWEEP_ALPHA), show_default=True,
               help="Fixed confidence level for the sweep (first value used).")
-@click.option("--penetration", default="0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+@click.option("--penetration", default=_grid_text(RunConfig.penetrations),
               show_default=True, help="Comma-separated penetration levels.")
 @_shared_options
 def sweep_penetration(alpha, penetration, **kw):
@@ -163,7 +182,12 @@ def sweep_penetration(alpha, penetration, **kw):
 @click.option("--penetration", default=str(ALPHA_SWEEP_PENETRATION), show_default=True)
 @_shared_options
 def dispatch_cmd(alpha, penetration, **kw):
-    """Commit the fleet once and write the per-unit dispatch."""
+    """Commit the fleet once and write the per-unit dispatch.
+
+    With --horizon T above 1, committed_mw is each unit's sum over the T
+    hours and the printed total is the T-hour sum, while lmp is hour 0's
+    price and the printed clearing price the mean of the hourly prices.
+    """
     run, out = _build_config(alpha, penetration, capacity_mode="tracking", **kw)
     point = _single_point(run)
     rows = [{"generator": gen.name, "committed_mw": float(point.committed[:, i].sum()),

@@ -10,10 +10,12 @@ balances everything downstream and sets the price from there on.
 ``dispatch_radial_batch`` is the one feeder kernel: it clears m requirement
 rows at once, running the recursion as a loop over the buses with each step
 applied to every row, and finds each row's balancing bus and infeasibility
-with masks.  ``dispatch_radial`` is a one-row call of it.  Feasibility has
-one answer, the kernel's: an infeasible row raises InfeasibleDispatchError,
-whose message names the failed check (for the feeder assumptions, each bus's
-minimum and tail clauses in bus order).  A grid clears many levels through
+with masks.  Per row it returns the power, the bus prices, whether bus 0's
+line binds and the balancing bus; the requirements it carries from bus to
+bus stay internal.  ``dispatch_radial`` is a one-row call of it.
+Feasibility has one answer, the kernel's: an infeasible row raises
+InfeasibleDispatchError, whose message names the failed check (for the
+feeder assumptions, each bus's minimum and tail clauses in bus order).  A grid clears many levels through
 the kernel's unraising form, ``_radial_rows`` (each commitment in one call,
 the re-dispatch in row blocks), and reads each level's first failing row
 from its masks.
@@ -69,8 +71,6 @@ class FeederCase(enum.Enum):
 class CongestedDispatch:
     power: np.ndarray               # MW per bus
     lmps: np.ndarray                # $/MWh per bus
-    local_requirement: np.ndarray   # required power ledger per bus, clamped at 0
-    suffix_requirement: np.ndarray  # tail requirement ledger per bus, clamped at 0
     case: FeederCase
     balancing_bus: int | None       # first bus whose tail fits under the limit
 
@@ -85,8 +85,6 @@ class RadialDispatchBatch:
 
     power: np.ndarray               # (m, n) MW per bus
     lmps: np.ndarray                # (m, n) $/MWh per bus
-    local_requirement: np.ndarray   # (m, n) required power ledger, clamped at 0
-    suffix_requirement: np.ndarray  # (m, n) tail requirement ledger, clamped at 0
     congested: np.ndarray           # (m,) whether bus 0's line binds
     balancing_bus: np.ndarray       # (m,) first bus whose tail fits, -1 for none
 
@@ -143,14 +141,10 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
     lmps = np.where(np.arange(n) < price_bus[:, None], asks, asks[price_bus, None])
 
     power = np.empty((m, n))
-    local_ledger = np.empty((m, n))
-    tail_ledger = np.empty((m, n))
     over_bus = np.full(m, -1)  # first bus whose required output exceeds capacity
     p_hat = per_bus[:, 0]
     p_hat_tail = suffix[:, 0]
     for i in range(n):
-        local_ledger[:, i] = _max(p_hat, 0.0)
-        tail_ledger[:, i] = _max(p_hat_tail, 0.0)
         pg = _max(_min(p_hat + p_bar, p_hat_tail), 0.0)
         over_bus[(pg > p_maxs[i] + _TOL) & (over_bus < 0)] = i
         power[:, i] = pg
@@ -185,9 +179,7 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
                        f"capacity {p_maxs[i]:.6g}")
         return InfeasibleDispatchError(message)
 
-    batch = RadialDispatchBatch(power, lmps, local_ledger, tail_ledger, congested,
-                                balancing)
-    return batch, failed, error_at
+    return RadialDispatchBatch(power, lmps, congested, balancing), failed, error_at
 
 
 def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
@@ -196,13 +188,13 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
 
     ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
     ``dispatch_radial`` describes; the recursion runs once over the buses
-    with every step applied to all rows.  A row is infeasible when it holds
-    a non-finite requirement, fails the feeder assumptions (every unit's
-    minimum is 0, and each bus's unit covers the tail requirement from that
-    bus on), is congested without a balancing bus, or needs more than a
-    unit's capacity; the first
-    infeasible row in row order raises InfeasibleDispatchError with that
-    row's message.
+    with every step applied to all rows.  Returns each row's power, bus
+    prices, congestion flag and balancing bus.  A row is infeasible when it
+    holds a non-finite requirement, fails the feeder assumptions (every
+    unit's minimum is 0, and each bus's unit covers the tail requirement
+    from that bus on), is congested without a balancing bus, or needs more
+    than a unit's capacity; the first infeasible row in row order raises
+    InfeasibleDispatchError with that row's message.
     """
     batch, failed, error_at = _radial_rows(grid, fleet, per_bus, suffix)
     if failed.any():
@@ -214,20 +206,20 @@ def dispatch_radial(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
                     suffix_cvars) -> CongestedDispatch:
     """Dispatch the feeder against per-bus and tail (suffix) requirements.
 
-    The requirement ledger starts at bus 0 with (own CVaR, total CVaR) and is
+    The requirement pair starts at bus 0 with (own CVaR, total CVaR) and is
     rolled forward: a bus produces min(own requirement + line limit, remaining
     tail); if that clears the tail the rest of the feeder idles, otherwise the
-    next bus inherits its own CVaR less the import headroom.  Negative ledger
-    entries are kept internally (they encode spare import capacity, which is
-    what keeps the next line inside its limit) and clamped only in the
-    reported ledgers.  A one-row call of ``dispatch_radial_batch``.
+    next bus inherits its own CVaR less the import headroom.  A negative
+    carry-over is kept as it is: it encodes spare import capacity, which is
+    what keeps the next line inside its limit.  Returns the power, the bus
+    prices, the case and the balancing bus; a one-row call of
+    ``dispatch_radial_batch``.
     """
     batch = dispatch_radial_batch(grid, fleet, np.asarray(per_bus_cvars, dtype=float)[None],
                                   np.asarray(suffix_cvars, dtype=float)[None])
     balancing = int(batch.balancing_bus[0])
     case = FeederCase.CONGESTED if batch.congested[0] else FeederCase.UNCONGESTED
-    return CongestedDispatch(batch.power[0], batch.lmps[0], batch.local_requirement[0],
-                             batch.suffix_requirement[0], case,
+    return CongestedDispatch(batch.power[0], batch.lmps[0], case,
                              None if balancing < 0 else balancing)
 
 

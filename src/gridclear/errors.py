@@ -10,16 +10,12 @@ class ConfigurationError(GridClearError):
 
 
 class InfeasibleDispatchError(GridClearError):
-    """No dispatch satisfies the balance and generator bounds.
+    """No dispatch satisfies the balance and generator bounds, or H cannot be
+    recovered.
 
-    Carries the offending demand and the fleet bounds so callers can report
-    a useful diagnostic.
+    The message alone carries the diagnostic: the kernel that raises it names
+    the failed check and the offending figures.
     """
-
-    def __init__(self, message, demand=None, fleet_bounds=None):
-        super().__init__(message)
-        self.demand = demand
-        self.fleet_bounds = fleet_bounds
 
 
 class FleetParseError(ConfigurationError):

@@ -344,15 +344,15 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
             lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,
                                      run.cost_recovery),
             n_levels, n_levels)
-        r_expected, _ = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
-                                        point_fleet)
+        r_expected = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
+                                     point_fleet)
         for level in range(n_levels):
             error = errors[level] or realized_errors[level] or recovery_errors[level]
             if error is not None:
                 points[level * n_alphas + a] = error
                 continue
-            r_realized, _ = realized_profit(realized[level], probabilities, lmps[level],
-                                            lambda_w[level], run.cost_recovery, point_fleet)
+            r_realized = realized_profit(realized[level], probabilities, lmps[level],
+                                         lambda_w[level], run.cost_recovery, point_fleet)
             # checked before the payment: in the other order the allocator
             # leaves a single-bus settle about 1.3 MB higher at its peak
             violations = reserve_and_ramp_check(committed[level], realized[level], rp[level],

@@ -177,11 +177,11 @@ def _backdown_target(fleet: Fleet, demand, k):
 def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
     """The error for one demand that no unit pattern can balance."""
     p_min, p_max, prefix = fleet.p_mins, fleet.p_maxs, fleet.p_max_prefix
-    bounds = (float(p_min.min()), fleet.total_capacity)
+    capacity = fleet.total_capacity
     if not math.isfinite(demand):
         message = f"demand {demand} MW must be finite"
-    elif demand < 0.0 or demand > bounds[1] + _BALANCE_TOL:
-        message = f"demand {demand:.6g} MW outside the servable range [0, {bounds[1]:.6g}]"
+    elif demand < 0.0 or demand > capacity + _BALANCE_TOL:
+        message = f"demand {demand:.6g} MW outside the servable range [0, {capacity:.6g}]"
     elif demand < p_min[0]:
         message = f"no single unit can carry the sub-minimum demand {demand:.6g} MW"
     else:
@@ -190,7 +190,7 @@ def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
         message = (f"back-down target {backdown:.6g} MW outside unit {k - 1}'s box "
                    f"[{p_min[k - 1]:.6g}, {p_max[k - 1]:.6g}]; "
                    f"adjustable-range assumption violated")
-    return InfeasibleDispatchError(message, demand=demand, fleet_bounds=bounds)
+    return InfeasibleDispatchError(message)
 
 
 def _commit_rows(fleet: Fleet, demands):

@@ -18,7 +18,8 @@ hour 0 is hot.  Reserve costs RESERVE_RATE $/MW per hour of reserve envelope
 and ramp RAMP_RATE $ per MW/h of ramp envelope.  The profit formulas are
 evaluated literally: both price energy at the LMP less
 ``lambda_w * (1 - cost_recovery)``, which is zero in either mode (the uplift
-is zero without recovery), so the recovery mode changes no profit.
+is zero without recovery), so the recovery mode changes no profit.  Both
+profits are the fleet's totals; no per-unit breakdown is kept.
 
 The envelopes, the reserve and ramp check, H, both profits and the
 renewable payment raise ValueError naming an array or uplift argument
@@ -195,24 +196,25 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w,
                     cost_recovery: int, fleet: Fleet):
     """Profit the fleet would make if the committed power were sold as planned.
 
-    Returns the total and the per-generator breakdown.  With a leading level
-    axis on ``committed`` and ``lmps`` (and ``lambda_w`` one value per level)
-    the totals are an (L,) array and the breakdown (L, n_units).
+    Returns the fleet's total, summed over hours per unit and then over
+    units: a float for (T, n_units) input, and an (L,) array with a leading
+    level axis on ``committed`` and ``lmps`` (and ``lambda_w`` one value per
+    level).
     """
     _reject_non_finite(committed=committed, lmps=lmps, lambda_w=lambda_w)
     committed = np.asarray(committed, dtype=float)
     uplift = np.asarray(lambda_w, dtype=float)[..., None, None] * (1 - cost_recovery)
     prices = np.asarray(lmps, dtype=float) - uplift
-    per_gen = (committed * prices
-               - committed * fleet.ask_prices).sum(axis=-2)
-    total = per_gen.sum(axis=-1)
-    return (float(total), per_gen) if committed.ndim == 2 else (total, per_gen)
+    total = (committed * prices - committed * fleet.ask_prices).sum(axis=-2).sum(axis=-1)
+    return float(total) if committed.ndim == 2 else total
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
                     lambda_w: float, cost_recovery: int,
-                    fleet: Fleet) -> tuple[float, np.ndarray]:
-    """Scenario-expected profit on the power actually sold at committed prices."""
+                    fleet: Fleet) -> float:
+    """Scenario-expected profit on the power actually sold at committed prices:
+    the fleet's total, summed over scenarios and hours per unit and then
+    over units."""
     _reject_non_finite(realized=realized, lmps=lmps, lambda_w=lambda_w)
     realized = np.asarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
@@ -221,8 +223,7 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
         raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
     prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
     margin = prices[None, :, :] - fleet.ask_prices[None, None, :]
-    per_gen = np.einsum("k,kti->i", psi, realized * margin)
-    return float(per_gen.sum()), per_gen
+    return float(np.einsum("k,kti->i", psi, realized * margin).sum())
 
 
 def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,

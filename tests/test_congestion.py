@@ -118,16 +118,6 @@ def test_single_bus():
     assert d.power[0] == 300.0 and d.lmps[0] == 10.0
 
 
-def test_requirement_ledgers_reported_clamped():
-    grid = RadialGrid(3, 50.0)
-    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
-    d = dispatch_radial(grid, fleet, [60, 40, 30], [130, 70, 30])
-    # bus 1's internal carry-over is 40 - 50 < 0; the report clamps it
-    assert d.local_requirement[1] == 0.0
-    assert np.all(d.local_requirement >= 0.0)
-    assert np.all(d.suffix_requirement >= 0.0)
-
-
 # ---------------------------------------------------------------------------
 # planned-power upper bound
 

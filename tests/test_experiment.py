@@ -473,6 +473,21 @@ def test_cli_out_naming_a_file_is_config_error(tmp_path):
     assert str(out) in result.output and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_cli_out_that_cannot_be_created_exits_before_the_run(tmp_path, below):
+    # penetration 2.0 cannot be drawn, so a sweep that ran would print a skip
+    f = tmp_path / "F"
+    f.write_text("keep")
+    out = f / below if below else f
+    result = CliRunner().invoke(main, ["sweep-penetration", "--penetration", "0.5,2.0",
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: --out {out}: {f} is not a writable "
+                             "directory\n")
+    assert "skipped:" not in result.output and "wrote" not in result.output
+    assert f.read_text() == "keep"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sweep-alpha", "--alpha", "0.5,abc"], "alpha grid entry 'abc' is not a number"),
     (["settle", "--load-mean", "100,abc"], "load mean grid entry 'abc' is not a number"),

@@ -134,14 +134,13 @@ def test_expected_profit_worked_example():
     fleet = one_unit_fleet(ask_price=7.37)  # production cost follows the ask
     committed = np.array([[100.0]])
     lmps = np.array([[20.0]])
-    r, per = expected_profit(committed, lmps, lambda_w=3.0, cost_recovery=1, fleet=fleet)
+    r = expected_profit(committed, lmps, lambda_w=3.0, cost_recovery=1, fleet=fleet)
     assert r == pytest.approx(100 * 20 - 737.0)
-    assert per[0] == pytest.approx(1263.0)
 
 
 def test_expected_profit_zero_commitment():
     fleet = one_unit_fleet()
-    r, _ = expected_profit(np.zeros((1, 1)), np.array([[20.0]]), 0.0, 1, fleet)
+    r = expected_profit(np.zeros((1, 1)), np.array([[20.0]]), 0.0, 1, fleet)
     assert r == 0.0
 
 
@@ -150,7 +149,7 @@ def test_expected_profit_without_recovery_same_formula():
     fleet = one_unit_fleet(ask_price=7.37)
     committed = np.array([[100.0]])
     lmps = np.array([[20.0]])
-    r0, _ = expected_profit(committed, lmps, 0.0, 0, fleet)
+    r0 = expected_profit(committed, lmps, 0.0, 0, fleet)
     assert r0 == pytest.approx(1263.0)
 
 
@@ -158,7 +157,7 @@ def test_realized_profit_two_scenarios():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[80.0]]])
     lmps = np.array([[20.0]])
-    r, _ = realized_profit(realized, [0.5, 0.5], lmps, 0.0, 1, fleet)
+    r = realized_profit(realized, [0.5, 0.5], lmps, 0.0, 1, fleet)
     assert r == pytest.approx(0.5 * (2000 - 1000) + 0.5 * (1600 - 800))
 
 
@@ -179,7 +178,7 @@ def test_realized_profit_rejects_non_finite_probabilities(psi):
 def test_realized_profit_degenerate_distribution():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[9999.0]]])
-    r, _ = realized_profit(realized, [1.0, 0.0], np.array([[20.0]]), 0.0, 1, fleet)
+    r = realized_profit(realized, [1.0, 0.0], np.array([[20.0]]), 0.0, 1, fleet)
     assert r == pytest.approx(1000.0)
 
 
@@ -188,8 +187,8 @@ def test_realized_equals_committed_gives_equal_profit():
     committed = np.array([[100.0]])
     realized = np.repeat(committed[None, :, :], 4, axis=0)
     lmps = np.array([[25.0]])
-    r, _ = expected_profit(committed, lmps, 0.0, 1, fleet)
-    rt, _ = realized_profit(realized, np.full(4, 0.25), lmps, 0.0, 1, fleet)
+    r = expected_profit(committed, lmps, 0.0, 1, fleet)
+    rt = realized_profit(realized, np.full(4, 0.25), lmps, 0.0, 1, fleet)
     assert r - rt == pytest.approx(0.0, abs=1e-9)
 
 
