@@ -10,15 +10,19 @@ balances everything downstream and sets the price from there on.
 ``dispatch_radial_batch`` is the one feeder kernel: it clears m requirement
 rows at once, running the recursion as a loop over the buses with each step
 applied to every row, and finds each row's balancing bus and infeasibility
-with masks.  Per row it returns the power, the bus prices, whether bus 0's
-line binds and the balancing bus; the requirements it carries from bus to
-bus stay internal.  ``dispatch_radial`` is a one-row call of it.
-Feasibility has one answer, the kernel's: an infeasible row raises
-InfeasibleDispatchError, whose message names the failed check (for the
-feeder assumptions, each bus's minimum and tail clauses in bus order).  A grid clears many levels through
-the kernel's unraising form, ``_radial_rows`` (each commitment in one call,
-the re-dispatch in row blocks), and reads each level's first failing row
-from its masks.
+with masks.  Those per-row tests (finite entries, the feeder assumptions,
+the balancing bus) and the price columns are built the same way, one
+vector operation over all rows per bus, because numpy reduces a short
+trailing bus axis row by row.  Per row it returns the power, the bus
+prices, whether bus 0's line binds and the balancing bus; the requirements
+it carries from bus to bus stay internal.  ``dispatch_radial`` is a
+one-row call of it.  Feasibility has one answer, the kernel's: an
+infeasible row raises InfeasibleDispatchError, whose message names the
+failed check (for the feeder assumptions, each bus's minimum and tail
+clauses in bus order).  A grid clears many levels through the kernel's
+unraising form, ``_radial_rows`` (each commitment in one call, the
+re-dispatch in row blocks), and reads each level's first failing row from
+its masks.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ class RadialGrid:
     admittances: np.ndarray | None = None  # per-unit, used by the DC solver only
 
     def __post_init__(self):
+        if isinstance(self.n_buses, bool) or not isinstance(self.n_buses, (int, np.integer)):
+            raise ValueError(f"n_buses {self.n_buses!r} must be an integer")
         if self.n_buses < 1:
             raise ValueError("a grid needs at least one bus")
         if not np.isfinite(self.line_limit):
@@ -114,7 +120,12 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
             f"need one generator and one requirement pair per bus ({n})")
     m = per_bus.shape[0]
     given = (per_bus, suffix)
-    finite = np.isfinite(per_bus).all(axis=1) & np.isfinite(suffix).all(axis=1)
+    # numpy reduces a short trailing axis row by row, so every per-row test
+    # below is one vector operation over all rows per bus column instead
+    finite = np.ones(m, dtype=bool)
+    for i in range(n):
+        finite &= np.isfinite(per_bus[:, i])
+        finite &= np.isfinite(suffix[:, i])
     if not finite.all():
         # a non-finite row is cleared as zeros, so it raises no float warning
         # and cannot fail before its own message below
@@ -124,21 +135,28 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
     asks = fleet.ask_prices
     p_maxs = fleet.p_maxs
 
-    invalid = (suffix > p_maxs + _TOL).any(axis=1) | bool((fleet.p_mins != 0.0).any())
+    invalid = np.full(m, bool((fleet.p_mins != 0.0).any()))
+    for i in range(n):
+        invalid |= suffix[:, i] > p_maxs[i] + _TOL
 
     # the balancing bus is the first j >= 1 whose tail exceeds the limit while
-    # the next one (0 beyond the last bus) fits; ties resolve uncongested
+    # the next one (0 beyond the last bus) fits, found walking down from the
+    # last bus; ties resolve uncongested
     congested = suffix[:, 0] > per_bus[:, 0] + p_bar
-    splits = np.zeros((m, n), dtype=bool)
-    splits[:, 1:] = suffix[:, 1:] > p_bar
-    splits[:, 1:-1] &= suffix[:, 2:] <= p_bar
-    found = splits.any(axis=1)
-    balancing = np.where(congested & found, splits.argmax(axis=1), -1)
-    missing = congested & ~found
+    first = np.full(m, -1)
+    fits = np.ones(m, dtype=bool)  # whether the tail after bus j fits
+    for j in range(n - 1, 0, -1):
+        over = suffix[:, j] > p_bar
+        first[over & fits] = j
+        fits = ~over  # the rows are finite, so no tail compares false both ways
+    balancing = np.where(congested, first, -1)
+    missing = congested & (first < 0)
     # bus i clears at its own ask upstream of the balancing bus and at the
     # balancing bus's ask from there on (bus 0's ask everywhere uncongested)
     price_bus = np.maximum(balancing, 0)
-    lmps = np.where(np.arange(n) < price_bus[:, None], asks, asks[price_bus, None])
+    lmps = np.empty((m, n))
+    for i in range(n):
+        lmps[:, i] = asks[np.minimum(price_bus, i)]
 
     power = np.empty((m, n))
     over_bus = np.full(m, -1)  # first bus whose required output exceeds capacity

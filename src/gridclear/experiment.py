@@ -15,10 +15,12 @@ each alpha costs one ``cvar_rows`` call and one commitment over all levels
 and hours on either market.  A block's outputs other than its power are
 dropped before the next block runs, so the re-dispatch holds one (L*K*T, n)
 power array and the temporaries of one block.  Both markets settle the same
-way, each alpha's levels together: every level is settled, and the figures
-of a failed point are dropped.  Each level's net load is formed on its own;
-one bus keeps only its hourly aggregates, while the feeder keeps the
-per-hour bus and tail rows and the realized rows its kernels read.
+way, each alpha's levels together: every level is settled, a failed
+point's rows as zeros, and the figures of a failed point are dropped.  A
+run whose load means overflow their bus total is a configuration error.
+Each level's net load is formed on its own; one bus keeps only its hourly
+aggregates, while the feeder keeps the per-hour bus and tail rows and the
+realized rows its kernels read.
 
 A point fails on the first of: its commitment, its level's re-dispatch, an H
 that cannot be recovered.  One block loop, ``_by_level``, runs all three
@@ -109,6 +111,11 @@ class RunConfig:
             for v in values:
                 if not 0.0 <= v < np.inf:
                     raise ConfigurationError(f"{name} {v} must be non-negative and finite")
+        # every clearing sums the loads over the buses; Python floats overflow
+        # to inf without the warning numpy's sum raises
+        if sum(float(v) for v in self.load_mean_per_bus) == np.inf:
+            means = ", ".join(format(float(v), "g") for v in self.load_mean_per_bus)
+            raise ConfigurationError(f"load means {means} overflow their bus total")
         for name in ("horizon", "n_scenarios", "seed"):
             _check_integer(name, getattr(self, name))
         for name in ("horizon", "n_scenarios", "n_buses"):
@@ -260,6 +267,18 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     return (commitments, realized.reshape(n_levels, k_len, t_len, len(fleet)), errors)
 
 
+def _tail_sums(rows) -> np.ndarray:
+    """Each row's sums from every bus to the last, built with one add per bus
+    going back from the last bus: the additions, in the same order, of
+    ``np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]``, which numpy runs row by
+    row over the short bus axis.
+    """
+    tails = np.array(rows, dtype=float)  # the last bus is its own tail
+    for i in range(tails.shape[1] - 2, -1, -1):
+        tails[:, i] += tails[:, i + 1]
+    return tails
+
+
 def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable,
                   n_levels: int, alphas):
     """Commit each level's hourly per-bus and tail CVaRs on the feeder, then
@@ -271,8 +290,8 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     of them, whose (L*T, 2n) output is the feeder dispatch's input as it
     stands; the re-dispatch reads no alpha, so all levels' rows go through
     ``_radial_rows`` in blocks of ``_BLOCK_ROWS``, each block's tails summed
-    as it runs.  Returns what ``_clear_bus`` does, with the unit LMPs as bus
-    prices.
+    as it runs by ``_tail_sums``, one add per bus from the last bus back.
+    Returns what ``_clear_bus`` does, with the unit LMPs as bus prices.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape
@@ -302,8 +321,7 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
     realized, errors = _by_level(
-        lambda r: _power(_radial_rows(grid, fleet, rows[r],
-                                      np.cumsum(rows[r, ::-1], axis=1)[:, ::-1])),
+        lambda r: _power(_radial_rows(grid, fleet, rows[r], _tail_sums(rows[r]))),
         len(rows), n_levels, _BLOCK_ROWS)
     return commitments, realized.reshape(n_levels, k_len, t_len, n), errors
 
@@ -332,13 +350,19 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         cleared = _clear_feeder(point_fleet, grid, load, probabilities, renewable,
                                 n_levels, alphas)
     commitments, realized, realized_errors = cleared
+    # a failed level's rows mean nothing and can be too large to settle
+    # without overflow, so they are settled as zeros and its figures dropped
+    for level, error in enumerate(realized_errors):
+        if error is not None:
+            realized[level] = 0.0
 
     load_rows = load.transpose(2, 1, 0)
     load_totals = _load_totals(load_rows)  # summed once for every point's payment
     points = [None] * (n_levels * n_alphas)
     for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
-        # a failed level's rows are finite, so settling it with the others
-        # raises no warning; its figures are dropped
+        for level, error in enumerate(errors):
+            if error is not None:
+                committed[level] = 0.0
         rp, dp = deviation_envelopes(committed, realized)
         (h_total, lambda_w), recovery_errors = _by_level(
             lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,

@@ -110,8 +110,11 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
     committed = np.asarray(committed, dtype=float)
     realized = np.asarray(realized, dtype=float)
     violations = []
-    delta = committed[None, :, :] - realized
-    if delta.min() < -1e-9:
+    # rounded subtraction is monotone, so the smallest committed - realized is
+    # committed - the largest realized; the (K, T, n) deviations are built
+    # only to locate a violation
+    if (committed - realized.max(axis=0)).min() < -1e-9:
+        delta = committed[None, :, :] - realized
         k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
         violations.append(
             f"scenario {k}, hour {t}: unit {fleet.generators[i].name} sells "
@@ -260,6 +263,7 @@ def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
         scale = np.divide(load_totals, total_out, out=np.zeros_like(total_out), where=over)
         np.multiply(rows, scale[..., None], out=rows, where=over[..., None])
         np.copyto(hourly, np.vecdot(lmps, rows), where=over)
+    del rows  # the scaled copy is freed before the sums allocate theirs
     revenue = sum_in_order(hourly)
     curtailed = sum_in_order(np.where(over, total_out - load_totals, 0.0))
     if renewables.ndim == 2:

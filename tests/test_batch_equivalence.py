@@ -35,7 +35,8 @@ from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
                        net_load, realized_profit, recovery_rate, reserve_and_ramp_check,
                        run_grid, scenario_config, suffix_net_load, var)
 from gridclear.cli import main
-from gridclear.experiment import derive_capacity
+from gridclear.congestion import _radial_rows
+from gridclear.experiment import _tail_sums, derive_capacity
 from gridclear.scenarios import build_levels, draw_loads
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
@@ -438,7 +439,9 @@ def test_fleet_columns_are_read_only():
 
 
 def assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix):
-    """Every row bitwise equal; an infeasible batch raises like its first bad row."""
+    """Every row bitwise equal; an infeasible batch raises like its first bad row,
+    and the unraising form marks every infeasible row with the reference's error.
+    """
     expected, first_error = [], None
     for row_bus, row_tail in zip(per_bus, suffix):
         try:
@@ -446,6 +449,13 @@ def assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix):
         except InfeasibleDispatchError as exc:
             first_error = first_error or exc
             expected.append(exc)
+    # a grid reads each level's first failing row from these masks
+    _, failed, error_at = _radial_rows(grid, fleet, per_bus, suffix)
+    assert failed.shape == (len(per_bus),)
+    for r, ref in enumerate(expected):
+        assert failed[r] == isinstance(ref, InfeasibleDispatchError)
+        if failed[r]:
+            assert str(error_at(r)) == str(ref)
     if first_error is not None:
         with pytest.raises(InfeasibleDispatchError) as err:
             dispatch_radial_batch(grid, fleet, per_bus, suffix)
@@ -473,7 +483,7 @@ def assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix):
 
 @st.composite
 def feeder_batches(draw):
-    """A feeder with n = 1..6 buses and m rows built to reach every branch.
+    """A feeder with n = 1..8 buses and m = 1..40 rows built to reach every branch.
 
     Entries come from a pool of boundary values (+-0.0 and multiples of the
     line limit) and random floats; one line limit, 0.1 + 0.2, is inexact in
@@ -491,7 +501,7 @@ def feeder_batches(draw):
     One fleet in ten has a unit with a positive minimum, which fails the
     feeder assumptions on every row.
     """
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     p_bar = draw(st.sampled_from([10.0, 25.0, 40.0, 0.1 + 0.2]))
     steps = draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n))
     p_max = draw(st.lists(st.floats(20.0, 400.0), min_size=n, max_size=n))
@@ -502,7 +512,7 @@ def feeder_batches(draw):
                                       p_min[i], p_min[i] + p_max[i]) for i in range(n)))
     values = st.one_of(st.sampled_from([0.0, -0.0, p_bar, -p_bar, 2.0 * p_bar, 0.5 * p_bar]),
                        st.floats(-30.0, 90.0))
-    m = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 40))
     per_bus = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n),
                                      min_size=m, max_size=m)), dtype=float)
     suffix = np.cumsum(per_bus[:, ::-1], axis=1)[:, ::-1]
@@ -603,6 +613,26 @@ def test_feeder_batch_first_infeasible_row_wins():
     assert str(err.value) == "bus 1: required output 48 MW exceeds capacity 45"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+@pytest.mark.parametrize("m", [0, 1, 37])
+def test_tail_sums_equal_reversed_cumsum(n, m):
+    # the re-dispatch's tails, one add per bus from the last, against the
+    # reversed cumsum they replaced; signed zeros and cancelling terms included
+    rng = np.random.default_rng(100 * n + m)
+    rows = rng.normal(0.0, 1e3, (m, n)) * 10.0 ** rng.integers(-12, 12, (m, n))
+    rows[rng.random((m, n)) < 0.15] = 0.0
+    rows[rng.random((m, n)) < 0.15] = -0.0
+    if m:
+        rows[0] = -0.0  # all-negative-zero row keeps -0.0 in every tail
+        rows[-1, ::2] = 0.1 + 0.2
+        rows[-1, 1::2] = -(0.1 + 0.2)
+    expected = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    tails = _tail_sums(rows)
+    assert tails.shape == (m, n) and tails.dtype == np.float64
+    assert same_bits(tails, expected)
+    assert same_bits(_tail_sums(rows[::2]), np.cumsum(rows[::2, ::-1], axis=1)[:, ::-1])
+
+
 def test_feeder_batch_shapes():
     grid = RadialGrid(3, 30.0)
     fleet = builtin_fleet().head(3)
@@ -664,6 +694,27 @@ def test_reserve_envelope_equals_largest_deviation(case):
     rp, _ = deviation_envelopes(committed, realized)
     assert same_bits(rp, want)
     assert not np.signbit(rp[rp == 0.0]).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_cases(), st.sampled_from([0.0, 1e-9, 2e-9]))
+def test_reserve_check_flags_sales_like_the_full_deviation_array(case, shift):
+    """The sale above commitment is tested on the scenario maximum and named
+    from the full (K, T, n) deviations, the first smallest in (k, t, i) order."""
+    committed, realized = case
+    if committed.ndim == 3:
+        committed, realized = committed[0], realized[0]
+    realized = realized + shift  # put deviations on and around the -1e-9 threshold
+    units = Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + i, 0.0, 1e20, 1e20, 1e20)
+                        for i in range(committed.shape[1])))
+    rp, dp = deviation_envelopes(committed, realized)
+    delta = committed[None] - realized
+    want = []
+    if delta.min() < -1e-9:
+        k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
+        want = [f"scenario {k}, hour {t}: unit u{i} sells {realized[k, t, i]:.6g} MW "
+                f"above its commitment {committed[t, i]:.6g}"]
+    assert reserve_and_ramp_check(committed, realized, rp, dp, units) == want
 
 
 # ---------------------------------------------------------------------------

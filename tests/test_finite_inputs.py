@@ -58,6 +58,17 @@ def test_radial_grid_rejects_non_finite_admittance(n_buses, data):
         RadialGrid(n_buses, 50.0, admittances=b)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, np.float64(3.0), 1.5, "3", None, np.nan])
+def test_radial_grid_rejects_non_integer_bus_count(bad):
+    with pytest.raises(ValueError, match=f"^n_buses {re.escape(repr(bad))} must be an integer$"):
+        RadialGrid(bad, 80.0)
+
+
+@pytest.mark.parametrize("n_buses", [1, 3, np.int64(2), np.int32(4)])
+def test_radial_grid_accepts_python_and_numpy_integers(n_buses):
+    assert RadialGrid(n_buses, 80.0).admittances.shape == (n_buses - 1,)
+
+
 def _scenario_fields(n_buses, horizon):
     return dict(load_mean=np.full((n_buses, horizon), 100.0),
                 load_std=np.full((n_buses, horizon), 8.0),
@@ -218,6 +229,45 @@ def test_cli_bad_load_mean_is_config_error(tmp_path, command, bad):
     assert result.output == (f"configuration error: load mean {float(bad)} must be "
                              "non-negative and finite\n")
     assert not out.exists()
+
+
+def test_run_config_rejects_load_means_whose_total_overflows():
+    with pytest.raises(ConfigurationError,
+                       match=r"^load means 1e\+308, 1e\+308 overflow their bus total$"):
+        RunConfig(load_mean_per_bus=(1e308, 1e308))
+    RunConfig(load_mean_per_bus=(8e307, 8e307))  # a finite total passes
+
+
+@pytest.mark.parametrize("command", ["sweep-alpha", "sweep-penetration", "dispatch", "settle"])
+def test_cli_load_mean_whose_total_overflows_is_config_error(tmp_path, command):
+    # the load is named before any sum over its buses warns or turns to inf
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--load-mean", "1e308,1e308",
+                                       "--scenarios", "5", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == ("configuration error: load means 1e+308, 1e+308 overflow "
+                             "their bus total\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line_limit,load_mean", [("unlimited", "1e306"),
+                                                  ("80", "1e306,1e306,1e306")])
+def test_cli_huge_finite_load_fails_its_points_without_warnings(tmp_path, line_limit,
+                                                                load_mean):
+    # a failed point's rows hold the huge demand; they are settled as zeros,
+    # so no overflow warning (an error under pytest) reaches the output
+    argv = ["--load-mean", load_mean, "--line-limit", line_limit, "--scenarios", "5",
+            "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, ["settle"] + argv)
+    assert result.exit_code == 3, result.output
+    assert re.fullmatch(r"infeasible dispatch: (demand|bus 0: tail requirement) "
+                        r"\S+e\+306 MW [^\n]*\n", result.output)
+    result = CliRunner().invoke(main, ["sweep-penetration"] + argv)
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[-1].startswith("wrote ")
+    assert lines[:-1] and all(line.startswith("skipped: alpha=0.95, penetration=")
+                              for line in lines[:-1])
 
 
 def _settlement_inputs(fleet):
