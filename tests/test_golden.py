@@ -24,6 +24,9 @@ batch.  Each run exercises different code:
 - the flags whose first value alone is used (a sweep's fixed axis, and both
   axes of settle): a second value must not change a byte, so these digests
   equal those of the one-value runs above or of settle at its defaults
+- settle on one bus and on the 80 MW feeder, and the alpha sweep, with
+  ``--cost-recovery 0``: the mode whose uplift is zero, recorded before the
+  uplift term was dropped from both profits
 
 A sweep that skips points is pinned on its stderr as well: which error a
 point reports (its commitment's, else its level's re-dispatch's, else an
@@ -87,6 +90,20 @@ GOLDEN = {
         ["settle", "--alpha", "0.9,0.5"],
         "settlement.csv",
         "99d82699ab5b9520f01641395afaccb1fc8aa644b850a30ce76d8300a7085d46"),
+    "settle-bus-no-recovery": (
+        ["settle", "--horizon", "24", "--scenarios", "100", "--penetration", "0.9",
+         "--cost-recovery", "0"],
+        "settlement.csv",
+        "8d6f96e2a98a46ba21fed9dd8189fc8e9a67fb40f5d1f3ab210d268da4ce69b1"),
+    "settle-feeder-no-recovery": (
+        ["settle", "--horizon", "24", "--scenarios", "100", "--penetration", "0.9",
+         "--line-limit", "80", "--load-mean", "150,75,45", "--cost-recovery", "0"],
+        "settlement.csv",
+        "9977cb338ad8a7f45ca5dde053601bbd1c2d59141f43222dd91163937f5727be"),
+    "sweep-alpha-no-recovery": (
+        ["sweep-alpha", "--horizon", "4", "--cost-recovery", "0"],
+        "alpha_sweep.csv",
+        "3ef43b01a90650ed03c9a2315099be5091ebc4ff3f2a9e60893fd00b5d20a93c"),
 }
 
 
