@@ -53,7 +53,7 @@ from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
 from .scenarios import ScenarioConfig, ScenarioSet, _check_integer, build_levels, draw_loads
-from .settlement import (SettlementReport, _load_totals, _recovery_rows,
+from .settlement import (SettlementReport, _recovery_rows,
                          curtail_and_pay_renewables, deviation_envelopes, expected_profit,
                          realized_profit, reserve_and_ramp_check, sum_in_order)
 
@@ -356,8 +356,9 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         if error is not None:
             realized[level] = 0.0
 
-    load_rows = load.transpose(2, 1, 0)
-    load_totals = _load_totals(load_rows)  # summed once for every point's payment
+    # per-hour bus totals, summed once for every point's payment over unit-stride
+    # rows, as a per-trajectory row.sum() rounds them
+    load_totals = np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1)
     points = [None] * (n_levels * n_alphas)
     for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
         for level, error in enumerate(errors):
@@ -368,23 +369,21 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
             lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,
                                      run.cost_recovery),
             n_levels, n_levels)
-        r_expected = expected_profit(committed, lmps, lambda_w, run.cost_recovery,
-                                     point_fleet)
+        r_expected = expected_profit(committed, lmps, point_fleet)
         for level in range(n_levels):
             error = errors[level] or realized_errors[level] or recovery_errors[level]
             if error is not None:
                 points[level * n_alphas + a] = error
                 continue
             r_realized = realized_profit(realized[level], probabilities, lmps[level],
-                                         lambda_w[level], run.cost_recovery, point_fleet)
+                                         point_fleet)
             # checked before the payment: in the other order the allocator
             # leaves a single-bus settle about 1.3 MB higher at its peak
             violations = reserve_and_ramp_check(committed[level], realized[level], rp[level],
                                                 dp[level], point_fleet)
             # renewables are paid scenario by scenario at the committed bus prices
             rev_k, cur_k = curtail_and_pay_renewables(
-                load_rows, renewable(level).transpose(2, 1, 0), bus_lmps[level],
-                load_totals=load_totals)
+                load_totals, renewable(level).transpose(2, 1, 0), bus_lmps[level])
             report = SettlementReport(
                 float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
                 r_realized, float(r_expected[level]) - r_realized,

@@ -15,15 +15,17 @@ A start is hot when the unit was online two hours before (so after exactly
 one offline hour), cold otherwise; every unit enters the horizon as if it
 was online two hours before and offline one hour before, so a start in
 hour 0 is hot.  Reserve costs RESERVE_RATE $/MW per hour of reserve envelope
-and ramp RAMP_RATE $ per MW/h of ramp envelope.  The profit formulas are
-evaluated literally: both price energy at the LMP less
-``lambda_w * (1 - cost_recovery)``, which is zero in either mode (the uplift
-is zero without recovery), so the recovery mode changes no profit.  Both
-profits are the fleet's totals; no per-unit breakdown is kept.
+and ramp RAMP_RATE $ per MW/h of ramp envelope.
+
+Both profits price energy at the committed LMP less the unit's ask, and
+neither includes the uplift: lambda_w is the per-MWh charge that recovers H
+from consumers, not a generator's income or cost, so the recovery mode
+moves only H's uplift and changes no profit.  Both profits are the fleet's
+totals; no per-unit breakdown is kept.
 
 The envelopes, the reserve and ramp check, H, both profits and the
-renewable payment raise ValueError naming an array or uplift argument
-(``loads must be finite``) when one of its entries is NaN or infinite.
+renewable payment raise ValueError naming an array argument
+(``load_totals must be finite``) when one of its entries is NaN or infinite.
 """
 
 from __future__ import annotations
@@ -195,60 +197,49 @@ def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
     return float(h_total[0]), float(lambda_w[0])
 
 
-def expected_profit(committed: np.ndarray, lmps: np.ndarray, lambda_w,
-                    cost_recovery: int, fleet: Fleet):
+def expected_profit(committed: np.ndarray, lmps: np.ndarray, fleet: Fleet):
     """Profit the fleet would make if the committed power were sold as planned.
 
     Returns the fleet's total, summed over hours per unit and then over
     units: a float for (T, n_units) input, and an (L,) array with a leading
-    level axis on ``committed`` and ``lmps`` (and ``lambda_w`` one value per
-    level).
+    level axis on ``committed`` and ``lmps``.
     """
-    _reject_non_finite(committed=committed, lmps=lmps, lambda_w=lambda_w)
+    _reject_non_finite(committed=committed, lmps=lmps)
     committed = np.asarray(committed, dtype=float)
-    uplift = np.asarray(lambda_w, dtype=float)[..., None, None] * (1 - cost_recovery)
-    prices = np.asarray(lmps, dtype=float) - uplift
+    prices = np.asarray(lmps, dtype=float)
     total = (committed * prices - committed * fleet.ask_prices).sum(axis=-2).sum(axis=-1)
     return float(total) if committed.ndim == 2 else total
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
-                    lambda_w: float, cost_recovery: int,
                     fleet: Fleet) -> float:
     """Scenario-expected profit on the power actually sold at committed prices:
     the fleet's total, summed over scenarios and hours per unit and then
     over units."""
-    _reject_non_finite(realized=realized, lmps=lmps, lambda_w=lambda_w)
+    _reject_non_finite(realized=realized, lmps=lmps)
     realized = np.asarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
     if (not np.all(np.isfinite(psi)) or abs(psi.sum() - 1.0) > 1e-9
             or np.any(psi < 0.0)):
         raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
-    prices = np.asarray(lmps, dtype=float) - lambda_w * (1 - cost_recovery)
-    margin = prices[None, :, :] - fleet.ask_prices[None, None, :]
+    margin = np.asarray(lmps, dtype=float)[None, :, :] - fleet.ask_prices[None, None, :]
     return float(np.einsum("k,kti->i", psi, realized * margin).sum())
 
 
-def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
-                               lmps: np.ndarray, *, load_totals=None):
+def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,
+                               lmps: np.ndarray):
     """Renewable payment and curtailed energy per scenario trajectory.
 
-    loads and renewables are (T, n_buses) for one trajectory or
-    (K, T, n_buses) for K of them; lmps is (T, n_buses).  Per hour: when
-    total renewable output exceeds the total load, only the load is paid
-    for, shared across units in proportion to their output, and the excess
-    is curtailed; otherwise all output earns its bus price.  Hours are
+    load_totals is the per-hour bus total of the load, (T,) for one
+    trajectory or (K, T) for K of them; renewables is (T, n_buses) or
+    (K, T, n_buses) and lmps is (T, n_buses).  Per hour: when total
+    renewable output exceeds the total load, only the load is paid for,
+    shared across units in proportion to their output, and the excess is
+    curtailed; otherwise all output earns its bus price.  Hours are
     accumulated in order from 0.0.  Returns two floats for one trajectory
-    and two (K,) arrays for a stack.  ``load_totals``, when given, is the
-    per-hour bus totals of ``loads`` as ``_load_totals`` sums them, so a
-    caller that pays many renewables against one load sums it once.
+    and two (K,) arrays for a stack.
     """
-    if load_totals is None:
-        _reject_non_finite(loads=loads)
-        load_totals = _load_totals(loads)
-    else:
-        _reject_non_finite(load_totals=load_totals)
-    _reject_non_finite(renewables=renewables, lmps=lmps)
+    _reject_non_finite(load_totals=load_totals, renewables=renewables, lmps=lmps)
     renewables = np.asarray(renewables, dtype=float)
     lmps = np.asarray(lmps, dtype=float)
     # round each hour as a per-hour loop (row.sum(), lmps[t] @ row) does: bus
@@ -270,8 +261,3 @@ def curtail_and_pay_renewables(loads: np.ndarray, renewables: np.ndarray,
         return float(revenue), float(curtailed)
     return revenue, curtailed
 
-
-def _load_totals(loads) -> np.ndarray:
-    """Per-hour bus totals of (T, n_buses) or (K, T, n_buses) loads, as
-    ``curtail_and_pay_renewables`` sums them."""
-    return np.ascontiguousarray(np.asarray(loads, dtype=float)).sum(axis=-1)

@@ -251,6 +251,11 @@ def test_criterion_8_settlement_identities():
         run_off = RunConfig(capacity_mode="buildout", alphas=(0.9,), cost_recovery=0)
         point_off = evaluate_point(fleet, run_off, sset, 0.9, 0.5)
         assert point_off.settlement.lambda_w == 0.0
+        # the uplift recovers H from consumers and reaches neither profit, so
+        # both profits keep their bits when recovery is switched off
+        off = point_off.settlement
+        assert (np.array([off.expected_profit, off.realized_profit]).tobytes()
+                == np.array([s.expected_profit, s.realized_profit]).tobytes())
 
         worked = Fleet((GeneratorSpec("g", 10.0, 0.0, 500.0, 500.0, 500.0,
                                       start_cost_hot=100.0, start_cost_cold=999.0,

@@ -1082,14 +1082,15 @@ def test_batched_payment_equals_per_scenario_loop(n_buses):
     renewable[:, 0, :5] = 0.0            # zero output: no curtailment, no payment
     lmps = rng.uniform(5.0, 300.0, (t_len, n_buses))  # a different price per bus
 
-    rev, cur = curtail_and_pay_renewables(load.transpose(2, 1, 0),
-                                          renewable.transpose(2, 1, 0), lmps)
+    load_totals = np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1)
+    rev, cur = curtail_and_pay_renewables(load_totals, renewable.transpose(2, 1, 0), lmps)
     assert rev.shape == cur.shape == (k_len,)
     curtailed_somewhere = False
     for k in range(k_len):
         ref_rev, ref_cur = reference_payment(load[:, :, k].T, renewable[:, :, k].T, lmps)
         assert rev[k] == ref_rev and cur[k] == ref_cur
-        one = curtail_and_pay_renewables(load[:, :, k].T, renewable[:, :, k].T, lmps)
+        one = curtail_and_pay_renewables(np.ascontiguousarray(load[:, :, k].T).sum(axis=-1),
+                                         renewable[:, :, k].T, lmps)
         assert one == (ref_rev, ref_cur) and all(type(v) is float for v in one)
         curtailed_somewhere |= ref_cur > 0.0
     assert curtailed_somewhere
@@ -1269,11 +1270,11 @@ def reference_point(fleet, run, sset, alpha, penetration):
     rp, dp = deviation_envelopes(committed, realized)
     violations = reserve_and_ramp_check(committed, realized, rp, dp, units)
     h_total, lambda_w = recovery_rate(committed, rp, dp, units, run.cost_recovery)
-    r_expected = expected_profit(committed, lmps, lambda_w, run.cost_recovery, units)
-    r_realized = realized_profit(realized, sset.probabilities, lmps, lambda_w,
-                                 run.cost_recovery, units)
+    r_expected = expected_profit(committed, lmps, units)
+    r_realized = realized_profit(realized, sset.probabilities, lmps, units)
     rev_k, cur_k = curtail_and_pay_renewables(
-        sset.load.transpose(2, 1, 0), sset.renewable.transpose(2, 1, 0), bus_lmps)
+        np.ascontiguousarray(sset.load.transpose(2, 1, 0)).sum(axis=-1),
+        sset.renewable.transpose(2, 1, 0), bus_lmps)
     report = SettlementReport(h_total, lambda_w, r_expected, r_realized,
                               r_expected - r_realized,
                               float(sum_in_order(sset.probabilities * rev_k)),

@@ -604,8 +604,8 @@ def test_cli_nothing_committed_settles_without_cost_recovery(tmp_path):
 
 
 def test_cli_cost_recovery_changes_only_its_own_columns(tmp_path):
-    # both profits price energy at the LMP less lambda_w * (1 - CR), which is
-    # zero in either mode, so only the CR and lambda_w columns can differ
+    # neither profit includes the uplift that recovers H from consumers, so
+    # only the CR and lambda_w columns can differ
     tables = []
     for cr in ("0", "1"):
         out = tmp_path / cr

@@ -283,11 +283,10 @@ def _settlement_inputs(fleet):
         reserve_and_ramp_check: dict(committed=committed, realized=realized,
                                      rp=np.full((2, n), 5.0), dp=np.full((2, n), 2.0),
                                      fleet=fleet),
-        expected_profit: dict(committed=committed, lmps=lmps, lambda_w=0.5,
-                              cost_recovery=1, fleet=fleet),
+        expected_profit: dict(committed=committed, lmps=lmps, fleet=fleet),
         realized_profit: dict(realized=realized, probabilities=np.full(3, 1.0 / 3.0),
-                              lmps=lmps, lambda_w=0.5, cost_recovery=1, fleet=fleet),
-        curtail_and_pay_renewables: dict(loads=np.full((3, 2, n), 50.0),
+                              lmps=lmps, fleet=fleet),
+        curtail_and_pay_renewables: dict(load_totals=np.full((3, 2), 50.0 * n),
                                          renewables=np.full((3, 2, n), 20.0), lmps=lmps),
     }
 
@@ -297,10 +296,10 @@ SETTLEMENT_ARGUMENTS = [
     (recovery_rate, "committed"), (recovery_rate, "rp"), (recovery_rate, "dp"),
     (reserve_and_ramp_check, "committed"), (reserve_and_ramp_check, "realized"),
     (reserve_and_ramp_check, "rp"), (reserve_and_ramp_check, "dp"),
-    (expected_profit, "committed"), (expected_profit, "lmps"), (expected_profit, "lambda_w"),
-    (realized_profit, "realized"), (realized_profit, "lmps"), (realized_profit, "lambda_w"),
-    (curtail_and_pay_renewables, "loads"), (curtail_and_pay_renewables, "renewables"),
-    (curtail_and_pay_renewables, "lmps"), (curtail_and_pay_renewables, "load_totals"),
+    (expected_profit, "committed"), (expected_profit, "lmps"),
+    (realized_profit, "realized"), (realized_profit, "lmps"),
+    (curtail_and_pay_renewables, "load_totals"), (curtail_and_pay_renewables, "renewables"),
+    (curtail_and_pay_renewables, "lmps"),
 ]
 
 
@@ -312,8 +311,6 @@ def test_settlement_names_a_non_finite_argument(function, name, bad, data):
     _, fleet = _feeder()
     inputs = _settlement_inputs(fleet)[function]
     function(**inputs)  # finite inputs settle
-    if name == "load_totals":
-        inputs[name] = inputs["loads"].sum(axis=-1)
     value = np.array(inputs[name], dtype=float)
     index = tuple(data.draw(st.integers(0, d - 1)) for d in value.shape)
     value[index] = bad
@@ -323,7 +320,7 @@ def test_settlement_names_a_non_finite_argument(function, name, bad, data):
 
 
 def test_payment_rejects_nan_loads():
-    # all-NaN loads once paid every unit of renewable output in full
-    with pytest.raises(ValueError, match="^loads must be finite$"):
-        curtail_and_pay_renewables(np.full((2, 3), np.nan), np.ones((2, 3)),
+    # all-NaN load totals once paid every unit of renewable output in full
+    with pytest.raises(ValueError, match="^load_totals must be finite$"):
+        curtail_and_pay_renewables(np.full(2, np.nan), np.ones((2, 3)),
                                    np.full((2, 3), 30.0))

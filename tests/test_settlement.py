@@ -134,37 +134,28 @@ def test_expected_profit_worked_example():
     fleet = one_unit_fleet(ask_price=7.37)  # production cost follows the ask
     committed = np.array([[100.0]])
     lmps = np.array([[20.0]])
-    r = expected_profit(committed, lmps, lambda_w=3.0, cost_recovery=1, fleet=fleet)
+    r = expected_profit(committed, lmps, fleet=fleet)
     assert r == pytest.approx(100 * 20 - 737.0)
 
 
 def test_expected_profit_zero_commitment():
     fleet = one_unit_fleet()
-    r = expected_profit(np.zeros((1, 1)), np.array([[20.0]]), 0.0, 1, fleet)
+    r = expected_profit(np.zeros((1, 1)), np.array([[20.0]]), fleet)
     assert r == 0.0
-
-
-def test_expected_profit_without_recovery_same_formula():
-    # the uplift is zero without recovery, so the deduction vanishes as written
-    fleet = one_unit_fleet(ask_price=7.37)
-    committed = np.array([[100.0]])
-    lmps = np.array([[20.0]])
-    r0 = expected_profit(committed, lmps, 0.0, 0, fleet)
-    assert r0 == pytest.approx(1263.0)
 
 
 def test_realized_profit_two_scenarios():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[80.0]]])
     lmps = np.array([[20.0]])
-    r = realized_profit(realized, [0.5, 0.5], lmps, 0.0, 1, fleet)
+    r = realized_profit(realized, [0.5, 0.5], lmps, fleet)
     assert r == pytest.approx(0.5 * (2000 - 1000) + 0.5 * (1600 - 800))
 
 
 def test_realized_profit_requires_normalized_probabilities():
     fleet = one_unit_fleet()
     with pytest.raises(ValueError):
-        realized_profit(np.zeros((2, 1, 1)), [0.5, 0.4], np.array([[20.0]]), 0.0, 1, fleet)
+        realized_profit(np.zeros((2, 1, 1)), [0.5, 0.4], np.array([[20.0]]), fleet)
 
 
 @pytest.mark.parametrize("psi", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
@@ -172,13 +163,13 @@ def test_realized_profit_rejects_non_finite_probabilities(psi):
     # NaN fails every comparison, so only an explicit finiteness check catches it
     fleet = one_unit_fleet()
     with pytest.raises(ValueError, match="^scenario probabilities must be finite"):
-        realized_profit(np.zeros((2, 1, 1)), psi, np.array([[20.0]]), 0.0, 1, fleet)
+        realized_profit(np.zeros((2, 1, 1)), psi, np.array([[20.0]]), fleet)
 
 
 def test_realized_profit_degenerate_distribution():
     fleet = one_unit_fleet(ask_price=10.0)
     realized = np.array([[[100.0]], [[9999.0]]])
-    r = realized_profit(realized, [1.0, 0.0], np.array([[20.0]]), 0.0, 1, fleet)
+    r = realized_profit(realized, [1.0, 0.0], np.array([[20.0]]), fleet)
     assert r == pytest.approx(1000.0)
 
 
@@ -187,8 +178,8 @@ def test_realized_equals_committed_gives_equal_profit():
     committed = np.array([[100.0]])
     realized = np.repeat(committed[None, :, :], 4, axis=0)
     lmps = np.array([[25.0]])
-    r = expected_profit(committed, lmps, 0.0, 1, fleet)
-    rt = realized_profit(realized, np.full(4, 0.25), lmps, 0.0, 1, fleet)
+    r = expected_profit(committed, lmps, fleet)
+    rt = realized_profit(realized, np.full(4, 0.25), lmps, fleet)
     assert r - rt == pytest.approx(0.0, abs=1e-9)
 
 
@@ -198,14 +189,14 @@ def test_realized_equals_committed_gives_equal_profit():
 
 def test_curtailment_excess_renewables():
     revenue, curtailed = curtail_and_pay_renewables(
-        np.array([[100.0]]), np.array([[120.0]]), np.array([[20.0]]))
+        np.array([100.0]), np.array([[120.0]]), np.array([[20.0]]))
     assert revenue == pytest.approx(2000.0)
     assert curtailed == pytest.approx(20.0)
 
 
 def test_no_curtailment_below_load():
     revenue, curtailed = curtail_and_pay_renewables(
-        np.array([[100.0]]), np.array([[80.0]]), np.array([[20.0]]))
+        np.array([100.0]), np.array([[80.0]]), np.array([[20.0]]))
     assert revenue == pytest.approx(1600.0)
     assert curtailed == 0.0
 
@@ -214,7 +205,7 @@ def test_payment_shared_proportional_to_output():
     loads = np.array([[60.0, 40.0]])
     renewables = np.array([[30.0, 90.0]])
     lmps = np.array([[20.0, 20.0]])
-    revenue, curtailed = curtail_and_pay_renewables(loads, renewables, lmps)
+    revenue, curtailed = curtail_and_pay_renewables(loads.sum(axis=-1), renewables, lmps)
     # shares 30/120 and 90/120 of the 100 MW load at a uniform price
     assert revenue == pytest.approx(20.0 * (25.0 + 75.0))
     assert curtailed == pytest.approx(20.0)
@@ -228,6 +219,6 @@ def test_revenue_capped_by_priced_load():
         ren = rng.uniform(0.0, 150.0, (1, n))
         price = float(rng.uniform(5.0, 50.0))
         lmps = np.full((1, n), price)
-        revenue, _ = curtail_and_pay_renewables(loads, ren, lmps)
+        revenue, _ = curtail_and_pay_renewables(loads.sum(axis=-1), ren, lmps)
         assert revenue <= price * loads.sum() + 1e-9 or ren.sum() <= loads.sum()
         assert revenue <= price * max(loads.sum(), ren.sum()) + 1e-9
