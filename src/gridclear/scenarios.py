@@ -180,6 +180,14 @@ def _beta_shape(mu: float, sigma_hat: float) -> tuple[float, float]:
     return mu * ratio, (1.0 - mu) * ratio
 
 
+# The largest standardised load draw, (draw - mean) / std.  In exact
+# arithmetic it is -ndtri(2**-54) = 8.29: a uniform is at most 1 - 2**-53 and
+# P(Z > a) >= 1/2 for the lower bound a <= 0.  The log-space quantile rounds
+# it up to 8.456 (the largest of 32 million lower bounds scanned in [-40, 0)
+# on the top eight uniforms).
+LOAD_Z_MAX = 8.5
+
+
 def _truncnorm_ppf(q, loc, scale):
     """Quantiles ``q`` in [0, 1) of N(loc, scale**2) truncated to [0, inf).
 
@@ -189,7 +197,9 @@ def _truncnorm_ppf(q, loc, scale):
     before it is broadcast over the draws.
     """
     a = (0.0 - loc) / scale
-    log_mass = special.log1p(-special.ndtr(a) - special.ndtr(-np.inf))  # log P(Z > a)
+    # log P(Z > a): scipy's log1p(-ndtr(a) - ndtr(-b)) at b = inf, whose
+    # ndtr(-b) is +0.0, and subtracting +0.0 changes no bit
+    log_mass = special.log1p(-special.ndtr(a))
     log_cdf = special.log_ndtr(a)
     q, a, loc, scale, log_mass, log_cdf = np.broadcast_arrays(q, a, loc, scale, log_mass,
                                                               log_cdf)
