@@ -52,7 +52,8 @@ from .congestion import RadialGrid, _radial_rows
 from .errors import ConfigurationError, InfeasibleDispatchError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
-from .scenarios import ScenarioConfig, ScenarioSet, _check_integer, build_levels, draw_loads
+from .scenarios import (LOAD_Z_MAX, ScenarioConfig, ScenarioSet, _check_integer, build_levels,
+                        draw_loads)
 from .settlement import (SettlementReport, _recovery_rows,
                          curtail_and_pay_renewables, deviation_envelopes, expected_profit,
                          realized_profit, reserve_and_ramp_check, sum_in_order)
@@ -111,11 +112,24 @@ class RunConfig:
             for v in values:
                 if not 0.0 <= v < np.inf:
                     raise ConfigurationError(f"{name} {v} must be non-negative and finite")
-        # every clearing sums the loads over the buses; Python floats overflow
-        # to inf without the warning numpy's sum raises
-        if sum(float(v) for v in self.load_mean_per_bus) == np.inf:
-            means = ", ".join(format(float(v), "g") for v in self.load_mean_per_bus)
-            raise ConfigurationError(f"load means {means} overflow their bus total")
+        if self.capacity_mode not in ("tracking", "buildout"):
+            raise ConfigurationError(f"unknown capacity mode {self.capacity_mode!r}")
+        # a run sums the load means, their top draws and the renewable
+        # capacities over the buses; each quantity is inf where it overflows,
+        # and Python floats sum to inf without the warning numpy's sum raises
+        mean = np.asarray(self.load_mean_per_bus, dtype=float)
+        top_penetration = max(self.penetrations)
+        with np.errstate(over="ignore"):
+            derived = (("bus total", mean),
+                       ("top draws", mean + LOAD_Z_MAX * (self.load_std_frac * mean)),
+                       ("renewable capacity",
+                        derive_capacity(mean, top_penetration, self.capacity_mode)))
+        for what, values in derived:
+            if sum(float(v) for v in values) == np.inf:
+                means = ", ".join(format(float(v), "g") for v in self.load_mean_per_bus)
+                if what == "renewable capacity" and self.capacity_mode == "tracking":
+                    what += f" at penetration {top_penetration:g}"
+                raise ConfigurationError(f"load means {means} overflow their {what}")
         for name in ("horizon", "n_scenarios", "seed"):
             _check_integer(name, getattr(self, name))
         for name in ("horizon", "n_scenarios", "n_buses"):
@@ -126,8 +140,6 @@ class RunConfig:
         if self.line_limit is not None and not 0.0 < self.line_limit < np.inf:
             raise ConfigurationError(f"line_limit must be positive and finite, "
                                      f"got {self.line_limit}")
-        if self.capacity_mode not in ("tracking", "buildout"):
-            raise ConfigurationError(f"unknown capacity mode {self.capacity_mode!r}")
         if self.cost_recovery not in (0, 1):
             raise ConfigurationError("cost_recovery must be 0 or 1")
 

@@ -235,7 +235,22 @@ def test_run_config_rejects_load_means_whose_total_overflows():
     with pytest.raises(ConfigurationError,
                        match=r"^load means 1e\+308, 1e\+308 overflow their bus total$"):
         RunConfig(load_mean_per_bus=(1e308, 1e308))
-    RunConfig(load_mean_per_bus=(8e307, 8e307))  # a finite total passes
+    # a finite total whose top draws and capacities sum to a finite total passes
+    RunConfig(load_mean_per_bus=(5e307, 5e307))
+
+
+def test_run_config_rejects_load_means_whose_derived_totals_overflow():
+    # each mean is finite and so is their total, but two top draws (mean plus
+    # LOAD_Z_MAX stds) or two buildout capacities (1.1 means) are not
+    with pytest.raises(ConfigurationError,
+                       match=r"^load means 8e\+307, 8e\+307 overflow their top draws$"):
+        RunConfig(load_mean_per_bus=(8e307, 8e307))
+    with pytest.raises(ConfigurationError, match=r"overflow their renewable capacity$"):
+        RunConfig(load_mean_per_bus=(8.5e307, 8.5e307), load_std_frac=0.0)
+    with pytest.raises(ConfigurationError, match=r"overflow their renewable capacity at "
+                                                 r"penetration 1e\+307$"):
+        RunConfig(capacity_mode="tracking", penetrations=(0.5, 1e307))
+    RunConfig(capacity_mode="tracking", penetrations=(0.5, 1e300))
 
 
 @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-penetration", "dispatch", "settle"])
@@ -247,6 +262,22 @@ def test_cli_load_mean_whose_total_overflows_is_config_error(tmp_path, command):
     assert result.exit_code == 2
     assert result.output == ("configuration error: load means 1e+308, 1e+308 overflow "
                              "their bus total\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep-alpha", "--load-mean", "1.7e308"], "load means 1.7e+308 overflow their top draws"),
+    (["sweep-penetration", "--load-mean", "1.7e308"],
+     "load means 1.7e+308 overflow their top draws"),
+    (["sweep-alpha", "--penetration", "1e307"],
+     "load means 232, 174, 174 overflow their renewable capacity at penetration 1e+307"),
+], ids=["sweep-alpha-load", "sweep-penetration-load", "sweep-alpha-penetration"])
+def test_cli_load_whose_derived_totals_overflow_is_config_error(tmp_path, argv, message):
+    # the draws and the capacities are bounded before numpy computes either
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, argv + ["--scenarios", "5", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {message}\n"
     assert not out.exists()
 
 
