@@ -118,17 +118,15 @@ class RunConfig:
         # capacities over the buses; each quantity is inf where it overflows,
         # and Python floats sum to inf without the warning numpy's sum raises
         mean = np.asarray(self.load_mean_per_bus, dtype=float)
-        top_penetration = max(self.penetrations)
+        top = max(self.penetrations)
         with np.errstate(over="ignore"):
-            derived = (("bus total", mean),
-                       ("top draws", mean + LOAD_Z_MAX * (self.load_std_frac * mean)),
-                       ("renewable capacity",
-                        derive_capacity(mean, top_penetration, self.capacity_mode)))
-        for what, values in derived:
+            derived = {"bus total": mean,
+                       "top draws": mean + LOAD_Z_MAX * (self.load_std_frac * mean),
+                       f"renewable capacity at penetration {top:g}":
+                           derive_capacity(mean, top, self.capacity_mode)}
+        for what, values in derived.items():
             if sum(float(v) for v in values) == np.inf:
                 means = ", ".join(format(float(v), "g") for v in self.load_mean_per_bus)
-                if what == "renewable capacity" and self.capacity_mode == "tracking":
-                    what += f" at penetration {top_penetration:g}"
                 raise ConfigurationError(f"load means {means} overflow their {what}")
         for name in ("horizon", "n_scenarios", "seed"):
             _check_integer(name, getattr(self, name))

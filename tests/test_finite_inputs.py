@@ -245,7 +245,8 @@ def test_run_config_rejects_load_means_whose_derived_totals_overflow():
     with pytest.raises(ConfigurationError,
                        match=r"^load means 8e\+307, 8e\+307 overflow their top draws$"):
         RunConfig(load_mean_per_bus=(8e307, 8e307))
-    with pytest.raises(ConfigurationError, match=r"overflow their renewable capacity$"):
+    with pytest.raises(ConfigurationError, match=r"^load means 8.5e\+307, 8.5e\+307 overflow "
+                                                 r"their renewable capacity at penetration 1$"):
         RunConfig(load_mean_per_bus=(8.5e307, 8.5e307), load_std_frac=0.0)
     with pytest.raises(ConfigurationError, match=r"overflow their renewable capacity at "
                                                  r"penetration 1e\+307$"):
