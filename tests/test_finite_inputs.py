@@ -235,13 +235,8 @@ def test_run_config_rejects_load_means_whose_total_overflows():
     with pytest.raises(ConfigurationError,
                        match=r"^load means 1e\+308, 1e\+308 overflow their bus total$"):
         RunConfig(load_mean_per_bus=(1e308, 1e308))
-    # a finite total whose top draws and capacities sum to a finite total passes
-    RunConfig(load_mean_per_bus=(5e307, 5e307))
-
-
-def test_run_config_rejects_load_means_whose_derived_totals_overflow():
-    # each mean is finite and so is their total, but two top draws (mean plus
-    # LOAD_Z_MAX stds) or two buildout capacities (1.1 means) are not
+    # finite totals whose top draws (mean plus LOAD_Z_MAX stds) or renewable
+    # capacities (1.1 means, or penetration * mean / 0.85 when tracking) do not
     with pytest.raises(ConfigurationError,
                        match=r"^load means 8e\+307, 8e\+307 overflow their top draws$"):
         RunConfig(load_mean_per_bus=(8e307, 8e307))
@@ -251,6 +246,8 @@ def test_run_config_rejects_load_means_whose_derived_totals_overflow():
     with pytest.raises(ConfigurationError, match=r"overflow their renewable capacity at "
                                                  r"penetration 1e\+307$"):
         RunConfig(capacity_mode="tracking", penetrations=(0.5, 1e307))
+    # finite totals of the means, their top draws and their capacities pass
+    RunConfig(load_mean_per_bus=(5e307, 5e307))
     RunConfig(capacity_mode="tracking", penetrations=(0.5, 1e300))
 
 
