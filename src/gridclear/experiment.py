@@ -112,11 +112,10 @@ class RunConfig:
             for v in values:
                 if not 0.0 <= v < np.inf:
                     raise ConfigurationError(f"{name} {v} must be non-negative and finite")
-        if self.capacity_mode not in ("tracking", "buildout"):
-            raise ConfigurationError(f"unknown capacity mode {self.capacity_mode!r}")
         # a run sums the load means, their top draws and the renewable
         # capacities over the buses; each quantity is inf where it overflows,
         # and Python floats sum to inf without the warning numpy's sum raises
+        # (derive_capacity also rejects an unknown capacity mode)
         mean = np.asarray(self.load_mean_per_bus, dtype=float)
         top = max(self.penetrations)
         with np.errstate(over="ignore"):

@@ -20,7 +20,7 @@ and ramp RAMP_RATE $ per MW/h of ramp envelope.
 Both profits price energy at the committed LMP less the unit's ask, and
 neither includes the uplift: lambda_w is the per-MWh charge that recovers H
 from consumers, not a generator's income or cost, so the recovery mode
-moves only H's uplift and changes no profit.  Both profits are the fleet's
+changes lambda_w and no profit.  Both profits are the fleet's
 totals; no per-unit breakdown is kept.
 
 The envelopes, the reserve and ramp check, H, both profits and the
@@ -260,4 +260,3 @@ def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,
     if renewables.ndim == 2:
         return float(revenue), float(curtailed)
     return revenue, curtailed
-

@@ -168,6 +168,11 @@ def test_empty_alpha_grid_rejected():
         RunConfig(alphas=())
 
 
+def test_unknown_capacity_mode_rejected():
+    with pytest.raises(ConfigurationError, match="^unknown capacity mode 'tracked'$"):
+        RunConfig(capacity_mode="tracked")
+
+
 def test_capacity_modes():
     tracking = derive_capacity((100.0, 100.0), 0.5, "tracking")
     assert np.allclose(tracking, 0.5 * 100.0 / 0.85)
