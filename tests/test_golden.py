@@ -27,6 +27,13 @@ batch.  Each run exercises different code:
 - settle on one bus and on the 80 MW feeder, and the alpha sweep, with
   ``--cost-recovery 0``: the mode whose uplift is zero, recorded before the
   uplift term was dropped from both profits
+- an alpha sweep on a 50 MW feeder whose last two buses carry no load:
+  their per-bus and tail rows are all zeros, so the CVaR merges each such
+  row's tied draws into one atom
+- grids with no load or weather spread on one bus and on the 80 MW feeder:
+  every CVaR row is one tied, non-zero atom; these and the sweep above were
+  recorded before the tied rows' vectorised merge was replaced by a
+  row-by-row one
 
 A sweep that skips points is pinned on its stderr as well: which error a
 point reports (its commitment's, else its level's re-dispatch's, else an
@@ -39,6 +46,7 @@ import pytest
 from click.testing import CliRunner
 
 from gridclear.cli import main
+from gridclear.experiment import RunConfig, emit_csv, point_row, run_grid
 
 GOLDEN = {
     "settle-bus": (
@@ -104,6 +112,10 @@ GOLDEN = {
         ["sweep-alpha", "--horizon", "4", "--cost-recovery", "0"],
         "alpha_sweep.csv",
         "3ef43b01a90650ed03c9a2315099be5091ebc4ff3f2a9e60893fd00b5d20a93c"),
+    "sweep-alpha-feeder-zero-buses": (
+        ["sweep-alpha", "--line-limit", "50", "--load-mean", "100,0,0", "--horizon", "4"],
+        "alpha_sweep.csv",
+        "8f4e1b771fafaf9e66c384d814fb1a9ca32c2ab954c15ad9757e7d4ed9bc7c90"),
 }
 
 
@@ -113,6 +125,27 @@ def test_golden_csv_bytes(name, tmp_path):
     result = CliRunner().invoke(main, argv + ["--seed", "7", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     data = (tmp_path / csv).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+
+
+TIED_GRIDS = {
+    "bus": ({}, "bb2334182c342347221766ce26395fc35c1f47872b2dfaaf92be93e7e32e02c3"),
+    "feeder": (dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0)),
+               "e9c77803bfa0f384045915a2305f0c2a0e852d0129a5d8c57c8a4a062f0f3cc5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_GRIDS))
+def test_all_tied_grid_bytes(name, tmp_path):
+    # every scenario draws the same loads and renewables, so each CVaR row is
+    # a single tied atom; every point_row column is pinned
+    kw, digest = TIED_GRIDS[name]
+    run = RunConfig(load_std_frac=0.0, uncertainty_growth=0.0, horizon=4, n_scenarios=40,
+                    alphas=(0.5, 0.9, 0.99), **kw)
+    rows = [point_row(run, point) for point in run_grid(run)]
+    path = emit_csv(rows, tmp_path / "grid.csv", tuple(rows[0]))
+    data = path.read_bytes()
+    assert len(rows) == 33
     assert hashlib.sha256(data).hexdigest() == digest, data.decode()
 
 
