@@ -11,10 +11,11 @@ suite.
 the rows of an (m, K) array sharing one probability vector and returns every
 row's VaR and CVaR.  With equal probabilities, the case of every scenario
 set, it sorts the rows in blocks of ``_SORT_BLOCK`` elements and weights each
-tie-free row's sorted draws by one tail vector that all of them share; a row
-with a tie, and every row of a sample with unequal weights, merges its tied
-draws into atoms first.  Both routes give the bits of the merged-atom
-estimator.  ``var`` and ``cvar_direct`` are one-row calls of it, and each
+tie-free row's sorted draws by one tail vector that all of them share.  A
+row with a tie, and every row of a sample with unequal weights, is merged
+into atoms as ``EmpiricalSample.from_arrays`` merges it, one row at a time,
+and weighted by the same tail formula.  Both routes give the bits of the
+merged-atom estimator.  ``var`` and ``cvar_direct`` are one-row calls of it, and each
 confidence level of a grid takes all of its CVaRs from one call.  The kernel
 and ``EmpiricalSample`` reject the same inputs with the same messages.
 """
@@ -88,9 +89,7 @@ class EmpiricalSample:
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probabilities, dtype=float)
         _check_draws(values, probs, 1)
-        uniq, inverse = np.unique(values, return_inverse=True)
-        merged = np.bincount(inverse, weights=probs, minlength=uniq.size)
-        return cls(uniq, merged)
+        return cls(*_atoms(values, probs))
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "EmpiricalSample":
@@ -103,6 +102,28 @@ class EmpiricalSample:
     @property
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.values.tolist(), self.probabilities.tolist()))
+
+
+def _atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of one row of draws, increasing, and each one's
+    probability, its tied draws' probabilities added in draw order."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=probs, minlength=uniq.size)
+
+
+def _tail_weights(probs: np.ndarray, alpha: float) -> tuple[int, np.ndarray]:
+    """Index of the ``alpha`` quantile among increasing atoms of probabilities
+    ``probs`` summing to 1, and each atom's weight in the CVaR."""
+    scale = 1.0 - alpha
+    cdf = np.cumsum(probs)
+    # total mass is 1 by the caller's check; pin the top so tail weights are exact
+    cdf[-1] = 1.0
+    # alpha < 1 = cdf[-1], so the quantile atom is always inside the row
+    idx = int((cdf < alpha).sum())
+    weights = np.zeros(probs.size)
+    weights[idx + 1:] = probs[idx + 1:] / scale
+    weights[idx] = (cdf[idx] - alpha) / scale
+    return idx, weights
 
 
 def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -118,73 +139,31 @@ def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarr
     most ``_SORT_BLOCK`` elements, and every block row without a tie shares
     one tail weight vector: its atoms are its sorted draws and their
     probabilities are the K equal ones, so that vector is the one its merged
-    atoms would give.  A row with a tie (``-0.0`` and ``0.0`` tie) falls back
-    to the merged-atom route, as does every row of a sample with unequal
-    weights.  Returns ``(var, cvar)``, each (m,).
+    atoms would give.  A row with a tie (``-0.0`` and ``0.0`` tie), and every
+    row of a sample with unequal weights, is merged as ``from_arrays`` merges
+    it, one row at a time.  Returns ``(var, cvar)``, each (m,).
     """
     alpha = _check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
     _check_draws(values, probs, 2)
-    if not np.all(probs == probs[0]):
-        return _cvar_merged(values, probs, alpha)
     m, k = values.shape
-    scale = 1.0 - alpha
-    cdf = np.cumsum(probs)
-    # total mass is 1 by the check above; pin the top so tail weights are exact
-    cdf[-1] = 1.0
-    # alpha < 1 = cdf[-1], so the quantile atom is always inside the row
-    idx = int((cdf < alpha).sum())
-    weights = np.zeros(k)
-    weights[idx + 1:] = probs[idx + 1:] / scale
-    weights[idx] = (cdf[idx] - alpha) / scale
     var_out, cvar_out = np.empty(m), np.empty(m)
-    step = max(1, _SORT_BLOCK // k)
-    for start in range(0, m, step):
-        block = slice(start, start + step)
-        draws = np.sort(values[block], axis=1)
-        var_out[block] = draws[:, idx]
-        np.vecdot(weights, draws, out=cvar_out[block])
-        tied = np.flatnonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1))
-        if tied.size:
-            rows = start + tied
-            var_out[rows], cvar_out[rows] = _cvar_merged(values[rows], probs, alpha)
-    return var_out, cvar_out
-
-
-def _cvar_merged(values: np.ndarray, probs: np.ndarray,
-                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``cvar_rows`` on checked inputs by merging each row's tied draws into
-    atoms; rows with the same atom count share one ``vecdot``."""
-    m, k = values.shape
-    # flat index of each row's draws in sorted order
-    order = (np.argsort(values, axis=1) + k * np.arange(m)[:, None]).ravel()
-    draws = values.ravel()[order].reshape(m, k)
-    first = np.ones((m, k), dtype=bool)  # a sorted draw that opens a new atom
-    first[:, 1:] = draws[:, 1:] != draws[:, :-1]
-    atom = np.empty(m * k, dtype=np.intp)  # atom id of each draw, numbered across rows
-    atom[order] = np.cumsum(first.ravel()) - 1
-    # bincount walks the draws row by row in draw order, as np.unique + bincount does
-    merged = np.bincount(atom, weights=np.tile(probs, m))
-    atoms = draws[first]
-    counts = first.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    var_out, cvar_out = np.empty(m), np.empty(m)
-    scale = 1.0 - alpha
-    for c in set(counts.tolist()):
-        rows = np.flatnonzero(counts == c)
-        at = starts[rows, None] + np.arange(c)
-        p, x = merged[at], atoms[at]
-        cdf = np.cumsum(p, axis=1)
-        # total mass is 1 by the check above; pin the top so tail weights are exact
-        cdf[:, -1] = 1.0
-        # alpha < 1 = cdf[:, -1], so the quantile atom is always inside the row
-        idx = (cdf < alpha).sum(axis=1)
-        weights = np.where(np.arange(c) > idx[:, None], p / scale, 0.0)
-        g = np.arange(rows.size)
-        weights[g, idx] = (cdf[g, idx] - alpha) / scale
-        var_out[rows] = x[g, idx]
-        cvar_out[rows] = np.vecdot(weights, x)
+    merged = range(m)
+    if np.all(probs == probs[0]):
+        idx, weights = _tail_weights(probs, alpha)
+        merged = []
+        step = max(1, _SORT_BLOCK // k)
+        for start in range(0, m, step):
+            block = slice(start, start + step)
+            draws = np.sort(values[block], axis=1)
+            var_out[block] = draws[:, idx]
+            np.vecdot(weights, draws, out=cvar_out[block])
+            merged.extend(start + np.flatnonzero((draws[:, 1:] == draws[:, :-1]).any(axis=1)))
+    for row in merged:
+        atoms, atom_probs = _atoms(values[row], probs)
+        idx, weights = _tail_weights(atom_probs, alpha)
+        var_out[row], cvar_out[row] = atoms[idx], np.vecdot(weights, atoms)
     return var_out, cvar_out
 
 
