@@ -25,7 +25,10 @@ realized rows its kernels read.
 A point fails on the first of: its commitment, its level's re-dispatch, an H
 that cannot be recovered.  One block loop, ``_by_level``, runs all three
 and reports the first failing row of each level's slice, in (scenario, hour)
-order across blocks, with the message the kernel raises for it.  A skipped
+order across blocks, with the message the kernel raises for it.  A point
+that passes them is settled with float overflow allowed, and fails with a
+ConfigurationError naming the first of its printed figures that is not
+finite.  A skipped
 level or point names its coordinates (``penetration=0.3: ...`` or
 ``alpha=0.9, penetration=0.3: ...``).
 ``point_row`` turns a point into one CSV row holding every grid column, and
@@ -49,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .congestion import RadialGrid, _radial_rows
-from .errors import ConfigurationError, InfeasibleDispatchError
+from .errors import ConfigurationError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
 from .scenarios import (LOAD_Z_MAX, ScenarioConfig, ScenarioSet, _check_integer, build_levels,
@@ -346,8 +349,10 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     envelopes, H and the expected profits of all its levels at once, then
     settles each level that did not fail in one pass; a point's price is the
     maximum of its unit LMPs.  Returns, penetration-major, each point's
-    PointResult or its InfeasibleDispatchError: the commitment's, else the
-    re-dispatch's, else the one for an H that cannot be recovered.
+    PointResult or its error: the commitment's, else the re-dispatch's, else
+    the InfeasibleDispatchError for an H that cannot be recovered, else the
+    ConfigurationError naming the first ``point_row`` figure that is not
+    finite.
     """
     n_levels, n_alphas = len(penetrations), len(alphas)
     if run.line_limit is None:
@@ -369,38 +374,48 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     # rows, as a per-trajectory row.sum() rounds them
     load_totals = np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1)
     points = [None] * (n_levels * n_alphas)
-    for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
-        for level, error in enumerate(errors):
-            if error is not None:
-                committed[level] = 0.0
-        rp, dp = deviation_envelopes(committed, realized)
-        (h_total, lambda_w), recovery_errors = _by_level(
-            lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,
-                                     run.cost_recovery),
-            n_levels, n_levels)
-        r_expected = expected_profit(committed, lmps, point_fleet)
-        for level in range(n_levels):
-            error = errors[level] or realized_errors[level] or recovery_errors[level]
-            if error is not None:
-                points[level * n_alphas + a] = error
-                continue
-            r_realized = realized_profit(realized[level], probabilities, lmps[level],
-                                         point_fleet)
-            # checked before the payment: in the other order the allocator
-            # leaves a single-bus settle about 1.3 MB higher at its peak
-            violations = reserve_and_ramp_check(committed[level], realized[level], rp[level],
-                                                dp[level], point_fleet)
-            # renewables are paid scenario by scenario at the committed bus prices
-            rev_k, cur_k = curtail_and_pay_renewables(
-                load_totals, renewable(level).transpose(2, 1, 0), bus_lmps[level])
-            report = SettlementReport(
-                float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
-                r_realized, float(r_expected[level]) - r_realized,
-                float(sum_in_order(probabilities * rev_k)),
-                float(sum_in_order(probabilities * cur_k)), violations)
-            points[level * n_alphas + a] = PointResult(
-                alphas[a], penetrations[level], committed[level], realized[level],
-                lmps[level], lmps[level].max(axis=-1), report, point_fleet)
+    # prices, costs or outputs near the float maximum can overflow any figure
+    # of a settled point, which then fails on the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
+            for level, error in enumerate(errors):
+                if error is not None:
+                    committed[level] = 0.0
+            rp, dp = deviation_envelopes(committed, realized)
+            (h_total, lambda_w), recovery_errors = _by_level(
+                lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,
+                                         run.cost_recovery),
+                n_levels, n_levels)
+            r_expected = expected_profit(committed, lmps, point_fleet)
+            for level in range(n_levels):
+                error = errors[level] or realized_errors[level] or recovery_errors[level]
+                if error is not None:
+                    points[level * n_alphas + a] = error
+                    continue
+                r_realized = realized_profit(realized[level], probabilities, lmps[level],
+                                             point_fleet)
+                # checked before the payment: in the other order the allocator
+                # leaves a single-bus settle about 1.3 MB higher at its peak
+                violations = reserve_and_ramp_check(committed[level], realized[level],
+                                                    rp[level], dp[level], point_fleet)
+                # renewables are paid scenario by scenario at the committed bus prices
+                rev_k, cur_k = curtail_and_pay_renewables(
+                    load_totals, renewable(level).transpose(2, 1, 0), bus_lmps[level])
+                report = SettlementReport(
+                    float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
+                    r_realized, float(r_expected[level]) - r_realized,
+                    float(sum_in_order(probabilities * rev_k)),
+                    float(sum_in_order(probabilities * cur_k)), violations)
+                point = PointResult(
+                    alphas[a], penetrations[level], committed[level], realized[level],
+                    lmps[level], lmps[level].max(axis=-1), report, point_fleet)
+                overflowed = [(name, value) for name, value in point_row(run, point).items()
+                              if not np.isfinite(value)]
+                if overflowed:
+                    name, value = overflowed[0]
+                    point = ConfigurationError(f"{name} is {value}: the point's figures "
+                                               "overflow the float range")
+                points[level * n_alphas + a] = point
     return points
 
 
@@ -409,11 +424,11 @@ def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float
     """Commit, re-dispatch and settle one (alpha, penetration) grid point.
 
     A one-level, one-alpha call of the routine ``run_grid`` runs; raises
-    the point's InfeasibleDispatchError.
+    the point's InfeasibleDispatchError or ConfigurationError.
     """
     point, = _evaluate_levels(fleet, run, sset.load, sset.probabilities,
                               lambda _: sset.renewable, [penetration], [alpha])
-    if isinstance(point, InfeasibleDispatchError):
+    if not isinstance(point, PointResult):
         raise point
     return point
 

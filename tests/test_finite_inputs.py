@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, RunConfig, ScenarioConfig,
                        ScenarioSet, curtail_and_pay_renewables, deviation_envelopes,
-                       dispatch_radial_batch, expected_profit, fleet_from_csv,
-                       realized_profit, recovery_rate, reserve_and_ramp_check,
-                       solve_deterministic)
+                       dispatch_radial_batch, evaluate_point, expected_profit, fleet_from_csv,
+                       generate_scenarios, realized_profit, recovery_rate,
+                       reserve_and_ramp_check, solve_deterministic)
 from gridclear.cli import main
+from gridclear.experiment import scenario_config
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 SPEC_FIELDS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_hot",
@@ -297,6 +298,44 @@ def test_cli_huge_finite_load_fails_its_points_without_warnings(tmp_path, line_l
     assert lines[-1].startswith("wrote ")
     assert lines[:-1] and all(line.startswith("skipped: alpha=0.95, penetration=")
                               for line in lines[:-1])
+
+
+OVERFLOW = ": the point's figures overflow the float range"
+
+
+def test_cli_overflowing_payment_skips_its_point(tmp_path):
+    # the renewable payment at full penetration overflows; the other levels
+    # fail their re-dispatch first
+    result = CliRunner().invoke(main, ["sweep-penetration", "--load-mean", "5e307,5e307",
+                                       "--scenarios", "5", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[-2] == ("skipped: alpha=0.95, penetration=1.0: renewable_revenue is inf"
+                         + OVERFLOW)
+    assert lines[-1].startswith("wrote ") and lines[-1].endswith("(0 rows)")
+    assert (tmp_path / "penetration_sweep.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("units,message", [
+    # asks near the float maximum: the expected profit is inf - inf
+    (["a,1e306,0,400,400,400,0,0,0", "b,1.5e307,0,400,400,400,0,0,0"], "R is nan"),
+    # start costs whose sum overflows H
+    ([f"{name},{ask},0,400,400,400,1e308,1e308,0" for name, ask in zip("abc", (10, 20, 30))],
+     "H is inf"),
+], ids=["asks", "start-costs"])
+def test_cli_settle_with_an_overflowing_figure_is_config_error(tmp_path, units, message):
+    path = tmp_path / "fleet.csv"
+    path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
+                    "no_load_cost\n" + "\n".join(units) + "\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["settle", "--fleet", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {message}{OVERFLOW}\n"
+    assert not out.exists()
+    run = RunConfig(fleet_source=str(path), capacity_mode="tracking")
+    sset = generate_scenarios(scenario_config(run, 0.009))
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        evaluate_point(fleet_from_csv(path), run, sset, 0.9, 0.009)
 
 
 def _settlement_inputs(fleet):
