@@ -104,6 +104,24 @@ def test_sample_merges_ties_and_sorts():
     assert s.points == [(1.0, 0.5), (3.0, 0.5)]
 
 
+def test_tied_probabilities_add_in_draw_order():
+    # unequal weights on two interleaved values: each atom's probability is
+    # the += sum of its draws' weights in draw order, which another order
+    # rounds differently (here the reverse one does, on the upper atom)
+    rng = np.random.default_rng(3)
+    values = np.where(rng.random(64) < 0.5, 0.0, 1.0)
+    probs = rng.random(64) + 1e-3
+    probs /= probs.sum()
+    want = [0.0, 0.0]
+    for v, p in zip(values, probs):
+        want[int(v)] += p
+    assert EmpiricalSample.from_arrays(values, probs).probabilities.tolist() == want
+    # below the lower atom's mass the CVaR is the upper atom's probability
+    # over the tail mass
+    got_var, got_cvar = cvar_rows(values[None, :], probs, 0.3)
+    assert want[0] > 0.3 and got_var[0] == 0.0 and got_cvar[0] == want[1] / 0.7
+
+
 def test_alpha_domain_errors():
     s = _sample([(5.0, 1.0)])
     for bad in (0.0, 1.0, -0.2, 1.7):
