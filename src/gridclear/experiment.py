@@ -28,9 +28,8 @@ and reports the first failing row of each level's slice, in (scenario, hour)
 order across blocks, with the message the kernel raises for it.  A point
 that passes them is settled with float overflow allowed, and fails with a
 ConfigurationError naming the first of its printed figures that is not
-finite.  A skipped
-level or point names its coordinates (``penetration=0.3: ...`` or
-``alpha=0.9, penetration=0.3: ...``).
+finite.  A skipped level or point names its coordinates
+(``penetration=0.3: ...`` or ``alpha=0.9, penetration=0.3: ...``).
 ``point_row`` turns a point into one CSV row holding every grid column, and
 ``emit_csv`` writes the columns a file needs (identical config and seed give
 identical bytes).
@@ -46,6 +45,7 @@ penetration does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -410,7 +410,7 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
                     alphas[a], penetrations[level], committed[level], realized[level],
                     lmps[level], lmps[level].max(axis=-1), report, point_fleet)
                 overflowed = [(name, value) for name, value in point_row(run, point).items()
-                              if not np.isfinite(value)]
+                              if not math.isfinite(value)]
                 if overflowed:
                     name, value = overflowed[0]
                     point = ConfigurationError(f"{name} is {value}: the point's figures "

@@ -15,9 +15,10 @@ tie-free row's sorted draws by one tail vector that all of them share.  A
 row with a tie, and every row of a sample with unequal weights, is merged
 into atoms as ``EmpiricalSample.from_arrays`` merges it, one row at a time,
 and weighted by the same tail formula.  Both routes give the bits of the
-merged-atom estimator.  ``var`` and ``cvar_direct`` are one-row calls of it, and each
-confidence level of a grid takes all of its CVaRs from one call.  The kernel
-and ``EmpiricalSample`` reject the same inputs with the same messages.
+merged-atom estimator.  ``var`` and ``cvar_direct`` are one-row calls of
+it, and each confidence level of a grid takes all of its CVaRs from one
+call.  The kernel and ``EmpiricalSample`` reject the same inputs with the
+same messages.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarr
     _check_draws(values, probs, 2)
     m, k = values.shape
     var_out, cvar_out = np.empty(m), np.empty(m)
-    merged = range(m)
+    merged = range(m)  # the rows merged into atoms: all of them, unless weights are equal
     if np.all(probs == probs[0]):
         idx, weights = _tail_weights(probs, alpha)
         merged = []
