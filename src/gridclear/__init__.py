@@ -10,8 +10,7 @@ scenarios.
 from .congestion import (CongestedDispatch, FeederCase, RadialGrid,
                          committed_upper_bound, dispatch_radial,
                          dispatch_radial_batch)
-from .dcopf import (KktReport, OpfSolution, kkt_residuals, kkt_verify_network,
-                    solve_deterministic)
+from .dcopf import KktReport, kkt_residuals, kkt_verify_network
 from .errors import (ConfigurationError, FleetParseError, GridClearError,
                      InfeasibleDispatchError)
 from .experiment import (PointResult, RunConfig, emit_csv, evaluate_point,
@@ -31,8 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CongestedDispatch", "FeederCase", "RadialGrid", "committed_upper_bound",
     "dispatch_radial", "dispatch_radial_batch",
-    "KktReport", "OpfSolution", "kkt_residuals", "kkt_verify_network",
-    "solve_deterministic",
+    "KktReport", "kkt_residuals", "kkt_verify_network",
     "ConfigurationError", "FleetParseError", "GridClearError", "InfeasibleDispatchError",
     "PointResult", "RunConfig", "emit_csv", "evaluate_point", "load_fleet",
     "point_row", "run_grid", "scenario_config",

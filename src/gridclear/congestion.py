@@ -40,11 +40,14 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Feeder topology: bus i connects to bus i+1, all lines share one limit."""
+    """Feeder topology: bus i connects to bus i+1, all lines share one limit.
+
+    A radial feeder's line flows are fixed by the bus injections, so the
+    lines carry no admittance: it would change no dispatch and no price.
+    """
 
     n_buses: int
-    line_limit: float                      # MW, uniform
-    admittances: np.ndarray | None = None  # per-unit, used by the DC solver only
+    line_limit: float  # MW, uniform
 
     def __post_init__(self):
         if isinstance(self.n_buses, bool) or not isinstance(self.n_buses, (int, np.integer)):
@@ -55,17 +58,6 @@ class RadialGrid:
             raise ValueError(f"line_limit must be finite, got {self.line_limit}")
         if self.line_limit <= 0.0:
             raise ValueError("line limit must be positive")
-        b = self.admittances
-        if b is None:
-            b = np.ones(max(self.n_buses - 1, 0))
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n_buses - 1,):
-            raise ValueError(f"need {self.n_buses - 1} line admittances, got {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("line admittances must be finite")
-        if np.any(b <= 0.0):
-            raise ValueError("line admittances must be positive")
-        object.__setattr__(self, "admittances", b)
 
 
 class FeederCase(enum.Enum):

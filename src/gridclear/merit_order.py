@@ -7,15 +7,15 @@ the residual falls below the marginal unit's minimum so the previous unit
 backs down (price = previous unit's ask), or the demand is smaller than the
 cheapest unit's minimum and a single unit carries it alone.
 
-Multipliers are assigned so the stationarity and complementarity system of
-the underlying linear program is satisfied exactly on the committed set; a
-unit that is off while its minimum is positive is a commitment decision and
-its bound is taken at zero.  The certificate that checks this is the network
-one on a one-bus grid (``dcopf.kkt_residuals``).
+The dispatch and its price are all the optimality certificate takes: it
+derives the bound multipliers from the price, and a unit that is off while
+its minimum is positive is a commitment decision whose bound is taken at
+zero.  That certificate is the network one on a one-bus grid
+(``dcopf.kkt_residuals``).
 
 ``commit_batch`` is the one clearing kernel: it dispatches a whole array of
 demands at once, choosing the regime of each row with masks.  ``commit`` is
-a one-row call of it that adds the multipliers.  Feasibility has one answer,
+a one-row call of it that names the regime.  Feasibility has one answer,
 the kernel's: a demand it cannot clear raises InfeasibleDispatchError, whose
 message names the failed check (a non-finite demand, the servable range, the
 single-unit regime or the adjustable-range assumption of the back-down).
@@ -145,8 +145,6 @@ class Regime(enum.Enum):
 class DispatchResult:
     power: np.ndarray          # MW per generator, merit order
     clearing_price: float      # $/MWh
-    mu: np.ndarray             # upper-bound multipliers, >= 0
-    mu_bar: np.ndarray         # lower-bound multipliers, >= 0
     regime: Regime
     marginal_index: int        # 0-based index of the price-setting unit
 
@@ -261,22 +259,12 @@ def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
 def commit(fleet: Fleet, demand_cvar: float) -> DispatchResult:
     """Dispatch the fleet against a demand (the CVaR of the aggregate net load).
 
-    A one-row call of ``commit_batch``.  The multipliers follow from the
-    price and the regime: units cheaper than the price-setting one sit at
-    their maximum with mu = price - ask (none in the single-unit regime),
-    and every unit dearer than the price has mu_bar = ask - price.  Raises
-    InfeasibleDispatchError when no unit pattern can balance the demand.
+    A one-row call of ``commit_batch``.  Raises InfeasibleDispatchError when
+    no unit pattern can balance the demand.
     """
     batch = commit_batch(fleet, [float(demand_cvar)])
-    price = float(batch.clearing_price[0])
-    regime = _REGIMES[batch.regime[0]]
-    marginal = int(batch.marginal_index[0])
-    asks = fleet.ask_prices
-    # a lone unit's cheaper units are off by commitment, not at a bound
-    n_at_max = 0 if regime is Regime.SMALL_DEMAND else marginal
-    mu = np.where(np.arange(len(fleet)) < n_at_max, price - asks, 0.0)
-    mu_bar = np.maximum(asks - price, 0.0)
-    return DispatchResult(batch.power[0], price, mu, mu_bar, regime, marginal)
+    return DispatchResult(batch.power[0], float(batch.clearing_price[0]),
+                          _REGIMES[batch.regime[0]], int(batch.marginal_index[0]))
 
 
 # Production cost, maximum output, hot/cold start cost and ramp rate of the

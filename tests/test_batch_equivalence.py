@@ -45,7 +45,7 @@ from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
 
 def reference_commit(fleet, demand):
-    """Scalar closed-form commitment: (power, price, mu, mu_bar, regime, marginal)."""
+    """Scalar closed-form commitment: (power, price, regime, marginal)."""
     demand = float(demand)
     asks, p_min, p_max = fleet.ask_prices, fleet.p_mins, fleet.p_maxs
     n = len(fleet)
@@ -60,28 +60,20 @@ def reference_commit(fleet, demand):
         raise fail(f"demand {demand:.6g} MW outside the servable range [0, {bounds[1]:.6g}]")
     power = np.zeros(n)
     if demand == 0.0:
-        price = float(asks[0])
-        return power, price, np.zeros(n), np.maximum(asks - price, 0.0), Regime.INTERIOR, 0
+        return power, float(asks[0]), Regime.INTERIOR, 0
     if demand < p_min[0]:
         for i in range(n):
             if p_min[i] <= demand < p_max[i]:
                 power[i] = demand
-                price = float(asks[i])
-                mu_bar = np.maximum(asks - price, 0.0)
-                mu_bar[:i + 1] = 0.0
-                return power, price, np.zeros(n), mu_bar, Regime.SMALL_DEMAND, i
+                return power, float(asks[i]), Regime.SMALL_DEMAND, i
         raise fail(f"no single unit can carry the sub-minimum demand {demand:.6g} MW")
     prefix = np.concatenate(([0.0], np.cumsum(p_max)))
     k = min(int(np.searchsorted(prefix[1:], demand, side="left")), n - 1)
     residual = demand - prefix[k]
-    mu, mu_bar = np.zeros(n), np.zeros(n)
     if residual >= p_min[k]:
         power[:k] = p_max[:k]
         power[k] = residual
-        price = float(asks[k])
-        mu[:k] = price - asks[:k]
-        mu_bar[k + 1:] = np.maximum(asks[k + 1:] - price, 0.0)
-        return power, price, mu, mu_bar, Regime.INTERIOR, k
+        return power, float(asks[k]), Regime.INTERIOR, k
     backdown = demand - prefix[k - 1] - p_min[k]
     if not p_min[k - 1] < backdown < p_max[k - 1]:
         raise fail(f"back-down target {backdown:.6g} MW outside unit {k - 1}'s box "
@@ -90,11 +82,7 @@ def reference_commit(fleet, demand):
     power[:k - 1] = p_max[:k - 1]
     power[k - 1] = backdown
     power[k] = p_min[k]
-    price = float(asks[k - 1])
-    mu[:k - 1] = price - asks[:k - 1]
-    mu_bar[k] = asks[k] - price
-    mu_bar[k + 1:] = np.maximum(asks[k + 1:] - price, 0.0)
-    return power, price, mu, mu_bar, Regime.BELOW_PMIN, k - 1
+    return power, float(asks[k - 1]), Regime.BELOW_PMIN, k - 1
 
 
 def reference_var_cvar(sample, alpha):
@@ -317,7 +305,7 @@ def assert_rows_match_reference(fleet, demands):
     else:
         batch = commit_batch(fleet, demands)
         assert batch.power.shape == (len(demands), len(fleet))
-        for r, (power, price, _, _, regime, marginal) in enumerate(expected):
+        for r, (power, price, regime, marginal) in enumerate(expected):
             assert np.array_equal(batch.power[r], power)
             assert batch.clearing_price[r] == price
             assert tuple(Regime)[batch.regime[r]] is regime
@@ -329,12 +317,11 @@ def assert_rows_match_reference(fleet, demands):
             assert type(err.value) is type(ref) and str(err.value) == str(ref)
             continue
         res = commit(fleet, d)
-        power, price, mu, mu_bar, regime, marginal = ref
+        power, price, regime, marginal = ref
         assert np.array_equal(res.power, power)
         assert res.clearing_price == price
-        assert np.array_equal(res.mu, mu) and np.array_equal(res.mu_bar, mu_bar)
         assert res.regime is regime and res.marginal_index == marginal
-    return [ref[4] for ref in expected if not isinstance(ref, InfeasibleDispatchError)]
+    return [ref[2] for ref in expected if not isinstance(ref, InfeasibleDispatchError)]
 
 
 @st.composite

@@ -1,16 +1,23 @@
-"""Deterministic network dispatch and its constructed certificate."""
+"""The optimality certificate of a feeder dispatch and its bus prices."""
 
 import numpy as np
 import pytest
 
 from gridclear import (Fleet, GeneratorSpec, KktReport, RadialGrid, builtin_fleet,
-                       kkt_verify_network, solve_deterministic)
-from gridclear.dcopf import OpfSolution
+                       dispatch_radial, kkt_verify_network)
 
 
 def feeder_fleet(asks, p_maxs):
     return Fleet(tuple(GeneratorSpec(f"b{i}", float(a), 0.0, float(m))
                        for i, (a, m) in enumerate(zip(asks, p_maxs))))
+
+
+def deterministic(grid, fleet, loads, renewables=None):
+    """The feeder kernel on one known net-load row and its tails."""
+    net = np.asarray(loads, dtype=float)
+    if renewables is not None:
+        net = net - np.asarray(renewables, dtype=float)
+    return dispatch_radial(grid, fleet, net, np.cumsum(net[::-1])[::-1])
 
 
 def random_network_instance(rng, max_buses=5):
@@ -21,8 +28,7 @@ def random_network_instance(rng, max_buses=5):
     asks = np.sort(rng.uniform(5.0, 150.0, n))
     while n > 1 and np.any(np.diff(asks) < 1e-3):
         asks = np.sort(rng.uniform(5.0, 150.0, n))
-    b = rng.uniform(1.0, 20.0, max(n - 1, 0))
-    grid = RadialGrid(n, float(rng.uniform(10.0, 100.0)), admittances=b)
+    grid = RadialGrid(n, float(rng.uniform(10.0, 100.0)))
     return grid, feeder_fleet(asks, p_max), loads
 
 
@@ -31,43 +37,40 @@ def random_network_instance(rng, max_buses=5):
 
 
 def test_two_bus_transfer():
-    grid = RadialGrid(2, 50.0, admittances=[10.0])
+    grid = RadialGrid(2, 50.0)
     fleet = feeder_fleet([10, 20], [400, 100])
-    sol = solve_deterministic(grid, fleet, [0.0, 30.0])
-    assert np.allclose(sol.power, [30, 0])
-    assert np.allclose(sol.flows, [30.0])
-    assert np.allclose(sol.angles, [0.0, -3.0])
-    assert kkt_verify_network(sol, grid, fleet, [0.0, 30.0]).max_residual <= 1e-12
+    d = deterministic(grid, fleet, [0.0, 30.0])
+    assert np.allclose(d.power, [30, 0])
+    assert kkt_verify_network(grid, fleet, d.power, d.lmps, [0.0, 30.0]).max_residual <= 1e-12
 
 
 def test_zero_load_everywhere():
     grid = RadialGrid(3, 50.0)
     fleet = feeder_fleet([10, 20, 30], [100, 100, 100])
-    sol = solve_deterministic(grid, fleet, [0.0, 0.0, 0.0])
-    assert np.allclose(sol.power, 0.0)
-    assert np.all(sol.lmps == 10.0)
+    d = deterministic(grid, fleet, [0.0, 0.0, 0.0])
+    assert np.allclose(d.power, 0.0)
+    assert np.all(d.lmps == 10.0)
 
 
 def test_congested_three_bus_flows():
-    grid = RadialGrid(3, 50.0, admittances=[10.0, 10.0])
+    grid = RadialGrid(3, 50.0)
     fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
-    sol = solve_deterministic(grid, fleet, [60.0, 40.0, 30.0])
-    assert np.allclose(sol.power, [110, 20, 0])
+    loads = [60.0, 40.0, 30.0]
+    d = deterministic(grid, fleet, loads)
+    assert np.allclose(d.power, [110, 20, 0])
     # nodal balance by forward substitution fixes the line flows
-    assert np.allclose(sol.flows, [50.0, 30.0])
-    assert np.allclose(sol.angles, [0.0, -5.0, -8.0])
-    assert np.allclose(sol.lmps, [10, 20, 20])
-    report = kkt_verify_network(sol, grid, fleet, [60.0, 40.0, 30.0])
-    assert report.max_residual <= 1e-8
+    assert np.allclose(np.cumsum(d.power - loads)[:-1], [50.0, 30.0])
+    assert np.allclose(d.lmps, [10, 20, 20])
+    assert kkt_verify_network(grid, fleet, d.power, d.lmps, loads).max_residual <= 1e-8
 
 
 def test_renewables_offset_load():
-    grid = RadialGrid(2, 80.0, admittances=[5.0])
+    grid = RadialGrid(2, 80.0)
     fleet = feeder_fleet([10, 20], [200, 100])
-    sol = solve_deterministic(grid, fleet, [50.0, 40.0], renewables=[10.0, 15.0])
-    assert sol.total_power == pytest.approx(65.0, abs=1e-9)
-    assert kkt_verify_network(sol, grid, fleet, [50.0, 40.0],
-                         renewables=[10.0, 15.0]).max_residual <= 1e-8
+    d = deterministic(grid, fleet, [50.0, 40.0], renewables=[10.0, 15.0])
+    assert d.total_power == pytest.approx(65.0, abs=1e-9)
+    assert kkt_verify_network(grid, fleet, d.power, d.lmps, [50.0, 40.0],
+                              renewables=[10.0, 15.0]).max_residual <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -75,83 +78,72 @@ def test_renewables_offset_load():
 
 
 def test_certificate_detects_corrupt_price():
-    grid = RadialGrid(2, 50.0, admittances=[10.0])
+    # a 1 $/MWh rise across the uncongested line implies a binding limit,
+    # which the 30 MW flow is 20 MW short of
+    grid = RadialGrid(2, 50.0)
     fleet = feeder_fleet([10, 20], [400, 100])
-    sol = solve_deterministic(grid, fleet, [0.0, 30.0])
-    lmps = sol.lmps.copy().astype(float)
+    d = deterministic(grid, fleet, [0.0, 30.0])
+    lmps = d.lmps.copy()
     lmps[1] += 1.0
-    bad = OpfSolution(sol.power, sol.angles, lmps, sol.mu, sol.mu_bar,
-                      sol.line_mu, sol.flows, sol.objective)
-    report = kkt_verify_network(bad, grid, fleet, [0.0, 30.0])
-    assert report.angle_stationarity == pytest.approx(10.0, abs=1e-9)
+    report = kkt_verify_network(grid, fleet, d.power, lmps, [0.0, 30.0])
+    assert report.complementary_slackness == pytest.approx(20.0, abs=1e-9)
 
 
 def test_certificate_detects_corrupt_line_multiplier():
-    grid = RadialGrid(3, 50.0, admittances=[10.0, 10.0])
+    # the congested line's multiplier is the price rise across it; one
+    # feeder-wide price at bus 0's ask zeroes it and leaves bus 1's 20 MW
+    # unit dearer than its price while it runs above its minimum
+    grid = RadialGrid(3, 50.0)
     fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
-    sol = solve_deterministic(grid, fleet, [60.0, 40.0, 30.0])
-    line_mu = sol.line_mu.copy()
-    line_mu[0] = 0.0  # congested line's multiplier must carry the price jump
-    bad = OpfSolution(sol.power, sol.angles, sol.lmps, sol.mu, sol.mu_bar,
-                      line_mu, sol.flows, sol.objective)
-    report = kkt_verify_network(bad, grid, fleet, [60.0, 40.0, 30.0])
-    assert report.angle_stationarity >= 10.0 * (20 - 10) - 1e-9
+    d = deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    report = kkt_verify_network(grid, fleet, d.power, np.full(3, 10.0), [60.0, 40.0, 30.0])
+    assert report.complementary_slackness == pytest.approx((20 - 10) * 20.0, abs=1e-9)
 
 
 def test_certificate_detects_balance_violation():
-    grid = RadialGrid(2, 50.0, admittances=[10.0])
+    grid = RadialGrid(2, 50.0)
     fleet = feeder_fleet([10, 20], [400, 100])
-    sol = solve_deterministic(grid, fleet, [0.0, 30.0])
-    power = sol.power.copy()
+    d = deterministic(grid, fleet, [0.0, 30.0])
+    power = d.power.copy()
     power[0] += 2.0
-    bad = OpfSolution(power, sol.angles, sol.lmps, sol.mu, sol.mu_bar,
-                      sol.line_mu, sol.flows, sol.objective)
-    assert kkt_verify_network(bad, grid, fleet, [0.0, 30.0]).nodal_balance == pytest.approx(2.0)
+    assert kkt_verify_network(grid, fleet, power, d.lmps, [0.0, 30.0]).balance == \
+        pytest.approx(2.0)
 
 
 def test_certificate_holds_decommitted_unit_at_zero():
     # an idle unit with a positive minimum was decommitted: its box is [0, 0]
-    grid = RadialGrid(2, 50.0, admittances=[10.0])
-    sol = solve_deterministic(grid, feeder_fleet([10, 20], [400, 100]), [0.0, 30.0])
-    assert sol.power[1] == 0.0
+    grid = RadialGrid(2, 50.0)
+    d = deterministic(grid, feeder_fleet([10, 20], [400, 100]), [0.0, 30.0])
+    assert d.power[1] == 0.0
     fleet = Fleet((GeneratorSpec("b0", 10.0, 0.0, 400.0),
                    GeneratorSpec("b1", 20.0, 10.0, 100.0)))
-    report = kkt_verify_network(sol, grid, fleet, [0.0, 30.0])
+    report = kkt_verify_network(grid, fleet, d.power, d.lmps, [0.0, 30.0])
     assert report.box_feasibility == 0.0
     assert report.max_residual <= 1e-12
 
 
 def test_certificate_rejects_nan_load():
-    grid = RadialGrid(3, 50.0, admittances=[10.0, 10.0])
+    grid = RadialGrid(3, 50.0)
     fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
-    sol = solve_deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    d = deterministic(grid, fleet, [60.0, 40.0, 30.0])
     with pytest.raises(ValueError, match="^loads must be finite"):
-        kkt_verify_network(sol, grid, fleet, [60.0, np.nan, 30.0])
-
-
-def test_certificate_rejects_nan_line_multiplier():
-    grid = RadialGrid(3, 50.0, admittances=[10.0, 10.0])
-    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
-    sol = solve_deterministic(grid, fleet, [60.0, 40.0, 30.0])
-    bad = OpfSolution(sol.power, sol.angles, sol.lmps, sol.mu, sol.mu_bar,
-                      np.array([np.nan, 0.0]), sol.flows, sol.objective)
-    with pytest.raises(ValueError, match="^line_mu must be finite"):
-        kkt_verify_network(bad, grid, fleet, [60.0, 40.0, 30.0])
+        kkt_verify_network(grid, fleet, d.power, d.lmps, [60.0, np.nan, 30.0])
 
 
 def test_max_residual_is_nan_when_a_block_is():
-    report = KktReport(0.0, 0.0, 0.0, np.nan, 0.0, 0.0, 0.0)
+    report = KktReport(0.0, np.nan, 0.0, 0.0)
     assert np.isnan(report.max_residual)
 
 
 def test_certificate_needs_one_unit_and_one_load_per_feeder_bus():
     grid = RadialGrid(3, 50.0)
-    sol = solve_deterministic(grid, builtin_fleet().head(3), [60.0, 40.0, 30.0])
+    fleet = builtin_fleet().head(3)
+    d = deterministic(grid, fleet, [60.0, 40.0, 30.0])
     with pytest.raises(ValueError, match="one unit per bus, got 7 units"):
-        kkt_verify_network(sol, grid, builtin_fleet(), [60.0, 40.0, 30.0])
+        kkt_verify_network(grid, builtin_fleet(), d.power, d.lmps, [60.0, 40.0, 30.0])
     # one load is not broadcast to every bus
     with pytest.raises(ValueError, match="one load and one renewable value per bus"):
-        kkt_verify_network(sol, grid, builtin_fleet().head(3), [43.0])
+        kkt_verify_network(grid, fleet, d.power, d.lmps, [43.0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,57 +155,51 @@ def test_every_solution_carries_a_certificate():
     congested = 0
     for _ in range(300):
         grid, fleet, loads = random_network_instance(rng)
-        sol = solve_deterministic(grid, fleet, loads)
-        report = kkt_verify_network(sol, grid, fleet, loads)
+        d = deterministic(grid, fleet, loads)
+        report = kkt_verify_network(grid, fleet, d.power, d.lmps, loads)
         assert report.max_residual <= 1e-8, report
-        if sol.line_mu.max(initial=0.0) > 0.0:
-            congested += 1
+        congested += bool((np.diff(d.lmps) > 0.0).any())
     assert congested > 20  # the instance mix must actually exercise congestion
 
 
-def reference_network_residuals(solution, grid, loads):
-    """Angle stationarity and nodal balance as per-bus loops over neighbours."""
-    n, b, lmps, line_mu = grid.n_buses, grid.admittances, solution.lmps, solution.line_mu
-    flows = b * -np.diff(solution.angles)
-    injections = solution.power - loads
-    angle_res = balance = 0.0
+def reference_network_residuals(grid, fleet, power, lmps, loads):
+    """Balance, line feasibility and complementary slackness as loops along
+    the feeder, with each multiplier taken from the prices one at a time."""
+    n, limit, asks = grid.n_buses, grid.line_limit, fleet.ask_prices
+    flow = line_feas = cs = 0.0
     for i in range(n):
-        acc = 0.0
-        if i > 0:
-            acc += b[i - 1] * (0.0 - line_mu[i - 1] + lmps[i] - lmps[i - 1])
+        mu, mu_bar = max(lmps[i] - asks[i], 0.0), max(asks[i] - lmps[i], 0.0)
+        cs = max(cs, abs(mu * (power[i] - fleet.p_maxs[i])), abs(mu_bar * power[i]))
+        flow += power[i] - loads[i]
         if i < n - 1:
-            acc += b[i] * (line_mu[i] - 0.0 + lmps[i] - lmps[i + 1])
-        angle_res = max(angle_res, abs(acc))
-        out = flows[i] if i < n - 1 else 0.0
-        inflow = flows[i - 1] if i > 0 else 0.0
-        balance = max(balance, abs(injections[i] - (out - inflow)))
-    return angle_res, balance
+            line_feas = max(line_feas, abs(flow) - limit)
+            rise = lmps[i + 1] - lmps[i]
+            cs = max(cs, abs(rise * (flow - limit)) if rise > 0.0 else abs(rise * (flow + limit)))
+    return abs(flow), line_feas, cs
 
 
 def test_network_blocks_match_per_bus_loops():
     rng = np.random.default_rng(54)
     for _ in range(200):
         grid, fleet, loads = random_network_instance(rng)
-        sol = solve_deterministic(grid, fleet, loads)
+        d = deterministic(grid, fleet, loads)
         n = grid.n_buses
-        bad = OpfSolution(sol.power + rng.normal(0.0, 1.0, n),
-                          sol.angles + rng.normal(0.0, 0.1, n),
-                          sol.lmps + rng.normal(0.0, 1.0, n), sol.mu, sol.mu_bar,
-                          sol.line_mu + rng.normal(0.0, 1.0, n - 1), sol.flows, sol.objective)
-        report = kkt_verify_network(bad, grid, fleet, loads)
-        angle_res, balance = reference_network_residuals(bad, grid, loads)
-        assert report.angle_stationarity == pytest.approx(angle_res, rel=1e-12, abs=1e-12)
-        assert report.nodal_balance == balance
+        power = d.power + rng.normal(0.0, 1.0, n)
+        lmps = d.lmps + rng.normal(0.0, 1.0, n)
+        report = kkt_verify_network(grid, fleet, power, lmps, loads)
+        balance, line_feas, cs = reference_network_residuals(grid, fleet, power, lmps, loads)
+        assert report.balance == pytest.approx(balance, rel=1e-12, abs=1e-12)
+        assert report.line_feasibility == pytest.approx(line_feas, rel=1e-12, abs=1e-12)
+        assert report.complementary_slackness == pytest.approx(cs, rel=1e-12, abs=1e-12)
 
 
 def test_uncongested_instances_share_one_price():
     rng = np.random.default_rng(52)
     for _ in range(100):
         grid, fleet, loads = random_network_instance(rng)
-        big = RadialGrid(grid.n_buses, float(loads.sum() + 1000.0),
-                         admittances=grid.admittances)
-        sol = solve_deterministic(big, fleet, loads)
-        assert np.all(sol.lmps == sol.lmps[0])
+        big = RadialGrid(grid.n_buses, float(loads.sum() + 1000.0))
+        d = deterministic(big, fleet, loads)
+        assert np.all(d.lmps == d.lmps[0])
 
 
 def test_objective_beats_grid_enumeration():
@@ -230,7 +216,7 @@ def test_objective_beats_grid_enumeration():
             continue
         grid = RadialGrid(n, float(rng.integers(10, 80)))
         fleet = feeder_fleet(asks, p_max)
-        sol = solve_deterministic(grid, fleet, loads)
+        d = deterministic(grid, fleet, loads)
         total = int(loads.sum())
         best = None
         for g1 in range(0, min(total, int(p_max[0])) + 1):
@@ -250,4 +236,4 @@ def test_objective_beats_grid_enumeration():
                 if best is None or cost < best:
                     best = cost
         assert best is not None
-        assert float(fleet.ask_prices @ sol.power) <= best + 1e-6
+        assert float(fleet.ask_prices @ d.power) <= best + 1e-6

@@ -1,9 +1,9 @@
 """HiGHS as an independent oracle for the closed-form kernels.
 
 ``scipy.optimize.linprog(method="highs")`` solves the single-bus clearing LP
-and the radial DC-OPF LP from scratch.  On fleets whose minimums are all 0
-the closed forms must reach the LP's optimal cost, and their prices must be
-its duals wherever the dual is unique.  With positive minimums
+and the radial feeder's dispatch LP from scratch.  On fleets whose minimums
+are all 0 the closed forms must reach the LP's optimal cost, and their
+prices must be its duals wherever the dual is unique.  With positive minimums
 ``scipy.optimize.milp`` solves the unit-commitment MILP: the closed form's
 dispatch must be feasible and may cost more than the MILP's, never less.
 Only the tests import ``scipy.optimize``; the package does not.
@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid,
-                       commit_batch, solve_deterministic)
+                       commit_batch, dispatch_radial)
 
 
 def _zero_min_fleet(rng, n):
@@ -65,10 +65,11 @@ def _feeder_lp(grid, fleet, net):
     return _highs(np.concatenate((fleet.ask_prices, np.zeros(n - 1))), bounds, a_eq, net)
 
 
-def test_solve_deterministic_matches_the_dc_opf_lp():
+def test_dispatch_radial_matches_the_feeder_lp():
     # random feeders with non-negative net loads and zero minimums, kept only
     # where the feeder recursion clears them; the LP's balance duals are the
-    # LMPs and minus its flows' upper-bound marginals the line multipliers
+    # LMPs and minus its flows' upper-bound marginals the price rises across
+    # the lines
     rng = np.random.default_rng(1)
     solved = congested = 0
     for _ in range(800):
@@ -83,15 +84,17 @@ def test_solve_deterministic_matches_the_dc_opf_lp():
                             for i in range(n)))
         grid = RadialGrid(n, float(rng.uniform(5.0, 200.0)))
         try:
-            solution = solve_deterministic(grid, fleet, loads, renewables)
+            dispatch = dispatch_radial(grid, fleet, net, tails)
         except InfeasibleDispatchError:
             continue
         res = _feeder_lp(grid, fleet, net)
-        assert solution.objective == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
-        assert solution.lmps == pytest.approx(res.eqlin.marginals, abs=1e-9)
-        assert solution.line_mu == pytest.approx(-res.upper.marginals[n:], abs=1e-9)
+        rises = np.maximum(np.diff(dispatch.lmps), 0.0)
+        assert float(fleet.ask_prices @ dispatch.power) == pytest.approx(res.fun, rel=1e-9,
+                                                                        abs=1e-9)
+        assert dispatch.lmps == pytest.approx(res.eqlin.marginals, abs=1e-9)
+        assert rises == pytest.approx(-res.upper.marginals[n:], abs=1e-9)
         solved += 1
-        congested += bool(solution.line_mu.any())
+        congested += bool(rises.any())
     # enough of both cases that neither is checked by accident alone
     assert solved > 500 and congested > 200
 

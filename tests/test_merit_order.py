@@ -1,5 +1,6 @@
 """Merit-order commitment: worked examples, enumeration oracle, KKT residuals."""
 
+import dataclasses
 import itertools
 import re
 
@@ -258,34 +259,31 @@ def test_kkt_balance_detects_perturbation():
     res = commit(fleet, 450.0)
     power = res.power.copy()
     power[0] += 1.0
-    bad = type(res)(power, res.clearing_price, res.mu, res.mu_bar, res.regime,
-                    res.marginal_index)
-    report = kkt_residuals(fleet, bad, 450.0)
-    assert report.nodal_balance == pytest.approx(1.0, abs=1e-12)
+    report = kkt_residuals(fleet, dataclasses.replace(res, power=power), 450.0)
+    assert report.balance == pytest.approx(1.0, abs=1e-12)
 
 
-def test_kkt_stationarity_detects_zeroed_multiplier():
-    fleet = builtin_fleet()
-    res = commit(fleet, 450.0)  # unit 0 saturated, price above its ask
-    mu = res.mu.copy()
-    mu[0] = 0.0
-    bad = type(res)(res.power, res.clearing_price, mu, res.mu_bar, res.regime,
-                    res.marginal_index)
-    report = kkt_residuals(fleet, bad, 450.0)
-    assert report.generator_stationarity == pytest.approx(res.clearing_price - 7.37, abs=1e-12)
-
-
-def test_kkt_stationarity_covers_idle_units_without_minimum():
-    # an idle unit whose minimum is zero stays in the system at bound 0
+def test_kkt_detects_a_price_below_the_marginal_ask():
+    # at 21.23 $/MWh the 22.23 $/MWh marginal unit would have to idle, yet
+    # it runs 50 MW
     fleet = builtin_fleet()
     res = commit(fleet, 450.0)
-    assert res.power[6] == 0.0
-    mu_bar = res.mu_bar.copy()
-    mu_bar[6] = 0.0
-    bad = type(res)(res.power, res.clearing_price, res.mu, mu_bar, res.regime,
-                    res.marginal_index)
+    assert res.power[1] == 50.0
+    bad = dataclasses.replace(res, clearing_price=res.clearing_price - 1.0)
     report = kkt_residuals(fleet, bad, 450.0)
-    assert report.generator_stationarity == pytest.approx(315.81 - res.clearing_price, abs=1e-12)
+    assert report.complementary_slackness == pytest.approx(1.0 * 50.0, abs=1e-9)
+
+
+def test_kkt_covers_idle_units_without_minimum():
+    # an idle unit whose minimum is zero stays in the system at bound 0: a
+    # price above its ask would have it at its 20 MW maximum
+    fleet = builtin_fleet()
+    res = commit(fleet, 940.0)
+    assert res.power[6] == 0.0 and np.array_equal(res.power[:6], fleet.p_maxs[:6])
+    bad = dataclasses.replace(res, clearing_price=320.0)
+    report = kkt_residuals(fleet, bad, 940.0)
+    assert report.complementary_slackness == pytest.approx((320.0 - 315.81) * 20.0,
+                                                           abs=1e-9)
 
 
 def test_kkt_box_detects_unit_above_maximum():
@@ -294,11 +292,9 @@ def test_kkt_box_detects_unit_above_maximum():
     res = commit(fleet, 450.0)
     power = res.power.copy()
     power[1] = 156.0
-    bad = type(res)(power, res.clearing_price, res.mu, res.mu_bar, res.regime,
-                    res.marginal_index)
-    report = kkt_residuals(fleet, bad, float(power.sum()))
+    report = kkt_residuals(fleet, dataclasses.replace(res, power=power), float(power.sum()))
     assert report.box_feasibility == pytest.approx(1.0)
-    assert report.nodal_balance == 0.0
+    assert report.balance == 0.0
 
 
 def test_kkt_rejects_nan_demand():
@@ -362,9 +358,17 @@ def test_balance_and_multiplier_signs():
         except InfeasibleDispatchError:
             continue
         assert res.total_power == pytest.approx(demand, abs=1e-9)
-        assert res.mu.min() >= 0.0 and res.mu_bar.min() >= 0.0
         on = res.power > 0.0
         assert np.all(res.power[on] <= fleet.p_maxs[on] + 1e-9)
+        # the sign of price - ask is the sign of the multiplier it implies: a
+        # committed unit cheaper than the price sits at its maximum, a dearer
+        # one at its lower bound
+        committed = on | (fleet.p_mins == 0.0)
+        cheaper = committed & (fleet.ask_prices < res.clearing_price)
+        dearer = committed & (fleet.ask_prices > res.clearing_price)
+        assert np.allclose(res.power[cheaper], fleet.p_maxs[cheaper], rtol=0.0, atol=1e-9)
+        assert np.allclose(res.power[dearer], np.where(on, fleet.p_mins, 0.0)[dearer],
+                           rtol=0.0, atol=1e-9)
 
 
 def test_price_monotone_in_demand():
