@@ -56,8 +56,9 @@ def kkt_verify_network(grid: RadialGrid, fleet: Fleet, power, lmps, loads,
     and generator bounds.  A unit that is off while its minimum is positive
     was decommitted: its box is [0, 0] and it is left out of
     complementarity.  A certified optimum stays within 1e-8.  Raises
-    ValueError for a layout with other than one unit per feeder bus, for
-    other than one load and one renewable value per bus, and for a
+    ValueError for a layout with other than one unit per feeder bus, for a
+    ``power`` without one entry per unit, ``lmps`` without one entry per
+    bus, other than one load and one renewable value per bus, and for a
     non-finite input, naming it.
     """
     power = np.asarray(power, dtype=float)
@@ -68,6 +69,10 @@ def kkt_verify_network(grid: RadialGrid, fleet: Fleet, power, lmps, loads,
     n, units = grid.n_buses, len(fleet)
     if n > 1 and units != n:
         raise ValueError(f"a {n}-bus feeder needs one unit per bus, got {units} units")
+    if power.shape != (units,):
+        raise ValueError(f"power needs one entry per unit ({units}), got shape {power.shape}")
+    if lmps.shape != (n,):
+        raise ValueError(f"lmps needs one entry per bus ({n}), got shape {lmps.shape}")
     if loads.shape != (n,) or renewables.shape != (n,):
         raise ValueError(f"need one load and one renewable value per bus ({n})")
     for name, values in (("power", power), ("lmps", lmps), ("loads", loads),

@@ -130,6 +130,38 @@ def test_certificate_rejects_nan_load():
         kkt_verify_network(grid, fleet, d.power, d.lmps, [60.0, np.nan, 30.0])
 
 
+@pytest.mark.parametrize("name", ["power", "lmps"])
+def test_certificate_rejects_nan_power_and_lmps(name):
+    grid = RadialGrid(3, 50.0)
+    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
+    d = deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    given = {"power": d.power.copy(), "lmps": d.lmps.copy()}
+    given[name][1] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        kkt_verify_network(grid, fleet, loads=[60.0, 40.0, 30.0], **given)
+
+
+def test_certificate_names_a_power_without_one_entry_per_unit():
+    grid = RadialGrid(3, 50.0)
+    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
+    d = deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    for power in (d.power[:2], d.power[:1], np.append(d.power, 0.0), d.power[None]):
+        with pytest.raises(ValueError, match=r"^power needs one entry per unit \(3\)"):
+            kkt_verify_network(grid, fleet, power, d.lmps, [60.0, 40.0, 30.0])
+    one_bus = RadialGrid(1, 1.0)
+    with pytest.raises(ValueError, match=r"^power needs one entry per unit \(7\)"):
+        kkt_verify_network(one_bus, builtin_fleet(), np.zeros(6), [7.37], [0.0])
+
+
+def test_certificate_names_lmps_without_one_entry_per_bus():
+    grid = RadialGrid(3, 50.0)
+    fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
+    d = deterministic(grid, fleet, [60.0, 40.0, 30.0])
+    for lmps in (d.lmps[:1], d.lmps[:2], np.append(d.lmps, 20.0), 10.0):
+        with pytest.raises(ValueError, match=r"^lmps needs one entry per bus \(3\)"):
+            kkt_verify_network(grid, fleet, d.power, lmps, [60.0, 40.0, 30.0])
+
+
 def test_max_residual_is_nan_when_a_block_is():
     report = KktReport(0.0, np.nan, 0.0, 0.0)
     assert np.isnan(report.max_residual)
