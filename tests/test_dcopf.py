@@ -1,10 +1,13 @@
 """The optimality certificate of a feeder dispatch and its bus prices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gridclear import (Fleet, GeneratorSpec, KktReport, RadialGrid, builtin_fleet,
                        dispatch_radial, kkt_verify_network)
+from test_highs_oracle import _feeder_lp
 
 
 def feeder_fleet(asks, p_maxs):
@@ -232,6 +235,33 @@ def test_uncongested_instances_share_one_price():
         big = RadialGrid(grid.n_buses, float(loads.sum() + 1000.0))
         d = deterministic(big, fleet, loads)
         assert np.all(d.lmps == d.lmps[0])
+
+
+def test_certificate_rejects_every_costlier_feasible_shift():
+    # moving 1 MW from unit i to a dearer unit j keeps the balance; where the
+    # result stays inside the boxes and line limits it is feasible but not
+    # optimal, so no price vector may certify it: neither the kernel's LMPs
+    # nor the duals HiGHS finds for the optimum
+    rng = np.random.default_rng(7)
+    shifts = 0
+    for _ in range(600):
+        grid, fleet, loads = random_network_instance(rng)
+        d = deterministic(grid, fleet, loads)
+        duals = _feeder_lp(grid, fleet, loads).eqlin.marginals
+        for i, j in itertools.permutations(range(grid.n_buses), 2):
+            power = d.power.copy()
+            power[i] -= 1.0
+            power[j] += 1.0
+            flows = np.cumsum(power - loads)[:-1]
+            if (fleet.ask_prices[j] <= fleet.ask_prices[i] or power.min() < 0.0
+                    or np.any(power > fleet.p_maxs)
+                    or np.any(np.abs(flows) > grid.line_limit)):
+                continue
+            for lmps in (d.lmps, duals):
+                report = kkt_verify_network(grid, fleet, power, lmps, loads)
+                assert report.max_residual > 1e-6, (grid, fleet, loads, i, j, lmps)
+            shifts += 1
+    assert shifts > 1000  # 1,931 with numpy 2 and scipy 1.17
 
 
 def test_objective_beats_grid_enumeration():

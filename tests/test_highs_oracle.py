@@ -3,7 +3,8 @@
 ``scipy.optimize.linprog(method="highs")`` solves the single-bus clearing LP
 and the radial feeder's dispatch LP from scratch.  On fleets whose minimums
 are all 0 the closed forms must reach the LP's optimal cost, and their
-prices must be its duals wherever the dual is unique.  With positive minimums
+prices must be its duals wherever the dual is unique; HiGHS's own optimum,
+priced at its duals, must pass the certificate.  With positive minimums
 ``scipy.optimize.milp`` solves the unit-commitment MILP: the closed form's
 dispatch must be feasible and may cost more than the MILP's, never less.
 Only the tests import ``scipy.optimize``; the package does not.
@@ -14,7 +15,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid,
-                       commit_batch, dispatch_radial)
+                       commit_batch, dispatch_radial, kkt_verify_network)
 
 
 def _zero_min_fleet(rng, n):
@@ -68,8 +69,8 @@ def _feeder_lp(grid, fleet, net):
 def test_dispatch_radial_matches_the_feeder_lp():
     # random feeders with non-negative net loads and zero minimums, kept only
     # where the feeder recursion clears them; the LP's balance duals are the
-    # LMPs and minus its flows' upper-bound marginals the price rises across
-    # the lines
+    # LMPs, minus its flows' upper-bound marginals the price rises across the
+    # lines, and its optimum priced at those duals certifies
     rng = np.random.default_rng(1)
     solved = congested = 0
     for _ in range(800):
@@ -93,6 +94,9 @@ def test_dispatch_radial_matches_the_feeder_lp():
                                                                         abs=1e-9)
         assert dispatch.lmps == pytest.approx(res.eqlin.marginals, abs=1e-9)
         assert rises == pytest.approx(-res.upper.marginals[n:], abs=1e-9)
+        report = kkt_verify_network(grid, fleet, res.x[:n], res.eqlin.marginals, loads,
+                                    renewables)
+        assert report.max_residual <= 1e-7, report
         solved += 1
         congested += bool(rises.any())
     # enough of both cases that neither is checked by accident alone
