@@ -5,30 +5,31 @@ Bus 0 hosts the cheapest unit; absent congestion it serves the whole feeder
 and every bus clears at its ask.  When the total requirement cannot reach
 bus 0's line, the feeder splits: upstream buses self-serve plus export at
 the limit, and the first bus whose tail requirement fits under the limit
-balances everything downstream and sets the price from there on.
+balances everything downstream and sets the price from there on.  So the
+balancing bus is the one record of congestion: bus 0's line binds exactly
+on the rows that have one, and it fixes every bus's price.
 
 ``dispatch_radial_batch`` is the one feeder kernel: it clears m requirement
 rows at once, running the recursion as a loop over the buses with each step
 applied to every row, and finds each row's balancing bus and infeasibility
 with masks.  Those per-row tests (finite entries, the feeder assumptions,
-the balancing bus) and the price columns are built the same way, one
-vector operation over all rows per bus, because numpy reduces a short
-trailing bus axis row by row.  Per row it returns the power, the bus
-prices, whether bus 0's line binds and the balancing bus; the requirements
-it carries from bus to bus stay internal.  ``dispatch_radial`` is a
-one-row call of it.  Feasibility has one answer, the kernel's: an
-infeasible row raises InfeasibleDispatchError, whose message names the
-failed check (for the feeder assumptions, each bus's minimum and tail
-clauses in bus order).  A grid clears many levels through the kernel's
-unraising form, ``_radial_rows`` (each commitment in one call, the
-re-dispatch in row blocks), and reads each level's first failing row from
-its masks.
+the balancing bus) are built the same way, one vector operation over all
+rows per bus, because numpy reduces a short trailing bus axis row by row.
+Per row it returns the power and the balancing bus; the bus prices are
+built from the balancing bus when they are read, and the requirements it
+carries from bus to bus stay internal.  ``dispatch_radial`` is a one-row
+call of it.  Feasibility has one answer, the kernel's: an infeasible row
+raises InfeasibleDispatchError, whose message names the failed check (for
+the feeder assumptions, each bus's minimum and tail clauses in bus order).
+A grid clears many levels through the kernel's unraising form,
+``_radial_rows`` (each commitment in one call, the re-dispatch in row
+blocks, which reads the power alone), and reads each level's first failing
+row from its masks.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,17 +61,11 @@ class RadialGrid:
             raise ValueError("line limit must be positive")
 
 
-class FeederCase(enum.Enum):
-    UNCONGESTED = "uncongested"   # bus 0 serves the whole feeder
-    CONGESTED = "congested"       # bus 0's line binds, prices split along the feeder
-
-
 @dataclass(frozen=True)
 class CongestedDispatch:
     power: np.ndarray               # MW per bus
     lmps: np.ndarray                # $/MWh per bus
-    case: FeederCase
-    balancing_bus: int | None       # first bus whose tail fits under the limit
+    balancing_bus: int | None       # first bus whose tail fits, None uncongested
 
     @property
     def total_power(self) -> float:
@@ -82,9 +77,19 @@ class RadialDispatchBatch:
     """Feeder dispatch of m requirement rows; row r answers row r of the input."""
 
     power: np.ndarray               # (m, n) MW per bus
-    lmps: np.ndarray                # (m, n) $/MWh per bus
-    congested: np.ndarray           # (m,) whether bus 0's line binds
-    balancing_bus: np.ndarray       # (m,) first bus whose tail fits, -1 for none
+    balancing_bus: np.ndarray       # (m,) first bus whose tail fits, -1 uncongested
+    asks: np.ndarray = field(repr=False)  # (n,) $/MWh, the units' ask prices
+
+    @property
+    def lmps(self) -> np.ndarray:
+        """(m, n) $/MWh per bus, built on each read: bus i clears at its own
+        ask upstream of the balancing bus and at the balancing bus's ask from
+        there on (bus 0's ask everywhere uncongested)."""
+        price_bus = np.maximum(self.balancing_bus, 0)
+        lmps = np.empty(self.power.shape)
+        for i in range(lmps.shape[1]):
+            lmps[:, i] = self.asks[np.minimum(price_bus, i)]
+        return lmps
 
 
 def _max(a, b):
@@ -124,7 +129,6 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
         per_bus = np.where(finite[:, None], per_bus, 0.0)
         suffix = np.where(finite[:, None], suffix, 0.0)
     p_bar = grid.line_limit
-    asks = fleet.ask_prices
     p_maxs = fleet.p_maxs
 
     invalid = np.full(m, bool((fleet.p_mins != 0.0).any()))
@@ -142,13 +146,7 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
         first[over & fits] = j
         fits = ~over  # the rows are finite, so no tail compares false both ways
     balancing = np.where(congested, first, -1)
-    missing = congested & (first < 0)
-    # bus i clears at its own ask upstream of the balancing bus and at the
-    # balancing bus's ask from there on (bus 0's ask everywhere uncongested)
-    price_bus = np.maximum(balancing, 0)
-    lmps = np.empty((m, n))
-    for i in range(n):
-        lmps[:, i] = asks[np.minimum(price_bus, i)]
+    missing = congested & (first < 0)  # failed, so a served row is congested iff balanced
 
     power = np.empty((m, n))
     over_bus = np.full(m, -1)  # first bus whose required output exceeds capacity
@@ -189,7 +187,7 @@ def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
                        f"capacity {p_maxs[i]:.6g}")
         return InfeasibleDispatchError(message)
 
-    return RadialDispatchBatch(power, lmps, congested, balancing), failed, error_at
+    return RadialDispatchBatch(power, balancing, fleet.ask_prices), failed, error_at
 
 
 def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
@@ -198,13 +196,13 @@ def dispatch_radial_batch(grid: RadialGrid, fleet: Fleet, per_bus,
 
     ``per_bus`` and ``suffix`` are (m, n) arrays.  Each row is cleared as
     ``dispatch_radial`` describes; the recursion runs once over the buses
-    with every step applied to all rows.  Returns each row's power, bus
-    prices, congestion flag and balancing bus.  A row is infeasible when it
-    holds a non-finite requirement, fails the feeder assumptions (every
-    unit's minimum is 0, and each bus's unit covers the tail requirement
-    from that bus on), is congested without a balancing bus, or needs more
-    than a unit's capacity; the first infeasible row in row order raises
-    InfeasibleDispatchError with that row's message.
+    with every step applied to all rows.  Returns each row's power and
+    balancing bus, from which its bus prices are read.  A row is infeasible
+    when it holds a non-finite requirement, fails the feeder assumptions
+    (every unit's minimum is 0, and each bus's unit covers the tail
+    requirement from that bus on), is congested without a balancing bus, or
+    needs more than a unit's capacity; the first infeasible row in row order
+    raises InfeasibleDispatchError with that row's message.
     """
     batch, failed, error_at = _radial_rows(grid, fleet, per_bus, suffix)
     if failed.any():
@@ -222,14 +220,13 @@ def dispatch_radial(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
     next bus inherits its own CVaR less the import headroom.  A negative
     carry-over is kept as it is: it encodes spare import capacity, which is
     what keeps the next line inside its limit.  Returns the power, the bus
-    prices, the case and the balancing bus; a one-row call of
-    ``dispatch_radial_batch``.
+    prices and the balancing bus (None when bus 0's line does not bind); a
+    one-row call of ``dispatch_radial_batch``.
     """
     batch = dispatch_radial_batch(grid, fleet, np.asarray(per_bus_cvars, dtype=float)[None],
                                   np.asarray(suffix_cvars, dtype=float)[None])
     balancing = int(batch.balancing_bus[0])
-    case = FeederCase.CONGESTED if batch.congested[0] else FeederCase.UNCONGESTED
-    return CongestedDispatch(batch.power[0], batch.lmps[0], case,
+    return CongestedDispatch(batch.power[0], batch.lmps[0],
                              None if balancing < 0 else balancing)
 
 

@@ -45,27 +45,24 @@ class KktReport:
                              self.box_feasibility, self.complementary_slackness]))
 
 
-def kkt_verify_network(grid: RadialGrid, fleet: Fleet, power, lmps, loads,
-                       renewables=None) -> KktReport:
+def kkt_verify_network(grid: RadialGrid, fleet: Fleet, power, lmps, loads) -> KktReport:
     """Check a dispatch and its bus prices against the optimality system.
 
-    On a one-bus grid every unit sits at bus 0; on a feeder unit i sits at
-    bus i.  Blocks: balance (the feeder's total mismatch, since the flows
-    are the cumulative injections), line and box feasibility, and
-    complementary slackness of the multipliers the prices imply on lines
-    and generator bounds.  A unit that is off while its minimum is positive
-    was decommitted: its box is [0, 0] and it is left out of
-    complementarity.  A certified optimum stays within 1e-8.  Raises
-    ValueError for a layout with other than one unit per feeder bus, for a
-    ``power`` without one entry per unit, ``lmps`` without one entry per
-    bus, other than one load and one renewable value per bus, and for a
-    non-finite input, naming it.
+    ``loads`` holds each bus's net load (renewables already subtracted).  On
+    a one-bus grid every unit sits at bus 0; on a feeder unit i sits at bus
+    i.  Blocks: balance (the feeder's total mismatch, since the flows are
+    the cumulative injections), line and box feasibility, and complementary
+    slackness of the multipliers the prices imply on lines and generator
+    bounds.  A unit that is off while its minimum is positive was
+    decommitted: its box is [0, 0] and it is left out of complementarity.
+    A certified optimum stays within 1e-8.  Raises ValueError for a layout
+    with other than one unit per feeder bus, for a ``power`` without one
+    entry per unit, ``lmps`` without one entry per bus, other than one load
+    per bus, and for a non-finite input, naming it.
     """
     power = np.asarray(power, dtype=float)
     lmps = np.asarray(lmps, dtype=float)
     loads = np.asarray(loads, dtype=float)
-    renewables = (np.zeros_like(loads) if renewables is None
-                  else np.asarray(renewables, dtype=float))
     n, units = grid.n_buses, len(fleet)
     if n > 1 and units != n:
         raise ValueError(f"a {n}-bus feeder needs one unit per bus, got {units} units")
@@ -73,16 +70,15 @@ def kkt_verify_network(grid: RadialGrid, fleet: Fleet, power, lmps, loads,
         raise ValueError(f"power needs one entry per unit ({units}), got shape {power.shape}")
     if lmps.shape != (n,):
         raise ValueError(f"lmps needs one entry per bus ({n}), got shape {lmps.shape}")
-    if loads.shape != (n,) or renewables.shape != (n,):
-        raise ValueError(f"need one load and one renewable value per bus ({n})")
-    for name, values in (("power", power), ("lmps", lmps), ("loads", loads),
-                         ("renewables", renewables)):
+    if loads.shape != (n,):
+        raise ValueError(f"need one load per bus ({n})")
+    for name, values in (("power", power), ("lmps", lmps), ("loads", loads)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {values}")
     bus = np.zeros(units, dtype=int) if n == 1 else np.arange(n)
     limit, asks, p_max = grid.line_limit, fleet.ask_prices, fleet.p_maxs
 
-    injections = np.bincount(bus, weights=power, minlength=n) + renewables - loads
+    injections = np.bincount(bus, weights=power, minlength=n) - loads
     flows = np.cumsum(injections)  # the last entry is what leaves the feeder's end
     balance, flows = abs(flows[-1]), flows[:-1]
     line_feas = np.maximum(np.abs(flows) - limit, 0.0).max(initial=0.0)

@@ -19,8 +19,5 @@ class InfeasibleDispatchError(GridClearError):
 
 
 class FleetParseError(ConfigurationError):
-    """A fleet CSV file could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
+    """A fleet CSV file could not be parsed; a row's message names its
+    ``path:line``."""

@@ -303,7 +303,10 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     stands; the re-dispatch reads no alpha, so all levels' rows go through
     ``_radial_rows`` in blocks of ``_BLOCK_ROWS``, each block's tails summed
     as it runs by ``_tail_sums``, one add per bus from the last bus back.
-    Returns what ``_clear_bus`` does, with the unit LMPs as bus prices.
+    Bus prices are built from the balancing bus only where they are read:
+    the commitment's L*T rows per alpha, never a re-dispatch block, which
+    keeps its power alone.  Returns what ``_clear_bus`` does, with the unit
+    LMPs as bus prices.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape

@@ -172,29 +172,11 @@ def _backdown_target(fleet: Fleet, demand, k):
     return demand - fleet.p_max_prefix[k - 1] - fleet.p_mins[k]
 
 
-def _infeasible(fleet: Fleet, demand: float) -> InfeasibleDispatchError:
-    """The error for one demand that no unit pattern can balance."""
-    p_min, p_max, prefix = fleet.p_mins, fleet.p_maxs, fleet.p_max_prefix
-    capacity = fleet.total_capacity
-    if not math.isfinite(demand):
-        message = f"demand {demand} MW must be finite"
-    elif demand < 0.0 or demand > capacity + _BALANCE_TOL:
-        message = f"demand {demand:.6g} MW outside the servable range [0, {capacity:.6g}]"
-    elif demand < p_min[0]:
-        message = f"no single unit can carry the sub-minimum demand {demand:.6g} MW"
-    else:
-        k = min(int(np.searchsorted(prefix[1:], demand, side="left")), len(fleet) - 1)
-        backdown = _backdown_target(fleet, demand, k)
-        message = (f"back-down target {backdown:.6g} MW outside unit {k - 1}'s box "
-                   f"[{p_min[k - 1]:.6g}, {p_max[k - 1]:.6g}]; "
-                   f"adjustable-range assumption violated")
-    return InfeasibleDispatchError(message)
-
-
 def _commit_rows(fleet: Fleet, demands):
     """``commit_batch`` without the raise: the batch, the mask of its
     infeasible rows (whose entries mean nothing) and a function giving the
-    error of row r.  A grid reads each level's first failing row from it.
+    error of row r, worded from the masks that failed it.  A grid reads each
+    level's first failing row from it.
     """
     d = np.asarray(demands, dtype=float)
     if d.ndim != 1:
@@ -203,7 +185,8 @@ def _commit_rows(fleet: Fleet, demands):
                                   fleet.p_max_prefix)
     n = len(fleet)
 
-    bad = ~np.isfinite(d) | (d < 0.0) | (d > fleet.total_capacity + _BALANCE_TOL)
+    capacity = fleet.total_capacity
+    unservable = ~np.isfinite(d) | (d < 0.0) | (d > capacity + _BALANCE_TOL)
     zero = d == 0.0
     small = (d < p_min[0]) & ~zero
     k = np.minimum(np.searchsorted(prefix[1:], d, side="left"), n - 1)
@@ -213,7 +196,7 @@ def _commit_rows(fleet: Fleet, demands):
     # residual = d; other rows read a harmless index
     prev = np.maximum(k - 1, 0)
     backdown = _backdown_target(fleet, d, k)
-    bad |= below & ~((p_min[prev] < backdown) & (backdown < p_max[prev]))
+    bad = unservable | (below & ~((p_min[prev] < backdown) & (backdown < p_max[prev])))
 
     marginal = np.where(below, prev, k)  # k = 0 on zero rows
     output = np.where(below, backdown, residual)
@@ -232,8 +215,23 @@ def _commit_rows(fleet: Fleet, demands):
     power[rows, marginal] = output
     power[rows[below], k[below]] = p_min[k[below]]
     regime = np.where(small, 2, np.where(below, 1, 0)).astype(np.int8)
-    return (DispatchBatch(power, asks[marginal], regime, marginal), bad,
-            lambda r: _infeasible(fleet, float(d[r])))
+
+    def error_at(r):
+        demand = float(d[r])
+        if not math.isfinite(demand):
+            message = f"demand {demand} MW must be finite"
+        elif unservable[r]:
+            message = f"demand {demand:.6g} MW outside the servable range [0, {capacity:.6g}]"
+        elif small[r]:
+            message = f"no single unit can carry the sub-minimum demand {demand:.6g} MW"
+        else:  # the back-down left unit k-1 outside its box
+            j = k[r]
+            message = (f"back-down target {_backdown_target(fleet, demand, j):.6g} MW "
+                       f"outside unit {j - 1}'s box [{p_min[j - 1]:.6g}, {p_max[j - 1]:.6g}]; "
+                       f"adjustable-range assumption violated")
+        return InfeasibleDispatchError(message)
+
+    return DispatchBatch(power, asks[marginal], regime, marginal), bad, error_at
 
 
 def commit_batch(fleet: Fleet, demands) -> DispatchBatch:
@@ -310,25 +308,24 @@ def fleet_from_csv(path) -> Fleet:
     path = Path(path)
     gens = []
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # a leading byte-order mark is not part of the header
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(_numbered_rows(fh))
     except OSError as exc:
         raise FleetParseError(f"{path}: cannot read fleet file: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise FleetParseError(f"{path}: fleet file is not UTF-8 text ({exc.reason})") from exc
     if not rows:
-        raise FleetParseError(f"{path}: empty fleet file", line_number=1)
+        raise FleetParseError(f"{path}: empty fleet file")
     if [h.strip() for h in rows[0][1]] != _FLEET_HEADER:
-        raise FleetParseError(
-            f"{path}: expected header {','.join(_FLEET_HEADER)}", line_number=1)
+        raise FleetParseError(f"{path}: expected header {','.join(_FLEET_HEADER)}")
     first_line = {}  # unit name -> the line that named it
     for lineno, row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(_FLEET_HEADER):
             raise FleetParseError(f"{path}:{lineno}: expected "
-                                  f"{len(_FLEET_HEADER)} fields, got {len(row)}",
-                                  line_number=lineno)
+                                  f"{len(_FLEET_HEADER)} fields, got {len(row)}")
         try:
             gens.append(GeneratorSpec(
                 name=row[0].strip(),
@@ -337,14 +334,14 @@ def fleet_from_csv(path) -> Fleet:
                 start_cost_hot=float(row[6]), start_cost_cold=float(row[7]),
                 no_load_cost=float(row[8])))
         except ValueError as exc:
-            raise FleetParseError(f"{path}:{lineno}: {exc}", line_number=lineno) from exc
+            raise FleetParseError(f"{path}:{lineno}: {exc}") from exc
         name = gens[-1].name
         if name in first_line:
             raise FleetParseError(f"{path}:{lineno}: unit name {name!r} already used on "
-                                  f"line {first_line[name]}", line_number=lineno)
+                                  f"line {first_line[name]}")
         first_line[name] = lineno
     if not gens:
-        raise FleetParseError(f"{path}: no generator rows", line_number=2)
+        raise FleetParseError(f"{path}: no generator rows")
     gens.sort(key=lambda g: g.ask_price)
     try:
         return Fleet(tuple(gens))

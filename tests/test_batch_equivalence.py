@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
 from gridclear import experiment, risk, scenarios
-from gridclear import (ConfigurationError, FeederCase, Fleet, GeneratorSpec,
+from gridclear import (ConfigurationError, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, PointResult, RadialGrid, Regime, RunConfig,
                        ScenarioConfig, ScenarioSet, SettlementReport, EmpiricalSample,
                        aggregate_net_load, builtin_fleet, commit, commit_batch,
@@ -154,7 +154,7 @@ def reference_payment(loads, renewables, lmps):
 
 
 def reference_dispatch_radial(grid, fleet, per_bus_cvars, suffix_cvars):
-    """Scalar feeder recursion: (power, lmps, local, tail, case, balancing bus)."""
+    """Scalar feeder recursion: (power, lmps, local, tail, balancing bus or None)."""
     per_bus = np.asarray(per_bus_cvars, dtype=float)
     suffix = np.asarray(suffix_cvars, dtype=float)
     n = grid.n_buses
@@ -209,8 +209,7 @@ def reference_dispatch_radial(grid, fleet, per_bus_cvars, suffix_cvars):
             else:
                 p_hat = per_bus[i + 1] - p_bar
                 p_hat_tail = p_hat_tail - pg
-    case = FeederCase.CONGESTED if congested else FeederCase.UNCONGESTED
-    return power, lmps, local_ledger, tail_ledger, case, balancing
+    return power, lmps, local_ledger, tail_ledger, balancing
 
 
 def reference_feeder_point(fleet, grid, sset, alpha):
@@ -450,10 +449,10 @@ def assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix):
     else:
         batch = dispatch_radial_batch(grid, fleet, per_bus, suffix)
         assert batch.power.shape == (len(per_bus), grid.n_buses)
-        for r, (power, lmps, _, _, case, balancing) in enumerate(expected):
+        batch_lmps = batch.lmps
+        for r, (power, lmps, _, _, balancing) in enumerate(expected):
             assert same_bits(batch.power[r], power)
-            assert same_bits(batch.lmps[r], lmps)
-            assert batch.congested[r] == (case is FeederCase.CONGESTED)
+            assert same_bits(batch_lmps[r], lmps)
             assert batch.balancing_bus[r] == (-1 if balancing is None else balancing)
     for row_bus, row_tail, ref in zip(per_bus, suffix, expected):
         if isinstance(ref, InfeasibleDispatchError):
@@ -462,9 +461,9 @@ def assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix):
             assert str(err.value) == str(ref)
             continue
         d = dispatch_radial(grid, fleet, row_bus, row_tail)
-        power, lmps, _, _, case, balancing = ref
+        power, lmps, _, _, balancing = ref
         assert same_bits(d.power, power) and same_bits(d.lmps, lmps)
-        assert d.case is case and d.balancing_bus == balancing
+        assert d.balancing_bus == balancing
     return expected
 
 
@@ -538,10 +537,7 @@ def test_feeder_rows_cover_reset_congestion_and_ties():
     suffix = np.cumsum(per_bus[:, ::-1], axis=1)[:, ::-1]
     suffix[2, 0] = 100.0
     expected = assert_feeder_rows_match_reference(grid, fleet, per_bus, suffix)
-    cases = [(ref[4], ref[5]) for ref in expected]
-    assert cases == [(FeederCase.CONGESTED, 1), (FeederCase.UNCONGESTED, None),
-                     (FeederCase.UNCONGESTED, None), (FeederCase.CONGESTED, 1),
-                     (FeederCase.CONGESTED, 2), (FeederCase.UNCONGESTED, None)]
+    assert [ref[4] for ref in expected] == [1, None, None, 1, 2, None]
     assert list(expected[1][0]) == [100.0, 0.0, 0.0]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridclear import (EmpiricalSample, FeederCase, Fleet, GeneratorSpec,
+from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, RunConfig, committed_upper_bound,
                        cvar_direct, cvar_rows, dispatch_radial, evaluate_point,
                        generate_scenarios, load_fleet, scenario_config)
@@ -75,7 +75,7 @@ def test_congested_three_bus():
     d = dispatch_radial(grid, fleet, [60, 40, 30], [130, 70, 30])
     assert np.allclose(d.power, [110, 20, 0])
     assert np.allclose(d.lmps, [10, 20, 20])
-    assert d.case is FeederCase.CONGESTED and d.balancing_bus == 1
+    assert d.balancing_bus == 1
     # nodal balance pins the flows; both lines within the limit
     flows = flows_from_dispatch(d.power, [60, 40, 30])
     assert np.allclose(flows, [50, 30])
@@ -106,7 +106,7 @@ def test_uncongested_three_bus():
     d = dispatch_radial(grid, fleet, [60, 20, 20], [100, 40, 20])
     assert np.allclose(d.power, [100, 0, 0])
     assert np.allclose(d.lmps, [10, 10, 10])
-    assert d.case is FeederCase.UNCONGESTED
+    assert d.balancing_bus is None
     flows = flows_from_dispatch(d.power, [60, 20, 20])
     assert np.allclose(flows, [40, 20])
 
@@ -196,8 +196,8 @@ def test_lmps_nondecreasing_along_feeder():
         grid, fleet, net, suffix = random_radial_instance(rng)
         d = dispatch_radial(grid, fleet, net, suffix)
         assert np.all(np.diff(d.lmps) >= -1e-12)
-        if d.case is FeederCase.CONGESTED:
-            k = d.balancing_bus
+        k = d.balancing_bus
+        if k is not None:
             assert np.all(d.lmps[k:] == d.lmps[k])
 
 
@@ -207,7 +207,7 @@ def test_unlimited_line_reduces_to_single_price():
         _, fleet, net, suffix = random_radial_instance(rng)
         big = RadialGrid(len(fleet), float(suffix[0] + fleet.p_maxs.sum() + 1.0))
         d = dispatch_radial(big, fleet, net, suffix)
-        assert d.case is FeederCase.UNCONGESTED
+        assert d.balancing_bus is None
         assert np.all(d.lmps == fleet.ask_prices[0])
         assert d.power[0] == pytest.approx(float(net.sum()), abs=1e-9)
 

@@ -15,11 +15,9 @@ def feeder_fleet(asks, p_maxs):
                        for i, (a, m) in enumerate(zip(asks, p_maxs))))
 
 
-def deterministic(grid, fleet, loads, renewables=None):
+def deterministic(grid, fleet, loads):
     """The feeder kernel on one known net-load row and its tails."""
     net = np.asarray(loads, dtype=float)
-    if renewables is not None:
-        net = net - np.asarray(renewables, dtype=float)
     return dispatch_radial(grid, fleet, net, np.cumsum(net[::-1])[::-1])
 
 
@@ -70,10 +68,10 @@ def test_congested_three_bus_flows():
 def test_renewables_offset_load():
     grid = RadialGrid(2, 80.0)
     fleet = feeder_fleet([10, 20], [200, 100])
-    d = deterministic(grid, fleet, [50.0, 40.0], renewables=[10.0, 15.0])
+    net = np.array([50.0, 40.0]) - np.array([10.0, 15.0])
+    d = deterministic(grid, fleet, net)
     assert d.total_power == pytest.approx(65.0, abs=1e-9)
-    assert kkt_verify_network(grid, fleet, d.power, d.lmps, [50.0, 40.0],
-                              renewables=[10.0, 15.0]).max_residual <= 1e-8
+    assert kkt_verify_network(grid, fleet, d.power, d.lmps, net).max_residual <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ def test_certificate_needs_one_unit_and_one_load_per_feeder_bus():
     with pytest.raises(ValueError, match="one unit per bus, got 7 units"):
         kkt_verify_network(grid, builtin_fleet(), d.power, d.lmps, [60.0, 40.0, 30.0])
     # one load is not broadcast to every bus
-    with pytest.raises(ValueError, match="one load and one renewable value per bus"):
+    with pytest.raises(ValueError, match=r"^need one load per bus \(3\)$"):
         kkt_verify_network(grid, fleet, d.power, d.lmps, [43.0])
 
 

@@ -76,9 +76,8 @@ def test_fleet_duplicate_names_rejected(tmp_path):
     path.write_text(FLEET_HEADER + "a,5,0,100,100,100,0,0,0\n\n"
                     "b,6,0,100,100,100,0,0,0\na,7,0,100,100,100,0,0,0\n")
     message = f"{path}:5: unit name 'a' already used on line 2"
-    with pytest.raises(FleetParseError, match=f"^{message}$") as err:
+    with pytest.raises(FleetParseError, match=f"^{message}$"):
         load_fleet(str(path))
-    assert err.value.line_number == 5
     result = CliRunner().invoke(main, ["dispatch", "--fleet", str(path),
                                        "--out", str(tmp_path)])
     assert result.exit_code == 2
@@ -92,7 +91,7 @@ def test_fleet_negative_capacity_rejected(tmp_path):
         "a,5,0,-100,100,100,0,0,0\n")
     with pytest.raises(FleetParseError) as err:
         load_fleet(str(path))
-    assert err.value.line_number == 2
+    assert str(err.value) == f"{path}:2: a: need 0 <= p_min <= p_max, got [0.0, -100.0]"
 
 
 def test_fleet_malformed_row_names_line(tmp_path):
@@ -103,7 +102,7 @@ def test_fleet_malformed_row_names_line(tmp_path):
         "b,oops,0,100,100,100,0,0,0\n")
     with pytest.raises(FleetParseError) as err:
         load_fleet(str(path))
-    assert err.value.line_number == 3
+    assert str(err.value) == f"{path}:3: could not convert string to float: 'oops'"
 
 
 def test_fleet_error_names_physical_line_after_quoted_newline(tmp_path):
@@ -112,9 +111,25 @@ def test_fleet_error_names_physical_line_after_quoted_newline(tmp_path):
         "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
         'a,"5\n",0,100,100,100,0,0,0\n'
         "b,oops,0,100,100,100,0,0,0\n")
-    with pytest.raises(FleetParseError, match=f"^{path}:4: could not convert") as err:
+    with pytest.raises(FleetParseError, match=f"^{path}:4: could not convert"):
         load_fleet(str(path))
-    assert err.value.line_number == 4
+
+
+def test_fleet_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = FLEET_HEADER + "a,5,0,600,600,300,0,0,0\nb,9,0,900,900,900,0,0,0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_fleet(str(marked)) == load_fleet(str(plain))
+    written = []
+    for path in (plain, marked):
+        out = tmp_path / path.stem
+        result = CliRunner().invoke(main, ["settle", "--fleet", str(path), "--scenarios", "20",
+                                           "--horizon", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written.append((out / "settlement.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_fleet_not_utf8_is_parse_error(tmp_path):
@@ -149,7 +164,7 @@ def test_cli_dispatch_rejects_unit_name_that_breaks_csv(field, shown, tmp_path):
         "b,9,0,900,900,900,0,0,0\n", encoding="utf-8")
     with pytest.raises(FleetParseError) as err:
         load_fleet(str(path))
-    assert err.value.line_number == 2
+    assert str(err.value).startswith(f"{path}:2: unit name {shown} must be non-empty")
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["dispatch", "--fleet", str(path), "--out", str(out)])
     assert result.exit_code == 2
@@ -255,6 +270,25 @@ def test_evaluate_point_builds_envelopes_once(monkeypatch, line_limit, load_mean
     sset = generate_scenarios(scenario_config(run, 0.009))
     experiment.evaluate_point(load_fleet("builtin"), run, sset, 0.9, 0.009)
     assert len(calls) == 1
+
+
+def test_feeder_builds_bus_prices_only_for_its_commitment(monkeypatch):
+    # the balancing bus fixes every bus price, so a grid builds prices where
+    # it reads them: each alpha's L*T commitment rows, never a re-dispatch block
+    from gridclear.congestion import RadialDispatchBatch
+    built = []
+    real = RadialDispatchBatch.lmps
+
+    def counting(batch):
+        built.append(len(batch.power))
+        return real.fget(batch)
+
+    monkeypatch.setattr(RadialDispatchBatch, "lmps", property(counting))
+    run = RunConfig(alphas=(0.95, 0.5), penetrations=(0.0, 0.4, 0.9), horizon=3,
+                    n_scenarios=40, line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0))
+    points = run_grid(run)
+    assert len(points) == 6
+    assert built == [3 * 3, 3 * 3]
 
 
 def test_penetration_sweep_zero_point_matches_load_tail():

@@ -94,8 +94,7 @@ def test_dispatch_radial_matches_the_feeder_lp():
                                                                         abs=1e-9)
         assert dispatch.lmps == pytest.approx(res.eqlin.marginals, abs=1e-9)
         assert rises == pytest.approx(-res.upper.marginals[n:], abs=1e-9)
-        report = kkt_verify_network(grid, fleet, res.x[:n], res.eqlin.marginals, loads,
-                                    renewables)
+        report = kkt_verify_network(grid, fleet, res.x[:n], res.eqlin.marginals, net)
         assert report.max_residual <= 1e-7, report
         solved += 1
         congested += bool(rises.any())
