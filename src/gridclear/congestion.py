@@ -29,7 +29,7 @@ row from its masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class RadialDispatchBatch:
 
     power: np.ndarray               # (m, n) MW per bus
     balancing_bus: np.ndarray       # (m,) first bus whose tail fits, -1 uncongested
-    asks: np.ndarray = field(repr=False)  # (n,) $/MWh, the units' ask prices
+    asks: np.ndarray                # (n,) $/MWh, the units' ask prices
 
     @property
     def lmps(self) -> np.ndarray:
