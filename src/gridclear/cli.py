@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 infeasible dispatch.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -74,11 +75,19 @@ def _shared_options(fn):
 
 def _check_out(out: Path) -> None:
     """Exit before a run whose ``--out`` could not be created: its nearest
-    existing ancestor must be a writable directory.  Creates nothing."""
-    ancestor = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    existing ancestor must be a writable directory, and no missing component
+    may be longer than that directory's file system allows.  Creates nothing."""
+    paths = (out, *out.parents)
+    found = next(i for i, p in enumerate(paths) if os.path.lexists(p))
+    ancestor = paths[found]
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
         click.echo(f"configuration error: --out {out}: {ancestor} is not a writable "
                    "directory", err=True)
+        sys.exit(EXIT_CONFIG)
+    name_max = os.pathconf(ancestor, "PC_NAME_MAX")
+    if any(len(os.fsencode(p.name)) > name_max for p in paths[:found]):
+        exc = OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(out))
+        click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
 

@@ -29,7 +29,11 @@ of reseeding.
 
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
-start-up, is never loaded.  The Beta quantile is ``betaincinv(a, b, u)``,
+start-up, is never loaded.  All of them live in the compiled
+``scipy.special._ufuncs``, which ``_load_special`` loads without the
+package ``__init__``: its array-API layer (``numpy.f2py``,
+``numpy.testing``, ``unittest``) was half of a CLI start-up.  The Beta
+quantile is ``betaincinv(a, b, u)``,
 the Boost inverse that scipy's ``beta.ppf`` also calls (both give 0.0 at
 u = 0); it is a scalar ufunc, so one call over many (level, hour) pairs
 gives each element the bits of one call per hour.  The truncated-normal
@@ -56,13 +60,48 @@ to hand to any number of grid points.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError
 from .risk import EmpiricalSample
+
+_UFUNCS = ("betaincinv", "ndtri_exp", "ndtr", "log_ndtr", "log1p")
+
+
+def _load_special():
+    """The module holding the ``scipy.special`` ufuncs in ``_UFUNCS``.
+
+    An imported ``scipy.special`` is returned as it is.  Otherwise the
+    compiled ``scipy.special._ufuncs`` is loaded under a bare package stub
+    that is removed at once, so a later ``import scipy.special`` runs the
+    real package, which re-exports these same objects.  Any import error,
+    or a missing ufunc, falls back to the real package.
+    """
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    try:
+        spec = importlib.util.find_spec("scipy.special")
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = spec.submodule_search_locations
+        sys.modules["scipy.special"] = stub
+        try:
+            from scipy.special import _ufuncs
+        finally:
+            del sys.modules["scipy.special"]
+        if all(hasattr(_ufuncs, name) for name in _UFUNCS):
+            return _ufuncs
+    except ImportError:
+        pass
+    from scipy import special
+    return special
+
+
+special = _load_special()
 
 # keep the target std strictly inside the Beta feasibility bound sqrt(mu*(1-mu))
 _FEASIBILITY_MARGIN = 0.95

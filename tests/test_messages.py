@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from gridclear import (ConfigurationError, EmpiricalSample, Fleet, FleetParseError,
                        GeneratorSpec, RadialGrid, RunConfig, ScenarioSet, builtin_fleet,
                        fleet_from_csv, recovery_rate, scenario_config)
+from gridclear import cli
 from gridclear.cli import main
 from gridclear.scenarios import build_levels, draw_loads
 
@@ -36,9 +37,13 @@ def test_cli_rejects_a_line_limit_that_is_no_number():
     assert "line limit must be a number or 'unlimited', got 'eighty'" in result.output
 
 
-def test_cli_exits_2_when_the_output_directory_cannot_be_made(tmp_path):
-    # the nearest existing ancestor is writable, so the run goes ahead, but
-    # a path component too long for the file system fails the mkdir after it
+def test_cli_exits_2_when_the_output_directory_cannot_be_made(tmp_path, monkeypatch):
+    # the nearest existing ancestor is writable, but a missing component too
+    # long for its file system could never be made, so the run never starts
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_grid", started)
     out = tmp_path / ("x" * 300) / "out"
     result = CliRunner().invoke(main, ["settle", "--scenarios", "20", "--out", str(out)])
     assert result.exit_code == 2

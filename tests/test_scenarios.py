@@ -245,3 +245,72 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def fresh_python(code, *args):
+    """Run ``python -W error -c code *args`` on this checkout; its completed process."""
+    src = str(Path(gridclear.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+UFUNCS = "('betaincinv', 'ndtri_exp', 'ndtr', 'log_ndtr', 'log1p')"
+
+
+def test_cli_import_leaves_the_special_package_init_unloaded():
+    # the draws need only the compiled ufuncs; scipy.special's package init
+    # brings an array-API layer that loads numpy.f2py, numpy.testing and
+    # unittest.  A later real import runs that init and gets the same ufuncs,
+    # and so does a reload of scenarios
+    code = ("import importlib, sys, gridclear.cli\n"
+            "from gridclear import scenarios\n"
+            "print(sorted({'scipy.special._support_alternative_backends',\n"
+            "              'scipy._lib._array_api', 'numpy.f2py', 'numpy.testing',\n"
+            "              'unittest'} & set(sys.modules)))\n"
+            f"names = {UFUNCS}\n"
+            "loaded = [getattr(scenarios.special, name) for name in names]\n"
+            "import scipy.special\n"
+            "print(scipy.special.gamma(5.0), scenarios.special is scipy.special)\n"
+            "print([getattr(scipy.special, name) is f for name, f in zip(names, loaded)])\n"
+            "importlib.reload(scenarios)\n"
+            "print([getattr(scenarios.special, name) is f for name, f in zip(names, loaded)])\n")
+    out = fresh_python(code).stdout.splitlines()
+    assert out == ["[]", "24.0 False", str([True] * 5), str([True] * 5)]
+
+
+# the three ways scenarios finds its ufuncs: under the package stub, from a
+# scipy.special imported before it, and through the fallback to the real
+# package when loading under the stub fails
+NO_UFUNCS_UNDER_STUB = """
+import sys
+
+class NoUfuncsUnderStub:
+    def find_spec(self, name, path=None, target=None):
+        package = sys.modules.get("scipy.special")
+        if name == "scipy.special._ufuncs" and not hasattr(package, "__file__"):
+            raise ImportError("no scipy.special._ufuncs under the stub")
+        return None
+
+sys.meta_path.insert(0, NoUfuncsUnderStub())
+"""
+LOADERS = {"stub": ("", "scipy.special._ufuncs"),
+           "imported": ("import scipy.special\n", "scipy.special"),
+           "fallback": (NO_UFUNCS_UNDER_STUB, "scipy.special")}
+
+
+@pytest.mark.parametrize("extra", [(), ("--line-limit", "80", "--load-mean", "150,75,45")],
+                         ids=["bus", "feeder"])
+def test_settle_writes_the_same_bytes_whichever_way_the_ufuncs_load(tmp_path, extra):
+    runs = {}
+    for way, (preamble, module) in LOADERS.items():
+        code = (preamble + "import sys\nfrom gridclear import cli, scenarios\n"
+                "print(scenarios.special.__name__)\ncli.main(sys.argv[1:])\n")
+        proc = fresh_python(code, "settle", "--horizon", "24", "--scenarios", "200",
+                            "--seed", "7", *extra, "--out", str(tmp_path))
+        loaded, _, stdout = proc.stdout.partition("\n")
+        assert loaded == module
+        runs[way] = (stdout, proc.stderr, (tmp_path / "settlement.csv").read_bytes())
+    assert runs["imported"] == runs["stub"]
+    assert runs["fallback"] == runs["stub"]
