@@ -256,9 +256,6 @@ def fresh_python(code, *args):
                           capture_output=True, text=True, check=True)
 
 
-UFUNCS = "('betaincinv', 'ndtri_exp', 'ndtr', 'log_ndtr', 'log1p')"
-
-
 def test_cli_import_leaves_the_special_package_init_unloaded():
     # the draws need only the compiled ufuncs; scipy.special's package init
     # brings an array-API layer that loads numpy.f2py, numpy.testing and
@@ -269,7 +266,7 @@ def test_cli_import_leaves_the_special_package_init_unloaded():
             "print(sorted({'scipy.special._support_alternative_backends',\n"
             "              'scipy._lib._array_api', 'numpy.f2py', 'numpy.testing',\n"
             "              'unittest'} & set(sys.modules)))\n"
-            f"names = {UFUNCS}\n"
+            "names = ('betaincinv', 'ndtri_exp', 'ndtr', 'log_ndtr', 'log1p')\n"
             "loaded = [getattr(scenarios.special, name) for name in names]\n"
             "import scipy.special\n"
             "print(scipy.special.gamma(5.0), scenarios.special is scipy.special)\n"
