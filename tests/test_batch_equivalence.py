@@ -13,7 +13,8 @@ on its own).  The scenario quantiles, computed
 with scipy.special, are compared with the scipy.stats functions they
 replaced.  The reserve envelope is compared with the clamped deviation
 array it replaced, and a grid's re-dispatch in small row blocks with the
-same re-dispatch in one block.
+same re-dispatch in one block.  Levels large enough that their Beta
+quantiles run in row blocks on threads are compared hour by hour too.
 """
 
 import dataclasses
@@ -1354,6 +1355,30 @@ def test_level_renewables_equal_masked_and_clipped_build(seed):
         negative_zero = np.signbit(cap)
         assert same_bits(got[~negative_zero], want[~negative_zero])
         assert same_bits(got[negative_zero], np.zeros_like(got[negative_zero]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_levels_above_the_split_threshold_equal_per_hour_build(workers, monkeypatch):
+    # T 24 and K 1000 over four levels, with a different Beta shape in every
+    # (level, hour): far above scenarios._SPLIT_MIN, so build_levels cuts its
+    # one betaincinv call into row blocks on threads
+    monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+    rng = np.random.default_rng(26)
+    n, t_len, k = 3, 24, 1000
+    mean = rng.uniform(20.0, 150.0, (n, t_len))
+    penetrations = (0.15, 0.4, 0.65, 0.9)
+    caps = np.outer([1.0, 1.4, 1.1, 2.0], 1.2 * mean.max(axis=1))
+    config = ScenarioConfig(n_buses=n, horizon=t_len, n_scenarios=k, seed=7,
+                            load_mean=mean, load_std=0.1 * mean, renewable_capacity=caps[0],
+                            penetration=0.0, uncertainty_growth=0.2)
+    assert len(penetrations) * t_len * k >= scenarios._SPLIT_MIN
+    draws = draw_loads(config)
+    levels = build_levels(draws, penetrations, caps, config.uncertainty_growth)
+    assert levels.errors == (None,) * len(penetrations)
+    for level, (penetration, cap) in enumerate(zip(penetrations, caps)):
+        want = reference_build(dataclasses.replace(
+            config, renewable_capacity=cap, penetration=penetration), draws).renewable
+        assert same_bits(levels.renewable(level), want)
 
 
 @pytest.mark.parametrize("cost_recovery", [0, 1])

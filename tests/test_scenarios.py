@@ -3,15 +3,18 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import gridclear
 from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
                        ScenarioSet, aggregate_net_load, committed_upper_bound,
                        cvar_direct, generate_scenarios, net_load, suffix_net_load)
+from gridclear import scenarios
 from gridclear.scenarios import build_levels, draw_loads
 
 
@@ -311,3 +314,184 @@ def test_settle_writes_the_same_bytes_whichever_way_the_ufuncs_load(tmp_path, ex
         runs[way] = (stdout, proc.stderr, (tmp_path / "settlement.csv").read_bytes())
     assert runs["imported"] == runs["stub"]
     assert runs["fallback"] == runs["stub"]
+
+
+def test_special_error_actions_work_after_the_stub_load():
+    # seterr, and so errstate, reads scipy.special._special_ufuncs, which was
+    # loaded under the stub; the real package still holds it as an attribute
+    code = ("import gridclear.cli\n"
+            "import scipy.special as sc\n"
+            "with sc.errstate(domain='raise'):\n"
+            "    try:\n"
+            "        sc.betaincinv(-1.0, 2.0, 0.5)\n"
+            "    except sc.SpecialFunctionError as exc:\n"
+            "        print(type(exc).__name__)\n"
+            "print(sc.geterr()['domain'], sc._special_ufuncs.__name__)\n")
+    out = fresh_python(code).stdout.splitlines()
+    assert out == ["SpecialFunctionError", "ignore scipy.special._special_ufuncs"]
+
+
+# -- the Beta quantile's call split into row blocks on threads ------------
+
+
+class CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The number of threads started, read as ``thread_starts()``."""
+    monkeypatch.setattr(CountingThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    return lambda: CountingThread.started
+
+
+def beta_arguments(rows, k, seed=0):
+    """(rows, 1) Beta shapes, as build_levels passes them, and (rows, k) uniforms."""
+    rng = np.random.default_rng(seed)
+    a, b = np.exp(rng.uniform(-3.0, 4.0, (2, rows, 1)))
+    u = rng.random((rows, k))
+    u[:, 0] = 0.0
+    return a, b, u
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+MIN = scenarios._SPLIT_MIN
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rows,k", [
+    (23, 89), (32, 64), (683, 3),     # MIN - 1, MIN and MIN + 1 elements
+    (2, 1500),                        # fewer rows than three workers
+    (7, 400),                         # rows that two or three workers do not divide
+    (1, 3 * MIN),                     # one row is one call
+])
+def test_split_rows_equals_one_call(rows, k, workers, monkeypatch, thread_starts):
+    assert (23 * 89, 32 * 64, 683 * 3) == (MIN - 1, MIN, MIN + 1)
+    monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+    a, b, u = beta_arguments(rows, k)
+    want = scenarios.special.betaincinv(a, b, u)
+    got = scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
+    assert same_bits(got, want)
+    assert thread_starts() == (min(workers, rows) - 1 if rows * k >= MIN else 0)
+
+
+def test_split_rows_broadcasts_one_row_of_shapes(monkeypatch, thread_starts):
+    # (1, 1) shapes against (R, K) uniforms, and scalar shapes
+    monkeypatch.setattr(scenarios, "_workers", lambda: 2)
+    a, b, u = beta_arguments(40, 100)
+    for shapes in ((a[:1], b[:1]), (float(a[0, 0]), float(b[0, 0]))):
+        want = scenarios.special.betaincinv(*shapes, u)
+        assert same_bits(scenarios._split_rows(scenarios.special.betaincinv, *shapes, u), want)
+    assert thread_starts() == 2
+
+
+def test_split_rows_with_more_threads_than_cpus_and_frequent_switches(monkeypatch):
+    # every thread writes its own rows of one output and its own error slot;
+    # a lost or misplaced write would change the bits
+    workers = (os.cpu_count() or 1) + 1
+    monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+    a, b, u = beta_arguments(3 * workers, MIN // workers + 1, seed=1)
+    want = scenarios.special.betaincinv(a, b, u)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert same_bits(scenarios._split_rows(scenarios.special.betaincinv, a, b, u), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_split_rows_carries_the_special_error_actions(monkeypatch):
+    # a negative Beta shape is a domain error; it lies in the last block
+    monkeypatch.setattr(scenarios, "_workers", lambda: 3)
+    a, b, u = beta_arguments(30, 100)
+    a[-1] = -1.0
+    with np.errstate(invalid="raise"), special.errstate(all="raise"):
+        with pytest.raises(special.SpecialFunctionError) as one:
+            scenarios.special.betaincinv(a, b, u)
+        with pytest.raises(special.SpecialFunctionError) as split:
+            scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
+    assert str(split.value) == str(one.value)
+    # scipy's default ignores it, in the caller and in the threads alike
+    got = scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
+    assert same_bits(got, scenarios.special.betaincinv(a, b, u))
+    assert np.isnan(got[-1]).all()
+
+
+@pytest.mark.parametrize("action,error", [("raise", FloatingPointError),
+                                          ("ignore", None)])
+def test_split_rows_carries_numpy_error_state(action, error, monkeypatch):
+    # numpy's error state lives in a context variable that a new thread does
+    # not inherit; with its default "warn", the warnings filter of the test
+    # run would turn a worker's invalid value into a RuntimeWarning error
+    monkeypatch.setattr(scenarios, "_workers", lambda: 2)
+    x = np.ones((10, MIN))
+    x[-1, -1] = -1.0
+    with np.errstate(invalid=action):
+        if error is None:
+            got = scenarios._split_rows(np.sqrt, x)
+            assert same_bits(got, np.sqrt(x))
+        else:
+            with pytest.raises(error):
+                np.sqrt(x)
+            with pytest.raises(error):
+                scenarios._split_rows(np.sqrt, x)
+
+
+def fail_in(blocks):
+    """A ufunc stand-in that raises in the named blocks: "caller" and "thread"."""
+    def ufunc(x, out):
+        where = "caller" if threading.current_thread() is threading.main_thread() else "thread"
+        if where in blocks:
+            raise {"caller": ValueError, "thread": LookupError}[where](where)
+        out[...] = x
+    return ufunc
+
+
+@pytest.mark.parametrize("blocks,error", [((), None), (("thread",), LookupError),
+                                          (("caller", "thread"), ValueError)])
+def test_split_rows_raises_the_first_failing_block_in_the_caller(blocks, error, monkeypatch,
+                                                                 thread_starts):
+    monkeypatch.setattr(scenarios, "_workers", lambda: 3)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    x = np.arange(3.0 * MIN).reshape(6, -1)
+    if error is None:
+        assert same_bits(scenarios._split_rows(fail_in(blocks), x), x)
+    else:
+        with pytest.raises(error, match=blocks[0]):
+            scenarios._split_rows(fail_in(blocks), x)
+    assert thread_starts() == 2
+    assert unhandled == []
+    assert threading.active_count() == before
+
+
+def test_worker_count_is_the_affinity_count_capped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert scenarios._workers() == min(3, scenarios._MAX_WORKERS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert scenarios._workers() == scenarios._MAX_WORKERS
+    # without affinity, the CPU count; an unknown count is one worker
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert scenarios._workers() == scenarios._MAX_WORKERS
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert scenarios._workers() == 1
+
+
+def test_one_cpu_starts_no_thread(monkeypatch, thread_starts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg = make_config(horizon=24, n_scenarios=1000, load_mean=np.full((3, 24), 100.0),
+                      load_std=np.full((3, 24), 8.0))
+    assert cfg.horizon * cfg.n_scenarios >= MIN
+    generate_scenarios(cfg)
+    assert thread_starts() == 0
