@@ -12,17 +12,15 @@ from .congestion import (CongestedDispatch, RadialGrid, committed_upper_bound,
 from .dcopf import KktReport, kkt_residuals, kkt_verify_network
 from .errors import (ConfigurationError, FleetParseError, GridClearError,
                      InfeasibleDispatchError)
-from .experiment import (PointResult, RunConfig, emit_csv, evaluate_point,
-                         load_fleet, point_row, run_grid, scenario_config)
+from .experiment import (PointResult, RunConfig, emit_csv, load_fleet, point_row, run_grid,
+                         scenario_config)
 from .merit_order import (DispatchResult, Fleet, GeneratorSpec, Regime,
                           builtin_fleet, commit, commit_batch, fleet_from_csv)
-from .risk import (EmpiricalSample, cvar_direct, cvar_rockafellar, cvar_rows,
-                   rockafellar_objective, var)
-from .scenarios import (ScenarioConfig, ScenarioSet, aggregate_net_load,
-                        generate_scenarios, net_load, suffix_net_load)
+from .risk import cvar_rows
+from .scenarios import ScenarioConfig
 from .settlement import (SettlementReport, curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
-                         recovery_rate, reserve_and_ramp_check)
+                         reserve_and_ramp_check)
 
 __version__ = "0.1.0"
 
@@ -31,15 +29,13 @@ __all__ = [
     "dispatch_radial", "dispatch_radial_batch",
     "KktReport", "kkt_residuals", "kkt_verify_network",
     "ConfigurationError", "FleetParseError", "GridClearError", "InfeasibleDispatchError",
-    "PointResult", "RunConfig", "emit_csv", "evaluate_point", "load_fleet",
+    "PointResult", "RunConfig", "emit_csv", "load_fleet",
     "point_row", "run_grid", "scenario_config",
     "DispatchResult", "Fleet", "GeneratorSpec", "Regime",
     "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
-    "EmpiricalSample", "cvar_direct", "cvar_rockafellar",
-    "cvar_rows", "rockafellar_objective", "var",
-    "ScenarioConfig", "ScenarioSet", "aggregate_net_load", "generate_scenarios",
-    "net_load", "suffix_net_load",
+    "cvar_rows",
+    "ScenarioConfig",
     "SettlementReport", "curtail_and_pay_renewables",
     "deviation_envelopes", "expected_profit", "realized_profit",
-    "recovery_rate", "reserve_and_ramp_check",
+    "reserve_and_ramp_check",
 ]

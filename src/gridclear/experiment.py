@@ -3,18 +3,18 @@
 ``run_grid`` is the one loop over grid points: both sweeps and the
 single-point commands are runs of it on differently shaped grids.  It draws
 the loads once, builds every level's renewables from one call, and clears
-and settles all drawable levels together; ``evaluate_point`` is a one-level,
-one-alpha call of the same routine.  That routine branches once, on the line
-limit.  Without one the whole fleet clears on one bus against the CVaR of
-the aggregate net load; with one the first ``n_buses`` units clear on a
-radial feeder against per-bus and tail CVaRs.  Either clearing re-dispatches
-every scenario at its realized net load with the committed prices held
-fixed; that re-dispatch reads no alpha, so it runs once per level over all
-of a grid's levels, through the kernel in row blocks of one fixed size, and
-each alpha costs one ``cvar_rows`` call and one commitment over all levels
-and hours on either market.  A block's outputs other than its power are
-dropped before the next block runs, so the re-dispatch holds one (L*K*T, n)
-power array and the temporaries of one block.  Both markets settle the same
+and settles all drawable levels together in ``_evaluate_levels``.  That
+routine branches once, on the line limit.  Without one the whole fleet
+clears on one bus against the CVaR of the aggregate net load; with one the
+first ``n_buses`` units clear on a radial feeder against per-bus and tail
+CVaRs.  Either clearing re-dispatches every scenario at its realized net
+load with the committed prices held fixed; that re-dispatch reads no alpha,
+so it runs once per level over all of a grid's levels, through the kernel
+in row blocks of one fixed size, and each alpha costs one ``cvar_rows``
+call and one commitment over all levels and hours on either market.  A
+block's outputs other than its power are dropped before the next block
+runs, so the re-dispatch holds one (L*K*T, n) power array and the
+temporaries of one block.  Both markets settle the same
 way, each alpha's levels together: every level is settled, a failed
 point's rows as zeros, and the figures of a failed point are dropped.  A
 run whose load means overflow their bus total is a configuration error.
@@ -55,8 +55,7 @@ from .congestion import RadialGrid, _radial_rows
 from .errors import ConfigurationError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
-from .scenarios import (LOAD_Z_MAX, ScenarioConfig, ScenarioSet, _check_integer, build_levels,
-                        draw_loads)
+from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_integer, build_levels, draw_loads
 from .settlement import (SettlementReport, _recovery_rows,
                          curtail_and_pay_renewables, deviation_envelopes, expected_profit,
                          realized_profit, reserve_and_ramp_check, sum_in_order)
@@ -107,7 +106,7 @@ class RunConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigurationError(f"confidence level {a} outside (0, 1)")
-        # what ScenarioConfig would reject at every penetration level
+        # what ScenarioConfig and build_levels would reject at every level
         for name, values in (("penetration", self.penetrations),
                              ("load mean", self.load_mean_per_bus),
                              ("load_std_frac", (self.load_std_frac,)),
@@ -165,7 +164,8 @@ def derive_capacity(load_mean_per_bus, penetration: float, mode: str) -> np.ndar
     raise ConfigurationError(f"unknown capacity mode {mode!r}")
 
 
-def scenario_config(run: RunConfig, penetration: float) -> ScenarioConfig:
+def scenario_config(run: RunConfig) -> ScenarioConfig:
+    """The run's load process: every penetration level draws its loads from it."""
     mean_col = np.asarray(run.load_mean_per_bus, dtype=float)[:, None]
     mean = np.repeat(mean_col, run.horizon, axis=1)
     return ScenarioConfig(
@@ -175,10 +175,6 @@ def scenario_config(run: RunConfig, penetration: float) -> ScenarioConfig:
         seed=run.seed,
         load_mean=mean,
         load_std=run.load_std_frac * mean,
-        renewable_capacity=derive_capacity(run.load_mean_per_bus, penetration,
-                                           run.capacity_mode),
-        penetration=penetration,
-        uncertainty_growth=run.uncertainty_growth,
     )
 
 
@@ -422,20 +418,6 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     return points
 
 
-def evaluate_point(fleet: Fleet, run: RunConfig, sset: ScenarioSet, alpha: float,
-                   penetration: float) -> PointResult:
-    """Commit, re-dispatch and settle one (alpha, penetration) grid point.
-
-    A one-level, one-alpha call of the routine ``run_grid`` runs; raises
-    the point's InfeasibleDispatchError or ConfigurationError.
-    """
-    point, = _evaluate_levels(fleet, run, sset.load, sset.probabilities,
-                              lambda _: sset.renewable, [penetration], [alpha])
-    if not isinstance(point, PointResult):
-        raise point
-    return point
-
-
 def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[PointResult]:
     """Evaluate every (penetration, alpha) point of the run's grid, penetration-major.
 
@@ -452,8 +434,7 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
     if run.line_limit is not None and run.n_buses > len(fleet):
         raise ConfigurationError(f"a feeder of {run.n_buses} buses needs {run.n_buses} "
                                  f"units, but the fleet has {len(fleet)}")
-    # the load half reads no penetration, so any level's config draws it
-    draws = draw_loads(scenario_config(run, 0.0))
+    draws = draw_loads(scenario_config(run))
     levels = build_levels(draws, run.penetrations,
                           [derive_capacity(run.load_mean_per_bus, penetration,
                                            run.capacity_mode)

@@ -2,29 +2,22 @@
 
 The estimators here are exact for finite weighted samples: the atom that
 straddles the confidence level is split by weight, which is the discrete
-analogue of rescaling the tail of a continuous CDF.  Two CVaR routes are
-provided, the direct tail expectation and the minimization form; they agree
-to float precision and are used as mutual cross-checks throughout the test
-suite.
+analogue of rescaling the tail of a continuous CDF.
 
-``cvar_rows`` is the one kernel of the direct route: it takes m samples as
-the rows of an (m, K) array sharing one probability vector and returns every
-row's VaR and CVaR.  With equal probabilities, the case of every scenario
-set, it sorts the rows in blocks of ``_SORT_BLOCK`` elements and weights each
-tie-free row's sorted draws by one tail vector that all of them share.  A
-row with a tie, and every row of a sample with unequal weights, is merged
-into atoms as ``EmpiricalSample.from_arrays`` merges it, one row at a time,
-and weighted by the same tail formula.  Both routes give the bits of the
-merged-atom estimator.  ``var`` and ``cvar_direct`` are one-row calls of
-it, and each confidence level of a grid takes all of its CVaRs from one
-call.  The kernel and ``EmpiricalSample`` reject the same inputs with the
-same messages.
+``cvar_rows`` is the one kernel: it takes m samples as the rows of an (m, K)
+array sharing one probability vector and returns every row's VaR and CVaR.
+With equal probabilities, the case of every scenario set, it sorts the rows
+in blocks of ``_SORT_BLOCK`` elements and weights each tie-free row's sorted
+draws by one tail vector that all of them share.  A row with a tie, and
+every row of a sample with unequal weights, is merged into atoms by
+``_atoms``, one row at a time, and weighted by the same tail formula.  Both
+paths give the bits of the merged-atom estimator, and each confidence level
+of a grid takes all of its CVaRs from one call.  The tests check the kernel
+against references of their own: the atom formula on a loop merge, and the
+minimisation form of Rockafellar and Uryasev.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -40,11 +33,11 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_draws(values: np.ndarray, probs: np.ndarray, ndim: int) -> None:
-    """Reject draws ``values`` (``ndim``-D, K per row) and weights ``probs`` (K,)
-    that no sample can hold."""
-    if values.ndim != ndim:
-        raise ValueError(f"values must be a {ndim}-D array of draws, got shape {values.shape}")
+def _check_draws(values: np.ndarray, probs: np.ndarray) -> None:
+    """Reject draws ``values`` (m, K) and weights ``probs`` (K,) that no sample
+    can hold."""
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-D array of draws, got shape {values.shape}")
     if probs.ndim != 1 or values.shape[-1:] != probs.shape:
         raise ValueError("one probability per value")
     if probs.size == 0:
@@ -58,51 +51,6 @@ def _check_draws(values: np.ndarray, probs: np.ndarray, ndim: int) -> None:
     if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
         raise ValueError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, "
                          f"got {probs.sum()!r}")
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """A finite weighted sample of a scalar quantity (MW when a net load).
-
-    Invariants enforced at construction:
-
-    * at least one atom,
-    * strictly increasing values (equal draws must be merged beforehand;
-      use :meth:`from_points` / :meth:`from_arrays` to merge automatically),
-    * strictly positive probabilities summing to one within 1e-12.
-    """
-
-    values: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        probs = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probabilities", probs)
-        _check_draws(values, probs, 1)
-        if np.any(np.diff(values) <= 0.0):
-            raise ValueError("values must be strictly increasing; merge ties first")
-
-    @classmethod
-    def from_arrays(cls, values, probabilities) -> "EmpiricalSample":
-        """Build a sample from raw draws: sorts by value and merges ties."""
-        values = np.asarray(values, dtype=float)
-        probs = np.asarray(probabilities, dtype=float)
-        _check_draws(values, probs, 1)
-        return cls(*_atoms(values, probs))
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "EmpiricalSample":
-        """Build a sample from (value, probability) pairs."""
-        pts = np.asarray(list(points), dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be (value, probability) pairs")
-        return cls.from_arrays(pts[:, 0], pts[:, 1])
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.values.tolist(), self.probabilities.tolist()))
 
 
 def _atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,23 +79,24 @@ def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarr
     """VaR and CVaR at ``alpha`` of each row of ``values`` (m, K).
 
     Every row is a sample of K draws weighted by the same ``probabilities``
-    (K,).  Row by row the results have the bits of :func:`var` and
-    :func:`cvar_direct` on ``EmpiricalSample.from_arrays(row, probabilities)``:
-    tied draws merge into one atom whose probability is added in draw order,
-    and each CVaR is one dot product over that row's atoms.
+    (K,).  Tied draws merge into one atom whose probability is added in draw
+    order; the VaR is the smallest atom whose cumulative probability reaches
+    ``alpha``, and the CVaR is one dot product over the row's atoms, the
+    quantile atom weighted (F(q) - alpha) / (1 - alpha) and every atom above
+    it p / (1 - alpha).
 
     When the probabilities are all equal, the rows are sorted in blocks of at
     most ``_SORT_BLOCK`` elements, and every block row without a tie shares
     one tail weight vector: its atoms are its sorted draws and their
     probabilities are the K equal ones, so that vector is the one its merged
     atoms would give.  A row with a tie (``-0.0`` and ``0.0`` tie), and every
-    row of a sample with unequal weights, is merged as ``from_arrays`` merges
-    it, one row at a time.  Returns ``(var, cvar)``, each (m,).
+    row of a sample with unequal weights, is merged by ``_atoms``, one row at
+    a time.  Returns ``(var, cvar)``, each (m,).
     """
     alpha = _check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
-    _check_draws(values, probs, 2)
+    _check_draws(values, probs)
     m, k = values.shape
     var_out, cvar_out = np.empty(m), np.empty(m)
     merged = range(m)  # the rows merged into atoms: all of them, unless weights are equal
@@ -166,40 +115,3 @@ def cvar_rows(values, probabilities, alpha: float) -> tuple[np.ndarray, np.ndarr
         idx, weights = _tail_weights(atom_probs, alpha)
         var_out[row], cvar_out[row] = atoms[idx], np.vecdot(weights, atoms)
     return var_out, cvar_out
-
-
-def var(sample: EmpiricalSample, alpha: float) -> float:
-    """Smallest sample value whose cumulative probability reaches ``alpha``.
-
-    Exact on the discrete CDF, no interpolation: when ``alpha`` lands exactly
-    on a CDF jump the value at the jump is returned (the min of the
-    superlevel set).  A one-row call of :func:`cvar_rows`.
-    """
-    return float(cvar_rows(sample.values[None, :], sample.probabilities, alpha)[0][0])
-
-
-def cvar_direct(sample: EmpiricalSample, alpha: float) -> float:
-    """Tail expectation above the ``alpha`` quantile, computed exactly.
-
-    The atom at the quantile carries weight (F(q) - alpha) / (1 - alpha) and
-    every atom above it carries p / (1 - alpha); the rescaled weights sum to
-    one by construction.  A one-row call of :func:`cvar_rows`.
-    """
-    return float(cvar_rows(sample.values[None, :], sample.probabilities, alpha)[1][0])
-
-
-def rockafellar_objective(sample: EmpiricalSample, alpha: float, eta: float) -> float:
-    """eta + E[(X - eta)+] / (1 - alpha), the convex objective whose minimum is CVaR."""
-    alpha = _check_alpha(alpha)
-    excess = np.maximum(sample.values - eta, 0.0)
-    return float(eta + (sample.probabilities @ excess) / (1.0 - alpha))
-
-
-def cvar_rockafellar(sample: EmpiricalSample, alpha: float) -> float:
-    """CVaR through the minimization form.
-
-    For a discrete sample the minimizer is the ``alpha`` quantile, so a single
-    objective evaluation suffices; agrees with :func:`cvar_direct` to float
-    precision.
-    """
-    return rockafellar_objective(sample, alpha, var(sample, alpha))

@@ -1,4 +1,4 @@
-"""Monte Carlo scenario sets for loads and renewable output.
+"""Monte Carlo scenarios of load and renewable output.
 
 Loads are truncated-at-zero Gaussians per bus; renewable output is Beta on
 [0, capacity] with mean chosen so the aggregate expected renewable output is
@@ -14,19 +14,18 @@ quantiles are drawn one hour at a time over (bus, scenario).
 
 Generation has two halves.  ``draw_loads`` draws the uniforms (``u_load``
 then ``u_weather``, in that order from one generator seeded by the config)
-and turns ``u_load`` into loads; none of it depends on the penetration.
+and turns ``u_load`` into loads; none of it depends on the penetration, and
+the ``ScenarioConfig`` it reads holds only the load process and the draw.
 ``build_levels`` turns ``u_weather`` into the renewables of any number of
 levels with one ``betaincinv`` call over every drawn (level, hour,
 scenario), cut into row blocks on threads when it is large (below); the
 zero-target, at-capacity and degenerate-std hours, and each level's first
 infeasible hour, are masks over (level, hour).  It keeps one
 (level, hour, scenario) array of output per MW and builds a level's
-(bus, hour, scenario) array only when asked.  ``generate_scenarios`` is the
-two halves in sequence: ``draw_loads`` and a one-level ``build_levels`` on
-the same config.  A penetration sweep draws the loads once and builds every
-level from them, so all levels share one read-only load array and one
-weather draw: the common random numbers are structural, not a side effect
-of reseeding.
+(bus, hour, scenario) array only when asked.  Every run draws the loads
+once and builds all of its levels from them, so all levels share one
+read-only load array and one weather draw: the common random numbers are
+structural, not a side effect of reseeding.
 
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
@@ -68,9 +67,10 @@ time at 512 elements and 1.3 at 768, 0.85 at 1,024, 0.83-0.97 at 2,048,
 ``ndtri_exp`` calls of ``draw_loads`` are left as they are, one call per
 hour.
 
-Everything is a pure, deterministic function of the config (seed included);
-the arrays of a scenario set are read-only, so sets that share them are safe
-to hand to any number of grid points.
+Everything is a pure, deterministic function of the config (seed included)
+and the levels' arguments; the load, weather and renewable arrays are
+read-only, so the levels that share them are safe to hand to any number of
+grid points.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .risk import EmpiricalSample
 
 _NEEDED = ("betaincinv", "ndtri_exp", "ndtr", "log_ndtr", "log1p", "geterr", "seterr")
 
@@ -230,12 +229,10 @@ def _check_integer(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Joint load/renewable process parameters.
+    """The load process and the draw: dimensions, seed and per-bus loads.
 
-    load_mean, load_std: arrays of shape (n_buses, horizon) in MW.
-    renewable_capacity: per-bus installed capacity in MW.
-    penetration: mean renewable output as a fraction of mean aggregate load.
-    uncertainty_growth: renewable standard deviation per MW of capacity.
+    load_mean, load_std: arrays of shape (n_buses, horizon) in MW.  The
+    renewables of a level are ``build_levels``' arguments, not the config's.
     """
 
     n_buses: int
@@ -244,9 +241,6 @@ class ScenarioConfig:
     seed: int
     load_mean: np.ndarray
     load_std: np.ndarray
-    renewable_capacity: np.ndarray
-    penetration: float
-    uncertainty_growth: float
 
     def __post_init__(self):
         for name in ("n_buses", "horizon", "n_scenarios", "seed"):
@@ -260,71 +254,13 @@ class ScenarioConfig:
                                (self.n_buses, self.horizon)).copy()
         std = np.broadcast_to(np.asarray(self.load_std, dtype=float),
                               (self.n_buses, self.horizon)).copy()
-        cap = np.broadcast_to(np.asarray(self.renewable_capacity, dtype=float),
-                              (self.n_buses,)).copy()
         object.__setattr__(self, "load_mean", mean)
         object.__setattr__(self, "load_std", std)
-        object.__setattr__(self, "renewable_capacity", cap)
-        for name, value in (("load_mean", mean), ("load_std", std),
-                            ("renewable_capacity", cap),
-                            ("penetration", self.penetration),
-                            ("uncertainty_growth", self.uncertainty_growth)):
+        for name, value in (("load_mean", mean), ("load_std", std)):
             if not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be finite")
         if np.any(mean < 0.0) or np.any(std < 0.0):
             raise ConfigurationError("load means and stds must be non-negative")
-        if np.any(cap < 0.0):
-            raise ConfigurationError("renewable capacities must be non-negative")
-        if self.penetration < 0.0:
-            raise ConfigurationError("penetration must be non-negative")
-        if self.uncertainty_growth < 0.0:
-            raise ConfigurationError("uncertainty_growth must be non-negative")
-
-
-def _frozen(name: str, value) -> np.ndarray:
-    """A read-only float view of ``value``; rejects NaN and infinities by name."""
-    array = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(array)):
-        raise ConfigurationError(f"{name} must be finite")
-    array = array.view()
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """K equiprobable joint trajectories of load and renewable output.
-
-    load and renewable have shape (n_buses, horizon, n_scenarios); every
-    array is stored read-only, since the levels of a sweep share ``load``.
-    """
-
-    probabilities: np.ndarray
-    load: np.ndarray
-    renewable: np.ndarray
-
-    def __post_init__(self):
-        for name in ("probabilities", "load", "renewable"):
-            object.__setattr__(self, name, _frozen(name, getattr(self, name)))
-        probs = self.probabilities
-        if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("scenario probabilities must be positive and sum to 1")
-        if self.load.shape != self.renewable.shape or self.load.ndim != 3:
-            raise ConfigurationError("load and renewable must share shape (buses, horizon, K)")
-        if probs.size != self.load.shape[2]:
-            raise ConfigurationError("one probability per scenario required")
-
-    @property
-    def n_buses(self) -> int:
-        return self.load.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.load.shape[1]
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.load.shape[2]
 
 
 def _beta_shape(mu: float, sigma_hat: float) -> tuple[float, float]:
@@ -375,7 +311,7 @@ def _truncnorm_ppf(q, loc, scale):
 
 @dataclass(frozen=True)
 class LoadDraws:
-    """The penetration-free half of a scenario set: loads and weather uniforms.
+    """The penetration-free half of the scenarios: loads and weather uniforms.
 
     load: (n_buses, horizon, n_scenarios) MW; u_weather: (n_scenarios,
     horizon) uniforms, one per (scenario, hour), shared by every bus's
@@ -395,7 +331,7 @@ class LoadDraws:
 
 
 def draw_loads(config: ScenarioConfig) -> LoadDraws:
-    """Draw the uniforms and the loads of ``config``; the penetration is not read."""
+    """Draw the uniforms and the loads of ``config``."""
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
     rng = np.random.default_rng(config.seed)
     # u_load before u_weather: the draw order fixes every scenario's bits
@@ -505,48 +441,3 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
     out[drawn] = _split_rows(special.betaincinv, a[:, None], b[:, None],
                              draws.u_weather.T[hours])
     return RenewableLevels(caps, out, tuple(errors))
-
-
-def generate_scenarios(config: ScenarioConfig) -> ScenarioSet:
-    """Draw the scenario set for ``config``; bit-identical for equal configs.
-
-    The load half and a one-level ``build_levels`` in sequence.  Raises
-    ConfigurationError when the requested penetration asks for more mean
-    renewable output than the installed capacity can carry, naming the
-    first hour whose system-wide share is infeasible.
-    """
-    draws = draw_loads(config)
-    levels = build_levels(draws, [config.penetration], config.renewable_capacity[None],
-                          config.uncertainty_growth)
-    if levels.errors[0] is not None:
-        raise ConfigurationError(levels.errors[0])
-    return ScenarioSet(draws.probabilities, draws.load, levels.renewable(0))
-
-
-def _check_index(value: int, bound: int, what: str) -> int:
-    value = int(value)
-    if not 0 <= value < bound:
-        raise IndexError(f"{what} {value} out of range [0, {bound})")
-    return value
-
-
-def net_load(scenarios: ScenarioSet, bus: int, time: int) -> EmpiricalSample:
-    """Per-bus net load sample (load minus renewable; may be negative)."""
-    bus = _check_index(bus, scenarios.n_buses, "bus")
-    time = _check_index(time, scenarios.horizon, "time")
-    values = scenarios.load[bus, time, :] - scenarios.renewable[bus, time, :]
-    return EmpiricalSample.from_arrays(values, scenarios.probabilities)
-
-
-def aggregate_net_load(scenarios: ScenarioSet, time: int) -> EmpiricalSample:
-    """Sample of the bus-summed net load; scenario-consistent with net_load."""
-    return suffix_net_load(scenarios, 0, time)
-
-
-def suffix_net_load(scenarios: ScenarioSet, start_bus: int, time: int) -> EmpiricalSample:
-    """Sample of the net load summed over buses start_bus..N-1 (feeder tail)."""
-    start_bus = _check_index(start_bus, scenarios.n_buses, "bus")
-    time = _check_index(time, scenarios.horizon, "time")
-    values = np.sum(scenarios.load[start_bus:, time, :]
-                    - scenarios.renewable[start_bus:, time, :], axis=0)
-    return EmpiricalSample.from_arrays(values, scenarios.probabilities)

@@ -135,10 +135,17 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
 
 
 def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
-    """``recovery_rate`` over a leading level axis, (L, T, n_units), without
-    the raise: the per-level H and uplift (0 where H cannot be recovered),
-    the mask of the levels whose H cannot be recovered and a function giving
-    level r's error.
+    """Recoverable cost H and the per-MWh uplift of each level of ``committed``
+    (L, T, n_units), with the envelopes ``rp`` and ``dp`` of the same shape.
+
+    H adds, left to right and hour by hour, each unit's no-load and then
+    start-up cost where it is committed, then the hour's reserve and then
+    its ramp cost (see the module docstring).  With ``cost_recovery`` 1 the
+    uplift is H over the level's committed energy, with 0 it is zero.
+    Returns the per-level H and uplift (0 where H cannot be recovered), the
+    mask of the levels whose H cannot be recovered and a function giving
+    level r's InfeasibleDispatchError, so a grid skips such a point as it
+    skips an infeasible dispatch.
     """
     if cost_recovery not in (0, 1):
         raise ValueError("cost_recovery must be 0 or 1")
@@ -170,31 +177,6 @@ def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
     failed = (cost_recovery == 1) & (energy <= 0.0) & (h_total > 0.0)
     return (h_total, lambda_w), failed, lambda r: InfeasibleDispatchError(
         f"cost recovery requested but no committed energy to carry H = {h_total[r]:.6g}")
-
-
-def recovery_rate(committed: np.ndarray, rp: np.ndarray, dp: np.ndarray,
-                  fleet: Fleet, cost_recovery: int) -> tuple[float, float]:
-    """Recoverable cost H and the per-MWh uplift.
-
-    H sums, over hours and units with positive committed output, the
-    no-load cost and the hot or cold start-up cost on each start (online
-    now, offline the hour before), and, over every hour and unit whatever
-    its commitment, the reserve and ramp costs at the fixed rates on the
-    supplied envelopes.  The terms are added left to right, hour by hour:
-    no-load then start-up per unit, then reserve, then ramp.
-
-    With cost_recovery=1 the uplift is H over total committed energy; with 0
-    it is zero.  Raises InfeasibleDispatchError when recovery is requested
-    but there is a positive H and no energy to spread it over, so a grid run
-    skips the point as it skips an infeasible dispatch.  A one-level call of
-    the level-batched form a grid uses.
-    """
-    (h_total, lambda_w), failed, error_at = _recovery_rows(
-        np.asarray(committed, dtype=float)[None], np.asarray(rp)[None],
-        np.asarray(dp)[None], fleet, cost_recovery)
-    if failed[0]:
-        raise error_at(0)
-    return float(h_total[0]), float(lambda_w[0])
 
 
 def expected_profit(committed: np.ndarray, lmps: np.ndarray, fleet: Fleet):

@@ -5,22 +5,21 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
-                       InfeasibleDispatchError, RadialGrid, Regime, RunConfig,
-                       aggregate_net_load, commit, committed_upper_bound,
-                       cvar_direct, cvar_rockafellar, dispatch_radial, emit_csv,
-                       evaluate_point, generate_scenarios, kkt_residuals,
-                       kkt_verify_network, load_fleet, net_load,
-                       point_row, recovery_rate, run_grid, scenario_config, var)
+import oracles
+from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid, Regime,
+                       RunConfig, commit, committed_upper_bound, dispatch_radial, emit_csv,
+                       kkt_residuals, kkt_verify_network, point_row, run_grid)
 from gridclear.experiment import ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS
 
 from test_merit_order import enumeration_oracle, random_fleet
-from test_risk import bound_gap, rockafellar_grid_oracle, tail_expectation_oracle
+from test_risk import bound_gap, one_row, rockafellar_grid_oracle, tail_expectation_oracle
+from test_settlement import recovery_rate
 
 
 def grid_rows(run):
@@ -52,14 +51,14 @@ def test_criterion_1_cvar_oracle_equivalence():
             values = rng.uniform(-200.0, 500.0, m)
             probs = rng.random(m) + 1e-3
             probs /= probs.sum()
-            sample = EmpiricalSample.from_arrays(values, probs)
+            points = list(zip(values, probs))
             alpha = float(rng.uniform(0.02, 0.98))
-            direct = cvar_direct(sample, alpha)
-            brute = tail_expectation_oracle(sample.points, alpha)
-            grid_min, _ = rockafellar_grid_oracle(sample.points, alpha, step_frac=1e-4)
+            direct = one_row(values, probs, alpha)[1]
+            brute = tail_expectation_oracle(points, alpha)
+            grid_min, _ = rockafellar_grid_oracle(points, alpha, step_frac=1e-4)
             assert abs(direct - brute) <= 1e-6
             assert abs(direct - grid_min) <= 1e-6
-            assert abs(cvar_rockafellar(sample, alpha) - direct) <= 1e-9
+            assert abs(oracles.rockafellar_cvar(values, probs, alpha) - direct) <= 1e-9
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"oracle sweep took {elapsed:.1f}s"
 
@@ -77,25 +76,23 @@ def test_criterion_2_risk_axioms():
                 capacity_mode="buildout",
             )
             pen = float(rng.uniform(0.0, 1.0))
-            sset = generate_scenarios(scenario_config(run, pen))
-            per_bus = [net_load(sset, i, 0) for i in range(sset.n_buses)]
-            joint = aggregate_net_load(sset, 0)
-            for sample in (*per_bus, joint):
+            load, renewable, probs = oracles.scenario_arrays(run, pen)
+            net = load[:, 0] - renewable[:, 0]  # (bus, K) in the first hour
+            per_bus, joint = list(net), net.sum(axis=0)
+            for values in (*per_bus, joint):
                 a1 = float(rng.uniform(0.02, 0.5))
                 a2 = float(rng.uniform(0.5, 0.98))
                 c = float(rng.uniform(-300.0, 300.0))
                 lam = float(rng.uniform(0.01, 10.0))
-                base = cvar_direct(sample, a2)
-                shifted = EmpiricalSample.from_arrays(sample.values + c,
-                                                      sample.probabilities)
-                scaled = EmpiricalSample.from_arrays(lam * sample.values,
-                                                     sample.probabilities)
-                assert abs(cvar_direct(shifted, a2) - (base + c)) <= 1e-9
-                assert abs(cvar_direct(scaled, a2) - lam * base) <= 1e-9 * max(1.0, lam)
-                assert cvar_direct(sample, a1) <= base + 1e-9
-                assert base >= var(sample, a2) - 1e-9
+                base_var, base = one_row(values, probs, a2)
+                assert abs(one_row(values + c, probs, a2)[1] - (base + c)) <= 1e-9
+                assert (abs(one_row(lam * values, probs, a2)[1] - lam * base)
+                        <= 1e-9 * max(1.0, lam))
+                assert one_row(values, probs, a1)[1] <= base + 1e-9
+                assert base >= base_var - 1e-9
                 checked += 1
-            assert bound_gap(per_bus, joint, a2) >= -1e-9
+            assert bound_gap([list(zip(v, probs)) for v in per_bus],
+                             list(zip(joint, probs)), a2) >= -1e-9
 
 
 def test_criterion_3_commitment_matches_enumeration():
@@ -240,14 +237,11 @@ def test_criterion_7_trend_reproduction():
 def test_criterion_8_settlement_identities():
     with criterion(8, "settlement identities and the worked recovery example hold"):
         # deviation cost is the literal difference and the uplift switches off
-        run = RunConfig(capacity_mode="buildout", alphas=(0.9,))
-        fleet = load_fleet("builtin")
-        sset = generate_scenarios(scenario_config(run, 0.5))
-        point = evaluate_point(fleet, run, sset, 0.9, 0.5)
+        run = RunConfig(capacity_mode="buildout", alphas=(0.9,), penetrations=(0.5,))
+        point, = run_grid(run)
         s = point.settlement
         assert s.deviation_cost == s.expected_profit - s.realized_profit  # exact
-        run_off = RunConfig(capacity_mode="buildout", alphas=(0.9,), cost_recovery=0)
-        point_off = evaluate_point(fleet, run_off, sset, 0.9, 0.5)
+        point_off, = run_grid(replace(run, cost_recovery=0))
         assert point_off.settlement.lambda_w == 0.0
         # the uplift recovers H from consumers and reaches neither profit, so
         # both profits keep their bits when recovery is switched off
@@ -265,8 +259,7 @@ def test_criterion_8_settlement_identities():
 
         det = RunConfig(capacity_mode="tracking", penetrations=(0.0,),
                         load_std_frac=0.0, alphas=(0.9,))
-        det_set = generate_scenarios(scenario_config(det, 0.0))
-        det_point = evaluate_point(fleet, det, det_set, 0.9, 0.0)
+        det_point, = run_grid(det)
         assert abs(det_point.settlement.deviation_cost) <= 1e-9
 
 

@@ -25,21 +25,22 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats
 
+import oracles
 from gridclear import experiment, risk, scenarios
 from gridclear import (ConfigurationError, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, PointResult, RadialGrid, Regime, RunConfig,
-                       ScenarioConfig, ScenarioSet, SettlementReport, EmpiricalSample,
-                       aggregate_net_load, builtin_fleet, commit, commit_batch,
-                       curtail_and_pay_renewables, cvar_direct, cvar_rows,
+                       ScenarioConfig, SettlementReport, builtin_fleet, commit, commit_batch,
+                       curtail_and_pay_renewables, cvar_rows,
                        deviation_envelopes, dispatch_radial, dispatch_radial_batch,
-                       evaluate_point, expected_profit, generate_scenarios, load_fleet,
-                       net_load, realized_profit, recovery_rate, reserve_and_ramp_check,
-                       run_grid, scenario_config, suffix_net_load, var)
+                       expected_profit, load_fleet, realized_profit, reserve_and_ramp_check,
+                       run_grid, scenario_config)
 from gridclear.cli import main
 from gridclear.congestion import _radial_rows
 from gridclear.experiment import _tail_sums, derive_capacity
 from gridclear.scenarios import build_levels, draw_loads
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
+
+from test_settlement import recovery_rate
 
 # ---------------------------------------------------------------------------
 # references
@@ -86,19 +87,7 @@ def reference_commit(fleet, demand):
     return power, float(asks[k - 1]), Regime.BELOW_PMIN, k - 1
 
 
-def reference_var_cvar(sample, alpha):
-    """VaR and CVaR of one merged sample: a CDF search and one dot product over its atoms."""
-    cdf = np.cumsum(sample.probabilities)
-    cdf[-1] = 1.0
-    idx = min(int(np.searchsorted(cdf, alpha, side="left")), sample.values.size - 1)
-    scale = 1.0 - alpha
-    weights = np.zeros(sample.values.size)
-    weights[idx] = (cdf[idx] - alpha) / scale
-    weights[idx + 1:] = sample.probabilities[idx + 1:] / scale
-    return float(sample.values[idx]), float(weights @ sample.values)
-
-
-def reference_scenarios(config):
+def reference_scenarios(config, penetration, cap, growth):
     """Scenario draws one (bus, hour) at a time, one Beta quantile per bus."""
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
     rng = np.random.default_rng(config.seed)
@@ -113,10 +102,9 @@ def reference_scenarios(config):
             else:
                 load[i, t, :] = stats.truncnorm.ppf(u_load[:, i, t], (0.0 - m) / s, np.inf,
                                                     loc=m, scale=s)
-    cap = config.renewable_capacity
     renewable = np.zeros((n, t_len, k))
     for t in range(t_len):
-        target = config.penetration * config.load_mean[:, t].sum()
+        target = penetration * config.load_mean[:, t].sum()
         if target <= 0.0:
             continue
         mu = min(target / cap.sum(), 1.0)
@@ -127,7 +115,7 @@ def reference_scenarios(config):
             if mu >= 1.0 - 1e-12:
                 renewable[i, t, :] = w
                 continue
-            sigma_hat = min(config.uncertainty_growth, 0.95 * np.sqrt(mu * (1.0 - mu)))
+            sigma_hat = min(growth, 0.95 * np.sqrt(mu * (1.0 - mu)))
             if sigma_hat <= 1e-9:
                 renewable[i, t, :] = mu * w
                 continue
@@ -213,20 +201,20 @@ def reference_dispatch_radial(grid, fleet, per_bus_cvars, suffix_cvars):
     return power, lmps, local_ledger, tail_ledger, balancing
 
 
-def reference_feeder_point(fleet, grid, sset, alpha):
+def reference_feeder_point(fleet, grid, load, renewable, probs, alpha):
     """The feeder commitment hour by hour and its re-dispatch scenario-hour by scenario-hour."""
-    n, t_len, k_len = grid.n_buses, sset.horizon, sset.n_scenarios
+    n, t_len, k_len = load.shape
+    net = load - renewable
     committed = np.zeros((t_len, n))
     lmps = np.zeros((t_len, n))
     prices = np.zeros(t_len)
     for t in range(t_len):
-        per_bus = [reference_var_cvar(net_load(sset, i, t), alpha)[1] for i in range(n)]
-        suffix = [reference_var_cvar(suffix_net_load(sset, i, t), alpha)[1] for i in range(n)]
+        per_bus = [oracles.cvar(net[i, t], probs, alpha) for i in range(n)]
+        suffix = [oracles.cvar(np.sum(net[i:, t], axis=0), probs, alpha) for i in range(n)]
         power, bus_lmps, *_ = reference_dispatch_radial(grid, fleet, per_bus, suffix)
         committed[t] = power
         lmps[t] = bus_lmps
         prices[t] = bus_lmps.max()
-    net = sset.load - sset.renewable
     realized = np.zeros((k_len, t_len, n))
     for k in range(k_len):
         for t in range(t_len):
@@ -791,12 +779,11 @@ def test_generate_scenarios_equals_per_bus_hour_loop(n_buses, horizon, penetrati
         mean[:] = mean[:, :1]            # the same target every hour ...
         cap = cap / cap.sum() * mean[:, 0].sum()  # ... equal to the installed capacity
     cfg = ScenarioConfig(n_buses=n_buses, horizon=horizon, n_scenarios=64, seed=11,
-                         load_mean=mean, load_std=std, renewable_capacity=cap,
-                         penetration=penetration, uncertainty_growth=growth)
-    load, renewable = reference_scenarios(cfg)
-    got = generate_scenarios(cfg)
-    assert np.array_equal(got.load, load)
-    assert np.array_equal(got.renewable, renewable)
+                         load_mean=mean, load_std=std)
+    load, renewable = reference_scenarios(cfg, penetration, cap, growth)
+    got_load, got_renewable, _ = oracles.level_arrays(cfg, penetration, cap, growth)
+    assert np.array_equal(got_load, load)
+    assert np.array_equal(got_renewable, renewable)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +791,7 @@ def test_generate_scenarios_equals_per_bus_hour_loop(n_buses, horizon, penetrati
 
 
 def assert_quantiles_match(q, loc, scale):
-    """Per-bus rows of q, shaped (buses, K) like generate_scenarios' hourly call."""
+    """Per-bus rows of q, shaped (buses, K) like draw_loads' hourly call."""
     assert same_bits(scenarios._truncnorm_ppf(q, loc, scale),
                      stats.truncnorm.ppf(q, (0.0 - loc) / scale, np.inf, loc=loc, scale=scale))
 
@@ -891,12 +878,11 @@ def test_generate_scenarios_equals_scipy_stats_draws(seed, load_mean, load_std, 
     std = 0.06 * mean if load_std is None else np.repeat(np.array(load_std)[:, None],
                                                          horizon, axis=1)
     cfg = ScenarioConfig(n_buses=len(load_mean), horizon=horizon, n_scenarios=k, seed=seed,
-                         load_mean=mean, load_std=std,
-                         renewable_capacity=penetration * mean[:, 0] / 0.5 + 10.0,
-                         penetration=penetration, uncertainty_growth=0.27)
-    load, renewable = reference_scenarios(cfg)
-    got = generate_scenarios(cfg)
-    assert same_bits(got.load, load) and same_bits(got.renewable, renewable)
+                         load_mean=mean, load_std=std)
+    cap = penetration * mean[:, 0] / 0.5 + 10.0
+    load, renewable = reference_scenarios(cfg, penetration, cap, 0.27)
+    got_load, got_renewable, _ = oracles.level_arrays(cfg, penetration, cap, 0.27)
+    assert same_bits(got_load, load) and same_bits(got_renewable, renewable)
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +910,7 @@ def cvar_row_cases(draw):
         weights = rng.random(k) + 1e-3
         probs = weights / weights.sum()
     alpha = draw(st.floats(0.01, 0.99))
-    jump = np.cumsum(EmpiricalSample.from_arrays(values[-1], probs).probabilities)[:-1]
+    jump = np.cumsum(oracles.atoms(values[-1], probs)[1])[:-1]
     if jump.size and draw(st.booleans()):
         alpha = float(jump[draw(st.integers(0, jump.size - 1))])
     return values, probs, alpha
@@ -935,22 +921,19 @@ def cvar_row_cases(draw):
 def test_cvar_rows_equal_scalar_reference(case):
     values, probs, alpha = case
     assume(0.0 < alpha < 1.0)
-    got_var, got_cvar = cvar_rows(values, probs, alpha)
-    assert got_var.shape == got_cvar.shape == (values.shape[0],)
-    for r, row in enumerate(values):
-        sample = EmpiricalSample.from_arrays(row, probs)
-        want_var, want_cvar = reference_var_cvar(sample, alpha)
-        assert same_bits(got_var[r], want_var) and same_bits(got_cvar[r], want_cvar)
-        assert same_bits(var(sample, alpha), want_var)
-        assert same_bits(cvar_direct(sample, alpha), want_cvar)
+    assert_cvar_rows_match_reference(values, probs, alpha)
 
 
 def assert_cvar_rows_match_reference(values, probs, alpha):
+    """Every row's VaR and CVaR against the reference, from one call over all
+    rows and from a call on that row alone."""
     got_var, got_cvar = cvar_rows(values, probs, alpha)
     assert got_var.shape == got_cvar.shape == (values.shape[0],)
     for r, row in enumerate(values):
-        want_var, want_cvar = reference_var_cvar(EmpiricalSample.from_arrays(row, probs), alpha)
-        assert same_bits(got_var[r], want_var) and same_bits(got_cvar[r], want_cvar), r
+        want = oracles.var_cvar(row, probs, alpha)
+        alone = cvar_rows(row[None], probs, alpha)
+        for pair in ((got_var[r], got_cvar[r]), (alone[0][0], alone[1][0])):
+            assert all(map(oracles.same_atom_bits, pair, want)), r
 
 
 @st.composite
@@ -1092,37 +1075,55 @@ POSITIVE_MIN_FLEET = Fleet(tuple(
                                     ("c", 30.0, 30.0, 200.0), ("d", 40.0, 1e-3, 300.0))))
 
 
+def fleet_file(path, fleet):
+    """A fleet CSV holding every field of ``fleet``'s units, floats as their repr."""
+    path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
+                    "no_load_cost\n" + "".join(
+                        ",".join([g.name] + [repr(float(v)) for v in dataclasses.astuple(g)[1:]])
+                        + "\n" for g in fleet.generators))
+    return str(path)
+
+
+def one_point(fleet, run, alpha, penetration, tmp_path):
+    """The one point of a one-level, one-alpha grid of ``run`` cleared with ``fleet``."""
+    source = fleet_file(tmp_path / "fleet.csv", fleet)
+    point, = run_grid(dataclasses.replace(run, fleet_source=source, alphas=(alpha,),
+                                          penetrations=(penetration,)))
+    assert point.fleet == (fleet if run.line_limit is None else fleet.head(run.n_buses))
+    return point
+
+
 @pytest.mark.parametrize("fleet,line_limit,load_mean", [
     (POSITIVE_MIN_FLEET, None, (232.0, 174.0, 174.0)),
     (builtin_fleet(), 80.0, (150.0, 75.0, 45.0)),
 ], ids=["bus", "feeder"])
-def test_point_equals_per_scenario_loops(fleet, line_limit, load_mean):
+def test_point_equals_per_scenario_loops(fleet, line_limit, load_mean, tmp_path):
     run = RunConfig(horizon=24, n_scenarios=100, penetrations=(0.9,),
                     capacity_mode="tracking", line_limit=line_limit,
                     load_mean_per_bus=load_mean)
-    sset = generate_scenarios(scenario_config(run, 0.9))
-    point = evaluate_point(fleet, run, sset, 0.9, 0.9)
+    load, renewable, probs = oracles.scenario_arrays(run, 0.9)
+    point = one_point(fleet, run, 0.9, 0.9, tmp_path)
+    n_buses, horizon, n_scenarios = load.shape
 
     if line_limit is None:
         cap = fleet.total_capacity
         regimes = set()
-        for k in range(sset.n_scenarios):
-            for t in range(sset.horizon):
-                demand = min(max(float((sset.load - sset.renewable)[:, t, k].sum()), 0.0), cap)
+        for k in range(n_scenarios):
+            for t in range(horizon):
+                demand = min(max(float((load - renewable)[:, t, k].sum()), 0.0), cap)
                 power, *_, regime, _ = reference_commit(fleet, demand)
                 assert np.array_equal(point.realized[k, t], power)
                 regimes.add(regime)
         assert regimes == set(Regime)
-        bus_lmps = np.repeat(point.clearing_prices[:, None], sset.n_buses, axis=1)
+        bus_lmps = np.repeat(point.clearing_prices[:, None], n_buses, axis=1)
     else:
         bus_lmps = point.lmps
 
     revenue, curtailed = 0.0, 0.0
-    for k in range(sset.n_scenarios):
-        rev_k, cur_k = reference_payment(sset.load[:, :, k].T, sset.renewable[:, :, k].T,
-                                         bus_lmps)
-        revenue += sset.probabilities[k] * rev_k
-        curtailed += sset.probabilities[k] * cur_k
+    for k in range(n_scenarios):
+        rev_k, cur_k = reference_payment(load[:, :, k].T, renewable[:, :, k].T, bus_lmps)
+        revenue += probs[k] * rev_k
+        curtailed += probs[k] * cur_k
     assert curtailed > 0.0
     assert point.settlement.renewable_revenue == revenue
     assert point.settlement.curtailed_mwh == curtailed
@@ -1133,13 +1134,13 @@ def test_point_equals_per_scenario_loops(fleet, line_limit, load_mean):
     (builtin_fleet(), 0.9, 0.9),
     (POSITIVE_MIN_FLEET, 0.3, 0.5),
 ])
-def test_bus_point_commits_per_hour_reference_cvars(seed, fleet, penetration, alpha):
+def test_bus_point_commits_per_hour_reference_cvars(seed, fleet, penetration, alpha, tmp_path):
     run = RunConfig(horizon=6, n_scenarios=80, seed=seed, penetrations=(penetration,),
                     alphas=(alpha,), capacity_mode="tracking")
-    sset = generate_scenarios(scenario_config(run, penetration))
-    point = evaluate_point(fleet, run, sset, alpha, penetration)
-    for t in range(sset.horizon):
-        _, cvar = reference_var_cvar(aggregate_net_load(sset, t), alpha)
+    load, renewable, probs = oracles.scenario_arrays(run, penetration)
+    point = one_point(fleet, run, alpha, penetration, tmp_path)
+    for t in range(run.horizon):
+        cvar = oracles.cvar(np.sum(load[:, t] - renewable[:, t], axis=0), probs, alpha)
         power, price, *_ = reference_commit(fleet, max(0.0, cvar))
         assert same_bits(point.committed[t], power)
         assert same_bits(point.clearing_prices[t], price)
@@ -1158,11 +1159,11 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
     run = RunConfig(horizon=6, n_scenarios=80, seed=seed, penetrations=(penetration,),
                     alphas=(alpha,), capacity_mode="tracking", line_limit=line_limit,
                     load_mean_per_bus=load_mean)
-    sset = generate_scenarios(scenario_config(run, penetration))
-    point = evaluate_point(fleet, run, sset, alpha, penetration)
+    point, = run_grid(run)
     units = fleet.head(len(load_mean))
     grid = RadialGrid(len(load_mean), line_limit)
-    committed, lmps, prices, realized = reference_feeder_point(units, grid, sset, alpha)
+    committed, lmps, prices, realized = reference_feeder_point(
+        units, grid, *oracles.scenario_arrays(run, penetration), alpha)
     assert same_bits(point.committed, committed) and same_bits(point.lmps, lmps)
     assert same_bits(point.clearing_prices, prices)
     assert same_bits(point.realized, realized)
@@ -1178,20 +1179,20 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
 # cleared and settled on its own)
 
 
-def reference_build(config, draws):
+def reference_build(config, draws, penetration, cap, growth):
     """One level's renewables, hour by hour, raising for its first infeasible hour."""
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
-    cap = config.renewable_capacity
+    cap = np.asarray(cap, dtype=float)
     cap_total = cap.sum()
     sited = cap > 0.0
     renewable = np.zeros((n, t_len, k))
     for t in range(t_len):
-        target = config.penetration * config.load_mean[:, t].sum()
+        target = penetration * config.load_mean[:, t].sum()
         if target <= 0.0:
             continue
         if cap_total <= 0.0:
             raise ConfigurationError(
-                f"hour {t}: penetration {config.penetration} needs mean renewable "
+                f"hour {t}: penetration {penetration} needs mean renewable "
                 f"output {target:.3f} MW but no capacity is installed")
         share = target / cap_total
         if share > 1.0 + 1e-9:
@@ -1202,7 +1203,7 @@ def reference_build(config, draws):
         if mu >= 1.0 - 1e-12:
             renewable[sited, t, :] = cap[sited, None]
             continue
-        sigma_hat = min(config.uncertainty_growth, 0.95 * np.sqrt(mu * (1.0 - mu)))
+        sigma_hat = min(growth, 0.95 * np.sqrt(mu * (1.0 - mu)))
         if sigma_hat <= 1e-9:
             renewable[sited, t, :] = (mu * cap[sited])[:, None]
             continue
@@ -1210,29 +1211,29 @@ def reference_build(config, draws):
         renewable[sited, t, :] = cap[sited, None] * special.betaincinv(
             mu * ratio, (1.0 - mu) * ratio, draws.u_weather[:, t])
     np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
-    return ScenarioSet(np.full(k, 1.0 / k), draws.load, renewable)
+    return renewable
 
 
-def reference_clear_bus(fleet, sset, alpha):
-    net = sset.load - sset.renewable
+def reference_clear_bus(fleet, load, renewable, probs, alpha):
+    net = load - renewable
     agg = net.sum(axis=0)
-    _, cvars = cvar_rows(agg, sset.probabilities, alpha)
+    _, cvars = cvar_rows(agg, probs, alpha)
     batch = commit_batch(fleet, np.maximum(cvars, 0.0))
     prices = batch.clearing_price
     lmps = np.repeat(prices[:, None], len(fleet), axis=1)
-    bus_lmps = np.repeat(prices[:, None], sset.n_buses, axis=1)
+    bus_lmps = np.repeat(prices[:, None], load.shape[0], axis=1)
     demands = np.minimum(np.maximum(agg.T, 0.0), fleet.total_capacity)
     realized = commit_batch(fleet, demands.ravel()).power
     return batch.power, lmps, prices, bus_lmps, realized.reshape(*demands.shape, len(fleet))
 
 
-def reference_clear_feeder(fleet, grid, sset, alpha):
-    k_len, t_len, n = sset.n_scenarios, sset.horizon, grid.n_buses
-    net = sset.load - sset.renewable
+def reference_clear_feeder(fleet, grid, load, renewable, probs, alpha):
+    n, t_len, k_len = load.shape
+    net = load - renewable
     cvars = np.empty((t_len, 2 * n))
     for t in range(t_len):
         tails = [net[i:, t].sum(axis=0) for i in range(n)]
-        cvars[t] = cvar_rows(np.vstack([net[:, t], *tails]), sset.probabilities, alpha)[1]
+        cvars[t] = cvar_rows(np.vstack([net[:, t], *tails]), probs, alpha)[1]
     batch = dispatch_radial_batch(grid, fleet, cvars[:, :n], cvars[:, n:])
     rows = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
     suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
@@ -1241,28 +1242,30 @@ def reference_clear_feeder(fleet, grid, sset, alpha):
             realized.reshape(k_len, t_len, n))
 
 
-def reference_point(fleet, run, sset, alpha, penetration):
-    """One point cleared and settled on its own, raising its first failure."""
+def reference_point(fleet, run, arrays, alpha, penetration):
+    """One point cleared and settled on its own, raising its first failure;
+    ``arrays`` is its level's (load, renewable, probabilities)."""
+    load, renewable, probs = arrays
     if run.line_limit is None:
         units = fleet
-        cleared = reference_clear_bus(fleet, sset, alpha)
+        cleared = reference_clear_bus(fleet, *arrays, alpha)
     else:
         units = fleet.head(run.n_buses)
         cleared = reference_clear_feeder(units, RadialGrid(run.n_buses, run.line_limit),
-                                         sset, alpha)
+                                         *arrays, alpha)
     committed, lmps, prices, bus_lmps, realized = cleared
     rp, dp = deviation_envelopes(committed, realized)
     violations = reserve_and_ramp_check(committed, realized, rp, dp, units)
     h_total, lambda_w = recovery_rate(committed, rp, dp, units, run.cost_recovery)
     r_expected = expected_profit(committed, lmps, units)
-    r_realized = realized_profit(realized, sset.probabilities, lmps, units)
+    r_realized = realized_profit(realized, probs, lmps, units)
     rev_k, cur_k = curtail_and_pay_renewables(
-        np.ascontiguousarray(sset.load.transpose(2, 1, 0)).sum(axis=-1),
-        sset.renewable.transpose(2, 1, 0), bus_lmps)
+        np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1),
+        renewable.transpose(2, 1, 0), bus_lmps)
     report = SettlementReport(h_total, lambda_w, r_expected, r_realized,
                               r_expected - r_realized,
-                              float(sum_in_order(sset.probabilities * rev_k)),
-                              float(sum_in_order(sset.probabilities * cur_k)), violations)
+                              float(sum_in_order(probs * rev_k)),
+                              float(sum_in_order(probs * cur_k)), violations)
     return PointResult(alpha, penetration, committed, realized, lmps, prices, report, units)
 
 
@@ -1270,17 +1273,22 @@ def reference_grid(run, failures):
     """The per-level loop: build each level's set, then evaluate each alpha on
     it; each skipped level or point appends its (coordinates, error)."""
     fleet = load_fleet(run.fleet_source)
-    draws = draw_loads(scenario_config(run, 0.0))
+    config = scenario_config(run)
+    draws = draw_loads(config)
     points = []
     for penetration in run.penetrations:
         try:
-            sset = reference_build(scenario_config(run, penetration), draws)
+            renewable = reference_build(
+                config, draws, penetration,
+                derive_capacity(run.load_mean_per_bus, penetration, run.capacity_mode),
+                run.uncertainty_growth)
         except ConfigurationError as exc:
             failures.append((f"penetration={penetration}", exc))
             continue
+        arrays = (draws.load, renewable, draws.probabilities)
         for alpha in run.alphas:
             try:
-                points.append(reference_point(fleet, run, sset, alpha, penetration))
+                points.append(reference_point(fleet, run, arrays, alpha, penetration))
             except InfeasibleDispatchError as exc:
                 failures.append((f"alpha={alpha}, penetration={penetration}", exc))
     return points
@@ -1320,10 +1328,11 @@ UNDRAWABLE = "penetration=2.0: hour 0: required system-wide mean share"
 
 def test_grid_level_at_buildout_capacity_is_at_capacity():
     run = RunConfig(load_mean_per_bus=UNEQUAL_BUSES, horizon=3, n_scenarios=40, seed=11)
-    config = scenario_config(run, LEVELS[2])
-    renewable = reference_build(config, draw_loads(config)).renewable
-    assert np.array_equal(renewable, np.broadcast_to(
-        config.renewable_capacity[:, None, None], renewable.shape))
+    config = scenario_config(run)
+    cap = derive_capacity(UNEQUAL_BUSES, LEVELS[2], run.capacity_mode)
+    renewable = reference_build(config, draw_loads(config), LEVELS[2], cap,
+                                run.uncertainty_growth)
+    assert np.array_equal(renewable, np.broadcast_to(cap[:, None, None], renewable.shape))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1342,16 +1351,14 @@ def test_level_renewables_equal_masked_and_clipped_build(seed):
     caps[2] *= sited             # unsited buses at +0.0
     caps[4, ~sited] = -0.0       # and at -0.0
     config = ScenarioConfig(n_buses=n, horizon=t_len, n_scenarios=k, seed=seed,
-                            load_mean=mean, load_std=0.06 * mean, renewable_capacity=caps[0],
-                            penetration=0.0, uncertainty_growth=growth)
+                            load_mean=mean, load_std=0.06 * mean)
     draws = draw_loads(config)
     levels = build_levels(draws, penetrations, caps, growth)
     assert levels.errors == (None,) * len(penetrations)
     for level, (penetration, cap) in enumerate(zip(penetrations, caps)):
         got = levels.renewable(level)
         assert not got.flags.writeable
-        want = reference_build(dataclasses.replace(
-            config, renewable_capacity=cap, penetration=penetration), draws).renewable
+        want = reference_build(config, draws, penetration, cap, growth)
         negative_zero = np.signbit(cap)
         assert same_bits(got[~negative_zero], want[~negative_zero])
         assert same_bits(got[negative_zero], np.zeros_like(got[negative_zero]))
@@ -1368,16 +1375,15 @@ def test_levels_above_the_split_threshold_equal_per_hour_build(workers, monkeypa
     mean = rng.uniform(20.0, 150.0, (n, t_len))
     penetrations = (0.15, 0.4, 0.65, 0.9)
     caps = np.outer([1.0, 1.4, 1.1, 2.0], 1.2 * mean.max(axis=1))
+    growth = 0.2
     config = ScenarioConfig(n_buses=n, horizon=t_len, n_scenarios=k, seed=7,
-                            load_mean=mean, load_std=0.1 * mean, renewable_capacity=caps[0],
-                            penetration=0.0, uncertainty_growth=0.2)
+                            load_mean=mean, load_std=0.1 * mean)
     assert len(penetrations) * t_len * k >= scenarios._SPLIT_MIN
     draws = draw_loads(config)
-    levels = build_levels(draws, penetrations, caps, config.uncertainty_growth)
+    levels = build_levels(draws, penetrations, caps, growth)
     assert levels.errors == (None,) * len(penetrations)
     for level, (penetration, cap) in enumerate(zip(penetrations, caps)):
-        want = reference_build(dataclasses.replace(
-            config, renewable_capacity=cap, penetration=penetration), draws).renewable
+        want = reference_build(config, draws, penetration, cap, growth)
         assert same_bits(levels.renewable(level), want)
 
 
@@ -1445,7 +1451,7 @@ def clear_levels(run):
     """``run_grid``'s clearing of every drawable level: the commitments, the
     realized power and each level's re-dispatch error."""
     fleet = load_fleet(run.fleet_source)
-    draws = draw_loads(scenario_config(run, 0.0))
+    draws = draw_loads(scenario_config(run))
     levels = build_levels(draws, run.penetrations,
                           [derive_capacity(run.load_mean_per_bus, p, run.capacity_mode)
                            for p in run.penetrations], run.uncertainty_growth)

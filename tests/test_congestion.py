@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
-                       InfeasibleDispatchError, RadialGrid, RunConfig, committed_upper_bound,
-                       cvar_direct, cvar_rows, dispatch_radial, evaluate_point,
-                       generate_scenarios, load_fleet, scenario_config)
+import oracles
+from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid, RunConfig,
+                       committed_upper_bound, cvar_rows, dispatch_radial, run_grid)
 
 
 def feeder_fleet(asks, p_maxs):
@@ -136,14 +135,15 @@ def test_bound_from_two_scenario_set():
     # equiprobable pairs chosen so the marginal tails are (60, 40, 30) while
     # the joint tail is 125
     alpha = 0.5
-    buses = [EmpiricalSample.from_points([(50.0, 0.5), (60.0, 0.5)]),
-             EmpiricalSample.from_points([(30.0, 0.5), (40.0, 0.5)]),
-             EmpiricalSample.from_points([(25.0, 0.5), (30.0, 0.5)])]
-    joint = EmpiricalSample.from_points([(105.0, 0.5), (125.0, 0.5)])
-    cvars = [cvar_direct(s, alpha) for s in buses]
+    probs = [0.5, 0.5]
+    buses = [[50.0, 60.0], [30.0, 40.0], [25.0, 30.0]]
+    joint = [105.0, 125.0]
+    cvars = cvar_rows(buses, probs, alpha)[1].tolist()
     assert cvars == [60.0, 40.0, 30.0]
-    assert cvar_direct(joint, alpha) == 125.0
-    bound, gap = committed_upper_bound(cvars, cvar_direct(joint, alpha))
+    assert [oracles.cvar(s, probs, alpha) for s in buses] == cvars
+    joint_cvar = float(cvar_rows([joint], probs, alpha)[1][0])
+    assert joint_cvar == oracles.cvar(joint, probs, alpha) == 125.0
+    bound, gap = committed_upper_bound(cvars, joint_cvar)
     assert bound == 130.0 and gap == pytest.approx(5.0, abs=1e-12)
 
 
@@ -176,11 +176,10 @@ def test_stochastic_totals_stay_under_marginal_tail_sum():
         k = int(rng.integers(2, 9))
         values = rng.uniform(0.0, 60.0, (n, k))
         probs = np.full(k, 1.0 / k)
-        per_bus_samples = [EmpiricalSample.from_arrays(values[i], probs) for i in range(n)]
         alpha = float(rng.uniform(0.1, 0.9))
-        per_bus = [cvar_direct(s, alpha) for s in per_bus_samples]
-        suffix = [cvar_direct(EmpiricalSample.from_arrays(values[i:].sum(axis=0), probs), alpha)
-                  for i in range(n)]
+        per_bus = cvar_rows(values, probs, alpha)[1]
+        tails = np.array([values[i:].sum(axis=0) for i in range(n)])
+        suffix = cvar_rows(tails, probs, alpha)[1]
         p_max = np.array(suffix) + rng.uniform(1.0, 40.0, n)
         asks = np.sort(rng.uniform(5.0, 100.0, n))
         if n > 1 and np.any(np.diff(asks) < 1e-3):
@@ -300,16 +299,14 @@ def test_congestion_moves_committed_power_but_keeps_its_total(shape, seed):
     # splits the prices, but uses none of the room the subadditivity bound
     # (the sum of per-bus CVaRs) leaves above that total.
     run = RunConfig(seed=seed, capacity_mode="tracking", **FEEDER_SHAPES[shape])
-    fleet = load_fleet(run.fleet_source)
     alpha = run.alphas[0]
     congested_hours = 0
-    for penetration in run.penetrations:
-        sset = generate_scenarios(scenario_config(run, penetration))
-        point = evaluate_point(fleet, run, sset, alpha, penetration)
-        net = sset.load - sset.renewable
+    for penetration, point in zip(run.penetrations, run_grid(run), strict=True):
+        load, renewable, probs = oracles.scenario_arrays(run, penetration)
+        net = load - renewable
         for t in range(run.horizon):
             rows = np.vstack([net[:, t], net[:, t].sum(axis=0)])
-            cvars = cvar_rows(rows, sset.probabilities, alpha)[1]
+            cvars = cvar_rows(rows, probs, alpha)[1]
             per_bus, joint = cvars[:-1], cvars[-1]
             assert abs(point.committed[t].sum() - max(joint, 0.0)) <= 1e-9
             if np.ptp(point.lmps[t]) > 0.0:

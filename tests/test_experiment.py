@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec,
-                       InfeasibleDispatchError, RunConfig, aggregate_net_load,
-                       cvar_direct, emit_csv, generate_scenarios, load_fleet,
-                       point_row, run_grid, scenario_config)
+                       InfeasibleDispatchError, RunConfig, emit_csv, load_fleet, point_row,
+                       run_grid)
 from gridclear.cli import main
 from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
                                   derive_capacity)
@@ -203,6 +203,12 @@ def grid_rows(run, diagnostics=None):
     return [point_row(run, point) for point in run_grid(run, diagnostics)]
 
 
+def aggregate_cvar(run, penetration, alpha):
+    """The reference CVaR of a level's aggregate net load in hour 0."""
+    load, renewable, probs = oracles.scenario_arrays(run, penetration)
+    return oracles.cvar((load - renewable)[:, 0].sum(axis=0), probs, alpha)
+
+
 def test_alpha_sweep_monotone_committed():
     run = RunConfig(capacity_mode="tracking", penetrations=(0.009,))
     rows = grid_rows(run)
@@ -221,27 +227,20 @@ def test_alpha_sweep_deterministic_load_rows_identical():
 
 def test_alpha_sweep_committed_meets_requirement():
     run = RunConfig(capacity_mode="tracking", penetrations=(0.009,))
-    sset = generate_scenarios(scenario_config(run, 0.009))
     for row in grid_rows(run):
-        sample = aggregate_net_load(sset, 0)
-        assert cvar_direct(sample, row["alpha"]) <= row["committed_mw"]
+        assert aggregate_cvar(run, 0.009, row["alpha"]) <= row["committed_mw"]
 
 
 def test_penetration_sweep_committed_meets_requirement():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
     for row in grid_rows(run):
-        sset = generate_scenarios(scenario_config(run, row["penetration"]))
-        sample = aggregate_net_load(sset, 0)
-        assert cvar_direct(sample, 0.95) <= row["committed_mw"]
+        assert aggregate_cvar(run, row["penetration"], 0.95) <= row["committed_mw"]
 
 
 def test_multi_hour_horizon_runs():
-    from gridclear import evaluate_point
     run = RunConfig(capacity_mode="tracking", penetrations=(0.009,), horizon=3,
                     alphas=(0.9,))
-    fleet = load_fleet("builtin")
-    sset = generate_scenarios(scenario_config(run, 0.009))
-    point = evaluate_point(fleet, run, sset, 0.9, 0.009)
+    point, = run_grid(run)
     assert point.committed.shape == (3, 7)
     assert point.realized.shape == (run.n_scenarios, 3, 7)
     s = point.settlement
@@ -267,8 +266,7 @@ def test_evaluate_point_builds_envelopes_once(monkeypatch, line_limit, load_mean
     run = RunConfig(capacity_mode="tracking", penetrations=(0.009,), horizon=3,
                     alphas=(0.9,), n_scenarios=20, line_limit=line_limit,
                     load_mean_per_bus=load_mean)
-    sset = generate_scenarios(scenario_config(run, 0.009))
-    experiment.evaluate_point(load_fleet("builtin"), run, sset, 0.9, 0.009)
+    run_grid(run)
     assert len(calls) == 1
 
 
@@ -294,9 +292,7 @@ def test_feeder_builds_bus_prices_only_for_its_commitment(monkeypatch):
 def test_penetration_sweep_zero_point_matches_load_tail():
     run = RunConfig(capacity_mode="buildout", alphas=(0.95,))
     rows = grid_rows(run)
-    sset = generate_scenarios(scenario_config(run, 0.0))
-    from gridclear import cvar_direct
-    want = cvar_direct(aggregate_net_load(sset, 0), 0.95)
+    want = aggregate_cvar(run, 0.0, 0.95)
     assert rows[0]["committed_mw"] == pytest.approx(want, abs=1e-9)
 
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
                        InfeasibleDispatchError, RadialGrid, RunConfig, ScenarioConfig,
-                       ScenarioSet, curtail_and_pay_renewables, deviation_envelopes,
-                       dispatch_radial_batch, evaluate_point, expected_profit, fleet_from_csv,
-                       generate_scenarios, realized_profit, recovery_rate,
-                       dispatch_radial, reserve_and_ramp_check)
+                       curtail_and_pay_renewables, deviation_envelopes,
+                       dispatch_radial_batch, expected_profit, fleet_from_csv,
+                       realized_profit, dispatch_radial, reserve_and_ramp_check, run_grid)
 from gridclear.cli import main
-from gridclear.experiment import scenario_config
+
+from test_settlement import recovery_rate
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 SPEC_FIELDS = ("ask_price", "p_min", "p_max", "rp_max", "ramp_max", "start_cost_hot",
@@ -63,15 +63,12 @@ def test_radial_grid_accepts_python_and_numpy_integers(n_buses):
 
 def _scenario_fields(n_buses, horizon):
     return dict(load_mean=np.full((n_buses, horizon), 100.0),
-                load_std=np.full((n_buses, horizon), 8.0),
-                renewable_capacity=np.full(n_buses, 90.0),
-                penetration=0.4, uncertainty_growth=0.2)
+                load_std=np.full((n_buses, horizon), 8.0))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4),
-       st.sampled_from(["load_mean", "load_std", "renewable_capacity", "penetration",
-                        "uncertainty_growth"]),
+       st.sampled_from(["load_mean", "load_std"]),
        NON_FINITE, st.data())
 def test_scenario_config_rejects_non_finite(n_buses, horizon, name, bad, data):
     fields = _scenario_fields(n_buses, horizon)
@@ -108,25 +105,6 @@ def test_scenario_config_rejects_negative_seed():
     # numpy's own error for it would be a bare ValueError
     with pytest.raises(ConfigurationError, match="^seed -3 must be non-negative$"):
         ScenarioConfig(n_buses=2, horizon=2, n_scenarios=4, seed=-3, **_scenario_fields(2, 2))
-
-
-def test_scenario_set_rejects_nan_probabilities():
-    # NaN fails every comparison, so the positivity and sum checks alone pass it
-    load = np.full((1, 1, 2), 50.0)
-    with pytest.raises(ConfigurationError, match="^probabilities must be finite$"):
-        ScenarioSet(np.array([np.nan, np.nan]), load, np.zeros_like(load))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
-       st.sampled_from(["load", "renewable"]), NON_FINITE, st.data())
-def test_scenario_set_rejects_non_finite_trajectories(n_buses, horizon, k, name, bad, data):
-    arrays = dict(load=np.full((n_buses, horizon, k), 50.0),
-                  renewable=np.full((n_buses, horizon, k), 5.0))
-    index = tuple(data.draw(st.integers(0, d - 1)) for d in arrays[name].shape)
-    arrays[name][index] = bad
-    with pytest.raises(ConfigurationError, match=f"^{name} must be finite$"):
-        ScenarioSet(np.full(k, 1.0 / k), **arrays)
 
 
 def _feeder():
@@ -325,10 +303,10 @@ def test_cli_settle_with_an_overflowing_figure_is_config_error(tmp_path, units, 
     assert result.exit_code == 2
     assert result.output == f"configuration error: {message}{OVERFLOW}\n"
     assert not out.exists()
-    run = RunConfig(fleet_source=str(path), capacity_mode="tracking")
-    sset = generate_scenarios(scenario_config(run, 0.009))
+    run = RunConfig(fleet_source=str(path), capacity_mode="tracking", alphas=(0.9,),
+                    penetrations=(0.009,))
     with pytest.raises(ConfigurationError, match=f"^{message}"):
-        evaluate_point(fleet_from_csv(path), run, sset, 0.9, 0.009)
+        run_grid(run)
 
 
 def _settlement_inputs(fleet):

@@ -7,9 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from gridclear import (EmpiricalSample, Fleet, GeneratorSpec,
-                       InfeasibleDispatchError, Regime, builtin_fleet, commit,
-                       cvar_direct, kkt_residuals)
+from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, Regime, builtin_fleet,
+                       commit, cvar_rows, kkt_residuals)
 
 # ---------------------------------------------------------------------------
 # oracle: enumerate unit states {off, at-min, at-max, free}; at most one free
@@ -382,10 +381,10 @@ def test_price_monotone_in_alpha_through_tail_requirement():
     rng = np.random.default_rng(23)
     values = rng.normal(500.0, 120.0, 40)
     probs = np.full(40, 1 / 40)
-    sample = EmpiricalSample.from_arrays(values, probs)
     fleet = builtin_fleet()
     prices = []
     for alpha in np.linspace(0.05, 0.99, 30):
-        demand = min(max(cvar_direct(sample, float(alpha)), 0.0), 960.0)
+        demand = min(max(float(cvar_rows(values[None], probs, float(alpha))[1][0]), 0.0),
+                     960.0)
         prices.append(commit(fleet, demand).clearing_price)
     assert all(b >= a for a, b in zip(prices, prices[1:]))

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridclear import (ConfigurationError, EmpiricalSample, Fleet, FleetParseError,
-                       GeneratorSpec, RadialGrid, RunConfig, ScenarioSet, builtin_fleet,
-                       fleet_from_csv, recovery_rate, scenario_config)
+from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec, RadialGrid,
+                       RunConfig, builtin_fleet, fleet_from_csv, scenario_config)
 from gridclear import cli
 from gridclear.cli import main
 from gridclear.scenarios import build_levels, draw_loads
+from gridclear.settlement import _recovery_rows
 
 HEADER = "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
 
@@ -73,16 +73,8 @@ def test_cli_exits_2_when_the_output_directory_cannot_be_made(tmp_path, monkeypa
      "g: costs and prices must be non-negative"),
     (lambda: Fleet(()), "a fleet needs at least one generator"),
     (lambda: builtin_fleet().head(8), "fleet has 7 units, need 8"),
-    (lambda: EmpiricalSample([2.0, 1.0], [0.5, 0.5]),
-     "values must be strictly increasing; merge ties first"),
-    (lambda: EmpiricalSample([1.0, 1.0], [0.5, 0.5]),
-     "values must be strictly increasing; merge ties first"),
-    (lambda: EmpiricalSample.from_points([1.0, 2.0]), "points must be (value, probability) pairs"),
-    (lambda: EmpiricalSample.from_points([(1.0, 0.5, 0.5)]),
-     "points must be (value, probability) pairs"),
 ], ids=["no-bus", "negative-buses", "zero-limit", "negative-limit", "reserve-cap", "ramp-cap",
-        "ask", "cold-start", "no-load", "empty-fleet", "head-past-fleet", "decreasing-values",
-        "tied-values", "flat-points", "triples"])
+        "ask", "cold-start", "no-load", "empty-fleet", "head-past-fleet"])
 def test_constructor_names_its_fault(build, message):
     raises(ValueError, message, build)
 
@@ -101,26 +93,10 @@ def test_run_config_names_its_fault(fields, message):
 @pytest.mark.parametrize("field,value,message", [
     ("load_mean", -1.0, "load means and stds must be non-negative"),
     ("load_std", -0.1, "load means and stds must be non-negative"),
-    ("renewable_capacity", [10.0, -1.0, 10.0], "renewable capacities must be non-negative"),
-    ("penetration", -0.1, "penetration must be non-negative"),
-    ("uncertainty_growth", -0.27, "uncertainty_growth must be non-negative"),
 ])
 def test_scenario_config_rejects_negative_inputs(field, value, message):
-    config = scenario_config(RunConfig(), 0.5)
+    config = scenario_config(RunConfig())
     raises(ConfigurationError, message, lambda: dataclasses.replace(config, **{field: value}))
-
-
-@pytest.mark.parametrize("probabilities,load_shape,renewable_shape,message", [
-    ([0.5, 0.6], (1, 1, 2), (1, 1, 2), "scenario probabilities must be positive and sum to 1"),
-    ([1.0, 0.0], (1, 1, 2), (1, 1, 2), "scenario probabilities must be positive and sum to 1"),
-    ([0.5, 0.5], (1, 1, 2), (1, 2, 2), "load and renewable must share shape (buses, horizon, K)"),
-    ([0.5, 0.5], (1, 2), (1, 2), "load and renewable must share shape (buses, horizon, K)"),
-    ([0.25] * 4, (1, 1, 2), (1, 1, 2), "one probability per scenario required"),
-], ids=["sum", "zero", "shape-mismatch", "two-axes", "probability-count"])
-def test_scenario_set_names_its_fault(probabilities, load_shape, renewable_shape, message):
-    raises(ConfigurationError, message,
-           lambda: ScenarioSet(np.array(probabilities), np.ones(load_shape),
-                               np.ones(renewable_shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +126,7 @@ def test_fleet_file_names_its_fault(text, message, tmp_path):
 
 @pytest.fixture(scope="module")
 def draws():
-    return draw_loads(scenario_config(RunConfig(n_scenarios=5, horizon=2), 0.0))
+    return draw_loads(scenario_config(RunConfig(n_scenarios=5, horizon=2)))
 
 
 @pytest.mark.parametrize("penetrations,capacities,growth,message", [
@@ -175,6 +151,6 @@ def test_build_levels_names_its_fault(draws, penetrations, capacities, growth, m
 @pytest.mark.parametrize("cost_recovery", [2, -1, 0.5])
 def test_recovery_rate_names_a_cost_recovery_other_than_0_or_1(cost_recovery):
     fleet = builtin_fleet()
-    zeros = np.zeros((2, len(fleet)))
+    zeros = np.zeros((1, 2, len(fleet)))
     raises(ValueError, "cost_recovery must be 0 or 1",
-           lambda: recovery_rate(zeros + 10.0, zeros, zeros, fleet, cost_recovery))
+           lambda: _recovery_rows(zeros + 10.0, zeros, zeros, fleet, cost_recovery))

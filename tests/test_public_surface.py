@@ -1,9 +1,12 @@
-"""The package's public surface: every exported name resolves, once, the
+"""The package's public surface: every exported name resolves, once, every
+exported function runs in a CLI shape or is listed with its reason, the
 README's library and CLI examples run, and the CLI's defaults are
 ``RunConfig``'s."""
 
+import inspect
 import re
 import shlex
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +19,8 @@ from gridclear.cli import main
 from gridclear.experiment import (ALPHA_GRID_DEFAULT, DEFAULT_LOAD_MEAN,
                                   PENETRATION_GRID_DEFAULT)
 
+from test_batch_equivalence import fleet_file
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -23,6 +28,49 @@ def test_every_exported_name_resolves_once():
     assert len(set(gridclear.__all__)) == len(gridclear.__all__)
     missing = [name for name in gridclear.__all__ if not hasattr(gridclear, name)]
     assert missing == []
+
+
+# exported functions that no CLI shape calls, each with the reason it is kept
+NOT_RUN_BY_THE_CLI = {
+    "commit": "the README's one-row API; a run calls commit_batch's rows",
+    "commit_batch": "the README's clearing kernel API; a run calls its rows unraised",
+    "dispatch_radial": "the README's one-row feeder API",
+    "dispatch_radial_batch": "the README's feeder kernel API; a run calls its rows unraised",
+    "kkt_residuals": "the optimality certificate, not yet run on a run (ROADMAP item 13)",
+    "kkt_verify_network": "the optimality certificate, not yet run on a run (ROADMAP item 13)",
+    "committed_upper_bound": "the congestion bound, waiting on ROADMAP item 2",
+}
+
+FEEDER = ("--line-limit", "80", "--load-mean", "150,75,45")
+SMALL = ("--horizon", "2", "--scenarios", "50")
+
+
+def test_every_exported_function_runs_in_a_cli_shape_or_is_listed(tmp_path):
+    # each command on one bus and on the feeder, and a fleet read from a file
+    fleet = fleet_file(tmp_path / "fleet.csv", gridclear.builtin_fleet())
+    shapes = [[command, *SMALL, *extra]
+              for command in ("settle", "sweep-penetration", "sweep-alpha", "dispatch")
+              for extra in ((), FEEDER)]
+    shapes.append(["settle", *SMALL, "--fleet", fleet])
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        results = [CliRunner().invoke(main, [*argv, "--out", str(tmp_path / str(i))])
+                   for i, argv in enumerate(shapes)]
+    finally:
+        sys.setprofile(previous)
+    assert [r.exit_code for r in results] == [0] * len(shapes), [r.output for r in results]
+    functions = {name: getattr(gridclear, name) for name in gridclear.__all__
+                 if inspect.isfunction(getattr(gridclear, name))}
+    not_run = {name for name, function in functions.items()
+               if function.__code__ not in called}
+    assert not_run == set(NOT_RUN_BY_THE_CLI)
 
 
 def test_readme_python_example_runs():

@@ -1,4 +1,8 @@
-"""Risk engine tests: hand oracles first, then the coherence axioms."""
+"""Risk engine tests: hand oracles first, then the coherence axioms.
+
+The kernel under test is ``cvar_rows``; ``one_row`` calls it on one sample.
+The references are the hand oracles below and ``oracles``, none of which
+calls the package's CVaR code."""
 
 import tracemalloc
 
@@ -6,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from gridclear import risk
-from gridclear import (EmpiricalSample, committed_upper_bound, cvar_direct,
-                       cvar_rockafellar, cvar_rows, rockafellar_objective, var)
+from gridclear import committed_upper_bound, cvar_rows
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -54,8 +58,24 @@ def rockafellar_grid_oracle(points, alpha, step_frac=1e-4):
     return float(objective[i]), float(candidates[i])
 
 
+def one_row(values, probs, alpha):
+    """The kernel's VaR and CVaR of one sample of draws."""
+    got_var, got_cvar = cvar_rows(np.asarray(values, dtype=float)[None, :], probs, alpha)
+    return float(got_var[0]), float(got_cvar[0])
+
+
 def _sample(points):
-    return EmpiricalSample.from_points(points)
+    """The draws and probabilities of (value, probability) pairs."""
+    values, probs = np.array(points, dtype=float).T
+    return values, probs
+
+
+def kernel_var(points, alpha):
+    return one_row(*_sample(points), alpha)[0]
+
+
+def kernel_cvar(points, alpha):
+    return one_row(*_sample(points), alpha)[1]
 
 
 def random_sample(rng, max_atoms=50):
@@ -63,7 +83,7 @@ def random_sample(rng, max_atoms=50):
     values = rng.normal(0.0, 100.0, m)
     probs = rng.random(m) + 1e-3
     probs /= probs.sum()
-    return EmpiricalSample.from_arrays(values, probs)
+    return values, probs
 
 
 # ---------------------------------------------------------------------------
@@ -72,36 +92,38 @@ def random_sample(rng, max_atoms=50):
 
 def test_sample_requires_positive_probabilities():
     with pytest.raises(ValueError):
-        EmpiricalSample.from_points([(1.0, 0.0), (2.0, 1.0)])
+        kernel_cvar([(1.0, 0.0), (2.0, 1.0)], 0.5)
 
 
 def test_sample_requires_normalized_probabilities():
     with pytest.raises(ValueError):
-        EmpiricalSample.from_points([(1.0, 0.5), (2.0, 0.4)])
+        kernel_cvar([(1.0, 0.5), (2.0, 0.4)], 0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sample_names_non_finite_probabilities(bad):
     with pytest.raises(ValueError, match="^probabilities must be finite$"):
-        EmpiricalSample.from_arrays([1.0, 2.0], [bad, 0.5])
+        one_row([1.0, 2.0], [bad, 0.5], 0.5)
 
 
 @pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25]])
 def test_sample_needs_one_probability_per_value(probs):
     with pytest.raises(ValueError, match="^one probability per value$"):
-        EmpiricalSample.from_arrays([1.0, 2.0], probs)
+        one_row([1.0, 2.0], probs, 0.5)
 
 
 def test_sample_needs_a_vector_of_draws():
-    with pytest.raises(ValueError, match="^values must be a 1-D array of draws"):
-        EmpiricalSample.from_arrays([[1.0, 2.0]], [0.5, 0.5])
-    with pytest.raises(ValueError, match="^values must be a 1-D array of draws"):
-        EmpiricalSample(np.array([[1.0, 2.0]]), np.array([0.5, 0.5]))
+    # a sample is one row of draws: a bare vector or a scalar is no rows
+    with pytest.raises(ValueError, match="^values must be a 2-D array of draws"):
+        cvar_rows([1.0, 2.0], [0.5, 0.5], 0.5)
+    with pytest.raises(ValueError, match="^values must be a 2-D array of draws"):
+        cvar_rows(1.0, [1.0], 0.5)
 
 
 def test_sample_merges_ties_and_sorts():
-    s = _sample([(3.0, 0.25), (1.0, 0.5), (3.0, 0.25)])
-    assert s.points == [(1.0, 0.5), (3.0, 0.5)]
+    draws = ([3.0, 1.0, 3.0], [0.25, 0.5, 0.25])
+    for merged in (oracles.atoms(*draws), risk._atoms(*map(np.array, draws))):
+        assert list(zip(*(a.tolist() for a in merged))) == [(1.0, 0.5), (3.0, 0.5)]
 
 
 def test_tied_probabilities_add_in_draw_order():
@@ -115,22 +137,12 @@ def test_tied_probabilities_add_in_draw_order():
     want = [0.0, 0.0]
     for v, p in zip(values, probs):
         want[int(v)] += p
-    assert EmpiricalSample.from_arrays(values, probs).probabilities.tolist() == want
+    assert oracles.atoms(values, probs)[1].tolist() == want
+    assert risk._atoms(values, probs)[1].tolist() == want
     # below the lower atom's mass the CVaR is the upper atom's probability
     # over the tail mass
     got_var, got_cvar = cvar_rows(values[None, :], probs, 0.3)
     assert want[0] > 0.3 and got_var[0] == 0.0 and got_cvar[0] == want[1] / 0.7
-
-
-def test_alpha_domain_errors():
-    s = _sample([(5.0, 1.0)])
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            var(s, bad)
-        with pytest.raises(ValueError):
-            cvar_direct(s, bad)
-        with pytest.raises(ValueError):
-            cvar_rockafellar(s, bad)
 
 
 @pytest.mark.parametrize("values,probs,message", [
@@ -165,24 +177,26 @@ def test_cvar_rows_alpha_domain(bad):
 
 def test_var_three_atom():
     pts = [(10, 0.5), (20, 0.3), (30, 0.2)]
-    assert var(_sample(pts), 0.7) == 20.0
+    assert kernel_var(pts, 0.7) == 20.0
+    assert oracles.var(*_sample(pts), 0.7) == 20.0
     assert tail_quantile_oracle(pts, 0.7) == 20
 
 
 def test_var_point_mass():
     for alpha in (0.1, 0.5, 0.99):
-        assert var(_sample([(7.25, 1.0)]), alpha) == 7.25
+        assert kernel_var([(7.25, 1.0)], alpha) == 7.25
 
 
 def test_var_top_atom():
     pts = [(0, 0.9), (100, 0.1)]
-    assert var(_sample(pts), 0.95) == 100.0
+    assert kernel_var(pts, 0.95) == 100.0
     assert tail_quantile_oracle(pts, 0.95) == 100
 
 
 def test_var_at_exact_jump_takes_the_jump_value():
     # alpha equal to a CDF value: the min of the superlevel set
-    assert var(_sample([(10, 0.5), (20, 0.5)]), 0.5) == 10.0
+    assert kernel_var([(10, 0.5), (20, 0.5)], 0.5) == 10.0
+    assert oracles.var([10.0, 20.0], [0.5, 0.5], 0.5) == 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,36 +206,39 @@ def test_var_at_exact_jump_takes_the_jump_value():
 def test_cvar_direct_three_atom():
     pts = [(10, 0.5), (20, 0.3), (30, 0.2)]
     expected = 20 * (1 / 3) + 30 * (2 / 3)
-    got = cvar_direct(_sample(pts), 0.7)
+    got = kernel_cvar(pts, 0.7)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(tail_expectation_oracle(pts, 0.7), abs=1e-12)
+    assert oracles.cvar(*_sample(pts), 0.7) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cvar_direct_point_mass():
     for alpha in (0.3, 0.9):
-        assert cvar_direct(_sample([(4.5, 1.0)]), alpha) == pytest.approx(4.5, abs=0)
+        assert kernel_cvar([(4.5, 1.0)], alpha) == pytest.approx(4.5, abs=0)
 
 
 def test_cvar_direct_tail_on_upper_atom():
-    got = cvar_direct(_sample([(0, 0.5), (1, 0.5)]), 0.5)
+    got = kernel_cvar([(0, 0.5), (1, 0.5)], 0.5)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cvar_rockafellar_matches_grid_oracle():
     pts = [(10, 0.5), (20, 0.3), (30, 0.2)]
     mins, _ = rockafellar_grid_oracle(pts, 0.7)
-    assert cvar_rockafellar(_sample(pts), 0.7) == pytest.approx(mins, abs=1e-9)
-    assert cvar_rockafellar(_sample(pts), 0.7) == pytest.approx(26.666666666666668, abs=1e-9)
+    got = oracles.rockafellar_cvar(*_sample(pts), 0.7)
+    assert got == pytest.approx(mins, abs=1e-9)
+    assert got == pytest.approx(26.666666666666668, abs=1e-9)
+    assert kernel_cvar(pts, 0.7) == pytest.approx(got, abs=1e-9)
 
 
 def test_cvar_rockafellar_point_mass():
-    assert cvar_rockafellar(_sample([(3.0, 1.0)]), 0.9) == pytest.approx(3.0, abs=1e-12)
+    assert oracles.rockafellar_cvar([3.0], [1.0], 0.9) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_cvar_rockafellar_two_atom():
     pts = [(0, 0.5), (1, 0.5)]
     mins, _ = rockafellar_grid_oracle(pts, 0.5)
-    assert cvar_rockafellar(_sample(pts), 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.rockafellar_cvar(*_sample(pts), 0.5) == pytest.approx(1.0, abs=1e-12)
     assert mins == pytest.approx(1.0, abs=1e-9)
 
 
@@ -247,8 +264,7 @@ def test_cvar_rows_memory_is_bounded_by_the_sort_block():
 
 
 def test_committed_requirement_balanced():
-    s = _sample([(500.0, 1.0)])
-    assert cvar_direct(s, 0.9) <= 500.0
+    assert kernel_cvar([(500.0, 1.0)], 0.9) <= 500.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +273,24 @@ def test_committed_requirement_balanced():
 
 def bound_gap(per_bus, joint, alpha):
     """Sum of per-bus CVaRs minus the joint CVaR, as the planned-power bound reads it."""
-    _, gap = committed_upper_bound([cvar_direct(s, alpha) for s in per_bus],
-                                   cvar_direct(joint, alpha))
+    _, gap = committed_upper_bound([kernel_cvar(s, alpha) for s in per_bus],
+                                   kernel_cvar(joint, alpha))
     return gap
 
 
 def test_gap_deterministic_point_masses():
-    a = _sample([(10.0, 1.0)])
-    b = _sample([(10.0, 1.0)])
-    joint = _sample([(20.0, 1.0)])
+    a = [(10.0, 1.0)]
+    b = [(10.0, 1.0)]
+    joint = [(20.0, 1.0)]
     assert bound_gap([a, b], joint, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_anti_comonotone_pair():
-    a = _sample([(0, 0.5), (10, 0.5)])
-    b = _sample([(10, 0.5), (0, 0.5)])
-    joint = _sample([(10.0, 1.0)])
+    a = [(0, 0.5), (10, 0.5)]
+    b = [(10, 0.5), (0, 0.5)]
+    joint = [(10.0, 1.0)]
     # each marginal tail sits on its own upper atom
-    assert cvar_direct(a, 0.5) == pytest.approx(tail_expectation_oracle(a.points, 0.5))
+    assert kernel_cvar(a, 0.5) == pytest.approx(tail_expectation_oracle(a, 0.5))
     assert bound_gap([a, b], joint, 0.5) == pytest.approx(10.0, abs=1e-12)
 
 
@@ -283,13 +299,13 @@ def test_gap_comonotone_is_zero():
     xs = [1.0, 2.0, 3.0, 4.0]
     ys = [10.0, 20.0, 30.0, 40.0]
     probs = [0.25] * 4
-    a = EmpiricalSample.from_arrays(xs, probs)
-    b = EmpiricalSample.from_arrays(ys, probs)
-    joint = EmpiricalSample.from_arrays([x + y for x, y in zip(xs, ys)], probs)
+    a = list(zip(xs, probs))
+    b = list(zip(ys, probs))
+    joint = list(zip([x + y for x, y in zip(xs, ys)], probs))
     for alpha in (0.3, 0.5, 0.8):
-        expected = (tail_expectation_oracle(a.points, alpha)
-                    + tail_expectation_oracle(b.points, alpha)
-                    - tail_expectation_oracle(joint.points, alpha))
+        expected = (tail_expectation_oracle(a, alpha)
+                    + tail_expectation_oracle(b, alpha)
+                    - tail_expectation_oracle(joint, alpha))
         assert expected == pytest.approx(0.0, abs=1e-9)
         assert bound_gap([a, b], joint, alpha) == pytest.approx(0.0, abs=1e-9)
 
@@ -303,7 +319,8 @@ def test_direct_equals_rockafellar_on_random_samples():
     for _ in range(1000):
         s = random_sample(rng)
         alpha = float(rng.uniform(0.01, 0.99))
-        assert cvar_direct(s, alpha) == pytest.approx(cvar_rockafellar(s, alpha), abs=1e-9)
+        assert one_row(*s, alpha)[1] == pytest.approx(oracles.rockafellar_cvar(*s, alpha),
+                                                      abs=1e-9)
 
 
 def test_cvar_dominates_var():
@@ -311,7 +328,8 @@ def test_cvar_dominates_var():
     for _ in range(500):
         s = random_sample(rng)
         alpha = float(rng.uniform(0.01, 0.99))
-        assert cvar_direct(s, alpha) >= var(s, alpha) - 1e-12
+        got_var, got_cvar = one_row(*s, alpha)
+        assert got_cvar >= got_var - 1e-12
 
 
 def test_nonnegative_sample_minimizer_is_nonnegative():
@@ -336,24 +354,25 @@ def sample_strategy(draw):
     weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
                             min_size=m, max_size=m))
     total = sum(weights)
-    return EmpiricalSample.from_arrays(values, [w / total for w in weights])
+    return np.array(values), np.array([w / total for w in weights])
 
 
 @settings(max_examples=200, deadline=None)
 @given(sample_strategy(), st.floats(min_value=0.02, max_value=0.98),
        st.floats(min_value=-500.0, max_value=500.0))
 def test_translation_equivariance(s, alpha, c):
-    shifted = EmpiricalSample.from_arrays(s.values + c, s.probabilities)
-    assert cvar_direct(shifted, alpha) == pytest.approx(cvar_direct(s, alpha) + c, abs=1e-9)
+    values, probs = s
+    assert one_row(values + c, probs, alpha)[1] == pytest.approx(
+        one_row(values, probs, alpha)[1] + c, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sample_strategy(), st.floats(min_value=0.02, max_value=0.98),
        st.floats(min_value=1e-3, max_value=50.0))
 def test_positive_homogeneity(s, alpha, lam):
-    scaled = EmpiricalSample.from_arrays(lam * s.values, s.probabilities)
-    assert cvar_direct(scaled, alpha) == pytest.approx(lam * cvar_direct(s, alpha),
-                                                       abs=1e-9 * max(1.0, lam))
+    values, probs = s
+    assert one_row(lam * values, probs, alpha)[1] == pytest.approx(
+        lam * one_row(values, probs, alpha)[1], abs=1e-9 * max(1.0, lam))
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,7 +380,7 @@ def test_positive_homogeneity(s, alpha, lam):
        st.floats(min_value=0.5, max_value=0.98))
 def test_alpha_monotonicity(s, a1, a2):
     lo, hi = min(a1, a2), max(a1, a2)
-    assert cvar_direct(s, lo) <= cvar_direct(s, hi) + 1e-12
+    assert one_row(*s, lo)[1] <= one_row(*s, hi)[1] + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,7 +388,8 @@ def test_alpha_monotonicity(s, a1, a2):
        st.floats(min_value=-2e4, max_value=2e4))
 def test_rockafellar_objective_is_minimized_at_the_var(s, alpha, eta):
     # Rockafellar & Uryasev (J. Risk, 2000): the objective's minimum over eta
-    # is the CVaR, attained at the VaR, so cvar_rockafellar evaluates it once
-    cvar = cvar_direct(s, alpha)
-    assert rockafellar_objective(s, alpha, eta) >= cvar - 1e-9
-    assert rockafellar_objective(s, alpha, var(s, alpha)) == pytest.approx(cvar, abs=1e-9)
+    # is the CVaR, attained at the VaR
+    got_var, got_cvar = one_row(*s, alpha)
+    assert oracles.rockafellar_objective(*s, alpha, eta) >= got_cvar - 1e-9
+    assert oracles.rockafellar_objective(*s, alpha, got_var) == pytest.approx(got_cvar,
+                                                                            abs=1e-9)

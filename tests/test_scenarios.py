@@ -11,11 +11,12 @@ import pytest
 from scipy import special
 
 import gridclear
-from gridclear import (ConfigurationError, EmpiricalSample, ScenarioConfig,
-                       ScenarioSet, aggregate_net_load, committed_upper_bound,
-                       cvar_direct, generate_scenarios, net_load, suffix_net_load)
+import oracles
+from gridclear import ConfigurationError, ScenarioConfig, committed_upper_bound, cvar_rows
 from gridclear import scenarios
 from gridclear.scenarios import build_levels, draw_loads
+
+CAPACITY = np.array([120.0, 90.0, 60.0])
 
 
 def make_config(**overrides):
@@ -23,82 +24,79 @@ def make_config(**overrides):
         n_buses=3, horizon=2, n_scenarios=16, seed=5,
         load_mean=np.full((3, 2), 100.0),
         load_std=np.full((3, 2), 8.0),
-        renewable_capacity=np.array([120.0, 90.0, 60.0]),
-        penetration=0.4, uncertainty_growth=0.2,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
 
 
-def manual_set(load, renewable, probs=None):
-    load = np.asarray(load, dtype=float)
-    renewable = np.asarray(renewable, dtype=float)
-    if probs is None:
-        probs = np.full(load.shape[2], 1.0 / load.shape[2])
-    return ScenarioSet(np.asarray(probs, dtype=float), load, renewable)
+def generate(config=None, penetration=0.4, capacity=CAPACITY, growth=0.2):
+    """One level's (load, renewable, probabilities) on ``config``."""
+    return oracles.level_arrays(config or make_config(), penetration, capacity, growth)
+
+
+def net_load_points(load, renewable, buses, time=0):
+    """The reference's atoms of the net load summed over ``buses`` in hour
+    ``time``, its K scenarios equiprobable, as (value, probability) pairs."""
+    load, renewable = np.asarray(load, dtype=float), np.asarray(renewable, dtype=float)
+    k = load.shape[2]
+    values = (load[buses, time] - renewable[buses, time]).reshape(-1, k).sum(axis=0)
+    return list(zip(*(a.tolist() for a in oracles.atoms(values, np.full(k, 1.0 / k)))))
 
 
 def test_zero_capacity_gives_zero_renewables():
-    cfg = make_config(renewable_capacity=np.zeros(3), penetration=0.0)
-    ss = generate_scenarios(cfg)
-    assert np.all(ss.renewable == 0.0)
-    sample = net_load(ss, 0, 0)
-    direct = EmpiricalSample.from_arrays(ss.load[0, 0, :], ss.probabilities)
-    assert np.allclose(sample.values, direct.values)
+    load, renewable, probs = generate(capacity=np.zeros(3), penetration=0.0)
+    assert np.all(renewable == 0.0)
+    sample = oracles.atoms(load[0, 0] - renewable[0, 0], probs)
+    direct = oracles.atoms(load[0, 0], probs)
+    assert np.allclose(sample[0], direct[0])
 
 
 def test_zero_penetration_gives_zero_renewables():
-    ss = generate_scenarios(make_config(penetration=0.0))
-    assert np.all(ss.renewable == 0.0)
+    _, renewable, _ = generate(penetration=0.0)
+    assert np.all(renewable == 0.0)
 
 
 def test_same_seed_bit_identical():
-    a = generate_scenarios(make_config())
-    b = generate_scenarios(make_config())
-    assert np.array_equal(a.load, b.load)
-    assert np.array_equal(a.renewable, b.renewable)
-    assert np.array_equal(a.probabilities, b.probabilities)
+    for a, b in zip(generate(), generate()):
+        assert np.array_equal(a, b)
 
 
 def test_different_seed_differs():
-    a = generate_scenarios(make_config())
-    b = generate_scenarios(make_config(seed=6))
-    assert not np.array_equal(a.load, b.load)
+    a = generate()
+    b = generate(make_config(seed=6))
+    assert not np.array_equal(a[0], b[0])
 
 
 def test_capacity_bound_holds():
-    ss = generate_scenarios(make_config(penetration=0.8, uncertainty_growth=0.45))
-    cap = make_config().renewable_capacity
-    assert np.all(ss.renewable >= 0.0)
-    assert np.all(ss.renewable <= cap[:, None, None] + 1e-12)
+    _, renewable, _ = generate(penetration=0.8, growth=0.45)
+    assert np.all(renewable >= 0.0)
+    assert np.all(renewable <= CAPACITY[:, None, None] + 1e-12)
 
 
 def test_loads_nonnegative():
-    ss = generate_scenarios(make_config(load_std=np.full((3, 2), 80.0)))
-    assert np.all(ss.load >= 0.0)
+    load, _, _ = generate(make_config(load_std=np.full((3, 2), 80.0)))
+    assert np.all(load >= 0.0)
 
 
 def test_infeasible_penetration_names_hour():
     # the share is system-wide, so the error names the first infeasible hour
     mean = np.array([[10.0, 100.0]] * 3)  # hour 0 target 60 fits, hour 1's 600 does not
-    cfg = make_config(load_mean=mean, penetration=2.0)
     with pytest.raises(ConfigurationError, match=r"^hour 1: required system-wide mean share"):
-        generate_scenarios(cfg)
+        generate(make_config(load_mean=mean), penetration=2.0)
 
 
 def test_positive_penetration_without_capacity_errors():
-    cfg = make_config(renewable_capacity=np.zeros(3), penetration=0.3)
     with pytest.raises(ConfigurationError, match=r"^hour 0: penetration 0.3 needs mean "
                                                  r"renewable output 90.000 MW"):
-        generate_scenarios(cfg)
+        generate(capacity=np.zeros(3), penetration=0.3)
 
 
 def test_mean_share_matches_penetration():
-    cfg = make_config(n_scenarios=4000, penetration=0.5, uncertainty_growth=0.15)
-    ss = generate_scenarios(cfg)
+    cfg = make_config(n_scenarios=4000)
+    _, renewable, _ = generate(cfg, penetration=0.5, growth=0.15)
     for t in range(cfg.horizon):
         target = 0.5 * cfg.load_mean[:, t].sum()
-        got = ss.renewable[:, t, :].sum(axis=0).mean()
+        got = renewable[:, t, :].sum(axis=0).mean()
         assert got == pytest.approx(target, rel=0.03)
 
 
@@ -107,26 +105,24 @@ def test_mean_share_matches_penetration():
 
 def test_levels_built_on_one_load_draw_equal_separate_draws():
     # one draw_loads serves every penetration level, bit for bit
-    draws = draw_loads(make_config(penetration=0.0))
+    draws = draw_loads(make_config())
     penetrations = (0.0, 0.4, 0.8)
-    cap = make_config().renewable_capacity
-    levels = build_levels(draws, penetrations, [cap] * len(penetrations), 0.2)
+    levels = build_levels(draws, penetrations, [CAPACITY] * len(penetrations), 0.2)
     for level, penetration in enumerate(penetrations):
-        alone = generate_scenarios(make_config(penetration=penetration))
+        load, renewable, _ = generate(penetration=penetration)
         assert levels.errors[level] is None
-        assert np.array_equal(draws.load, alone.load)
-        assert np.array_equal(levels.renewable(level), alone.renewable)
+        assert np.array_equal(draws.load, load)
+        assert np.array_equal(levels.renewable(level), renewable)
 
 
-@pytest.mark.parametrize("name", ["probabilities", "load", "renewable"])
+@pytest.mark.parametrize("name", ["load", "renewable"])
 def test_scenario_set_arrays_are_read_only(name):
-    caller = dict(load=np.full((2, 1, 2), 50.0), renewable=np.full((2, 1, 2), 5.0),
-                  probs=np.array([0.5, 0.5]))
-    for sset in (generate_scenarios(make_config()), manual_set(**caller)):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(sset, name)[0] = 1.0
+    capacity, mean = CAPACITY.copy(), np.full((3, 2), 100.0)
+    load, renewable, _ = generate(make_config(load_mean=mean), capacity=capacity)
+    with pytest.raises(ValueError, match="read-only"):
+        dict(load=load, renewable=renewable)[name][0] = 1.0
     # the caller's own arrays stay writable
-    assert all(a.flags.writeable for a in caller.values())
+    assert capacity.flags.writeable and mean.flags.writeable
 
 
 def test_load_draws_are_read_only():
@@ -136,83 +132,67 @@ def test_load_draws_are_read_only():
             array[0] = 0.0
 
 
-# -- net load sample construction -------------------------------------------
+# -- net load samples of the reference ------------------------------------
 
 
 def test_net_load_single_scenario_point_mass():
-    ss = manual_set(load=[[[100.0]]], renewable=[[[30.0]]])
-    s = net_load(ss, 0, 0)
-    assert s.points == [(70.0, 1.0)]
+    assert net_load_points([[[100.0]]], [[[30.0]]], 0) == [(70.0, 1.0)]
 
 
 def test_net_load_two_scenarios():
-    ss = manual_set(load=[[[60.0, 80.0]]], renewable=[[[10.0, 10.0]]])
-    s = net_load(ss, 0, 0)
-    assert s.points == [(50.0, 0.5), (70.0, 0.5)]
+    assert net_load_points([[[60.0, 80.0]]], [[[10.0, 10.0]]], 0) == [(50.0, 0.5),
+                                                                      (70.0, 0.5)]
 
 
 def test_net_load_keeps_negative_values():
-    ss = manual_set(load=[[[100.0]]], renewable=[[[120.0]]])
-    s = net_load(ss, 0, 0)
-    assert s.points == [(-20.0, 1.0)]
-
-
-def test_net_load_index_errors():
-    ss = manual_set(load=[[[1.0]]], renewable=[[[0.0]]])
-    with pytest.raises(IndexError):
-        net_load(ss, 1, 0)
-    with pytest.raises(IndexError):
-        aggregate_net_load(ss, 2)
+    assert net_load_points([[[100.0]]], [[[120.0]]], 0) == [(-20.0, 1.0)]
 
 
 def test_aggregate_single_bus_equals_net_load():
-    ss = generate_scenarios(make_config(n_buses=1, load_mean=np.full((1, 2), 50.0),
-                                        load_std=np.full((1, 2), 5.0),
-                                        renewable_capacity=np.array([40.0])))
-    a = aggregate_net_load(ss, 1)
-    b = net_load(ss, 0, 1)
-    assert np.allclose(a.values, b.values)
+    load, renewable, _ = generate(make_config(n_buses=1, load_mean=np.full((1, 2), 50.0),
+                                              load_std=np.full((1, 2), 5.0)),
+                                  capacity=np.array([40.0]))
+    a = net_load_points(load, renewable, slice(None), 1)
+    b = net_load_points(load, renewable, 0, 1)
+    assert np.allclose(a, b)
 
 
 def test_aggregate_two_buses_one_scenario():
-    ss = manual_set(load=[[[70.0]], [[50.0]]], renewable=[[[10.0]], [[10.0]]])
-    assert aggregate_net_load(ss, 0).points == [(100.0, 1.0)]
+    assert net_load_points([[[70.0]], [[50.0]]], [[[10.0]], [[10.0]]],
+                           slice(None)) == [(100.0, 1.0)]
 
 
 def test_aggregate_three_equiprobable():
     load = np.array([[[50.0, 55.0, 60.0]], [[40.0, 45.0, 50.0]]])
-    ss = manual_set(load=load, renewable=np.zeros_like(load))
-    s = aggregate_net_load(ss, 0)
-    assert s.points == [(90.0, pytest.approx(1 / 3)), (100.0, pytest.approx(1 / 3)),
-                        (110.0, pytest.approx(1 / 3))]
+    points = net_load_points(load, np.zeros_like(load), slice(None))
+    assert points == [(90.0, pytest.approx(1 / 3)), (100.0, pytest.approx(1 / 3)),
+                      (110.0, pytest.approx(1 / 3))]
 
 
 def test_aggregate_is_scenario_wise_sum():
-    ss = generate_scenarios(make_config(n_scenarios=10))
+    load, renewable, probs = generate(make_config(n_scenarios=10))
     for t in range(2):
-        agg = aggregate_net_load(ss, t)
+        agg = net_load_points(load, renewable, slice(None), t)
         per_k = np.zeros(10)
         for i in range(3):
-            per_k += ss.load[i, t, :] - ss.renewable[i, t, :]
-        manual = EmpiricalSample.from_arrays(per_k, ss.probabilities)
-        assert np.allclose(agg.values, manual.values)
-        assert np.allclose(agg.probabilities, manual.probabilities)
+            per_k += load[i, t, :] - renewable[i, t, :]
+        manual = list(zip(*(a.tolist() for a in oracles.atoms(per_k, probs))))
+        assert np.allclose(agg, manual)
 
 
 def test_suffix_net_load_matches_manual_sum():
-    ss = generate_scenarios(make_config(n_scenarios=6))
-    tail = suffix_net_load(ss, 1, 0)
-    manual = (ss.load[1:, 0, :] - ss.renewable[1:, 0, :]).sum(axis=0)
-    assert np.allclose(np.sort(manual), tail.values)
+    load, renewable, _ = generate(make_config(n_scenarios=6))
+    tail = net_load_points(load, renewable, slice(1, None), 0)
+    manual = (load[1:, 0, :] - renewable[1:, 0, :]).sum(axis=0)
+    assert np.allclose(np.sort(manual), [value for value, _ in tail])
 
 
 def test_penetration_weakly_decreases_mean_net_load():
     # fixed seed gives common random numbers across penetration levels
     means = []
     for pen in (0.0, 0.2, 0.4, 0.6, 0.8):
-        ss = generate_scenarios(make_config(n_scenarios=400, penetration=pen,
-                                            uncertainty_growth=0.2))
-        net = (ss.load - ss.renewable).sum(axis=0)
+        load, renewable, _ = generate(make_config(n_scenarios=400), pen, growth=0.2)
+        net = (load - renewable).sum(axis=0)
         means.append(net.mean())
     assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
 
@@ -220,15 +200,13 @@ def test_penetration_weakly_decreases_mean_net_load():
 def test_subadditivity_gap_nonnegative_on_generated_sets():
     rng = np.random.default_rng(17)
     for _ in range(30):
-        cfg = make_config(seed=int(rng.integers(1_000_000)),
-                          penetration=float(rng.uniform(0.0, 0.8)),
-                          uncertainty_growth=float(rng.uniform(0.0, 0.4)))
-        ss = generate_scenarios(cfg)
+        cfg = make_config(seed=int(rng.integers(1_000_000)))
+        load, renewable, probs = generate(cfg, float(rng.uniform(0.0, 0.8)),
+                                          growth=float(rng.uniform(0.0, 0.4)))
         alpha = float(rng.uniform(0.05, 0.95))
-        per_bus = [net_load(ss, i, 0) for i in range(cfg.n_buses)]
-        joint = aggregate_net_load(ss, 0)
-        _, gap = committed_upper_bound([cvar_direct(s, alpha) for s in per_bus],
-                                       cvar_direct(joint, alpha))
+        net = load[:, 0] - renewable[:, 0]
+        *per_bus, joint = cvar_rows(np.vstack([net, net.sum(axis=0)]), probs, alpha)[1]
+        _, gap = committed_upper_bound(per_bus, joint)
         assert gap >= -1e-9
 
 
@@ -493,5 +471,5 @@ def test_one_cpu_starts_no_thread(monkeypatch, thread_starts):
     cfg = make_config(horizon=24, n_scenarios=1000, load_mean=np.full((3, 24), 100.0),
                       load_std=np.full((3, 24), 8.0))
     assert cfg.horizon * cfg.n_scenarios >= MIN
-    generate_scenarios(cfg)
+    generate(cfg)
     assert thread_starts() == 0

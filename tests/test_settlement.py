@@ -6,7 +6,8 @@ import pytest
 from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError,
                        curtail_and_pay_renewables,
                        deviation_envelopes, expected_profit, realized_profit,
-                       recovery_rate, reserve_and_ramp_check)
+                       reserve_and_ramp_check)
+from gridclear.settlement import _recovery_rows
 
 
 def one_unit_fleet(**kw):
@@ -61,6 +62,17 @@ def test_selling_above_commitment_flagged():
 
 # ---------------------------------------------------------------------------
 # cost recovery
+
+
+def recovery_rate(committed, rp, dp, fleet, cost_recovery):
+    """H and the uplift of one (T, n_units) commitment, as a grid computes
+    them for each of its levels; raises the level's error."""
+    (h_total, lambda_w), failed, error_at = _recovery_rows(
+        np.asarray(committed, dtype=float)[None], np.asarray(rp)[None],
+        np.asarray(dp)[None], fleet, cost_recovery)
+    if failed[0]:
+        raise error_at(0)
+    return float(h_total[0]), float(lambda_w[0])
 
 
 def test_recovery_worked_example():
