@@ -10,7 +10,8 @@ renewables are comonotone across buses while loads stay independent.
 The mean share of capacity is system-wide, so the Beta shape depends only
 on the level and the hour: each (level, hour) takes one Beta quantile per
 scenario, shared by all buses and scaled by each bus's capacity.  Load
-quantiles are drawn one hour at a time over (bus, scenario).
+quantiles are drawn in one pass over every drawn (bus, hour) row and its
+scenarios.
 
 Generation has two halves.  ``draw_loads`` draws the uniforms (``u_load``
 then ``u_weather``, in that order from one generator seeded by the config)
@@ -39,20 +40,23 @@ u = 0); it is a scalar ufunc, so one call over many (level, hour) pairs
 gives each element the bits of one call per hour.  The truncated-normal
 quantile, ``_truncnorm_ppf``, is the log-space form of scipy's
 ``truncnorm.ppf`` (scipy 1.17) with the upper bound fixed at +inf, wrapped
-as ``rv_continuous.ppf`` wraps it: u = 0 gives the lower bound, the kernel
-runs on the compressed positive draws, and the result is
-``x * scale + loc``.  Its per-(bus, hour) constants (``ndtr``, the
-log-mass, ``log_ndtr``) are scalar ufuncs computed once per bus and then
-broadcast; ``np.log``, ``np.exp`` and ``np.log1p`` run once per hour on
-that hour's drawn (bus, scenario) values, and scipy's two-term
+as ``rv_continuous.ppf`` wraps it: u = 0 gives the lower bound, and the
+result is ``x * scale + loc``.  Its per-(bus, hour) constants (``ndtr``,
+the log-mass, ``log_ndtr``) are scalar ufuncs computed once per row and
+broadcast over the row's scenarios; ``np.log``, ``np.exp`` and
+``np.log1p`` run once each over every row, in place, and scipy's two-term
 ``logsumexp`` is written out as ``log1p(exp(min - max)) + max``, which
-rounds as it does (a tie gives ``log1p(1.0) == log(2.0)``).  So the draws
-equal those of ``truncnorm.ppf`` and ``beta.ppf`` bit for bit on the
-uniforms ``Generator.random`` makes (multiples of 2**-53 in [0, 1));
-``tests/test_batch_equivalence.py`` checks this.  The call shape matters:
-numpy's SIMD ``log`` may round the head and tail lanes of an array
-differently, so those calls are not regrouped, and no ``np.log``,
-``np.exp`` or ``np.log1p`` call is split.
+rounds as it does (a tie gives ``log1p(1.0) == log(2.0)``).  So the draws equal those of
+``truncnorm.ppf`` and ``beta.ppf`` bit for bit on the uniforms
+``Generator.random`` makes (multiples of 2**-53 in [0, 1));
+``tests/test_batch_equivalence.py`` checks this.  One call over all hours
+gives the bits of one call per hour because numpy's ``log``, ``exp`` and
+``log1p`` give an element the same bits wherever it sits in an array (SIMD
+lane, offset, length, stride, output in place), which
+``tests/test_scenarios.py`` pins on the ranges the quantile feeds them.  A
+numpy build that rounds by lane fails that test rather than moving the
+draws.  No ``np.log``, ``np.exp`` or ``np.log1p`` call is split across
+threads.
 
 A scalar ufunc can be split, since each element's bits depend on its own
 inputs alone, and ``betaincinv`` releases the GIL.  ``_split_rows`` cuts
@@ -63,9 +67,15 @@ computes the rest, into one output.  There is one block per CPU of the
 process's affinity, at most ``_MAX_WORKERS`` (4) and at most one per row.
 On a 2-vCPU host (two measurements), two blocks took 1.9 times one call's
 time at 512 elements and 1.3 at 768, 0.85 at 1,024, 0.83-0.97 at 2,048,
-0.63 at 8,000 and 0.54-0.55 at 24,000 (a T 24, K 1000 run).  The per-hour
-``ndtri_exp`` calls of ``draw_loads`` are left as they are, one call per
-hour.
+0.63 at 8,000 and 0.54-0.55 at 24,000 (a T 24, K 1000 run).  The one
+``ndtri_exp`` call of ``draw_loads`` also goes through ``_split_rows``, but
+from ``_NDTRI_EXP_SPLIT_MIN`` (32,768) elements on: it costs about 25-35 ns
+an element, against about 750 ns for ``betaincinv``, so a thread repays
+its start only on large calls.  In 300 alternating in-process
+``draw_loads`` calls per shape on the same host (two measurements), two
+blocks were faster in 2-6 at 14,400 elements (the wide workload's shape,
+and T 24, K 200), 96-111 at 28,800, 212-265 at 36,000 and 217-283 at
+72,000 (a T 24, K 1000 run on three buses).
 
 Everything is a pure, deterministic function of the config (seed included)
 and the levels' arguments; the load, weather and renewable arrays are
@@ -158,8 +168,11 @@ _DEGENERATE_STD = 1e-9
 
 
 # a ufunc call of at least _SPLIT_MIN elements is cut into at most
-# _MAX_WORKERS row blocks, run by the caller and threads (see _split_rows)
+# _MAX_WORKERS row blocks, run by the caller and threads (see _split_rows);
+# ndtri_exp costs far less per element than betaincinv, so its calls are
+# cut only from _NDTRI_EXP_SPLIT_MIN elements on
 _SPLIT_MIN = 2048
+_NDTRI_EXP_SPLIT_MIN = 32768
 _MAX_WORKERS = 4
 
 
@@ -172,13 +185,14 @@ def _workers() -> int:
     return min(count, _MAX_WORKERS)
 
 
-def _split_rows(ufunc, *args):
-    """``ufunc(*args)``, with the leading axis cut into contiguous row blocks.
+def _split_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
+    """``ufunc(*args, out=out)``, with the leading axis cut into contiguous row blocks.
 
     Each block is the ufunc on its rows of the broadcast arguments, written
-    into its rows of one output, so for a scalar ufunc (each element's bits
-    depend on its own inputs alone) the result equals one call bit for bit.
-    Below ``_SPLIT_MIN`` elements, with one row or with one worker, it is
+    into its rows of one output (``out``, which may be an argument, or a new
+    array), so for a scalar ufunc (each element's bits depend on its own
+    inputs alone) the result equals one call bit for bit.
+    Below ``min_size`` elements, with one row or with one worker, it is
     one call.  The caller runs the first block; each other block runs on a
     thread in a copy of the caller's context, which carries numpy's error
     state, and under the caller's ``scipy.special`` error actions, which are
@@ -187,11 +201,12 @@ def _split_rows(ufunc, *args):
     caller.
     """
     broadcast = np.broadcast(*args)
-    workers = min(_workers(), broadcast.shape[0]) if broadcast.size >= _SPLIT_MIN else 1
+    workers = min(_workers(), broadcast.shape[0]) if broadcast.size >= min_size else 1
     if workers < 2:
-        return ufunc(*args)
+        return ufunc(*args, out=out)
     arrays = np.broadcast_arrays(*args)
-    out = np.empty(broadcast.shape, np.result_type(*arrays))
+    if out is None:
+        out = np.empty(broadcast.shape, np.result_type(*arrays))
     bounds = [broadcast.shape[0] * i // workers for i in range(workers + 1)]
     errors = [None] * workers
     actions = special.geterr()
@@ -280,33 +295,43 @@ LOAD_Z_MAX = 8.5
 def _truncnorm_ppf(q, loc, scale):
     """Quantiles ``q`` in [0, 1) of N(loc, scale**2) truncated to [0, inf).
 
-    ``loc >= 0``, so the standardised lower bound ``a`` is negative (left
-    tail) or, for a zero mean, 0 (solved from the upper tail, as scipy does).
-    The constants of each (loc, scale) pair are computed once, on ``a``
-    before it is broadcast over the draws.
+    ``q`` is (rows, K); ``loc`` and ``scale`` are (rows, 1), one pair per
+    row, and ``q`` is not written.  ``loc >= 0``, so a row's standardised
+    lower bound ``a`` is negative (lower tail) or, for a zero mean, 0
+    (solved from the upper tail, as scipy does).  Each row's constants are
+    computed once, on ``a``.  Every row takes one path: one ``np.log``, one
+    ``np.exp`` and one ``np.log1p`` call over all of ``q``, worked in place,
+    and one ``ndtri_exp`` call through ``_split_rows``.  The upper-tail rows,
+    a row-index set, overwrite the ``log1p`` argument and the term added to
+    it with their own, and negate the quantile; q == 0 gives the lower
+    bound, in one masked write at the end.
     """
     a = (0.0 - loc) / scale
     # log P(Z > a): scipy's log1p(-ndtr(a) - ndtr(-b)) at b = inf, whose
     # ndtr(-b) is +0.0, and subtracting +0.0 changes no bit
     log_mass = special.log1p(-special.ndtr(a))
     log_cdf = special.log_ndtr(a)
-    q, a, loc, scale, log_mass, log_cdf = np.broadcast_arrays(q, a, loc, scale, log_mass,
-                                                              log_cdf)
-    out = a * scale + loc  # q == 0: the lower bound
-    drawn = q > 0.0
-    q, a, loc, scale, log_mass, log_cdf = (v[drawn] for v in (q, a, loc, scale, log_mass,
-                                                              log_cdf))
-    x = np.empty_like(q)
-    left = a < 0.0
-    right = ~left
-    lo, hi = log_cdf[left], np.log(q[left]) + log_mass[left]
-    # two-term log-sum-exp; the same bits as scipy's logsumexp([lo, hi], axis=0)
-    top = np.maximum(lo, hi)
-    x[left] = special.ndtri_exp(np.log1p(np.exp(np.minimum(lo, hi) - top)) + top)
-    # scipy's logsumexp with log_ndtr(-inf) = -inf returns this term exactly
-    x[right] = -special.ndtri_exp(np.log1p(-q[right]) + log_mass[right])
-    out[drawn] = x * scale + loc
-    return out
+    upper = np.flatnonzero(~(a < 0.0))
+    with np.errstate(divide="ignore"):  # log(0) is -inf; those draws get the lower bound
+        x = np.log(q)
+    x += log_mass
+    # two-term log-sum-exp of log_cdf and x; the same bits as scipy's
+    # logsumexp([log_cdf, x], axis=0)
+    top = np.maximum(log_cdf, x)
+    np.minimum(log_cdf, x, out=x)
+    x -= top
+    np.exp(x, out=x)
+    # scipy's logsumexp with log_ndtr(-inf) = -inf returns log1p(-q) + log_mass exactly
+    x[upper] = -q[upper]
+    top[upper] = log_mass[upper]
+    np.log1p(x, out=x)
+    x += top
+    _split_rows(special.ndtri_exp, x, out=x, min_size=_NDTRI_EXP_SPLIT_MIN)
+    x[upper] = -x[upper]
+    x *= scale
+    x += loc
+    np.copyto(x, a * scale + loc, where=q == 0.0)
+    return x
 
 
 @dataclass(frozen=True)
@@ -331,23 +356,36 @@ class LoadDraws:
 
 
 def draw_loads(config: ScenarioConfig) -> LoadDraws:
-    """Draw the uniforms and the loads of ``config``."""
+    """Draw the uniforms and the loads of ``config``.
+
+    A (bus, hour) whose std is degenerate is its mean in every scenario;
+    the others, the drawn rows, take one ``_truncnorm_ppf`` call over all
+    hours.  A draw that is not finite is a ``ConfigurationError`` naming
+    the bus, hour and scenario of the first one.
+    """
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
     rng = np.random.default_rng(config.seed)
     # u_load before u_weather: the draw order fixes every scenario's bits
     u_load = rng.random((k, n, t_len))
     u_weather = rng.random((k, t_len))
 
+    mean, std = config.load_mean, config.load_std
+    fixed = std <= _DEGENERATE_STD * np.maximum(mean, 1.0)
+    drawn = ~fixed
     load = np.empty((n, t_len, k))
-    for t in range(t_len):
-        m = config.load_mean[:, t]
-        s = config.load_std[:, t]
-        fixed = s <= _DEGENERATE_STD * np.maximum(m, 1.0)
-        load[fixed, t, :] = m[fixed, None]
-        drawn = ~fixed
-        if drawn.any():
-            loc, scale = m[drawn, None], s[drawn, None]
-            load[drawn, t, :] = _truncnorm_ppf(u_load[:, drawn, t].T, loc, scale)
+    load[fixed] = mean[fixed, None]
+    q = u_load.transpose(1, 2, 0)[drawn]  # (bus, hour) rows in C order, K columns
+    rows = _truncnorm_ppf(q, mean[drawn, None], std[drawn, None])
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, scenario = divmod(int(np.argmin(finite)), k)
+        bus, hour = np.argwhere(drawn)[row]
+        raise ConfigurationError(
+            f"the load draw of bus {bus}, hour {hour}, scenario {scenario} is not "
+            f"finite ({rows[row, scenario]}): the truncated-normal quantile of uniform "
+            f"{float(q[row, scenario])!r} at mean {mean[bus, hour]:g} MW, "
+            f"std {std[bus, hour]:g} MW")
+    load[drawn] = rows
     load.flags.writeable = False
     u_weather.flags.writeable = False
     return LoadDraws(config, load, u_weather)

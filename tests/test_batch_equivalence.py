@@ -885,6 +885,27 @@ def test_generate_scenarios_equals_scipy_stats_draws(seed, load_mean, load_std, 
     assert same_bits(got_load, load) and same_bits(got_renewable, renewable)
 
 
+def test_draw_loads_equals_scipy_stats_on_hour_varying_loads(force_load_uniforms):
+    # every bus's mean and std change from hour to hour, so a (bus, hour)
+    # row drawn with another row's constants or uniforms changes the bits
+    rng = np.random.default_rng(28)
+    n, horizon, k = 4, 7, 45
+    mean = rng.uniform(5.0, 300.0, (n, horizon))
+    std = mean * rng.uniform(0.02, 0.5, (n, horizon))
+    mean[2] = 0.0                                   # a zero-mean bus: the upper tail
+    std[2] = rng.uniform(1.0, 20.0, horizon)
+    std[1, 3] = 0.0                                 # a degenerate (bus, hour) mid-horizon
+    top = 1.0 - 2.0**-53
+    force_load_uniforms({(4, 0, 2): 0.0, (0, 2, 5): 0.0, (9, 1, 3): 0.0,   # q == 0
+                         (11, 3, 6): top, (12, 2, 1): top})
+    cfg = ScenarioConfig(n_buses=n, horizon=horizon, n_scenarios=k, seed=3,
+                         load_mean=mean, load_std=std)
+    load, _ = reference_scenarios(cfg, 0.0, np.zeros(n), 0.27)
+    got = draw_loads(cfg).load
+    assert same_bits(got, load)
+    assert got[0, 2, 4] == 0.0 and got[2, 5, 0] == 0.0 and got[1, 3, 9] == mean[1, 3]
+
+
 # ---------------------------------------------------------------------------
 # CVaR kernel
 

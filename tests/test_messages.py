@@ -4,6 +4,7 @@ code for its usage and output-directory errors."""
 
 import dataclasses
 import errno
+import functools
 import os
 
 import numpy as np
@@ -51,6 +52,41 @@ def test_cli_exits_2_when_the_output_directory_cannot_be_made(tmp_path, monkeypa
         f"configuration error: [Errno {errno.ENAMETOOLONG}] "
         f"{os.strerror(errno.ENAMETOOLONG)}: ")
     assert not any(tmp_path.iterdir())
+
+
+# a standardised lower bound of -0.1: the quantile of 1 - 2**-53 rounds to inf
+TOP = 1.0 - 2.0**-53
+WIDE_LOADS = dict(load_std_frac=10.0, load_mean_per_bus=(3.0, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("argv", [[], ["--line-limit", "80"]], ids=["bus", "feeder"])
+def test_cli_exits_2_on_a_load_draw_that_is_not_finite(argv, tmp_path, monkeypatch,
+                                                       force_load_uniforms):
+    force_load_uniforms({(0, 0, 0): TOP})
+    monkeypatch.setattr(cli, "RunConfig", functools.partial(RunConfig, **WIDE_LOADS))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["settle", "--horizon", "2", "--scenarios", "5",
+                                       "--out", str(out), *argv])
+    assert result.exit_code == 2
+    assert result.output == (
+        "configuration error: the load draw of bus 0, hour 0, scenario 0 is not finite "
+        "(inf): the truncated-normal quantile of uniform 0.9999999999999999 at mean 3 MW, "
+        "std 30 MW\n")
+    assert not out.exists()
+
+
+def test_draw_loads_names_its_first_draw_that_is_not_finite(force_load_uniforms):
+    # bus 0's hour 0 is degenerate, so bus 1's hour 1 is the third drawn row;
+    # in (bus, hour, scenario) order it comes before bus 2's hour 0
+    config = scenario_config(RunConfig(horizon=2, n_scenarios=6, **WIDE_LOADS))
+    std = config.load_std.copy()
+    std[0, 0] = 0.0
+    config = dataclasses.replace(config, load_std=std)
+    force_load_uniforms({(5, 2, 0): TOP, (4, 1, 1): TOP, (0, 0, 0): TOP})
+    raises(ConfigurationError,
+           "the load draw of bus 1, hour 1, scenario 4 is not finite (inf): the "
+           "truncated-normal quantile of uniform 0.9999999999999999 at mean 2 MW, std 20 MW",
+           lambda: draw_loads(config))
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,24 @@ def test_split_rows_with_more_threads_than_cpus_and_frequent_switches(monkeypatc
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("min_size", [MIN, 10**9])
+def test_split_rows_writes_over_its_argument(min_size, monkeypatch, thread_starts):
+    # the load draw's ndtri_exp call writes each block over its own input rows
+    workers = (os.cpu_count() or 1) + 1
+    monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(10):
+            x = -np.random.default_rng(seed).exponential(3.0, (3 * workers, 700))
+            want = scenarios.special.ndtri_exp(x)
+            got = scenarios._split_rows(scenarios.special.ndtri_exp, x, out=x, min_size=min_size)
+            assert got is x and same_bits(x, want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert thread_starts() == (10 * (workers - 1) if min_size == MIN else 0)
+
+
 def test_split_rows_carries_the_special_error_actions(monkeypatch):
     # a negative Beta shape is a domain error; it lies in the last block
     monkeypatch.setattr(scenarios, "_workers", lambda: 3)
@@ -473,3 +491,51 @@ def test_one_cpu_starts_no_thread(monkeypatch, thread_starts):
     assert cfg.horizon * cfg.n_scenarios >= MIN
     generate(cfg)
     assert thread_starts() == 0
+
+
+# -- one numpy log, exp and log1p call over every hour ---------------------
+
+
+def quantile_feed(name):
+    """8,192 inputs of the range ``_truncnorm_ppf`` feeds ``name``, shuffled."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    size = 2048
+    q = np.concatenate([rng.integers(1, 2**53, size) * 2.0**-53,       # q in (0, 1)
+                        rng.integers(1, 2**20, size) * 2.0**-53,       # tiny q
+                        1.0 - rng.integers(1, 2**20, size) * 2.0**-53,  # q near 1
+                        np.zeros(size)])                               # q == 0
+    x = {
+        "log": q,
+        # min - top of the log-sum-exp: 0, small, underflowing and -inf
+        "exp": -np.concatenate([rng.exponential(3.0, size), rng.exponential(1e-12, size),
+                                rng.uniform(700.0, 760.0, size),
+                                np.array([0.0, np.inf, 1e17] * (size // 3 + 1))[:size]]),
+        # exp's outputs in [0, 1], and -q of the upper-tail rows in (-1, 0]
+        "log1p": np.concatenate([np.exp(-rng.exponential(3.0, size)),
+                                 np.exp(-rng.uniform(700.0, 760.0, size)), -q[::2]]),
+    }[name]
+    return rng.permutation(x)
+
+
+@pytest.mark.parametrize("name", ["log", "exp", "log1p"])
+def test_numpy_log_exp_log1p_bits_do_not_depend_on_the_position(name):
+    # _truncnorm_ppf makes one call of each over every hour's draws, so an
+    # element's bits must not depend on where it sits: SIMD lane, offset,
+    # length, stride, array shape or an output written in place
+    ufunc = getattr(np, name)
+    x = quantile_feed(name)
+    with np.errstate(divide="ignore"):
+        want = np.array([ufunc(x[i:i + 1])[0] for i in range(x.size)])
+        for length in [*range(1, 18), 1000, 3001]:
+            for offset in range(17):
+                part = slice(offset, offset + length)
+                assert same_bits(ufunc(x[part]), want[part])
+                inplace = x[part].copy()
+                ufunc(inplace, out=inplace)
+                assert same_bits(inplace, want[part])
+                every_other = slice(offset, offset + 2 * length, 2)
+                assert same_bits(ufunc(x[every_other]), want[every_other])
+        for rows, cols in ((24, 341), (7, 1000), (341, 24)):
+            block = x[:rows * cols].reshape(rows, cols)
+            assert same_bits(ufunc(block), want[:rows * cols].reshape(rows, cols))
+            assert same_bits(ufunc(block.T), want[:rows * cols].reshape(rows, cols).T)
