@@ -31,7 +31,7 @@ structural, not a side effect of reseeding.
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
 start-up, is never loaded.  All of them live in the compiled
-``scipy.special._ufuncs``, which ``_load_special`` loads without the
+``scipy.special._ufuncs``, which ``_load_bare`` loads without the
 package ``__init__``: its array-API layer (``numpy.f2py``,
 ``numpy.testing``, ``unittest``) was half of a CLI start-up.  The Beta
 quantile is ``betaincinv(a, b, u)``,
@@ -77,6 +77,24 @@ blocks were faster in 2-6 at 14,400 elements (the wide workload's shape,
 and T 24, K 200), 96-111 at 28,800, 212-265 at 36,000 and 217-283 at
 72,000 (a T 24, K 1000 run on three buses).
 
+The uniforms come from ``Generator(PCG64(seed))``, which is what
+``np.random.default_rng(seed)`` returns for an integer seed.  ``_load_bare``
+serves this second package too: at the first draw (not at import, where
+it would add 4-6 ms to every start-up) it loads the compiled
+``numpy.random._generator``, and with it ``_pcg64`` and ``bit_generator``,
+without ``numpy.random``'s ``__init__``, which also loads the other bit
+generators and the legacy ``mtrand``.  ``bit_generator`` imports
+``secrets``, which brings ``hmac`` and OpenSSL's ``_hashlib``, for one
+name, ``randbits``, read only by an unseeded ``SeedSequence``.  So while
+it loads, and only if ``secrets`` is not imported yet, a stand-in
+``secrets`` holding ``random.SystemRandom().getrandbits``, which is what
+``secrets.randbits`` is, stands in ``sys.modules``; it is removed when the
+load ends, so a later ``import secrets`` gets the real module.  The full
+package cost 10-20 ms and about 6 MB of resident memory per process, and
+none of the rest is used.  The loaded module is cached (``_random``),
+because ``numpy.random`` stays out of ``sys.modules`` and an uncached load
+would stub it again at every draw.
+
 Everything is a pure, deterministic function of the config (seed included)
 and the levels' arguments; the load, weather and renewable arrays are
 read-only, so the levels that share them are safe to hand to any number of
@@ -86,8 +104,10 @@ grid points.
 from __future__ import annotations
 
 import contextvars
+import functools
 import importlib.util
 import os
+import random
 import sys
 import threading
 import types
@@ -101,19 +121,21 @@ _NEEDED = ("betaincinv", "ndtri_exp", "ndtr", "log_ndtr", "log1p", "geterr", "se
 
 
 class _AdoptSubmodules:
-    """A one-shot import hook: the real ``scipy.special``, when it is imported,
-    starts with the submodules loaded under the stub as its attributes.
+    """A one-shot import hook: the real ``package``, when it is imported,
+    starts with the submodules loaded under its stub as its attributes.
 
     The import system set them on the stub; the package's own init finds
     them in ``sys.modules`` and does not set them again, yet ``seterr`` (and
-    so ``errstate``) reads ``scipy.special._special_ufuncs``.
+    so ``errstate``) reads ``scipy.special._special_ufuncs``, and
+    ``numpy.random.bit_generator`` is public.
     """
 
-    def __init__(self, submodules):
+    def __init__(self, package, submodules):
+        self.package = package
         self.submodules = submodules
 
     def find_spec(self, name, path=None, target=None):
-        if name != "scipy.special":
+        if name != self.package:
             return None
         sys.meta_path.remove(self)
         spec = importlib.util.find_spec(name)
@@ -127,40 +149,68 @@ class _AdoptSubmodules:
         return spec
 
 
-def _load_special():
-    """The module holding the ``scipy.special`` functions in ``_NEEDED``.
+def _load_bare(package, submodule, needed, stand_ins=None):
+    """The module holding the ``needed`` names of ``package``.
 
-    An imported ``scipy.special`` is returned as it is.  Otherwise the
-    compiled ``scipy.special._ufuncs`` is loaded under a bare package stub
-    that is removed at once, so a later ``import scipy.special`` runs the
-    real package, which re-exports these same objects and, through
-    ``_AdoptSubmodules``, holds the submodules loaded under the stub.  Any
-    import error, or a missing function, falls back to the real package.
+    An imported ``package`` is returned as it is.  Otherwise the compiled
+    ``package.submodule`` is loaded under a bare package stub that is
+    removed at once, so a later import of ``package`` runs the real
+    package, which re-exports these same objects and, through
+    ``_AdoptSubmodules``, holds the submodules loaded under the stub.  Each
+    module of ``stand_ins`` (name to module) that is not imported yet
+    stands in ``sys.modules`` for this load only.  Any import error, or a
+    missing name, falls back to the real package.
     """
-    if "scipy.special" in sys.modules:
-        return sys.modules["scipy.special"]
+    if package in sys.modules:
+        return sys.modules[package]
     try:
-        spec = importlib.util.find_spec("scipy.special")
-        stub = types.ModuleType("scipy.special")
+        spec = importlib.util.find_spec(package)
+        stub = types.ModuleType(package)
         stub.__path__ = spec.submodule_search_locations
-        sys.modules["scipy.special"] = stub
+        placed = {name: module for name, module in (stand_ins or {}).items()
+                  if name not in sys.modules}
+        sys.modules.update(placed)
+        sys.modules[package] = stub
         try:
-            from scipy.special import _ufuncs
+            # __import__, unlike importlib.import_module, is timed by -X importtime
+            __import__(f"{package}.{submodule}")
+            module = sys.modules[f"{package}.{submodule}"]
         finally:
-            del sys.modules["scipy.special"]
+            del sys.modules[package]
+            for name, stand_in in placed.items():
+                if sys.modules.get(name) is stand_in:
+                    del sys.modules[name]
             submodules = {key: value for key, value in vars(stub).items()
                           if isinstance(value, types.ModuleType)}
             if submodules:
-                sys.meta_path.insert(0, _AdoptSubmodules(submodules))
-        if all(hasattr(_ufuncs, name) for name in _NEEDED):
-            return _ufuncs
+                sys.meta_path.insert(0, _AdoptSubmodules(package, submodules))
+        if all(hasattr(module, name) for name in needed):
+            return module
     except ImportError:
         pass
-    from scipy import special
-    return special
+    return importlib.import_module(package)
 
 
-special = _load_special()
+special = _load_bare("scipy.special", "_ufuncs", _NEEDED)
+
+
+@functools.cache
+def _random():
+    """The module holding numpy's ``Generator`` and ``PCG64``, loaded by
+    ``_load_bare`` at the first draw with a stand-in ``secrets`` (see the
+    module docstring); cached, since ``numpy.random`` stays out of
+    ``sys.modules``."""
+    secrets = types.ModuleType("secrets")
+    secrets.randbits = random.SystemRandom().getrandbits
+    return _load_bare("numpy.random", "_generator", ("Generator", "PCG64"),
+                      {"secrets": secrets})
+
+
+def _generator(seed):
+    """``np.random.default_rng(seed)`` for an integer seed: ``Generator(PCG64(seed))``."""
+    module = _random()
+    return module.Generator(module.PCG64(seed))
+
 
 # keep the target std strictly inside the Beta feasibility bound sqrt(mu*(1-mu))
 _FEASIBILITY_MARGIN = 0.95
@@ -364,7 +414,7 @@ def draw_loads(config: ScenarioConfig) -> LoadDraws:
     the bus, hour and scenario of the first one.
     """
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
-    rng = np.random.default_rng(config.seed)
+    rng = _generator(config.seed)
     # u_load before u_weather: the draw order fixes every scenario's bits
     u_load = rng.random((k, n, t_len))
     u_weather = rng.random((k, t_len))

@@ -212,7 +212,9 @@ def test_subadditivity_gap_nonnegative_on_generated_sets():
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats was most of a fresh CLI start; the draws need only
-    # scipy.special, and no run needs a general solver from scipy.optimize
+    # scipy.special, and no run needs a general solver from scipy.optimize.
+    # The uniforms need only numpy's Generator and PCG64: not the numpy.random
+    # package, its legacy mtrand, or the secrets, hmac and OpenSSL it imports
     src = str(Path(gridclear.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -222,7 +224,9 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             "    run_grid(RunConfig(alphas=(0.9,), penetrations=(0.0, 0.5), n_scenarios=20,\n"
             "                       horizon=2, line_limit=limit, "
             "load_mean_per_bus=(150.0, 75.0, 45.0)))\n"
-            "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+            "print(sorted({'scipy.stats', 'scipy.optimize', 'numpy.random',\n"
+            "              'numpy.random.mtrand', 'secrets', 'hmac', '_hashlib'}\n"
+            "             & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
@@ -258,40 +262,50 @@ def test_cli_import_leaves_the_special_package_init_unloaded():
     assert out == ["[]", "24.0 False", str([True] * 5), str([True] * 5)]
 
 
-# the three ways scenarios finds its ufuncs: under the package stub, from a
-# scipy.special imported before it, and through the fallback to the real
-# package when loading under the stub fails
-NO_UFUNCS_UNDER_STUB = """
+# the three ways scenarios finds its ufuncs, and the three ways it finds
+# numpy's Generator and PCG64: under the package stub, from the package
+# imported before it, and through the fallback to the real package when
+# loading under the stub fails (the real scipy.special imports numpy.random)
+NO_UNDER_STUB = """
 import sys
 
-class NoUfuncsUnderStub:
+class NoUnderStub:
     def find_spec(self, name, path=None, target=None):
-        package = sys.modules.get("scipy.special")
-        if name == "scipy.special._ufuncs" and not hasattr(package, "__file__"):
-            raise ImportError("no scipy.special._ufuncs under the stub")
+        package = sys.modules.get("{package}")
+        if name == "{package}.{module}" and not hasattr(package, "__file__"):
+            raise ImportError("no {package}.{module} under the stub")
         return None
 
-sys.meta_path.insert(0, NoUfuncsUnderStub())
+sys.meta_path.insert(0, NoUnderStub())
 """
-LOADERS = {"stub": ("", "scipy.special._ufuncs"),
-           "imported": ("import scipy.special\n", "scipy.special"),
-           "fallback": (NO_UFUNCS_UNDER_STUB, "scipy.special")}
+LOADERS = {
+    "stub": ("", "scipy.special._ufuncs", "numpy.random._generator"),
+    "special imported": ("import scipy.special\n", "scipy.special", "numpy.random"),
+    "special fallback": (NO_UNDER_STUB.format(package="scipy.special", module="_ufuncs"),
+                         "scipy.special", "numpy.random"),
+    "random imported": ("import numpy.random\n", "scipy.special._ufuncs", "numpy.random"),
+    "random fallback": (NO_UNDER_STUB.format(package="numpy.random", module="_pcg64"),
+                        "scipy.special._ufuncs", "numpy.random"),
+}
 
 
 @pytest.mark.parametrize("extra", [(), ("--line-limit", "80", "--load-mean", "150,75,45")],
                          ids=["bus", "feeder"])
 def test_settle_writes_the_same_bytes_whichever_way_the_ufuncs_load(tmp_path, extra):
     runs = {}
-    for way, (preamble, module) in LOADERS.items():
+    for way, (preamble, special, random) in LOADERS.items():
         code = (preamble + "import sys\nfrom gridclear import cli, scenarios\n"
-                "print(scenarios.special.__name__)\ncli.main(sys.argv[1:])\n")
+                "print(scenarios.special.__name__)\n"
+                "try:\n    cli.main(sys.argv[1:])\n"
+                "finally:\n    print(scenarios._random().__name__)\n")
         proc = fresh_python(code, "settle", "--horizon", "24", "--scenarios", "200",
                             "--seed", "7", *extra, "--out", str(tmp_path))
-        loaded, _, stdout = proc.stdout.partition("\n")
-        assert loaded == module
-        runs[way] = (stdout, proc.stderr, (tmp_path / "settlement.csv").read_bytes())
-    assert runs["imported"] == runs["stub"]
-    assert runs["fallback"] == runs["stub"]
+        first, *stdout, last = proc.stdout.splitlines(keepends=True)
+        assert (first, last) == (special + "\n", random + "\n"), way
+        runs[way] = ("".join(stdout), proc.stderr,
+                     (tmp_path / "settlement.csv").read_bytes())
+    for way in LOADERS:
+        assert runs[way] == runs["stub"], way
 
 
 def test_special_error_actions_work_after_the_stub_load():
@@ -307,6 +321,30 @@ def test_special_error_actions_work_after_the_stub_load():
             "print(sc.geterr()['domain'], sc._special_ufuncs.__name__)\n")
     out = fresh_python(code).stdout.splitlines()
     assert out == ["SpecialFunctionError", "ignore scipy.special._special_ufuncs"]
+
+
+def test_numpy_random_and_secrets_work_after_the_stub_load():
+    # after a draw, numpy.random and secrets import as the real modules; the
+    # package holds the submodules loaded under the stub, reproduces the
+    # draw's weather uniforms, and so does a reload of scenarios
+    code = ("import importlib, gridclear.cli\n"
+            "from gridclear import RunConfig, scenarios\n"
+            "from gridclear.experiment import scenario_config\n"
+            "config = scenario_config(RunConfig(horizon=3, n_scenarios=40, seed=11))\n"
+            "u_weather = scenarios.draw_loads(config).u_weather\n"
+            "import numpy.random, secrets\n"
+            "print(numpy.random.__file__.endswith('__init__.py'),\n"
+            "      secrets.__file__.endswith('secrets.py'))\n"
+            "print(numpy.random.bit_generator.__name__, numpy.random._pcg64.__name__)\n"
+            "rng = numpy.random.default_rng(11)\n"
+            "rng.random((40, 3, 3))\n"
+            "print(rng.random((40, 3)).tobytes() == u_weather.tobytes())\n"
+            "print(len(secrets.token_hex(4)), numpy.random.SeedSequence().entropy > 0)\n"
+            "importlib.reload(scenarios)\n"
+            "print(scenarios.draw_loads(config).u_weather.tobytes() == u_weather.tobytes())\n")
+    out = fresh_python(code).stdout.splitlines()
+    assert out == ["True True", "numpy.random.bit_generator numpy.random._pcg64",
+                   "True", "8 True", "True"]
 
 
 # -- the Beta quantile's call split into row blocks on threads ------------
