@@ -55,7 +55,7 @@ from .congestion import RadialGrid, _radial_rows
 from .errors import ConfigurationError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
-from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_integer, build_levels, draw_loads
+from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_integer, draw_and_build
 from .settlement import (SettlementReport, _recovery_rows,
                          curtail_and_pay_renewables, deviation_envelopes, expected_profit,
                          realized_profit, reserve_and_ramp_check, sum_in_order)
@@ -421,10 +421,12 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
 def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[PointResult]:
     """Evaluate every (penetration, alpha) point of the run's grid, penetration-major.
 
-    The fleet is loaded and the loads and weather uniforms are drawn once
-    per grid, and one call builds every level's renewables on them, so
-    every point sees the same load array and the same weather draw (common
-    random numbers).  All levels are then cleared and settled together.
+    The fleet is loaded, and one ``draw_and_build`` call draws the loads and
+    weather uniforms once per grid and builds every level's renewables on
+    them, the load quantiles running while threads run the renewables'
+    Beta quantiles, so every point sees the same load array and the same
+    weather draw (common random numbers).  All levels are then cleared and
+    settled together.
     With a diagnostics list, a level whose renewables cannot be built or a
     point whose dispatch is infeasible (or whose cost H cannot be recovered
     on zero committed energy) is skipped and a message naming its
@@ -434,12 +436,11 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
     if run.line_limit is not None and run.n_buses > len(fleet):
         raise ConfigurationError(f"a feeder of {run.n_buses} buses needs {run.n_buses} "
                                  f"units, but the fleet has {len(fleet)}")
-    draws = draw_loads(scenario_config(run))
-    levels = build_levels(draws, run.penetrations,
-                          [derive_capacity(run.load_mean_per_bus, penetration,
-                                           run.capacity_mode)
-                           for penetration in run.penetrations],
-                          run.uncertainty_growth)
+    draws, levels = draw_and_build(scenario_config(run), run.penetrations,
+                                   [derive_capacity(run.load_mean_per_bus, penetration,
+                                                    run.capacity_mode)
+                                    for penetration in run.penetrations],
+                                   run.uncertainty_growth)
     kept = [level for level, error in enumerate(levels.errors) if error is None]
     outcomes = iter(_evaluate_levels(
         fleet, run, draws.load, draws.probabilities, lambda i: levels.renewable(kept[i]),

@@ -23,10 +23,14 @@ scenario), cut into row blocks on threads when it is large (below); the
 zero-target, at-capacity and degenerate-std hours, and each level's first
 infeasible hour, are masks over (level, hour).  It keeps one
 (level, hour, scenario) array of output per MW and builds a level's
-(bus, hour, scenario) array only when asked.  Every run draws the loads
-once and builds all of its levels from them, so all levels share one
-read-only load array and one weather draw: the common random numbers are
-structural, not a side effect of reseeding.
+(bus, hour, scenario) array only when asked.  A run calls
+``draw_and_build``, which gives the bits of the two halves but overlaps
+them: it draws both uniform arrays, starts the renewables' row blocks on
+threads, draws the loads in the caller while they run, and then takes the
+blocks left and joins.  Every run draws the loads once and builds all of
+its levels from them, so all levels share one read-only load array and
+one weather draw: the common random numbers are structural, not a side
+effect of reseeding.
 
 Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
 ``stats`` subpackage, whose import cost more than the rest of a CLI
@@ -59,23 +63,27 @@ draws.  No ``np.log``, ``np.exp`` or ``np.log1p`` call is split across
 threads.
 
 A scalar ufunc can be split, since each element's bits depend on its own
-inputs alone, and ``betaincinv`` releases the GIL.  ``_split_rows`` cuts
-the one ``betaincinv`` call of ``build_levels`` into contiguous blocks of
-(level, hour) rows once it has at least ``_SPLIT_MIN`` (2,048) elements:
-the caller computes the first block and one thread per other block
-computes the rest, into one output.  There is one block per CPU of the
-process's affinity, at most ``_MAX_WORKERS`` (4) and at most one per row.
-On a 2-vCPU host (two measurements), two blocks took 1.9 times one call's
-time at 512 elements and 1.3 at 768, 0.85 at 1,024, 0.83-0.97 at 2,048,
-0.63 at 8,000 and 0.54-0.55 at 24,000 (a T 24, K 1000 run).  The one
-``ndtri_exp`` call of ``draw_loads`` also goes through ``_split_rows``, but
-from ``_NDTRI_EXP_SPLIT_MIN`` (32,768) elements on: it costs about 25-35 ns
-an element, against about 750 ns for ``betaincinv``, so a thread repays
-its start only on large calls.  In 300 alternating in-process
-``draw_loads`` calls per shape on the same host (two measurements), two
-blocks were faster in 2-6 at 14,400 elements (the wide workload's shape,
-and T 24, K 200), 96-111 at 28,800, 212-265 at 36,000 and 217-283 at
-72,000 (a T 24, K 1000 run on three buses).
+inputs alone, and ``betaincinv`` releases the GIL.  ``_start_rows`` cuts
+the one ``betaincinv`` call of the renewables into contiguous blocks of
+(level, hour) rows, as many as the rows hold ``_SPLIT_MIN`` (2,048)
+elements each, and computes them into one output.  With two blocks or
+more, the caller keeps the first block and threads start at once, one
+fewer than the smallest of the CPUs of the process's affinity,
+``_MAX_WORKERS`` (4) and the blocks; each takes the next block in row
+order from a shared counter until none is left.  ``finish``, called by
+the caller when it is free, computes the caller's block, takes what is
+left the same way and joins.  So a free CPU takes the next block, however
+long the caller's other work runs.  A block is not made smaller, because
+each block boundary hands the GIL back: on a 2-vCPU host, blocks of 50
+elements took the wide workload's run from 14.3 to 19.1 ms, and blocks of
+500 from 15.5 to 19.7 ms.  On the same host (two measurements), two
+blocks of one call took 1.9 times its time at 512 elements and 1.3 at
+768, 0.85 at 1,024, 0.83-0.97 at 2,048, 0.63 at 8,000 and 0.54-0.55 at
+24,000 (a T 24, K 1000 run).  The one ``ndtri_exp`` call of the load
+quantile is not split: it costs about 25-35 ns an element, against about
+750 ns for ``betaincinv``, and in a run it is drawn while the other CPUs
+run the Beta blocks.  A thread's start and join cost about 100-200 us on
+that host, and a run starts at most ``_MAX_WORKERS - 1`` of them.
 
 The uniforms come from ``Generator(PCG64(seed))``, which is what
 ``np.random.default_rng(seed)`` returns for an integer seed.  ``_load_bare``
@@ -103,6 +111,7 @@ grid points.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import importlib.util
@@ -217,12 +226,9 @@ _FEASIBILITY_MARGIN = 0.95
 _DEGENERATE_STD = 1e-9
 
 
-# a ufunc call of at least _SPLIT_MIN elements is cut into at most
-# _MAX_WORKERS row blocks, run by the caller and threads (see _split_rows);
-# ndtri_exp costs far less per element than betaincinv, so its calls are
-# cut only from _NDTRI_EXP_SPLIT_MIN elements on
+# a ufunc call is cut into row blocks of at least _SPLIT_MIN elements each,
+# run by the caller and at most _MAX_WORKERS - 1 threads (see _start_rows)
 _SPLIT_MIN = 2048
-_NDTRI_EXP_SPLIT_MIN = 32768
 _MAX_WORKERS = 4
 
 
@@ -235,33 +241,44 @@ def _workers() -> int:
     return min(count, _MAX_WORKERS)
 
 
-def _split_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
-    """``ufunc(*args, out=out)``, with the leading axis cut into contiguous row blocks.
+def _start_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
+    """Start ``ufunc(*args, out=out)`` with the leading axis cut into
+    contiguous row blocks, and return ``finish``, whose call returns the output.
 
-    Each block is the ufunc on its rows of the broadcast arguments, written
-    into its rows of one output (``out``, which may be an argument, or a new
-    array), so for a scalar ufunc (each element's bits depend on its own
-    inputs alone) the result equals one call bit for bit.
-    Below ``min_size`` elements, with one row or with one worker, it is
-    one call.  The caller runs the first block; each other block runs on a
-    thread in a copy of the caller's context, which carries numpy's error
-    state, and under the caller's ``scipy.special`` error actions, which are
-    per thread.  Every thread is joined before the call returns, and the
-    exception of the first failing block, in row order, is raised in the
-    caller.
+    The rows are cut evenly into as many blocks as they hold ``min_size``
+    elements each.  Each block is the ufunc on its rows of the broadcast
+    arguments, written into its rows of one output (``out``, which may be
+    an argument, or a new array), so for a scalar ufunc (each element's
+    bits depend on its own inputs alone) the result equals one call bit for
+    bit.  With one block or one worker nothing starts, and ``finish`` makes
+    the one call.  Otherwise the caller keeps the first block, and one
+    thread per other worker, at most one per other block, starts at once
+    and takes the next block, in row order, from a shared counter until
+    none is left.  Each thread runs in a copy of the caller's context, which
+    carries numpy's error state, and under the caller's ``scipy.special``
+    error actions, which are per thread.  ``finish`` runs the caller's
+    block, takes blocks from the counter as the threads do, joins every
+    thread, and raises in the caller the exception of the first failing
+    block in row order.  Whatever happens between the start and the finish,
+    call ``finish`` once, so that no thread outlives the caller's use.
     """
     broadcast = np.broadcast(*args)
-    workers = min(_workers(), broadcast.shape[0]) if broadcast.size >= min_size else 1
+    n_rows = broadcast.shape[0] if broadcast.size >= min_size else 0
+    # as many blocks as the rows hold min_size elements each, rounded down
+    blocks = n_rows // -(-min_size * n_rows // broadcast.size) if n_rows else 0
+    workers = min(_workers(), blocks)
     if workers < 2:
-        return ufunc(*args, out=out)
+        return functools.partial(ufunc, *args, out=out)
     arrays = np.broadcast_arrays(*args)
     if out is None:
         out = np.empty(broadcast.shape, np.result_type(*arrays))
-    bounds = [broadcast.shape[0] * i // workers for i in range(workers + 1)]
-    errors = [None] * workers
+    bounds = [n_rows * i // blocks for i in range(blocks + 1)]
+    errors = [None] * blocks
     actions = special.geterr()
+    following = iter(range(1, blocks))  # block 0 is the caller's
+    lock = threading.Lock()
 
-    def run(block):
+    def compute(block):
         rows = slice(bounds[block], bounds[block + 1])
         try:
             if special.geterr() != actions:  # a new thread starts with scipy's defaults
@@ -270,20 +287,44 @@ def _split_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
         except BaseException as exc:
             errors[block] = exc
 
+    def run():
+        while True:
+            with lock:
+                block = next(following, None)
+            if block is None:
+                return
+            compute(block)
+
+    def finish():
+        try:
+            compute(0)
+            run()
+        finally:
+            for thread in started:
+                thread.join()
+        for error in errors:
+            if error is not None:
+                raise error
+        return out
+
     started = []
     try:
-        for block in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, block))
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
             thread.start()
             started.append(thread)
-        run(0)
-    finally:
+    except BaseException:
         for thread in started:
             thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    return out
+        raise
+    return finish
+
+
+def _split_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
+    """``ufunc(*args, out=out)`` in ``_start_rows``' row blocks, finished at
+    once: the caller computes its block and any the threads leave, and joins
+    them before the return."""
+    return _start_rows(ufunc, *args, out=out, min_size=min_size)()
 
 
 def _check_integer(name: str, value) -> None:
@@ -350,8 +391,8 @@ def _truncnorm_ppf(q, loc, scale):
     lower bound ``a`` is negative (lower tail) or, for a zero mean, 0
     (solved from the upper tail, as scipy does).  Each row's constants are
     computed once, on ``a``.  Every row takes one path: one ``np.log``, one
-    ``np.exp`` and one ``np.log1p`` call over all of ``q``, worked in place,
-    and one ``ndtri_exp`` call through ``_split_rows``.  The upper-tail rows,
+    ``np.exp``, one ``np.log1p`` and one ``ndtri_exp`` call over all of
+    ``q``, worked in place.  The upper-tail rows,
     a row-index set, overwrite the ``log1p`` argument and the term added to
     it with their own, and negate the quantile; q == 0 gives the lower
     bound, in one masked write at the end.
@@ -376,7 +417,7 @@ def _truncnorm_ppf(q, loc, scale):
     top[upper] = log_mass[upper]
     np.log1p(x, out=x)
     x += top
-    _split_rows(special.ndtri_exp, x, out=x, min_size=_NDTRI_EXP_SPLIT_MIN)
+    special.ndtri_exp(x, out=x)
     x[upper] = -x[upper]
     x *= scale
     x += loc
@@ -405,8 +446,20 @@ class LoadDraws:
         return np.full(k, 1.0 / k)
 
 
-def draw_loads(config: ScenarioConfig) -> LoadDraws:
-    """Draw the uniforms and the loads of ``config``.
+def _draw_uniforms(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms of ``config``: ``u_load`` (n_scenarios, n_buses, horizon),
+    then ``u_weather`` (n_scenarios, horizon), read-only, from one generator."""
+    rng = _generator(config.seed)
+    # u_load before u_weather: the draw order fixes every scenario's bits
+    u_load = rng.random((config.n_scenarios, config.n_buses, config.horizon))
+    u_weather = rng.random((config.n_scenarios, config.horizon))
+    u_weather.flags.writeable = False
+    return u_load, u_weather
+
+
+def _load_quantiles(config: ScenarioConfig, u_load: np.ndarray) -> np.ndarray:
+    """The read-only (n_buses, horizon, n_scenarios) loads of ``config`` on
+    the uniforms ``u_load``.
 
     A (bus, hour) whose std is degenerate is its mean in every scenario;
     the others, the drawn rows, take one ``_truncnorm_ppf`` call over all
@@ -414,11 +467,6 @@ def draw_loads(config: ScenarioConfig) -> LoadDraws:
     the bus, hour and scenario of the first one.
     """
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
-    rng = _generator(config.seed)
-    # u_load before u_weather: the draw order fixes every scenario's bits
-    u_load = rng.random((k, n, t_len))
-    u_weather = rng.random((k, t_len))
-
     mean, std = config.load_mean, config.load_std
     fixed = std <= _DEGENERATE_STD * np.maximum(mean, 1.0)
     drawn = ~fixed
@@ -437,8 +485,14 @@ def draw_loads(config: ScenarioConfig) -> LoadDraws:
             f"std {std[bus, hour]:g} MW")
     load[drawn] = rows
     load.flags.writeable = False
-    u_weather.flags.writeable = False
-    return LoadDraws(config, load, u_weather)
+    return load
+
+
+def draw_loads(config: ScenarioConfig) -> LoadDraws:
+    """Draw the uniforms and the loads of ``config`` (``_draw_uniforms``,
+    then ``_load_quantiles``)."""
+    u_load, u_weather = _draw_uniforms(config)
+    return LoadDraws(config, _load_quantiles(config, u_load), u_weather)
 
 
 @dataclass(frozen=True)
@@ -474,12 +528,23 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
     Level l has penetration ``penetrations[l]`` and per-bus capacity
     ``capacities[l]``; the load process is that of ``draws.config``.  Each
     (level, hour) takes its Beta shape from the hour's system-wide mean
-    share, and one ``betaincinv`` call draws every quantile of every level;
-    from ``_SPLIT_MIN`` elements on, ``_split_rows`` runs it in up to
-    ``_MAX_WORKERS`` row blocks, the first in the caller and the others on
-    threads joined before the return, with the bits of one call.  A level that asks for more mean renewable output
-    than its capacity can carry gets the error of its first such hour
-    instead.
+    share, and one ``betaincinv`` call draws every quantile of every level,
+    in ``_start_rows``' row blocks of at least ``_SPLIT_MIN`` elements, with
+    the bits of one call; every thread is joined before the return.  A
+    level that asks for more mean renewable output than its capacity can
+    carry gets the error of its first such hour instead.
+    """
+    return _start_levels(draws.config, draws.u_weather, penetrations, capacities,
+                         uncertainty_growth)()
+
+
+def _start_levels(config: ScenarioConfig, u_weather: np.ndarray, penetrations, capacities,
+                  uncertainty_growth: float):
+    """``build_levels`` on ``config`` and the weather uniforms ``u_weather``,
+    started: the levels are checked and the ``betaincinv`` row blocks
+    started on threads (``_start_rows``) before the return.  Returns
+    ``finish``, whose one call runs the blocks left, joins the threads and
+    returns the ``RenewableLevels``.
     """
     given = list(penetrations)  # named in the messages as the caller wrote them
     penetrations = np.asarray(given, dtype=float)
@@ -488,8 +553,8 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
                         ("uncertainty_growth", uncertainty_growth)):
         if not np.all((value >= 0.0) & np.isfinite(value)):
             raise ConfigurationError(f"{name} must be non-negative and finite")
-    mean = draws.config.load_mean
-    k = draws.config.n_scenarios
+    mean = config.load_mean
+    k = config.n_scenarios
     if caps.shape != (penetrations.size, mean.shape[0]):
         raise ConfigurationError(f"need one capacity per bus for each of the "
                                  f"{penetrations.size} levels, got shape {caps.shape}")
@@ -526,6 +591,33 @@ def build_levels(draws: LoadDraws, penetrations, capacities,
     out[fixed] = mu[fixed, None]
     a, b = _beta_shape(mu[drawn], sigma_hat[drawn])
     hours = np.nonzero(drawn)[1]
-    out[drawn] = _split_rows(special.betaincinv, a[:, None], b[:, None],
-                             draws.u_weather.T[hours])
-    return RenewableLevels(caps, out, tuple(errors))
+    quantiles = _start_rows(special.betaincinv, a[:, None], b[:, None], u_weather.T[hours])
+
+    def finish():
+        out[drawn] = quantiles()
+        return RenewableLevels(caps, out, tuple(errors))
+
+    return finish
+
+
+def draw_and_build(config: ScenarioConfig, penetrations, capacities,
+                   uncertainty_growth: float) -> tuple[LoadDraws, RenewableLevels]:
+    """``draw_loads(config)`` and ``build_levels`` of its draws, with the load
+    quantiles drawn while threads run the renewables' row blocks.
+
+    Both uniform arrays are drawn first, in ``draw_loads``' order, and the
+    levels are checked and their ``betaincinv`` blocks started; the caller
+    then draws the loads, runs the blocks left and joins the threads.  The
+    bits are those of the two calls.  A failed load draw is raised, as when
+    the loads were drawn before the renewables, after the threads are
+    joined.
+    """
+    u_load, u_weather = _draw_uniforms(config)
+    finish = _start_levels(config, u_weather, penetrations, capacities, uncertainty_growth)
+    try:
+        load = _load_quantiles(config, u_load)
+    except BaseException:
+        with contextlib.suppress(Exception):
+            finish()
+        raise
+    return LoadDraws(config, load, u_weather), finish()

@@ -1,7 +1,11 @@
 """Harness behaviour: fleet IO, sweeps, CSV determinism, CLI exit codes."""
 
 import dataclasses
+import functools
+import inspect
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,11 +14,15 @@ from click.testing import CliRunner
 
 import oracles
 from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec,
-                       InfeasibleDispatchError, RunConfig, emit_csv, load_fleet, point_row,
-                       run_grid)
+                       InfeasibleDispatchError, RunConfig, cli, emit_csv, experiment,
+                       load_fleet, point_row, run_grid, scenario_config, scenarios)
 from gridclear.cli import main
 from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
                                   derive_capacity)
+from gridclear.scenarios import draw_loads
+
+from test_messages import TOP, WIDE_LOADS
+from test_scenarios import same_bits, thread_starts  # noqa: F401 (a fixture)
 
 # ---------------------------------------------------------------------------
 # fleet loading
@@ -348,15 +356,15 @@ def test_grid_skips_undrawable_level_and_keeps_the_rest():
 
 
 def test_run_grid_draws_the_loads_once(monkeypatch):
-    import gridclear.experiment as experiment
+    # one generator per grid: the uniforms, and so the loads, are drawn once
     calls = []
-    real = experiment.draw_loads
+    real = scenarios._generator
 
-    def counting(config):
-        calls.append(config)
-        return real(config)
+    def counting(seed):
+        calls.append(seed)
+        return real(seed)
 
-    monkeypatch.setattr(experiment, "draw_loads", counting)
+    monkeypatch.setattr(scenarios, "_generator", counting)
     run = RunConfig(capacity_mode="buildout", alphas=(0.95, 0.5),
                     penetrations=(0.0, 0.3, 2.0, 0.6, 1.0), n_scenarios=20)
     notes: list[str] = []
@@ -734,3 +742,152 @@ def test_default_size_feeder_grid_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(points) == 11
     assert peak / 1e6 < GRID_PEAK_BOUND_MB
+
+
+# ---------------------------------------------------------------------------
+# the load draw overlapped with the renewables' row blocks
+
+
+# the benchmark workloads' grids, and one with an undrawable and a
+# zero-penetration level; each has enough Beta elements for several blocks
+OVERLAP_GRIDS = {
+    "settle-bus": RunConfig(alphas=(0.9,), penetrations=(0.009,), horizon=24,
+                            n_scenarios=1000, capacity_mode="tracking"),
+    "settle-feeder": RunConfig(alphas=(0.9,), penetrations=(0.009,), horizon=24,
+                               n_scenarios=1000, capacity_mode="tracking", line_limit=80.0,
+                               load_mean_per_bus=(150.0, 75.0, 45.0)),
+    "wide": RunConfig(alphas=(0.95,), horizon=12, n_scenarios=50,
+                      load_mean_per_bus=(25.0,) * 24),
+    "skipping": RunConfig(alphas=(0.95, 0.5), penetrations=(0.0, 2.0, 0.5, 1.0),
+                          horizon=24, n_scenarios=200),
+}
+
+
+def grid_outcome(run, monkeypatch):
+    """``run_grid(run, notes)``'s points and notes, and the load, renewables
+    and probabilities it clears each drawable level against."""
+    seen = []
+    real = experiment._evaluate_levels
+
+    def recording(fleet, run, load, probabilities, renewable, penetrations, alphas):
+        seen.extend((p, load, renewable(level), probabilities)
+                    for level, p in enumerate(penetrations))
+        return real(fleet, run, load, probabilities, renewable, penetrations, alphas)
+
+    monkeypatch.setattr(experiment, "_evaluate_levels", recording)
+    notes = []
+    points = run_grid(run, notes)
+    monkeypatch.setattr(experiment, "_evaluate_levels", real)
+    return points, notes, seen
+
+
+@pytest.mark.parametrize("name", list(OVERLAP_GRIDS))
+def test_run_grid_bits_do_not_depend_on_the_worker_count(name, monkeypatch, thread_starts):
+    run = OVERLAP_GRIDS[name]
+    outcomes = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        outcomes[workers] = grid_outcome(run, monkeypatch)
+    assert thread_starts() >= 2  # one for each run on more than one worker
+    points, notes, seen = outcomes[1]
+    assert points and len(seen) == len(run.penetrations) - len(notes)
+    for workers in (2, 3):
+        other_points, other_notes, other_seen = outcomes[workers]
+        assert other_notes == notes
+        assert len(other_points) == len(points)
+        for got, want in zip(other_points, points):
+            assert point_row(run, got) == point_row(run, want)
+            assert got.settlement == want.settlement
+            for field in ("committed", "realized", "lmps", "clearing_prices"):
+                assert same_bits(getattr(got, field), getattr(want, field)), field
+        for got, want in zip(other_seen, seen):
+            assert got[0] == want[0]
+            assert all(same_bits(g, w) for g, w in zip(got[1:], want[1:]))
+    # and the draws are those of the sequential scenario halves, level by level
+    for penetration, load, renewable, probabilities in seen:
+        want = oracles.scenario_arrays(run, penetration)
+        assert all(same_bits(g, w) for g, w in zip((load, renewable, probabilities), want))
+    if name == "skipping":
+        assert [note.split(":")[0] for note in notes] == ["penetration=2.0"]
+        assert not seen[0][2].any()  # penetration 0 draws no renewable output
+
+
+# a settle run whose drawn loads are wide enough for a top uniform to give inf
+WIDE_SETTLE = dataclasses.replace(OVERLAP_GRIDS["settle-bus"], **WIDE_LOADS)
+
+
+@pytest.fixture
+def threads_left(monkeypatch):
+    """``threads_left()``: the threads alive beyond those alive at the
+    fixture's start; the test fails if a thread ends by an exception."""
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    yield lambda: threading.active_count() - before
+    assert unhandled == []
+
+
+def test_a_failed_load_draw_is_raised_after_the_renewable_threads_join(
+        force_load_uniforms, monkeypatch, thread_starts, threads_left, tmp_path):
+    # the one thread has seven of the eight Beta blocks, far more work than
+    # the load draw, so it would still run if the failed draw did not join it
+    monkeypatch.setattr(scenarios, "_workers", lambda: 2)
+    force_load_uniforms({(4, 1, 1): TOP})
+    with pytest.raises(ConfigurationError) as sequential:
+        draw_loads(scenario_config(WIDE_SETTLE))
+    assert str(sequential.value).startswith("the load draw of bus 1, hour 1, scenario 4 ")
+    with pytest.raises(ConfigurationError) as overlapped:
+        run_grid(WIDE_SETTLE)
+    assert threads_left() == 0
+    assert str(overlapped.value) == str(sequential.value)
+    monkeypatch.setattr(cli, "RunConfig", functools.partial(RunConfig, **WIDE_LOADS))
+    result = CliRunner().invoke(main, ["settle", "--horizon", "24", "--scenarios", "1000",
+                                       "--out", str(tmp_path / "out")])
+    assert threads_left() == 0
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {sequential.value}\n"
+    assert thread_starts() == 2  # one for each of the two runs
+
+
+def test_a_failed_renewable_block_is_raised_in_the_caller(monkeypatch, thread_starts,
+                                                          threads_left):
+    monkeypatch.setattr(scenarios, "_workers", lambda: 2)
+    real = scenarios.special.betaincinv
+
+    def failing_on_threads(a, b, u, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise LookupError("a renewable block failed")
+        return real(a, b, u, out=out)
+
+    monkeypatch.setattr(scenarios.special, "betaincinv", failing_on_threads)
+    with pytest.raises(LookupError, match="a renewable block failed"):
+        run_grid(OVERLAP_GRIDS["settle-bus"])
+    assert threads_left() == 0
+    assert thread_starts() == 1
+
+
+def test_every_cross_module_call_of_a_run_comes_from_the_callers_thread(monkeypatch,
+                                                                       thread_starts):
+    # perfbench's tracer wraps each function a gridclear module binds from
+    # another one, and keeps one span stack that is not thread-safe
+    monkeypatch.setattr(scenarios, "_workers", lambda: 2)
+    calls = []
+
+    def recorded(function):
+        @functools.wraps(function)
+        def call(*args, **kwargs):
+            calls.append((function.__qualname__, threading.get_ident()))
+            return function(*args, **kwargs)
+        return call
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "gridclear" or module_name.startswith("gridclear."):
+            for attr, obj in list(vars(module).items()):
+                if (inspect.isfunction(obj) and obj.__module__ != module_name
+                        and obj.__module__.startswith("gridclear.")):
+                    monkeypatch.setattr(module, attr, recorded(obj))
+    for name in ("settle-bus", "settle-feeder"):
+        run_grid(OVERLAP_GRIDS[name])
+    assert thread_starts() == 2
+    assert {"draw_and_build", "_commit_rows", "_radial_rows"} <= {name for name, _ in calls}
+    assert {ident for _, ident in calls} == {threading.get_ident()}

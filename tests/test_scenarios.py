@@ -382,13 +382,21 @@ def same_bits(a, b):
 MIN = scenarios._SPLIT_MIN
 
 
+# the row blocks of each shape below: as many as its rows hold MIN elements each
+BLOCKS = {
+    (23, 89): 1, (32, 64): 1, (683, 3): 1,  # MIN - 1, MIN and MIN + 1 elements
+    (2, 1500): 1,                           # two rows, 1.5 MIN elements
+    (7, 400): 1,                            # seven rows, 1.4 MIN elements
+    (1, 3 * MIN): 1,                        # one row is one call
+    (63, 65): 1, (64, 64): 2,               # 2 MIN - 1 and 2 MIN elements
+    (2, 3000): 2,                           # fewer rows than three workers
+    (7, 700): 2,                            # blocks of 3 and 4 rows
+    (13, 700): 4,                           # more blocks than three workers
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("rows,k", [
-    (23, 89), (32, 64), (683, 3),     # MIN - 1, MIN and MIN + 1 elements
-    (2, 1500),                        # fewer rows than three workers
-    (7, 400),                         # rows that two or three workers do not divide
-    (1, 3 * MIN),                     # one row is one call
-])
+@pytest.mark.parametrize("rows,k", list(BLOCKS))
 def test_split_rows_equals_one_call(rows, k, workers, monkeypatch, thread_starts):
     assert (23 * 89, 32 * 64, 683 * 3) == (MIN - 1, MIN, MIN + 1)
     monkeypatch.setattr(scenarios, "_workers", lambda: workers)
@@ -396,13 +404,13 @@ def test_split_rows_equals_one_call(rows, k, workers, monkeypatch, thread_starts
     want = scenarios.special.betaincinv(a, b, u)
     got = scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
     assert same_bits(got, want)
-    assert thread_starts() == (min(workers, rows) - 1 if rows * k >= MIN else 0)
+    assert thread_starts() == min(workers, BLOCKS[rows, k]) - 1
 
 
 def test_split_rows_broadcasts_one_row_of_shapes(monkeypatch, thread_starts):
     # (1, 1) shapes against (R, K) uniforms, and scalar shapes
     monkeypatch.setattr(scenarios, "_workers", lambda: 2)
-    a, b, u = beta_arguments(40, 100)
+    a, b, u = beta_arguments(40, 200)  # three blocks
     for shapes in ((a[:1], b[:1]), (float(a[0, 0]), float(b[0, 0]))):
         want = scenarios.special.betaincinv(*shapes, u)
         assert same_bits(scenarios._split_rows(scenarios.special.betaincinv, *shapes, u), want)
@@ -425,9 +433,34 @@ def test_split_rows_with_more_threads_than_cpus_and_frequent_switches(monkeypatc
         sys.setswitchinterval(interval)
 
 
+def test_start_rows_hands_each_block_out_once(monkeypatch):
+    # the caller and the threads take blocks from one counter; with more
+    # threads than CPUs, frequent switches and the caller busy between the
+    # start and the finish, every row is still computed exactly once
+    workers = (os.cpu_count() or 1) + 1
+    monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+    x = np.arange(40.0 * MIN).reshape(40, MIN)  # 40 one-row blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            computed = []
+
+            def copy(x, out):
+                computed.extend(x[:, 0] // MIN)
+                out[...] = x
+
+            finish = scenarios._start_rows(copy, x)
+            busy = sum(np.sqrt(x[i]).sum() for i in range(40))
+            assert same_bits(finish(), x) and busy > 0.0
+            assert sorted(computed) == list(range(40))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("min_size", [MIN, 10**9])
 def test_split_rows_writes_over_its_argument(min_size, monkeypatch, thread_starts):
-    # the load draw's ndtri_exp call writes each block over its own input rows
+    # with an argument as the output, each block writes over its own input rows
     workers = (os.cpu_count() or 1) + 1
     monkeypatch.setattr(scenarios, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
@@ -444,9 +477,9 @@ def test_split_rows_writes_over_its_argument(min_size, monkeypatch, thread_start
 
 
 def test_split_rows_carries_the_special_error_actions(monkeypatch):
-    # a negative Beta shape is a domain error; it lies in the last block
+    # a negative Beta shape is a domain error; it lies in the last of four blocks
     monkeypatch.setattr(scenarios, "_workers", lambda: 3)
-    a, b, u = beta_arguments(30, 100)
+    a, b, u = beta_arguments(30, 300)
     a[-1] = -1.0
     with np.errstate(invalid="raise"), special.errstate(all="raise"):
         with pytest.raises(special.SpecialFunctionError) as one:
