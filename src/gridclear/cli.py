@@ -117,14 +117,15 @@ def _build_config(alpha, penetration, capacity_mode, **kw) -> tuple[RunConfig, P
 
 
 def _run_grid(run: RunConfig, diagnostics: list[str] | None = None):
-    """``run_grid`` with a fatal error turned into its exit code."""
+    """``run_grid`` with a fatal error turned into its exit code; a run too
+    large for the memory it can get is a configuration error."""
     try:
         return run_grid(run, diagnostics)
     except InfeasibleDispatchError as exc:
         click.echo(f"infeasible dispatch: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
-    except ConfigurationError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
+    except (ConfigurationError, MemoryError) as exc:
+        click.echo(f"configuration error: {str(exc) or 'out of memory'}", err=True)
         sys.exit(EXIT_CONFIG)
 
 

@@ -55,7 +55,7 @@ from .congestion import RadialGrid, _radial_rows
 from .errors import ConfigurationError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
-from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_integer, draw_and_build
+from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_draw, draw_and_build
 from .settlement import (SettlementReport, _recovery_rows,
                          curtail_and_pay_renewables, deviation_envelopes, expected_profit,
                          realized_profit, reserve_and_ramp_check, sum_in_order)
@@ -106,7 +106,7 @@ class RunConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigurationError(f"confidence level {a} outside (0, 1)")
-        # what ScenarioConfig and build_levels would reject at every level
+        # what ScenarioConfig and draw_and_build would reject at every level
         for name, values in (("penetration", self.penetrations),
                              ("load mean", self.load_mean_per_bus),
                              ("load_std_frac", (self.load_std_frac,)),
@@ -129,13 +129,7 @@ class RunConfig:
             if sum(float(v) for v in values) == np.inf:
                 means = ", ".join(format(float(v), "g") for v in self.load_mean_per_bus)
                 raise ConfigurationError(f"load means {means} overflow their {what}")
-        for name in ("horizon", "n_scenarios", "seed"):
-            _check_integer(name, getattr(self, name))
-        for name in ("horizon", "n_scenarios", "n_buses"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} {getattr(self, name)} must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed {self.seed} must be non-negative")
+        _check_draw(self)
         if self.line_limit is not None and not 0.0 < self.line_limit < np.inf:
             raise ConfigurationError(f"line_limit must be positive and finite, "
                                      f"got {self.line_limit}")
@@ -436,14 +430,15 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
     if run.line_limit is not None and run.n_buses > len(fleet):
         raise ConfigurationError(f"a feeder of {run.n_buses} buses needs {run.n_buses} "
                                  f"units, but the fleet has {len(fleet)}")
-    draws, levels = draw_and_build(scenario_config(run), run.penetrations,
-                                   [derive_capacity(run.load_mean_per_bus, penetration,
-                                                    run.capacity_mode)
-                                    for penetration in run.penetrations],
-                                   run.uncertainty_growth)
-    kept = [level for level, error in enumerate(levels.errors) if error is None]
+    scenarios = draw_and_build(scenario_config(run), run.penetrations,
+                               [derive_capacity(run.load_mean_per_bus, penetration,
+                                                run.capacity_mode)
+                                for penetration in run.penetrations],
+                               run.uncertainty_growth)
+    kept = [level for level, error in enumerate(scenarios.errors) if error is None]
     outcomes = iter(_evaluate_levels(
-        fleet, run, draws.load, draws.probabilities, lambda i: levels.renewable(kept[i]),
+        fleet, run, scenarios.load, scenarios.probabilities,
+        lambda i: scenarios.renewable(kept[i]),
         [run.penetrations[level] for level in kept], run.alphas) if kept else [])
 
     def skip(where: str, exc: Exception) -> None:
@@ -452,7 +447,7 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
         diagnostics.append(f"{where}: {exc}")
 
     points = []
-    for penetration, error in zip(run.penetrations, levels.errors):
+    for penetration, error in zip(run.penetrations, scenarios.errors):
         if error is not None:
             skip(f"penetration={penetration}", ConfigurationError(error))
             continue

@@ -1,112 +1,50 @@
-"""Monte Carlo scenarios of load and renewable output.
+"""Monte Carlo scenarios of load and renewable output: ``draw_and_build``.
 
-Loads are truncated-at-zero Gaussians per bus; renewable output is Beta on
-[0, capacity] with mean chosen so the aggregate expected renewable output is
-``penetration`` times the aggregate expected load, and standard deviation
-``uncertainty_growth * capacity`` (clamped to Beta feasibility).  A single
-weather uniform per (time, scenario) drives every bus's renewable draw, so
-renewables are comonotone across buses while loads stay independent.
+What is drawn.  Loads are truncated-at-zero Gaussians per (bus, hour);
+renewable output is Beta on [0, capacity], its mean the system-wide share
+of capacity that carries ``penetration`` times the hour's expected load,
+its standard deviation ``uncertainty_growth * capacity`` (clamped inside
+Beta feasibility).  One weather uniform per (scenario, hour) drives every
+bus's renewables, so they are comonotone across buses while the loads stay
+independent; each (level, hour) takes one Beta quantile per scenario,
+scaled by each bus's capacity.  A (bus, hour) or (level, hour) whose std is
+degenerate is its mean in every scenario.
 
-The mean share of capacity is system-wide, so the Beta shape depends only
-on the level and the hour: each (level, hour) takes one Beta quantile per
-scenario, shared by all buses and scaled by each bus's capacity.  Load
-quantiles are drawn in one pass over every drawn (bus, hour) row and its
-scenarios.
+In what order.  One generator, ``Generator(PCG64(seed))`` (what
+``np.random.default_rng(seed)`` returns), draws ``u_load`` (n_scenarios,
+n_buses, horizon) and then ``u_weather`` (n_scenarios, horizon).  Every
+level of a run is built on that one draw, so the levels share one
+read-only load array and one weather draw: the common random numbers are
+structural, not a side effect of reseeding.  The outputs are a pure,
+deterministic function of the config and the levels' arguments; the load
+array and each level's renewables are read-only.
 
-Generation has two halves.  ``draw_loads`` draws the uniforms (``u_load``
-then ``u_weather``, in that order from one generator seeded by the config)
-and turns ``u_load`` into loads; none of it depends on the penetration, and
-the ``ScenarioConfig`` it reads holds only the load process and the draw.
-``build_levels`` turns ``u_weather`` into the renewables of any number of
-levels with one ``betaincinv`` call over every drawn (level, hour,
-scenario), cut into row blocks on threads when it is large (below); the
-zero-target, at-capacity and degenerate-std hours, and each level's first
-infeasible hour, are masks over (level, hour).  It keeps one
-(level, hour, scenario) array of output per MW and builds a level's
-(bus, hour, scenario) array only when asked.  A run calls
-``draw_and_build``, which gives the bits of the two halves but overlaps
-them: it draws both uniform arrays, starts the renewables' row blocks on
-threads, draws the loads in the caller while they run, and then takes the
-blocks left and joins.  Every run draws the loads once and builds all of
-its levels from them, so all levels share one read-only load array and
-one weather draw: the common random numbers are structural, not a side
-effect of reseeding.
+What is bit-pinned.  The loads equal scipy's ``truncnorm.ppf`` and the
+renewables ``beta.ppf``, bit for bit, on the uniforms, and the uniforms
+those of ``np.random.default_rng``:
+``tests/test_batch_equivalence.py`` checks the quantiles and
+``test_numpy_random_and_secrets_work_after_the_stub_load`` the uniforms.
+The quantiles come from the compiled ``scipy.special._ufuncs`` and the
+generator from ``numpy.random._generator``, each loaded by ``_load_bare``
+without its package init (``test_cli_import_leaves_scipy_stats_unloaded``
+and ``test_cli_import_leaves_the_special_package_init_unloaded``).  The
+load draw makes one ``np.log``, ``np.exp``, ``np.log1p`` and
+``ndtri_exp`` call over every drawn (bus, hour) row; that equals one call
+per hour because numpy gives an element the same bits wherever it sits in
+an array, which ``test_numpy_log_exp_log1p_bits_do_not_depend_on_the_position``
+pins on the ranges the quantile feeds them.
 
-Both quantiles come from public ``scipy.special`` ufuncs, so scipy's
-``stats`` subpackage, whose import cost more than the rest of a CLI
-start-up, is never loaded.  All of them live in the compiled
-``scipy.special._ufuncs``, which ``_load_bare`` loads without the
-package ``__init__``: its array-API layer (``numpy.f2py``,
-``numpy.testing``, ``unittest``) was half of a CLI start-up.  The Beta
-quantile is ``betaincinv(a, b, u)``,
-the Boost inverse that scipy's ``beta.ppf`` also calls (both give 0.0 at
-u = 0); it is a scalar ufunc, so one call over many (level, hour) pairs
-gives each element the bits of one call per hour.  The truncated-normal
-quantile, ``_truncnorm_ppf``, is the log-space form of scipy's
-``truncnorm.ppf`` (scipy 1.17) with the upper bound fixed at +inf, wrapped
-as ``rv_continuous.ppf`` wraps it: u = 0 gives the lower bound, and the
-result is ``x * scale + loc``.  Its per-(bus, hour) constants (``ndtr``,
-the log-mass, ``log_ndtr``) are scalar ufuncs computed once per row and
-broadcast over the row's scenarios; ``np.log``, ``np.exp`` and
-``np.log1p`` run once each over every row, in place, and scipy's two-term
-``logsumexp`` is written out as ``log1p(exp(min - max)) + max``, which
-rounds as it does (a tie gives ``log1p(1.0) == log(2.0)``).  So the draws equal those of
-``truncnorm.ppf`` and ``beta.ppf`` bit for bit on the uniforms
-``Generator.random`` makes (multiples of 2**-53 in [0, 1));
-``tests/test_batch_equivalence.py`` checks this.  One call over all hours
-gives the bits of one call per hour because numpy's ``log``, ``exp`` and
-``log1p`` give an element the same bits wherever it sits in an array (SIMD
-lane, offset, length, stride, output in place), which
-``tests/test_scenarios.py`` pins on the ranges the quantile feeds them.  A
-numpy build that rounds by lane fails that test rather than moving the
-draws.  No ``np.log``, ``np.exp`` or ``np.log1p`` call is split across
-threads.
-
-A scalar ufunc can be split, since each element's bits depend on its own
-inputs alone, and ``betaincinv`` releases the GIL.  ``_start_rows`` cuts
-the one ``betaincinv`` call of the renewables into contiguous blocks of
-(level, hour) rows, as many as the rows hold ``_SPLIT_MIN`` (2,048)
-elements each, and computes them into one output.  With two blocks or
-more, the caller keeps the first block and threads start at once, one
-fewer than the smallest of the CPUs of the process's affinity,
-``_MAX_WORKERS`` (4) and the blocks; each takes the next block in row
-order from a shared counter until none is left.  ``finish``, called by
-the caller when it is free, computes the caller's block, takes what is
-left the same way and joins.  So a free CPU takes the next block, however
-long the caller's other work runs.  A block is not made smaller, because
-each block boundary hands the GIL back: on a 2-vCPU host, blocks of 50
-elements took the wide workload's run from 14.3 to 19.1 ms, and blocks of
-500 from 15.5 to 19.7 ms.  On the same host (two measurements), two
-blocks of one call took 1.9 times its time at 512 elements and 1.3 at
-768, 0.85 at 1,024, 0.83-0.97 at 2,048, 0.63 at 8,000 and 0.54-0.55 at
-24,000 (a T 24, K 1000 run).  The one ``ndtri_exp`` call of the load
-quantile is not split: it costs about 25-35 ns an element, against about
-750 ns for ``betaincinv``, and in a run it is drawn while the other CPUs
-run the Beta blocks.  A thread's start and join cost about 100-200 us on
-that host, and a run starts at most ``_MAX_WORKERS - 1`` of them.
-
-The uniforms come from ``Generator(PCG64(seed))``, which is what
-``np.random.default_rng(seed)`` returns for an integer seed.  ``_load_bare``
-serves this second package too: at the first draw (not at import, where
-it would add 4-6 ms to every start-up) it loads the compiled
-``numpy.random._generator``, and with it ``_pcg64`` and ``bit_generator``,
-without ``numpy.random``'s ``__init__``, which also loads the other bit
-generators and the legacy ``mtrand``.  ``bit_generator`` imports
-``secrets``, which brings ``hmac`` and OpenSSL's ``_hashlib``, for one
-name, ``randbits``, read only by an unseeded ``SeedSequence``.  So while
-it loads, and only if ``secrets`` is not imported yet, a stand-in
-``secrets`` holding ``random.SystemRandom().getrandbits``, which is what
-``secrets.randbits`` is, stands in ``sys.modules``; it is removed when the
-load ends, so a later ``import secrets`` gets the real module.  The full
-package cost 10-20 ms and about 6 MB of resident memory per process, and
-none of the rest is used.  The loaded module is cached (``_random``),
-because ``numpy.random`` stays out of ``sys.modules`` and an uncached load
-would stub it again at every draw.
-
-Everything is a pure, deterministic function of the config (seed included)
-and the levels' arguments; the load, weather and renewable arrays are
-read-only, so the levels that share them are safe to hand to any number of
-grid points.
+What the threads may do.  Only a scalar ufunc, whose every element depends
+on its own inputs alone, is split: the one ``betaincinv`` call over every
+drawn (level, hour, scenario), cut by ``_start_rows`` into contiguous row
+blocks of at least ``_SPLIT_MIN`` elements.  The caller and at most
+``_MAX_WORKERS - 1`` threads take the blocks in row order from one shared
+counter, each writing only its own rows of one output, so the bits do not
+depend on the CPU count (the row-block tests of ``tests/test_scenarios.py``).
+The caller draws the loads while the blocks run.  No ``np.log``, ``np.exp`` or
+``np.log1p`` call is split across threads.  Every thread is joined before
+``draw_and_build`` returns or raises, and a failure in any block is raised
+in the caller.
 """
 
 from __future__ import annotations
@@ -206,9 +144,15 @@ special = _load_bare("scipy.special", "_ufuncs", _NEEDED)
 @functools.cache
 def _random():
     """The module holding numpy's ``Generator`` and ``PCG64``, loaded by
-    ``_load_bare`` at the first draw with a stand-in ``secrets`` (see the
-    module docstring); cached, since ``numpy.random`` stays out of
-    ``sys.modules``."""
+    ``_load_bare`` at the first draw, not at import.
+
+    ``bit_generator`` imports ``secrets``, and with it ``hmac`` and
+    OpenSSL, for ``randbits``, which only an unseeded ``SeedSequence``
+    reads; so the load sees a stand-in ``secrets`` holding
+    ``random.SystemRandom().getrandbits``, which is what ``secrets.randbits``
+    is.  Cached, since ``numpy.random`` stays out of ``sys.modules`` and an
+    uncached load would stub it again at every draw.
+    """
     secrets = types.ModuleType("secrets")
     secrets.randbits = random.SystemRandom().getrandbits
     return _load_bare("numpy.random", "_generator", ("Generator", "PCG64"),
@@ -241,37 +185,36 @@ def _workers() -> int:
     return min(count, _MAX_WORKERS)
 
 
-def _start_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
-    """Start ``ufunc(*args, out=out)`` with the leading axis cut into
-    contiguous row blocks, and return ``finish``, whose call returns the output.
+def _start_rows(ufunc, *args):
+    """Start ``ufunc(*args)`` with the leading axis cut into contiguous row
+    blocks, and return ``finish``, whose call returns the output.
 
-    The rows are cut evenly into as many blocks as they hold ``min_size``
+    The rows are cut evenly into as many blocks as they hold ``_SPLIT_MIN``
     elements each.  Each block is the ufunc on its rows of the broadcast
-    arguments, written into its rows of one output (``out``, which may be
-    an argument, or a new array), so for a scalar ufunc (each element's
-    bits depend on its own inputs alone) the result equals one call bit for
-    bit.  With one block or one worker nothing starts, and ``finish`` makes
-    the one call.  Otherwise the caller keeps the first block, and one
-    thread per other worker, at most one per other block, starts at once
-    and takes the next block, in row order, from a shared counter until
-    none is left.  Each thread runs in a copy of the caller's context, which
-    carries numpy's error state, and under the caller's ``scipy.special``
-    error actions, which are per thread.  ``finish`` runs the caller's
-    block, takes blocks from the counter as the threads do, joins every
-    thread, and raises in the caller the exception of the first failing
-    block in row order.  Whatever happens between the start and the finish,
-    call ``finish`` once, so that no thread outlives the caller's use.
+    arguments, written into its rows of one new output array, so for a
+    scalar ufunc (each element's bits depend on its own inputs alone) the
+    result equals one call bit for bit.  With one block or one worker
+    nothing starts, and ``finish`` makes the one call.  Otherwise the caller
+    keeps the first block, and one thread per other worker, at most one per
+    other block, starts at once and takes the next block, in row order, from
+    a shared counter until none is left.  Each thread runs in a copy of the
+    caller's context, which carries numpy's error state, and under the
+    caller's ``scipy.special`` error actions, which are per thread.
+    ``finish`` runs the caller's block, takes blocks from the counter as the
+    threads do, joins every thread, and raises in the caller the exception
+    of the first failing block in row order.  Whatever happens between the
+    start and the finish, call ``finish`` once, so that no thread outlives
+    the caller's use.
     """
     broadcast = np.broadcast(*args)
-    n_rows = broadcast.shape[0] if broadcast.size >= min_size else 0
-    # as many blocks as the rows hold min_size elements each, rounded down
-    blocks = n_rows // -(-min_size * n_rows // broadcast.size) if n_rows else 0
+    n_rows = broadcast.shape[0] if broadcast.size >= _SPLIT_MIN else 0
+    # as many blocks as the rows hold _SPLIT_MIN elements each, rounded down
+    blocks = n_rows // -(-_SPLIT_MIN * n_rows // broadcast.size) if n_rows else 0
     workers = min(_workers(), blocks)
     if workers < 2:
-        return functools.partial(ufunc, *args, out=out)
+        return functools.partial(ufunc, *args)
     arrays = np.broadcast_arrays(*args)
-    if out is None:
-        out = np.empty(broadcast.shape, np.result_type(*arrays))
+    out = np.empty(broadcast.shape, np.result_type(*arrays))
     bounds = [n_rows * i // blocks for i in range(blocks + 1)]
     errors = [None] * blocks
     actions = special.geterr()
@@ -320,17 +263,26 @@ def _start_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
     return finish
 
 
-def _split_rows(ufunc, *args, out=None, min_size=_SPLIT_MIN):
-    """``ufunc(*args, out=out)`` in ``_start_rows``' row blocks, finished at
-    once: the caller computes its block and any the threads leave, and joins
-    them before the return."""
-    return _start_rows(ufunc, *args, out=out, min_size=min_size)()
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a dimension or seed that is not a Python or numpy integer (bools too)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} {value!r} must be an integer")
+def _check_draw(dims) -> None:
+    """Reject the ``n_buses``, ``horizon``, ``n_scenarios`` and ``seed`` of
+    ``dims`` where no draw can take them: a value that is not a Python or
+    numpy integer (bools too), a dimension below 1, a negative seed, or
+    more load draws than numpy's largest float array holds."""
+    for name in ("n_buses", "horizon", "n_scenarios", "seed"):
+        value = getattr(dims, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{name} {value!r} must be an integer")
+    for name in ("n_buses", "horizon", "n_scenarios"):
+        if getattr(dims, name) < 1:
+            raise ConfigurationError(f"{name} {getattr(dims, name)} must be at least 1")
+    if dims.seed < 0:
+        raise ConfigurationError(f"seed {dims.seed} must be non-negative")
+    # Python integers, so that the product of numpy integers cannot wrap
+    draws = int(dims.n_scenarios) * int(dims.n_buses) * int(dims.horizon)
+    if draws > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ConfigurationError(f"n_scenarios {dims.n_scenarios} x n_buses {dims.n_buses} "
+                                 f"x horizon {dims.horizon} = {draws} load draws, more "
+                                 f"than numpy's largest float array holds")
 
 
 @dataclass(frozen=True)
@@ -338,7 +290,7 @@ class ScenarioConfig:
     """The load process and the draw: dimensions, seed and per-bus loads.
 
     load_mean, load_std: arrays of shape (n_buses, horizon) in MW.  The
-    renewables of a level are ``build_levels``' arguments, not the config's.
+    renewables of a level are ``draw_and_build``'s arguments, not the config's.
     """
 
     n_buses: int
@@ -349,13 +301,7 @@ class ScenarioConfig:
     load_std: np.ndarray
 
     def __post_init__(self):
-        for name in ("n_buses", "horizon", "n_scenarios", "seed"):
-            _check_integer(name, getattr(self, name))
-        for name in ("n_buses", "horizon", "n_scenarios"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} {getattr(self, name)} must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed {self.seed} must be non-negative")
+        _check_draw(self)
         mean = np.broadcast_to(np.asarray(self.load_mean, dtype=float),
                                (self.n_buses, self.horizon)).copy()
         std = np.broadcast_to(np.asarray(self.load_std, dtype=float),
@@ -425,35 +371,13 @@ def _truncnorm_ppf(q, loc, scale):
     return x
 
 
-@dataclass(frozen=True)
-class LoadDraws:
-    """The penetration-free half of the scenarios: loads and weather uniforms.
-
-    load: (n_buses, horizon, n_scenarios) MW; u_weather: (n_scenarios,
-    horizon) uniforms, one per (scenario, hour), shared by every bus's
-    renewable draw.  Both are read-only.  ``config`` is the config they were
-    drawn for; any level whose seed and load process match it may use them.
-    """
-
-    config: ScenarioConfig
-    load: np.ndarray
-    u_weather: np.ndarray
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """The scenarios are equiprobable."""
-        k = self.config.n_scenarios
-        return np.full(k, 1.0 / k)
-
-
 def _draw_uniforms(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """The uniforms of ``config``: ``u_load`` (n_scenarios, n_buses, horizon),
-    then ``u_weather`` (n_scenarios, horizon), read-only, from one generator."""
+    then ``u_weather`` (n_scenarios, horizon), from one generator."""
     rng = _generator(config.seed)
     # u_load before u_weather: the draw order fixes every scenario's bits
     u_load = rng.random((config.n_scenarios, config.n_buses, config.horizon))
     u_weather = rng.random((config.n_scenarios, config.horizon))
-    u_weather.flags.writeable = False
     return u_load, u_weather
 
 
@@ -488,30 +412,32 @@ def _load_quantiles(config: ScenarioConfig, u_load: np.ndarray) -> np.ndarray:
     return load
 
 
-def draw_loads(config: ScenarioConfig) -> LoadDraws:
-    """Draw the uniforms and the loads of ``config`` (``_draw_uniforms``,
-    then ``_load_quantiles``)."""
-    u_load, u_weather = _draw_uniforms(config)
-    return LoadDraws(config, _load_quantiles(config, u_load), u_weather)
-
-
 @dataclass(frozen=True)
-class RenewableLevels:
-    """The renewable half of L penetration levels, all on one weather draw.
+class Scenarios:
+    """The scenarios of a run: one load draw, and the renewables of L
+    penetration levels on one weather draw.
 
-    capacity: (L, n_buses) MW.  share: (L, horizon, n_scenarios), every
-    bus's output per MW of its capacity: 0 where the hour's target is zero,
-    1 at capacity, the mean share where the std is degenerate, else the
-    Beta quantile of the weather uniform.  errors: per level, None or the
-    message naming its first infeasible hour (its shares are 0).  A level's
-    (n_buses, horizon, n_scenarios) array is one multiply, capacity times
-    share, made by ``renewable`` where it is used, so a grid holds one
+    load: (n_buses, horizon, n_scenarios) MW, read-only, shared by every
+    level.  capacity: (L, n_buses) MW.  share: (L, horizon, n_scenarios),
+    every bus's output per MW of its capacity: 0 where the hour's target is
+    zero, 1 at capacity, the mean share where the std is degenerate, else
+    the Beta quantile of the weather uniform.  errors: per level, None or
+    the message naming its first infeasible hour (its shares are 0).  A
+    level's (n_buses, horizon, n_scenarios) array is one multiply, capacity
+    times share, made by ``renewable`` where it is used, so a grid holds one
     level's array at a time.
     """
 
+    load: np.ndarray
     capacity: np.ndarray
     share: np.ndarray
     errors: tuple[str | None, ...]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The scenarios are equiprobable."""
+        k = self.load.shape[2]
+        return np.full(k, 1.0 / k)
 
     def renewable(self, level: int) -> np.ndarray:
         """Level ``level``'s renewable output, read-only."""
@@ -521,31 +447,23 @@ class RenewableLevels:
         return out
 
 
-def build_levels(draws: LoadDraws, penetrations, capacities,
-                 uncertainty_growth: float) -> RenewableLevels:
-    """Every level's renewables on the weather uniforms of ``draws``.
+def draw_and_build(config: ScenarioConfig, penetrations, capacities,
+                   uncertainty_growth: float) -> Scenarios:
+    """The loads of ``config`` and the renewables of every level on its weather.
 
     Level l has penetration ``penetrations[l]`` and per-bus capacity
-    ``capacities[l]``; the load process is that of ``draws.config``.  Each
-    (level, hour) takes its Beta shape from the hour's system-wide mean
-    share, and one ``betaincinv`` call draws every quantile of every level,
-    in ``_start_rows``' row blocks of at least ``_SPLIT_MIN`` elements, with
-    the bits of one call; every thread is joined before the return.  A
+    ``capacities[l]``.  Both uniform arrays are drawn first
+    (``_draw_uniforms``).  The levels are then checked: each (level, hour)
+    takes its Beta shape from the hour's system-wide mean share, and a
     level that asks for more mean renewable output than its capacity can
-    carry gets the error of its first such hour instead.
+    carry gets the error of its first such hour instead.  The one
+    ``betaincinv`` call over every drawn quantile is started in
+    ``_start_rows``' row blocks; the caller draws the loads
+    (``_load_quantiles``) while they run, then runs the blocks left and
+    joins the threads.  A failed load draw is raised after the threads are
+    joined.
     """
-    return _start_levels(draws.config, draws.u_weather, penetrations, capacities,
-                         uncertainty_growth)()
-
-
-def _start_levels(config: ScenarioConfig, u_weather: np.ndarray, penetrations, capacities,
-                  uncertainty_growth: float):
-    """``build_levels`` on ``config`` and the weather uniforms ``u_weather``,
-    started: the levels are checked and the ``betaincinv`` row blocks
-    started on threads (``_start_rows``) before the return.  Returns
-    ``finish``, whose one call runs the blocks left, joins the threads and
-    returns the ``RenewableLevels``.
-    """
+    u_load, u_weather = _draw_uniforms(config)
     given = list(penetrations)  # named in the messages as the caller wrote them
     penetrations = np.asarray(given, dtype=float)
     caps = np.asarray(capacities, dtype=float) + 0.0  # a -0.0 capacity builds +0.0 output
@@ -554,7 +472,6 @@ def _start_levels(config: ScenarioConfig, u_weather: np.ndarray, penetrations, c
         if not np.all((value >= 0.0) & np.isfinite(value)):
             raise ConfigurationError(f"{name} must be non-negative and finite")
     mean = config.load_mean
-    k = config.n_scenarios
     if caps.shape != (penetrations.size, mean.shape[0]):
         raise ConfigurationError(f"need one capacity per bus for each of the "
                                  f"{penetrations.size} levels, got shape {caps.shape}")
@@ -586,38 +503,17 @@ def _start_levels(config: ScenarioConfig, u_weather: np.ndarray, penetrations, c
                            _FEASIBILITY_MARGIN * np.sqrt(mu * (1.0 - mu)))
     fixed = active & ~at_capacity & (sigma_hat <= _DEGENERATE_STD)
     drawn = active & ~at_capacity & ~fixed
-    out = np.zeros(target.shape + (k,))
+    out = np.zeros(target.shape + (config.n_scenarios,))
     out[at_capacity] = 1.0
     out[fixed] = mu[fixed, None]
     a, b = _beta_shape(mu[drawn], sigma_hat[drawn])
     hours = np.nonzero(drawn)[1]
     quantiles = _start_rows(special.betaincinv, a[:, None], b[:, None], u_weather.T[hours])
-
-    def finish():
-        out[drawn] = quantiles()
-        return RenewableLevels(caps, out, tuple(errors))
-
-    return finish
-
-
-def draw_and_build(config: ScenarioConfig, penetrations, capacities,
-                   uncertainty_growth: float) -> tuple[LoadDraws, RenewableLevels]:
-    """``draw_loads(config)`` and ``build_levels`` of its draws, with the load
-    quantiles drawn while threads run the renewables' row blocks.
-
-    Both uniform arrays are drawn first, in ``draw_loads``' order, and the
-    levels are checked and their ``betaincinv`` blocks started; the caller
-    then draws the loads, runs the blocks left and joins the threads.  The
-    bits are those of the two calls.  A failed load draw is raised, as when
-    the loads were drawn before the renewables, after the threads are
-    joined.
-    """
-    u_load, u_weather = _draw_uniforms(config)
-    finish = _start_levels(config, u_weather, penetrations, capacities, uncertainty_growth)
     try:
         load = _load_quantiles(config, u_load)
     except BaseException:
         with contextlib.suppress(Exception):
-            finish()
+            quantiles()
         raise
-    return LoadDraws(config, load, u_weather), finish()
+    out[drawn] = quantiles()
+    return Scenarios(load, caps, out, tuple(errors))

@@ -1,5 +1,6 @@
 """Hooks and fixtures shared by every test module."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +24,28 @@ def pytest_runtest_makereport(item, call):
         warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
                                 category=DeprecationWarning)
         return (yield)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread it started alive, or whose thread
+    ends by an unhandled exception: ``scenarios._start_rows`` joins every
+    thread it starts, on its error paths too.  A thread left alive is
+    joined here, so that it cannot fail the next test."""
+    before = set(threading.enumerate())
+    unhandled = []
+    previous, threading.excepthook = threading.excepthook, unhandled.append
+    try:
+        yield
+    finally:
+        threading.excepthook = previous
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    named = ", ".join(map(repr, left))
+    for thread in left:
+        thread.join(timeout=60.0)
+    assert not left, f"threads left alive: {named}"
+    assert not unhandled, "a thread ended by an unhandled exception: " + "; ".join(
+        f"{args.thread}: {args.exc_type.__name__}: {args.exc_value}" for args in unhandled)
 
 
 class ForcedLoadUniforms:

@@ -14,14 +14,15 @@ the sign of the first; the kernel's sort picks either, and
 ``same_atom_bits`` allows for that.
 
 ``scenario_arrays`` gives the loads, renewables and probabilities one level
-of a run clears, from the package's two scenario halves.
+of a run clears, from a one-level ``draw_and_build``, and ``loads`` the
+loads of a config drawn with no level.
 """
 
 import numpy as np
 
 from gridclear import ConfigurationError
 from gridclear.experiment import derive_capacity, scenario_config
-from gridclear.scenarios import build_levels, draw_loads
+from gridclear.scenarios import draw_and_build
 
 
 def atoms(values, probabilities):
@@ -81,11 +82,15 @@ def same_atom_bits(got, want):
 def level_arrays(config, penetration, capacity, uncertainty_growth):
     """``(load, renewable, probabilities)`` of one level drawn on ``config``;
     raises the level's error as a ConfigurationError."""
-    draws = draw_loads(config)
-    levels = build_levels(draws, [penetration], [capacity], uncertainty_growth)
-    if levels.errors[0] is not None:
-        raise ConfigurationError(levels.errors[0])
-    return draws.load, levels.renewable(0), draws.probabilities
+    drawn = draw_and_build(config, [penetration], [capacity], uncertainty_growth)
+    if drawn.errors[0] is not None:
+        raise ConfigurationError(drawn.errors[0])
+    return drawn.load, drawn.renewable(0), drawn.probabilities
+
+
+def loads(config):
+    """The read-only loads of ``config``: ``draw_and_build`` with no level."""
+    return draw_and_build(config, [], np.empty((0, config.n_buses)), 0.0).load
 
 
 def scenario_arrays(run, penetration):

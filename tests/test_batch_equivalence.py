@@ -37,7 +37,7 @@ from gridclear import (ConfigurationError, Fleet, GeneratorSpec,
 from gridclear.cli import main
 from gridclear.congestion import _radial_rows
 from gridclear.experiment import _tail_sums, derive_capacity
-from gridclear.scenarios import build_levels, draw_loads
+from gridclear.scenarios import draw_and_build
 from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
 
 from test_settlement import recovery_rate
@@ -791,7 +791,7 @@ def test_generate_scenarios_equals_per_bus_hour_loop(n_buses, horizon, penetrati
 
 
 def assert_quantiles_match(q, loc, scale):
-    """Per-bus rows of q, shaped (buses, K) like draw_loads' hourly call."""
+    """Per-bus rows of q, shaped (buses, K) like one hour of the load draw."""
     assert same_bits(scenarios._truncnorm_ppf(q, loc, scale),
                      stats.truncnorm.ppf(q, (0.0 - loc) / scale, np.inf, loc=loc, scale=scale))
 
@@ -901,7 +901,7 @@ def test_draw_loads_equals_scipy_stats_on_hour_varying_loads(force_load_uniforms
     cfg = ScenarioConfig(n_buses=n, horizon=horizon, n_scenarios=k, seed=3,
                          load_mean=mean, load_std=std)
     load, _ = reference_scenarios(cfg, 0.0, np.zeros(n), 0.27)
-    got = draw_loads(cfg).load
+    got = oracles.loads(cfg)
     assert same_bits(got, load)
     assert got[0, 2, 4] == 0.0 and got[2, 5, 0] == 0.0 and got[1, 3, 9] == mean[1, 3]
 
@@ -1200,9 +1200,17 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
 # cleared and settled on its own)
 
 
-def reference_build(config, draws, penetration, cap, growth):
+def reference_weather(config):
+    """The (K, T) weather uniforms of ``config``, drawn after its load uniforms."""
+    rng = np.random.default_rng(config.seed)
+    rng.random((config.n_scenarios, config.n_buses, config.horizon))
+    return rng.random((config.n_scenarios, config.horizon))
+
+
+def reference_build(config, penetration, cap, growth):
     """One level's renewables, hour by hour, raising for its first infeasible hour."""
     n, t_len, k = config.n_buses, config.horizon, config.n_scenarios
+    u_weather = reference_weather(config)
     cap = np.asarray(cap, dtype=float)
     cap_total = cap.sum()
     sited = cap > 0.0
@@ -1230,7 +1238,7 @@ def reference_build(config, draws, penetration, cap, growth):
             continue
         ratio = mu * (1.0 - mu) / (sigma_hat * sigma_hat) - 1.0
         renewable[sited, t, :] = cap[sited, None] * special.betaincinv(
-            mu * ratio, (1.0 - mu) * ratio, draws.u_weather[:, t])
+            mu * ratio, (1.0 - mu) * ratio, u_weather[:, t])
     np.clip(renewable, 0.0, cap[:, None, None], out=renewable)
     return renewable
 
@@ -1295,18 +1303,19 @@ def reference_grid(run, failures):
     it; each skipped level or point appends its (coordinates, error)."""
     fleet = load_fleet(run.fleet_source)
     config = scenario_config(run)
-    draws = draw_loads(config)
+    load = oracles.loads(config)
+    probabilities = np.full(run.n_scenarios, 1.0 / run.n_scenarios)
     points = []
     for penetration in run.penetrations:
         try:
             renewable = reference_build(
-                config, draws, penetration,
+                config, penetration,
                 derive_capacity(run.load_mean_per_bus, penetration, run.capacity_mode),
                 run.uncertainty_growth)
         except ConfigurationError as exc:
             failures.append((f"penetration={penetration}", exc))
             continue
-        arrays = (draws.load, renewable, draws.probabilities)
+        arrays = (load, renewable, probabilities)
         for alpha in run.alphas:
             try:
                 points.append(reference_point(fleet, run, arrays, alpha, penetration))
@@ -1351,8 +1360,7 @@ def test_grid_level_at_buildout_capacity_is_at_capacity():
     run = RunConfig(load_mean_per_bus=UNEQUAL_BUSES, horizon=3, n_scenarios=40, seed=11)
     config = scenario_config(run)
     cap = derive_capacity(UNEQUAL_BUSES, LEVELS[2], run.capacity_mode)
-    renewable = reference_build(config, draw_loads(config), LEVELS[2], cap,
-                                run.uncertainty_growth)
+    renewable = reference_build(config, LEVELS[2], cap, run.uncertainty_growth)
     assert np.array_equal(renewable, np.broadcast_to(cap[:, None, None], renewable.shape))
 
 
@@ -1373,13 +1381,12 @@ def test_level_renewables_equal_masked_and_clipped_build(seed):
     caps[4, ~sited] = -0.0       # and at -0.0
     config = ScenarioConfig(n_buses=n, horizon=t_len, n_scenarios=k, seed=seed,
                             load_mean=mean, load_std=0.06 * mean)
-    draws = draw_loads(config)
-    levels = build_levels(draws, penetrations, caps, growth)
-    assert levels.errors == (None,) * len(penetrations)
+    drawn = draw_and_build(config, penetrations, caps, growth)
+    assert drawn.errors == (None,) * len(penetrations)
     for level, (penetration, cap) in enumerate(zip(penetrations, caps)):
-        got = levels.renewable(level)
+        got = drawn.renewable(level)
         assert not got.flags.writeable
-        want = reference_build(config, draws, penetration, cap, growth)
+        want = reference_build(config, penetration, cap, growth)
         negative_zero = np.signbit(cap)
         assert same_bits(got[~negative_zero], want[~negative_zero])
         assert same_bits(got[negative_zero], np.zeros_like(got[negative_zero]))
@@ -1388,8 +1395,8 @@ def test_level_renewables_equal_masked_and_clipped_build(seed):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_levels_above_the_split_threshold_equal_per_hour_build(workers, monkeypatch):
     # T 24 and K 1000 over four levels, with a different Beta shape in every
-    # (level, hour): far above scenarios._SPLIT_MIN, so build_levels cuts its
-    # one betaincinv call into row blocks on threads
+    # (level, hour): far above scenarios._SPLIT_MIN, so draw_and_build cuts
+    # its one betaincinv call into row blocks on threads
     monkeypatch.setattr(scenarios, "_workers", lambda: workers)
     rng = np.random.default_rng(26)
     n, t_len, k = 3, 24, 1000
@@ -1400,12 +1407,12 @@ def test_levels_above_the_split_threshold_equal_per_hour_build(workers, monkeypa
     config = ScenarioConfig(n_buses=n, horizon=t_len, n_scenarios=k, seed=7,
                             load_mean=mean, load_std=0.1 * mean)
     assert len(penetrations) * t_len * k >= scenarios._SPLIT_MIN
-    draws = draw_loads(config)
-    levels = build_levels(draws, penetrations, caps, growth)
-    assert levels.errors == (None,) * len(penetrations)
+    drawn = draw_and_build(config, penetrations, caps, growth)
+    assert drawn.errors == (None,) * len(penetrations)
+    assert same_bits(drawn.load, reference_scenarios(config, 0.0, np.zeros(n), growth)[0])
     for level, (penetration, cap) in enumerate(zip(penetrations, caps)):
-        want = reference_build(config, draws, penetration, cap, growth)
-        assert same_bits(levels.renewable(level), want)
+        want = reference_build(config, penetration, cap, growth)
+        assert same_bits(drawn.renewable(level), want)
 
 
 @pytest.mark.parametrize("cost_recovery", [0, 1])
@@ -1472,12 +1479,11 @@ def clear_levels(run):
     """``run_grid``'s clearing of every drawable level: the commitments, the
     realized power and each level's re-dispatch error."""
     fleet = load_fleet(run.fleet_source)
-    draws = draw_loads(scenario_config(run))
-    levels = build_levels(draws, run.penetrations,
-                          [derive_capacity(run.load_mean_per_bus, p, run.capacity_mode)
-                           for p in run.penetrations], run.uncertainty_growth)
-    kept = [level for level, error in enumerate(levels.errors) if error is None]
-    inputs = (draws.load, draws.probabilities, lambda i: levels.renewable(kept[i]),
+    drawn = draw_and_build(scenario_config(run), run.penetrations,
+                           [derive_capacity(run.load_mean_per_bus, p, run.capacity_mode)
+                            for p in run.penetrations], run.uncertainty_growth)
+    kept = [level for level, error in enumerate(drawn.errors) if error is None]
+    inputs = (drawn.load, drawn.probabilities, lambda i: drawn.renewable(kept[i]),
               len(kept), run.alphas)
     if run.line_limit is None:
         return experiment._clear_bus(fleet, *inputs)

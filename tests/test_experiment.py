@@ -13,13 +13,13 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from gridclear import (ConfigurationError, FleetParseError, GeneratorSpec,
-                       InfeasibleDispatchError, RunConfig, cli, emit_csv, experiment,
-                       load_fleet, point_row, run_grid, scenario_config, scenarios)
+from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
+                       InfeasibleDispatchError, RadialGrid, RunConfig, cli, cvar_rows,
+                       dispatch_radial, emit_csv, experiment, load_fleet, point_row,
+                       run_grid, scenario_config, scenarios)
 from gridclear.cli import main
 from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
                                   derive_capacity)
-from gridclear.scenarios import draw_loads
 
 from test_messages import TOP, WIDE_LOADS
 from test_scenarios import same_bits, thread_starts  # noqa: F401 (a fixture)
@@ -223,6 +223,52 @@ def test_alpha_sweep_monotone_committed():
     assert len(rows) == len(run.alphas)
     committed = [r["committed_mw"] for r in rows]
     assert all(b >= a for a, b in zip(committed, committed[1:]))
+
+
+FEEDER_80 = dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0))
+FIFTY_ALPHAS = tuple(float(a) for a in np.linspace(0.5, 0.99, 50))
+
+
+@pytest.mark.parametrize("market", [{}, FEEDER_80], ids=["bus", "feeder"])
+def test_each_hours_commitment_does_not_fall_as_alpha_rises(market):
+    # on fixed draws a CVaR is non-decreasing in alpha, and so is each hour's
+    # committed total, the CVaR of the total net load on either market; on
+    # one bus so is the clearing price, since the built-in fleet (no
+    # minimums) prices a larger demand no lower.  A feeder's price can fall
+    # (test_feeder_price_can_fall_as_alpha_rises), so only its totals are
+    # asserted.  Exact: no tolerance
+    pairs = 0
+    for seed in (7, 11, 18):
+        run = RunConfig(alphas=FIFTY_ALPHAS, penetrations=(0.009, 0.5, 0.9), horizon=4,
+                        n_scenarios=200, seed=seed, capacity_mode="tracking", **market)
+        points = run_grid(run)
+        assert len(points) == 3 * len(FIFTY_ALPHAS)
+        for level in range(3):
+            sweep = points[level * len(FIFTY_ALPHAS):(level + 1) * len(FIFTY_ALPHAS)]
+            assert [p.alpha for p in sweep] == list(FIFTY_ALPHAS)
+            totals = np.array([p.committed.sum(axis=1) for p in sweep])  # (alphas, T)
+            prices = np.array([p.clearing_prices for p in sweep])
+            assert (totals[1:] >= totals[:-1]).all()
+            if not market:
+                assert (prices[1:] >= prices[:-1]).all()
+            pairs += totals[1:].size
+    assert pairs == 3 * 3 * 49 * 4
+
+
+def test_feeder_price_can_fall_as_alpha_rises():
+    # the feeder congests where CVaR(total) exceeds CVaR(bus 0) by more than
+    # the line limit, and that gap is not monotone in alpha: over four
+    # equiprobable draws it is 6.67 MW at alpha 0.25 and 0 at 0.75, so the
+    # price is bus 1's ask at the lower alpha and bus 0's at the higher
+    x, y = np.array([0.0, 0.0, 50.0, 100.0]), np.array([0.0, 10.0, 10.0, 0.0])
+    probs = np.full(4, 0.25)
+    grid = RadialGrid(2, 6.0)
+    fleet = Fleet((GeneratorSpec("a", 10.0, 0.0, 200.0), GeneratorSpec("b", 20.0, 0.0, 200.0)))
+    prices = []
+    for alpha in (0.25, 0.75):
+        own, joint, tail = cvar_rows(np.vstack([x, x + y, y]), probs, alpha)[1]
+        prices.append(dispatch_radial(grid, fleet, [own, tail], [joint, tail]).lmps.max())
+    assert prices == [20.0, 10.0]
 
 
 def test_alpha_sweep_deterministic_load_rows_identical():
@@ -803,7 +849,7 @@ def test_run_grid_bits_do_not_depend_on_the_worker_count(name, monkeypatch, thre
         for got, want in zip(other_seen, seen):
             assert got[0] == want[0]
             assert all(same_bits(g, w) for g, w in zip(got[1:], want[1:]))
-    # and the draws are those of the sequential scenario halves, level by level
+    # and the draws are those of each level drawn on its own
     for penetration, load, renewable, probabilities in seen:
         want = oracles.scenario_arrays(run, penetration)
         assert all(same_bits(g, w) for g, w in zip((load, renewable, probabilities), want))
@@ -833,19 +879,19 @@ def test_a_failed_load_draw_is_raised_after_the_renewable_threads_join(
     # the load draw, so it would still run if the failed draw did not join it
     monkeypatch.setattr(scenarios, "_workers", lambda: 2)
     force_load_uniforms({(4, 1, 1): TOP})
-    with pytest.raises(ConfigurationError) as sequential:
-        draw_loads(scenario_config(WIDE_SETTLE))
-    assert str(sequential.value).startswith("the load draw of bus 1, hour 1, scenario 4 ")
+    with pytest.raises(ConfigurationError) as alone:
+        oracles.loads(scenario_config(WIDE_SETTLE))
+    assert str(alone.value).startswith("the load draw of bus 1, hour 1, scenario 4 ")
     with pytest.raises(ConfigurationError) as overlapped:
         run_grid(WIDE_SETTLE)
     assert threads_left() == 0
-    assert str(overlapped.value) == str(sequential.value)
+    assert str(overlapped.value) == str(alone.value)
     monkeypatch.setattr(cli, "RunConfig", functools.partial(RunConfig, **WIDE_LOADS))
     result = CliRunner().invoke(main, ["settle", "--horizon", "24", "--scenarios", "1000",
                                        "--out", str(tmp_path / "out")])
     assert threads_left() == 0
     assert result.exit_code == 2
-    assert result.output == f"configuration error: {sequential.value}\n"
+    assert result.output == f"configuration error: {alone.value}\n"
     assert thread_starts() == 2  # one for each of the two runs
 
 

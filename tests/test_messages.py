@@ -10,12 +10,13 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from numpy._core._exceptions import _ArrayMemoryError
 
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec, RadialGrid,
                        RunConfig, builtin_fleet, fleet_from_csv, scenario_config)
 from gridclear import cli
 from gridclear.cli import main
-from gridclear.scenarios import build_levels, draw_loads
+from gridclear.scenarios import draw_and_build
 from gridclear.settlement import _recovery_rows
 
 HEADER = "name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,no_load_cost\n"
@@ -54,6 +55,57 @@ def test_cli_exits_2_when_the_output_directory_cannot_be_made(tmp_path, monkeypa
     assert not any(tmp_path.iterdir())
 
 
+# the most load draws numpy's largest float array holds
+MOST_DRAWS = np.iinfo(np.intp).max // 8
+
+
+@pytest.mark.parametrize("integer", [int, np.int64], ids=["python", "numpy"])
+def test_run_config_rejects_more_load_draws_than_an_array_holds(integer):
+    # the largest fitting draw is accepted; numpy would otherwise fail at the
+    # first draw with "array is too big", and its integers would wrap
+    most = RunConfig(n_scenarios=integer(MOST_DRAWS // 6), horizon=2)
+    assert 3 * most.horizon * most.n_scenarios <= MOST_DRAWS
+    raises(ConfigurationError,
+           f"n_scenarios {MOST_DRAWS // 6 + 1} x n_buses 3 x horizon 2 = "
+           f"{6 * (MOST_DRAWS // 6 + 1)} load draws, more than numpy's largest float "
+           "array holds",
+           lambda: RunConfig(n_scenarios=integer(MOST_DRAWS // 6 + 1), horizon=2))
+
+
+def test_cli_exits_2_on_more_load_draws_than_an_array_holds(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["settle", "--scenarios", str(2**62),
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: n_scenarios {2**62} x n_buses 3 x "
+                             f"horizon 1 = {3 * 2**62} load draws, more than numpy's "
+                             "largest float array holds\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["settle", "sweep-penetration"])
+@pytest.mark.parametrize("error,message", [
+    (_ArrayMemoryError((400_000_000, 3, 1), np.dtype(float)),
+     "Unable to allocate 8.94 GiB for an array with shape (400000000, 3, 1) and data type "
+     "float64"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_cli_exits_2_on_a_run_too_large_for_memory(command, error, message, tmp_path,
+                                                   monkeypatch):
+    # raised, not allocated: under overcommit a real oversized allocation can
+    # be granted and then filled
+    def too_large(run, diagnostics=None):
+        raise error
+
+    monkeypatch.setattr(cli, "run_grid", too_large)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--scenarios", "400000000",
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 # a standardised lower bound of -0.1: the quantile of 1 - 2**-53 rounds to inf
 TOP = 1.0 - 2.0**-53
 WIDE_LOADS = dict(load_std_frac=10.0, load_mean_per_bus=(3.0, 2.0, 1.0))
@@ -86,7 +138,7 @@ def test_draw_loads_names_its_first_draw_that_is_not_finite(force_load_uniforms)
     raises(ConfigurationError,
            "the load draw of bus 1, hour 1, scenario 4 is not finite (inf): the "
            "truncated-normal quantile of uniform 0.9999999999999999 at mean 2 MW, std 20 MW",
-           lambda: draw_loads(config))
+           lambda: draw_and_build(config, [], np.empty((0, config.n_buses)), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +213,8 @@ def test_fleet_file_names_its_fault(text, message, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def draws():
-    return draw_loads(scenario_config(RunConfig(n_scenarios=5, horizon=2)))
+def config():
+    return scenario_config(RunConfig(n_scenarios=5, horizon=2))
 
 
 @pytest.mark.parametrize("penetrations,capacities,growth,message", [
@@ -179,9 +231,9 @@ def draws():
                                    "got shape (3,)"),
 ], ids=["negative-penetration", "infinite-penetration", "negative-capacity", "nan-capacity",
         "negative-growth", "nan-growth", "capacity-per-bus", "capacity-per-level"])
-def test_build_levels_names_its_fault(draws, penetrations, capacities, growth, message):
+def test_build_levels_names_its_fault(config, penetrations, capacities, growth, message):
     raises(ConfigurationError, message,
-           lambda: build_levels(draws, penetrations, capacities, growth))
+           lambda: draw_and_build(config, penetrations, capacities, growth))
 
 
 @pytest.mark.parametrize("cost_recovery", [2, -1, 0.5])

@@ -1,12 +1,14 @@
 """The package's public surface: every exported name resolves, once, every
-exported function runs in a CLI shape or is listed with its reason, the
-README's library and CLI examples run, and the CLI's defaults are
-``RunConfig``'s."""
+function and method the package defines runs in a CLI shape or is listed
+with its reason, the README's library and CLI examples run, and the CLI's
+defaults are ``RunConfig``'s."""
 
+import importlib
 import inspect
+import json
+import pkgutil
 import re
 import shlex
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from gridclear.experiment import (ALPHA_GRID_DEFAULT, DEFAULT_LOAD_MEAN,
                                   PENETRATION_GRID_DEFAULT)
 
 from test_batch_equivalence import fleet_file
+from test_scenarios import fresh_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,7 +33,7 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-# exported functions that no CLI shape calls, each with the reason it is kept
+# functions and methods that no CLI shape calls, each with the reason it is kept
 NOT_RUN_BY_THE_CLI = {
     "commit": "the README's one-row API; a run calls commit_batch's rows",
     "commit_batch": "the README's clearing kernel API; a run calls its rows unraised",
@@ -39,37 +42,80 @@ NOT_RUN_BY_THE_CLI = {
     "kkt_residuals": "the optimality certificate, not yet run on a run (ROADMAP item 13)",
     "kkt_verify_network": "the optimality certificate, not yet run on a run (ROADMAP item 13)",
     "committed_upper_bound": "the congestion bound, waiting on ROADMAP item 2",
+    "merit_order.DispatchResult.total_power": "the total of commit's one-row result",
+    "congestion.CongestedDispatch.total_power": "the total of dispatch_radial's one-row result",
+    "dcopf.KktReport.max_residual": "the certificate's summary, with kkt_verify_network",
+    "cli._grid_text": "runs at import, where it writes the defaults into the help texts",
+    "cli._shared_options": "runs at import, where it decorates each command",
 }
 
 FEEDER = ("--line-limit", "80", "--load-mean", "150,75,45")
 SMALL = ("--horizon", "2", "--scenarios", "50")
 
+# runs the CLI shapes of argv lists in a fresh interpreter, with the package
+# imported before the trace starts; prints each exit code and output, and the
+# (file, first line, name) of every function called
+TRACE_SHAPES = """
+import json, sys
+from click.testing import CliRunner
+from gridclear.cli import main
+
+called = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+sys.setprofile(record)
+try:
+    results = [CliRunner().invoke(main, argv) for argv in json.loads(sys.argv[1])]
+finally:
+    sys.setprofile(None)
+print(json.dumps([[[r.exit_code, r.output] for r in results], sorted(called)]))
+"""
+
+
+def defined_functions():
+    """Every function and method defined in the package's source, by its
+    name: an exported function by its own, any other as
+    ``module.qualified_name``.  Methods include property getters; the
+    dataclass-generated dunders, compiled from no source file, are left out."""
+    found = {}
+    for info in pkgutil.iter_modules(gridclear.__path__):
+        module = importlib.import_module(f"gridclear.{info.name}")
+        for obj in vars(module).values():
+            members = [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]
+            for member in members:
+                function = inspect.unwrap(getattr(member, "fget", member))
+                if (inspect.isfunction(function)
+                        and function.__code__.co_filename == module.__file__):
+                    name = function.__qualname__
+                    if name not in gridclear.__all__:
+                        name = f"{info.name}.{name}"
+                    found[name] = function.__code__
+    return found
+
 
 def test_every_exported_function_runs_in_a_cli_shape_or_is_listed(tmp_path):
-    # each command on one bus and on the feeder, and a fleet read from a file
+    # each command on one bus and on the feeder, a fleet read from a file,
+    # and tied draws: at zero load means every draw is 0, and ties take the
+    # CVaR through risk._atoms
     fleet = fleet_file(tmp_path / "fleet.csv", gridclear.builtin_fleet())
     shapes = [[command, *SMALL, *extra]
               for command in ("settle", "sweep-penetration", "sweep-alpha", "dispatch")
               for extra in ((), FEEDER)]
     shapes.append(["settle", *SMALL, "--fleet", fleet])
-    called = set()
-
-    def record(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        results = [CliRunner().invoke(main, [*argv, "--out", str(tmp_path / str(i))])
-                   for i, argv in enumerate(shapes)]
-    finally:
-        sys.setprofile(previous)
-    assert [r.exit_code for r in results] == [0] * len(shapes), [r.output for r in results]
-    functions = {name: getattr(gridclear, name) for name in gridclear.__all__
-                 if inspect.isfunction(getattr(gridclear, name))}
-    not_run = {name for name, function in functions.items()
-               if function.__code__ not in called}
+    shapes.append(["settle", *SMALL, "--load-mean", "0,0,0"])
+    argv = [[*shape, "--out", str(tmp_path / str(i))] for i, shape in enumerate(shapes)]
+    results, called = json.loads(fresh_python(TRACE_SHAPES, json.dumps(argv)).stdout)
+    assert [code for code, _ in results] == [0] * len(shapes), results
+    called = {tuple(entry) for entry in called}
+    functions = defined_functions()
+    assert {"scenarios.draw_and_build", "risk._atoms", "scenarios.Scenarios.renewable",
+            "experiment.RunConfig.__post_init__"} <= set(functions)
+    not_run = {name for name, code in functions.items()
+               if (code.co_filename, code.co_firstlineno, code.co_name) not in called}
     assert not_run == set(NOT_RUN_BY_THE_CLI)
 
 

@@ -14,7 +14,7 @@ import gridclear
 import oracles
 from gridclear import ConfigurationError, ScenarioConfig, committed_upper_bound, cvar_rows
 from gridclear import scenarios
-from gridclear.scenarios import build_levels, draw_loads
+from gridclear.scenarios import draw_and_build
 
 CAPACITY = np.array([120.0, 90.0, 60.0])
 
@@ -104,15 +104,16 @@ def test_mean_share_matches_penetration():
 
 
 def test_levels_built_on_one_load_draw_equal_separate_draws():
-    # one draw_loads serves every penetration level, bit for bit
-    draws = draw_loads(make_config())
+    # one draw serves every penetration level, bit for bit, and so does a
+    # draw of no level
     penetrations = (0.0, 0.4, 0.8)
-    levels = build_levels(draws, penetrations, [CAPACITY] * len(penetrations), 0.2)
+    drawn = draw_and_build(make_config(), penetrations, [CAPACITY] * len(penetrations), 0.2)
+    assert np.array_equal(oracles.loads(make_config()), drawn.load)
     for level, penetration in enumerate(penetrations):
         load, renewable, _ = generate(penetration=penetration)
-        assert levels.errors[level] is None
-        assert np.array_equal(draws.load, load)
-        assert np.array_equal(levels.renewable(level), renewable)
+        assert drawn.errors[level] is None
+        assert np.array_equal(drawn.load, load)
+        assert np.array_equal(drawn.renewable(level), renewable)
 
 
 @pytest.mark.parametrize("name", ["load", "renewable"])
@@ -126,10 +127,8 @@ def test_scenario_set_arrays_are_read_only(name):
 
 
 def test_load_draws_are_read_only():
-    draws = draw_loads(make_config())
-    for array in (draws.load, draws.u_weather):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        oracles.loads(make_config())[0] = 0.0
 
 
 # -- net load samples of the reference ------------------------------------
@@ -331,7 +330,7 @@ def test_numpy_random_and_secrets_work_after_the_stub_load():
             "from gridclear import RunConfig, scenarios\n"
             "from gridclear.experiment import scenario_config\n"
             "config = scenario_config(RunConfig(horizon=3, n_scenarios=40, seed=11))\n"
-            "u_weather = scenarios.draw_loads(config).u_weather\n"
+            "u_weather = scenarios._draw_uniforms(config)[1]\n"
             "import numpy.random, secrets\n"
             "print(numpy.random.__file__.endswith('__init__.py'),\n"
             "      secrets.__file__.endswith('secrets.py'))\n"
@@ -341,7 +340,7 @@ def test_numpy_random_and_secrets_work_after_the_stub_load():
             "print(rng.random((40, 3)).tobytes() == u_weather.tobytes())\n"
             "print(len(secrets.token_hex(4)), numpy.random.SeedSequence().entropy > 0)\n"
             "importlib.reload(scenarios)\n"
-            "print(scenarios.draw_loads(config).u_weather.tobytes() == u_weather.tobytes())\n")
+            "print(scenarios._draw_uniforms(config)[1].tobytes() == u_weather.tobytes())\n")
     out = fresh_python(code).stdout.splitlines()
     assert out == ["True True", "numpy.random.bit_generator numpy.random._pcg64",
                    "True", "8 True", "True"]
@@ -367,7 +366,7 @@ def thread_starts(monkeypatch):
 
 
 def beta_arguments(rows, k, seed=0):
-    """(rows, 1) Beta shapes, as build_levels passes them, and (rows, k) uniforms."""
+    """(rows, 1) Beta shapes, as draw_and_build passes them, and (rows, k) uniforms."""
     rng = np.random.default_rng(seed)
     a, b = np.exp(rng.uniform(-3.0, 4.0, (2, rows, 1)))
     u = rng.random((rows, k))
@@ -402,7 +401,7 @@ def test_split_rows_equals_one_call(rows, k, workers, monkeypatch, thread_starts
     monkeypatch.setattr(scenarios, "_workers", lambda: workers)
     a, b, u = beta_arguments(rows, k)
     want = scenarios.special.betaincinv(a, b, u)
-    got = scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
+    got = scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
     assert same_bits(got, want)
     assert thread_starts() == min(workers, BLOCKS[rows, k]) - 1
 
@@ -413,7 +412,8 @@ def test_split_rows_broadcasts_one_row_of_shapes(monkeypatch, thread_starts):
     a, b, u = beta_arguments(40, 200)  # three blocks
     for shapes in ((a[:1], b[:1]), (float(a[0, 0]), float(b[0, 0]))):
         want = scenarios.special.betaincinv(*shapes, u)
-        assert same_bits(scenarios._split_rows(scenarios.special.betaincinv, *shapes, u), want)
+        got = scenarios._start_rows(scenarios.special.betaincinv, *shapes, u)()
+        assert same_bits(got, want)
     assert thread_starts() == 2
 
 
@@ -428,7 +428,8 @@ def test_split_rows_with_more_threads_than_cpus_and_frequent_switches(monkeypatc
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            assert same_bits(scenarios._split_rows(scenarios.special.betaincinv, a, b, u), want)
+            got = scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
+            assert same_bits(got, want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -458,24 +459,6 @@ def test_start_rows_hands_each_block_out_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("min_size", [MIN, 10**9])
-def test_split_rows_writes_over_its_argument(min_size, monkeypatch, thread_starts):
-    # with an argument as the output, each block writes over its own input rows
-    workers = (os.cpu_count() or 1) + 1
-    monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(10):
-            x = -np.random.default_rng(seed).exponential(3.0, (3 * workers, 700))
-            want = scenarios.special.ndtri_exp(x)
-            got = scenarios._split_rows(scenarios.special.ndtri_exp, x, out=x, min_size=min_size)
-            assert got is x and same_bits(x, want)
-    finally:
-        sys.setswitchinterval(interval)
-    assert thread_starts() == (10 * (workers - 1) if min_size == MIN else 0)
-
-
 def test_split_rows_carries_the_special_error_actions(monkeypatch):
     # a negative Beta shape is a domain error; it lies in the last of four blocks
     monkeypatch.setattr(scenarios, "_workers", lambda: 3)
@@ -485,10 +468,10 @@ def test_split_rows_carries_the_special_error_actions(monkeypatch):
         with pytest.raises(special.SpecialFunctionError) as one:
             scenarios.special.betaincinv(a, b, u)
         with pytest.raises(special.SpecialFunctionError) as split:
-            scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
+            scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
     assert str(split.value) == str(one.value)
     # scipy's default ignores it, in the caller and in the threads alike
-    got = scenarios._split_rows(scenarios.special.betaincinv, a, b, u)
+    got = scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
     assert same_bits(got, scenarios.special.betaincinv(a, b, u))
     assert np.isnan(got[-1]).all()
 
@@ -504,13 +487,13 @@ def test_split_rows_carries_numpy_error_state(action, error, monkeypatch):
     x[-1, -1] = -1.0
     with np.errstate(invalid=action):
         if error is None:
-            got = scenarios._split_rows(np.sqrt, x)
+            got = scenarios._start_rows(np.sqrt, x)()
             assert same_bits(got, np.sqrt(x))
         else:
             with pytest.raises(error):
                 np.sqrt(x)
             with pytest.raises(error):
-                scenarios._split_rows(np.sqrt, x)
+                scenarios._start_rows(np.sqrt, x)()
 
 
 def fail_in(blocks):
@@ -533,10 +516,10 @@ def test_split_rows_raises_the_first_failing_block_in_the_caller(blocks, error, 
     before = threading.active_count()
     x = np.arange(3.0 * MIN).reshape(6, -1)
     if error is None:
-        assert same_bits(scenarios._split_rows(fail_in(blocks), x), x)
+        assert same_bits(scenarios._start_rows(fail_in(blocks), x)(), x)
     else:
         with pytest.raises(error, match=blocks[0]):
-            scenarios._split_rows(fail_in(blocks), x)
+            scenarios._start_rows(fail_in(blocks), x)()
     assert thread_starts() == 2
     assert unhandled == []
     assert threading.active_count() == before
