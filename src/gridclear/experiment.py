@@ -225,6 +225,28 @@ def _by_level(clear, n_rows: int, n_levels: int, block: int | None = None):
     return out, errors
 
 
+@dataclass(frozen=True)
+class _Commitment:
+    """One alpha's commitment of every level, the same on both markets.
+
+    Every field but the last two is an (L, T, ...) array: ``var`` and
+    ``cvar`` as ``cvar_rows`` returned them, (L, T) aggregate rows on one
+    bus and (L, T, 2n) bus and tail rows on the feeder; the committed
+    ``power`` and unit ``lmps``, (L, T, n_units).  ``paid_at`` names the
+    unit whose LMP each load bus is paid at (all zeros on one bus,
+    ``arange(n)`` on the feeder, the layout of ``kkt_verify_network``), so
+    bus prices are derived where they are read.  ``errors`` holds each
+    level's commitment error (None where it clears).
+    """
+
+    var: np.ndarray
+    cvar: np.ndarray
+    power: np.ndarray
+    lmps: np.ndarray
+    paid_at: np.ndarray
+    errors: list
+
+
 def _power(cleared):
     """A kernel's unraising result keeping only the power of its batch."""
     batch, failed, error_at = cleared
@@ -240,8 +262,9 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     Each alpha takes one ``cvar_rows`` and one commitment over the L*T
     hourly aggregates; the re-dispatch reads no alpha, so all levels' rows
     then go through the clearing kernel in blocks of ``_BLOCK_ROWS``.
-    Returns, per alpha, the committed power, unit LMPs, the bus prices
-    renewables are paid at and each level's commitment error; then the
+    Returns each alpha's ``_Commitment``, whose CVaRs are the hourly
+    aggregates before they are clipped at zero for the commitment and whose
+    load buses are all paid at unit 0's LMP, the clearing price; then the
     realized (L, K, T, n) dispatch and each level's re-dispatch error.
     """
     n_buses, t_len, k_len = load.shape
@@ -250,14 +273,15 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
         agg[level] = (load - renewable(level)).sum(axis=0)
     commitments = []
     for alpha in alphas:
-        _, cvars = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
-        np.maximum(cvars, 0.0, out=cvars)
-        batch, errors = _by_level(lambda rows: _commit_rows(fleet, cvars[rows]),
-                                  cvars.size, n_levels)
+        var, cvar = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
+        # the commitment serves the CVaR clipped at zero; the record keeps it as it is
+        batch, errors = _by_level(lambda r: _commit_rows(fleet, np.maximum(cvar[r], 0.0)),
+                                  cvar.size, n_levels)
         prices = batch.clearing_price.reshape(n_levels, t_len, 1)
-        commitments.append((batch.power.reshape(n_levels, t_len, len(fleet)),
-                            np.repeat(prices, len(fleet), axis=-1),
-                            np.repeat(prices, n_buses, axis=-1), errors))
+        commitments.append(_Commitment(
+            var.reshape(n_levels, t_len), cvar.reshape(n_levels, t_len),
+            batch.power.reshape(n_levels, t_len, -1), np.repeat(prices, len(fleet), axis=-1),
+            np.zeros(n_buses, dtype=int), errors))
     # (L, K, T), scenario-major rows within each level, clipped in place;
     # cleared after the commitments, whose CVaR temporaries would otherwise
     # add to its output
@@ -295,8 +319,9 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     as it runs by ``_tail_sums``, one add per bus from the last bus back.
     Bus prices are built from the balancing bus only where they are read:
     the commitment's L*T rows per alpha, never a re-dispatch block, which
-    keeps its power alone.  Returns what ``_clear_bus`` does, with the unit
-    LMPs as bus prices.
+    keeps its power alone.  Returns what ``_clear_bus`` does: each alpha's
+    ``_Commitment``, whose load bus i is paid at unit i's LMP; then the
+    realized dispatch and each level's re-dispatch error.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape
@@ -316,13 +341,14 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
     for alpha in alphas:
         # cvar_rows sorts the rows in blocks of a fixed size, so its
         # temporaries do not grow with the grid
-        _, cvars = cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
-        cvars = cvars.reshape(n_levels * t_len, 2 * n)
+        var, cvar = cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
+        cvars = cvar.reshape(n_levels * t_len, 2 * n)
         batch, errors = _by_level(
             lambda r: _radial_rows(grid, fleet, cvars[r, :n], cvars[r, n:]),
             len(cvars), n_levels)
-        lmps = batch.lmps.reshape(n_levels, t_len, n)
-        commitments.append((batch.power.reshape(n_levels, t_len, n), lmps, lmps, errors))
+        commitments.append(_Commitment(
+            *(x.reshape(n_levels, t_len, -1) for x in (var, cvar, batch.power, batch.lmps)),
+            np.arange(n), errors))
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
     realized, errors = _by_level(
@@ -370,38 +396,41 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     # prices, costs or outputs near the float maximum can overflow any figure
     # of a settled point, which then fails on the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, (committed, lmps, bus_lmps, errors) in enumerate(commitments):
-            for level, error in enumerate(errors):
+        for a, c in enumerate(commitments):
+            for level, error in enumerate(c.errors):
                 if error is not None:
-                    committed[level] = 0.0
-            rp, dp = deviation_envelopes(committed, realized)
+                    c.power[level] = 0.0
+            rp, dp = deviation_envelopes(c.power, realized)
             (h_total, lambda_w), recovery_errors = _by_level(
-                lambda r: _recovery_rows(committed[r], rp[r], dp[r], point_fleet,
+                lambda r: _recovery_rows(c.power[r], rp[r], dp[r], point_fleet,
                                          run.cost_recovery),
                 n_levels, n_levels)
-            r_expected = expected_profit(committed, lmps, point_fleet)
+            r_expected = expected_profit(c.power, c.lmps, point_fleet)
             for level in range(n_levels):
-                error = errors[level] or realized_errors[level] or recovery_errors[level]
+                error = c.errors[level] or realized_errors[level] or recovery_errors[level]
                 if error is not None:
                     points[level * n_alphas + a] = error
                     continue
-                r_realized = realized_profit(realized[level], probabilities, lmps[level],
+                r_realized = realized_profit(realized[level], probabilities, c.lmps[level],
                                              point_fleet)
                 # checked before the payment: in the other order the allocator
                 # leaves a single-bus settle about 1.3 MB higher at its peak
-                violations = reserve_and_ramp_check(committed[level], realized[level],
+                violations = reserve_and_ramp_check(c.power[level], realized[level],
                                                     rp[level], dp[level], point_fleet)
-                # renewables are paid scenario by scenario at the committed bus prices
+                # renewables are paid scenario by scenario at the committed bus
+                # prices, each bus at its paying unit's LMP; vecdot rounds by
+                # stride, and the gathered columns come back Fortran-ordered
                 rev_k, cur_k = curtail_and_pay_renewables(
-                    load_totals, renewable(level).transpose(2, 1, 0), bus_lmps[level])
+                    load_totals, renewable(level).transpose(2, 1, 0),
+                    np.ascontiguousarray(c.lmps[level][:, c.paid_at]))
                 report = SettlementReport(
                     float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
                     r_realized, float(r_expected[level]) - r_realized,
                     float(sum_in_order(probabilities * rev_k)),
                     float(sum_in_order(probabilities * cur_k)), violations)
                 point = PointResult(
-                    alphas[a], penetrations[level], committed[level], realized[level],
-                    lmps[level], lmps[level].max(axis=-1), report, point_fleet)
+                    alphas[a], penetrations[level], c.power[level], realized[level],
+                    c.lmps[level], c.lmps[level].max(axis=-1), report, point_fleet)
                 overflowed = [(name, value) for name, value in point_row(run, point).items()
                               if not math.isfinite(value)]
                 if overflowed:

@@ -14,7 +14,9 @@ with scipy.special, are compared with the scipy.stats functions they
 replaced.  The reserve envelope is compared with the clamped deviation
 array it replaced, and a grid's re-dispatch in small row blocks with the
 same re-dispatch in one block.  Levels large enough that their Beta
-quantiles run in row blocks on threads are compared hour by hour too.
+quantiles run in row blocks on threads are compared hour by hour too.  Each
+alpha's commitment record is compared with ``cvar_rows`` on each level's
+own draw.
 """
 
 import dataclasses
@@ -1533,8 +1535,8 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
     blocked_commitments, blocked, blocked_errors = clear_levels(run)
     assert same_bits(blocked, realized)
     assert error_texts(blocked_errors) == error_texts(errors)
-    for (_, _, _, e1), (_, _, _, e2) in zip(blocked_commitments, commitments):
-        assert error_texts(e1) == error_texts(e2)
+    for c1, c2 in zip(blocked_commitments, commitments):
+        assert error_texts(c1.errors) == error_texts(c2.errors)
 
     # the re-dispatch ran in blocks, and some level's first failing row lies
     # past the level's first block
@@ -1546,7 +1548,8 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
              if rows.any()]
     assert any(row // BLOCK > (row - row % width) // BLOCK for row in first)
     # a level whose commitment fails for one alpha also fails its re-dispatch
-    assert any(c and r for (_, _, _, errs) in commitments for c, r in zip(errs, errors))
+    assert any(c and r for commitment in commitments
+               for c, r in zip(commitment.errors, errors))
 
     # the same skipped points and CSV through the command line
     monkeypatch.setattr(experiment, kernel, real)
@@ -1561,3 +1564,41 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
         outputs.append((result.stderr, csv_file.read_bytes()))
     assert outputs[0] == outputs[1]
     assert "skipped: " in outputs[0][0]
+
+
+@pytest.mark.parametrize("market", [{}, dict(line_limit=80.0,
+                                             load_mean_per_bus=(150.0, 75.0, 45.0))],
+                         ids=["bus", "feeder"])
+def test_commitment_record_keeps_each_levels_risk_rows(market):
+    # each alpha's record holds the VaR and CVaR rows its commitment was
+    # cleared against, as cvar_rows returns them on each level's own draw:
+    # the hourly aggregate on one bus, each hour's bus rows and then its
+    # tails on the feeder; a served hour commits its clipped (tail) CVaR
+    run = RunConfig(alphas=(0.5, 0.9, 0.99), penetrations=(0.009, 0.5, 0.9), horizon=4,
+                    n_scenarios=200, seed=18, capacity_mode="tracking", **market)
+    commitments, _, _ = clear_levels(run)
+    n, t_len, k_len = run.n_buses, run.horizon, run.n_scenarios
+    served = 0
+    for alpha, c in zip(run.alphas, commitments):
+        units = n if market else len(builtin_fleet())
+        assert c.power.shape == c.lmps.shape == (3, t_len, units)
+        assert c.paid_at.tolist() == (list(range(n)) if market else [0] * n)
+        for level, penetration in enumerate(run.penetrations):
+            load, renewable, probs = oracles.scenario_arrays(run, penetration)
+            net = load - renewable  # (buses, T, K)
+            if market:
+                rows = np.empty((t_len, 2 * n, k_len))
+                rows[:, :n] = net.transpose(1, 0, 2)
+                for i in range(n):
+                    rows[:, n + i] = net[i:].sum(axis=0)
+            else:
+                rows = net.sum(axis=0)
+            var, cvar = cvar_rows(rows.reshape(-1, k_len), probs, alpha)
+            assert same_bits(c.var[level], var.reshape(rows.shape[:-1]))
+            assert same_bits(c.cvar[level], cvar.reshape(rows.shape[:-1]))
+            if c.errors[level] is None:
+                required = c.cvar[level][:, n] if market else c.cvar[level]
+                np.testing.assert_allclose(c.power[level].sum(axis=1),
+                                           np.maximum(required, 0.0), rtol=0.0, atol=1e-9)
+                served += t_len
+    assert served == 3 * 3 * t_len

@@ -14,12 +14,12 @@ from click.testing import CliRunner
 
 import oracles
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
-                       InfeasibleDispatchError, RadialGrid, RunConfig, cli, cvar_rows,
-                       dispatch_radial, emit_csv, experiment, load_fleet, point_row,
-                       run_grid, scenario_config, scenarios)
+                       InfeasibleDispatchError, RadialGrid, RunConfig, builtin_fleet, cli,
+                       cvar_rows, dispatch_radial, emit_csv, experiment, load_fleet,
+                       point_row, run_grid, scenario_config, scenarios, settlement)
 from gridclear.cli import main
-from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS,
-                                  derive_capacity)
+from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, DEFAULT_LOAD_MEAN,
+                                  PENETRATION_SWEEP_COLUMNS, derive_capacity)
 
 from test_messages import TOP, WIDE_LOADS
 from test_scenarios import same_bits, thread_starts  # noqa: F401 (a fixture)
@@ -269,6 +269,61 @@ def test_feeder_price_can_fall_as_alpha_rises():
         own, joint, tail = cvar_rows(np.vstack([x, x + y, y]), probs, alpha)[1]
         prices.append(dispatch_radial(grid, fleet, [own, tail], [joint, tail]).lmps.max())
     assert prices == [20.0, 10.0]
+
+
+# each point_row figure's degree in money and in size: a run is homogeneous
+# of degree one in both, and a power-of-two factor changes only a float's
+# exponent, so it rounds nothing
+DEGREES = {"committed_mw": (0, 1), "curtailed_mwh": (0, 1), "price": (1, 0),
+           "lambda_w": (1, 0), "H": (1, 1), "R": (1, 1), "R_tilde": (1, 1),
+           "deviation_cost": (1, 1), "renewable_revenue": (1, 1)}
+
+
+def scaled_fleet(path, money, size):
+    """The built-in fleet as a fleet file of ``repr`` floats: asks times
+    ``money``, MW limits times ``size``, start and no-load costs times both."""
+    units = [",".join([g.name] + [repr(v) for v in (
+        g.ask_price * money, g.p_min * size, g.p_max * size, g.rp_max * size,
+        g.ramp_max * size, g.start_cost_hot * money * size,
+        g.start_cost_cold * money * size, g.no_load_cost * money * size)])
+        for g in builtin_fleet().generators]
+    path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
+                    "no_load_cost\n" + "".join(unit + "\n" for unit in units))
+    return str(path)
+
+
+@pytest.mark.parametrize("relation", ["money", "size"])
+def test_point_rows_scale_exactly_by_powers_of_two(relation, monkeypatch, tmp_path):
+    # money x 2^k scales the asks, the start and no-load costs and the reserve
+    # and ramp rates; size x 2^k scales the load means, every MW limit of the
+    # fleet, the line limit and the start and no-load costs.  Every figure
+    # must then be exactly 2^(k * degree) times the unscaled one
+    rates = settlement.RESERVE_RATE, settlement.RAMP_RATE
+    checked = 0
+    for means, limit in ((DEFAULT_LOAD_MEAN, None), ((150.0, 75.0, 45.0), 80.0)):
+        for seed in (7, 11, 18):
+            rows = {}
+            for k in (0, -3, 2, 5):
+                factor = 2.0 ** k
+                money, size = (factor, 1.0) if relation == "money" else (1.0, factor)
+                monkeypatch.setattr(settlement, "RESERVE_RATE", rates[0] * money)
+                monkeypatch.setattr(settlement, "RAMP_RATE", rates[1] * money)
+                run = RunConfig(
+                    fleet_source=scaled_fleet(tmp_path / f"{k}.csv", money, size),
+                    alphas=(0.5, 0.9, 0.99), penetrations=(0.009, 0.5, 0.9), horizon=4,
+                    n_scenarios=200, seed=seed, capacity_mode="tracking",
+                    line_limit=None if limit is None else limit * size,
+                    load_mean_per_bus=tuple(m * size for m in means))
+                rows[k] = grid_rows(run)
+                assert len(rows[k]) == 9
+            for k in (-3, 2, 5):
+                for got, want in zip(rows[k], rows[0]):
+                    for name, (in_money, in_size) in DEGREES.items():
+                        scale = 2.0 ** (k * (in_money if relation == "money" else in_size))
+                        assert same_bits(np.float64(got[name]),
+                                         np.float64(want[name] * scale)), (k, name)
+                    checked += 1
+    assert checked == 162
 
 
 def test_alpha_sweep_deterministic_load_rows_identical():

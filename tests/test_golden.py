@@ -30,6 +30,8 @@ batch.  Each run exercises different code:
 - an alpha sweep on a 50 MW feeder whose last two buses carry no load:
   their per-bus and tail rows are all zeros, so the CVaR merges each such
   row's tied draws into one atom
+- the benchmark's three workloads at full size (T 24, K 1000 and a 24-bus
+  sweep), whose seed-7 digests ``perfbench/workloads.json`` pins
 - grids with no load or weather spread on one bus and on the 80 MW feeder:
   every CVaR row is one tied, non-zero atom; these and the sweep above were
   recorded before the tied rows' vectorised merge was replaced by a
@@ -41,6 +43,8 @@ unrecoverable H) and how a skipped level or point names its coordinates.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -117,6 +121,14 @@ GOLDEN = {
         "alpha_sweep.csv",
         "8f4e1b771fafaf9e66c384d814fb1a9ca32c2ab954c15ad9757e7d4ed9bc7c90"),
 }
+
+
+# the benchmark's workloads at full size: their seed-7 digests are read from
+# the benchmark's own file, so that every test run checks them
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "workloads.json").read_text())["workloads"]
+GOLDEN.update({f"benchmark-{name}": (w["argv"], w["csv"], w["sha256_reference_seed"])
+               for name, w in WORKLOADS.items()})
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -7,6 +7,10 @@ prices must be its duals wherever the dual is unique; HiGHS's own optimum,
 priced at its duals, must pass the certificate.  With positive minimums
 ``scipy.optimize.milp`` solves the unit-commitment MILP: the closed form's
 dispatch must be feasible and may cost more than the MILP's, never less.
+A one-bus run's commitment, a CVaR followed by a merit order, is checked
+whole against the paper's optimisation: one LP that minimises the cost
+subject to the committed total covering the CVaR of the net load, in the
+linear form of Rockafellar and Uryasev (*J. Risk*, 2000, section 3).
 Only the tests import ``scipy.optimize``; the package does not.
 """
 
@@ -14,8 +18,10 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+import oracles
 from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid,
-                       commit_batch, dispatch_radial, kkt_verify_network)
+                       RunConfig, builtin_fleet, commit_batch, dispatch_radial,
+                       kkt_verify_network, run_grid)
 
 
 def _zero_min_fleet(rng, n):
@@ -167,3 +173,51 @@ def test_positive_minimums_can_cost_more_than_the_milp():
     assert _committed_cost(fleet, 41.92) == pytest.approx(6958.72, abs=1e-9)
     res = _unit_commitment(fleet, 41.92)
     assert res.status == 0 and res.fun == pytest.approx(4865.72, abs=1e-6)
+
+
+def _cvar_commitment_lp(fleet, draws, probabilities, alpha):
+    """Variables: the n outputs, eta and one z per draw X_k.  Minimise
+    asks @ p with 0 <= p <= p_max, sum(p) >= eta + sum(pi_k z_k) / (1 - alpha)
+    (the CVaR constraint, row 0), z_k >= X_k - eta and z >= 0."""
+    n, k = len(fleet), len(draws)
+    a_ub = np.zeros((1 + k, n + 1 + k))
+    a_ub[0, :n], a_ub[0, n], a_ub[0, n + 1:] = -1.0, 1.0, probabilities / (1.0 - alpha)
+    a_ub[1:, n] = -1.0
+    a_ub[1:, n + 1:] = -np.eye(k)
+    bounds = [(0.0, p) for p in fleet.p_maxs] + [(None, None)] + [(0.0, None)] * k
+    res = linprog(np.r_[fleet.ask_prices, np.zeros(1 + k)], A_ub=a_ub,
+                  b_ub=np.r_[0.0, -draws], bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res
+
+
+def test_bus_commitment_is_the_cvar_constrained_lp():
+    # each (level, hour) of a one-bus run: the LP's optimal cost is the
+    # printed commitment's, and the dual of its CVaR constraint is the
+    # printed clearing price, except where the committed total sits at a
+    # capacity prefix sum (0 included), where any price between the two
+    # neighbouring asks is a dual
+    fleet = builtin_fleet()
+    asks = np.r_[0.0, fleet.ask_prices, np.inf]
+    rows = 0
+    for seed in (7, 11, 18):
+        run = RunConfig(alphas=(0.5, 0.9, 0.99), penetrations=(0.009, 0.5, 0.9), horizon=4,
+                        n_scenarios=200, seed=seed, capacity_mode="tracking")
+        points = run_grid(run)
+        assert len(points) == 9
+        for point in points:
+            load, renewable, probs = oracles.scenario_arrays(run, point.penetration)
+            for t, draws in enumerate((load - renewable).sum(axis=0)):
+                res = _cvar_commitment_lp(fleet, draws, probs, point.alpha)
+                assert float(fleet.ask_prices @ point.committed[t]) == pytest.approx(
+                    res.fun, rel=1e-9)
+                dual = -res.ineqlin.marginals[0]
+                prefix = np.flatnonzero(np.isclose(point.committed[t].sum(),
+                                                   fleet.p_max_prefix, rtol=0.0, atol=1e-7))
+                if prefix.size:
+                    j = prefix[0]
+                    assert asks[j] - 1e-9 <= dual <= asks[j + 1] + 1e-9
+                else:
+                    assert dual == pytest.approx(point.clearing_prices[t], abs=1e-9)
+                rows += 1
+    assert rows == 108
