@@ -23,12 +23,12 @@ aggregates, while the feeder keeps the per-hour bus and tail rows and the
 realized rows its kernels read.
 
 A point fails on the first of: its commitment, its level's re-dispatch, an H
-that cannot be recovered.  One block loop, ``_by_level``, runs all three
-and reports the first failing row of each level's slice, in (scenario, hour)
-order across blocks, with the message the kernel raises for it.  A point
-that passes them is settled with float overflow allowed, and fails with a
-ConfigurationError naming the first of its printed figures that is not
-finite.  A skipped level or point names its coordinates
+that cannot be recovered.  Each of the three kernels returns a mask of its
+failed rows, and ``_first_errors`` gives each level the error of its first
+failed row, in (scenario, hour) order across the re-dispatch's blocks, with
+the message the kernel raises for it.  A point that passes them is settled
+with float overflow allowed, and fails with a ConfigurationError naming the
+first of its printed figures that is not finite.  A skipped level or point names its coordinates
 (``penetration=0.3: ...`` or ``alpha=0.9, penetration=0.3: ...``).
 ``point_row`` turns a point into one CSV row holding every grid column, and
 ``emit_csv`` writes the columns a file needs (identical config and seed give
@@ -194,35 +194,38 @@ class PointResult:
         return float(self.clearing_prices.mean())
 
 
-def _by_level(clear, n_rows: int, n_levels: int, block: int | None = None):
-    """Run ``clear(rows)``, a kernel's unraising form on a slice of the rows,
-    over blocks of at most ``block`` rows (one block by default); ``n_rows``
-    holds the levels' rows one after another.
-
-    Returns the kernel's output when one block covers every row, else the
-    (n_rows, ...) array of the blocks' outputs, each block's temporaries
-    dropped before the next block runs; and the error of each level's first
-    failing row (None where none fails).
+def _first_errors(errors: list, failed, error_at, width: int, start: int = 0) -> list:
+    """Give each level of ``errors`` that has none yet the error of its first
+    failed row and return ``errors``.  ``failed`` masks rows ``start`` on of
+    an array holding ``width`` rows per level one level after another, and
+    ``error_at(r)`` is the error of its row r, counted from ``start``.
     """
-    block = block or n_rows
-    width = n_rows // n_levels
-    errors = [None] * n_levels
-    out = None
-    for start in range(0, n_rows, block):
-        part, failed, error_at = clear(slice(start, start + block))
-        if block >= n_rows:
-            out = part
-        else:
-            if out is None:
-                out = np.empty((n_rows,) + part.shape[1:])
-            out[start:start + len(part)] = part
-        rows = np.flatnonzero(failed)
-        levels, first = np.unique((start + rows) // width, return_index=True)
-        for level, row in zip(levels, rows[first]):
-            if errors[level] is None:
-                errors[level] = error_at(int(row))
-        del part, failed, error_at
-    return out, errors
+    rows = np.flatnonzero(failed)
+    levels, first = np.unique((start + rows) // width, return_index=True)
+    for level, row in zip(levels, rows[first]):
+        if errors[level] is None:
+            errors[level] = error_at(int(row))
+    return errors
+
+
+def _redispatch(clear, n_rows: int, n_levels: int):
+    """Run ``clear(rows)``, a kernel's unraising form on a slice of the
+    ``n_rows`` rows that hold the levels' rows one after another, in blocks
+    of ``_BLOCK_ROWS``.  Each block's power is kept and the rest of its
+    output dropped before the next block runs.  Returns the (n_rows, ...)
+    power, one block's own power uncopied, and each level's first error in
+    row order (None where none fails).
+    """
+    power, errors = None, [None] * n_levels
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        batch, failed, error_at = clear(slice(start, start + _BLOCK_ROWS))
+        if power is None:
+            shape = (n_rows,) + batch.power.shape[1:]
+            power = batch.power if len(failed) == n_rows else np.empty(shape)
+        power[start:start + len(failed)] = batch.power  # a no-op for one block
+        _first_errors(errors, failed, error_at, n_rows // n_levels, start)
+        del batch, failed, error_at
+    return power, errors
 
 
 @dataclass(frozen=True)
@@ -247,21 +250,16 @@ class _Commitment:
     errors: list
 
 
-def _power(cleared):
-    """A kernel's unraising result keeping only the power of its batch."""
-    batch, failed, error_at = cleared
-    return batch.power, failed, error_at
-
-
 def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alphas):
     """Commit each level's hourly aggregate CVaRs on one bus, then re-dispatch
     every scenario-hour at its realized aggregate clipped into the servable
     range (surplus renewables push it to zero, shortfalls beyond capacity
     are shed).
 
-    Each alpha takes one ``cvar_rows`` and one commitment over the L*T
-    hourly aggregates; the re-dispatch reads no alpha, so all levels' rows
-    then go through the clearing kernel in blocks of ``_BLOCK_ROWS``.
+    Each alpha takes one ``cvar_rows`` and one ``_commit_rows`` call over the
+    L*T hourly aggregates, a level's error its first failed hour; the
+    re-dispatch reads no alpha, so all levels' rows then go through the
+    clearing kernel in ``_redispatch``'s blocks.
     Returns each alpha's ``_Commitment``, whose CVaRs are the hourly
     aggregates before they are clipped at zero for the commitment and whose
     load buses are all paid at unit 0's LMP, the clearing price; then the
@@ -275,21 +273,21 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     for alpha in alphas:
         var, cvar = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
         # the commitment serves the CVaR clipped at zero; the record keeps it as it is
-        batch, errors = _by_level(lambda r: _commit_rows(fleet, np.maximum(cvar[r], 0.0)),
-                                  cvar.size, n_levels)
+        batch, failed, error_at = _commit_rows(fleet, np.maximum(cvar, 0.0))
         prices = batch.clearing_price.reshape(n_levels, t_len, 1)
         commitments.append(_Commitment(
             var.reshape(n_levels, t_len), cvar.reshape(n_levels, t_len),
             batch.power.reshape(n_levels, t_len, -1), np.repeat(prices, len(fleet), axis=-1),
-            np.zeros(n_buses, dtype=int), errors))
+            np.zeros(n_buses, dtype=int),
+            _first_errors([None] * n_levels, failed, error_at, t_len)))
     # (L, K, T), scenario-major rows within each level, clipped in place;
     # cleared after the commitments, whose CVaR temporaries would otherwise
     # add to its output
     demands = agg.transpose(0, 2, 1).ravel()
     del agg
     np.minimum(np.maximum(demands, 0.0, out=demands), fleet.total_capacity, out=demands)
-    realized, errors = _by_level(lambda rows: _power(_commit_rows(fleet, demands[rows])),
-                                 demands.size, n_levels, _BLOCK_ROWS)
+    realized, errors = _redispatch(lambda rows: _commit_rows(fleet, demands[rows]),
+                                   demands.size, n_levels)
     return (commitments, realized.reshape(n_levels, k_len, t_len, len(fleet)), errors)
 
 
@@ -313,10 +311,11 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
 
     The requirement rows are level-major, (L, T, 2n, K): each hour's n bus
     rows and then its n tails.  Each alpha takes one ``cvar_rows`` over all
-    of them, whose (L*T, 2n) output is the feeder dispatch's input as it
-    stands; the re-dispatch reads no alpha, so all levels' rows go through
-    ``_radial_rows`` in blocks of ``_BLOCK_ROWS``, each block's tails summed
-    as it runs by ``_tail_sums``, one add per bus from the last bus back.
+    of them, whose (L*T, 2n) output is one ``_radial_rows`` call's input as
+    it stands, a level's error its first failed hour; the re-dispatch reads
+    no alpha, so all levels' rows go through ``_radial_rows`` in
+    ``_redispatch``'s blocks, each block's tails summed as it runs by
+    ``_tail_sums``, one add per bus from the last bus back.
     Bus prices are built from the balancing bus only where they are read:
     the commitment's L*T rows per alpha, never a re-dispatch block, which
     keeps its power alone.  Returns what ``_clear_bus`` does: each alpha's
@@ -343,17 +342,14 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
         # temporaries do not grow with the grid
         var, cvar = cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
         cvars = cvar.reshape(n_levels * t_len, 2 * n)
-        batch, errors = _by_level(
-            lambda r: _radial_rows(grid, fleet, cvars[r, :n], cvars[r, n:]),
-            len(cvars), n_levels)
+        batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
         commitments.append(_Commitment(
             *(x.reshape(n_levels, t_len, -1) for x in (var, cvar, batch.power, batch.lmps)),
-            np.arange(n), errors))
+            np.arange(n), _first_errors([None] * n_levels, failed, error_at, t_len)))
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
-    realized, errors = _by_level(
-        lambda r: _power(_radial_rows(grid, fleet, rows[r], _tail_sums(rows[r]))),
-        len(rows), n_levels, _BLOCK_ROWS)
+    realized, errors = _redispatch(
+        lambda r: _radial_rows(grid, fleet, rows[r], _tail_sums(rows[r])), len(rows), n_levels)
     return commitments, realized.reshape(n_levels, k_len, t_len, n), errors
 
 
@@ -379,9 +375,8 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         cleared = _clear_bus(fleet, load, probabilities, renewable, n_levels, alphas)
     else:
         point_fleet = fleet.head(run.n_buses)
-        grid = RadialGrid(run.n_buses, run.line_limit)
-        cleared = _clear_feeder(point_fleet, grid, load, probabilities, renewable,
-                                n_levels, alphas)
+        cleared = _clear_feeder(point_fleet, RadialGrid(run.n_buses, run.line_limit), load,
+                                probabilities, renewable, n_levels, alphas)
     commitments, realized, realized_errors = cleared
     # a failed level's rows mean nothing and can be too large to settle
     # without overflow, so they are settled as zeros and its figures dropped
@@ -401,10 +396,9 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
                 if error is not None:
                     c.power[level] = 0.0
             rp, dp = deviation_envelopes(c.power, realized)
-            (h_total, lambda_w), recovery_errors = _by_level(
-                lambda r: _recovery_rows(c.power[r], rp[r], dp[r], point_fleet,
-                                         run.cost_recovery),
-                n_levels, n_levels)
+            (h_total, lambda_w), failed, error_at = _recovery_rows(
+                c.power, rp, dp, point_fleet, run.cost_recovery)
+            recovery_errors = _first_errors([None] * n_levels, failed, error_at, 1)
             r_expected = expected_profit(c.power, c.lmps, point_fleet)
             for level in range(n_levels):
                 error = c.errors[level] or realized_errors[level] or recovery_errors[level]
@@ -418,11 +412,10 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
                 violations = reserve_and_ramp_check(c.power[level], realized[level],
                                                     rp[level], dp[level], point_fleet)
                 # renewables are paid scenario by scenario at the committed bus
-                # prices, each bus at its paying unit's LMP; vecdot rounds by
-                # stride, and the gathered columns come back Fortran-ordered
+                # prices, each bus at its paying unit's LMP
                 rev_k, cur_k = curtail_and_pay_renewables(
                     load_totals, renewable(level).transpose(2, 1, 0),
-                    np.ascontiguousarray(c.lmps[level][:, c.paid_at]))
+                    c.lmps[level][:, c.paid_at])
                 report = SettlementReport(
                     float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
                     r_realized, float(r_expected[level]) - r_realized,

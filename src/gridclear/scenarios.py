@@ -159,9 +159,15 @@ def _random():
                       {"secrets": secrets})
 
 
+# held around the cached load, whose stub numpy.random another thread
+# could otherwise find in sys.modules
+_RANDOM_LOCK = threading.Lock()
+
+
 def _generator(seed):
     """``np.random.default_rng(seed)`` for an integer seed: ``Generator(PCG64(seed))``."""
-    module = _random()
+    with _RANDOM_LOCK:
+        module = _random()
     return module.Generator(module.PCG64(seed))
 
 

@@ -23,6 +23,11 @@ from consumers, not a generator's income or cost, so the recovery mode
 changes lambda_w and no profit.  Both profits are the fleet's
 totals; no per-unit breakdown is kept.
 
+Both profits and the renewable payment read their arrays in C order, so
+the same values in another memory layout give the same bits; only the
+payment's ``renewables`` keep the caller's layout (see
+``curtail_and_pay_renewables``).
+
 The envelopes, the reserve and ramp check, H, both profits and the
 renewable payment raise ValueError naming an array argument
 (``load_totals must be finite``) when one of its entries is NaN or infinite.
@@ -187,8 +192,8 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, fleet: Fleet):
     level axis on ``committed`` and ``lmps``.
     """
     _reject_non_finite(committed=committed, lmps=lmps)
-    committed = np.asarray(committed, dtype=float)
-    prices = np.asarray(lmps, dtype=float)
+    committed = np.ascontiguousarray(committed, dtype=float)
+    prices = np.ascontiguousarray(lmps, dtype=float)
     total = (committed * prices - committed * fleet.ask_prices).sum(axis=-2).sum(axis=-1)
     return float(total) if committed.ndim == 2 else total
 
@@ -199,12 +204,12 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
     the fleet's total, summed over scenarios and hours per unit and then
     over units."""
     _reject_non_finite(realized=realized, lmps=lmps)
-    realized = np.asarray(realized, dtype=float)
+    realized = np.ascontiguousarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
     if (not np.all(np.isfinite(psi)) or abs(psi.sum() - 1.0) > 1e-9
             or np.any(psi < 0.0)):
         raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
-    margin = np.asarray(lmps, dtype=float)[None, :, :] - fleet.ask_prices[None, None, :]
+    margin = np.ascontiguousarray(lmps, dtype=float) - fleet.ask_prices
     return float(np.einsum("k,kti->i", psi, realized * margin).sum())
 
 
@@ -220,10 +225,15 @@ def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,
     curtailed; otherwise all output earns its bus price.  Hours are
     accumulated in order from 0.0.  Returns two floats for one trajectory
     and two (K,) arrays for a stack.
+
+    ``lmps`` may come in any memory layout, a grid's gathered bus prices
+    Fortran-ordered among them.  The full payment rounds over the caller's
+    rows of ``renewables``, as a per-trajectory reference does, so the same
+    renewables in another layout can round differently.
     """
     _reject_non_finite(load_totals=load_totals, renewables=renewables, lmps=lmps)
     renewables = np.asarray(renewables, dtype=float)
-    lmps = np.asarray(lmps, dtype=float)
+    lmps = np.ascontiguousarray(lmps, dtype=float)
     # round each hour as a per-hour loop (row.sum(), lmps[t] @ row) does: bus
     # sums over unit-stride rows, because numpy sums a strided stack in memory
     # order rather than pairwise; the full payment over the caller's rows and

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec,
@@ -19,7 +20,8 @@ from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec
                        point_row, run_grid, scenario_config, scenarios, settlement)
 from gridclear.cli import main
 from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, DEFAULT_LOAD_MEAN,
-                                  PENETRATION_SWEEP_COLUMNS, derive_capacity)
+                                  DEFAULT_LOAD_STD_FRAC, PENETRATION_SWEEP_COLUMNS,
+                                  derive_capacity)
 
 from test_messages import TOP, WIDE_LOADS
 from test_scenarios import same_bits, thread_starts  # noqa: F401 (a fixture)
@@ -279,14 +281,14 @@ DEGREES = {"committed_mw": (0, 1), "curtailed_mwh": (0, 1), "price": (1, 0),
            "deviation_cost": (1, 1), "renewable_revenue": (1, 1)}
 
 
-def scaled_fleet(path, money, size):
-    """The built-in fleet as a fleet file of ``repr`` floats: asks times
-    ``money``, MW limits times ``size``, start and no-load costs times both."""
+def scaled_fleet(path, fleet, money, size):
+    """``fleet`` as a fleet file of ``repr`` floats: asks times ``money``, MW
+    limits times ``size``, start and no-load costs times both."""
     units = [",".join([g.name] + [repr(v) for v in (
         g.ask_price * money, g.p_min * size, g.p_max * size, g.rp_max * size,
         g.ramp_max * size, g.start_cost_hot * money * size,
         g.start_cost_cold * money * size, g.no_load_cost * money * size)])
-        for g in builtin_fleet().generators]
+        for g in fleet.generators]
     path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
                     "no_load_cost\n" + "".join(unit + "\n" for unit in units))
     return str(path)
@@ -309,7 +311,8 @@ def test_point_rows_scale_exactly_by_powers_of_two(relation, monkeypatch, tmp_pa
                 monkeypatch.setattr(settlement, "RESERVE_RATE", rates[0] * money)
                 monkeypatch.setattr(settlement, "RAMP_RATE", rates[1] * money)
                 run = RunConfig(
-                    fleet_source=scaled_fleet(tmp_path / f"{k}.csv", money, size),
+                    fleet_source=scaled_fleet(tmp_path / f"{k}.csv", builtin_fleet(),
+                                              money, size),
                     alphas=(0.5, 0.9, 0.99), penetrations=(0.009, 0.5, 0.9), horizon=4,
                     n_scenarios=200, seed=seed, capacity_mode="tracking",
                     line_limit=None if limit is None else limit * size,
@@ -324,6 +327,73 @@ def test_point_rows_scale_exactly_by_powers_of_two(relation, monkeypatch, tmp_pa
                                          np.float64(want[name] * scale)), (k, name)
                     checked += 1
     assert checked == 162
+
+
+FEEDER_MEANS = (150.0, 75.0, 45.0)
+
+
+@st.composite
+def scaling_cases(draw):
+    """A market (one bus, or the 80 MW feeder), a fleet of 3-7 units with
+    strictly increasing asks, a seed and k.  On one bus a minimum is zero or
+    positive; on the feeder each of the first three units has minimum 0 and
+    a maximum that covers its bus's tail at the top load draws."""
+    feeder = draw(st.booleans())
+    n_units = draw(st.integers(3, 7))
+    asks = sorted(draw(st.lists(st.floats(1.0, 400.0), min_size=n_units,
+                                max_size=n_units, unique=True)))
+    top = np.array(FEEDER_MEANS) * (1.0 + scenarios.LOAD_Z_MAX * DEFAULT_LOAD_STD_FRAC)
+    tails = np.cumsum(top[::-1])[::-1]
+    units = []
+    for i, ask in enumerate(asks):
+        if feeder and i < len(tails):
+            p_min, p_max = 0.0, float(tails[i]) * draw(st.floats(1.0, 2.0))
+        else:
+            p_max = draw(st.floats(50.0, 500.0))
+            p_min = draw(st.just(0.0) | st.floats(0.0, p_max / 2.0))
+        costs = draw(st.lists(st.floats(0.0, 1000.0), min_size=3, max_size=3))
+        units.append(GeneratorSpec(f"u{i}", ask, p_min, p_max, p_max, p_max, *costs))
+    return feeder, Fleet(tuple(units)), draw(st.integers(0, 2**16)), draw(st.integers(-20, 20))
+
+
+def test_point_rows_scale_exactly_by_powers_of_two_on_drawn_fleets(tmp_path):
+    # both relations of the fixed config sets above, on drawn fleets and k:
+    # the same points settle, and every figure is exactly 2^(k * degree)
+    # times the unscaled one
+    rates = settlement.RESERVE_RATE, settlement.RAMP_RATE
+    settled = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaling_cases())
+    def check(case):
+        feeder, fleet, seed, k = case
+        rows = {}
+        for relation, money, size in (("none", 1.0, 1.0), ("money", 2.0 ** k, 1.0),
+                                      ("size", 1.0, 2.0 ** k)):
+            settlement.RESERVE_RATE, settlement.RAMP_RATE = rates[0] * money, rates[1] * money
+            try:
+                run = RunConfig(
+                    fleet_source=scaled_fleet(tmp_path / "fleet.csv", fleet, money, size),
+                    alphas=(0.5, 0.9), penetrations=(0.009, 0.5, 0.9), horizon=3,
+                    n_scenarios=60, seed=seed, capacity_mode="tracking",
+                    line_limit=80.0 * size if feeder else None,
+                    load_mean_per_bus=tuple(m * size for m in (
+                        FEEDER_MEANS if feeder else DEFAULT_LOAD_MEAN)))
+                rows[relation] = grid_rows(run, [])
+            finally:
+                settlement.RESERVE_RATE, settlement.RAMP_RATE = rates
+        settled.append(bool(rows["none"]))
+        for relation in ("money", "size"):
+            points = [(row["alpha"], row["penetration"]) for row in rows[relation]]
+            assert points == [(row["alpha"], row["penetration"]) for row in rows["none"]]
+            for got, want in zip(rows[relation], rows["none"]):
+                for name, (in_money, in_size) in DEGREES.items():
+                    scale = 2.0 ** (k * (in_money if relation == "money" else in_size))
+                    assert same_bits(np.float64(got[name]),
+                                     np.float64(want[name] * scale)), (relation, name)
+
+    check()
+    assert sum(settled) > len(settled) / 2
 
 
 def test_alpha_sweep_deterministic_load_rows_identical():

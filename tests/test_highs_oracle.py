@@ -191,26 +191,24 @@ def _cvar_commitment_lp(fleet, draws, probabilities, alpha):
     return res
 
 
-def test_bus_commitment_is_the_cvar_constrained_lp():
-    # each (level, hour) of a one-bus run: the LP's optimal cost is the
-    # printed commitment's, and the dual of its CVaR constraint is the
-    # printed clearing price, except where the committed total sits at a
-    # capacity prefix sum (0 included), where any price between the two
-    # neighbouring asks is a dual
+def _bus_rows_against_the_lp(**grid):
+    """Check each (level, hour) of one-bus runs at seeds 7, 11 and 18, T 4
+    and K 200 (tracking) on the ``grid`` against the LP; the rows checked and
+    how many of them commit 0 MW."""
     fleet = builtin_fleet()
     asks = np.r_[0.0, fleet.ask_prices, np.inf]
-    rows = 0
+    rows = idle = 0
     for seed in (7, 11, 18):
-        run = RunConfig(alphas=(0.5, 0.9, 0.99), penetrations=(0.009, 0.5, 0.9), horizon=4,
-                        n_scenarios=200, seed=seed, capacity_mode="tracking")
+        run = RunConfig(horizon=4, n_scenarios=200, seed=seed, capacity_mode="tracking",
+                        **grid)
         points = run_grid(run)
-        assert len(points) == 9
+        assert len(points) == len(run.alphas) * len(run.penetrations)
         for point in points:
             load, renewable, probs = oracles.scenario_arrays(run, point.penetration)
             for t, draws in enumerate((load - renewable).sum(axis=0)):
                 res = _cvar_commitment_lp(fleet, draws, probs, point.alpha)
                 assert float(fleet.ask_prices @ point.committed[t]) == pytest.approx(
-                    res.fun, rel=1e-9)
+                    res.fun, rel=1e-9, abs=1e-9)
                 dual = -res.ineqlin.marginals[0]
                 prefix = np.flatnonzero(np.isclose(point.committed[t].sum(),
                                                    fleet.p_max_prefix, rtol=0.0, atol=1e-7))
@@ -220,4 +218,26 @@ def test_bus_commitment_is_the_cvar_constrained_lp():
                 else:
                     assert dual == pytest.approx(point.clearing_prices[t], abs=1e-9)
                 rows += 1
+                idle += int(point.committed[t].sum() == 0.0)
+    return rows, idle
+
+
+def test_bus_commitment_is_the_cvar_constrained_lp():
+    # each (level, hour) of a one-bus run: the LP's optimal cost is the
+    # printed commitment's, and the dual of its CVaR constraint is the
+    # printed clearing price, except where the committed total sits at a
+    # capacity prefix sum (0 included), where any price between the two
+    # neighbouring asks is a dual
+    rows, _ = _bus_rows_against_the_lp(alphas=(0.5, 0.9, 0.99),
+                                       penetrations=(0.009, 0.5, 0.9))
     assert rows == 108
+
+
+def test_bus_commitment_is_the_lp_where_the_cvar_is_negative():
+    # renewables at 1.5 times the load leave a negative aggregate CVaR in
+    # some hours: the kernel commits max(CVaR, 0) = 0 MW, the LP costs 0,
+    # and any price in [0, the cheapest ask] is a dual (the prefix-0 case).
+    # Without cost recovery, since H cannot be carried on no committed energy
+    rows, idle = _bus_rows_against_the_lp(alphas=(0.5, 0.9), penetrations=(1.5,),
+                                          cost_recovery=0)
+    assert (rows, idle) == (24, 12)

@@ -346,6 +346,31 @@ def test_numpy_random_and_secrets_work_after_the_stub_load():
                    "True", "8 True", "True"]
 
 
+def test_concurrent_first_draws_all_succeed():
+    # eight runs started together in a fresh interpreter, so each may make
+    # the process's first draw: none may meet the stub numpy.random that the
+    # first load places in sys.modules, and each equals a sequential run
+    code = ("import threading\n"
+            "from gridclear import RunConfig, point_row, run_grid\n"
+            "run = RunConfig(alphas=(0.9,), penetrations=(0.5,), horizon=2, n_scenarios=50)\n"
+            "barrier = threading.Barrier(8)\n"
+            "rows, errors = [], []\n"
+            "def go():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        rows.append([point_row(run, p) for p in run_grid(run)])\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=go) for _ in range(8)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join()\n"
+            "sequential = [point_row(run, p) for p in run_grid(run)]\n"
+            "print(errors, len(rows), all(r == sequential for r in rows))\n")
+    assert fresh_python(code).stdout.splitlines() == ["[] 8 True"]
+
+
 # -- the Beta quantile's call split into row blocks on threads ------------
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError,
+from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, builtin_fleet,
                        curtail_and_pay_renewables,
                        deviation_envelopes, expected_profit, realized_profit,
                        reserve_and_ramp_check)
@@ -234,3 +234,40 @@ def test_revenue_capped_by_priced_load():
         revenue, _ = curtail_and_pay_renewables(loads.sum(axis=-1), ren, lmps)
         assert revenue <= price * loads.sum() + 1e-9 or ren.sum() <= loads.sum()
         assert revenue <= price * max(loads.sum(), ren.sum()) + 1e-9
+
+
+@pytest.mark.parametrize("t_len", [1, 4, 12, 24])
+@pytest.mark.parametrize("k_len", [10, 200])
+def test_profits_and_payment_do_not_depend_on_the_price_layout(t_len, k_len):
+    # the same values in C order, in Fortran order or as a transposed copy
+    # give the same bits; the payment's prices as a grid gathers them, each
+    # bus at its paying unit's LMP, come back Fortran-ordered.  The
+    # payment's renewables keep the caller's layout, so they are C-ordered here
+    fleet = builtin_fleet()
+    n = len(fleet)
+
+    def layouts(a):
+        swapped = np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2)
+        return [np.ascontiguousarray(a), np.asfortranarray(a), swapped]
+
+    def bits(values):
+        return [np.asarray(v, dtype=float).tobytes() for v in np.atleast_1d(values)]
+
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        committed = rng.uniform(0.0, 150.0, (t_len, n))
+        lmps = rng.uniform(5.0, 320.0, (t_len, n))
+        realized = rng.uniform(0.0, 150.0, (k_len, t_len, n))
+        probs = np.full(k_len, 1.0 / k_len)
+        renewables = rng.uniform(0.0, 60.0, (k_len, t_len, 5))
+        load_totals = rng.uniform(100.0, 250.0, (k_len, t_len))  # some hours curtail
+        gathered = lmps[:, rng.integers(0, n, 5)]
+        runs = {"expected_profit": [expected_profit(c, p, fleet) for c, p in
+                                    zip(layouts(committed), layouts(lmps))],
+                "realized_profit": [realized_profit(r, probs, p, fleet) for r, p in
+                                    zip(layouts(realized), layouts(lmps))],
+                "curtail_and_pay_renewables": [
+                    curtail_and_pay_renewables(load_totals, renewables, p)
+                    for p in layouts(gathered) + [gathered]]}
+        for name, results in runs.items():
+            assert all(bits(r) == bits(results[0]) for r in results[1:]), (name, seed)
