@@ -15,9 +15,13 @@ call and one commitment over all levels and hours on either market.  A
 block's outputs other than its power are dropped before the next block
 runs, so the re-dispatch holds one (L*K*T, n) power array and the
 temporaries of one block.  Both markets settle the same
-way, each alpha's levels together: every level is settled, a failed
-point's rows as zeros, and the figures of a failed point are dropped.  A
-run whose load means overflow their bus total is a configuration error.
+way, each alpha's levels together: the envelopes, H, both profits and the
+reserve and ramp check take one call each over all levels (the realized
+profit in blocks of whole levels, at most ``_BLOCK_ROWS`` scenario-hours
+each), and only the renewable payment runs level by level.  Every level
+is settled, a failed point's rows as zeros, and the figures of a failed
+point are dropped.  A run whose load means overflow their bus total is a
+configuration error.
 Each level's net load is formed on its own; one bus keeps only its hourly
 aggregates, while the feeder keeps the per-hour bus and tail rows and the
 realized rows its kernels read.
@@ -71,7 +75,8 @@ PENETRATION_GRID_DEFAULT = tuple(round(0.1 * i, 1) for i in range(11))
 ALPHA_SWEEP_PENETRATION = 0.009
 PENETRATION_SWEEP_ALPHA = 0.95
 # rows per call of a clearing kernel in the realized re-dispatch, which holds
-# the outputs and temporaries of one block at a time
+# the outputs and temporaries of one block at a time, and the most
+# scenario-hours of one realized-profit call
 _BLOCK_ROWS = 8192
 
 ALPHA_SWEEP_COLUMNS = ("alpha", "committed_mw", "price", "R", "R_tilde", "H", "lambda_w")
@@ -361,9 +366,14 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     ``renewable(l)`` builds level l's renewables.  The one branch on the
     line limit picks the units and the clearing: the whole fleet on one bus,
     or the first ``n_buses`` units on the feeder.  Each alpha takes the
-    envelopes, H and the expected profits of all its levels at once, then
-    settles each level that did not fail in one pass; a point's price is the
-    maximum of its unit LMPs.  Returns, penetration-major, each point's
+    envelopes, H, both profits and the reserve and ramp texts of all its
+    levels in one call each, the realized profit in blocks of whole levels
+    of at most ``_BLOCK_ROWS`` scenario-hours, so its (levels, K, T, n)
+    product stays one re-dispatch block's size.  It then pays each level
+    that did not fail, one at a time so that one level's renewables are
+    built at once, takes both scenario sums of the payments of all levels
+    in one call, and assembles each point; a point's price is the maximum
+    of its unit LMPs.  Returns, penetration-major, each point's
     PointResult or its error: the commitment's, else the re-dispatch's, else
     the InfeasibleDispatchError for an H that cannot be recovered, else the
     ConfigurationError naming the first ``point_row`` figure that is not
@@ -387,6 +397,11 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     # per-hour bus totals, summed once for every point's payment over unit-stride
     # rows, as a per-trajectory row.sum() rounds them
     load_totals = np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1)
+    k_len, t_len = load_totals.shape
+    # the realized profit runs in blocks of whole levels, at most _BLOCK_ROWS
+    # scenario-hours (one level at least), so its (levels, K, T, n) product is
+    # no larger than one re-dispatch block's power
+    step = max(1, _BLOCK_ROWS // (k_len * t_len))
     points = [None] * (n_levels * n_alphas)
     # prices, costs or outputs near the float maximum can overflow any figure
     # of a settled point, which then fails on the check below
@@ -400,27 +415,33 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
                 c.power, rp, dp, point_fleet, run.cost_recovery)
             recovery_errors = _first_errors([None] * n_levels, failed, error_at, 1)
             r_expected = expected_profit(c.power, c.lmps, point_fleet)
+            # the realized profit and the reserve check run before the payment:
+            # in the other order the allocator leaves a single-bus settle
+            # about 1.3 MB higher at its peak
+            r_realized = np.concatenate([
+                realized_profit(realized[s:s + step], probabilities, c.lmps[s:s + step],
+                                point_fleet) for s in range(0, n_levels, step)])
+            violations = reserve_and_ramp_check(c.power, realized, rp, dp, point_fleet)
+            errors = [commit or redispatch or recovery for commit, redispatch, recovery
+                      in zip(c.errors, realized_errors, recovery_errors)]
+            # renewables are paid scenario by scenario at the committed bus
+            # prices, each bus at its paying unit's LMP
+            paid = np.zeros((2, n_levels, k_len))
             for level in range(n_levels):
-                error = c.errors[level] or realized_errors[level] or recovery_errors[level]
+                if errors[level] is None:
+                    paid[:, level] = curtail_and_pay_renewables(
+                        load_totals, renewable(level).transpose(2, 1, 0),
+                        c.lmps[level][:, c.paid_at])
+            revenue, curtailed = sum_in_order(probabilities * paid)
+            for level, error in enumerate(errors):
                 if error is not None:
                     points[level * n_alphas + a] = error
                     continue
-                r_realized = realized_profit(realized[level], probabilities, c.lmps[level],
-                                             point_fleet)
-                # checked before the payment: in the other order the allocator
-                # leaves a single-bus settle about 1.3 MB higher at its peak
-                violations = reserve_and_ramp_check(c.power[level], realized[level],
-                                                    rp[level], dp[level], point_fleet)
-                # renewables are paid scenario by scenario at the committed bus
-                # prices, each bus at its paying unit's LMP
-                rev_k, cur_k = curtail_and_pay_renewables(
-                    load_totals, renewable(level).transpose(2, 1, 0),
-                    c.lmps[level][:, c.paid_at])
                 report = SettlementReport(
                     float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
-                    r_realized, float(r_expected[level]) - r_realized,
-                    float(sum_in_order(probabilities * rev_k)),
-                    float(sum_in_order(probabilities * cur_k)), violations)
+                    float(r_realized[level]),
+                    float(r_expected[level]) - float(r_realized[level]),
+                    float(revenue[level]), float(curtailed[level]), violations[level])
                 point = PointResult(
                     alphas[a], penetrations[level], c.power[level], realized[level],
                     c.lmps[level], c.lmps[level].max(axis=-1), report, point_fleet)

@@ -23,6 +23,12 @@ from consumers, not a generator's income or cost, so the recovery mode
 changes lambda_w and no profit.  Both profits are the fleet's
 totals; no per-unit breakdown is kept.
 
+The envelopes, the reserve and ramp check and both profits take a leading
+level axis as well: (L, T, n_units) commitments, prices and envelopes and
+(L, K, T, n_units) realized power give one result per level, each the
+same bits (or texts) as that level's own call, so a grid settles each
+alpha's levels in one call of each.
+
 Both profits and the renewable payment read their arrays in C order, so
 the same values in another memory layout give the same bits; only the
 payment's ``renewables`` keep the caller's layout (see
@@ -105,38 +111,54 @@ def deviation_envelopes(committed: np.ndarray,
 
 
 def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
-                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list[str]:
+                           rp: np.ndarray, dp: np.ndarray,
+                           fleet: Fleet) -> list[str] | list[list[str]]:
     """Diagnostics for the reserve and ramp feasibility of a commitment.
 
     Deviations must be non-negative (no scenario sells above commitment), the
     tight reserve envelope ``rp`` must fit under each unit's reserve cap, and
     the worst cross-scenario hourly swing ``dp`` under its ramp cap (both as
-    ``deviation_envelopes`` returns them).
+    ``deviation_envelopes`` returns them).  committed, rp and dp are
+    (T, n_units) and realized (K, T, n_units), for one list of texts: the
+    sale above commitment first, then each unit's reserve and then its ramp
+    text.  With a leading level axis, (L, T, n_units) and (L, K, T,
+    n_units), one such list per level.
     """
     _reject_non_finite(committed=committed, realized=realized, rp=rp, dp=dp)
-    committed = np.asarray(committed, dtype=float)
-    realized = np.asarray(realized, dtype=float)
-    violations = []
+    committed, realized, rp, dp = (np.asarray(x, dtype=float)
+                                   for x in (committed, realized, rp, dp))
+    batched = committed.ndim == 3
+    if not batched:
+        committed, realized, rp, dp = committed[None], realized[None], rp[None], dp[None]
+    units = fleet.generators
     # rounded subtraction is monotone, so the smallest committed - realized is
-    # committed - the largest realized; the (K, T, n) deviations are built
-    # only to locate a violation
-    if (committed - realized.max(axis=0)).min() < -1e-9:
-        delta = committed[None, :, :] - realized
+    # committed - the largest realized; a level's (K, T, n) deviations are
+    # built only to locate its violation
+    sells = (committed - realized.max(axis=1)).min(axis=(1, 2)) < -1e-9
+    worst_rp = np.max(rp, axis=1, initial=0.0)
+    worst_dp = np.max(dp, axis=1, initial=0.0)
+    over_rp = worst_rp > np.array([g.rp_max for g in units]) + 1e-9
+    over_dp = worst_dp > np.array([g.ramp_max for g in units]) + 1e-9
+    violations = [[] for _ in range(len(committed))]
+    for level in np.flatnonzero(sells):
+        delta = committed[level][None] - realized[level]
         k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
-        violations.append(
-            f"scenario {k}, hour {t}: unit {fleet.generators[i].name} sells "
-            f"{realized[k, t, i]:.6g} MW above its commitment {committed[t, i]:.6g}")
-    for i, g in enumerate(fleet.generators):
-        worst_rp = rp[:, i].max(initial=0.0)
-        if worst_rp > g.rp_max + 1e-9:
-            violations.append(f"unit {g.name}: needed reserve {worst_rp:.6g} MW "
-                              f"exceeds cap {g.rp_max:.6g}")
-        worst_dp = dp[:, i].max(initial=0.0)
-        if worst_dp > g.ramp_max + 1e-9:
-            t = int(dp[:, i].argmax())
-            violations.append(f"unit {g.name}: hour {t} worst scenario-pair swing "
-                              f"{worst_dp:.6g} MW/h exceeds ramp cap {g.ramp_max:.6g}")
-    return violations
+        violations[level].append(
+            f"scenario {k}, hour {t}: unit {units[i].name} sells "
+            f"{realized[level, k, t, i]:.6g} MW above its commitment "
+            f"{committed[level, t, i]:.6g}")
+    # (level, unit) pairs in row-major order: each level's units in fleet order
+    for level, i in zip(*np.nonzero(over_rp | over_dp)):
+        g = units[i]
+        if over_rp[level, i]:
+            violations[level].append(f"unit {g.name}: needed reserve "
+                                     f"{worst_rp[level, i]:.6g} MW exceeds cap {g.rp_max:.6g}")
+        if over_dp[level, i]:
+            t = int(dp[level, :, i].argmax())
+            violations[level].append(
+                f"unit {g.name}: hour {t} worst scenario-pair swing {worst_dp[level, i]:.6g} "
+                f"MW/h exceeds ramp cap {g.ramp_max:.6g}")
+    return violations if batched else violations[0]
 
 
 def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
@@ -199,10 +221,13 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, fleet: Fleet):
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
-                    fleet: Fleet) -> float:
+                    fleet: Fleet) -> float | np.ndarray:
     """Scenario-expected profit on the power actually sold at committed prices:
     the fleet's total, summed over scenarios and hours per unit and then
-    over units."""
+    over units.  A float for (K, T, n_units) ``realized`` and (T, n_units)
+    ``lmps``, and an (L,) array with a leading level axis on both; each
+    level's total has the bits of its own call.
+    """
     _reject_non_finite(realized=realized, lmps=lmps)
     realized = np.ascontiguousarray(realized, dtype=float)
     psi = np.asarray(probabilities, dtype=float)
@@ -210,7 +235,9 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
             or np.any(psi < 0.0)):
         raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
     margin = np.ascontiguousarray(lmps, dtype=float) - fleet.ask_prices
-    return float(np.einsum("k,kti->i", psi, realized * margin).sum())
+    levels = realized if realized.ndim == 4 else realized[None]
+    total = np.einsum("k,lkti->li", psi, levels * margin[..., None, :, :]).sum(axis=-1)
+    return total if realized.ndim == 4 else float(total[0])
 
 
 def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,

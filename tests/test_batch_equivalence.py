@@ -6,7 +6,8 @@ commitment one demand at a time, the feeder recursion one requirement row
 at a time and its re-dispatch one scenario-hour at a time, scenario draws
 one (bus, hour) at a time, the renewable payment one scenario and one hour
 at a time, the ramp envelope one hour pair at a time, the recoverable cost
-one (hour, unit) at a time, the in-order sum one term at a time, VaR and
+one (hour, unit) at a time, the reserve and ramp texts one unit at a time,
+the realized profit one level at a time, the in-order sum one term at a time, VaR and
 CVaR one merged sample at a time, and a grid one penetration level at a
 time (each level's renewables hour by hour, each point cleared and settled
 on its own).  The scenario quantiles, computed
@@ -267,6 +268,35 @@ def reference_recovery(committed, rp, dp, fleet, cost_recovery):
             raise ValueError("no committed energy")
         return h_total, 0.0
     return h_total, h_total / energy
+
+
+def reference_reserve_check(committed, realized, rp, dp, fleet):
+    """One level's reserve and ramp texts, one unit at a time: the sale above
+    commitment, then each unit's reserve and then its ramp text."""
+    violations = []
+    delta = committed[None, :, :] - realized
+    if delta.min() < -1e-9:
+        k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
+        violations.append(
+            f"scenario {k}, hour {t}: unit {fleet.generators[i].name} sells "
+            f"{realized[k, t, i]:.6g} MW above its commitment {committed[t, i]:.6g}")
+    for i, g in enumerate(fleet.generators):
+        worst_rp = rp[:, i].max(initial=0.0)
+        if worst_rp > g.rp_max + 1e-9:
+            violations.append(f"unit {g.name}: needed reserve {worst_rp:.6g} MW "
+                              f"exceeds cap {g.rp_max:.6g}")
+        worst_dp = dp[:, i].max(initial=0.0)
+        if worst_dp > g.ramp_max + 1e-9:
+            t = int(dp[:, i].argmax())
+            violations.append(f"unit {g.name}: hour {t} worst scenario-pair swing "
+                              f"{worst_dp:.6g} MW/h exceeds ramp cap {g.ramp_max:.6g}")
+    return violations
+
+
+def reference_realized_profit(realized, probabilities, lmps, fleet):
+    """One level's realized profit as a (K, T, n) einsum over scenarios and hours."""
+    margin = lmps - fleet.ask_prices
+    return float(np.einsum("k,kti->i", probabilities, realized * margin).sum())
 
 
 def same_bits(a, b):
@@ -689,6 +719,71 @@ def test_reserve_check_flags_sales_like_the_full_deviation_array(case, shift):
         want = [f"scenario {k}, hour {t}: unit u{i} sells {realized[k, t, i]:.6g} MW "
                 f"above its commitment {committed[t, i]:.6g}"]
     assert reserve_and_ramp_check(committed, realized, rp, dp, units) == want
+
+
+# ---------------------------------------------------------------------------
+# the realized profit and the reserve check over a leading level axis
+
+
+def test_realized_profit_levels_equal_per_level_einsum():
+    # 400 random shapes, L 1-12, K 1-1000, T 1-24, n 1-9: each level's total
+    # has the bits of its own (K, T, n) einsum, and a (K, T, n) call gives
+    # the same float
+    rng = np.random.default_rng(34)
+    for _ in range(400):
+        l_len, k_len = int(rng.integers(1, 13)), int(rng.integers(1, 1001))
+        t_len, n = int(rng.integers(1, 25)), int(rng.integers(1, 10))
+        fleet = Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + 7.5 * i, 0.0, 150.0)
+                            for i in range(n)))
+        realized = rng.uniform(0.0, 150.0, (l_len, k_len, t_len, n))
+        lmps = rng.uniform(5.0, 320.0, (l_len, t_len, n))
+        probs = rng.random(k_len)
+        probs /= probs.sum()
+        want = [reference_realized_profit(r, probs, p, fleet) for r, p in zip(realized, lmps)]
+        got = realized_profit(realized, probs, lmps, fleet)
+        assert got.shape == (l_len,) and same_bits(got, want)
+        one = realized_profit(realized[-1], probs, lmps[-1], fleet)
+        assert type(one) is float and same_bits(one, want[-1])
+
+
+def level_cases(seed):
+    """(L, T, n) commitments with their (L, K, T, n) realized power, envelopes
+    and a fleet whose caps some levels exceed: sales above commitment,
+    reserves and swings over their caps each at two or more levels, and a
+    level with no violation."""
+    rng = np.random.default_rng(seed)
+    l_len, k_len = int(rng.integers(4, 8)), int(rng.integers(2, 30))
+    t_len, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    committed = rng.uniform(20.0, 100.0, (l_len, t_len, n))
+    committed[0] = committed[0, 0]  # level 0 holds every hour and scenario flat
+    spread = rng.choice([0.0, 2.0, 15.0], (l_len, 1, 1, n))
+    spread[0] = 0.0
+    realized = committed[:, None] - rng.uniform(0.0, 1.0, (l_len, k_len, t_len, n)) * spread
+    above = rng.random(l_len) < 0.5
+    above[[0, 1]], above[[2, 3]] = False, True
+    realized[above, 0] += rng.uniform(0.0, 3.0, (int(above.sum()), t_len, n))
+    rp, dp = deviation_envelopes(committed, realized)
+    caps = rng.uniform(1.0, 12.0, (n, 2))
+    fleet = Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + i, 0.0, 200.0, rp_cap, ramp_cap)
+                        for i, (rp_cap, ramp_cap) in enumerate(caps)))
+    # each cap is exceeded at two levels whatever the draw: unit 0's reserve
+    # at levels 1 and 3, the last unit's ramp at levels 1 and 2
+    dp[[1, 2], 0, -1] = caps[-1, 1] + 5.0
+    rp[[1, 3], -1, 0] = caps[0, 0] + 5.0
+    return committed, realized, rp, dp, fleet
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reserve_check_levels_equal_per_unit_loop(seed):
+    committed, realized, rp, dp, fleet = level_cases(seed)
+    want = [reference_reserve_check(*arrays, fleet)
+            for arrays in zip(committed, realized, rp, dp)]
+    assert reserve_and_ramp_check(committed, realized, rp, dp, fleet) == want
+    assert [reserve_and_ramp_check(*arrays, fleet)
+            for arrays in zip(committed, realized, rp, dp)] == want
+    assert want[0] == []
+    for kind in ("above its commitment", "needed reserve", "scenario-pair swing"):
+        assert sum(any(kind in v for v in texts) for texts in want) >= 2, kind
 
 
 # ---------------------------------------------------------------------------
@@ -1340,10 +1435,12 @@ def assert_points_equal(got, want):
 
 
 def write_fleet(path, units):
+    """A fleet CSV of (name, ask, p_min, p_max, ramp_max[, rp_max]) units; the
+    reserve cap is p_max where a unit gives none."""
     path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
                     "no_load_cost\n"
-                    + "".join(f"{name},{ask},{p_min},{p_max},{p_max},{ramp},400,900,5\n"
-                              for name, ask, p_min, p_max, ramp in units))
+                    + "".join(f"{name},{ask},{p_min},{p_max},{(*rp, p_max)[0]},{ramp},400,900,5\n"
+                              for name, ask, p_min, p_max, ramp, *rp in units))
     return str(path)
 
 
@@ -1446,10 +1543,20 @@ def test_levels_above_the_split_threshold_equal_per_hour_build(workers, monkeypa
     (dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0), horizon=4), [UNDRAWABLE]),
     (dict(line_limit=30.0, load_mean_per_bus=(100.0, 50.0, 15.0, 40.0, 8.0, 3.0),
           capacity_mode="tracking", penetrations=(0.0, 0.3, 0.9)), []),
+    # reserve caps of 2 MW and ramp caps of 3 MW/h: points at three levels
+    # and both alphas carry a sale above commitment, reserve and ramp texts
+    (dict(load_mean_per_bus=UNEQUAL_BUSES, several_violations=True,
+          fleet=[("a", 10, 0, 150, 3, 2), ("b", 20, 0, 120, 3, 2), ("c", 35, 0, 100, 3, 2)]),
+     [UNDRAWABLE]),
+    (dict(line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0), several_violations=True,
+          fleet=[("a", 10, 0, 300, 3, 2), ("b", 20, 0, 200, 3, 2), ("c", 35, 0, 150, 3, 2)]),
+     [UNDRAWABLE]),
 ], ids=["bus", "bus-small-fleet", "bus-unrecoverable", "bus-unrecoverable-and-unservable",
-        "feeder-infeasible", "feeder", "feeder-six-buses"])
+        "feeder-infeasible", "feeder", "feeder-six-buses", "bus-tight-caps",
+        "feeder-tight-caps"])
 def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
     case = dict(case)
+    several_violations = case.pop("several_violations", False)
     if "fleet" in case:
         case["fleet_source"] = write_fleet(tmp_path / "fleet.csv", case.pop("fleet"))
     shape = dict(alphas=(0.95, 0.5), penetrations=LEVELS, horizon=3, n_scenarios=40,
@@ -1466,6 +1573,12 @@ def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
     assert len(got) == len(want) > 0
     for g, w in zip(got, want):
         assert_points_equal(g, w)
+    if several_violations:
+        for alpha in run.alphas:
+            levels = [p.penetration for p in got if p.alpha == alpha and all(
+                any(kind in text for text in p.settlement.violations)
+                for kind in ("above its commitment", "needed reserve", "scenario-pair swing"))]
+            assert len(levels) >= 2, alpha
     # without a list, the first failure in (level, alpha) order is raised
     if failures:
         with pytest.raises(type(failures[0][1])) as err:
@@ -1551,19 +1664,34 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
     assert any(c and r for commitment in commitments
                for c, r in zip(commitment.errors, errors))
 
-    # the same skipped points and CSV through the command line
+    # the same skipped points and CSV through the command line, with the
+    # number of levels in each realized-profit call recorded
     monkeypatch.setattr(experiment, kernel, real)
+    profit = experiment.realized_profit
+
+    def recording_profit(realized, *args):
+        blocks.append(len(realized))
+        return profit(realized, *args)
+
+    monkeypatch.setattr(experiment, "realized_profit", recording_profit)
     argv = argv + ["--horizon", "3", "--scenarios", "40", "--seed", str(run.seed)]
-    outputs = []
+    outputs, profit_blocks = [], []
     for rows in (BLOCK, 1 << 20):
         monkeypatch.setattr(experiment, "_BLOCK_ROWS", rows)
         out = tmp_path / str(rows)
+        blocks = []
         result = CliRunner().invoke(main, argv + ["--out", str(out)])
         assert result.exit_code == 0, result.output
         (csv_file,) = out.iterdir()
         outputs.append((result.stderr, csv_file.read_bytes()))
+        profit_blocks.append(blocks)
     assert outputs[0] == outputs[1]
     assert "skipped: " in outputs[0][0]
+    # at 7 rows each alpha's profit runs one level per block, and in one block
+    # at 2**20: the bus command settles one level for two alphas, the feeder
+    # command four levels for one
+    levels, alphas = (1, 2) if run.line_limit is None else (4, 1)
+    assert profit_blocks == [[1] * (levels * alphas), [levels] * alphas]
 
 
 @pytest.mark.parametrize("market", [{}, dict(line_limit=80.0,

@@ -358,6 +358,39 @@ def test_settlement_names_a_non_finite_argument(function, name, bad, data):
         function(**inputs)
 
 
+def _level_inputs(fleet):
+    """The finite arguments of each function that takes a leading level axis,
+    with two levels; the scenario probabilities have none."""
+    inputs = _settlement_inputs(fleet)
+    return {function: {name: np.stack([value, value])
+                       if isinstance(value, np.ndarray) and name != "probabilities"
+                       else value for name, value in inputs[function].items()}
+            for function in (deviation_envelopes, reserve_and_ramp_check, expected_profit,
+                             realized_profit)}
+
+
+LEVEL_ARGUMENTS = [(function, name) for function, name in SETTLEMENT_ARGUMENTS
+                   if function in (deviation_envelopes, reserve_and_ramp_check,
+                                   expected_profit, realized_profit)]
+
+
+@pytest.mark.parametrize("function,name", LEVEL_ARGUMENTS,
+                         ids=[f"{f.__name__}-{name}" for f, name in LEVEL_ARGUMENTS])
+@settings(max_examples=15, deadline=None)
+@given(bad=NON_FINITE, data=st.data())
+def test_settlement_with_a_level_axis_names_a_non_finite_argument(function, name, bad,
+                                                                  data):
+    _, fleet = _feeder()
+    inputs = _level_inputs(fleet)[function]
+    function(**inputs)  # finite inputs settle
+    value = np.array(inputs[name], dtype=float)
+    index = tuple(data.draw(st.integers(0, d - 1)) for d in value.shape)
+    value[index] = bad
+    inputs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        function(**inputs)
+
+
 def test_payment_rejects_nan_loads():
     # all-NaN load totals once paid every unit of renewable output in full
     with pytest.raises(ValueError, match="^load_totals must be finite$"):

@@ -240,9 +240,10 @@ def test_revenue_capped_by_priced_load():
 @pytest.mark.parametrize("k_len", [10, 200])
 def test_profits_and_payment_do_not_depend_on_the_price_layout(t_len, k_len):
     # the same values in C order, in Fortran order or as a transposed copy
-    # give the same bits; the payment's prices as a grid gathers them, each
-    # bus at its paying unit's LMP, come back Fortran-ordered.  The
-    # payment's renewables keep the caller's layout, so they are C-ordered here
+    # give the same bits, with a leading level axis too; the payment's
+    # prices as a grid gathers them, each bus at its paying unit's LMP, come
+    # back Fortran-ordered.  The payment's renewables keep the caller's
+    # layout, so they are C-ordered here
     fleet = builtin_fleet()
     n = len(fleet)
 
@@ -262,10 +263,14 @@ def test_profits_and_payment_do_not_depend_on_the_price_layout(t_len, k_len):
         renewables = rng.uniform(0.0, 60.0, (k_len, t_len, 5))
         load_totals = rng.uniform(100.0, 250.0, (k_len, t_len))  # some hours curtail
         gathered = lmps[:, rng.integers(0, n, 5)]
+        level_realized = rng.uniform(0.0, 150.0, (3, k_len, t_len, n))
+        level_lmps = rng.uniform(5.0, 320.0, (3, t_len, n))
         runs = {"expected_profit": [expected_profit(c, p, fleet) for c, p in
                                     zip(layouts(committed), layouts(lmps))],
                 "realized_profit": [realized_profit(r, probs, p, fleet) for r, p in
                                     zip(layouts(realized), layouts(lmps))],
+                "realized_profit levels": [realized_profit(r, probs, p, fleet) for r, p in
+                                           zip(layouts(level_realized), layouts(level_lmps))],
                 "curtail_and_pay_renewables": [
                     curtail_and_pay_renewables(load_totals, renewables, p)
                     for p in layouts(gathered) + [gathered]]}
