@@ -3,24 +3,27 @@
 ``run_grid`` is the one loop over grid points: both sweeps and the
 single-point commands are runs of it on differently shaped grids.  It draws
 the loads once, builds every level's renewables from one call, and clears
-and settles all drawable levels together in ``_evaluate_levels``.  That
-routine branches once, on the line limit.  Without one the whole fleet
-clears on one bus against the CVaR of the aggregate net load; with one the
-first ``n_buses`` units clear on a radial feeder against per-bus and tail
-CVaRs.  Either clearing re-dispatches every scenario at its realized net
-load with the committed prices held fixed; that re-dispatch reads no alpha,
-so it runs once per level over all of a grid's levels, through the kernel
-in row blocks of one fixed size, and each alpha costs one ``cvar_rows``
-call and one commitment over all levels and hours on either market.  A
-block's outputs other than its power are dropped before the next block
-runs, so the re-dispatch holds one (L*K*T, n) power array and the
-temporaries of one block.  Both markets settle the same
-way, each alpha's levels together: the envelopes, H, both profits and the
-reserve and ramp check take one call each over all levels (the realized
-profit in blocks of whole levels, at most ``_BLOCK_ROWS`` scenario-hours
-each), and only the renewable payment runs level by level.  Every level
-is settled, a failed point's rows as zeros, and the figures of a failed
-point are dropped.  A run whose load means overflow their bus total is a
+and settles all drawable levels together in ``_evaluate_levels``, with
+alpha as a leading array axis next to the level.  That routine branches
+once, on the line limit.  Without one the whole fleet clears on one bus
+against the CVaR of the aggregate net load; with one the first ``n_buses``
+units clear on a radial feeder against per-bus and tail CVaRs.  Either
+clearing re-dispatches every scenario at its realized net load with the
+committed prices held fixed; that re-dispatch reads no alpha, so it runs
+once per level over all of a grid's levels, through the kernel in row
+blocks of one fixed size.  Each alpha costs one ``cvar_rows`` call, and
+one commitment call clears the A*L*T rows of every alpha, level and hour
+on either market.  A block's outputs other than its power are dropped
+before the next block runs, so the re-dispatch holds one (L*K*T, n) power
+array and the temporaries of one block.  Both markets settle the same way,
+every (alpha, level) point together: the envelopes, H, the expected profit
+and the reserve and ramp check take one call each, which reduces the
+realized power over scenarios once per grid; the realized profit runs one
+alpha at a time in blocks of whole levels, at most ``_BLOCK_ROWS``
+scenario-hours each, and only the renewable payment runs level by level,
+each level's renewables built once and paid at each alpha's prices.  Every
+point is settled, a failed point's rows as zeros, and the figures of a
+failed point are dropped.  A run whose load means overflow their bus total is a
 configuration error.
 Each level's net load is formed on its own; one bus keeps only its hourly
 aggregates, while the feeder keeps the per-hour bus and tail rows and the
@@ -28,8 +31,9 @@ realized rows its kernels read.
 
 A point fails on the first of: its commitment, its level's re-dispatch, an H
 that cannot be recovered.  Each of the three kernels returns a mask of its
-failed rows, and ``_first_errors`` gives each level the error of its first
-failed row, in (scenario, hour) order across the re-dispatch's blocks, with
+failed rows, and ``_first_errors`` gives each point (or, for the
+re-dispatch, each level) the error of its first failed row, in (scenario,
+hour) order across the re-dispatch's blocks, with
 the message the kernel raises for it.  A point that passes them is settled
 with float overflow allowed, and fails with a ConfigurationError naming the
 first of its printed figures that is not finite.  A skipped level or point names its coordinates
@@ -235,16 +239,17 @@ def _redispatch(clear, n_rows: int, n_levels: int):
 
 @dataclass(frozen=True)
 class _Commitment:
-    """One alpha's commitment of every level, the same on both markets.
+    """The commitment of every (alpha, level) point, the same on both markets.
 
-    Every field but the last two is an (L, T, ...) array: ``var`` and
-    ``cvar`` as ``cvar_rows`` returned them, (L, T) aggregate rows on one
-    bus and (L, T, 2n) bus and tail rows on the feeder; the committed
-    ``power`` and unit ``lmps``, (L, T, n_units).  ``paid_at`` names the
+    Every field but the last two is an (A, L, T, ...) array: ``var`` and
+    ``cvar`` as ``cvar_rows`` returned them, (A, L, T) aggregate rows on one
+    bus and (A, L, T, 2n) bus and tail rows on the feeder; the committed
+    ``power`` and unit ``lmps``, (A, L, T, n_units).  ``paid_at`` names the
     unit whose LMP each load bus is paid at (all zeros on one bus,
     ``arange(n)`` on the feeder, the layout of ``kkt_verify_network``), so
-    bus prices are derived where they are read.  ``errors`` holds each
-    level's commitment error (None where it clears).
+    bus prices are derived where they are read.  ``errors`` holds the
+    commitment error of each of the A*L points, alpha-major (None where it
+    clears).
     """
 
     var: np.ndarray
@@ -261,11 +266,12 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     range (surplus renewables push it to zero, shortfalls beyond capacity
     are shed).
 
-    Each alpha takes one ``cvar_rows`` and one ``_commit_rows`` call over the
-    L*T hourly aggregates, a level's error its first failed hour; the
-    re-dispatch reads no alpha, so all levels' rows then go through the
-    clearing kernel in ``_redispatch``'s blocks.
-    Returns each alpha's ``_Commitment``, whose CVaRs are the hourly
+    Each alpha takes one ``cvar_rows`` call over the L*T hourly aggregates,
+    and one ``_commit_rows`` call clears the A*L*T rows of every alpha, a
+    point's error its first failed hour; the re-dispatch reads no alpha, so
+    all levels' rows then go through the clearing kernel in
+    ``_redispatch``'s blocks.
+    Returns the ``_Commitment`` of every point, whose CVaRs are the hourly
     aggregates before they are clipped at zero for the commitment and whose
     load buses are all paid at unit 0's LMP, the clearing price; then the
     realized (L, K, T, n) dispatch and each level's re-dispatch error.
@@ -274,17 +280,17 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     agg = np.empty((n_levels, t_len, k_len))  # one aggregate sample per (level, hour)
     for level in range(n_levels):
         agg[level] = (load - renewable(level)).sum(axis=0)
-    commitments = []
-    for alpha in alphas:
-        var, cvar = cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
-        # the commitment serves the CVaR clipped at zero; the record keeps it as it is
-        batch, failed, error_at = _commit_rows(fleet, np.maximum(cvar, 0.0))
-        prices = batch.clearing_price.reshape(n_levels, t_len, 1)
-        commitments.append(_Commitment(
-            var.reshape(n_levels, t_len), cvar.reshape(n_levels, t_len),
-            batch.power.reshape(n_levels, t_len, -1), np.repeat(prices, len(fleet), axis=-1),
-            np.zeros(n_buses, dtype=int),
-            _first_errors([None] * n_levels, failed, error_at, t_len)))
+    var, cvar = (np.stack(x) for x in zip(*(
+        cvar_rows(agg.reshape(n_levels * t_len, k_len), probabilities, alpha)
+        for alpha in alphas)))
+    # the commitment serves the CVaR clipped at zero; the record keeps it as it is
+    batch, failed, error_at = _commit_rows(fleet, np.maximum(cvar, 0.0).ravel())
+    shape = (len(alphas), n_levels, t_len)
+    commitment = _Commitment(
+        var.reshape(shape), cvar.reshape(shape), batch.power.reshape(*shape, -1),
+        np.repeat(batch.clearing_price.reshape(*shape, 1), len(fleet), axis=-1),
+        np.zeros(n_buses, dtype=int),
+        _first_errors([None] * (len(alphas) * n_levels), failed, error_at, t_len))
     # (L, K, T), scenario-major rows within each level, clipped in place;
     # cleared after the commitments, whose CVaR temporaries would otherwise
     # add to its output
@@ -293,7 +299,7 @@ def _clear_bus(fleet: Fleet, load, probabilities, renewable, n_levels: int, alph
     np.minimum(np.maximum(demands, 0.0, out=demands), fleet.total_capacity, out=demands)
     realized, errors = _redispatch(lambda rows: _commit_rows(fleet, demands[rows]),
                                    demands.size, n_levels)
-    return (commitments, realized.reshape(n_levels, k_len, t_len, len(fleet)), errors)
+    return commitment, realized.reshape(n_levels, k_len, t_len, len(fleet)), errors
 
 
 def _tail_sums(rows) -> np.ndarray:
@@ -316,16 +322,16 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
 
     The requirement rows are level-major, (L, T, 2n, K): each hour's n bus
     rows and then its n tails.  Each alpha takes one ``cvar_rows`` over all
-    of them, whose (L*T, 2n) output is one ``_radial_rows`` call's input as
-    it stands, a level's error its first failed hour; the re-dispatch reads
-    no alpha, so all levels' rows go through ``_radial_rows`` in
-    ``_redispatch``'s blocks, each block's tails summed as it runs by
-    ``_tail_sums``, one add per bus from the last bus back.
+    of them, and the stacked (A*L*T, 2n) output is one ``_radial_rows``
+    call's input as it stands, a point's error its first failed hour; the
+    re-dispatch reads no alpha, so all levels' rows go through
+    ``_radial_rows`` in ``_redispatch``'s blocks, each block's tails summed
+    as it runs by ``_tail_sums``, one add per bus from the last bus back.
     Bus prices are built from the balancing bus only where they are read:
-    the commitment's L*T rows per alpha, never a re-dispatch block, which
-    keeps its power alone.  Returns what ``_clear_bus`` does: each alpha's
-    ``_Commitment``, whose load bus i is paid at unit i's LMP; then the
-    realized dispatch and each level's re-dispatch error.
+    the commitment's A*L*T rows, never a re-dispatch block, which keeps its
+    power alone.  Returns what ``_clear_bus`` does: the ``_Commitment`` of
+    every point, whose load bus i is paid at unit i's LMP; then the realized
+    dispatch and each level's re-dispatch error.
     """
     n = grid.n_buses
     _, t_len, k_len = load.shape
@@ -341,21 +347,22 @@ def _clear_feeder(fleet: Fleet, grid: RadialGrid, load, probabilities, renewable
             own[:, n + i] = net[i:].sum(axis=0)
         rows[level] = net.transpose(2, 1, 0).reshape(k_len * t_len, n)
     del net, own
-    commitments = []
-    for alpha in alphas:
-        # cvar_rows sorts the rows in blocks of a fixed size, so its
-        # temporaries do not grow with the grid
-        var, cvar = cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
-        cvars = cvar.reshape(n_levels * t_len, 2 * n)
-        batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
-        commitments.append(_Commitment(
-            *(x.reshape(n_levels, t_len, -1) for x in (var, cvar, batch.power, batch.lmps)),
-            np.arange(n), _first_errors([None] * n_levels, failed, error_at, t_len)))
+    # cvar_rows sorts the rows in blocks of a fixed size, so its temporaries
+    # do not grow with the grid
+    var, cvar = (np.stack(x) for x in zip(*(
+        cvar_rows(requirements.reshape(-1, k_len), probabilities, alpha)
+        for alpha in alphas)))
+    cvars = cvar.reshape(-1, 2 * n)
+    batch, failed, error_at = _radial_rows(grid, fleet, cvars[:, :n], cvars[:, n:])
+    commitment = _Commitment(
+        *(x.reshape(len(alphas), n_levels, t_len, -1)
+          for x in (var, cvar, batch.power, batch.lmps)), np.arange(n),
+        _first_errors([None] * (len(alphas) * n_levels), failed, error_at, t_len))
     del requirements  # freed before the re-dispatch allocates its outputs
     rows = rows.reshape(n_levels * k_len * t_len, n)
     realized, errors = _redispatch(
         lambda r: _radial_rows(grid, fleet, rows[r], _tail_sums(rows[r])), len(rows), n_levels)
-    return commitments, realized.reshape(n_levels, k_len, t_len, n), errors
+    return commitment, realized.reshape(n_levels, k_len, t_len, n), errors
 
 
 def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewable,
@@ -365,19 +372,19 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     ``load`` is the (n_buses, T, K) load every level shares, and
     ``renewable(l)`` builds level l's renewables.  The one branch on the
     line limit picks the units and the clearing: the whole fleet on one bus,
-    or the first ``n_buses`` units on the feeder.  Each alpha takes the
-    envelopes, H, both profits and the reserve and ramp texts of all its
-    levels in one call each, the realized profit in blocks of whole levels
-    of at most ``_BLOCK_ROWS`` scenario-hours, so its (levels, K, T, n)
-    product stays one re-dispatch block's size.  It then pays each level
-    that did not fail, one at a time so that one level's renewables are
-    built at once, takes both scenario sums of the payments of all levels
-    in one call, and assembles each point; a point's price is the maximum
-    of its unit LMPs.  Returns, penetration-major, each point's
-    PointResult or its error: the commitment's, else the re-dispatch's, else
-    the InfeasibleDispatchError for an H that cannot be recovered, else the
-    ConfigurationError naming the first ``point_row`` figure that is not
-    finite.
+    or the first ``n_buses`` units on the feeder.  The envelopes, H, the
+    expected profit and the reserve and ramp texts of all A*L points take
+    one call each, against the one (L, K, T, n) realized power.  The
+    realized profit runs one alpha at a time in blocks of whole levels of
+    at most ``_BLOCK_ROWS`` scenario-hours, so its (levels, K, T, n) product
+    stays one re-dispatch block's size.  Each level's renewables are then
+    built once and paid at each alpha whose point did not fail; both
+    scenario sums of all payments take one call, and each point is
+    assembled; a point's price is the maximum of its unit LMPs.  Returns,
+    penetration-major, each point's PointResult or its error: the
+    commitment's, else the re-dispatch's, else the InfeasibleDispatchError
+    for an H that cannot be recovered, else the ConfigurationError naming
+    the first ``point_row`` figure that is not finite.
     """
     n_levels, n_alphas = len(penetrations), len(alphas)
     if run.line_limit is None:
@@ -387,12 +394,12 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         point_fleet = fleet.head(run.n_buses)
         cleared = _clear_feeder(point_fleet, RadialGrid(run.n_buses, run.line_limit), load,
                                 probabilities, renewable, n_levels, alphas)
-    commitments, realized, realized_errors = cleared
-    # a failed level's rows mean nothing and can be too large to settle
-    # without overflow, so they are settled as zeros and its figures dropped
-    for level, error in enumerate(realized_errors):
-        if error is not None:
-            realized[level] = 0.0
+    c, realized, realized_errors = cleared
+    # a failed level's or point's rows mean nothing and can be too large to
+    # settle without overflow, so they are settled as zeros and the failed
+    # points' figures dropped
+    realized[[error is not None for error in realized_errors]] = 0.0
+    c.power[np.reshape([error is not None for error in c.errors], (n_alphas, n_levels))] = 0.0
 
     # per-hour bus totals, summed once for every point's payment over unit-stride
     # rows, as a per-trajectory row.sum() rounds them
@@ -406,52 +413,49 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     # prices, costs or outputs near the float maximum can overflow any figure
     # of a settled point, which then fails on the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, c in enumerate(commitments):
-            for level, error in enumerate(c.errors):
-                if error is not None:
-                    c.power[level] = 0.0
-            rp, dp = deviation_envelopes(c.power, realized)
-            (h_total, lambda_w), failed, error_at = _recovery_rows(
-                c.power, rp, dp, point_fleet, run.cost_recovery)
-            recovery_errors = _first_errors([None] * n_levels, failed, error_at, 1)
-            r_expected = expected_profit(c.power, c.lmps, point_fleet)
-            # the realized profit and the reserve check run before the payment:
-            # in the other order the allocator leaves a single-bus settle
-            # about 1.3 MB higher at its peak
-            r_realized = np.concatenate([
-                realized_profit(realized[s:s + step], probabilities, c.lmps[s:s + step],
-                                point_fleet) for s in range(0, n_levels, step)])
-            violations = reserve_and_ramp_check(c.power, realized, rp, dp, point_fleet)
-            errors = [commit or redispatch or recovery for commit, redispatch, recovery
-                      in zip(c.errors, realized_errors, recovery_errors)]
-            # renewables are paid scenario by scenario at the committed bus
-            # prices, each bus at its paying unit's LMP
-            paid = np.zeros((2, n_levels, k_len))
-            for level in range(n_levels):
-                if errors[level] is None:
-                    paid[:, level] = curtail_and_pay_renewables(
-                        load_totals, renewable(level).transpose(2, 1, 0),
-                        c.lmps[level][:, c.paid_at])
-            revenue, curtailed = sum_in_order(probabilities * paid)
-            for level, error in enumerate(errors):
-                if error is not None:
-                    points[level * n_alphas + a] = error
-                    continue
+        rp, dp = deviation_envelopes(c.power, realized)
+        (h_total, lambda_w), failed, error_at = _recovery_rows(
+            *(x.reshape(-1, *x.shape[2:]) for x in (c.power, rp, dp)), point_fleet,
+            run.cost_recovery)
+        recovery_errors = _first_errors([None] * len(c.errors), failed, error_at, 1)
+        r_expected = expected_profit(c.power, c.lmps, point_fleet)
+        # the realized profit and the reserve check run before the payment:
+        # in the other order the allocator leaves a single-bus settle
+        # about 1.3 MB higher at its peak
+        r_realized = np.stack([np.concatenate([
+            realized_profit(realized[s:s + step], probabilities, lmps[s:s + step], point_fleet)
+            for s in range(0, n_levels, step)]) for lmps in c.lmps])
+        violations = reserve_and_ramp_check(c.power, realized, rp, dp, point_fleet)
+        errors = [commit or redispatch or recovery for commit, redispatch, recovery
+                  in zip(c.errors, realized_errors * n_alphas, recovery_errors)]
+        # renewables are paid scenario by scenario at the committed bus
+        # prices, each bus at its paying unit's LMP, one alpha at a time
+        paid = np.zeros((2, n_alphas, n_levels, k_len))
+        for level in range(n_levels):
+            served = [a for a in range(n_alphas) if errors[a * n_levels + level] is None]
+            renewables = renewable(level).transpose(2, 1, 0) if served else None
+            for a in served:
+                paid[:, a, level] = curtail_and_pay_renewables(
+                    load_totals, renewables, c.lmps[a, level][:, c.paid_at])
+        revenue, curtailed = sum_in_order(probabilities * paid)
+        for point, outcome in enumerate(errors):
+            a, level = divmod(point, n_levels)
+            if outcome is None:
                 report = SettlementReport(
-                    float(h_total[level]), float(lambda_w[level]), float(r_expected[level]),
-                    float(r_realized[level]),
-                    float(r_expected[level]) - float(r_realized[level]),
-                    float(revenue[level]), float(curtailed[level]), violations[level])
-                point = PointResult(
-                    alphas[a], penetrations[level], c.power[level], realized[level],
-                    c.lmps[level], c.lmps[level].max(axis=-1), report, point_fleet)
-                overflowed = [(name, value) for name, value in point_row(run, point).items()
+                    float(h_total[point]), float(lambda_w[point]), float(r_expected[a, level]),
+                    float(r_realized[a, level]),
+                    float(r_expected[a, level]) - float(r_realized[a, level]),
+                    float(revenue[a, level]), float(curtailed[a, level]), violations[a][level])
+                outcome = PointResult(
+                    alphas[a], penetrations[level], c.power[a, level], realized[level],
+                    c.lmps[a, level], c.lmps[a, level].max(axis=-1), report, point_fleet)
+                overflowed = [(name, value) for name, value in point_row(run, outcome).items()
                               if not math.isfinite(value)]
                 if overflowed:
                     name, value = overflowed[0]
-                    point = ConfigurationError(f"{name} is {value}: the point's figures "
-                                               "overflow the float range")
-                points[level * n_alphas + a] = point
+                    outcome = ConfigurationError(f"{name} is {value}: the point's figures "
+                                                 "overflow the float range")
+            points[level * n_alphas + a] = outcome
     return points
 
 

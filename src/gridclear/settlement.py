@@ -23,11 +23,12 @@ from consumers, not a generator's income or cost, so the recovery mode
 changes lambda_w and no profit.  Both profits are the fleet's
 totals; no per-unit breakdown is kept.
 
-The envelopes, the reserve and ramp check and both profits take a leading
-level axis as well: (L, T, n_units) commitments, prices and envelopes and
-(L, K, T, n_units) realized power give one result per level, each the
-same bits (or texts) as that level's own call, so a grid settles each
-alpha's levels in one call of each.
+The envelopes, the reserve and ramp check and both profits take any
+leading point axes as well, broadcast against each other: (A, L, T,
+n_units) commitments, prices and envelopes and (L, K, T, n_units) realized
+power give one result per (alpha, level) point, each the same bits (or
+texts) as that point's own call, so a grid settles all its points in one
+call of each and reduces the realized power over scenarios once.
 
 Both profits and the renewable payment read their arrays in C order, so
 the same values in another memory layout give the same bits; only the
@@ -84,8 +85,9 @@ def deviation_envelopes(committed: np.ndarray,
                         realized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tight reserve and ramp envelopes over scenarios.
 
-    committed: (T, n_units); realized: (K, T, n_units).  With a leading
-    level axis, (L, T, n_units) and (L, K, T, n_units), level by level.
+    committed: (T, n_units); realized: (K, T, n_units).  Leading point axes
+    on either broadcast against each other, so (A, L, T, n_units) and
+    (L, K, T, n_units) give (A, L, T, n_units) envelopes, point by point.
     Reserve envelope per (t, i): largest downward deviation from commitment.
     Ramp envelope per (t, i): largest |output step| between consecutive hours
     over all scenario pairs (the last hour has no successor, envelope 0).
@@ -111,8 +113,7 @@ def deviation_envelopes(committed: np.ndarray,
 
 
 def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
-                           rp: np.ndarray, dp: np.ndarray,
-                           fleet: Fleet) -> list[str] | list[list[str]]:
+                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list:
     """Diagnostics for the reserve and ramp feasibility of a commitment.
 
     Deviations must be non-negative (no scenario sells above commitment), the
@@ -121,44 +122,48 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
     ``deviation_envelopes`` returns them).  committed, rp and dp are
     (T, n_units) and realized (K, T, n_units), for one list of texts: the
     sale above commitment first, then each unit's reserve and then its ramp
-    text.  With a leading level axis, (L, T, n_units) and (L, K, T,
-    n_units), one such list per level.
+    text.  Leading point axes that broadcast against ``realized``'s, such
+    as (A, L, T, n_units) commitments against (L, K, T, n_units) realized
+    power, give nested lists shaped like those axes, one list per point.
     """
     _reject_non_finite(committed=committed, realized=realized, rp=rp, dp=dp)
     committed, realized, rp, dp = (np.asarray(x, dtype=float)
                                    for x in (committed, realized, rp, dp))
-    batched = committed.ndim == 3
-    if not batched:
-        committed, realized, rp, dp = committed[None], realized[None], rp[None], dp[None]
     units = fleet.generators
+    lead = np.broadcast_shapes(committed.shape[:-2], realized.shape[:-3],
+                               rp.shape[:-2], dp.shape[:-2])
     # rounded subtraction is monotone, so the smallest committed - realized is
-    # committed - the largest realized; a level's (K, T, n) deviations are
-    # built only to locate its violation
-    sells = (committed - realized.max(axis=1)).min(axis=(1, 2)) < -1e-9
-    worst_rp = np.max(rp, axis=1, initial=0.0)
-    worst_dp = np.max(dp, axis=1, initial=0.0)
+    # committed - the largest realized, taken once over realized's own
+    # points; a point's (K, T, n) deviations are built only to locate its
+    # violation, through views that copy nothing
+    sells = (committed - realized.max(axis=-3)).min(axis=(-2, -1)) < -1e-9
+    worst_rp, worst_dp = (np.broadcast_to(np.max(x, axis=-2, initial=0.0),
+                                          lead + x.shape[-1:]) for x in (rp, dp))
     over_rp = worst_rp > np.array([g.rp_max for g in units]) + 1e-9
     over_dp = worst_dp > np.array([g.ramp_max for g in units]) + 1e-9
-    violations = [[] for _ in range(len(committed))]
-    for level in np.flatnonzero(sells):
-        delta = committed[level][None] - realized[level]
+    committed, realized, dp = (np.broadcast_to(x, lead + x.shape[-k:])
+                               for x, k in ((committed, 2), (realized, 3), (dp, 2)))
+    # a fresh list per point, in an array even for no point axes
+    violations = np.frompyfunc(lambda _: [], 1, 1)(np.empty(lead + (1,)))[..., 0]
+    for point in map(tuple, np.argwhere(np.broadcast_to(sells, lead))):
+        delta = committed[point][None] - realized[point]
         k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
-        violations[level].append(
+        violations[point].append(
             f"scenario {k}, hour {t}: unit {units[i].name} sells "
-            f"{realized[level, k, t, i]:.6g} MW above its commitment "
-            f"{committed[level, t, i]:.6g}")
-    # (level, unit) pairs in row-major order: each level's units in fleet order
-    for level, i in zip(*np.nonzero(over_rp | over_dp)):
-        g = units[i]
-        if over_rp[level, i]:
-            violations[level].append(f"unit {g.name}: needed reserve "
-                                     f"{worst_rp[level, i]:.6g} MW exceeds cap {g.rp_max:.6g}")
-        if over_dp[level, i]:
-            t = int(dp[level, :, i].argmax())
-            violations[level].append(
-                f"unit {g.name}: hour {t} worst scenario-pair swing {worst_dp[level, i]:.6g} "
+            f"{realized[point][k, t, i]:.6g} MW above its commitment "
+            f"{committed[point][t, i]:.6g}")
+    # (point, unit) pairs in row-major order: each point's units in fleet order
+    for *point, i in np.argwhere(over_rp | over_dp):
+        point, g = tuple(point), units[i]
+        if over_rp[point][i]:
+            violations[point].append(f"unit {g.name}: needed reserve "
+                                     f"{worst_rp[point][i]:.6g} MW exceeds cap {g.rp_max:.6g}")
+        if over_dp[point][i]:
+            t = int(dp[point][:, i].argmax())
+            violations[point].append(
+                f"unit {g.name}: hour {t} worst scenario-pair swing {worst_dp[point][i]:.6g} "
                 f"MW/h exceeds ramp cap {g.ramp_max:.6g}")
-    return violations if batched else violations[0]
+    return violations.tolist()
 
 
 def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
@@ -210,14 +215,15 @@ def expected_profit(committed: np.ndarray, lmps: np.ndarray, fleet: Fleet):
     """Profit the fleet would make if the committed power were sold as planned.
 
     Returns the fleet's total, summed over hours per unit and then over
-    units: a float for (T, n_units) input, and an (L,) array with a leading
-    level axis on ``committed`` and ``lmps``.
+    units: a float for (T, n_units) input, and an array of one total per
+    point with leading point axes on ``committed`` and ``lmps``, broadcast
+    against each other.
     """
     _reject_non_finite(committed=committed, lmps=lmps)
     committed = np.ascontiguousarray(committed, dtype=float)
     prices = np.ascontiguousarray(lmps, dtype=float)
     total = (committed * prices - committed * fleet.ask_prices).sum(axis=-2).sum(axis=-1)
-    return float(total) if committed.ndim == 2 else total
+    return float(total) if total.ndim == 0 else total
 
 
 def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
@@ -225,8 +231,9 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
     """Scenario-expected profit on the power actually sold at committed prices:
     the fleet's total, summed over scenarios and hours per unit and then
     over units.  A float for (K, T, n_units) ``realized`` and (T, n_units)
-    ``lmps``, and an (L,) array with a leading level axis on both; each
-    level's total has the bits of its own call.
+    ``lmps``; leading point axes on either, broadcast against each other,
+    give an array of one total per point, each with the bits of its own
+    call.
     """
     _reject_non_finite(realized=realized, lmps=lmps)
     realized = np.ascontiguousarray(realized, dtype=float)
@@ -235,9 +242,8 @@ def realized_profit(realized: np.ndarray, probabilities, lmps: np.ndarray,
             or np.any(psi < 0.0)):
         raise ValueError("scenario probabilities must be finite, non-negative and sum to 1")
     margin = np.ascontiguousarray(lmps, dtype=float) - fleet.ask_prices
-    levels = realized if realized.ndim == 4 else realized[None]
-    total = np.einsum("k,lkti->li", psi, levels * margin[..., None, :, :]).sum(axis=-1)
-    return total if realized.ndim == 4 else float(total[0])
+    total = np.einsum("k,...kti->...i", psi, realized * margin[..., None, :, :]).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,

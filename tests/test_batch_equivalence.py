@@ -787,6 +787,67 @@ def test_reserve_check_levels_equal_per_unit_loop(seed):
 
 
 # ---------------------------------------------------------------------------
+# the settlement over leading (alpha, level) point axes
+
+
+def test_point_axis_settlement_equals_per_point_calls():
+    # 300 random shapes, A 1-6, L 1-11, K 1-299, T 1-24, n 1-7: (A, L, T, n)
+    # commitments and prices against (L, K, T, n) realized power give each
+    # (alpha, level) point the bits of its own (T, n) call, and each alpha
+    # those of its (L, T, n) call
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        a_len, l_len, k_len = (int(rng.integers(1, 7)), int(rng.integers(1, 12)),
+                               int(rng.integers(1, 300)))
+        t_len, n = int(rng.integers(1, 25)), int(rng.integers(1, 8))
+        fleet = Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + 7.5 * i, 0.0, 150.0)
+                            for i in range(n)))
+        realized = rng.uniform(0.0, 150.0, (l_len, k_len, t_len, n))
+        committed = rng.uniform(0.0, 150.0, (a_len, l_len, t_len, n))
+        lmps = rng.uniform(5.0, 320.0, (a_len, l_len, t_len, n))
+        probs = rng.random(k_len)
+        probs /= probs.sum()
+        r_realized = realized_profit(realized, probs, lmps, fleet)
+        r_expected = expected_profit(committed, lmps, fleet)
+        rp, dp = deviation_envelopes(committed, realized)
+        assert r_realized.shape == r_expected.shape == (a_len, l_len)
+        assert rp.shape == dp.shape == committed.shape
+        for a in range(a_len):
+            assert same_bits(r_realized[a], realized_profit(realized, probs, lmps[a], fleet))
+            assert same_bits(r_expected[a], expected_profit(committed[a], lmps[a], fleet))
+            for level in range(l_len):
+                one = realized_profit(realized[level], probs, lmps[a, level], fleet)
+                assert type(one) is float and same_bits(r_realized[a, level], one)
+                one = expected_profit(committed[a, level], lmps[a, level], fleet)
+                assert type(one) is float and same_bits(r_expected[a, level], one)
+                one_rp, one_dp = deviation_envelopes(committed[a, level], realized[level])
+                assert same_bits(rp[a, level], one_rp) and same_bits(dp[a, level], one_dp)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reserve_check_points_equal_per_point_calls(seed):
+    # a second alpha commits 0.5 MW more against the same realized power,
+    # with its own envelopes: every kind of text appears at two or more
+    # points of each alpha, and each point's texts are its (T, n) call's
+    committed, realized, rp, dp, fleet = level_cases(seed)
+    shift = np.array([0.0, 0.5])[:, None, None, None]
+    committed, rp, dp = committed + shift, rp + shift, dp + shift / 2
+    want = [[reference_reserve_check(committed[a, level], realized[level], rp[a, level],
+                                     dp[a, level], fleet)
+             for level in range(len(realized))] for a in range(2)]
+    assert reserve_and_ramp_check(committed, realized, rp, dp, fleet) == want
+    for a in range(2):
+        assert reserve_and_ramp_check(committed[a], realized, rp[a], dp[a], fleet) == want[a]
+        for level in range(len(realized)):
+            one = reserve_and_ramp_check(committed[a, level], realized[level], rp[a, level],
+                                         dp[a, level], fleet)
+            assert one == want[a][level]
+        for kind in ("above its commitment", "needed reserve", "scenario-pair swing"):
+            assert sum(any(kind in v for v in texts) for texts in want[a]) >= 2, (a, kind)
+    assert want[0] != want[1]
+
+
+# ---------------------------------------------------------------------------
 # cost recovery
 
 
@@ -1591,8 +1652,9 @@ def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
 
 
 def clear_levels(run):
-    """``run_grid``'s clearing of every drawable level: the commitments, the
-    realized power and each level's re-dispatch error."""
+    """``run_grid``'s clearing of every drawable level: the commitment of
+    every (alpha, level) point, the realized power and each level's
+    re-dispatch error."""
     fleet = load_fleet(run.fleet_source)
     drawn = draw_and_build(scenario_config(run), run.penetrations,
                            [derive_capacity(run.load_mean_per_bus, p, run.capacity_mode)
@@ -1641,19 +1703,19 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
 
     real = getattr(experiment, kernel)
     monkeypatch.setattr(experiment, kernel, recording)
-    commitments, realized, errors = clear_levels(run)
+    commitment, realized, errors = clear_levels(run)
     assert experiment._BLOCK_ROWS >= realized[..., 0].size  # one block
     monkeypatch.setattr(experiment, "_BLOCK_ROWS", BLOCK)
     masks.clear()
-    blocked_commitments, blocked, blocked_errors = clear_levels(run)
+    blocked_commitment, blocked, blocked_errors = clear_levels(run)
     assert same_bits(blocked, realized)
     assert error_texts(blocked_errors) == error_texts(errors)
-    for c1, c2 in zip(blocked_commitments, commitments):
-        assert error_texts(c1.errors) == error_texts(c2.errors)
+    assert error_texts(blocked_commitment.errors) == error_texts(commitment.errors)
 
-    # the re-dispatch ran in blocks, and some level's first failing row lies
-    # past the level's first block
-    redispatch = masks[len(run.alphas):]
+    # the commitment of every alpha is one kernel call; the re-dispatch ran
+    # in blocks, and some level's first failing row lies past the level's
+    # first block
+    redispatch = masks[1:]
     assert [len(m) for m in redispatch[:-1]] == [BLOCK] * (len(redispatch) - 1)
     failed = np.concatenate(redispatch).reshape(realized.shape[0], -1)
     width = failed.shape[1]
@@ -1661,8 +1723,7 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
              if rows.any()]
     assert any(row // BLOCK > (row - row % width) // BLOCK for row in first)
     # a level whose commitment fails for one alpha also fails its re-dispatch
-    assert any(c and r for commitment in commitments
-               for c, r in zip(commitment.errors, errors))
+    assert any(c and r for c, r in zip(commitment.errors, errors * len(run.alphas)))
 
     # the same skipped points and CSV through the command line, with the
     # number of levels in each realized-profit call recorded
@@ -1694,23 +1755,73 @@ def test_blocked_redispatch_equals_one_block(case, argv, monkeypatch, tmp_path):
     assert profit_blocks == [[1] * (levels * alphas), [levels] * alphas]
 
 
+FEEDER_80 = ["--line-limit", "80", "--load-mean", "150,75,45"]
+
+
+@pytest.mark.parametrize("argv,least", [
+    # three alphas settled on one bus, each with a realized profit
+    (["sweep-alpha", "--alpha", "0.5,0.9,0.99"], {"R_tilde": 3}),
+    # eleven levels, each realized profit apart from its expected one
+    (["sweep-penetration"], {"deviation_cost": 11, "renewable_profit": 10}),
+    # the feeder commits each unit at its own bus's price, so R is 0 and
+    # R_tilde is 0 but where the re-dispatch runs a unit it did not commit;
+    # H reads the re-dispatch through the envelopes, and the renewable
+    # payment reads each level's bus prices
+    (["sweep-alpha", "--alpha", "0.5,0.9,0.99", *FEEDER_80], {"H": 3}),
+    (["sweep-penetration", *FEEDER_80], {"renewable_profit": 10, "deviation_cost": 1}),
+], ids=["bus-alphas", "bus-levels", "feeder-alphas", "feeder-levels"])
+def test_blocked_settlement_equals_one_block(argv, least, monkeypatch, tmp_path):
+    # blocks of 7 rows straddle the 120 scenario-hours of every level, and
+    # hold one level per realized-profit call; the settled figures are
+    # byte-identical to one block's
+    profit = experiment.realized_profit
+
+    def recording_profit(realized, *args):
+        blocks.append(len(realized))
+        return profit(realized, *args)
+
+    monkeypatch.setattr(experiment, "realized_profit", recording_profit)
+    argv = argv + ["--horizon", "3", "--scenarios", "40", "--seed", "11"]
+    outputs, profit_blocks = [], []
+    for rows in (BLOCK, 1 << 20):
+        monkeypatch.setattr(experiment, "_BLOCK_ROWS", rows)
+        out = tmp_path / str(rows)
+        blocks = []
+        result = CliRunner().invoke(main, argv + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        (csv_file,) = out.iterdir()
+        outputs.append((result.stderr, csv_file.read_bytes()))
+        profit_blocks.append(blocks)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == ""  # no point skipped
+    header, *lines = outputs[0][1].decode().splitlines()
+    for column, count in least.items():
+        cells = [float(line.split(",")[header.split(",").index(column)]) for line in lines]
+        assert sum(cell != 0.0 for cell in cells) >= count, column
+    n_alphas, n_levels = (3, 1) if argv[0] == "sweep-alpha" else (1, 11)
+    assert len(lines) == n_alphas * n_levels
+    assert profit_blocks == [[1] * (n_alphas * n_levels), [n_levels] * n_alphas]
+
+
 @pytest.mark.parametrize("market", [{}, dict(line_limit=80.0,
                                              load_mean_per_bus=(150.0, 75.0, 45.0))],
                          ids=["bus", "feeder"])
 def test_commitment_record_keeps_each_levels_risk_rows(market):
-    # each alpha's record holds the VaR and CVaR rows its commitment was
-    # cleared against, as cvar_rows returns them on each level's own draw:
-    # the hourly aggregate on one bus, each hour's bus rows and then its
-    # tails on the feeder; a served hour commits its clipped (tail) CVaR
+    # the record holds, for each alpha, the VaR and CVaR rows its commitment
+    # was cleared against, as cvar_rows returns them on each level's own
+    # draw: the hourly aggregate on one bus, each hour's bus rows and then
+    # its tails on the feeder; a served hour commits its clipped (tail) CVaR
     run = RunConfig(alphas=(0.5, 0.9, 0.99), penetrations=(0.009, 0.5, 0.9), horizon=4,
                     n_scenarios=200, seed=18, capacity_mode="tracking", **market)
-    commitments, _, _ = clear_levels(run)
+    commitment, _, _ = clear_levels(run)
     n, t_len, k_len = run.n_buses, run.horizon, run.n_scenarios
+    n_levels = len(run.penetrations)
+    assert len(commitment.errors) == len(run.alphas) * n_levels
     served = 0
-    for alpha, c in zip(run.alphas, commitments):
+    for a, alpha in enumerate(run.alphas):
         units = n if market else len(builtin_fleet())
-        assert c.power.shape == c.lmps.shape == (3, t_len, units)
-        assert c.paid_at.tolist() == (list(range(n)) if market else [0] * n)
+        assert commitment.power[a].shape == commitment.lmps[a].shape == (3, t_len, units)
+        assert commitment.paid_at.tolist() == (list(range(n)) if market else [0] * n)
         for level, penetration in enumerate(run.penetrations):
             load, renewable, probs = oracles.scenario_arrays(run, penetration)
             net = load - renewable  # (buses, T, K)
@@ -1722,11 +1833,12 @@ def test_commitment_record_keeps_each_levels_risk_rows(market):
             else:
                 rows = net.sum(axis=0)
             var, cvar = cvar_rows(rows.reshape(-1, k_len), probs, alpha)
-            assert same_bits(c.var[level], var.reshape(rows.shape[:-1]))
-            assert same_bits(c.cvar[level], cvar.reshape(rows.shape[:-1]))
-            if c.errors[level] is None:
-                required = c.cvar[level][:, n] if market else c.cvar[level]
-                np.testing.assert_allclose(c.power[level].sum(axis=1),
+            assert same_bits(commitment.var[a, level], var.reshape(rows.shape[:-1]))
+            assert same_bits(commitment.cvar[a, level], cvar.reshape(rows.shape[:-1]))
+            if commitment.errors[a * n_levels + level] is None:
+                required = (commitment.cvar[a, level][:, n] if market
+                            else commitment.cvar[a, level])
+                np.testing.assert_allclose(commitment.power[a, level].sum(axis=1),
                                            np.maximum(required, 0.0), rtol=0.0, atol=1e-9)
                 served += t_len
     assert served == 3 * 3 * t_len

@@ -451,7 +451,8 @@ def test_evaluate_point_builds_envelopes_once(monkeypatch, line_limit, load_mean
 
 def test_feeder_builds_bus_prices_only_for_its_commitment(monkeypatch):
     # the balancing bus fixes every bus price, so a grid builds prices where
-    # it reads them: each alpha's L*T commitment rows, never a re-dispatch block
+    # it reads them: the A*L*T commitment rows of every alpha at once, never
+    # a re-dispatch block
     from gridclear.congestion import RadialDispatchBatch
     built = []
     real = RadialDispatchBatch.lmps
@@ -465,7 +466,50 @@ def test_feeder_builds_bus_prices_only_for_its_commitment(monkeypatch):
                     n_scenarios=40, line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0))
     points = run_grid(run)
     assert len(points) == 6
-    assert built == [3 * 3, 3 * 3]
+    assert built == [2 * 3 * 3]
+
+
+@pytest.mark.parametrize("market", [{}, dict(line_limit=80.0,
+                                             load_mean_per_bus=(150.0, 75.0, 45.0))],
+                         ids=["bus", "feeder"])
+def test_alpha_free_work_runs_once_per_grid(market, monkeypatch):
+    # the envelopes and the reserve check take every (alpha, level) point in
+    # one call, each level's renewables are built once for the clearing and
+    # once for the payment, and one kernel call commits all A*L*T rows; only
+    # the CVaR runs once per alpha
+    import gridclear.experiment as experiment
+    from gridclear.scenarios import Scenarios
+    calls = {"deviation_envelopes": 0, "reserve_and_ramp_check": 0, "cvar_rows": 0,
+             "renewable": 0}
+    kernel = "_commit_rows" if not market else "_radial_rows"
+    rows = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("deviation_envelopes", "reserve_and_ramp_check", "cvar_rows"):
+        monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+    monkeypatch.setattr(Scenarios, "renewable", counting("renewable", Scenarios.renewable))
+    real_kernel = getattr(experiment, kernel)
+
+    def recording(*args):
+        out = real_kernel(*args)
+        rows.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(experiment, kernel, recording)
+    run = RunConfig(alphas=(0.5, 0.9, 0.99), penetrations=(0.0, 0.4, 0.9), horizon=3,
+                    n_scenarios=40, **market)
+    points = run_grid(run)
+    n_alphas, n_levels, t_len = 3, 3, 3
+    assert len(points) == n_alphas * n_levels
+    assert calls == {"deviation_envelopes": 1, "reserve_and_ramp_check": 1,
+                     "cvar_rows": n_alphas, "renewable": 2 * n_levels}
+    # the commitment, then the re-dispatch of every level in one block
+    assert rows == [n_alphas * n_levels * t_len, n_levels * 40 * t_len]
 
 
 def test_penetration_sweep_zero_point_matches_load_tail():
