@@ -103,6 +103,9 @@ def _min(a, b):
     return np.where(b < a, b, a)
 
 
+# a requirement plus or minus the line limit that overflows is +-inf, which
+# compares and clears as the exact sum would
+@np.errstate(over="ignore")
 def _radial_rows(grid: RadialGrid, fleet: Fleet, per_bus, suffix):
     """``dispatch_radial_batch`` without the raise: the batch, the mask of
     its infeasible rows (whose entries mean nothing) and a function giving

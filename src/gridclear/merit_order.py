@@ -116,6 +116,9 @@ class Fleet:
                            ("p_maxs", "p_max")):
             object.__setattr__(self, name,
                                _read_only([getattr(g, attr) for g in self.generators]))
+        # Python floats sum to inf without the warning numpy's cumsum raises
+        if sum(g.p_max for g in self.generators) == math.inf:
+            raise ValueError("the units' capacities overflow their total")
         object.__setattr__(self, "p_max_prefix",
                            _read_only(np.concatenate(([0.0], np.cumsum(self.p_maxs)))))
 

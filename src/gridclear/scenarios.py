@@ -26,8 +26,10 @@ those of ``np.random.default_rng``:
 ``test_numpy_random_and_secrets_work_after_the_stub_load`` the uniforms.
 The quantiles come from the compiled ``scipy.special._ufuncs`` and the
 generator from ``numpy.random._generator``, each loaded by ``_load_bare``
-without its package init (``test_cli_import_leaves_scipy_stats_unloaded``
-and ``test_cli_import_leaves_the_special_package_init_unloaded``).  The
+when this module is imported, without its package init
+(``test_cli_import_leaves_scipy_stats_unloaded`` and
+``test_cli_import_leaves_the_special_package_init_unloaded``), so a run
+imports nothing (``test_runs_import_no_module_after_the_cli_import``).  The
 load draw makes one ``np.log``, ``np.exp``, ``np.log1p`` and
 ``ndtri_exp`` call over every drawn (bus, hour) row; that equals one call
 per hour because numpy gives an element the same bits wherever it sits in
@@ -140,35 +142,18 @@ def _load_bare(package, submodule, needed, stand_ins=None):
 
 special = _load_bare("scipy.special", "_ufuncs", _NEEDED)
 
-
-@functools.cache
-def _random():
-    """The module holding numpy's ``Generator`` and ``PCG64``, loaded by
-    ``_load_bare`` at the first draw, not at import.
-
-    ``bit_generator`` imports ``secrets``, and with it ``hmac`` and
-    OpenSSL, for ``randbits``, which only an unseeded ``SeedSequence``
-    reads; so the load sees a stand-in ``secrets`` holding
-    ``random.SystemRandom().getrandbits``, which is what ``secrets.randbits``
-    is.  Cached, since ``numpy.random`` stays out of ``sys.modules`` and an
-    uncached load would stub it again at every draw.
-    """
-    secrets = types.ModuleType("secrets")
-    secrets.randbits = random.SystemRandom().getrandbits
-    return _load_bare("numpy.random", "_generator", ("Generator", "PCG64"),
-                      {"secrets": secrets})
-
-
-# held around the cached load, whose stub numpy.random another thread
-# could otherwise find in sys.modules
-_RANDOM_LOCK = threading.Lock()
+# numpy's Generator and PCG64.  bit_generator imports secrets, and with it
+# hmac and OpenSSL, for randbits, which only an unseeded SeedSequence reads;
+# so the load sees a stand-in secrets holding what secrets.randbits is
+_secrets = types.ModuleType("secrets")
+_secrets.randbits = random.SystemRandom().getrandbits
+_random = _load_bare("numpy.random", "_generator", ("Generator", "PCG64"),
+                     {"secrets": _secrets})
 
 
 def _generator(seed):
     """``np.random.default_rng(seed)`` for an integer seed: ``Generator(PCG64(seed))``."""
-    with _RANDOM_LOCK:
-        module = _random()
-    return module.Generator(module.PCG64(seed))
+    return _random.Generator(_random.PCG64(seed))
 
 
 # keep the target std strictly inside the Beta feasibility bound sqrt(mu*(1-mu))
@@ -481,8 +466,10 @@ def draw_and_build(config: ScenarioConfig, penetrations, capacities,
     if caps.shape != (penetrations.size, mean.shape[0]):
         raise ConfigurationError(f"need one capacity per bus for each of the "
                                  f"{penetrations.size} levels, got shape {caps.shape}")
-    # each hour's bus sum rounds as mean[:, t].sum() does, not as mean.sum(axis=0)
-    target = penetrations[:, None] * np.ascontiguousarray(mean.T).sum(axis=1)  # (L, T)
+    # each hour's bus sum rounds as mean[:, t].sum() does, not as mean.sum(axis=0);
+    # an overflowing target is inf, which the share check below rejects
+    with np.errstate(over="ignore"):
+        target = penetrations[:, None] * np.ascontiguousarray(mean.T).sum(axis=1)  # (L, T)
     cap_total = caps.sum(axis=1)
     installed = cap_total > 0.0
     share = np.divide(target, cap_total[:, None], out=np.zeros_like(target),

@@ -15,6 +15,7 @@ from gridclear import (ConfigurationError, Fleet, FleetParseError, GeneratorSpec
                        realized_profit, dispatch_radial, reserve_and_ramp_check, run_grid)
 from gridclear.cli import main
 
+from test_scenarios import fresh_python
 from test_settlement import recovery_rate
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -285,6 +286,56 @@ def test_cli_overflowing_payment_skips_its_point(tmp_path):
                          + OVERFLOW)
     assert lines[-1].startswith("wrote ") and lines[-1].endswith("(0 rows)")
     assert (tmp_path / "penetration_sweep.csv").read_text().count("\n") == 1
+
+
+def test_cli_penetration_whose_target_overflows_skips_its_level(tmp_path):
+    # in buildout mode the capacity does not grow with the penetration, so
+    # RunConfig's overflow check never sees penetration x load; the level's
+    # mean output is inf, which fails its share check without a warning
+    argv = ["sweep-penetration", "--load-mean", "1e6,198.7", "--penetration", "1e308,0.0",
+            "--out", str(tmp_path)]
+    skipped = ("skipped: penetration=1e+308: hour 0: required system-wide mean share inf "
+               "of capacity exceeds 1; infeasible Beta mean on [0, w]\n"
+               "skipped: alpha=0.95, penetration=0.0: demand 1.1189e+06 MW outside the "
+               "servable range [0, 960]\n")
+    result = CliRunner().invoke(main, argv)
+    assert (result.exit_code, result.stderr) == (0, skipped)
+    fresh = fresh_python("import sys\nfrom gridclear.cli import main\nmain(sys.argv[1:])\n",
+                         *argv)
+    assert fresh.stderr == skipped
+
+
+def test_cli_feeder_whose_requirement_plus_limit_overflows_skips_its_point(tmp_path):
+    # the bus's CVaR plus the line limit is inf, which the feeder kernel
+    # compares without a warning; the point fails on the unit's capacity
+    result = CliRunner().invoke(main, ["sweep-alpha", "--load-mean", "1e308", "--scenarios", "1",
+                                       "--alpha", "0.5", "--penetration", "0.0",
+                                       "--line-limit", "1e308", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ("skipped: alpha=0.5, penetration=0.0: bus 0: tail requirement "
+                             "1.01913e+308 MW exceeds generator capacity 400\n")
+    # a served row: the overflowing sums clear as the exact ones would
+    grid = RadialGrid(2, 1e308)
+    fleet = Fleet((GeneratorSpec("a", 10.0, 0.0, 1e308), GeneratorSpec("b", 20.0, 0.0, 5e307)))
+    d = dispatch_radial_batch(grid, fleet, [[1e308, -1e308], [1e308, 5.0]],
+                              [[1e308, -1e308], [1e308, 5.0]])
+    assert d.power.tolist() == [[1e308, 0.0], [1e308, 0.0]]
+
+
+def test_cli_fleet_whose_capacities_overflow_their_total_is_config_error(tmp_path):
+    # each capacity is finite, their sum is not
+    path = tmp_path / "fleet.csv"
+    path.write_text("name,ask_price,p_min,p_max,rp_max,ramp_max,hot_start,cold_start,"
+                    "no_load_cost\nu0,1.0,0,1e308,1e308,1e308,0,0,0\n"
+                    "u1,2.0,0,1e308,1e308,1e308,0,0,0\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["sweep-alpha", "--load-mean", "0.0", "--scenarios", "1",
+                                       "--alpha", "0.5", "--penetration", "0.0",
+                                       "--fleet", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == (f"configuration error: {path}: the units' capacities "
+                             "overflow their total\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("units,message", [

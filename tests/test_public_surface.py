@@ -47,6 +47,8 @@ NOT_RUN_BY_THE_CLI = {
     "dcopf.KktReport.max_residual": "the certificate's summary, with kkt_verify_network",
     "cli._grid_text": "runs at import, where it writes the defaults into the help texts",
     "cli._shared_options": "runs at import, where it decorates each command",
+    "scenarios._load_bare": "runs at import",
+    "scenarios._AdoptSubmodules.__init__": "runs at import",
 }
 
 FEEDER = ("--line-limit", "80", "--load-mean", "150,75,45")

@@ -261,6 +261,24 @@ def test_cli_import_leaves_the_special_package_init_unloaded():
     assert out == ["[]", "24.0 False", str([True] * 5), str([True] * 5)]
 
 
+def test_runs_import_no_module_after_the_cli_import(tmp_path):
+    # every module a run needs, numpy's Generator and PCG64 too, is loaded
+    # by the import, so a fresh process's start-up cost is the import's
+    code = ("import sys\n"
+            "from dataclasses import replace\n"
+            "from gridclear import RunConfig, cli, run_grid\n"
+            "before = set(sys.modules)\n"
+            "bus = RunConfig(alphas=(0.9,), penetrations=(0.0, 0.5), n_scenarios=20,\n"
+            "                horizon=2)\n"
+            "run_grid(bus)\n"
+            "run_grid(replace(bus, line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0)))\n"
+            "cli.main(['settle', '--horizon', '2', '--scenarios', '20', '--out', sys.argv[1]],\n"
+            "         standalone_mode=False)\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    out = fresh_python(code, str(tmp_path)).stdout.splitlines()
+    assert out == [f"wrote {tmp_path / 'settlement.csv'}", "[]"]
+
+
 # the three ways scenarios finds its ufuncs, and the three ways it finds
 # numpy's Generator and PCG64: under the package stub, from the package
 # imported before it, and through the fallback to the real package when
@@ -296,7 +314,7 @@ def test_settle_writes_the_same_bytes_whichever_way_the_ufuncs_load(tmp_path, ex
         code = (preamble + "import sys\nfrom gridclear import cli, scenarios\n"
                 "print(scenarios.special.__name__)\n"
                 "try:\n    cli.main(sys.argv[1:])\n"
-                "finally:\n    print(scenarios._random().__name__)\n")
+                "finally:\n    print(scenarios._random.__name__)\n")
         proc = fresh_python(code, "settle", "--horizon", "24", "--scenarios", "200",
                             "--seed", "7", *extra, "--out", str(tmp_path))
         first, *stdout, last = proc.stdout.splitlines(keepends=True)
@@ -348,8 +366,7 @@ def test_numpy_random_and_secrets_work_after_the_stub_load():
 
 def test_concurrent_first_draws_all_succeed():
     # eight runs started together in a fresh interpreter, so each may make
-    # the process's first draw: none may meet the stub numpy.random that the
-    # first load places in sys.modules, and each equals a sequential run
+    # the process's first draw: each succeeds and equals a sequential run
     code = ("import threading\n"
             "from gridclear import RunConfig, point_row, run_grid\n"
             "run = RunConfig(alphas=(0.9,), penetrations=(0.5,), horizon=2, n_scenarios=50)\n"
