@@ -7,8 +7,8 @@ by one routine for both markets, and settled across Monte Carlo renewable
 scenarios.
 """
 
-from .congestion import (CongestedDispatch, RadialGrid, committed_upper_bound,
-                         dispatch_radial, dispatch_radial_batch)
+from .congestion import (CongestedDispatch, RadialGrid, dispatch_radial,
+                         dispatch_radial_batch)
 from .dcopf import KktReport, kkt_residuals, kkt_verify_network
 from .errors import (ConfigurationError, FleetParseError, GridClearError,
                      InfeasibleDispatchError)
@@ -25,8 +25,7 @@ from .settlement import (SettlementReport, curtail_and_pay_renewables,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CongestedDispatch", "RadialGrid", "committed_upper_bound",
-    "dispatch_radial", "dispatch_radial_batch",
+    "CongestedDispatch", "RadialGrid", "dispatch_radial", "dispatch_radial_batch",
     "KktReport", "kkt_residuals", "kkt_verify_network",
     "ConfigurationError", "FleetParseError", "GridClearError", "InfeasibleDispatchError",
     "PointResult", "RunConfig", "emit_csv", "load_fleet",

@@ -9,6 +9,15 @@ balances everything downstream and sets the price from there on.  So the
 balancing bus is the one record of congestion: bus 0's line binds exactly
 on the rows that have one, and it fixes every bus's price.
 
+Congestion never moves the committed total.  The tail ledger starts at bus
+0's tail requirement, in a run the joint CVaR of the feeder's net load, and
+only hands what each bus leaves to the buses downstream of it.  So
+congestion moves committed power to dearer buses and splits the prices, but
+a run's feeder commits max(joint CVaR, 0) in every hour, congested or not.
+The paper's bound on how far congestion can move the committed power is
+met with an effect of zero: the sum of per-bus CVaRs, which lies above the
+joint CVaR because CVaR is subadditive, is never reached.
+
 ``dispatch_radial_batch`` is the one feeder kernel: it clears m requirement
 rows at once, running the recursion as a loop over the buses with each step
 applied to every row, and finds each row's balancing bus and infeasibility
@@ -232,14 +241,3 @@ def dispatch_radial(grid: RadialGrid, fleet: Fleet, per_bus_cvars,
     return CongestedDispatch(batch.power[0], batch.lmps[0],
                              None if balancing < 0 else balancing)
 
-
-def committed_upper_bound(per_bus_cvars, joint_cvar: float) -> tuple[float, float]:
-    """Worst-case planned power bound and its slack over the joint requirement.
-
-    The bound is the sum of per-bus CVaRs; the gap to the joint CVaR is
-    non-negative whenever both come from the same scenario set (tail
-    expectations are subadditive), and the dispatched total never exceeds
-    the bound.
-    """
-    bound = float(np.sum(np.asarray(per_bus_cvars, dtype=float)))
-    return bound, bound - float(joint_cvar)

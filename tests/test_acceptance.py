@@ -13,8 +13,8 @@ from scipy import stats as sstats
 
 import oracles
 from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid, Regime,
-                       RunConfig, commit, committed_upper_bound, cvar_rows, dispatch_radial,
-                       emit_csv, kkt_residuals, kkt_verify_network, point_row, run_grid)
+                       RunConfig, commit, cvar_rows, dispatch_radial, emit_csv, kkt_residuals,
+                       kkt_verify_network, point_row, run_grid)
 from gridclear.experiment import ALPHA_SWEEP_COLUMNS, PENETRATION_SWEEP_COLUMNS
 
 from test_merit_order import enumeration_oracle, random_fleet
@@ -146,7 +146,7 @@ def test_criterion_4_backdown_always_feasible():
 
 def test_criterion_5_congestion_dispatch():
     with criterion(5, "feeder dispatch matches hand values, respects limits and commits "
-                      "the joint CVaR under the subadditivity bound"):
+                      "the joint CVaR, below the sum of per-bus CVaRs"):
         fleet = Fleet(tuple(GeneratorSpec(f"b{i}", a, 0.0, m)
                             for i, (a, m) in enumerate([(10.0, 400.0), (20.0, 300.0),
                                                         (30.0, 200.0)])))
@@ -175,8 +175,9 @@ def test_criterion_5_congestion_dispatch():
             flows = np.cumsum(d.power - net)[:-1]
             assert np.all(np.abs(flows) <= inst_grid.line_limit + 1e-9)
 
-        # drawn samples: the feeder commits the joint CVaR, and the bound,
-        # the sum of per-bus CVaRs, leaves a gap above it on most instances
+        # drawn samples: the feeder commits the joint CVaR, and the sum of
+        # per-bus CVaRs lies above it on most instances, so the identity is
+        # not the one where the two sums agree
         positive, instances = 0, 0
         while instances < 1000:
             n, k = int(rng.integers(1, 7)), int(rng.integers(2, 21))
@@ -193,13 +194,12 @@ def test_criterion_5_congestion_dispatch():
                                      for i in range(n)))
             inst_grid = RadialGrid(n, float(rng.uniform(5.0, 120.0)))
             d = dispatch_radial(inst_grid, inst_fleet, per_bus, tail)
-            bound, gap = committed_upper_bound(per_bus, tail[0])
+            gap = per_bus.sum() - tail[0]
             assert abs(d.total_power - tail[0]) <= 1e-9
-            assert d.total_power <= bound + 1e-9
             assert gap >= -1e-9
             positive += gap > 0.0
             instances += 1
-        print(f"criterion 5: the bound's gap is positive on {positive / instances:.3f} "
+        print(f"criterion 5: the subadditivity gap is positive on {positive / instances:.3f} "
               f"of {instances} drawn instances")
         assert positive >= 0.6 * instances
 

@@ -1,6 +1,7 @@
 """``tools/compare_outputs.py``: two source trees are compared command by
 command, in fresh processes, and the first difference is named."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,17 @@ TOOL = ROOT / "tools" / "compare_outputs.py"
 def compare(*args):
     return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
                           capture_output=True, text=True, cwd=ROOT)
+
+
+def test_the_nine_commands_run_all_four_cli_commands():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    named = tool.commands()
+    assert len(named) == 9
+    assert {argv[0] for argv in named.values()} == {"settle", "sweep-penetration",
+                                                      "sweep-alpha", "dispatch"}
+    assert named["dispatch-feeder"] == ["dispatch", *tool.SIZE, *tool.FEEDER]
 
 
 def test_one_tree_against_itself_agrees():

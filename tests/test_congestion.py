@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from gridclear import (Fleet, GeneratorSpec, InfeasibleDispatchError, RadialGrid, RunConfig,
-                       committed_upper_bound, cvar_rows, dispatch_radial, run_grid)
+                       cvar_rows, dispatch_radial, run_grid)
 
 
 def feeder_fleet(asks, p_maxs):
@@ -118,13 +118,13 @@ def test_single_bus():
 
 
 # ---------------------------------------------------------------------------
-# planned-power upper bound
+# the committed total against the sum of per-bus CVaRs
 
 
 def test_bound_deterministic_single_scenario():
+    # one scenario: the per-bus requirements sum to the joint 130 MW, and
+    # the congested feeder dispatches that total
     per_bus = [60.0, 40.0, 30.0]
-    bound, gap = committed_upper_bound(per_bus, 130.0)
-    assert bound == 130.0 and gap == pytest.approx(0.0, abs=1e-12)
     grid = RadialGrid(3, 50.0)
     fleet = feeder_fleet([10, 20, 30], [400, 300, 200])
     d = dispatch_radial(grid, fleet, per_bus, [130, 70, 30])
@@ -143,13 +143,8 @@ def test_bound_from_two_scenario_set():
     assert [oracles.cvar(s, probs, alpha) for s in buses] == cvars
     joint_cvar = float(cvar_rows([joint], probs, alpha)[1][0])
     assert joint_cvar == oracles.cvar(joint, probs, alpha) == 125.0
-    bound, gap = committed_upper_bound(cvars, joint_cvar)
-    assert bound == 130.0 and gap == pytest.approx(5.0, abs=1e-12)
-
-
-def test_bound_single_bus_gap_zero():
-    bound, gap = committed_upper_bound([42.0], 42.0)
-    assert gap == 0.0
+    assert sum(cvars) == 130.0
+    assert sum(cvars) - joint_cvar == pytest.approx(5.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +160,6 @@ def test_deterministic_instances_balance_and_respect_limits():
         flows = flows_from_dispatch(d.power, net)
         assert np.all(np.abs(flows) <= grid.line_limit + 1e-9)
         assert np.all(d.power >= -1e-12)
-        bound, _ = committed_upper_bound(net, float(net.sum()))
-        assert d.total_power <= bound + 1e-9
 
 
 def test_stochastic_totals_stay_under_marginal_tail_sum():
@@ -296,8 +289,8 @@ FEEDER_SHAPES = {
 def test_congestion_moves_committed_power_but_keeps_its_total(shape, seed):
     # The feeder commits exactly the joint CVaR of the aggregate net load in
     # every hour, congested or not: congestion moves power between buses and
-    # splits the prices, but uses none of the room the subadditivity bound
-    # (the sum of per-bus CVaRs) leaves above that total.
+    # splits the prices, but never raises the total toward the sum of per-bus
+    # CVaRs, which lies above the joint CVaR in every congested hour.
     run = RunConfig(seed=seed, capacity_mode="tracking", **FEEDER_SHAPES[shape])
     alpha = run.alphas[0]
     congested_hours = 0

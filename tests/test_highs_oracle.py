@@ -13,7 +13,10 @@ subject to the committed total covering the CVaR of the net load, in the
 linear form of Rockafellar and Uryasev (*J. Risk*, 2000, section 3).  With
 positive minimums the same program with on/off binaries is a MILP, for
 which the commitment must be feasible and cost no less than its optimum.
-Only the tests import ``scipy.optimize``; the package does not.
+A feeder run's congested hours are checked against the LP in which each
+tail downstream of a line covers its own tail CVaR less the limit: it
+commits the printed total, at a cost that is printed.  Only the tests
+import ``scipy.optimize``; the package does not.
 """
 
 import numpy as np
@@ -312,3 +315,48 @@ def test_bus_commitment_with_positive_minimums_is_feasible_for_the_milp(tmp_path
     print(f"worst relative gap over the runs' {len(rows) - 1} rows: {max(gaps[:-1]):.3g}")
     # the README row, checked last
     assert res.fun == pytest.approx(4340.0, abs=1e-6) and cost == pytest.approx(6958.72)
+
+
+def _congested_commitment_lp(fleet, line_limit, tail_cvars):
+    """Reading (a) of the congested commitment: minimise asks @ p with
+    0 <= p <= p_max, each downstream tail covering its own tail CVaR less the
+    line limit, sum(p[j:]) >= tail_cvars[j] - line_limit for j >= 1, and the
+    whole feeder covering max(joint CVaR, 0), the joint CVaR being
+    tail_cvars[0]."""
+    n = len(fleet)
+    a_ub = -np.triu(np.ones((n, n)))  # row j: -sum(p[j:])
+    b_ub = -np.r_[max(tail_cvars[0], 0.0), tail_cvars[1:] - line_limit]
+    res = linprog(fleet.ask_prices, A_ub=a_ub, b_ub=b_ub,
+                  bounds=list(zip(np.zeros(n), fleet.p_maxs)), method="highs")
+    assert res.status == 0, res.message
+    return res
+
+
+def test_feeder_commitment_total_is_the_congested_lp_total():
+    # each congested hour of three-bus runs on the 80 MW feeder at seeds
+    # 0-9, alpha 0.95, T 4 and K 200 (tracking): the LP that makes every
+    # tail downstream of a line cover its own tail CVaR less the limit
+    # commits the printed total, so that reading of the paper would move
+    # power and cost, not the total.  The cost gap (LP - kernel) is printed,
+    # not asserted; gaps within $1e-6/h are rounding
+    congested, gaps = 0, []
+    for seed in range(10):
+        run = RunConfig(seed=seed, alphas=(0.95,), penetrations=(0.009, 0.5, 0.9),
+                        horizon=4, n_scenarios=200, capacity_mode="tracking",
+                        line_limit=80.0, load_mean_per_bus=(150.0, 75.0, 45.0))
+        for point in run_grid(run):
+            load, renewable, probs = oracles.scenario_arrays(run, point.penetration)
+            net = load - renewable
+            for t in range(run.horizon):
+                if not np.ptp(point.lmps[t]) > 0.0:
+                    continue
+                tails = np.vstack([net[i:, t].sum(axis=0) for i in range(run.n_buses)])
+                res = _congested_commitment_lp(point.fleet, run.line_limit,
+                                               cvar_rows(tails, probs, point.alpha)[1])
+                assert abs(res.x.sum() - point.committed[t].sum()) <= 1e-9
+                gaps.append(res.fun - float(point.fleet.ask_prices @ point.committed[t]))
+                congested += 1
+    assert congested == 120
+    print(f"cost gap (LP - kernel) over {congested} congested hours: median "
+          f"${np.median(gaps):.2f}/h, max ${max(gaps):.2f}/h, positive in "
+          f"{sum(g > 1e-6 for g in gaps)}")

@@ -41,7 +41,6 @@ NOT_RUN_BY_THE_CLI = {
     "dispatch_radial_batch": "the README's feeder kernel API; a run calls its rows unraised",
     "kkt_residuals": "the optimality certificate, not yet run on a run (ROADMAP item 13)",
     "kkt_verify_network": "the optimality certificate, not yet run on a run (ROADMAP item 13)",
-    "committed_upper_bound": "the congestion bound, waiting on ROADMAP item 2",
     "merit_order.DispatchResult.total_power": "the total of commit's one-row result",
     "congestion.CongestedDispatch.total_power": "the total of dispatch_radial's one-row result",
     "dcopf.KktReport.max_residual": "the certificate's summary, with kkt_verify_network",

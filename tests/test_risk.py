@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from gridclear import risk
-from gridclear import committed_upper_bound, cvar_rows
+from gridclear import cvar_rows
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -272,10 +272,9 @@ def test_committed_requirement_balanced():
 
 
 def bound_gap(per_bus, joint, alpha):
-    """Sum of per-bus CVaRs minus the joint CVaR, as the planned-power bound reads it."""
-    _, gap = committed_upper_bound([kernel_cvar(s, alpha) for s in per_bus],
-                                   kernel_cvar(joint, alpha))
-    return gap
+    """Sum of per-bus CVaRs minus the joint CVaR: non-negative because CVaR
+    is subadditive."""
+    return sum(kernel_cvar(s, alpha) for s in per_bus) - kernel_cvar(joint, alpha)
 
 
 def test_gap_deterministic_point_masses():

@@ -7,10 +7,10 @@ Usage:
 PARENT_SRC and CHANGE_SRC are ``src`` directories (each holding the
 ``gridclear`` package); SEEDS is a list such as ``7,10-18`` (default ``7``).
 The commands are the benchmark's three workloads, with the ``argv`` read from
-``perfbench/workloads.json``, and default-size ``sweep-penetration`` and
-``sweep-alpha`` at T 24, K 1000, each on one bus and on the 80 MW feeder.
-Naming commands (``settle-bus``, ``sweep-alpha-feeder``, ...) runs only
-those.
+``perfbench/workloads.json``, and default-size ``sweep-penetration``,
+``sweep-alpha`` and ``dispatch`` at T 24, K 1000, each on one bus and on the
+80 MW feeder: nine commands, which run all four of the CLI's.  Naming
+commands (``settle-bus``, ``dispatch-feeder``, ...) runs only those.
 
 Every command runs at every seed in a fresh ``python -m gridclear.cli``
 process per side, with ``PYTHONPATH`` set to that side's source directory.
@@ -38,9 +38,9 @@ def commands() -> dict[str, list[str]]:
     """Each compared command's name and CLI arguments, without seed and output."""
     workloads = json.loads(WORKLOADS.read_text())["workloads"]
     named = {name: w["argv"] for name, w in workloads.items()}
-    for sweep in ("sweep-penetration", "sweep-alpha"):
-        named[f"{sweep}-bus"] = [sweep, *SIZE]
-        named[f"{sweep}-feeder"] = [sweep, *SIZE, *FEEDER]
+    for command in ("sweep-penetration", "sweep-alpha", "dispatch"):
+        named[f"{command}-bus"] = [command, *SIZE]
+        named[f"{command}-feeder"] = [command, *SIZE, *FEEDER]
     return named
 
 
