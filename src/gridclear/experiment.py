@@ -64,9 +64,9 @@ from .errors import ConfigurationError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
 from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_draw, draw_and_build
-from .settlement import (SettlementReport, _recovery_rows,
-                         curtail_and_pay_renewables, deviation_envelopes, expected_profit,
-                         realized_profit, reserve_and_ramp_check, sum_in_order)
+from .settlement import (SettlementReport, _recovery_rows, curtail_and_pay_renewables,
+                         deviation_envelopes, expected_profit, realized_profit,
+                         reserve_and_ramp_check, sum_in_order, sum_rows)
 
 DEFAULT_LOAD_MEAN = (232.0, 174.0, 174.0)   # MW per bus
 DEFAULT_LOAD_STD_FRAC = 0.06
@@ -374,7 +374,8 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     line limit picks the units and the clearing: the whole fleet on one bus,
     or the first ``n_buses`` units on the feeder.  The envelopes, H, the
     expected profit and the reserve and ramp texts of all A*L points take
-    one call each, against the one (L, K, T, n) realized power.  The
+    one call each, against the one (L, K, T, n) realized power; a point
+    whose commitment, re-dispatch or cost recovery failed gets no texts.  The
     realized profit runs one alpha at a time in blocks of whole levels of
     at most ``_BLOCK_ROWS`` scenario-hours, so its (levels, K, T, n) product
     stays one re-dispatch block's size.  Each level's renewables are then
@@ -401,9 +402,9 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
     realized[[error is not None for error in realized_errors]] = 0.0
     c.power[np.reshape([error is not None for error in c.errors], (n_alphas, n_levels))] = 0.0
 
-    # per-hour bus totals, summed once for every point's payment over unit-stride
-    # rows, as a per-trajectory row.sum() rounds them
-    load_totals = np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1)
+    # per-hour bus totals, summed once for every point's payment as a
+    # per-trajectory row.sum() rounds them
+    load_totals = sum_rows(load.transpose(2, 1, 0))
     k_len, t_len = load_totals.shape
     # the realized profit runs in blocks of whole levels, at most _BLOCK_ROWS
     # scenario-hours (one level at least), so its (levels, K, T, n) product is
@@ -425,9 +426,10 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         r_realized = np.stack([np.concatenate([
             realized_profit(realized[s:s + step], probabilities, lmps[s:s + step], point_fleet)
             for s in range(0, n_levels, step)]) for lmps in c.lmps])
-        violations = reserve_and_ramp_check(c.power, realized, rp, dp, point_fleet)
         errors = [commit or redispatch or recovery for commit, redispatch, recovery
                   in zip(c.errors, realized_errors * n_alphas, recovery_errors)]
+        served = np.reshape([error is None for error in errors], (n_alphas, n_levels))
+        violations = reserve_and_ramp_check(c.power, realized, rp, dp, point_fleet, served)
         # renewables are paid scenario by scenario at the committed bus
         # prices, each bus at its paying unit's LMP, one alpha at a time
         paid = np.zeros((2, n_alphas, n_levels, k_len))

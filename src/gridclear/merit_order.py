@@ -212,8 +212,13 @@ def _commit_rows(fleet: Fleet, demands):
         output[small] = d[small]
     del residual, prev, backdown  # freed before the (m, n) power is allocated
 
+    # the units below the saturation index run at p_max: rows of an (n, n)
+    # table gathered by that index, where a (m, n) compare runs over the
+    # short unit axis row by row; the table only while it is no larger than
+    # the power
     saturated = np.where(small, 0, marginal)
-    power = np.where(np.arange(n) < saturated[:, None], p_max, 0.0)
+    power = (np.where(np.tri(n, k=-1, dtype=bool), p_max, 0.0).take(saturated, axis=0)
+             if n <= d.size else np.where(np.arange(n) < saturated[:, None], p_max, 0.0))
     rows = np.arange(d.size)
     power[rows, marginal] = output
     power[rows[below], k[below]] = p_min[k[below]]

@@ -81,6 +81,22 @@ def sum_in_order(values, axis: int = -1):
     return np.cumsum(np.concatenate((zero, values)), axis=0)[-1]
 
 
+def sum_rows(values):
+    """Sum along the last axis with the bits of
+    ``np.ascontiguousarray(values).sum(axis=-1)``: numpy adds a unit-stride
+    row of fewer than 8 entries in order from 0.0 (one reduction call per
+    row), so a shorter axis is summed with one vector add per entry, reading
+    ``values`` where it lies; a longer axis keeps numpy's pairwise sums over
+    a unit-stride copy.
+    """
+    if not 0 < values.shape[-1] < 8:
+        return np.ascontiguousarray(values).sum(axis=-1)
+    total = np.zeros_like(values[..., 0])  # in the layout of the entries it adds
+    for column in np.moveaxis(values, -1, 0):
+        total += column
+    return total
+
+
 def deviation_envelopes(committed: np.ndarray,
                         realized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tight reserve and ramp envelopes over scenarios.
@@ -113,7 +129,8 @@ def deviation_envelopes(committed: np.ndarray,
 
 
 def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
-                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet) -> list:
+                           rp: np.ndarray, dp: np.ndarray, fleet: Fleet,
+                           served=True) -> list:
     """Diagnostics for the reserve and ramp feasibility of a commitment.
 
     Deviations must be non-negative (no scenario sells above commitment), the
@@ -125,6 +142,8 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
     text.  Leading point axes that broadcast against ``realized``'s, such
     as (A, L, T, n_units) commitments against (L, K, T, n_units) realized
     power, give nested lists shaped like those axes, one list per point.
+    ``served`` masks the points to check, broadcast against those axes: a
+    point outside it gets no text.
     """
     _reject_non_finite(committed=committed, realized=realized, rp=rp, dp=dp)
     committed, realized, rp, dp = (np.asarray(x, dtype=float)
@@ -132,22 +151,28 @@ def reserve_and_ramp_check(committed: np.ndarray, realized: np.ndarray,
     units = fleet.generators
     lead = np.broadcast_shapes(committed.shape[:-2], realized.shape[:-3],
                                rp.shape[:-2], dp.shape[:-2])
-    # rounded subtraction is monotone, so the smallest committed - realized is
-    # committed - the largest realized, taken once over realized's own
-    # points; a point's (K, T, n) deviations are built only to locate its
-    # violation, through views that copy nothing
-    sells = (committed - realized.max(axis=-3)).min(axis=(-2, -1)) < -1e-9
+    served = np.broadcast_to(served, lead)
+    # rounded subtraction is monotone, so the smallest committed - realized of
+    # each (t, i) is committed - the largest realized, taken once over
+    # realized's own points
+    worst = np.broadcast_to(committed - realized.max(axis=-3), lead + committed.shape[-2:])
+    sells = served & (worst.min(axis=(-2, -1)) < -1e-9)
     worst_rp, worst_dp = (np.broadcast_to(np.max(x, axis=-2, initial=0.0),
                                           lead + x.shape[-1:]) for x in (rp, dp))
-    over_rp = worst_rp > np.array([g.rp_max for g in units]) + 1e-9
-    over_dp = worst_dp > np.array([g.ramp_max for g in units]) + 1e-9
+    over_rp = served[..., None] & (worst_rp > np.array([g.rp_max for g in units]) + 1e-9)
+    over_dp = served[..., None] & (worst_dp > np.array([g.ramp_max for g in units]) + 1e-9)
     committed, realized, dp = (np.broadcast_to(x, lead + x.shape[-k:])
                                for x, k in ((committed, 2), (realized, 3), (dp, 2)))
     # a fresh list per point, in an array even for no point axes
     violations = np.frompyfunc(lambda _: [], 1, 1)(np.empty(lead + (1,)))[..., 0]
-    for point in map(tuple, np.argwhere(np.broadcast_to(sells, lead))):
-        delta = committed[point][None] - realized[point]
-        k, t, i = np.unravel_index(int(delta.argmin()), delta.shape)
+    for point in map(tuple, np.argwhere(sells)):
+        # the first smallest committed - realized in (k, t, i) order lies in a
+        # (t, i) of the smallest worst sale, so only those cells' deviations
+        # are built, k-major: their first smallest is that one
+        t, i = np.nonzero(worst[point] == worst[point].min())
+        deviations = committed[point][t, i] - realized[point][:, t, i]
+        k, cell = divmod(int(deviations.argmin()), t.size)
+        t, i = t[cell], i[cell]
         violations[point].append(
             f"scenario {k}, hour {t}: unit {units[i].name} sells "
             f"{realized[point][k, t, i]:.6g} MW above its commitment "
@@ -268,14 +293,16 @@ def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,
     renewables = np.asarray(renewables, dtype=float)
     lmps = np.ascontiguousarray(lmps, dtype=float)
     # round each hour as a per-hour loop (row.sum(), lmps[t] @ row) does: bus
-    # sums over unit-stride rows, because numpy sums a strided stack in memory
-    # order rather than pairwise; the full payment over the caller's rows and
-    # the curtailed one over fresh unit-stride rows, because dot rounds by stride
-    rows = np.array(renewables, order="C")  # scaled in place below
-    total_out = rows.sum(axis=-1)
+    # sums as over unit-stride rows (sum_rows); the full payment over the
+    # caller's rows and the curtailed one over fresh unit-stride rows, because
+    # dot rounds by stride.  That copy is made only where some hour curtails,
+    # unless the bus sums already need it
+    rows = np.array(renewables, order="C") if renewables.shape[-1] >= 8 else None
+    total_out = sum_rows(renewables if rows is None else rows)
     over = total_out > load_totals  # so total_out > 0 there
     hourly = np.vecdot(lmps, renewables)
     if over.any():
+        rows = np.array(renewables, order="C") if rows is None else rows  # scaled in place
         scale = np.divide(load_totals, total_out, out=np.zeros_like(total_out), where=over)
         np.multiply(rows, scale[..., None], out=rows, where=over[..., None])
         np.copyto(hourly, np.vecdot(lmps, rows), where=over)

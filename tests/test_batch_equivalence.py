@@ -40,8 +40,9 @@ from gridclear import (ConfigurationError, Fleet, GeneratorSpec,
 from gridclear.cli import main
 from gridclear.congestion import _radial_rows
 from gridclear.experiment import _tail_sums, derive_capacity
+from gridclear.merit_order import _commit_rows
 from gridclear.scenarios import draw_and_build
-from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order
+from gridclear.settlement import RAMP_RATE, RESERVE_RATE, sum_in_order, sum_rows
 
 from test_settlement import recovery_rate
 
@@ -431,6 +432,36 @@ def test_commit_batch_rejects_non_vector():
 
 def test_commit_batch_empty():
     assert commit_batch(builtin_fleet(), []).power.shape == (0, 7)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_saturated_units_equal_the_broadcast_compare(n):
+    # the units below a row's saturation index (0 on a small-demand row, else
+    # the marginal unit) run at p_max: gathered from an (n, n) table while the
+    # batch has n rows or more, compared over (m, n) below that.  Either way
+    # every cell that the marginal and back-down writes leave has the bits of
+    # the broadcast compare, on back-down, small-demand, zero, unservable and
+    # NaN rows
+    rng = np.random.default_rng(n)
+    p_min = rng.uniform(5.0, 40.0, n)
+    p_min[1:] = np.minimum(p_min[1:], p_min[0] / 2)  # some small demands fit a dearer unit
+    fleet = Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + i, p_min[i],
+                                      p_min[i] + rng.uniform(1.0, 150.0)) for i in range(n)))
+    demands = np.concatenate((demand_grid(fleet, rng.random(40)), [np.nan, np.inf, -0.0],
+                              np.linspace(0.0, fleet.total_capacity, 400)))
+    for rows in (np.arange(demands.size), rng.choice(demands.size, max(n - 1, 1)),
+                 np.arange(0)):
+        batch, bad, _ = _commit_rows(fleet, demands[rows])
+        saturated = np.where(batch.regime == 2, 0, batch.marginal_index)
+        want = np.where(np.arange(n) < saturated[:, None], fleet.p_maxs, 0.0)
+        written = np.zeros(want.shape, bool)
+        below = batch.regime == 1
+        written[np.arange(len(rows)), batch.marginal_index] = True
+        written[np.flatnonzero(below), batch.marginal_index[below] + 1] = True
+        assert same_bits(batch.power[~written], want[~written])
+        if len(rows) > n:
+            assert set(batch.regime) == ({0, 2} if n == 1 else {0, 1, 2})
+            assert bad.any() and (demands[rows] == 0.0).any()
 
 
 def test_fleet_columns_are_read_only():
@@ -847,6 +878,33 @@ def test_reserve_check_points_equal_per_point_calls(seed):
     assert want[0] != want[1]
 
 
+def test_sale_is_located_like_the_full_deviation_argmin():
+    # the sale is named from the (t, i) cells of the smallest worst sale
+    # alone, and still as the first smallest of the full (K, T, n)
+    # deviations in (k, t, i) order: at level 0 two cells sell the same
+    # 4 MW, the later cell at an earlier scenario, and the earlier cell at
+    # two scenarios; level 1 sells less, level 2 not at all.  Each point of
+    # the (A, L) axes is its own full-delta argmin
+    rng = np.random.default_rng(38)
+    l_len, k_len, t_len, n = 3, 6, 4, 3
+    committed = np.full((2, l_len, t_len, n), 50.0)
+    committed[1] += 0.25  # the second alpha commits more
+    realized = 50.0 - rng.uniform(0.0, 5.0, (l_len, k_len, t_len, n))
+    realized[0, [4, 5], 1, 2] = realized[0, 2, 3, 0] = 54.0
+    realized[0, 0, 0, 1] = 52.0
+    realized[1, 3, 2, 1] = 51.0
+    rp, dp = deviation_envelopes(committed, realized)
+    fleet = Fleet(tuple(GeneratorSpec(f"u{i}", 10.0 + i, 0.0, 1e20, 1e20, 1e20)
+                        for i in range(n)))
+    want = [[reference_reserve_check(committed[a, level], realized[level], rp[a, level],
+                                     dp[a, level], fleet) for level in range(l_len)]
+            for a in range(2)]
+    assert reserve_and_ramp_check(committed, realized, rp, dp, fleet) == want
+    assert want[0][0] == ["scenario 2, hour 3: unit u0 sells 54 MW above its commitment 50"]
+    assert want[1][1] == ["scenario 3, hour 2: unit u1 sells 51 MW above its commitment 50.25"]
+    assert want[0][2] == want[1][2] == []
+
+
 # ---------------------------------------------------------------------------
 # cost recovery
 
@@ -1212,6 +1270,35 @@ def test_sum_in_order_is_not_np_sum():
     assert sum_in_order(values) == 1.0
     assert np.sum(values) == 1.0000000000000016
     assert same_bits(sum_in_order([-0.0]), 0.0) and same_bits(np.cumsum([-0.0])[-1], -0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_sum_rows_equals_unit_stride_row_sums(n):
+    # one vector add per bus below 8 buses, numpy's pairwise sums of a
+    # unit-stride copy from 8 on: each sum has the bits of its unit-stride
+    # row's .sum(), over signed zeros and magnitudes from 1e-300 to 1e300,
+    # whatever the strides of the array it reads
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-1.0, 1.0, (9, 5, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (9, 5, n))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[0] = -0.0
+    values[1, :, 0] = -0.0
+    values[2:5] = mixed_magnitudes(rng, (3, 5, n))  # close enough to round by order
+    stored = np.ascontiguousarray(np.moveaxis(values, -1, 0))  # bus-major, as a run holds loads
+    in_order_matches = []
+    for view in (values, np.moveaxis(stored, 0, -1), np.asfortranarray(values),
+                 values[::-1, ::2], values[..., ::-1], np.moveaxis(stored[::-1], 0, -1)):
+        want = np.ascontiguousarray(view).sum(axis=-1)
+        assert same_bits(sum_rows(view), want)
+        in_order = np.zeros(want.shape)
+        for column in np.moveaxis(view, -1, 0):
+            in_order += column
+        in_order_matches.append(same_bits(in_order, want))
+    # numpy adds a row of fewer than 8 entries in order from 0.0, and a longer
+    # one pairwise, which the in-order sum misses
+    assert all(in_order_matches) if n < 8 else not all(in_order_matches)
+    assert not np.signbit(sum_rows(values)[0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -1645,6 +1732,38 @@ def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
         with pytest.raises(type(failures[0][1])) as err:
             run_grid(run)
         assert str(err.value) == str(failures[0][1])
+
+
+def test_failed_points_get_no_reserve_and_ramp_texts(monkeypatch, tmp_path):
+    # the bus-small-fleet grid: the alpha 0.95, penetration 0 point fails its
+    # commitment, which is zeroed against realized power that is not, so a
+    # check over it would name a sale above commitment; a point that failed
+    # its commitment, re-dispatch or cost recovery gets no text, and every
+    # other point the texts it prints
+    run = RunConfig(alphas=(0.95, 0.5), penetrations=LEVELS, horizon=3, n_scenarios=40,
+                    seed=11, load_mean_per_bus=UNEQUAL_BUSES, cost_recovery=1,
+                    fleet_source=write_fleet(tmp_path / "fleet.csv", [
+                        ("a", 10, 40, 120, 60), ("b", 20, 30, 85, 30)]))
+    checked = []
+
+    def recording(*args):
+        checked.append(real(*args))
+        return checked[-1]
+
+    real = experiment.reserve_and_ramp_check
+    monkeypatch.setattr(experiment, "reserve_and_ramp_check", recording)
+    notes = []
+    points = run_grid(run, notes)
+    (texts,) = checked
+    kept = [p for p in LEVELS if p != 2.0]
+    printed = {(p.alpha, p.penetration): p.settlement.violations for p in points}
+    assert "alpha=0.95, penetration=0.0: demand 210.23 MW outside the servable range" in [
+        note.split(" [")[0] for note in notes]
+    assert (0.95, 0.0) not in printed
+    for a, alpha in enumerate(run.alphas):
+        for level, penetration in enumerate(kept):
+            assert texts[a][level] == printed.get((alpha, penetration), []), (alpha, penetration)
+    assert any(printed.values())
 
 
 # ---------------------------------------------------------------------------

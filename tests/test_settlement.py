@@ -1,5 +1,7 @@
 """Settlement arithmetic: recovery, profits, deviation, curtailment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,60 @@ def test_selling_above_commitment_flagged():
     violations = reserve_and_ramp_check(committed, realized,
                                         *deviation_envelopes(committed, realized), fleet)
     assert any("above its commitment" in v for v in violations)
+
+
+def traced_peak(function, *args):
+    """``function(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the settle-bus shape: K 1000 scenarios, T 24 hours, the seven built-in units
+K_SETTLE, T_SETTLE = 1000, 24
+
+
+def test_reserve_check_locates_a_sale_without_a_deviation_array():
+    # a sale above commitment is named from the (T, n) worst sales and the
+    # (K, cells) deviations of the cells that reach the smallest, so the check
+    # peaks below one (K, T, n) float array, where building the full
+    # deviations to locate the sale took at least that
+    fleet = builtin_fleet()
+    rng = np.random.default_rng(7)
+    committed = rng.uniform(0.0, 150.0, (T_SETTLE, len(fleet)))
+    realized = committed - rng.uniform(0.0, 5.0, (K_SETTLE, T_SETTLE, len(fleet)))
+    realized[308, 0, 3] = committed[0, 3] + 23.393
+    rp, dp = deviation_envelopes(committed, realized)
+    texts, peak = traced_peak(reserve_and_ramp_check, committed, realized, rp, dp, fleet)
+    assert texts[0] == ("scenario 308, hour 0: unit gen4 sells "
+                        f"{realized[308, 0, 3]:.6g} MW above its commitment "
+                        f"{committed[0, 3]:.6g}")
+    assert peak < realized.nbytes
+
+
+def test_payment_that_curtails_nothing_copies_no_renewables():
+    # below 8 buses the bus sums read the caller's (K, T, n) renewables, so a
+    # payment that curtails in no hour copies none of them: its peak does not
+    # grow with the bus count, where a unit-stride copy grows it by one (K, T)
+    # float array per bus.  The renewables are read through a transposed
+    # view of bus-major storage, as a grid pays them
+    def peak(n_buses, load):
+        rng = np.random.default_rng(n_buses)
+        renewables = rng.uniform(0.0, 10.0, (n_buses, T_SETTLE, K_SETTLE)).transpose(2, 1, 0)
+        lmps = rng.uniform(5.0, 300.0, (T_SETTLE, n_buses))
+        (_, curtailed), peak = traced_peak(curtail_and_pay_renewables,
+                                           np.full((K_SETTLE, T_SETTLE), load), renewables,
+                                           lmps)
+        assert (curtailed == 0.0).all() == (load > 10.0 * n_buses)
+        return peak
+
+    one_hour_array = K_SETTLE * T_SETTLE * 8
+    assert peak(7, 1e3) - peak(3, 1e3) < one_hour_array
+    # a payment that curtails copies and scales its rows
+    assert peak(7, 1.0) - peak(3, 1.0) > 3 * one_hour_array
 
 
 # ---------------------------------------------------------------------------
