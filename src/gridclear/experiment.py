@@ -169,8 +169,7 @@ def derive_capacity(load_mean_per_bus, penetration: float, mode: str) -> np.ndar
 
 def scenario_config(run: RunConfig) -> ScenarioConfig:
     """The run's load process: every penetration level draws its loads from it."""
-    mean_col = np.asarray(run.load_mean_per_bus, dtype=float)[:, None]
-    mean = np.repeat(mean_col, run.horizon, axis=1)
+    mean = np.asarray(run.load_mean_per_bus, dtype=float)[:, None]  # the same in every hour
     return ScenarioConfig(
         n_buses=run.n_buses,
         horizon=run.horizon,

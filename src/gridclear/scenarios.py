@@ -38,22 +38,21 @@ pins on the ranges the quantile feeds them.
 
 What the threads may do.  Only a scalar ufunc, whose every element depends
 on its own inputs alone, is split: the one ``betaincinv`` call over every
-drawn (level, hour, scenario), cut by ``_start_rows`` into contiguous row
+drawn (level, hour, scenario), cut by ``_split_beside`` into contiguous row
 blocks of at least ``_SPLIT_MIN`` elements.  The caller and at most
 ``_MAX_WORKERS - 1`` threads take the blocks in row order from one shared
 counter, each writing only its own rows of one output, so the bits do not
 depend on the CPU count (the row-block tests of ``tests/test_scenarios.py``).
-The caller draws the loads while the blocks run.  No ``np.log``, ``np.exp`` or
-``np.log1p`` call is split across threads.  Every thread is joined before
-``draw_and_build`` returns or raises, and a failure in any block is raised
-in the caller.
+The caller draws the loads while the threads run, then takes blocks itself.
+No ``np.log``, ``np.exp`` or ``np.log1p`` call is split across threads.  The
+threads start and are joined inside the one ``_split_beside`` call, before
+it returns or raises.  A failed load draw is raised, and no block is handed
+out after it; otherwise a failure in any block is raised in the caller.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-import functools
 import importlib.util
 import os
 import random
@@ -162,7 +161,7 @@ _DEGENERATE_STD = 1e-9
 
 
 # a ufunc call is cut into row blocks of at least _SPLIT_MIN elements each,
-# run by the caller and at most _MAX_WORKERS - 1 threads (see _start_rows)
+# run by the caller and at most _MAX_WORKERS - 1 threads (see _split_beside)
 _SPLIT_MIN = 2048
 _MAX_WORKERS = 4
 
@@ -176,26 +175,26 @@ def _workers() -> int:
     return min(count, _MAX_WORKERS)
 
 
-def _start_rows(ufunc, *args):
-    """Start ``ufunc(*args)`` with the leading axis cut into contiguous row
-    blocks, and return ``finish``, whose call returns the output.
+def _split_beside(meanwhile, ufunc, *args):
+    """``(meanwhile(), ufunc(*args))``, the ufunc's leading axis cut into
+    contiguous row blocks that threads run while the caller runs ``meanwhile``.
 
     The rows are cut evenly into as many blocks as they hold ``_SPLIT_MIN``
     elements each.  Each block is the ufunc on its rows of the broadcast
     arguments, written into its rows of one new output array, so for a
     scalar ufunc (each element's bits depend on its own inputs alone) the
-    result equals one call bit for bit.  With one block or one worker
-    nothing starts, and ``finish`` makes the one call.  Otherwise the caller
-    keeps the first block, and one thread per other worker, at most one per
-    other block, starts at once and takes the next block, in row order, from
-    a shared counter until none is left.  Each thread runs in a copy of the
-    caller's context, which carries numpy's error state, and under the
-    caller's ``scipy.special`` error actions, which are per thread.
-    ``finish`` runs the caller's block, takes blocks from the counter as the
-    threads do, joins every thread, and raises in the caller the exception
-    of the first failing block in row order.  Whatever happens between the
-    start and the finish, call ``finish`` once, so that no thread outlives
-    the caller's use.
+    result equals one call bit for bit.  With one block or one worker no
+    thread starts: ``meanwhile`` runs, then the one call.  Otherwise one
+    thread per other worker, at most one per other block, starts and takes
+    the next block, in row order, from a shared counter until none is left;
+    the caller runs ``meanwhile``, then block 0, then takes blocks from the
+    counter as the threads do.  Each thread runs in a copy of the caller's
+    context, which carries numpy's error state, and under the caller's
+    ``scipy.special`` error actions, which are per thread.  Every thread is
+    joined before this returns or raises.  An exception of ``meanwhile`` is
+    raised, and the counter hands out no block after it, so the join waits
+    for at most one block per thread; otherwise the exception of the first
+    failing block in row order is raised.
     """
     broadcast = np.broadcast(*args)
     n_rows = broadcast.shape[0] if broadcast.size >= _SPLIT_MIN else 0
@@ -203,13 +202,13 @@ def _start_rows(ufunc, *args):
     blocks = n_rows // -(-_SPLIT_MIN * n_rows // broadcast.size) if n_rows else 0
     workers = min(_workers(), blocks)
     if workers < 2:
-        return functools.partial(ufunc, *args)
+        return meanwhile(), ufunc(*args)
     arrays = np.broadcast_arrays(*args)
     out = np.empty(broadcast.shape, np.result_type(*arrays))
     bounds = [n_rows * i // blocks for i in range(blocks + 1)]
     errors = [None] * blocks
     actions = special.geterr()
-    following = iter(range(1, blocks))  # block 0 is the caller's
+    following = list(range(blocks - 1, 0, -1))  # popped in row order; block 0 is the caller's
     lock = threading.Lock()
 
     def compute(block):
@@ -224,22 +223,10 @@ def _start_rows(ufunc, *args):
     def run():
         while True:
             with lock:
-                block = next(following, None)
-            if block is None:
-                return
+                if not following:
+                    return
+                block = following.pop()
             compute(block)
-
-    def finish():
-        try:
-            compute(0)
-            run()
-        finally:
-            for thread in started:
-                thread.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        return out
 
     started = []
     try:
@@ -247,11 +234,18 @@ def _start_rows(ufunc, *args):
             thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
             thread.start()
             started.append(thread)
-    except BaseException:
+        done = meanwhile()
+        compute(0)
+        run()
+    finally:
+        with lock:
+            following.clear()  # empty already, unless the caller failed
         for thread in started:
             thread.join()
-        raise
-    return finish
+    for error in errors:
+        if error is not None:
+            raise error
+    return done, out
 
 
 def _check_draw(dims) -> None:
@@ -448,11 +442,9 @@ def draw_and_build(config: ScenarioConfig, penetrations, capacities,
     takes its Beta shape from the hour's system-wide mean share, and a
     level that asks for more mean renewable output than its capacity can
     carry gets the error of its first such hour instead.  The one
-    ``betaincinv`` call over every drawn quantile is started in
-    ``_start_rows``' row blocks; the caller draws the loads
-    (``_load_quantiles``) while they run, then runs the blocks left and
-    joins the threads.  A failed load draw is raised after the threads are
-    joined.
+    ``betaincinv`` call over every drawn quantile runs in ``_split_beside``'s
+    row blocks, beside the load draw (``_load_quantiles``) in the caller.
+    A failed load draw is raised after the threads are joined.
     """
     u_load, u_weather = _draw_uniforms(config)
     given = list(penetrations)  # named in the messages as the caller wrote them
@@ -501,12 +493,7 @@ def draw_and_build(config: ScenarioConfig, penetrations, capacities,
     out[fixed] = mu[fixed, None]
     a, b = _beta_shape(mu[drawn], sigma_hat[drawn])
     hours = np.nonzero(drawn)[1]
-    quantiles = _start_rows(special.betaincinv, a[:, None], b[:, None], u_weather.T[hours])
-    try:
-        load = _load_quantiles(config, u_load)
-    except BaseException:
-        with contextlib.suppress(Exception):
-            quantiles()
-        raise
-    out[drawn] = quantiles()
+    load, out[drawn] = _split_beside(lambda: _load_quantiles(config, u_load),
+                                     special.betaincinv, a[:, None], b[:, None],
+                                     u_weather.T[hours])
     return Scenarios(load, caps, out, tuple(errors))

@@ -72,13 +72,14 @@ def _reject_non_finite(**arrays) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def sum_in_order(values, axis: int = -1):
-    """Sum along ``axis`` left to right from 0.0, rounding as a ``+=`` loop does
-    (``np.sum`` adds pairwise); a scalar for a vector, else an array.
+def sum_in_order(values):
+    """Sum along the last axis left to right from 0.0, rounding as a ``+=``
+    loop does (``np.sum`` adds pairwise); a scalar for a vector, else a
+    fresh array that keeps no running sums alive.
     """
-    values = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    zero = np.zeros((1,) + values.shape[1:])
-    return np.cumsum(np.concatenate((zero, values)), axis=0)[-1]
+    values = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
+    sums = np.concatenate((np.zeros((1,) + values.shape[1:]), values))
+    return np.cumsum(sums, axis=0, out=sums)[-1].copy()
 
 
 def sum_rows(values):
@@ -220,15 +221,15 @@ def _recovery_rows(committed, rp, dp, fleet: Fleet, cost_recovery: int):
                           [g.start_cost_cold for g in units])
     unit_terms = np.stack((np.where(online, [g.no_load_cost for g in units], 0.0),
                            np.where(start, start_cost, 0.0)), axis=-1)
-    # unit-stride rows, so each row sum rounds like that row's own .sum()
-    reserve = RESERVE_RATE * np.ascontiguousarray(rp, dtype=float).sum(axis=-1)
-    ramp = RAMP_RATE * np.ascontiguousarray(dp, dtype=float).sum(axis=-1)
+    # each row sum rounds like that row's own .sum() (sum_rows)
+    reserve = RESERVE_RATE * sum_rows(np.asarray(rp, dtype=float))
+    ramp = RAMP_RATE * sum_rows(np.asarray(dp, dtype=float))
     terms = np.concatenate((unit_terms.reshape(n_levels, t_len, 2 * n),
                             reserve[..., None], ramp[..., None]), axis=-1)
     h_total = sum_in_order(terms.reshape(n_levels, -1))
 
     # each level's energy summed as its own (T, n) array's .sum() is
-    energy = np.ascontiguousarray(committed).reshape(n_levels, -1).sum(axis=1)
+    energy = sum_rows(committed.reshape(n_levels, -1))
     carried = (energy > 0.0) & (cost_recovery == 1)
     lambda_w = np.divide(h_total, energy, out=np.zeros(n_levels), where=carried)
     failed = (cost_recovery == 1) & (energy <= 0.0) & (h_total > 0.0)
@@ -301,14 +302,17 @@ def curtail_and_pay_renewables(load_totals: np.ndarray, renewables: np.ndarray,
     total_out = sum_rows(renewables if rows is None else rows)
     over = total_out > load_totals  # so total_out > 0 there
     hourly = np.vecdot(lmps, renewables)
-    if over.any():
+    curtails = over.any()
+    if curtails:
         rows = np.array(renewables, order="C") if rows is None else rows  # scaled in place
         scale = np.divide(load_totals, total_out, out=np.zeros_like(total_out), where=over)
         np.multiply(rows, scale[..., None], out=rows, where=over[..., None])
         np.copyto(hourly, np.vecdot(lmps, rows), where=over)
     del rows  # the scaled copy is freed before the sums allocate theirs
     revenue = sum_in_order(hourly)
-    curtailed = sum_in_order(np.where(over, total_out - load_totals, 0.0))
+    # where no hour curtails, the in-order sum of +0.0 is +0.0
+    curtailed = (sum_in_order(np.where(over, total_out - load_totals, 0.0)) if curtails
+                 else np.zeros(revenue.shape))
     if renewables.ndim == 2:
         return float(revenue), float(curtailed)
     return revenue, curtailed

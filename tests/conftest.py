@@ -29,9 +29,10 @@ def pytest_runtest_makereport(item, call):
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
     """Fail a test that leaves a thread it started alive, or whose thread
-    ends by an unhandled exception: ``scenarios._start_rows`` joins every
-    thread it starts, on its error paths too.  A thread left alive is
-    joined here, so that it cannot fail the next test."""
+    ends by an unhandled exception: ``scenarios._split_beside`` starts its
+    threads and joins every one of them in the same call, before it returns
+    or raises.  A thread left alive is joined here, so that it cannot fail
+    the next test."""
     before = set(threading.enumerate())
     unhandled = []
     previous, threading.excepthook = threading.excepthook, unhandled.append

@@ -1260,7 +1260,9 @@ def test_sum_in_order_equals_loop_along_axis(k, t, axis, seed, leading_negative_
     total = np.zeros(np.moveaxis(values, axis, 0).shape[1:])
     for row in np.moveaxis(values, axis, 0):
         total += row
-    assert same_bits(sum_in_order(values, axis=axis), total)
+    got = sum_in_order(np.moveaxis(values, axis, -1))
+    assert same_bits(got, total)
+    assert got.base is None  # a fresh array, not a row of the running sums
 
 
 def test_sum_in_order_is_not_np_sum():

@@ -16,15 +16,42 @@ def compare(*args):
                           capture_output=True, text=True, cwd=ROOT)
 
 
-def test_the_nine_commands_run_all_four_cli_commands():
+def load_tool():
     spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_the_twelve_commands_run_all_four_cli_commands():
+    tool = load_tool()
     named = tool.commands()
-    assert len(named) == 9
+    assert len(named) == 12
     assert {argv[0] for argv in named.values()} == {"settle", "sweep-penetration",
                                                       "sweep-alpha", "dispatch"}
     assert named["dispatch-feeder"] == ["dispatch", *tool.SIZE, *tool.FEEDER]
+
+
+def test_the_compared_commands_word_skips_and_an_error():
+    # so the byte gate also compares skip lines and an error's exit code
+    tool = load_tool()
+    named = tool.commands()
+    outcomes = {}
+    for name in ("sweep-alpha-recovery-skips", "sweep-penetration-beta-skip",
+                 "settle-unservable"):
+        (_, code), _, (_, stderr), (_, csvs) = tool.run(ROOT / "src", named[name], 7)
+        outcomes[name] = code, stderr, sorted(csvs)
+    code, stderr, csvs = outcomes["sweep-alpha-recovery-skips"]
+    assert (code, csvs) == (0, ["alpha_sweep.csv"])
+    assert stderr.count("skipped: ") == 3
+    assert stderr.count("cost recovery requested but no committed energy") == 3
+    code, stderr, csvs = outcomes["sweep-penetration-beta-skip"]
+    assert (code, csvs) == (0, ["penetration_sweep.csv"])
+    assert stderr.startswith("skipped: penetration=1.5: hour 0: required system-wide mean share")
+    assert stderr.count("\n") == 1
+    code, stderr, csvs = outcomes["settle-unservable"]
+    assert (code, csvs) == (3, [])
+    assert stderr.startswith("infeasible dispatch: demand ")
 
 
 def test_one_tree_against_itself_agrees():

@@ -422,6 +422,11 @@ def same_bits(a, b):
 MIN = scenarios._SPLIT_MIN
 
 
+def split_rows(ufunc, *args):
+    """``ufunc(*args)`` in ``_split_beside``'s row blocks, beside an idle caller."""
+    return scenarios._split_beside(lambda: None, ufunc, *args)[1]
+
+
 # the row blocks of each shape below: as many as its rows hold MIN elements each
 BLOCKS = {
     (23, 89): 1, (32, 64): 1, (683, 3): 1,  # MIN - 1, MIN and MIN + 1 elements
@@ -442,7 +447,7 @@ def test_split_rows_equals_one_call(rows, k, workers, monkeypatch, thread_starts
     monkeypatch.setattr(scenarios, "_workers", lambda: workers)
     a, b, u = beta_arguments(rows, k)
     want = scenarios.special.betaincinv(a, b, u)
-    got = scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
+    got = split_rows(scenarios.special.betaincinv, a, b, u)
     assert same_bits(got, want)
     assert thread_starts() == min(workers, BLOCKS[rows, k]) - 1
 
@@ -453,7 +458,7 @@ def test_split_rows_broadcasts_one_row_of_shapes(monkeypatch, thread_starts):
     a, b, u = beta_arguments(40, 200)  # three blocks
     for shapes in ((a[:1], b[:1]), (float(a[0, 0]), float(b[0, 0]))):
         want = scenarios.special.betaincinv(*shapes, u)
-        got = scenarios._start_rows(scenarios.special.betaincinv, *shapes, u)()
+        got = split_rows(scenarios.special.betaincinv, *shapes, u)
         assert same_bits(got, want)
     assert thread_starts() == 2
 
@@ -469,16 +474,17 @@ def test_split_rows_with_more_threads_than_cpus_and_frequent_switches(monkeypatc
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            got = scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
+            got = split_rows(scenarios.special.betaincinv, a, b, u)
             assert same_bits(got, want)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_start_rows_hands_each_block_out_once(monkeypatch):
+def test_split_beside_hands_each_block_out_once(monkeypatch):
     # the caller and the threads take blocks from one counter; with more
-    # threads than CPUs, frequent switches and the caller busy between the
-    # start and the finish, every row is still computed exactly once
+    # threads than CPUs, frequent switches and the caller busy in
+    # ``meanwhile`` while the threads run, every row is still computed
+    # exactly once
     workers = (os.cpu_count() or 1) + 1
     monkeypatch.setattr(scenarios, "_workers", lambda: workers)
     x = np.arange(40.0 * MIN).reshape(40, MIN)  # 40 one-row blocks
@@ -492,9 +498,9 @@ def test_start_rows_hands_each_block_out_once(monkeypatch):
                 computed.extend(x[:, 0] // MIN)
                 out[...] = x
 
-            finish = scenarios._start_rows(copy, x)
-            busy = sum(np.sqrt(x[i]).sum() for i in range(40))
-            assert same_bits(finish(), x) and busy > 0.0
+            busy, got = scenarios._split_beside(
+                lambda: sum(np.sqrt(x[i]).sum() for i in range(40)), copy, x)
+            assert same_bits(got, x) and busy > 0.0
             assert sorted(computed) == list(range(40))
     finally:
         sys.setswitchinterval(interval)
@@ -509,10 +515,10 @@ def test_split_rows_carries_the_special_error_actions(monkeypatch):
         with pytest.raises(special.SpecialFunctionError) as one:
             scenarios.special.betaincinv(a, b, u)
         with pytest.raises(special.SpecialFunctionError) as split:
-            scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
+            split_rows(scenarios.special.betaincinv, a, b, u)
     assert str(split.value) == str(one.value)
     # scipy's default ignores it, in the caller and in the threads alike
-    got = scenarios._start_rows(scenarios.special.betaincinv, a, b, u)()
+    got = split_rows(scenarios.special.betaincinv, a, b, u)
     assert same_bits(got, scenarios.special.betaincinv(a, b, u))
     assert np.isnan(got[-1]).all()
 
@@ -528,13 +534,13 @@ def test_split_rows_carries_numpy_error_state(action, error, monkeypatch):
     x[-1, -1] = -1.0
     with np.errstate(invalid=action):
         if error is None:
-            got = scenarios._start_rows(np.sqrt, x)()
+            got = split_rows(np.sqrt, x)
             assert same_bits(got, np.sqrt(x))
         else:
             with pytest.raises(error):
                 np.sqrt(x)
             with pytest.raises(error):
-                scenarios._start_rows(np.sqrt, x)()
+                split_rows(np.sqrt, x)
 
 
 def fail_in(blocks):
@@ -557,13 +563,57 @@ def test_split_rows_raises_the_first_failing_block_in_the_caller(blocks, error, 
     before = threading.active_count()
     x = np.arange(3.0 * MIN).reshape(6, -1)
     if error is None:
-        assert same_bits(scenarios._start_rows(fail_in(blocks), x)(), x)
+        assert same_bits(split_rows(fail_in(blocks), x), x)
     else:
         with pytest.raises(error, match=blocks[0]):
-            scenarios._start_rows(fail_in(blocks), x)()
+            split_rows(fail_in(blocks), x)
     assert thread_starts() == 2
     assert unhandled == []
     assert threading.active_count() == before
+
+
+def test_a_failed_meanwhile_is_raised_and_no_block_is_handed_out_after_it(monkeypatch):
+    # each of the two threads takes a block and holds it until the caller
+    # joins; ``meanwhile`` fails once both blocks are out, and then both
+    # blocks fail too.  The caller raises meanwhile's error, computes no
+    # block of its own, and no block is handed out after the failure
+    monkeypatch.setattr(scenarios, "_workers", lambda: 3)
+    taken, joining = threading.Semaphore(0), threading.Event()
+
+    class JoinSignalling(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", JoinSignalling)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    computed = []
+
+    def failing_block(x, out):
+        computed.append(int(x[0, 0]))
+        taken.release()
+        joining.wait(timeout=60.0)
+        raise LookupError("a block failed")
+
+    def failing_meanwhile():
+        for _ in range(2):
+            assert taken.acquire(timeout=60.0)
+        raise ValueError("meanwhile failed")
+
+    x = np.repeat(np.arange(40.0)[:, None], MIN, axis=1)  # 40 one-row blocks
+    with pytest.raises(ValueError, match="meanwhile failed"):
+        scenarios._split_beside(failing_meanwhile, failing_block, x)
+    assert sorted(computed) == [1, 2]
+    assert unhandled == []
+    assert threading.active_count() == before
+    # with one worker no thread starts, and the ufunc is not called after the failure
+    monkeypatch.setattr(scenarios, "_workers", lambda: 1)
+    taken.release(2)
+    with pytest.raises(ValueError, match="meanwhile failed"):
+        scenarios._split_beside(failing_meanwhile, failing_block, x)
+    assert sorted(computed) == [1, 2]
 
 
 def test_worker_count_is_the_affinity_count_capped(monkeypatch):

@@ -111,7 +111,13 @@ def test_payment_that_curtails_nothing_copies_no_renewables():
         return peak
 
     one_hour_array = K_SETTLE * T_SETTLE * 8
-    assert peak(7, 1e3) - peak(3, 1e3) < one_hour_array
+    nothing_curtailed = peak(7, 1e3)
+    assert nothing_curtailed - peak(3, 1e3) < one_hour_array
+    # nor does it build the curtailed energy or its sums: it holds the bus
+    # sums, the hourly payments, the (T + 1, K) running sums of the payment
+    # and a boolean mask, 3.2 (K, T) float arrays (the curtailed energy's
+    # temporaries and a running sum kept alive by the revenue made 6.3)
+    assert nothing_curtailed < 4 * one_hour_array
     # a payment that curtails copies and scales its rows
     assert peak(7, 1.0) - peak(3, 1.0) > 3 * one_hour_array
 

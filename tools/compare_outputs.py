@@ -9,8 +9,12 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories (each holding the
 The commands are the benchmark's three workloads, with the ``argv`` read from
 ``perfbench/workloads.json``, and default-size ``sweep-penetration``,
 ``sweep-alpha`` and ``dispatch`` at T 24, K 1000, each on one bus and on the
-80 MW feeder: nine commands, which run all four of the CLI's.  Naming
-commands (``settle-bus``, ``dispatch-feeder``, ...) runs only those.
+80 MW feeder, and three at T 24, K 1000 that word a skip or an error: a
+``sweep-alpha`` at penetration 3.0 that skips three points on cost
+recovery, a ``sweep-penetration`` that skips level 1.5 before its Beta
+draw, and a ``settle`` whose load exceeds the fleet and exits 3.  Twelve
+commands, which run all four of the CLI's.  Naming commands
+(``settle-bus``, ``dispatch-feeder``, ...) runs only those.
 
 Every command runs at every seed in a fresh ``python -m gridclear.cli``
 process per side, with ``PYTHONPATH`` set to that side's source directory.
@@ -41,6 +45,10 @@ def commands() -> dict[str, list[str]]:
     for command in ("sweep-penetration", "sweep-alpha", "dispatch"):
         named[f"{command}-bus"] = [command, *SIZE]
         named[f"{command}-feeder"] = [command, *SIZE, *FEEDER]
+    named["sweep-alpha-recovery-skips"] = ["sweep-alpha", *SIZE, "--penetration", "3.0"]
+    named["sweep-penetration-beta-skip"] = ["sweep-penetration", *SIZE,
+                                            "--penetration", "0,0.5,1.0,1.5"]
+    named["settle-unservable"] = ["settle", *SIZE, "--load-mean", "400,300,300"]
     return named
 
 
