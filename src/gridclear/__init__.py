@@ -18,7 +18,7 @@ from .merit_order import (DispatchResult, Fleet, GeneratorSpec, Regime,
                           builtin_fleet, commit, commit_batch, fleet_from_csv)
 from .risk import cvar_rows
 from .scenarios import ScenarioConfig
-from .settlement import (SettlementReport, curtail_and_pay_renewables,
+from .settlement import (curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
                          reserve_and_ramp_check)
 
@@ -34,7 +34,7 @@ __all__ = [
     "builtin_fleet", "commit", "commit_batch", "fleet_from_csv",
     "cvar_rows",
     "ScenarioConfig",
-    "SettlementReport", "curtail_and_pay_renewables",
+    "curtail_and_pay_renewables",
     "deviation_envelopes", "expected_profit", "realized_profit",
     "reserve_and_ramp_check",
 ]

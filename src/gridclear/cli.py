@@ -217,7 +217,7 @@ def settle_cmd(alpha, penetration, **kw):
     run, out = _build_config(alpha, penetration, capacity_mode="tracking", **kw)
     point = _single_point(run)
     path = _write([point_row(run, point)], out, "settlement.csv", SETTLEMENT_COLUMNS)
-    for msg in point.settlement.violations:
+    for msg in point.violations:
         click.echo(f"note: {msg}", err=True)
     click.echo(f"wrote {path}")
 

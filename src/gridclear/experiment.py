@@ -64,7 +64,7 @@ from .errors import ConfigurationError
 from .merit_order import Fleet, _commit_rows, builtin_fleet, fleet_from_csv
 from .risk import cvar_rows
 from .scenarios import LOAD_Z_MAX, ScenarioConfig, _check_draw, draw_and_build
-from .settlement import (SettlementReport, _recovery_rows, curtail_and_pay_renewables,
+from .settlement import (_recovery_rows, curtail_and_pay_renewables,
                          deviation_envelopes, expected_profit, realized_profit,
                          reserve_and_ramp_check, sum_in_order, sum_rows)
 
@@ -182,7 +182,9 @@ def scenario_config(run: RunConfig) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class PointResult:
-    """One fully settled market run at a fixed (alpha, penetration)."""
+    """One fully settled market run at a fixed (alpha, penetration): its
+    commitment and re-dispatch, then its settled figures (see the
+    ``settlement`` module docstring)."""
 
     alpha: float
     penetration: float
@@ -190,7 +192,14 @@ class PointResult:
     realized: np.ndarray         # (K, T, n_units) MW
     lmps: np.ndarray             # (T, n_units) $/MWh at each unit's bus
     clearing_prices: np.ndarray  # (T,) system price (max LMP when congested)
-    settlement: SettlementReport
+    h_total: float               # $, recoverable costs
+    lambda_w: float              # $/MWh uplift
+    expected_profit: float       # $, profit at commitment
+    realized_profit: float       # $, scenario-expected profit actually made
+    deviation_cost: float        # $, expected_profit - realized_profit (signed)
+    renewable_revenue: float     # $, scenario-expected renewable payment
+    curtailed_mwh: float         # MWh, scenario-expected curtailed energy
+    violations: list[str]        # reserve and ramp texts, empty when feasible
     fleet: Fleet = field(repr=False)  # the units cleared, one per bus on a feeder
 
     @property
@@ -433,23 +442,22 @@ def _evaluate_levels(fleet: Fleet, run: RunConfig, load, probabilities, renewabl
         # prices, each bus at its paying unit's LMP, one alpha at a time
         paid = np.zeros((2, n_alphas, n_levels, k_len))
         for level in range(n_levels):
-            served = [a for a in range(n_alphas) if errors[a * n_levels + level] is None]
-            renewables = renewable(level).transpose(2, 1, 0) if served else None
-            for a in served:
+            paid_alphas = [a for a in range(n_alphas) if errors[a * n_levels + level] is None]
+            renewables = renewable(level).transpose(2, 1, 0) if paid_alphas else None
+            for a in paid_alphas:
                 paid[:, a, level] = curtail_and_pay_renewables(
                     load_totals, renewables, c.lmps[a, level][:, c.paid_at])
         revenue, curtailed = sum_in_order(probabilities * paid)
         for point, outcome in enumerate(errors):
             a, level = divmod(point, n_levels)
             if outcome is None:
-                report = SettlementReport(
-                    float(h_total[point]), float(lambda_w[point]), float(r_expected[a, level]),
-                    float(r_realized[a, level]),
-                    float(r_expected[a, level]) - float(r_realized[a, level]),
-                    float(revenue[a, level]), float(curtailed[a, level]), violations[a][level])
+                r, r_tilde = float(r_expected[a, level]), float(r_realized[a, level])
                 outcome = PointResult(
                     alphas[a], penetrations[level], c.power[a, level], realized[level],
-                    c.lmps[a, level], c.lmps[a, level].max(axis=-1), report, point_fleet)
+                    c.lmps[a, level], c.lmps[a, level].max(axis=-1), float(h_total[point]),
+                    float(lambda_w[point]), r, r_tilde, r - r_tilde,
+                    float(revenue[a, level]), float(curtailed[a, level]), violations[a][level],
+                    point_fleet)
                 overflowed = [(name, value) for name, value in point_row(run, outcome).items()
                               if not math.isfinite(value)]
                 if overflowed:
@@ -510,7 +518,6 @@ def run_grid(run: RunConfig, diagnostics: list[str] | None = None) -> list[Point
 
 def point_row(run: RunConfig, point: PointResult) -> dict:
     """Every column any grid CSV writes; ``emit_csv`` keeps its own."""
-    s = point.settlement
     return {
         "run_id": run.seed,
         "alpha": point.alpha,
@@ -518,14 +525,14 @@ def point_row(run: RunConfig, point: PointResult) -> dict:
         "CR": run.cost_recovery,
         "committed_mw": point.committed_total,
         "price": point.price,
-        "H": s.h_total,
-        "lambda_w": s.lambda_w,
-        "R": s.expected_profit,
-        "R_tilde": s.realized_profit,
-        "deviation_cost": s.deviation_cost,
-        "renewable_revenue": s.renewable_revenue,
-        "renewable_profit": s.renewable_revenue,
-        "curtailed_mwh": s.curtailed_mwh,
+        "H": point.h_total,
+        "lambda_w": point.lambda_w,
+        "R": point.expected_profit,
+        "R_tilde": point.realized_profit,
+        "deviation_cost": point.deviation_cost,
+        "renewable_revenue": point.renewable_revenue,
+        "renewable_profit": point.renewable_revenue,
+        "curtailed_mwh": point.curtailed_mwh,
     }
 
 

@@ -42,8 +42,6 @@ renewable payment raise ValueError naming an array argument
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InfeasibleDispatchError
@@ -51,18 +49,6 @@ from .merit_order import Fleet
 
 RESERVE_RATE = 15.0   # $/MW per hour of reserve held
 RAMP_RATE = 5.0       # $ per MW/h of ramp envelope
-
-
-@dataclass(frozen=True)
-class SettlementReport:
-    h_total: float                 # $, recoverable costs (see the module docstring)
-    lambda_w: float                # $/MWh uplift
-    expected_profit: float         # $, profit at commitment
-    realized_profit: float         # $, scenario-expected profit actually made
-    deviation_cost: float          # $, expected_profit - realized_profit (signed)
-    renewable_revenue: float       # $, scenario-expected renewable payment
-    curtailed_mwh: float           # MWh, scenario-expected curtailed energy
-    violations: list[str] = field(default_factory=list)
 
 
 def _reject_non_finite(**arrays) -> None:

@@ -265,15 +265,13 @@ def test_criterion_8_settlement_identities():
         # deviation cost is the literal difference and the uplift switches off
         run = RunConfig(capacity_mode="buildout", alphas=(0.9,), penetrations=(0.5,))
         point, = run_grid(run)
-        s = point.settlement
-        assert s.deviation_cost == s.expected_profit - s.realized_profit  # exact
-        point_off, = run_grid(replace(run, cost_recovery=0))
-        assert point_off.settlement.lambda_w == 0.0
+        assert point.deviation_cost == point.expected_profit - point.realized_profit  # exact
+        off, = run_grid(replace(run, cost_recovery=0))
+        assert off.lambda_w == 0.0
         # the uplift recovers H from consumers and reaches neither profit, so
         # both profits keep their bits when recovery is switched off
-        off = point_off.settlement
         assert (np.array([off.expected_profit, off.realized_profit]).tobytes()
-                == np.array([s.expected_profit, s.realized_profit]).tobytes())
+                == np.array([point.expected_profit, point.realized_profit]).tobytes())
 
         worked = Fleet((GeneratorSpec("g", 10.0, 0.0, 500.0, 500.0, 500.0,
                                       start_cost_hot=100.0, start_cost_cold=999.0,
@@ -286,7 +284,7 @@ def test_criterion_8_settlement_identities():
         det = RunConfig(capacity_mode="tracking", penetrations=(0.0,),
                         load_std_frac=0.0, alphas=(0.9,))
         det_point, = run_grid(det)
-        assert abs(det_point.settlement.deviation_cost) <= 1e-9
+        assert abs(det_point.deviation_cost) <= 1e-9
 
 
 def test_criterion_9_deterministic_csv(tmp_path):

@@ -32,7 +32,7 @@ import oracles
 from gridclear import experiment, risk, scenarios
 from gridclear import (ConfigurationError, Fleet, GeneratorSpec,
                        InfeasibleDispatchError, PointResult, RadialGrid, Regime, RunConfig,
-                       ScenarioConfig, SettlementReport, builtin_fleet, commit, commit_batch,
+                       ScenarioConfig, builtin_fleet, commit, commit_batch,
                        curtail_and_pay_renewables, cvar_rows,
                        deviation_envelopes, dispatch_radial, dispatch_radial_batch,
                        expected_profit, load_fleet, realized_profit, reserve_and_ramp_check,
@@ -1393,8 +1393,8 @@ def test_point_equals_per_scenario_loops(fleet, line_limit, load_mean, tmp_path)
         revenue += probs[k] * rev_k
         curtailed += probs[k] * cur_k
     assert curtailed > 0.0
-    assert point.settlement.renewable_revenue == revenue
-    assert point.settlement.curtailed_mwh == curtailed
+    assert point.renewable_revenue == revenue
+    assert point.curtailed_mwh == curtailed
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -1438,7 +1438,7 @@ def test_feeder_point_equals_per_scenario_hour_loop(seed, penetration, alpha, lo
     assert point.fleet == units
     rp, dp = reference_envelopes(committed, realized)
     h_total, lambda_w = recovery_rate(committed, rp, dp, units, run.cost_recovery)
-    assert point.settlement.h_total == h_total and point.settlement.lambda_w == lambda_w
+    assert point.h_total == h_total and point.lambda_w == lambda_w
 
 
 # ---------------------------------------------------------------------------
@@ -1538,11 +1538,10 @@ def reference_point(fleet, run, arrays, alpha, penetration):
     rev_k, cur_k = curtail_and_pay_renewables(
         np.ascontiguousarray(load.transpose(2, 1, 0)).sum(axis=-1),
         renewable.transpose(2, 1, 0), bus_lmps)
-    report = SettlementReport(h_total, lambda_w, r_expected, r_realized,
-                              r_expected - r_realized,
-                              float(sum_in_order(probs * rev_k)),
-                              float(sum_in_order(probs * cur_k)), violations)
-    return PointResult(alpha, penetration, committed, realized, lmps, prices, report, units)
+    return PointResult(alpha, penetration, committed, realized, lmps, prices, h_total,
+                       lambda_w, r_expected, r_realized, r_expected - r_realized,
+                       float(sum_in_order(probs * rev_k)),
+                       float(sum_in_order(probs * cur_k)), violations, units)
 
 
 def reference_grid(run, failures):
@@ -1571,17 +1570,25 @@ def reference_grid(run, failures):
     return points
 
 
+# a point's settled figures, the fields of PointResult between its prices and its fleet
+SETTLED = ("h_total", "lambda_w", "expected_profit", "realized_profit", "deviation_cost",
+           "renewable_revenue", "curtailed_mwh", "violations")
+
+
 def assert_points_equal(got, want):
+    assert [field.name for field in dataclasses.fields(PointResult)] == [
+        "alpha", "penetration", "committed", "realized", "lmps", "clearing_prices",
+        *SETTLED, "fleet"]
     assert (got.alpha, got.penetration, got.fleet) == (want.alpha, want.penetration,
                                                        want.fleet)
     for name in ("committed", "realized", "lmps", "clearing_prices"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
-    for field in dataclasses.fields(SettlementReport):
-        g, w = getattr(got.settlement, field.name), getattr(want.settlement, field.name)
-        if field.name == "violations":
+    for name in SETTLED:
+        g, w = getattr(got, name), getattr(want, name)
+        if name == "violations":
             assert g == w
         else:
-            assert type(g) is float and same_bits(g, w), field.name
+            assert type(g) is float and same_bits(g, w), name
 
 
 def write_fleet(path, units):
@@ -1726,7 +1733,7 @@ def test_grid_equals_per_level_loop(case, expected, cost_recovery, tmp_path):
     if several_violations:
         for alpha in run.alphas:
             levels = [p.penetration for p in got if p.alpha == alpha and all(
-                any(kind in text for text in p.settlement.violations)
+                any(kind in text for text in p.violations)
                 for kind in ("above its commitment", "needed reserve", "scenario-pair swing"))]
             assert len(levels) >= 2, alpha
     # without a list, the first failure in (level, alpha) order is raised
@@ -1758,7 +1765,7 @@ def test_failed_points_get_no_reserve_and_ramp_texts(monkeypatch, tmp_path):
     points = run_grid(run, notes)
     (texts,) = checked
     kept = [p for p in LEVELS if p != 2.0]
-    printed = {(p.alpha, p.penetration): p.settlement.violations for p in points}
+    printed = {(p.alpha, p.penetration): p.violations for p in points}
     assert "alpha=0.95, penetration=0.0: demand 210.23 MW outside the servable range" in [
         note.split(" [")[0] for note in notes]
     assert (0.95, 0.0) not in printed

@@ -7,6 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from click.testing import CliRunner
+
+from gridclear import experiment
+from gridclear.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
@@ -23,13 +28,36 @@ def load_tool():
     return tool
 
 
-def test_the_twelve_commands_run_all_four_cli_commands():
+def test_the_fifteen_commands_run_all_four_cli_commands():
     tool = load_tool()
     named = tool.commands()
-    assert len(named) == 12
+    assert len(named) == 15
     assert {argv[0] for argv in named.values()} == {"settle", "sweep-penetration",
                                                       "sweep-alpha", "dispatch"}
     assert named["dispatch-feeder"] == ["dispatch", *tool.SIZE, *tool.FEEDER]
+    assert named["settle-default"] == ["settle"]
+
+
+def test_the_compared_commands_take_both_branches_of_the_commit_kernel(
+        monkeypatch, tmp_path):
+    # _commit_rows gathers its saturated units from an (n, n) table when a
+    # call has at least as many demand rows as the fleet has units, and
+    # broadcasts an (m, n) compare when it has fewer; the byte gate covers a
+    # branch only if some compared command runs it
+    real = experiment._commit_rows
+    calls = {}
+
+    def recording(fleet, demands):  # (rows, units) of each call, by the running command
+        calls.setdefault(command, []).append((len(demands), len(fleet)))
+        return real(fleet, demands)
+
+    monkeypatch.setattr(experiment, "_commit_rows", recording)
+    for command, argv in load_tool().commands().items():
+        CliRunner().invoke(main, [*argv, "--seed", "7", "--out", str(tmp_path / command)])
+    fewer = {name for name, shapes in calls.items() if any(m < n for m, n in shapes)}
+    assert fewer == {"sweep-alpha-default", "dispatch-default", "settle-default"}
+    assert {name for name, shapes in calls.items()
+            if any(m >= n for m, n in shapes)} >= {"settle-bus", "settle-default"}
 
 
 def test_the_compared_commands_word_skips_and_an_error():

@@ -23,6 +23,7 @@ from gridclear.experiment import (ALPHA_SWEEP_COLUMNS, DEFAULT_LOAD_MEAN,
                                   DEFAULT_LOAD_STD_FRAC, PENETRATION_SWEEP_COLUMNS,
                                   derive_capacity)
 
+from test_batch_equivalence import SETTLED
 from test_messages import TOP, WIDE_LOADS
 from test_scenarios import same_bits, thread_starts  # noqa: F401 (a fixture)
 
@@ -422,9 +423,8 @@ def test_multi_hour_horizon_runs():
     point, = run_grid(run)
     assert point.committed.shape == (3, 7)
     assert point.realized.shape == (run.n_scenarios, 3, 7)
-    s = point.settlement
-    assert s.deviation_cost == s.expected_profit - s.realized_profit
-    assert s.h_total >= 0.0 and s.lambda_w >= 0.0
+    assert point.deviation_cost == point.expected_profit - point.realized_profit
+    assert point.h_total >= 0.0 and point.lambda_w >= 0.0
 
 
 @pytest.mark.parametrize("line_limit,load_mean", [(None, (232.0, 174.0, 174.0)),
@@ -1012,7 +1012,8 @@ def test_run_grid_bits_do_not_depend_on_the_worker_count(name, monkeypatch, thre
         assert len(other_points) == len(points)
         for got, want in zip(other_points, points):
             assert point_row(run, got) == point_row(run, want)
-            assert got.settlement == want.settlement
+            for figure in SETTLED:
+                assert getattr(got, figure) == getattr(want, figure), figure
             for field in ("committed", "realized", "lmps", "clearing_prices"):
                 assert same_bits(getattr(got, field), getattr(want, field)), field
         for got, want in zip(other_seen, seen):

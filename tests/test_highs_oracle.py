@@ -15,8 +15,9 @@ positive minimums the same program with on/off binaries is a MILP, for
 which the commitment must be feasible and cost no less than its optimum.
 A feeder run's congested hours are checked against the LP in which each
 tail downstream of a line covers its own tail CVaR less the limit: it
-commits the printed total, at a cost that is printed.  Only the tests
-import ``scipy.optimize``; the package does not.
+commits the printed total, at a cost that is printed.  Between capacity
+prefix sums, both LPs' duals give the clearing price as a step function of
+the CVaR.  Only the tests import ``scipy.optimize``; the package does not.
 """
 
 import numpy as np
@@ -315,6 +316,37 @@ def test_bus_commitment_with_positive_minimums_is_feasible_for_the_milp(tmp_path
     print(f"worst relative gap over the runs' {len(rows) - 1} rows: {max(gaps[:-1]):.3g}")
     # the README row, checked last
     assert res.fun == pytest.approx(4340.0, abs=1e-6) and cost == pytest.approx(6958.72)
+
+
+def test_clearing_price_is_a_step_function_of_the_cvar():
+    # the paper's market clearing price of energy as a function of the
+    # CVaR, on the built-in fleet: at CVaRs inside each open interval
+    # between capacity prefix sums, the dual of the clearing LP's balance
+    # and that of the CVaR-constrained LP's CVaR row are the interval's
+    # marginal ask, and so is commit_batch's clearing price.  At a prefix
+    # sum the dual is any price between two neighbouring asks
+    # (test_commit_batch_matches_the_clearing_lp)
+    fleet = builtin_fleet()
+    n, prefix, asks = len(fleet), fleet.p_max_prefix, fleet.ask_prices
+    alpha, base = 0.9, np.random.default_rng(3).normal(0.0, 30.0, 50)
+    probabilities = np.full(base.size, 1.0 / base.size)
+    base_cvar = cvar_rows(base[None], probabilities, alpha)[1][0]
+    table = []
+    for j in range(n):
+        lo, hi = prefix[j], prefix[j + 1]
+        # the draws shifted so that their CVaR lies near each end and in the middle
+        draws = base + (lo + (hi - lo) * np.array([0.01, 0.5, 0.99]) - base_cvar)[:, None]
+        cvars = cvar_rows(draws, probabilities, alpha)[1]
+        assert np.all((lo < cvars) & (cvars < hi))
+        for cvar, price, row in zip(cvars, commit_batch(fleet, cvars).clearing_price, draws):
+            clearing = _highs(asks, list(zip(np.zeros(n), fleet.p_maxs)), np.ones((1, n)),
+                              [cvar])
+            constrained = _cvar_commitment_lp(fleet, row, probabilities, alpha)
+            assert clearing.eqlin.marginals[0] == pytest.approx(asks[j], abs=1e-9)
+            assert -constrained.ineqlin.marginals[0] == pytest.approx(asks[j], abs=1e-9)
+            assert price == asks[j]
+        table.append(f"  ({lo:6.1f}, {hi:6.1f}) MW  {asks[j]:6.2f} $/MWh")
+    print("clearing price as a function of the CVaR (built-in fleet):", *table, sep="\n")
 
 
 def _congested_commitment_lp(fleet, line_limit, tail_cvars):

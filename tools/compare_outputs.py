@@ -12,9 +12,12 @@ The commands are the benchmark's three workloads, with the ``argv`` read from
 80 MW feeder, and three at T 24, K 1000 that word a skip or an error: a
 ``sweep-alpha`` at penetration 3.0 that skips three points on cost
 recovery, a ``sweep-penetration`` that skips level 1.5 before its Beta
-draw, and a ``settle`` whose load exceeds the fleet and exits 3.  Twelve
-commands, which run all four of the CLI's.  Naming commands
-(``settle-bus``, ``dispatch-feeder``, ...) runs only those.
+draw, and a ``settle`` whose load exceeds the fleet and exits 3.  Last,
+``sweep-alpha``, ``dispatch`` and ``settle`` with no size flag (T 1, K 200,
+one bus), whose commitments clear fewer demand rows than the fleet has
+units: the only compared runs that take that branch of the clearing
+kernel.  Fifteen commands, which run all four of the CLI's.  Naming
+commands (``settle-bus``, ``dispatch-feeder``, ...) runs only those.
 
 Every command runs at every seed in a fresh ``python -m gridclear.cli``
 process per side, with ``PYTHONPATH`` set to that side's source directory.
@@ -49,6 +52,8 @@ def commands() -> dict[str, list[str]]:
     named["sweep-penetration-beta-skip"] = ["sweep-penetration", *SIZE,
                                             "--penetration", "0,0.5,1.0,1.5"]
     named["settle-unservable"] = ["settle", *SIZE, "--load-mean", "400,300,300"]
+    for command in ("sweep-alpha", "dispatch", "settle"):
+        named[f"{command}-default"] = [command]
     return named
 
 
